@@ -15,6 +15,11 @@ twice — once per backend — and then:
   float-reassociation tier (``TOLERANCES["float32"]`` level tiers);
 * **coverage** — every fused step must lower to native code except
   extern closures (dropout masks, softmax loss);
+* **build** — the first compile runs against an empty build directory
+  and records its cold ``cc`` seconds, unique/total kernels and
+  translation-unit count (the ``codegen-c`` compile-report row); a
+  second compile of the same model must then find the shared object in
+  the build directory and spawn no compiler process at all;
 * **speed** — median forward and forward+backward wall times; the
   geometric-mean forward+backward speedup across the three models must
   reach :data:`MIN_SPEEDUP` (the acceptance bar is "a measured
@@ -30,6 +35,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -118,6 +124,25 @@ def _coverage(c_r, name, failures):
             "python_steps": len(compiled.c_skipped)}
 
 
+def _build_record(c_r, name, num_threads, failures):
+    """The cold build's counters, then the same compile again: the
+    build directory is warm now, so no compiler may run."""
+    cold = c_r.cnet.compile_report["codegen-c"].rewrites
+    if cold["build_dir_hit"]:
+        failures.append(f"{name}: first compile found a warm build dir")
+    again = _runners(name, "c", num_threads)
+    warm = again.cnet.compile_report["codegen-c"].rewrites
+    again.cnet.close()
+    if not warm["build_dir_hit"] or warm["cc_jobs"]:
+        failures.append(f"{name}: a warm build dir spawned cc ({warm})")
+    return {"cc_seconds": round(cold["cc_seconds"], 3),
+            "link_seconds": round(cold["link_seconds"], 3),
+            "cc_jobs": cold["cc_jobs"],
+            "kernels_unique": cold["kernels_unique"],
+            "translation_units": cold["translation_units"],
+            "so_bytes": cold["so_bytes"]}
+
+
 def main(num_threads: int = 1) -> int:
     if not c_backend.have_c_toolchain():
         print(f"SKIP c-backend smoke: {c_backend.toolchain_error()}")
@@ -125,11 +150,15 @@ def main(num_threads: int = 1) -> int:
 
     failures = []
     models = {}
+    # an empty build directory: cc_seconds below is a cold build
+    scratch = tempfile.TemporaryDirectory(prefix="repro-cbuild-smoke-")
+    os.environ["REPRO_CBUILD_DIR"] = scratch.name
     for name in sorted(FACTORIES):
         numpy_r = _runners(name, "numpy", num_threads)
         c_r = _runners(name, "c", num_threads)
         loss = _check_parity(name, numpy_r, c_r, failures)
         coverage = _coverage(c_r, name, failures)
+        build = _build_record(c_r, name, num_threads, failures)
 
         n_fwd = median_time(numpy_r.latte_forward, REPEATS, WARMUP)
         c_fwd = median_time(c_r.latte_forward, REPEATS, WARMUP)
@@ -144,10 +173,16 @@ def main(num_threads: int = 1) -> int:
             "c_fwd_bwd_ms": round(c_fb * 1e3, 3),
             "fwd_bwd_speedup": round(n_fb / c_fb, 3),
             **coverage,
+            **build,
         }
         print(f"{name:9s} fwd {n_fwd * 1e3:7.2f} -> {c_fwd * 1e3:7.2f}ms "
               f"({n_fwd / c_fwd:.2f}x)  fwd+bwd {n_fb * 1e3:7.2f} -> "
-              f"{c_fb * 1e3:7.2f}ms ({n_fb / c_fb:.2f}x)", flush=True)
+              f"{c_fb * 1e3:7.2f}ms ({n_fb / c_fb:.2f}x)  cold cc "
+              f"{build['cc_seconds']:.2f}s: {coverage['native_steps']} steps"
+              f" on {build['kernels_unique']} kernels in "
+              f"{build['translation_units']} units, {build['cc_jobs']} jobs",
+              flush=True)
+    scratch.cleanup()
 
     geomean = math.exp(sum(math.log(m["fwd_bwd_speedup"])
                            for m in models.values()) / len(models))

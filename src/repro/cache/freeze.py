@@ -204,14 +204,15 @@ _SO_KEY = "__so__"
 
 def _c_exec_dict(cnet, compiled, arrays: Dict[str, np.ndarray]):
     """The ``meta["c_exec"]`` record for a ``backend='c'`` compile —
-    source + step argument orders + toolchain fingerprint — stashing
-    the built ``.so`` bytes into ``arrays`` alongside. ``None`` for the
-    numpy backend."""
+    source + step argument orders + twin-step kernel names + toolchain
+    fingerprint — stashing the built ``.so`` bytes into ``arrays``
+    alongside. ``None`` for the numpy backend."""
     if getattr(cnet.options, "backend", "numpy") != "c":
         return None
     ce = {
         "source": compiled.c_exec_source,
         "steps": {k: list(v) for k, v in compiled.c_steps.items()},
+        "symbols": dict(compiled.c_symbols),
         "toolchain": None,
     }
     if compiled.c_steps:
@@ -455,10 +456,11 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
 
     ce = meta.get("c_exec") or {}
     source = ce.get("source", "")
-    csteps = {k: list(v) for k, v in (ce.get("steps") or {}).items()}
     compiled.c_exec_source = source
-    compiled.c_steps = csteps
-    if not csteps:
+    compiled.c_steps = {k: list(v)
+                        for k, v in (ce.get("steps") or {}).items()}
+    compiled.c_symbols = dict(ce.get("symbols") or {})
+    if not compiled.c_steps:
         return
     so_path = None
     so_bytes = arrays.get(_SO_KEY)
@@ -478,15 +480,8 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
             raise CacheError(
                 f"cannot rebuild native program: {exc}"
             ) from exc
-    batch = int(meta["batch_size"])
-    omp = c_backend.omp_threads_for(
-        compiled, batch, int(meta["num_threads"])
-    )
-    fns = c_backend.bind_steps(so_path, csteps, batch, omp)
-    for step in compiled.forward + compiled.backward:
-        fn = fns.get(step.name)
-        if fn is not None:
-            step.fn = fn
+    c_backend.bind_steps(compiled, so_path, int(meta["batch_size"]),
+                         int(meta["num_threads"]))
 
 
 def _rebuild_report(meta) -> CompileReport:

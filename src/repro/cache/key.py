@@ -49,7 +49,9 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #:     (``arena_bytes``/slab ``nbytes``), entries may carry a ``quant``
 #:     reduced-precision plan, and int8 keys include the calibration
 #:     profile digest
-FORMAT_VERSION = 4
+#: v5: ``c_exec`` carries ``symbols`` (steps sharing a twin's kernel)
+#:     and its source is split into translation units at markers
+FORMAT_VERSION = 5
 
 
 class CacheUnsupported(ValueError):

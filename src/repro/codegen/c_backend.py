@@ -8,21 +8,28 @@ Two artifacts come out of this module:
   golden tests, and documentation; never compiled.
 
 * the **executable native backend** (``CompilerOptions(backend="c")``):
-  every fused step is lowered to a standalone C function, the whole
-  program is compiled once with the system toolchain (``cc`` →
-  shared object) and loaded via :mod:`ctypes`. Buffers stay NumPy-owned
-  — each step receives raw ``float*`` pointers into the executor's
-  buffer table, so checkpoints, the memory planner's arena offsets,
-  tracer spans, and ``rebind_buffer`` keep working unchanged.
+  every fused step is lowered to a C function (steps that are the same
+  kernel on different buffers share one), the program is compiled once
+  with the system toolchain (a few translation units through a pool of
+  ``cc`` processes → one shared object) and loaded via :mod:`ctypes`.
+  Buffers stay NumPy-owned — each step receives raw ``float*`` pointers
+  into the executor's buffer table, so checkpoints, the memory
+  planner's arena offsets, tracer spans, and ``rebind_buffer`` keep
+  working unchanged.
 
 The native lowering contract:
 
-* one exported C function per fused step, named exactly like its Python
-  twin (``_step_f0``, ``_step_b3``, ...), with the signature
-  ``void step(float* <buf>, ..., long long _b0, long long _b1,
-  long long _omp)`` where the buffer pointers are the step's touched
-  buffers in sorted-name order and ``_b0/_b1`` are the same batch-shard
-  bounds the threaded Python backend's step functions take;
+* one exported C function per *distinct* kernel, named like the Python
+  step function of the first step that needs it (``_step_f0``,
+  ``_step_b3``, ...), with the signature ``int step(float* <buf>, ...,
+  long long _b0, long long _b1, long long _omp)`` where the buffer
+  pointers are that step's touched buffers in sorted-name order and
+  ``_b0/_b1`` are the same batch-shard bounds the threaded Python
+  backend's step functions take; a later step whose body is identical
+  up to buffer and loop-variable names calls the same function with
+  its own buffers (``CompiledProgram.c_symbols``);
+* the return value is 0, or 1 when a packed GEMM could not allocate its
+  scratch — raised by the step wrapper as :class:`MemoryError`;
 * scalar :class:`~repro.ir.Assign` units become plain loop nests over
   flat row-major offsets (strides baked in at compile time from the
   buffer plan), with value arithmetic performed in ``double`` and
@@ -49,9 +56,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -222,13 +233,27 @@ def toolchain_error() -> str:
     return info["why"] or "toolchain available"
 
 
-def compile_shared_object(source: str) -> str:
-    """Compile generated C ``source`` to a shared object; returns its path.
+#: seconds one compiler process may run before the build is abandoned
+_CC_TIMEOUT = 300.0
 
-    Builds are content-addressed on (source, compiler, flags): recompiling
-    an identical program — e.g. a cache thaw, or the second oracle run of
-    a determinism check — reuses the existing ``.so`` byte-for-byte.
-    """
+#: section markers inside the one-string program source: everything
+#: before ``_RUNTIME_MARK`` is the header every translation unit
+#: repeats, the runtime section defines the sgemm hook exactly once,
+#: and each ``_KERNEL_MARK`` starts one kernel function
+_RUNTIME_MARK = "/*@latte:runtime*/\n"
+_KERNEL_MARK = "/*@latte:kernel*/\n"
+
+#: kernel source bytes per translation unit. The split is a function of
+#: the source alone — never of the CPU count — so every machine with
+#: the same toolchain links byte-identical objects in the same order.
+#: One unit per kernel would start a process and re-parse the header
+#: ~100 times; a handful of units keeps a small worker pool busy.
+_TU_BYTES = 16 * 1024
+
+
+def _artifact(source: str) -> Path:
+    """Content-addressed ``.so`` path for ``source`` under the active
+    (compiler, flags) pair; its ``.c`` twin sits beside it."""
     info = _probe_toolchain()
     if not info["cc"] or info["why"]:
         raise CBackendUnavailable(
@@ -237,23 +262,172 @@ def compile_shared_object(source: str) -> str:
     tag = hashlib.sha256(
         "\x00".join([source, info["cc"], " ".join(info["flags"])]).encode()
     ).hexdigest()[:24]
-    d = build_dir()
-    so = d / f"latte_{tag}.so"
-    if so.exists():
-        return str(so)
-    csrc = d / f"latte_{tag}.c"
-    csrc.write_text(source)
-    tmp = d / f".latte_{tag}.{os.getpid()}.so"
-    proc = subprocess.run(
-        [info["cc"], *info["flags"], str(csrc), "-o", str(tmp), "-lm"],
-        capture_output=True, timeout=300,
-    )
-    if proc.returncode != 0 or not tmp.exists():
-        stderr = proc.stderr.decode(errors="replace")[-2000:]
+    return build_dir() / f"latte_{tag}.so"
+
+
+def _translation_units(source: str) -> List[Tuple[str, str]]:
+    """Split a program into ``(name, text)`` translation units: ``rt``
+    (header + runtime section) and ``k0..kN`` (header + a share of the
+    kernels). Kernels go largest-first onto the lightest unit, so the
+    units cost about the same to compile; inside a unit they keep
+    schedule order."""
+    head, *kernels = source.split(_KERNEL_MARK)
+    header, _, runtime = head.partition(_RUNTIME_MARK)
+    units = [("rt", header + runtime)]
+    if kernels:
+        total = sum(map(len, kernels))
+        n = min(len(kernels), -(-total // _TU_BYTES))
+        bins: List[List[int]] = [[] for _ in range(n)]
+        load = [0] * n
+        for i in sorted(range(len(kernels)), key=lambda i: -len(kernels[i])):
+            b = load.index(min(load))
+            bins[b].append(i)
+            load[b] += len(kernels[i])
+        units += [
+            (f"k{b}", header + "".join(kernels[i] for i in sorted(idx)))
+            for b, idx in enumerate(bins)
+        ]
+    return units
+
+
+def _cc_jobs() -> int:
+    """Compiler processes to run at once: the CPUs this process may
+    actually use (its affinity mask, where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+class _CcFailed(Exception):
+    """Internal: the compiler command named ``unit`` failed for ``reason``."""
+
+    def __init__(self, unit: str, reason: str):
+        super().__init__(unit, reason)
+        self.unit, self.reason = unit, reason
+
+
+def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
+    """Run the named compiler commands, ``jobs`` at a time, in ``cwd``.
+
+    Raises ``_CcFailed(name, reason)`` for the first command that
+    cannot start, exits non-zero or outlives ``_CC_TIMEOUT``; by then
+    every sibling has been killed and waited for and no further command
+    is started — a failed build leaves no compiler process behind.
+    """
+    lock = threading.Lock()
+    live: set = set()
+    failed: List[Tuple[str, str]] = []
+
+    def fail(name: str, why: str) -> None:
+        failed.append((name, why))
+        for p in live:
+            p.kill()
+
+    def one(name: str) -> None:
+        cmd = cmds[name]
+        with lock:
+            if failed:
+                return
+            try:
+                proc = subprocess.Popen(
+                    cmd, cwd=cwd, stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                )
+            except OSError as exc:
+                fail(name, f"cannot run {cmd[0]}: {exc}")
+                return
+            live.add(proc)
+        try:
+            _, err = proc.communicate(timeout=_CC_TIMEOUT)
+            why = (err.decode(errors="replace")[-2000:]
+                   or f"exit status {proc.returncode}"
+                   ) if proc.returncode else ""
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            why = f"{cmd[0]} still running after {_CC_TIMEOUT:g}s"
+        with lock:
+            live.discard(proc)
+            if why and not failed:
+                fail(name, why)
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(one, cmds))  # list(): re-raise a worker's exception
+    if failed:
+        raise _CcFailed(*failed[0])
+
+
+def _build(so: Path, source: str, units: List[Tuple[str, str]]) -> Dict:
+    """Compile ``units`` in a private scratch directory under the build
+    directory, link them in unit order and move the result to ``so``;
+    returns the build's ``cc_jobs``/``cc_seconds``/``link_seconds``."""
+    info = _probe_toolchain()
+    so.with_suffix(".c").write_text(source)
+    flags = [f for f in info["flags"] if f != "-shared"]
+    # largest unit first: the pool's tail is then a small one
+    compile_cmds = {
+        name: [info["cc"], *flags, "-c", f"{name}.c", "-o", f"{name}.o"]
+        for name, _ in sorted(units, key=lambda u: -len(u[1]))
+    }
+    link_cmd = [info["cc"], *info["flags"],
+                *(f"{name}.o" for name, _ in units), "-o", "out.so", "-lm"]
+    jobs = min(_cc_jobs(), len(units))
+    tmp = Path(tempfile.mkdtemp(prefix=f".{so.stem}.", dir=so.parent))
+    try:
+        for name, text in units:
+            (tmp / f"{name}.c").write_text(text)
+        t0 = time.perf_counter()
+        _run_cc(compile_cmds, tmp, jobs)
+        t1 = time.perf_counter()
+        _run_cc({"link": link_cmd}, tmp, 1)
+        t2 = time.perf_counter()
+        os.replace(tmp / "out.so", so)  # atomic: builders converge
+    except _CcFailed as exc:
+        kept = so.with_suffix(".c")
+        if exc.unit != "link":
+            kept = so.with_suffix(f".{exc.unit}.c")
+            os.replace(tmp / f"{exc.unit}.c", kept)
         raise CBackendUnavailable(
-            f"C backend build failed (source kept at {csrc}):\n{stderr}"
-        )
-    os.replace(tmp, so)  # atomic: concurrent builders converge
+            f"C backend build failed in unit {exc.unit} "
+            f"(source kept at {kept}):\n{exc.reason}"
+        ) from None
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return {"cc_jobs": jobs, "cc_seconds": t1 - t0, "link_seconds": t2 - t1}
+
+
+def compile_shared_object(source: str,
+                          stats: Optional[Dict] = None) -> str:
+    """Compile generated C ``source`` to a shared object; returns its path.
+
+    Builds are content-addressed on (source, compiler, flags): recompiling
+    an identical program — e.g. a cache thaw, or the second oracle run of
+    a determinism check — reuses the existing ``.so`` byte-for-byte.
+
+    A miss splits the program into translation units
+    (:func:`_translation_units`), compiles them with a pool of
+    :func:`_cc_jobs` compiler processes inside a private scratch
+    directory, links the objects in unit order and moves the result
+    into place atomically, so concurrent builders of one program
+    converge on identical bytes. Any failure — a unit that does not
+    compile, a compiler that hangs or vanishes — raises
+    :class:`CBackendUnavailable` naming the unit (its ``.c`` is kept)
+    and leaves no object, shared object or scratch directory behind.
+
+    ``stats``, when given, receives the build's counters
+    (``translation_units``, ``cc_jobs``, ``cc_seconds``,
+    ``link_seconds``, ``so_bytes``, ``build_dir_hit``).
+    """
+    so = _artifact(source)
+    units = _translation_units(source)
+    rec = {"translation_units": len(units), "cc_jobs": 0, "cc_seconds": 0.0,
+           "link_seconds": 0.0, "build_dir_hit": int(so.exists())}
+    if not rec["build_dir_hit"]:
+        rec.update(_build(so, source, units))
+    rec["so_bytes"] = so.stat().st_size
+    if stats is not None:
+        stats.update(rec)
     return str(so)
 
 
@@ -306,24 +480,21 @@ def install_shared_object(source: str, data: bytes) -> str:
     the bytes were built — foreign bytes belong to a different compiler
     and must be rebuilt from source instead.
     """
-    info = _probe_toolchain()
-    if not info["cc"] or info["why"]:
-        raise CBackendUnavailable(
-            f"C backend unavailable: {toolchain_error()}"
-        )
-    tag = hashlib.sha256(
-        "\x00".join([source, info["cc"], " ".join(info["flags"])]).encode()
-    ).hexdigest()[:24]
-    d = build_dir()
-    so = d / f"latte_{tag}.so"
+    so = _artifact(source)
     if so.exists():
         return str(so)
-    csrc = d / f"latte_{tag}.c"
+    csrc = so.with_suffix(".c")
     if not csrc.exists():
         csrc.write_text(source)
-    tmp = d / f".latte_{tag}.{os.getpid()}.so"
-    tmp.write_bytes(data)
-    os.replace(tmp, so)  # atomic: concurrent installers converge
+    fd, tmp = tempfile.mkstemp(prefix=f".{so.stem}.", suffix=".so",
+                               dir=so.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, so)  # atomic: concurrent installers converge
+    except OSError:
+        os.unlink(tmp)
+        raise
     return str(so)
 
 
@@ -778,8 +949,10 @@ def _emit_gemm_packed(unit: LoopUnit, fr: _Frame, lines: List[str],
     copy, negligible next to the O(M·N·K) contraction. The multiply
     itself then runs as one library sgemm — the exact BLAS NumPy uses,
     injected at load time — or the blocked fallback when no BLAS is
-    present. Should scratch allocation ever fail, the strided loop
-    nest runs in place.
+    present. Should scratch allocation fail the kernel returns status
+    1, which the step wrapper raises as :class:`MemoryError`; an
+    in-place loop nest per step for that branch would cost a tenth of
+    every build.
     """
     stmt = unit.stmt
     m_vars = [v for v in free
@@ -838,21 +1011,18 @@ def _emit_gemm_packed(unit: LoopUnit, fr: _Frame, lines: List[str],
             args[rk] = (f"({base})", ld, trans)
         else:
             args[rk] = (f"_p{rk}", layout[rk][2], 0)
+    frees = " ".join(f"free(_p{rk});" for rk in packed)
     if packed:
         guard = " && ".join(f"_p{rk}" for rk in packed)
-        lines.append(f"{pad}if ({guard}) {{")
-        body = depth + 1
-    else:
-        body = depth
-    bpad = "  " * body
+        lines.append(f"{pad}if (!({guard})) {{ {frees} return 1; }}")
 
     def gather(rk: str) -> None:
         rows, cols, ldname = layout[rk]
-        d = open_var_loops(rows + cols, body)
+        d = open_var_loops(rows + cols, depth)
         lines.append(
             f"{'  ' * d}_p{rk}[{lin(rows)} * {ldname} + {lin(cols)}] = "
             f"{refs[rk].buffer}[{_gemm_flat(refs, owner, fr, rk)}];")
-        _close_loops(lines, d, body)
+        _close_loops(lines, d, depth)
 
     for rk in ("a", "b"):
         if direct[rk] is None:
@@ -860,23 +1030,18 @@ def _emit_gemm_packed(unit: LoopUnit, fr: _Frame, lines: List[str],
     if direct["c"] is None and stmt.accumulate:
         gather("c")
     lines.append(
-        f"{bpad}_latte_gemm_rm(_M, _N, _K, {args['a'][0]}, {args['a'][1]},"
+        f"{pad}_latte_gemm_rm(_M, _N, _K, {args['a'][0]}, {args['a'][1]},"
         f" {args['a'][2]}, {args['b'][0]}, {args['b'][1]},"
         f" {args['b'][2]}, {args['c'][0]}, {args['c'][1]},"
         f" {1 if stmt.accumulate else 0}, _omp);")
     if direct["c"] is None:
-        d = open_var_loops(m_vars + n_vars, body)
+        d = open_var_loops(m_vars + n_vars, depth)
         lines.append(
             f"{'  ' * d}{stmt.c.buffer}"
             f"[{_gemm_flat(refs, owner, fr, 'c')}] = "
             f"_pc[{lin(m_vars)} * _N + {lin(n_vars)}];")
-        _close_loops(lines, d, body)
+        _close_loops(lines, d, depth)
     if packed:
-        lines.append(f"{pad}}} else {{")
-        _emit_gemm_loop_body(unit, fr, lines, depth + 1, refs, owner,
-                             ranges, free, contract)
-        lines.append(f"{pad}}}")
-        frees = " ".join(f"free(_p{rk});" for rk in packed)
         lines.append(f"{pad}{frees}")
     depth -= 1
     lines.append("  " * depth + "}")
@@ -907,8 +1072,7 @@ def _emit_gemm_loop_body(unit: LoopUnit, fr: _Frame, lines: List[str],
                          free: List[str], contract: List[str]) -> None:
     """The strided loop-nest Gemm lowering (no packing): free letters
     outer, contraction letters inner around a double accumulator. Used
-    for letter structures sgemm cannot express and as the in-place
-    branch when scratch allocation fails."""
+    for letter structures sgemm cannot express."""
     stmt = unit.stmt
 
     def flat(rk: str) -> str:
@@ -982,13 +1146,14 @@ def env_shape(plan, spec, time_steps: int) -> Tuple[int, ...]:
     return tuple(int(d) for d in fs)
 
 
-def _emit_step(group: FusedGroup, name: str,
-               shapes: Dict[str, Tuple[int, ...]],
-               lines_out: List[str]) -> List[str]:
-    """Emit one step function; returns its buffer-argument name order.
+def _emit_step(group: FusedGroup,
+               shapes: Dict[str, Tuple[int, ...]]
+               ) -> Tuple[List[str], List[str]]:
+    """Lower one fused step to C statements; returns its touched
+    buffers in sorted-name order and the function-body lines.
 
-    Raises :class:`_Unlowerable` (leaving ``lines_out`` untouched) when
-    any member unit cannot be expressed.
+    Raises :class:`_Unlowerable` when any member unit cannot be
+    expressed.
     """
     from repro.codegen.python_backend import _shard_unit
 
@@ -1003,81 +1168,57 @@ def _emit_step(group: FusedGroup, name: str,
         _emit_unit_c(unit, fr, body, depth)
     if group.tile_loop is not None:
         _close_loops(body, depth, 1)
-    buffers = sorted(fr.used)
-    params = ", ".join([f"float* {b}" for b in buffers]
-                       + ["long long _b0", "long long _b1",
-                          "long long _omp"])
-    lines_out.append(f"/* {group.label} */")
-    lines_out.append(f"void {name}({params}) {{")
-    lines_out.append("  (void)_b0; (void)_b1; (void)_omp;")
-    lines_out.extend(body)
-    lines_out.append("}")
-    lines_out.append("")
-    return buffers
+    return sorted(fr.used), body
 
 
-_C_PRELUDE = """\
+_IDENT = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_LOCAL_DECL = re.compile(r"\blong long (\w+) =")
+
+
+def _alpha_rename(buffers: List[str], body: str) -> Tuple[str, List[int]]:
+    """``body`` with every buffer and locally declared name replaced by
+    its first-occurrence rank, and the rank of each buffer.
+
+    Two steps whose renamed bodies are equal run the same kernel on
+    different buffers: shapes, strides and bounds are literals in the
+    text, and names outside the renamed set (intrinsics, the
+    ``_b0/_b1/_omp`` parameters) must match verbatim. The buffer
+    count leads the text, so equal texts always pair buffers one to one
+    (a buffer the body never mentions ranks after those it does).
+    """
+    names = set(buffers).union(_LOCAL_DECL.findall(body))
+    rank: Dict[str, int] = {}
+
+    def sub(m):
+        tok = m.group()
+        if tok not in names:
+            return tok
+        return f"${rank.setdefault(tok, len(rank))}"
+
+    canon = f"{len(buffers)} buffers\n" + _IDENT.sub(sub, body)
+    return canon, [rank.setdefault(b, len(rank)) for b in buffers]
+
+
+#: shared by every translation unit of a program
+_C_HEADER = """\
 /* Latte-generated native program. Machine-written; see
  * repro.codegen.c_backend. Compiled to a shared object and driven
  * through ctypes; buffers are NumPy-owned float32 arrays passed as raw
- * pointers. */
+ * pointers. Every kernel returns 0, or 1 when it could not allocate
+ * GEMM pack scratch. */
 #include <math.h>
 #include <stdlib.h>
 
-/* Optional BLAS hook: the runtime injects a cblas_sgemm address (from
- * the BLAS NumPy itself bundles) via latte_set_sgemm after dlopen, so
- * packed GEMMs run on the exact library the NumPy backend uses. With
- * no pointer installed the blocked fallback below keeps every program
- * self-contained. ilp64 selects the 64-bit-integer cblas ABI. */
-static void *_latte_sgemm_ptr = 0;
-static int _latte_sgemm_ilp64 = 1;
-void latte_set_sgemm(void *p, int ilp64) {
-  _latte_sgemm_ptr = p;
-  _latte_sgemm_ilp64 = ilp64;
-}
-typedef void (*_latte_sgemm64_fn)(
-    int order, int transa, int transb, long long m, long long n,
-    long long k, float alpha, const float *a, long long lda,
-    const float *b, long long ldb, float beta, float *c, long long ldc);
-typedef void (*_latte_sgemm32_fn)(
-    int order, int transa, int transb, int m, int n, int k, float alpha,
-    const float *a, int lda, const float *b, int ldb, float beta,
-    float *c, int ldc);
-
 /* C[M,N] (+)= op(A)[M,K] @ op(B)[K,N], row-major with leading
  * dimensions (operands may be in-place views of larger buffers; ta/tb
- * select the transposed storage orientation).
- * 101/111/112 = CblasRowMajor/CblasNoTrans/CblasTrans. */
-static void _latte_gemm_rm(long long M, long long N, long long K,
-                           const float *A, long long lda, int ta,
-                           const float *B, long long ldb, int tb,
-                           float *C, long long ldc,
-                           int accumulate, long long nthreads) {
-  float beta = accumulate ? 1.0f : 0.0f;
-  if (_latte_sgemm_ptr) {
-    if (_latte_sgemm_ilp64)
-      ((_latte_sgemm64_fn)_latte_sgemm_ptr)(
-          101, ta ? 112 : 111, tb ? 112 : 111, M, N, K, 1.0f, A, lda, B,
-          ldb, beta, C, ldc);
-    else
-      ((_latte_sgemm32_fn)_latte_sgemm_ptr)(
-          101, ta ? 112 : 111, tb ? 112 : 111, (int)M, (int)N, (int)K,
-          1.0f, A, (int)lda, B, (int)ldb, beta, C, (int)ldc);
-    return;
-  }
-  #pragma omp parallel for schedule(static) \
-      num_threads((int)nthreads) if (nthreads > 1)
-  for (long long i = 0; i < M; i++) {
-    for (long long j = 0; j < N; j++) {
-      double acc = accumulate ? (double)C[i * ldc + j] : 0.0;
-      #pragma omp simd reduction(+:acc)
-      for (long long p = 0; p < K; p++)
-        acc += (double)A[ta ? p * lda + i : i * lda + p] *
-               (double)B[tb ? j * ldb + p : p * ldb + j];
-      C[i * ldc + j] = (float)acc;
-    }
-  }
-}
+ * select the transposed storage orientation). Defined once per
+ * program, in the runtime section. */
+__attribute__((visibility("hidden")))
+void _latte_gemm_rm(long long M, long long N, long long K,
+                    const float *A, long long lda, int ta,
+                    const float *B, long long ldb, int tb,
+                    float *C, long long ldc,
+                    int accumulate, long long nthreads);
 
 static inline double _sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
 static inline double _d_max(double a, double b) { return a >= b ? a : b; }
@@ -1103,24 +1244,89 @@ static inline long long _ll_fmod(long long a, long long b) {
 
 """
 
+#: compiled exactly once per program, whatever the number of kernel units
+_C_RUNTIME = """\
+/* Optional BLAS hook: the runtime injects a cblas_sgemm address (from
+ * the BLAS NumPy itself bundles) via latte_set_sgemm after dlopen, so
+ * packed GEMMs run on the exact library the NumPy backend uses. With
+ * no pointer installed the blocked fallback below keeps every program
+ * self-contained. ilp64 selects the 64-bit-integer cblas ABI. */
+static void *_latte_sgemm_ptr = 0;
+static int _latte_sgemm_ilp64 = 1;
+void latte_set_sgemm(void *p, int ilp64) {
+  _latte_sgemm_ptr = p;
+  _latte_sgemm_ilp64 = ilp64;
+}
+typedef void (*_latte_sgemm64_fn)(
+    int order, int transa, int transb, long long m, long long n,
+    long long k, float alpha, const float *a, long long lda,
+    const float *b, long long ldb, float beta, float *c, long long ldc);
+typedef void (*_latte_sgemm32_fn)(
+    int order, int transa, int transb, int m, int n, int k, float alpha,
+    const float *a, int lda, const float *b, int ldb, float beta,
+    float *c, int ldc);
+
+/* 101/111/112 = CblasRowMajor/CblasNoTrans/CblasTrans. */
+void _latte_gemm_rm(long long M, long long N, long long K,
+                    const float *A, long long lda, int ta,
+                    const float *B, long long ldb, int tb,
+                    float *C, long long ldc,
+                    int accumulate, long long nthreads) {
+  float beta = accumulate ? 1.0f : 0.0f;
+  if (_latte_sgemm_ptr) {
+    if (_latte_sgemm_ilp64)
+      ((_latte_sgemm64_fn)_latte_sgemm_ptr)(
+          101, ta ? 112 : 111, tb ? 112 : 111, M, N, K, 1.0f, A, lda, B,
+          ldb, beta, C, ldc);
+    else
+      ((_latte_sgemm32_fn)_latte_sgemm_ptr)(
+          101, ta ? 112 : 111, tb ? 112 : 111, (int)M, (int)N, (int)K,
+          1.0f, A, (int)lda, B, (int)ldb, beta, C, (int)ldc);
+    return;
+  }
+  #pragma omp parallel for schedule(static) \\
+      num_threads((int)nthreads) if (nthreads > 1)
+  for (long long i = 0; i < M; i++) {
+    for (long long j = 0; j < N; j++) {
+      double acc = accumulate ? (double)C[i * ldc + j] : 0.0;
+      #pragma omp simd reduction(+:acc)
+      for (long long p = 0; p < K; p++)
+        acc += (double)A[ta ? p * lda + i : i * lda + p] *
+               (double)B[tb ? j * ldb + p : p * ldb + j];
+      C[i * ldc + j] = (float)acc;
+    }
+  }
+}
+
+"""
+
 
 def emit_native_program(
     compiled, fwd_items, bwd_items, plan, time_steps: int
-) -> Tuple[str, Dict[str, List[str]], Dict[str, str]]:
+) -> Tuple[str, Dict[str, List[str]], Dict[str, str], Dict[str, str]]:
     """Lower every lowerable task step of a compiled program to C.
 
-    Returns ``(source, steps, skipped)`` where ``steps`` maps each native
-    step name to its buffer-argument order (the rebuild recipe stored in
-    compile-cache entries) and ``skipped`` maps each Python-retained step
-    name to the reason it stayed interpreted.
+    Returns ``(source, steps, skipped, symbols)``. ``steps`` maps each
+    native step name to its buffer-argument order and ``symbols`` maps a
+    step to the kernel it calls when that is not its own (together the
+    rebuild recipe stored in compile-cache entries); ``skipped`` maps
+    each Python-retained step name to the reason it stayed interpreted.
+
+    One function is emitted per *distinct* kernel: a step whose body
+    equals an earlier step's up to buffer and loop-variable names
+    (:func:`_alpha_rename`) binds to that step's function, passing its
+    own buffers in that function's parameter order.
     """
     shapes = {
         name: env_shape(plan, spec, time_steps)
         for name, spec in plan.buffers.items()
     }
-    lines: List[str] = []
+    parts: List[str] = [_C_HEADER, _RUNTIME_MARK, _C_RUNTIME]
     steps: Dict[str, List[str]] = {}
     skipped: Dict[str, str] = {}
+    symbols: Dict[str, str] = {}
+    #: renamed body -> (owning step, its label, its buffers' ranks)
+    kernels: Dict[str, Tuple[str, str, List[int]]] = {}
     for step_list, items in ((compiled.forward, fwd_items),
                              (compiled.backward, bwd_items)):
         groups = [it for it in items if isinstance(it, FusedGroup)]
@@ -1128,26 +1334,49 @@ def emit_native_program(
         assert len(groups) == len(task_steps), "schedule/steps drifted"
         for step, group in zip(task_steps, groups):
             try:
-                steps[step.name] = _emit_step(
-                    group, step.name, shapes, lines
-                )
+                buffers, body = _emit_step(group, shapes)
             except _Unlowerable as exc:
                 skipped[step.name] = str(exc)
-    return _C_PRELUDE + "\n".join(lines), steps, skipped
+                continue
+            text = "\n".join(body)
+            canon, ranks = _alpha_rename(buffers, text)
+            owner = kernels.setdefault(canon,
+                                       (step.name, group.label, ranks))
+            if owner[0] != step.name:
+                by_rank = dict(zip(ranks, buffers))
+                steps[step.name] = [by_rank[r] for r in owner[2]]
+                symbols[step.name] = owner[0]
+                parts.append(f"/* {step.name} {group.label}: same kernel "
+                             f"as {owner[0]} {owner[1]} */\n\n")
+                continue
+            steps[step.name] = buffers
+            params = ", ".join([f"float* {b}" for b in buffers]
+                               + ["long long _b0", "long long _b1",
+                                  "long long _omp"])
+            parts.append(
+                f"{_KERNEL_MARK}/* {group.label} */\n"
+                f"int {step.name}({params}) {{\n"
+                f"  (void)_b0; (void)_b1; (void)_omp;\n"
+                f"{text}\n  return 0;\n}}\n\n"
+            )
+    return "".join(parts), steps, skipped, symbols
 
 
 # ---------------------------------------------------------------------------
 # Native backend: ctypes binding
 # ---------------------------------------------------------------------------
 
-def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
+def _make_step_fn(cfn, step_name: str, names: Tuple[str, ...], batch: int,
+                  omp: int):
     """Wrap one exported kernel as an executor-compatible step function.
 
     The wrapper has the exact calling convention of a Python-backend step
     — ``fn(env, rt)`` plain, ``fn(env, rt, _b0, _b1)`` sharded — and
     fetches each buffer pointer from ``env`` *per call*, so per-``t``
     views, recurrent zero views, private-accumulator swaps, and
-    ``rebind_buffer`` all work with zero executor changes.
+    ``rebind_buffer`` all work with zero executor changes. A non-zero
+    kernel status (GEMM pack scratch could not be allocated) is raised
+    as :class:`MemoryError` naming the step.
     """
     def step(env, rt, _b0=0, _b1=batch):
         args = []
@@ -1163,7 +1392,11 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
                     "(rebind_buffer with a contiguous array)"
                 )
             args.append(a.ctypes.data)
-        cfn(*args, _b0, _b1, omp)
+        if cfn(*args, _b0, _b1, omp):
+            raise MemoryError(
+                f"C backend: step {step_name} could not allocate its "
+                "GEMM pack scratch"
+            )
 
     step._latte_native = True
     return step
@@ -1181,48 +1414,52 @@ def omp_threads_for(compiled, batch: int, num_threads: int) -> int:
     return num_threads if num_shards == 1 else 1
 
 
-def bind_steps(so_path: str, steps: Dict[str, List[str]], batch: int,
-               omp: int) -> Dict[str, object]:
-    """Load a compiled program and wrap its kernels as step functions."""
+def bind_steps(compiled, so_path: str, batch: int,
+               num_threads: int) -> None:
+    """Load a built program and swap its kernels into ``compiled``'s
+    step lists: every step in ``c_steps`` calls the function named by
+    ``c_symbols`` (its own name unless it shares a twin's kernel) with
+    its own buffers."""
     dll = _load(so_path)
-    fns: Dict[str, object] = {}
-    for name, bufnames in steps.items():
-        cfn = getattr(dll, name)
-        cfn.restype = None
+    omp = omp_threads_for(compiled, batch, num_threads)
+    for step in compiled.forward + compiled.backward:
+        bufnames = compiled.c_steps.get(step.name)
+        if bufnames is None:
+            continue
+        cfn = dll[compiled.c_symbols.get(step.name, step.name)]
+        cfn.restype = ctypes.c_int
         cfn.argtypes = (
             [ctypes.c_void_p] * len(bufnames) + [ctypes.c_longlong] * 3
         )
-        fns[name] = _make_step_fn(cfn, tuple(bufnames), batch, omp)
-    return fns
+        step.fn = _make_step_fn(cfn, step.name, tuple(bufnames), batch, omp)
 
 
 def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
-                  num_threads: int) -> None:
+                  num_threads: int) -> Dict[str, float]:
     """Compile a program's lowerable steps to native code and swap their
     step functions in place (the tentpole entry point, called by
     ``compile_net`` when ``options.backend == 'c'``).
 
     Extern-closure steps and anything the lowering rejects keep their
-    Python functions; ``compiled.c_exec_source``/``c_steps`` record the
-    native artifact + rebuild recipe for the compile cache, and
-    ``c_skipped`` the per-step fallback reasons.
+    Python functions; ``compiled.c_exec_source``/``c_steps``/
+    ``c_symbols`` record the native artifact + rebuild recipe for the
+    compile cache, and ``c_skipped`` the per-step fallback reasons.
+    Returns the ``codegen-c`` compile-report counters.
     """
     if not have_c_toolchain():
         raise CBackendUnavailable(
             f"backend='c' requested but {toolchain_error()}"
         )
-    source, steps, skipped = emit_native_program(
+    source, steps, skipped, symbols = emit_native_program(
         compiled, fwd_items, bwd_items, plan, time_steps
     )
     compiled.c_exec_source = source
     compiled.c_steps = steps
     compiled.c_skipped = skipped
-    if not steps:
-        return
-    so_path = compile_shared_object(source)
-    omp = omp_threads_for(compiled, plan.batch_size, num_threads)
-    fns = bind_steps(so_path, steps, plan.batch_size, omp)
-    for step in compiled.forward + compiled.backward:
-        fn = fns.get(step.name)
-        if fn is not None:
-            step.fn = fn
+    compiled.c_symbols = symbols
+    stats = {"native_steps": len(steps),
+             "kernels_unique": len(steps) - len(symbols)}
+    if steps:
+        so_path = compile_shared_object(source, stats)
+        bind_steps(compiled, so_path, plan.batch_size, num_threads)
+    return stats

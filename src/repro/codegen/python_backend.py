@@ -81,10 +81,12 @@ class CompiledProgram:
     #: .render_items) — inspection only, never compiled
     c_source: str = ""
     #: executable C program (backend='c'): the source actually compiled
-    #: to a shared object, and per-native-step buffer-argument order —
-    #: together the rebuild recipe the compile cache stores
+    #: to a shared object, per-native-step buffer-argument order, and
+    #: for each step that shares an earlier twin's kernel the name of
+    #: that kernel — together the rebuild recipe the compile cache stores
     c_exec_source: str = ""
     c_steps: Dict[str, List[str]] = field(default_factory=dict)
+    c_symbols: Dict[str, str] = field(default_factory=dict)
     #: step name -> reason it kept its Python fn under backend='c'
     c_skipped: Dict[str, str] = field(default_factory=dict)
 

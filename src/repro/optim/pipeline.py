@@ -430,11 +430,18 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     if options.backend == "c":
         # lower lowerable steps to C, build one shared object, and swap
         # the native kernels in (extern steps keep their Python fns)
-        with tracer.span("codegen-c", "compile"):
-            c_backend.attach_native(
+        build_stats: dict = {}
+        run_pass(
+            "codegen-c",
+            True,
+            lambda: build_stats.update(c_backend.attach_native(
                 compiled, fwd_items, bwd_items, plan,
                 net.time_steps, num_threads,
-            )
+            )),
+            lambda: build_stats,
+            before=lambda: counts["steps"],
+            after=lambda: counts["steps"],
+        )
     # the end-to-end compile wall time (synthesis + passes + codegen) is
     # what the persistent compile cache's warm boot is measured against
     report.compile_seconds = time.perf_counter() - t_compile

@@ -440,6 +440,17 @@ class CompiledNet:
                 + (f", {comms} comm" if comms else "")
             )
         report = self.compile_report
+        if report is not None and "codegen-c" in report:
+            c = report["codegen-c"].rewrites
+            line = (f"  native     : {c['native_steps']} steps on "
+                    f"{c['kernels_unique']} kernels")
+            if c.get("build_dir_hit"):
+                line += ", build dir hit"
+            elif "cc_seconds" in c:
+                line += (f", {c['translation_units']} units: "
+                         f"cc {c['cc_seconds']:.2f}s on {c['cc_jobs']} jobs"
+                         f" + link {c['link_seconds']:.2f}s")
+            lines.append(line)
         if report is not None and report.cache_hit:
             lines.append(
                 f"  compile    : warm cache hit {report.cache_key[:12]} "

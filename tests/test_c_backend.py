@@ -10,12 +10,22 @@ fused steps with the system toolchain and executes them through ctypes;
 the execution classes pin that path against the NumPy backend and the
 O0 interpreter over a small model zoo (conv/pool/fc/norm/concat/LSTM),
 finite-difference-check a C-compiled net, and verify OpenMP thread
-equivalence plus bitwise run-to-run determinism. Without a working C
+equivalence plus bitwise run-to-run determinism. ``TestBuild`` pins the
+build itself: twin steps share kernels, the ``.so`` does not depend on
+the worker count, failed and hung compiler processes leave a structured
+error and a clean build directory, racing builders converge, the sgemm
+hook is defined once across translation units, and an allocation
+failure inside a kernel surfaces as ``MemoryError``. Without a working C
 compiler the execution tests skip with the probe's reason and the
 ``backend="c"`` knob raises ``CBackendUnavailable``.
 """
 
+import os
 import re
+import stat
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -170,6 +180,11 @@ ZOO = {
         {"kind": "lstm", "outputs": 4},
         {"kind": "fc", "outputs": 4},
     ], time_steps=3),
+    # six identical 16->16 layers: most steps are twins of an earlier
+    # one and run its kernel on their own buffers
+    "mlp6x16": _spec(105, 4, (16,), 4, [
+        {"kind": "fc", "outputs": 16}, {"kind": "relu"},
+    ] * 6),
 }
 
 
@@ -237,11 +252,12 @@ class TestCExecution:
                          run_spec(spec, level=4, backend="c"), mismatches)
         assert not mismatches, "\n".join(str(m) for m in mismatches)
 
-    def test_gradcheck_on_c_net(self):
+    @pytest.mark.parametrize("name", ["conv_pool_fc", "mlp6x16"])
+    def test_gradcheck_on_c_net(self, name):
         # finite differences against the C-compiled net itself — the
         # native backward is checked in its own right, not just against
-        # the Python backward
-        spec = ZOO["conv_pool_fc"]
+        # the Python backward (mlp6x16: through shared twin kernels)
+        spec = ZOO[name]
 
         def build_fn():
             return _compile_c(spec)
@@ -252,6 +268,214 @@ class TestCExecution:
             rtol=TOL["fd_rtol"], index_seed=spec.seed,
         )
         assert not failures, "\n".join(str(f) for f in failures)
+
+
+def _fake_cc(tmp_path, monkeypatch, script):
+    """Point the probed toolchain at a shell script standing in for
+    ``cc``; ``$REAL_CC`` inside it is the real compiler."""
+    real = c_backend._probe_toolchain()
+    fake = tmp_path / "fake-cc"
+    fake.write_text("#!/bin/sh\n" + textwrap.dedent(script).replace(
+        "$REAL_CC", real["cc"]))
+    fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+    monkeypatch.setattr(c_backend, "_toolchain",
+                        dict(real, cc=str(fake)))
+
+
+def _build_debris(build):
+    """What a failed build left behind, ``.c`` sources aside."""
+    return sorted(p.name for p in build.iterdir() if p.suffix != ".c")
+
+
+def _run_script(script, *argv, **env):
+    """Run ``script`` in a fresh interpreter that can import this test
+    module (``sys.argv[1]`` is its directory)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    prelude = "import sys\nsys.path.insert(0, sys.argv[1])\n"
+    return subprocess.Popen(
+        [sys.executable, "-c", prelude + textwrap.dedent(script), here,
+         *argv],
+        env=dict(os.environ, **env), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+@needs_toolchain
+class TestBuild:
+    @pytest.fixture
+    def build(self, tmp_path, monkeypatch):
+        d = tmp_path / "cbuild"
+        monkeypatch.setenv("REPRO_CBUILD_DIR", str(d))
+        return d
+
+    def test_twin_steps_share_kernels(self, build):
+        cnet = _compile_c(ZOO["mlp6x16"])
+        compiled = cnet.compiled
+        assert len(compiled.c_steps) >= 40
+        symbols = {compiled.c_symbols.get(s, s) for s in compiled.c_steps}
+        assert len(symbols) <= 15
+        src = compiled.c_exec_source
+        # one definition per distinct kernel, a comment per twin
+        assert src.count("\nint _step_") == len(symbols)
+        twin, owner = next(iter(compiled.c_symbols.items()))
+        assert re.search(rf"/\* {twin} \S+: same kernel as {owner} ", src)
+        assert f"int {twin}(" not in src
+        # a twin passes its own buffers, in its owner's parameter order
+        assert compiled.c_steps[twin] != compiled.c_steps[owner]
+        assert len(compiled.c_steps[twin]) == len(compiled.c_steps[owner])
+        rec = cnet.compile_report["codegen-c"]
+        assert rec.rewrites["native_steps"] == len(compiled.c_steps)
+        assert rec.rewrites["kernels_unique"] == len(symbols)
+        assert rec.rewrites["build_dir_hit"] == 0
+        assert rec.rewrites["cc_jobs"] >= 1
+        assert rec.rewrites["so_bytes"] > 0
+        assert f"{len(compiled.c_steps)} steps on {len(symbols)} kernels" \
+            in cnet.summary()
+        cnet.close()
+
+    def test_warm_build_dir_spawns_no_compiler(self, build, monkeypatch):
+        _compile_c(ZOO["conv_pool_fc"]).close()
+
+        def forbidden(*a, **k):
+            raise AssertionError("compiler spawned against a warm dir")
+
+        monkeypatch.setattr(c_backend.subprocess, "Popen", forbidden)
+        cnet = _compile_c(ZOO["conv_pool_fc"])
+        rec = cnet.compile_report["codegen-c"].rewrites
+        assert rec["build_dir_hit"] == 1 and rec["cc_jobs"] == 0
+        assert "build dir hit" in cnet.summary()
+        cnet.close()
+
+    def test_so_bytes_independent_of_worker_count(self, tmp_path,
+                                                  monkeypatch):
+        # partition and link order are functions of the source alone
+        src = _compile_c(ZOO["norms"]).compiled.c_exec_source
+        assert len(c_backend._translation_units(src)) >= 3
+        blobs = []
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_CBUILD_DIR", str(tmp_path / f"j{jobs}"))
+            monkeypatch.setattr(c_backend, "_cc_jobs", lambda j=jobs: j)
+            stats = {}
+            so = c_backend.compile_shared_object(src, stats)
+            assert stats["cc_jobs"] == jobs
+            blobs.append(open(so, "rb").read())
+        assert blobs[0] == blobs[1]
+
+    def test_failing_unit_is_reported_and_cleaned_up(self, build, tmp_path,
+                                                     monkeypatch):
+        # k1 fails after its siblings started; they are cancelled
+        _fake_cc(tmp_path, monkeypatch, """\
+            case "$*" in *k1.c*) echo "k1.c:1: error: injected" >&2
+                                 exit 1;; esac
+            exec $REAL_CC "$@"
+        """)
+        with pytest.raises(CBackendUnavailable) as exc:
+            _compile_c(ZOO["norms"])
+        msg = str(exc.value)
+        assert "unit k1" in msg and "error: injected" in msg
+        (kept,) = [p for p in build.iterdir() if p.name.endswith(".k1.c")]
+        assert str(kept) in msg and "int _step_" in kept.read_text()
+        assert _build_debris(build) == []
+
+    def test_hung_compiler_times_out_cleanly(self, build, tmp_path,
+                                             monkeypatch):
+        pids = tmp_path / "pids"
+        _fake_cc(tmp_path, monkeypatch,
+                 f"echo $$ >> {pids}\nexec sleep 60\n")
+        monkeypatch.setattr(c_backend, "_CC_TIMEOUT", 0.3)
+        with pytest.raises(CBackendUnavailable, match="still running"):
+            _compile_c(ZOO["conv_pool_fc"])
+        assert _build_debris(build) == []
+        # no orphan: every spawned process was killed and reaped
+        spawned = [int(x) for x in pids.read_text().split()]
+        assert spawned
+        for pid in spawned:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_vanished_compiler_is_unavailable(self, build, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(c_backend, "_toolchain", dict(
+            c_backend._probe_toolchain(), cc=str(tmp_path / "gone-cc")))
+        with pytest.raises(CBackendUnavailable, match="cannot run"):
+            _compile_c(ZOO["conv_pool_fc"])
+        assert _build_debris(build) == []
+
+    def test_racing_builders_converge(self, build):
+        # two fresh processes, one empty build dir, the same program
+        script = """
+            from test_c_backend import ZOO, _compile_c
+            from repro.testing.generator import make_inputs
+            cnet = _compile_c(ZOO["conv_pool_fc"])
+            x, y = make_inputs(ZOO["conv_pool_fc"])
+            print(repr(float(cnet.forward(data=x, label=y))))
+        """
+        procs = [_run_script(script) for _ in range(2)]
+        outs = [p.communicate(timeout=300)[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert outs[0] == outs[1] and outs[0].strip()
+        assert [p.suffix for p in sorted(build.iterdir())] == [".c", ".so"]
+
+    @pytest.mark.parametrize("no_blas", ["", "1"])
+    def test_one_sgemm_hook_across_units(self, build, no_blas):
+        # GEMM kernels in several units all reach the one hook the
+        # runtime unit defines: with BLAS injected they agree with the
+        # NumPy backend, without it the portable kernel runs
+        script = """
+            from test_c_backend import ZOO, TOL, _compile_c
+            from repro.codegen import c_backend
+            from repro.testing.generator import make_inputs
+            from repro.testing.oracle import _compare_runs, run_spec
+            spec = ZOO["norms"]
+            cnet = _compile_c(spec)
+            src = cnet.compiled.c_exec_source
+            units = c_backend._translation_units(src)
+            calls = [n for n, t in units if "_latte_gemm_rm(_M" in t]
+            defs = [n for n, t in units if "latte_set_sgemm(void" in t]
+            assert len(calls) >= 2 and defs == ["rt"], (calls, defs)
+            assert (c_backend._find_cblas() is None) == bool(sys.argv[2])
+            bad = []
+            _compare_runs("c-vs-numpy", run_spec(spec, level=4, backend="c"),
+                          run_spec(spec, level=4), bad, TOL["loss_rtol"],
+                          TOL["level_rtol"], TOL["level_atol"],
+                          TOL["level_param_rtol"], TOL["level_param_atol"])
+            assert not bad, bad
+        """
+        proc = _run_script(script, no_blas, REPRO_C_NO_BLAS=no_blas)
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS + /proc/self/status")
+    def test_scratch_allocation_failure_raises_memory_error(self, build):
+        # cap the address space just above what the process holds
+        # before its first step: the 19 MB im2col pack cannot be had
+        # (after one forward the allocator keeps that much in reserve)
+        script = """
+            import resource
+            import numpy as np
+            from test_c_backend import _compile_c, _spec
+            spec = _spec(106, 8, (16, 64, 64), 3, [
+                {"kind": "conv", "filters": 4, "kernel": 3, "stride": 1,
+                 "pad": 1}])
+            cnet = _compile_c(spec)
+            x = np.zeros((8, 16, 64, 64), np.float32)
+            y = np.zeros((8, 1), np.float32)
+            for line in open("/proc/self/status"):
+                if line.startswith("VmSize:"):
+                    vm = int(line.split()[1]) * 1024
+            resource.setrlimit(resource.RLIMIT_AS, (vm + (4 << 20),) * 2)
+            try:
+                cnet.forward(data=x, label=y)
+            except MemoryError as exc:
+                print("MemoryError:", exc)
+        """
+        # one malloc arena: the build's worker threads must not leave
+        # reserved address space behind that the pack could land in
+        proc = _run_script(script, MALLOC_ARENA_MAX="1")
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert re.search(r"MemoryError: C backend: step _step_f\d+ could "
+                         r"not allocate", out), out
 
 
 class TestToolchainGating:

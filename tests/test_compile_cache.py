@@ -244,6 +244,27 @@ class TestCorruption:
         assert store.get("cd" * 32) is None
         assert not alias.exists()
 
+    def test_previous_format_version_is_a_miss(self, tmp_path):
+        """An entry written under the last layout (v4: a ``c_exec``
+        without ``symbols``) is dropped on get, never thawed."""
+        from repro.cache.key import FORMAT_VERSION
+
+        store = CompileCache(tmp_path)
+        cold = compile_cached(MLP, 4, cache=store)
+        key = cold.compile_report.cache_key
+        path = self._entry_path(store)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {n: data[n] for n in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        assert meta["version"] == FORMAT_VERSION
+        meta["version"] = FORMAT_VERSION - 1
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert store.get(key) is None
+        assert not path.exists()
+
     def test_incompatible_meta_thaws_cold(self, tmp_path):
         """An entry that loads but references state the net lacks must
         be dropped and recompiled, not crash."""
@@ -507,6 +528,47 @@ class TestNativeSharedObject:
         assert warm.compile_report.cache_hit
         assert calls  # recompiled from source
         assert self._run(warm) == want
+        warm.close()
+
+    @needs_toolchain
+    def test_deduplicated_program_thaws_bitwise(self, tmp_path,
+                                                monkeypatch):
+        # six identical hidden layers: most native steps call a twin's
+        # kernel, and the entry must carry that mapping to rebind them
+        deep = mlp_config(hidden=(16,) * 6 + (4,), classes=4, input_dim=16)
+        store = CompileCache(tmp_path / "cache")
+
+        def run(build):
+            monkeypatch.setenv("REPRO_CBUILD_DIR", str(tmp_path / build))
+            seed_all(4)
+            cnet = compile_cached(deep, 4, options=self._c_opts(),
+                                  cache=store)
+            x = np.random.default_rng(4).standard_normal(
+                (4, 16)).astype(np.float32)
+            loss = cnet.forward(data=x, label=np.zeros((4, 1), np.float32))
+            cnet.clear_param_grads()
+            cnet.backward()
+            grads = {p.key: p.grad.copy() for p in cnet.parameters()}
+            return cnet, float(loss), grads
+
+        cold, cold_loss, cold_grads = run("build1")
+        symbols = dict(cold.compiled.c_symbols)
+        assert len(symbols) >= 20
+        (entry,) = store.entries()
+        with np.load(entry.path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        assert meta["c_exec"]["symbols"] == symbols
+        assert set(symbols) <= set(meta["c_exec"]["steps"])
+        # a fresh build dir: the thaw installs the entry's bytes and
+        # binds every twin to its owner's symbol
+        warm, warm_loss, warm_grads = run("build2")
+        assert warm.compile_report.cache_hit
+        assert warm.compiled.c_symbols == symbols
+        assert warm.compiled.c_steps == cold.compiled.c_steps
+        assert warm_loss == cold_loss
+        for key, grad in cold_grads.items():
+            np.testing.assert_array_equal(warm_grads[key], grad)
+        cold.close()
         warm.close()
 
     @needs_toolchain
