@@ -157,8 +157,7 @@ MEMORY_JSON = os.path.join(RESULTS_DIR, "BENCH_memory.json")
 
 def measure_memory(config: ModelConfig, batch: int, level: int = 4,
                    num_threads: int = 1, keep_alive=None,
-                   mode: str = "train",
-                   precision: str = "fp32") -> Dict[str, int]:
+                   mode: str = "train") -> Dict[str, int]:
     """Peak bytes for one build + forward/backward of ``config``:
     ``tracemalloc_peak`` (every Python/NumPy allocation during compile,
     init, and one iteration) plus the compile-time planner accounting
@@ -166,15 +165,14 @@ def measure_memory(config: ModelConfig, batch: int, level: int = 4,
     :meth:`CompiledNet.memory_stats` — byte-addressed, so reduced
     element sizes show up directly). ``mode="inference"`` compiles
     forward-only (gradient buffers pruned, no backward run) — the
-    ``--inference`` benchmark axis; ``precision="fp16"``/``"int8"``
-    (inference only) measures the reduced-precision footprint."""
+    ``--inference`` benchmark axis."""
     x, y = make_inputs(config, batch)
     inference = mode == "inference"
     tracemalloc.start()
     try:
         seed_all(1)
         built = build_latte(config, batch)
-        options = (CompilerOptions.inference(level, precision=precision)
+        options = (CompilerOptions.inference(level)
                    if inference else CompilerOptions.level(level))
         cnet = built.init(options, num_threads=num_threads,
                           keep_alive=keep_alive)
@@ -298,21 +296,5 @@ def record_c_backend(payload: Dict[str, object]) -> None:
     ``benchmarks/results/BENCH_c_backend.json``."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(C_BACKEND_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# -- reduced-precision inference ---------------------------------------------
-
-QUANTIZATION_JSON = os.path.join(RESULTS_DIR, "BENCH_quantization.json")
-
-
-def record_quantization(payload: Dict[str, object]) -> None:
-    """Persist the quantization smoke measurements (per-model fp16
-    planned-bytes ratios, int8 accuracy deltas against the fp32
-    reference, per-precision serving latencies) to
-    ``benchmarks/results/BENCH_quantization.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(QUANTIZATION_JSON, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,8 +1,8 @@
 """Compile-cache CLI: ``python -m repro.cache {ls,prune,warm}``.
 
-* ``ls``    — list entries (key prefix, model, backend, precision,
-  size, age), LRU-newest first, plus the directory total against the
-  eviction bound; ``--json`` emits the same listing machine-readably.
+* ``ls``    — list entries (key prefix, model, backend, size, age),
+  LRU-newest first, plus the directory total against the eviction
+  bound; ``--json`` emits the same listing machine-readably.
 * ``prune`` — delete one entry by key prefix, drop everything with
   ``--all``, or re-apply the size bound with ``--max-bytes``.
 * ``warm``  — pre-populate the cache from a checkpoint so the *next*
@@ -51,7 +51,7 @@ def _cmd_ls(args) -> int:
             "total_bytes": sum(e.size_bytes for e in entries),
             "entries": [
                 {"key": e.key, "model": e.model,
-                 "backend": e.backend, "precision": e.precision,
+                 "backend": e.backend,
                  "size_bytes": e.size_bytes,
                  "age_seconds": max(0.0, now - e.mtime),
                  "created": e.created}
@@ -64,11 +64,11 @@ def _cmd_ls(args) -> int:
         print(f"compile cache {cache.root}: empty")
         return 0
     print(f"compile cache {cache.root}:")
-    print(f"{'key':14s} {'model':24s} {'backend':8s} {'prec':5s} "
+    print(f"{'key':14s} {'model':24s} {'backend':8s} "
           f"{'size':>9s} {'age':>6s}")
     for e in entries:
         print(f"{e.key[:12] + '..':14s} {e.model[:24]:24s} "
-              f"{e.backend[:8]:8s} {e.precision[:5]:5s} "
+              f"{e.backend[:8]:8s} "
               f"{_fmt_bytes(e.size_bytes):>9s} "
               f"{_fmt_age(max(0.0, now - e.mtime)):>6s}")
     total = sum(e.size_bytes for e in entries)

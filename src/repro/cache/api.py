@@ -64,8 +64,7 @@ def _build_from(builder: dict, batch: int):
 
 def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
                    options=None, tracer=None, num_threads=None,
-                   keep_alive=None, watchdog=None, cache=None,
-                   calibration=None):
+                   keep_alive=None, watchdog=None, cache=None):
     """Compile ``model`` through the persistent compilation cache.
 
     Parameters
@@ -85,12 +84,6 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
     cache:
         A :class:`~repro.cache.store.CompileCache`, a directory path, or
         ``None`` for the default store (``REPRO_CACHE_DIR``).
-    calibration:
-        A :class:`~repro.quant.CalibrationResult` for
-        ``options.precision='int8'`` compiles. Its digest is part of
-        the cache key, so programs quantized from different range
-        profiles never collide.
-
     Other keywords mirror :func:`repro.optim.pipeline.compile_net`.
     """
     from repro.optim.pipeline import (
@@ -119,8 +112,13 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
     if options is None:
         options = CompilerOptions()
     nt = resolve_num_threads(num_threads)
-    key = cache_key(builder, batch_size, options, nt, keep_alive,
-                    calibration)
+    try:
+        key = cache_key(builder, batch_size, options, nt, keep_alive)
+    except CacheUnsupported:
+        # not a cacheable compile: run it cold, store nothing
+        return compile_net(net or _build_from(builder, batch_size), options,
+                           tracer=tracer, num_threads=nt,
+                           keep_alive=keep_alive, watchdog=watchdog)
     store = _as_cache(cache)
 
     entry = store.get(key)
@@ -150,8 +148,7 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
     if net is None:
         net = _build_from(builder, batch_size)
     cnet = compile_net(net, options, tracer=tracer, num_threads=nt,
-                       keep_alive=keep_alive, watchdog=watchdog,
-                       calibration=calibration)
+                       keep_alive=keep_alive, watchdog=watchdog)
     cnet.compile_report.cache_key = key
     try:
         meta, arrays = freeze(cnet)

@@ -88,7 +88,6 @@ def _buffer_dicts(net, plan) -> List[dict]:
             "alias_reshape": ([int(x) for x in spec.alias_reshape]
                               if spec.alias_reshape is not None else None),
             "needs_zero": bool(spec.needs_zero),
-            "dtype": spec.dtype,
         }
         if spec.array is not None:
             ref = fields.get(spec.name)
@@ -245,7 +244,6 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
         "num_threads": int(cnet.num_threads),
         "options": asdict(cnet.options),
         "source": compiled.source,
-        "c_source": compiled.c_source,
         # native-backend rebuild recipe: the executable C source plus
         # each native step's buffer-argument order; the compiled shared
         # object's bytes ride along in arrays["__so__"] (keyed to the
@@ -270,9 +268,6 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
         },
         "memory": (_memory_dict(plan.memory)
                    if plan.memory is not None else None),
-        # reduced-precision plan (repro.quant), None for fp32 compiles
-        "quant": (plan.quant.to_dict()
-                  if getattr(plan, "quant", None) is not None else None),
         "closures": _closure_descriptors(
             cnet.net, plan, compiled.closures, arrays
         ),
@@ -307,7 +302,6 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
             alias_reshape=(tuple(d["alias_reshape"])
                            if d["alias_reshape"] is not None else None),
             needs_zero=d["needs_zero"],
-            dtype=d.get("dtype", "float32"),
         )
         if d.get("field") is not None:
             ens_name, fname = d["field"]
@@ -354,11 +348,6 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
             planned_bytes=md["planned_bytes"],
             kept_reasons=dict(md["kept_reasons"]),
         )
-    qd = meta.get("quant")
-    if qd is not None:
-        from repro.quant.precision import QuantPlan
-
-        plan.quant = QuantPlan.from_dict(qd)
     return plan
 
 
@@ -519,8 +508,7 @@ def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,
         closures = _rebuild_closures(net, meta, arrays)
         namespace = exec_program(meta["source"], closures)
         fwd, bwd = _rebuild_steps(meta, namespace)
-        compiled = CompiledProgram(fwd, bwd, meta["source"], closures,
-                                   c_source=meta.get("c_source", ""))
+        compiled = CompiledProgram(fwd, bwd, meta["source"], closures)
         if meta["options"].get("backend", "numpy") == "c":
             _rebind_native(compiled, meta, arrays)
         report = _rebuild_report(meta)

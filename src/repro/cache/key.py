@@ -45,13 +45,13 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v2: entries may carry a ``c_exec`` native-program rebuild recipe
 #: v3: C-backend entries embed the built ``.so`` bytes (keyed on the
 #:     toolchain fingerprint) so warm boots never invoke the compiler
-#: v4: buffers carry storage dtypes, the memory plan is byte-addressed
-#:     (``arena_bytes``/slab ``nbytes``), entries may carry a ``quant``
-#:     reduced-precision plan, and int8 keys include the calibration
-#:     profile digest
+#: v4: the memory plan is byte-addressed (``arena_bytes``/slab
+#:     ``nbytes``)
 #: v5: ``c_exec`` carries ``symbols`` (steps sharing a twin's kernel)
 #:     and its source is split into translation units at markers
-FORMAT_VERSION = 5
+#: v6: float32 programs only — buffers carry no storage dtype, and the
+#:     paper-style C listing is no longer stored
+FORMAT_VERSION = 6
 
 
 class CacheUnsupported(ValueError):
@@ -99,15 +99,14 @@ def canonical_json(obj) -> str:
 
 
 def cache_key(builder: dict, batch_size: int, options, num_threads: int,
-              keep_alive, calibration=None) -> str:
+              keep_alive) -> str:
     """SHA-256 hex key over the canonical compile identity (see module
     docstring). ``keep_alive=None`` means the mode-dependent default and
-    hashes as a sentinel distinct from any explicit set. ``calibration``
-    (a :class:`~repro.quant.CalibrationResult` or its digest string)
-    keys int8 programs by the exact range profile their scales came
-    from; fp32/fp16 keys ignore it."""
+    hashes as a sentinel distinct from any explicit set."""
     import repro
 
+    if options.precision != "fp32":
+        raise CacheUnsupported("only float32 programs are cached")
     identity = {
         "builder": builder,
         "batch_size": int(batch_size),
@@ -120,10 +119,6 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "numpy_version": np.__version__,
         "format_version": FORMAT_VERSION,
     }
-    if getattr(options, "precision", "fp32") == "int8":
-        if calibration is not None and not isinstance(calibration, str):
-            calibration = calibration.digest()
-        identity["calibration"] = calibration
     if getattr(options, "backend", "numpy") == "c":
         # C-backend entries embed built .so bytes, so the key must
         # change with the (compiler, flags) pair that produced them

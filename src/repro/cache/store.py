@@ -63,7 +63,6 @@ class CacheEntryInfo:
     model: str = "?"
     created: float = 0.0
     backend: str = "?"
-    precision: str = "?"
 
 
 class CompileCache:
@@ -172,7 +171,6 @@ class CompileCache:
                 info.created = float(meta.get("created", 0.0))
                 opts = meta.get("options") or {}
                 info.backend = str(opts.get("backend", "numpy"))
-                info.precision = str(opts.get("precision", "fp32"))
             except Exception:
                 info.model = "<corrupt>"
             out.append(info)

@@ -77,9 +77,11 @@ class CompiledProgram:
     backward: List[Step]
     source: str
     closures: Dict[str, Callable]
-    #: paper-style C++/OpenMP *rendering* (repro.codegen.c_backend
-    #: .render_items) — inspection only, never compiled
-    c_source: str = ""
+    #: paper-style C++/OpenMP *rendering* of the schedule
+    #: (repro.codegen.c_backend.render_items) — inspection only, never
+    #: compiled; None on a cache thaw, which rebuilds steps but no
+    #: schedule to render
+    c_source: Optional[str] = None
     #: executable C program (backend='c'): the source actually compiled
     #: to a shared object, per-native-step buffer-argument order, and
     #: for each step that shares an earlier twin's kernel the name of

@@ -61,8 +61,6 @@ class CompilerOptions:
     n_tiles: int = 4
     #: smallest tile height the tiler may create (see repro.optim.tiling)
     min_tile_rows: int = 32
-    #: emit the C++/OpenMP rendering alongside the executable program
-    emit_c: bool = True
     #: numerics watchdog sampling stride: 0 (default) disables it
     #: entirely (the executor hot paths are untouched); N >= 1 attaches
     #: a :class:`repro.telemetry.NumericsWatchdog` checking every Nth
@@ -90,12 +88,15 @@ class CompilerOptions:
     #: and the memory planner defaults to an empty ``keep_alive`` set
     #: for maximum activation-slab reuse. See docs/SERVING.md.
     mode: str = "train"
-    #: inference numeric precision (docs/QUANTIZATION.md): ``'fp32'``
+    #: inference numeric precision — an offline accuracy/footprint
+    #: study knob (docs/QUANTIZATION.md; both reduced precisions run
+    #: slower than fp32 here and are never cached): ``'fp32'``
     #: (default) leaves every buffer float32; ``'fp16'`` retypes the
     #: non-parameter activation/staging buffers to float16 (≈50% of the
-    #: planned arena bytes, toleranced accuracy); ``'int8'`` additionally
-    #: fake-quantizes activations per-tensor affine and weights
-    #: per-tensor symmetric from a calibration range profile
+    #: planned arena bytes, toleranced accuracy); ``'int8'`` keeps
+    #: float32 storage and schedules fake-quantization steps —
+    #: activations per-tensor affine, weights per-tensor symmetric —
+    #: from a calibration range profile
     #: (``compile_net(calibration=...)`` — required for int8). Both
     #: reduced precisions require ``mode='inference'`` and the NumPy
     #: backend; unsupported (extern-closure) steps fall back to fp32
@@ -377,20 +378,23 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     )
 
     # reduced-precision rewrite (repro.quant): retype inference buffers
-    # to fp16, or attach int8 fake-quant scale/zero-point plans driven by
-    # the calibration ranges — before the memory planner, so slab sizes
-    # and planned-bytes accounting see the final dtypes
-    quantized = options.precision != "fp32"
-    if quantized:
+    # to fp16, or insert int8 fake-quant steps with scales/zero points
+    # from the calibration ranges — before the memory planner, so slab
+    # sizes and live intervals see the final dtypes and schedule
+    if options.precision != "fp32":
         from repro.quant.precision import apply_precision
+
+        def precision():
+            n_fwd = len(fwd_items)
+            apply_precision(plan, fwd_items, program.closures,
+                            options.precision, calibration)
+            counts["steps"] += len(fwd_items) - n_fwd
 
         run_pass(
             "precision",
             True,
-            lambda: apply_precision(
-                plan, fwd_items, options.precision, calibration
-            ),
-            lambda: plan.quant.stats() if plan.quant is not None else {},
+            precision,
+            lambda: plan.quant.stats(),
             before=lambda: counts["steps"],
             after=lambda: counts["steps"],
         )
@@ -423,10 +427,9 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         compiled = python_backend.compile_items(
             fwd_items, bwd_items, program.closures, options.vectorize
         )
-        if options.emit_c:
-            compiled.c_source = c_backend.render_items(
-                fwd_items, "forward"
-            ) + c_backend.render_items(bwd_items, "backward")
+        compiled.c_source = c_backend.render_items(
+            fwd_items, "forward"
+        ) + c_backend.render_items(bwd_items, "backward")
     if options.backend == "c":
         # lower lowerable steps to C, build one shared object, and swap
         # the native kernels in (extern steps keep their Python fns)

@@ -1,6 +1,9 @@
-"""Reduced-precision inference (docs/QUANTIZATION.md).
+"""Reduced-precision inference, as an offline accuracy/footprint study
+tool (docs/QUANTIZATION.md) — nothing outside the compiler pass knows
+about it: the executor runs what the pass scheduled, and the serving
+stack and the compile cache are float32-only.
 
-Post-training quantization for the inference pipeline, in three pieces:
+Post-training quantization in three pieces:
 
 * :mod:`repro.quant.calibrate` — run representative batches through a
   compiled float net recording per-buffer activation ranges
@@ -9,10 +12,10 @@ Post-training quantization for the inference pipeline, in three pieces:
   (:class:`QParams`, :func:`choose_qparams`, :func:`fake_quant`);
 * :mod:`repro.quant.precision` — the compiler pass behind
   ``CompilerOptions(precision='fp16'|'int8')``: retypes inference
-  buffer dtypes (fp16) or attaches per-tensor affine activation /
-  symmetric weight quantization plans (int8), falling back per-buffer
-  to fp32 for unsupported (extern-closure) steps with reasons recorded
-  in ``compile_report``.
+  buffer dtypes (fp16) or schedules per-tensor affine activation /
+  symmetric weight fake-quantization steps (int8), falling back
+  per-buffer to fp32 for unsupported (extern-closure) steps with
+  reasons recorded in ``compile_report``.
 """
 
 from repro.quant.calibrate import (

@@ -12,9 +12,9 @@ consumers finish, so post-hoc inspection would read garbage.
 
 The result is a plain ``buffer name → (lo, hi)`` table that is
 JSON-serializable (:meth:`CalibrationResult.save` / ``load``) and
-carries a canonical SHA-256 :meth:`~CalibrationResult.digest` which
-enters the compilation-cache key, so cached int8 programs are keyed by
-the exact calibration data that produced their scales.
+carries a canonical SHA-256 :meth:`~CalibrationResult.digest`, which
+the precision pass records on the ``QuantPlan`` so a study can tell
+which profile produced a program's scales.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class CalibrationResult:
                    percentile=float(pct) if pct is not None else None)
 
     def digest(self) -> str:
-        """Canonical content hash — the cache-key component."""
+        """Canonical content hash (``QuantPlan.calibration_digest``)."""
         blob = json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

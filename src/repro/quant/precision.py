@@ -15,19 +15,23 @@ Two modes, both inference-only:
   and the fallback is recorded per-buffer with a reason.
 
 * ``int8`` — storage stays float32 (the NumPy kernels keep running
-  unmodified) but the executor fake-quantizes through a real int8
-  grid: weights symmetric per-tensor at the start of every forward,
-  activations affine per-tensor after each producing step, with scales
-  and zero points chosen here from the calibration range profile
-  (:mod:`repro.quant.calibrate` — required; compiling int8 without one
-  raises :class:`~repro.quant.calibrate.CalibrationError`). This
-  models int8 accuracy and storage faithfully — every tensor value is
-  exactly int8-representable and the executor keeps true ``int8``
-  mirror arrays — while keeping the float execution engine.
+  unmodified) and the forward schedule gains fake-quantization steps
+  through a real int8 grid: one for the weights (symmetric per-tensor,
+  from their current contents), one per calibrated network input, and
+  one after every step that writes a calibrated activation (affine
+  per-tensor, scales and zero points chosen here from the calibration
+  range profile — :mod:`repro.quant.calibrate`, required; compiling
+  int8 without one raises
+  :class:`~repro.quant.calibrate.CalibrationError`). Each is an
+  ordinary extern step — an :class:`~repro.ir.ExternOp` unit in its own
+  group, its closure in ``program.closures`` — so the executor runs,
+  traces and re-binds it like a loss or normalization closure. Every
+  tensor value a consumer reads is exactly int8-representable while the
+  float execution engine stays as it is.
 
 The resulting :class:`QuantPlan` is attached as ``plan.quant``; its
 :meth:`~QuantPlan.stats` feed the ``precision`` row of the compile
-report, and it round-trips through the compilation cache.
+report.
 """
 
 from __future__ import annotations
@@ -35,9 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.ir import CommCall, ExternOp
-from repro.quant.calibrate import CalibrationError, CalibrationResult
-from repro.quant.qparams import QParams, choose_qparams
+from repro.ir import CommCall, ExternOp, buffers_written
+from repro.quant.calibrate import CalibrationError
+from repro.quant.qparams import (
+    QParams,
+    choose_qparams,
+    fake_quant,
+    weight_qparams,
+)
+from repro.synthesis.units import FusedGroup, LoopUnit, UnitTags
 
 #: buffer roles eligible for reduced precision — everything else
 #: (parameter fields, gradients kept for solver plumbing) stays fp32
@@ -53,7 +63,7 @@ class QuantPlan:
     dtypes: Dict[str, str] = field(default_factory=dict)
     #: base buffer -> activation quantization params (int8 mode)
     qparams: Dict[str, QParams] = field(default_factory=dict)
-    #: parameter value buffers the executor fake-quantizes per forward
+    #: parameter value buffers fake-quantized at the head of each forward
     weight_bufs: Tuple[str, ...] = ()
     #: base buffer -> reason it stayed fp32
     fallbacks: Dict[str, str] = field(default_factory=dict)
@@ -72,33 +82,6 @@ class QuantPlan:
             key = "fallback_" + reason.replace("-", "_")
             out[key] = out.get(key, 0) + 1
         return out
-
-    # -- serialization (compilation cache) -----------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "dtypes": {k: self.dtypes[k] for k in sorted(self.dtypes)},
-            "qparams": {k: self.qparams[k].to_dict()
-                        for k in sorted(self.qparams)},
-            "weight_bufs": list(self.weight_bufs),
-            "fallbacks": {k: self.fallbacks[k]
-                          for k in sorted(self.fallbacks)},
-            "calibration_digest": self.calibration_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantPlan":
-        return cls(
-            precision=str(d["precision"]),
-            dtypes={str(k): str(v) for k, v in d.get("dtypes", {}).items()},
-            qparams={str(k): QParams.from_dict(v)
-                     for k, v in d.get("qparams", {}).items()},
-            weight_bufs=tuple(d.get("weight_bufs", ())),
-            fallbacks={str(k): str(v)
-                       for k, v in d.get("fallbacks", {}).items()},
-            calibration_digest=d.get("calibration_digest"),
-        )
 
 
 def extern_touched_buffers(plan, fwd_items) -> set:
@@ -127,12 +110,78 @@ def _candidate_bases(plan):
             yield spec
 
 
-def apply_precision(plan, fwd_items, precision: str,
-                    calibration=None) -> QuantPlan:
-    """Rewrite ``plan`` for reduced-precision inference (see module doc).
+def _weight_quant(weight_bufs):
+    """Closure fake-quantizing the parameter arrays in place, symmetric
+    per-tensor at ``max|w| / 127`` of their *current* contents — so
+    parameters restored or rebound after the compile are the ones
+    quantized. Runs once per forward (time step 0 of a recurrent net);
+    idempotent, so repeated forwards stay bitwise-stable."""
 
-    Mutates buffer dtypes in place (fp16), decides quantization
-    parameters (int8), attaches and returns the :class:`QuantPlan`.
+    def quantize_weights(env, rt):
+        if rt.current_t:
+            return
+        for name in weight_bufs:
+            w = env[name]
+            w[...] = fake_quant(w, weight_qparams(w))
+    return quantize_weights
+
+
+def _activation_quant(buf: str, qp: QParams):
+    """Closure overwriting ``buf`` (this time step's view of it) with
+    its exact int8 reconstruction under ``qp``."""
+
+    def fake_quantize(env, rt):
+        v = env[buf]
+        v[...] = fake_quant(v, qp)
+    return fake_quantize
+
+
+def _insert_fake_quant(plan, fwd_items, closures, qp: QuantPlan) -> None:
+    """Splice the int8 plan into the forward schedule as extern steps:
+    weights first, then calibrated buffers no step writes (network
+    inputs, fed by ``set_input``), then each calibrated activation right
+    after every step that writes it."""
+
+    def step(key: str, what: str, buffers, fn) -> FusedGroup:
+        closures[key] = fn
+        unit = LoopUnit([], ExternOp(key, tuple(buffers)),
+                        UnitTags(kind="extern"))
+        return FusedGroup([unit], None, f"fake_quant({what})")
+
+    def activation(buf: str) -> FusedGroup:
+        return step(f"quant.{buf}", buf, (buf,),
+                    _activation_quant(buf, qp.qparams[buf]))
+
+    calibrated = set(qp.qparams)
+    written_by = [
+        set() if isinstance(item, CommCall) else calibrated & {
+            plan.resolve_alias(b)
+            for unit in item.units for b in buffers_written(unit.stmt)
+            if b in plan.buffers
+        }
+        for item in fwd_items
+    ]
+    out = []
+    if qp.weight_bufs:
+        out.append(step("quant.weights", "weights", qp.weight_bufs,
+                        _weight_quant(qp.weight_bufs)))
+    out.extend(activation(b)
+               for b in sorted(calibrated.difference(*written_by)))
+    for item, written in zip(fwd_items, written_by):
+        out.append(item)
+        out.extend(activation(b) for b in sorted(written))
+    fwd_items[:] = out
+
+
+def apply_precision(plan, fwd_items, closures, precision: str,
+                    calibration=None) -> QuantPlan:
+    """Rewrite the program for reduced-precision inference (see module
+    doc).
+
+    Mutates buffer dtypes in place (fp16), or decides quantization
+    parameters and inserts the fake-quant steps into ``fwd_items`` with
+    their closures registered in ``closures`` (int8); attaches and
+    returns the :class:`QuantPlan`.
     """
     extern = extern_touched_buffers(plan, fwd_items)
 
@@ -153,11 +202,8 @@ def apply_precision(plan, fwd_items, precision: str,
             raise CalibrationError(
                 "precision='int8' requires a calibration range profile: "
                 "run repro.quant.calibrate(net, batches) on representative "
-                "inputs and pass the result via compile_net(calibration=...) "
-                "(or Checkpoint.compile(calibration=...))"
+                "inputs and pass the result via compile_net(calibration=...)"
             )
-        if isinstance(calibration, dict):
-            calibration = CalibrationResult.from_dict(calibration)
         qp = QuantPlan(precision="int8",
                        calibration_digest=calibration.digest())
         for spec in _candidate_bases(plan):
@@ -176,6 +222,7 @@ def apply_precision(plan, fwd_items, precision: str,
             if plan.buffers[info.value_buf].array is not None
             and plan.buffers[info.value_buf].array.ndim >= 2
         ))
+        _insert_fake_quant(plan, fwd_items, closures, qp)
     else:  # pragma: no cover — pipeline only calls for fp16/int8
         raise ValueError(f"unknown precision {precision!r}")
 

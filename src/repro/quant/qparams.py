@@ -34,18 +34,6 @@ class QParams:
     zero_point: int = 0
     symmetric: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "zero_point": self.zero_point,
-            "symmetric": self.symmetric,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QParams":
-        return cls(float(d["scale"]), int(d["zero_point"]),
-                   bool(d["symmetric"]))
-
 
 def choose_qparams(lo: float, hi: float, *,
                    symmetric: bool = False) -> QParams:
@@ -87,8 +75,8 @@ def dequantize(q: np.ndarray, qp: QParams) -> np.ndarray:
 def fake_quant(x: np.ndarray, qp: QParams) -> np.ndarray:
     """Round-trip ``x`` through the int8 grid, staying in float32.
 
-    This is the simulation form the executor applies in-place after
-    each quantized step: the tensor's *values* are exactly what real
+    This is the simulation form the int8 fake-quant steps apply in
+    place: the tensor's *values* are exactly what real
     int8 storage would reconstruct, while the surrounding float
     kernels keep running unmodified. Idempotent — a tensor already on
     the grid maps to itself — which makes per-forward weight

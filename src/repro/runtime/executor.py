@@ -153,12 +153,6 @@ class CompiledNet:
         mem = plan.memory
         self._pooled = frozenset(mem.pooled) if mem is not None else frozenset()
         self._step_bytes: Dict[str, int] = {}
-        #: reduced-precision state (plan.quant, int8 mode only):
-        #: real int8 mirror arrays per quantized activation buffer and
-        #: the per-forward dynamic weight scales, both refreshed by
-        #: :meth:`_build_programs`
-        self.qstorage: Dict[str, np.ndarray] = {}
-        self.quant_weight_scales: Dict[str, float] = {}
         self._build_programs()
 
     # -- pre-bound step programs --------------------------------------------
@@ -196,52 +190,10 @@ class CompiledNet:
             for buf, (phase, idx) in mem.zero_defs.items():
                 assert phase == "backward"
                 zero_at.setdefault(idx, []).append(buf)
-        # int8 precision plan (repro.quant): activation fake-quant aux
-        # entries after each producing step, plus one weight fake-quant
-        # entry at the head of the forward program. Weights quantize
-        # dynamically per forward — parameters restored *after* compile
-        # (Checkpoint.compile -> restore_params) are picked up, and the
-        # op is idempotent so repeated forwards stay bitwise-stable.
-        quant = getattr(self.plan, "quant", None)
-        int8 = quant is not None and quant.precision == "int8"
-        qparams = dict(quant.qparams) if int8 else {}
-        weight_bufs = tuple(
-            b for b in quant.weight_bufs if b in self.buffers
-        ) if int8 else ()
-        self.qstorage = {
-            name: np.zeros(self.buffers[name].shape, np.int8)
-            for name in qparams if name in self.buffers
-        }
-        self.quant_weight_scales = {}
-        # calibrated buffers no step writes are network inputs fed by
-        # set_input — they get their fake-quant at the head of the
-        # forward program (after set_input, before any consumer)
-        input_qbufs: tuple = ()
-        if qparams:
-            produced = set()
-            for step in self.compiled.forward:
-                if step.kind != "comm":
-                    produced |= {
-                        self.plan.resolve_alias(b) for b in step.writes
-                        if b in self.plan.buffers
-                    }
-            input_qbufs = tuple(sorted(
-                b for b in set(qparams) - produced if b in self.buffers
-            ))
         self._entries: Dict[str, list] = {}
         for phase, steps in (("forward", self.compiled.forward),
                              ("backward", self.compiled.backward)):
             entries: list = []
-            if phase == "forward" and weight_bufs:
-                ws = tuple((b, self.buffers[b]) for b in weight_bufs)
-                entries.append(
-                    (_AUX, _weight_quant_fn(ws), base_envs[0], None, 0))
-            if phase == "forward":
-                for b in input_qbufs:
-                    entries.append(
-                        (_AUX, _fake_quant_fn(self.buffers[b],
-                                              self.qstorage[b], qparams[b]),
-                         base_envs[0], None, 0))
             t_order = range(T) if phase == "forward" else range(T - 1, -1, -1)
             first_t = True
             for t in t_order:
@@ -280,17 +232,6 @@ class CompiledNet:
                             for name in step.recurrent_reads:
                                 step_env[name] = self.buffers[name][t - 1]
                     entries.append((_TASK, step.fn, step_env, step, t))
-                    if qparams and phase == "forward":
-                        written = sorted(
-                            {self.plan.resolve_alias(b) for b in step.writes
-                             if b in self.plan.buffers} & set(qparams)
-                        )
-                        for b in written:
-                            q = (self.qstorage[b] if T == 1
-                                 else self.qstorage[b][t])
-                            entries.append(
-                                (_AUX, _fake_quant_fn(env[b], q, qparams[b]),
-                                 env, None, t))
                 first_t = False
             self._entries[phase] = entries
         #: the serial untraced hot path: kind/step/t stripped
@@ -489,6 +430,12 @@ class CompiledNet:
     @property
     def c_source(self) -> str:
         """C++/OpenMP rendering of the optimized schedule (Figs. 9-12)."""
+        if self.compiled.c_source is None:
+            raise RuntimeError(
+                "c_source is rendered from the compiler's schedule, which "
+                "a compile-cache thaw does not rebuild; compile this net "
+                "cold (compile_net) to read its listing"
+            )
         return self.compiled.c_source
 
     def parameters(self) -> List[ParamView]:
@@ -785,41 +732,3 @@ def _comm_fn(step):
             hook(_step.comm.ensemble,
                  [rt.buffers[g] for g in _step.comm.params])
     return comm
-
-
-def _weight_quant_fn(weights: tuple):
-    """Symmetric per-tensor int8 fake-quantization of parameter arrays,
-    run once at the head of each forward (int8 precision only).
-
-    Scales are derived from the arrays' *current* contents
-    (``max|w| / 127``), mutated in place, and recorded in
-    ``rt.quant_weight_scales``. Idempotent: values already on the int8
-    grid reconstruct to themselves, so the scale is stable from the
-    second forward on.
-    """
-    from repro.quant.qparams import dequantize, quantize, weight_qparams
-
-    def quantize_weights(env, rt, _ws=weights):
-        scales = rt.quant_weight_scales
-        for name, w in _ws:
-            qp = weight_qparams(w)
-            w[...] = dequantize(quantize(w, qp), qp)
-            scales[name] = qp.scale
-    return quantize_weights
-
-
-def _fake_quant_fn(view, qview, qp):
-    """Affine per-tensor int8 fake-quantization of one activation view,
-    run right after the step that produced it (int8 precision only).
-
-    ``qview`` is the buffer's real ``int8`` mirror in ``rt.qstorage`` —
-    the stored representation — and the float view is overwritten with
-    its exact reconstruction, so downstream steps consume int8-grid
-    values while the NumPy kernels stay float32.
-    """
-    from repro.quant.qparams import dequantize, quantize
-
-    def fake_quantize(env, rt, _v=view, _q=qview, _p=qp):
-        _q[...] = quantize(_v, _p)
-        _v[...] = dequantize(_q, _p)
-    return fake_quantize

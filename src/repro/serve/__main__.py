@@ -61,17 +61,9 @@ def main(argv=None) -> int:
                     "cache: warm boots skip every compiler pass "
                     "(docs/COMPILE_CACHE.md). Optional DIR overrides "
                     "REPRO_CACHE_DIR / ~/.cache/latte-repro/compile")
-    ap.add_argument("--precision", default="fp32",
-                    help="inference numeric precision: fp32 (default), "
-                    "fp16, or int8 (docs/QUANTIZATION.md); int8 also "
-                    "needs --calibration")
-    ap.add_argument("--calibration", default=None, metavar="JSON",
-                    help="calibration range profile saved by "
-                    "repro.quant.CalibrationResult.save (required for "
-                    "--precision int8)")
     args = ap.parse_args(argv)
 
-    # validate the topology/precision flags up front — a bad value
+    # validate the topology flags up front — a bad value
     # should be one clear line here, not a traceback (or a boot_error)
     # from deep inside a worker process
     if args.workers < 0:
@@ -80,18 +72,6 @@ def main(argv=None) -> int:
         ap.error(f"--replicas must be >= 1, got {args.replicas}")
     if args.batch_size < 1:
         ap.error(f"--batch-size must be >= 1, got {args.batch_size}")
-    if args.precision not in ("fp32", "fp16", "int8"):
-        ap.error(f"--precision must be fp32, fp16 or int8, "
-                 f"got {args.precision!r}")
-    if args.precision == "int8" and args.calibration is None:
-        ap.error("--precision int8 requires --calibration (a range "
-                 "profile saved by repro.quant.CalibrationResult.save; "
-                 "see docs/QUANTIZATION.md)")
-    if args.calibration is not None:
-        import os
-
-        if not os.path.isfile(args.calibration):
-            ap.error(f"--calibration file not found: {args.calibration}")
 
     configure_json_logging()
     if args.workers and args.workers > 0:
@@ -107,8 +87,6 @@ def main(argv=None) -> int:
             max_latency=args.max_latency_ms / 1e3,
             max_queue=args.max_queue,
             cache=args.compile_cache,
-            precision=args.precision,
-            calibration=args.calibration,
         )
         topology = (f"workers={args.workers} processes × "
                     f"{args.replicas} replica(s)")
@@ -122,15 +100,12 @@ def main(argv=None) -> int:
             max_latency=args.max_latency_ms / 1e3,
             max_queue=args.max_queue,
             cache=args.compile_cache,
-            precision=args.precision,
-            calibration=args.calibration,
         )
         topology = f"replicas={len(server.replicas)}"
     httpd = make_http_server(server, args.host, args.port)
     host, port = httpd.server_address[:2]
     print(f"serving {args.checkpoint} on http://{host}:{port} "
-          f"(batch={server.batch_size}, {topology}, "
-          f"precision={args.precision}) "
+          f"(batch={server.batch_size}, {topology}) "
           f"— POST /predict, GET /healthz, GET /stats, GET /metrics",
           flush=True)
     try:

@@ -4,7 +4,9 @@ The compiled network executes at a fixed batch size, so the server
 amortizes per-call overhead by grouping concurrent requests. A batch is
 flushed to a worker when either trigger fires:
 
-* **size** — ``max_batch_size`` requests are waiting, or
+* **size** — ``max_batch_size`` requests are waiting (or ``max_queue``,
+  if that is smaller: a full queue sheds every newcomer, so nothing more
+  can arrive), or
 * **latency** — the *oldest* waiting request has been queued for
   ``max_latency`` seconds (trickle traffic still gets bounded queueing
   delay, at the cost of a ragged batch the worker zero-pads).
@@ -143,10 +145,11 @@ class DynamicBatcher:
         """Block until a batch is ready; ``None`` ends the worker loop.
 
         Returns between 1 and ``max_batch_size`` requests. Flushes when
-        the queue reaches ``max_batch_size``, when the oldest waiting
-        request has aged ``max_latency`` seconds, or immediately (with
-        whatever is queued) once the batcher is shut down. Returns
-        ``None`` only when shut down *and* drained.
+        the queue reaches ``max_batch_size`` or ``max_queue`` (every
+        newcomer is being shed, so waiting cannot grow the batch), when
+        the oldest waiting request has aged ``max_latency`` seconds, or
+        immediately (with whatever is queued) once the batcher is shut
+        down. Returns ``None`` only when shut down *and* drained.
         """
         with self._cond:
             while True:
@@ -156,7 +159,8 @@ class DynamicBatcher:
                     self._cond.wait()
                 deadline = self._queue[0].enqueued_at + self.max_latency
                 while (self._queue
-                       and len(self._queue) < self.max_batch_size
+                       and len(self._queue) < min(self.max_batch_size,
+                                                  self.max_queue)
                        and not self._closed):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:

@@ -193,7 +193,7 @@ class Checkpoint:
 
     def compile(self, batch_size: Optional[int] = None, options=None,
                 tracer=None, num_threads=None, keep_alive=None,
-                cache=None, precision=None, calibration=None):
+                cache=None):
         """Rebuild, compile, and restore parameters in one call — the
         server cold-start path. Defaults to forward-only compilation
         (``CompilerOptions.inference()``).
@@ -205,24 +205,10 @@ class Checkpoint:
         millisecond thaw (see docs/COMPILE_CACHE.md). Parameters are
         restored either way, so hit and miss produce bitwise-identical
         servers.
-
-        ``precision`` (``'fp32'``/``'fp16'``/``'int8'``) overrides the
-        options' precision field — the serving spelling of reduced-
-        precision inference (docs/QUANTIZATION.md). ``'int8'`` needs
-        ``calibration`` (a :class:`repro.quant.CalibrationResult` or a
-        path to one saved as JSON).
         """
-        import dataclasses
-
         from repro.optim.pipeline import CompilerOptions
 
         options = options or CompilerOptions.inference()
-        if precision is not None and precision != options.precision:
-            options = dataclasses.replace(options, precision=precision)
-        if isinstance(calibration, str):
-            from repro.quant import CalibrationResult
-
-            calibration = CalibrationResult.load(calibration)
         builder = self.meta.get("builder")
         if cache is not None and cache is not False and builder is not None:
             from repro.cache import compile_cached
@@ -233,14 +219,13 @@ class Checkpoint:
                 options=options, tracer=tracer, num_threads=num_threads,
                 keep_alive=keep_alive,
                 cache=None if cache is True else cache,
-                calibration=calibration,
             )
             self.restore_params(cnet)
             return cnet
         built = self.build(batch_size)
         net = getattr(built, "net", built)
         cnet = net.init(options, tracer=tracer, num_threads=num_threads,
-                        keep_alive=keep_alive, calibration=calibration)
+                        keep_alive=keep_alive)
         self.restore_params(cnet)
         return cnet
 

@@ -71,8 +71,6 @@ class _WorkerSpec:
     num_threads: Optional[int]
     cache: object
     predict_timeout: float
-    precision: Optional[str] = None
-    calibration: object = None
 
 
 def _serve_worker_main(spec: _WorkerSpec, conn, inherited) -> None:
@@ -98,7 +96,6 @@ def _serve_worker_main(spec: _WorkerSpec, conn, inherited) -> None:
             replicas=spec.replicas, output=spec.output,
             num_threads=spec.num_threads, max_latency=spec.max_latency,
             max_queue=spec.max_queue, cache=spec.cache,
-            precision=spec.precision, calibration=spec.calibration,
         )
     except BaseException as exc:
         send(("boot_error", type(exc).__name__, str(exc)))
@@ -207,8 +204,7 @@ class ProcessServerPool:
                  num_threads: Optional[int] = None, cache=None,
                  registry=None, logger=None, restart: bool = True,
                  heartbeat: float = 0.5, boot_timeout: float = 300.0,
-                 predict_timeout: float = 30.0, precision=None,
-                 calibration=None):
+                 predict_timeout: float = 30.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._ctx = _fork_context()
@@ -219,7 +215,6 @@ class ProcessServerPool:
             max_latency=float(max_latency), max_queue=int(max_queue),
             num_threads=num_threads, cache=cache,
             predict_timeout=float(predict_timeout),
-            precision=precision, calibration=calibration,
         )
         self.n_workers = int(workers)
         self.max_queue = int(max_queue)

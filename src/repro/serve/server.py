@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence
 
@@ -117,12 +118,6 @@ class ModelServer:
         self.label_name = label_name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.logger = logger if logger is not None else get_logger()
-        #: numeric precision the replicas were compiled at — a label on
-        #: the request counters, so mixed-precision fleets stay tellable
-        #: apart on one aggregated /metrics page
-        self.precision = str(getattr(
-            getattr(self.replicas[0], "options", None), "precision", "fp32"
-        ))
         self.checkpoint_path = checkpoint_path
         self.checkpoint_mtime = checkpoint_mtime
         self.item_shape = tuple(
@@ -154,14 +149,12 @@ class ModelServer:
         r = self.registry
         self._m_requests = r.counter(
             "serve_requests_total",
-            "Prediction requests by outcome (served|shed|error) and "
-            "compile precision (fp32|fp16|int8)",
-            labels=("outcome", "precision"),
+            "Prediction requests by outcome (served|shed|error)",
+            labels=("outcome",),
         )
         # pre-touch the outcomes so a scrape before traffic shows zeros
         for outcome in ("served", "shed", "error"):
-            self._m_requests.inc(0, outcome=outcome,
-                                 precision=self.precision)
+            self._m_requests.inc(0, outcome=outcome)
         self._m_latency = r.histogram(
             "serve_request_latency_seconds",
             "End-to-end request latency, submit to completion",
@@ -240,11 +233,10 @@ class ModelServer:
         try:
             req = self.batcher.submit(item, request_id=rid)
         except QueueFullError as exc:
-            self._m_requests.inc(outcome="shed", precision=self.precision)
+            self._m_requests.inc(outcome="shed")
             log_event(self.logger, "shed", request_id=rid,
                       reason=exc.reason, queue_depth=exc.depth)
             raise
-        self.tracer.metric("serve.queue_depth", self.batcher.depth())
         return req
 
     def predict(self, item: np.ndarray,
@@ -294,8 +286,7 @@ class ModelServer:
         except BaseException as exc:  # complete waiters, then bookkeep
             for req in batch:
                 req.fail(exc)
-            self._m_requests.inc(n, outcome="error",
-                                 precision=self.precision)
+            self._m_requests.inc(n, outcome="error")
             log_event(self.logger, "batch_error", replica=index,
                       request_ids=ids, error=str(exc),
                       error_type=type(exc).__name__)
@@ -305,19 +296,15 @@ class ModelServer:
         for i, req in enumerate(batch):
             req.complete(out[i], now - req.enqueued_at)
         rep = str(index)
-        self._m_requests.inc(n, outcome="served", precision=self.precision)
+        self._m_requests.inc(n, outcome="served")
         self._m_batches.inc(replica=rep)
         self._m_step_latency.observe(step_seconds, replica=rep)
         self._m_fill.observe(n / self.batch_size)
         for req in batch:
             self._m_latency.observe(req.latency)
-            self.tracer.metric("serve.latency_ms", req.latency * 1e3,
-                               replica=index)
             log_event(self.logger, "request",
                       request_id=req.request_id, replica=index,
                       latency_ms=round(req.latency * 1e3, 3))
-        self.tracer.metric("serve.batch_fill", n / self.batch_size,
-                           replica=index)
         log_event(self.logger, "batch_flush", replica=index, rows=n,
                   batch_size=self.batch_size,
                   fill=round(n / self.batch_size, 4),
@@ -341,14 +328,11 @@ class ModelServer:
         bounded regardless of traffic."""
         lat = self._m_latency
         out: Dict[str, object] = {
-            "served": int(self._m_requests.value(
-                outcome="served", precision=self.precision)),
-            "shed": int(self._m_requests.value(
-                outcome="shed", precision=self.precision)),
+            "served": int(self._m_requests.value(outcome="served")),
+            "shed": int(self._m_requests.value(outcome="shed")),
             "batches": int(self._m_batches.total()),
             "replicas": len(self.replicas),
             "batch_size": self.batch_size,
-            "precision": self.precision,
             "queue_depth": self.batcher.depth(),
             "mean_batch_fill": round(self._m_fill.mean(), 4),
             # per-replica forward-only arena footprint (inference
@@ -391,8 +375,8 @@ class ModelServer:
                         replicas: int = 1, options=None,
                         output: Optional[str] = None,
                         num_threads: Optional[int] = None,
-                        tracer=None, cache=None, precision=None,
-                        calibration=None, **kwargs) -> "ModelServer":
+                        tracer=None, cache=None,
+                        **kwargs) -> "ModelServer":
         """Boot a server from a checkpoint artifact: rebuild the
         architecture, compile ``replicas`` forward-only copies at
         ``batch_size``, restore parameters once, and share them. The
@@ -405,12 +389,7 @@ class ModelServer:
         a millisecond thaw, and even cold the first replica's compile
         seeds the cache so replicas 2..N (and the next boot) are warm.
         Hit/miss counts and entry age land in the metrics registry
-        (``serve_compile_cache_*``).
-
-        ``precision``/``calibration`` compile the replicas at reduced
-        inference precision (docs/QUANTIZATION.md); ``calibration`` may
-        be a :class:`repro.quant.CalibrationResult` or a path to a
-        saved range profile, and is required for ``precision='int8'``."""
+        (``serve_compile_cache_*``)."""
         import os
 
         from repro.serve.checkpoint import load_checkpoint
@@ -424,8 +403,7 @@ class ModelServer:
         nets = [
             ck.compile(batch_size, options=options,
                        num_threads=num_threads, tracer=tracer,
-                       cache=cache, precision=precision,
-                       calibration=calibration)
+                       cache=cache)
             for _ in range(replicas)
         ]
         try:
@@ -473,13 +451,15 @@ def make_http_server(server, host: str = "127.0.0.1",
 
         def _send(self, code: int, body: bytes, content_type: str,
                   headers: Optional[Dict[str, str]] = None) -> None:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            fields = {"Server": self.version_string(),
+                      "Date": self.date_time_string(),
+                      "Content-Type": content_type,
+                      "Content-Length": len(body), **(headers or {})}
+            head = f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n" + "".join(
+                f"{name}: {value}\r\n" for name, value in fields.items())
+            # head and body leave in one write: as two segments every
+            # keep-alive reply stalls on Nagle + the client's delayed ACK
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
         def _reply(self, code: int, payload: dict,
                    headers: Optional[Dict[str, str]] = None) -> None:

@@ -137,7 +137,7 @@ class BufferPlan:
     #: compile pipeline's ``memory_plan`` pass; None = every buffer is
     #: individually allocated
     memory: Optional[object] = None
-    #: reduced-precision plan (a :class:`repro.quant.qplan.QuantPlan`),
+    #: reduced-precision plan (a :class:`repro.quant.precision.QuantPlan`),
     #: attached by the pipeline's ``precision`` pass; None = pure fp32
     quant: Optional[object] = None
 

@@ -48,9 +48,7 @@ Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
   max-abs-error as a fraction of the fp32 output's value range plus
   top-1 agreement on confidently-classified items. Both quantized
   paths are **bitwise** run-to-run deterministic (``np.rint`` plus a
-  fixed schedule leave no rounding nondeterminism), and an int8
-  freeze/thaw through the compile cache reproduces the cold compile's
-  exact bits.
+  fixed schedule leave no rounding nondeterminism).
 """
 
 from __future__ import annotations
@@ -371,9 +369,7 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
     rows whose fp32 top-1 margin is inside the int8 error budget can
     legitimately flip, so they are excluded rather than papered over
     with a loose agreement fraction. Each quantized path is rebuilt
-    and rerun once to pin run-to-run bitwise determinism, and the int8
-    program is frozen/thawed through a throwaway compile cache: the
-    warm thaw must reproduce the cold compile's exact bits.
+    and rerun once to pin run-to-run bitwise determinism.
     """
     _, ref_out = run_eval_forward(spec, level, "inference")
     ref64 = ref_out.astype(np.float64)
@@ -433,39 +429,6 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
         out.append(Mismatch(check, f"loss not reproducible: "
                                    f"{loss8b!r} != {loss8!r}"))
     _compare_arrays(check, "output", out8b, out8, 0, 0, out, bitwise=True)
-
-    # -- int8 freeze/thaw through the compile cache ----------------------
-    import tempfile
-
-    from repro.cache import CompileCache, compile_cached
-
-    def one(store):
-        seed_all(spec.seed)
-        net = build_net(spec)
-        opts = CompilerOptions.inference(level, precision="int8")
-        opts.min_tile_rows = 2
-        cnet = compile_cached(spec, net=net, options=opts, cache=store,
-                              calibration=calibration)
-        x, y = make_inputs(spec)
-        loss = cnet.forward(data=x, label=y)
-        return float(loss), cnet.value("head").copy(), \
-            cnet.compile_report.cache_hit
-
-    check = "quant:cache"
-    checks.append(check)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = CompileCache(tmp)
-        cold_loss, cold_out, _ = one(store)
-        warm_loss, warm_out, warm_hit = one(store)
-    if not warm_hit:
-        out.append(Mismatch(
-            check, "second compile_cached did not hit the cache"))
-        return
-    if warm_loss != cold_loss:
-        out.append(Mismatch(check, f"thawed loss not bitwise: "
-                                   f"{warm_loss!r} != {cold_loss!r}"))
-    _compare_arrays(check, "output", warm_out, cold_out, 0, 0, out,
-                    bitwise=True)
 
 
 def _baseline_config(spec: NetSpec):
@@ -580,7 +543,7 @@ def check_spec(
     working C toolchain is present, so corpus runs cover it wherever
     they can and skip cleanly where they cannot); ``quant`` runs the
     reduced-precision gates (fp16 tier, calibrated int8 accuracy,
-    bitwise determinism, int8 cache roundtrip — see :func:`_check_quant`).
+    bitwise determinism — see :func:`_check_quant`).
     """
     tol = TOLERANCES[dtype]
     report = OracleReport(spec)
@@ -647,7 +610,7 @@ def check_spec(
 
     # reduced-precision inference rides the same fuzz corpus: fp16 and
     # calibrated int8 against the fp32 inference reference, each
-    # bitwise run-to-run, plus an int8 cache roundtrip
+    # bitwise run-to-run
     if quant:
         _check_quant(spec, max(levels) if levels else 4, tol,
                      report.checks, report.mismatches)

@@ -159,9 +159,9 @@ class RecordingTracer(Tracer):
 
     def metric_series(self, name: str, **tags) -> List[float]:
         """Values of every metric named ``name`` whose tags match all of
-        ``tags`` (e.g. ``metric_series('serve.latency_ms', replica=0)``
-        isolates one replica's series instead of interleaving all of
-        them). No tags selects the whole series, as before."""
+        ``tags`` (e.g. ``metric_series('lat', replica=0)`` isolates one
+        replica's series instead of interleaving all of them). No tags
+        selects the whole series, as before."""
         return [
             m.value for m in self.metrics
             if m.name == name

@@ -132,8 +132,12 @@ class TestAdmission:
             b.submit(_item(i))
         with pytest.raises(QueueFullError):
             b.submit(_item(99))
-        # draining one batch reopens admission
+        # a full queue is a flush trigger — nothing more can arrive, so
+        # the drain must not wait out the 60 s latency bound
+        t0 = time.monotonic()
         assert len(b.next_batch()) == 3
+        assert time.monotonic() - t0 < 1.0
+        # draining one batch reopens admission
         b.submit(_item(4))
 
     def test_submit_after_shutdown_refused(self):

@@ -113,22 +113,11 @@ class TestCSource:
         x = np.random.default_rng(3).standard_normal(
             (4, 3, 8, 8)).astype(np.float32)
         y = np.zeros((4, 1), np.float32)
-        loss = _conv_net().forward(data=x, label=y)
-        opts = CompilerOptions.level(4)
-        opts.min_tile_rows = 2
-        opts.emit_c = False
-        seed_all(0)
-        net = Net(4)
-        d = MemoryDataLayer(net, "data", (3, 8, 8))
-        label = MemoryDataLayer(net, "label", (1,))
-        c = ConvolutionLayer("conv", net, d, 4, 3, pad=1)
-        r = ReLULayer("relu", net, c)
-        p = MaxPoolingLayer("pool", net, r)
-        fc = FullyConnectedLayer("fc", net, p, 3)
-        SoftmaxLossLayer("loss", net, fc, label)
-        cn = net.init(opts)
-        assert cn.forward(data=x, label=y) == loss
-        assert cn.c_source == ""
+        cn = _conv_net()
+        loss = cn.forward(data=x, label=y)
+        listing = cn.c_source
+        assert listing and cn.forward(data=x, label=y) == loss
+        assert cn.c_source == listing
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,6 @@ class TestEmittedModule:
         assert "for _n in range(0, 2):" in cn.source
         assert "_np.tensordot" not in cn.source
 
-    def test_emit_c_flag_off(self):
-        cn = _cnn(CompilerOptions(emit_c=False, min_tile_rows=2))
-        assert cn.c_source == ""
-
 
 class TestCBackendGolden:
     """The C rendering reproduces the structural landmarks of the

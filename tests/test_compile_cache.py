@@ -124,6 +124,21 @@ class TestRoundTrip:
         assert "warm cache hit" in report.table()
         assert "warm cache hit" in warm.summary()
 
+    def test_listing_is_not_stored(self, tmp_path):
+        store = CompileCache(tmp_path)
+        cold = compile_cached(MLP, 4, cache=store)
+        warm = compile_cached(MLP, 4, cache=store)
+        assert warm.compile_report.cache_hit
+        # a cold compile renders its schedule...
+        assert "=== forward ===" in cold.c_source
+        # ...an entry stores neither, and a thaw rebuilds steps only
+        key, = (e.key for e in store.entries())
+        meta, _ = store.get(key)
+        assert "c_source" not in meta
+        assert all("dtype" not in b for b in meta["buffers"])
+        with pytest.raises(RuntimeError, match="thaw does not rebuild"):
+            warm.c_source
+
     def test_gather_net_freeze_thaw(self, tmp_path):
         """Hand-built DSL nets are unkeyable (no builder record) but the
         freeze/thaw layer itself must still round-trip their gather/

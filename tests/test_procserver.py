@@ -173,10 +173,17 @@ class TestFailureHandling:
         pool = ProcessServerPool(checkpoint, workers=1, batch_size=BATCH,
                                  max_latency=60.0, max_queue=1,
                                  heartbeat=0.2)
+        pid = pool.workers[0].proc.pid
         try:
-            first = pool.submit(_items(1)[0])
-            with pytest.raises(QueueFullError) as exc:
-                pool.submit(_items(1)[0])
+            # a stopped worker completes nothing, so the in-flight count
+            # provably still holds the first request at the second submit
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                first = pool.submit(_items(1)[0])
+                with pytest.raises(QueueFullError) as exc:
+                    pool.submit(_items(1)[0])
+            finally:
+                os.kill(pid, signal.SIGCONT)
             assert exc.value.depth == 1
             pool.close()  # graceful drain completes the queued request
             assert first.wait(15.0) is not None

@@ -1,26 +1,31 @@
-"""Reduced-precision inference: the ``repro.quant`` subsystem.
+"""Reduced-precision inference: the ``repro.quant`` study tool.
 
 Covers the scale/zero-point arithmetic, the calibration recorder, the
-``precision`` compiler pass (fp16 retyping and int8 fake-quant plans),
-executor integration (int8 mirrors, per-forward weight quantization),
-the calibration-keyed compilation cache, and the serving surface
-(``Checkpoint.compile(precision=)``, ``ModelServer`` precision labels,
-``python -m repro.serve`` flag validation). The accuracy gates
-themselves live in the oracle (``quant:*`` checks, run over the pinned
-corpus by test_differential); this file tests the machinery.
+``precision`` compiler pass (fp16 retyping, int8 fake-quant steps
+scheduled like any other extern step), and the boundary around it: the
+executor, the serving stack and the compile cache know nothing of
+precision — a non-fp32 compile is never cached, and ``python -m
+repro.serve`` has no flag for it. The accuracy gates themselves live
+in the oracle (``quant:*`` checks, run over the pinned corpus by
+test_differential); this file tests the machinery.
 """
 
-import json
-import os
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.models import (
+    alexnet_config,
+    build_latte,
+    overfeat_config,
+    vgg_config,
+)
 from repro.optim import CompilerOptions, compile_net
 from repro.quant import (
     CalibrationError,
     CalibrationResult,
-    QParams,
     RangeObserver,
     calibrate,
     choose_qparams,
@@ -29,8 +34,19 @@ from repro.quant import (
     quantize,
 )
 from repro.quant.qparams import weight_qparams
-from repro.testing.generator import build_net, make_inputs, random_spec
-from repro.testing.oracle import calibrate_spec, run_quant_forward
+from repro.testing.generator import (
+    NetSpec,
+    build_net,
+    make_inputs,
+    random_spec,
+)
+from repro.testing.oracle import (
+    TOLERANCES,
+    _check_quant,
+    calibrate_spec,
+    run_quant_forward,
+)
+from repro.trace import RecordingTracer
 from repro.utils.rng import seed_all
 
 # one fc-family and one conv-family spec keep the file fast while still
@@ -39,14 +55,23 @@ FC_SEED = 7
 CONV_SEED = 11
 
 
-def _compile_spec(seed, precision="fp32", calibration=None, level=3):
-    spec = random_spec(seed)
-    seed_all(spec.seed)
-    net = build_net(spec)
+def _options(precision="fp32", level=3):
     opts = CompilerOptions.inference(level, precision=precision)
     opts.min_tile_rows = 2
-    cnet = compile_net(net, opts, calibration=calibration)
+    return opts
+
+
+def _compile_spec(seed, precision="fp32", calibration=None, level=3,
+                  **kwargs):
+    spec = random_spec(seed)
+    seed_all(spec.seed)
+    cnet = compile_net(build_net(spec), _options(precision, level),
+                       calibration=calibration, **kwargs)
     return spec, cnet
+
+
+def _on_grid(arr, qp):
+    return np.array_equal(fake_quant(arr, qp), arr)
 
 
 class TestQParams:
@@ -88,10 +113,6 @@ class TestQParams:
         qp = weight_qparams(w)
         assert qp.symmetric and qp.scale == pytest.approx(1.5 / 127)
         assert weight_qparams(np.zeros((1, 1))).scale == 1.0
-
-    def test_dict_round_trip(self):
-        qp = QParams(scale=0.03, zero_point=-12, symmetric=False)
-        assert QParams.from_dict(qp.to_dict()) == qp
 
 
 class TestCalibration:
@@ -199,6 +220,24 @@ class TestPrecisionPass:
         assert half.plan.memory is not None
         assert half.plan.memory.arena_bytes < ref.plan.memory.arena_bytes
 
+    @pytest.mark.parametrize("factory, scale, size", [
+        (alexnet_config, 0.25, 67),
+        (overfeat_config, 0.125, 75),
+        (vgg_config, 0.25, 64),
+    ])
+    def test_fp16_sheds_40_percent_on_fig14(self, factory, scale, size):
+        # activations dominate the fig14 models, so halving the element
+        # size must shed close to half of the planned bytes
+        config = factory().scaled(scale, size)
+        planned = {}
+        for precision in ("fp32", "fp16"):
+            seed_all(1)
+            cnet = build_latte(config, 8).init(
+                CompilerOptions.inference(4, precision=precision))
+            planned[precision] = cnet.memory_stats()["planned_bytes"]
+            cnet.close()
+        assert planned["fp16"] <= 0.60 * planned["fp32"]
+
     def test_fp16_close_to_fp32(self):
         spec = random_spec(CONV_SEED)
         loss32, out32 = run_quant_forward(spec, 3, "fp32")
@@ -211,43 +250,103 @@ class TestPrecisionPass:
         with pytest.raises(CalibrationError, match="calibration"):
             _compile_spec(FC_SEED, "int8")
 
-    def test_int8_plans_and_executor_mirrors(self):
+    def test_int8_schedules_fake_quant_steps(self):
         spec = random_spec(CONV_SEED)
         calibration = calibrate_spec(spec, 3)
         # disable the arena planner: slab reuse overwrites pooled
         # activations after their consumers run, which would invalidate
-        # the buffer-vs-mirror equality below (the mirror keeps the
-        # production-time value)
+        # the on-grid check of the buffers below
         seed_all(spec.seed)
-        net = build_net(spec)
-        opts = CompilerOptions.inference(3, precision="int8")
-        opts.min_tile_rows = 2
+        opts = _options("int8")
         opts.memory_plan = False
-        cnet = compile_net(net, opts, calibration=calibration)
+        cnet = compile_net(build_net(spec), opts, calibration=calibration)
         qp = cnet.plan.quant
         assert qp.precision == "int8"
         assert qp.calibration_digest == calibration.digest()
         assert qp.qparams and qp.weight_bufs
-        # the executor keeps true int8 mirror arrays for every
-        # quantized activation
-        assert set(cnet.qstorage) == {
-            n for n in qp.qparams if n in cnet.buffers
-        }
-        for arr in cnet.qstorage.values():
-            assert arr.dtype == np.int8
+        # the plan is in the schedule: weights first, then the network
+        # input, then every calibrated activation after its producers
+        labels = [s.label for s in cnet.compiled.forward]
+        quant = [l for l in labels if l.startswith("fake_quant(")]
+        assert labels[:2] == ["fake_quant(weights)",
+                              "fake_quant(data_value)"]
+        assert {l[len("fake_quant("):-1] for l in quant[1:]} == set(qp.qparams)
+        for i, label in enumerate(labels[2:], 2):
+            if label.startswith("fake_quant("):
+                buf = label[len("fake_quant("):-1]
+                producer = next(s for s in reversed(cnet.compiled.forward[:i])
+                                if not s.label.startswith("fake_quant("))
+                assert buf in {cnet.plan.resolve_alias(b)
+                               for b in producer.writes
+                               if b in cnet.plan.buffers}
+        row = next(p for p in cnet.compile_report.records
+                   if p.name == "precision")
+        assert row.units_after - row.units_before == len(quant)
         x, y = make_inputs(spec)
         cnet.forward(data=x, label=y)
-        # weight fake-quant ran and recorded its per-tensor scales...
-        assert set(cnet.quant_weight_scales) == set(qp.weight_bufs)
-        # ...leaving every weight exactly on its int8 grid
+        # every weight and every quantized activation sits exactly on
+        # its int8 grid
         for name in qp.weight_bufs:
-            w = cnet.buffers[name]
-            wq = weight_qparams(w)
-            assert np.array_equal(fake_quant(w, wq), w)
-        # quantized activations hold exactly what their mirrors decode to
-        for name, mirror in cnet.qstorage.items():
-            np.testing.assert_array_equal(
-                cnet.buffers[name], dequantize(mirror, qp.qparams[name]))
+            assert _on_grid(cnet.buffers[name],
+                            weight_qparams(cnet.buffers[name]))
+        for name, params in qp.qparams.items():
+            assert _on_grid(cnet.buffers[name], params)
+
+    def test_int8_traced_forward_has_a_span_per_fake_quant_step(self):
+        spec = random_spec(FC_SEED)
+        tracer = RecordingTracer()
+        _, cnet = _compile_spec(FC_SEED, "int8", calibrate_spec(spec, 3),
+                                tracer=tracer)
+        x, y = make_inputs(spec)
+        cnet.forward(data=x, label=y)
+        steps = [s.label for s in cnet.compiled.forward
+                 if s.label.startswith("fake_quant(")]
+        spans = [s.name for s in tracer.spans
+                 if s.cat == "forward" and s.name.startswith("fake_quant(")]
+        assert steps and spans == steps
+
+    def test_int8_quantizes_the_parameters_it_finds_at_forward(self):
+        spec = random_spec(FC_SEED)
+        _, cnet = _compile_spec(FC_SEED, "int8", calibrate_spec(spec, 3))
+        x, y = make_inputs(spec)
+        cnet.forward(data=x, label=y)
+        name = cnet.plan.quant.weight_bufs[-1]
+        rng = np.random.default_rng(5)
+        # restored after the compile (Checkpoint.restore_params writes
+        # through the parameter views) ...
+        restored = rng.standard_normal(
+            cnet.buffers[name].shape).astype(np.float32)
+        cnet.buffers[name][...] = restored
+        cnet.forward(data=x, label=y)
+        np.testing.assert_array_equal(
+            cnet.buffers[name],
+            fake_quant(restored, weight_qparams(restored)))
+        # ... or rebound onto other storage: the closure looks its
+        # arrays up at call time, so the new array is the one rewritten
+        rebound = rng.standard_normal(restored.shape).astype(np.float32)
+        want = fake_quant(rebound, weight_qparams(rebound))
+        cnet.rebind_buffer(name, rebound)
+        cnet.forward(data=x, label=y)
+        np.testing.assert_array_equal(rebound, want)
+        assert cnet.buffers[name] is rebound
+
+    def test_int8_lstm_passes_the_oracle_tier(self):
+        spec = NetSpec.from_dict({
+            "seed": 21, "batch": 4, "classes": 2, "input_shape": [5],
+            "time_steps": 3,
+            "layers": [{"kind": "lstm", "outputs": 4},
+                       {"kind": "fc", "outputs": 3}],
+        })
+        seed_all(spec.seed)
+        cnet = compile_net(build_net(spec), _options("int8", 4),
+                           calibration=calibrate_spec(spec, 4))
+        assert cnet.time_steps == 3
+        assert sum(s.label.startswith("fake_quant(")
+                   for s in cnet.compiled.forward) > 1
+        checks, mismatches = [], []
+        _check_quant(spec, 4, TOLERANCES["float32"], checks, mismatches)
+        assert "quant:int8" in checks and "quant:int8-repro" in checks
+        assert not mismatches, [str(m) for m in mismatches]
 
     def test_int8_deterministic_across_forwards(self):
         spec = random_spec(FC_SEED)
@@ -261,126 +360,97 @@ class TestPrecisionPass:
         np.testing.assert_array_equal(cnet.value("head"), out_first)
 
 
-class TestQuantCache:
-    def test_key_includes_calibration_for_int8_only(self):
-        from repro.cache.key import cache_key
+class TestBoundary:
+    """What lies outside ``repro.quant`` does not know precision."""
+
+    @pytest.mark.parametrize("precision", ["fp16", "int8"])
+    def test_cache_key_refuses_reduced_precision(self, precision):
+        from repro.cache.key import CacheUnsupported, cache_key
 
         spec = random_spec(FC_SEED)
         builder = {"kind": "net_spec", "spec": spec.to_dict()}
-        a = CalibrationResult({"x": (0.0, 1.0)}, 1)
-        b = CalibrationResult({"x": (0.0, 2.0)}, 1)
-        opts8 = CompilerOptions.inference(3, precision="int8")
-        k_a = cache_key(builder, spec.batch, opts8, 1, None, calibration=a)
-        k_b = cache_key(builder, spec.batch, opts8, 1, None, calibration=b)
-        assert k_a != k_b  # different ranges → different program
-        assert k_a == cache_key(builder, spec.batch, opts8, 1, None,
-                                calibration=a.digest())  # digest spelling
-        opts32 = CompilerOptions.inference(3)
-        assert cache_key(builder, spec.batch, opts32, 1, None,
-                         calibration=a) == \
-            cache_key(builder, spec.batch, opts32, 1, None)
+        with pytest.raises(CacheUnsupported, match="float32"):
+            cache_key(builder, spec.batch, _options(precision), 1, None)
 
-    def test_int8_roundtrip_restores_quant_plan(self, tmp_path):
+    def test_compile_cached_fp16_compiles_cold_and_stores_nothing(
+            self, tmp_path):
         from repro.cache import CompileCache, compile_cached
 
         spec = random_spec(FC_SEED)
-        calibration = calibrate_spec(spec, 3)
         store = CompileCache(str(tmp_path))
-
-        def boot():
-            seed_all(spec.seed)
-            net = build_net(spec)
-            opts = CompilerOptions.inference(3, precision="int8")
-            opts.min_tile_rows = 2
-            return compile_cached(spec, net=net, options=opts, cache=store,
-                                  calibration=calibration)
-
-        cold = boot()
-        warm = boot()
-        assert not cold.compile_report.cache_hit
-        assert warm.compile_report.cache_hit
-        assert warm.plan.quant is not None
-        assert warm.plan.quant.to_dict() == cold.plan.quant.to_dict()
         x, y = make_inputs(spec)
-        assert float(warm.forward(data=x, label=y)) == \
-            float(cold.forward(data=x, label=y))
-        np.testing.assert_array_equal(warm.value("head"),
-                                      cold.value("head"))
+        want_loss, want = run_quant_forward(spec, 3, "fp16")
+        for _ in range(2):
+            seed_all(spec.seed)
+            cnet = compile_cached(spec, net=build_net(spec),
+                                  options=_options("fp16"), cache=store)
+            assert not cnet.compile_report.cache_hit
+            assert cnet.compile_report.cache_key is None
+            assert float(cnet.forward(data=x, label=y)) == want_loss
+            np.testing.assert_array_equal(cnet.value("head"), want)
+        assert store.entries() == []
+        assert list(tmp_path.iterdir()) == []
 
-
-class TestServing:
-    def _checkpoint(self, tmp_path, spec):
-        from repro.serve.checkpoint import save_checkpoint
-
-        seed_all(spec.seed)
-        net = build_net(spec)
-        opts = CompilerOptions.inference(3)
-        opts.min_tile_rows = 2
-        cnet = compile_net(net, opts)
-        path = str(tmp_path / "model.npz")
-        save_checkpoint(path, cnet, spec=spec, output="head")
-        return path
-
-    def test_from_checkpoint_precision_labels(self, tmp_path):
-        from repro.serve.server import ModelServer
+    def test_compile_cached_int8_has_no_route_for_a_profile(self, tmp_path):
+        # compile_cached takes no calibration profile, so an int8
+        # compile through it fails exactly as compile_net does without
+        # one; compile_net(calibration=...) is the int8 entry point
+        from repro.cache import CompileCache, compile_cached
 
         spec = random_spec(FC_SEED)
-        path = self._checkpoint(tmp_path, spec)
-        calibration = calibrate_spec(spec, 3)
-        calib_path = str(tmp_path / "calib.json")
-        calibration.save(calib_path)
-        x, _ = make_inputs(spec)
-        ref = None
-        for precision, calib in (("fp32", None), ("fp16", None),
-                                 ("int8", calib_path)):
-            with ModelServer.from_checkpoint(
-                    path, batch_size=spec.batch, precision=precision,
-                    calibration=calib) as server:
-                out = server.predict(x[0])
-                stats = server.stats()
-                assert stats["precision"] == precision
-                assert stats["served"] == 1
-                page = server.metrics_text()
-                assert f'precision="{precision}"' in page
-            if ref is None:
-                ref = out
-            else:
-                assert np.argmax(out) == np.argmax(ref)
+        seed_all(spec.seed)
+        with pytest.raises(CalibrationError, match="compile_net"):
+            compile_cached(spec, net=build_net(spec),
+                           options=_options("int8"),
+                           cache=CompileCache(str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
 
-    def test_serve_main_validates_flags(self, tmp_path):
+    def test_serve_cli_has_no_precision_flag(self, tmp_path, capsys):
         from repro.serve.__main__ import main
 
         ckpt = str(tmp_path / "model.npz")  # never reached by ap.error
-        cases = [
-            ["--checkpoint", ckpt, "--precision", "fp8"],
-            ["--checkpoint", ckpt, "--precision", "int8"],  # no --calibration
-            ["--checkpoint", ckpt, "--precision", "int8",
-             "--calibration", str(tmp_path / "missing.json")],
-            ["--checkpoint", ckpt, "--workers", "-1"],
-            ["--checkpoint", ckpt, "--replicas", "0"],
-            ["--checkpoint", ckpt, "--batch-size", "0"],
-        ]
-        for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["--checkpoint", ckpt, "--precision", "fp16"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision" in capsys.readouterr().err
+        for argv in (["--workers", "-1"], ["--replicas", "0"],
+                     ["--batch-size", "0"]):
             with pytest.raises(SystemExit) as exc:
-                main(argv)
+                main(["--checkpoint", ckpt] + argv)
             assert exc.value.code == 2, argv
 
-    def test_cache_ls_shows_precision(self, tmp_path, capsys):
-        from repro.cache import CompileCache, compile_cached
-        from repro.cache.__main__ import main as cache_main
+    def test_retyped_replicas_serve_without_a_flag(self):
+        # the recipe docs/QUANTIZATION.md ends with: compile the
+        # replicas yourself, hand them to ModelServer
+        from repro.serve.server import ModelServer
 
-        spec = random_spec(FC_SEED)
-        store_dir = str(tmp_path / "cache")
-        store = CompileCache(store_dir)
-        seed_all(spec.seed)
-        net = build_net(spec)
-        opts = CompilerOptions.inference(3, precision="fp16")
-        opts.min_tile_rows = 2
-        compile_cached(spec, net=net, options=opts, cache=store)
-        assert cache_main(["--cache-dir", store_dir, "ls"]) == 0
-        table = capsys.readouterr().out
-        assert "fp16" in table and "numpy" in table
-        assert cache_main(["--cache-dir", store_dir, "ls", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"][0]["precision"] == "fp16"
-        assert payload["entries"][0]["backend"] == "numpy"
+        spec, replica = _compile_spec(FC_SEED, "fp16")
+        x, y = make_inputs(spec)
+        _, want = run_quant_forward(spec, 3, "fp16")
+        with ModelServer([replica], "head", max_latency=0.002) as server:
+            out = server.predict(x[0])
+            assert "precision" not in server.stats()
+            assert "precision" not in server.metrics_text()
+        np.testing.assert_array_equal(out, want[0])
+
+    def test_nothing_outside_imports_repro_quant(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        files = [src / "runtime" / "executor.py"]
+        for package in ("serve", "cache", "telemetry"):
+            files += sorted((src / package).glob("*.py"))
+        assert len(files) > 10
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(n.startswith("repro.quant") for n in names), \
+                    f"{path.name} imports {names}"
+        from repro.runtime.executor import CompiledNet
+
+        assert not hasattr(CompiledNet, "qstorage")
+        _, cnet = _compile_spec(FC_SEED)
+        assert not hasattr(cnet, "qstorage")
+        assert not hasattr(cnet, "quant_weight_scales")

@@ -52,6 +52,23 @@ def _replicas(n, batch=BATCH, seed=42):
     return nets
 
 
+def _gated_replica():
+    """One replica whose ``forward`` blocks until ``release`` is set
+    (``entered`` says a batch is inside it) — a full queue flushes at
+    once, so overload only exists while the worker is busy."""
+    replica, = _replicas(1)
+    entered, release = threading.Event(), threading.Event()
+    forward = replica.forward
+
+    def gated(**inputs):
+        entered.set()
+        release.wait(10.0)
+        return forward(**inputs)
+
+    replica.forward = gated
+    return replica, entered, release
+
+
 def _items(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 6)).astype(np.float32)
@@ -154,18 +171,21 @@ class TestReplicaPool:
 
 class TestAdmission:
     def test_overload_sheds_and_counts(self):
-        # batch never fills and latency never expires, so the queue
-        # holds its one slot until close() drains it
-        with ModelServer(_replicas(1), OUT, max_latency=60.0,
+        replica, entered, release = _gated_replica()
+        with ModelServer([replica], OUT, max_latency=60.0,
                          max_queue=1) as srv:
-            first = srv.submit(_items(1)[0])
+            running = srv.submit(_items(1)[0])
+            assert entered.wait(5.0)  # the worker is busy with it...
+            parked = srv.submit(_items(1)[0])  # ...so this one queues
             with pytest.raises(QueueFullError) as exc:
                 srv.submit(_items(1)[0])
             assert exc.value.depth == 1
             assert exc.value.reason == "queue_full"
             assert srv.stats()["shed"] == 1
+            release.set()
             srv.close()  # drains: the queued request still completes
-            assert first.wait(10.0) is not None
+            assert running.wait(10.0) is not None
+            assert parked.wait(10.0) is not None
 
     def test_close_is_idempotent(self):
         srv = ModelServer(_replicas(1), OUT)
@@ -199,6 +219,46 @@ class TestHTTP:
     def test_healthz(self, endpoint):
         status, payload = self._get(endpoint + "/healthz")
         assert (status, payload) == (200, {"ok": True})
+
+    def test_each_reply_is_one_write(self):
+        """Head and body leave in one segment — split in two, every
+        keep-alive reply waits out Nagle plus the peer's delayed ACK."""
+
+        class FakeSocket:
+            def __init__(self, request: bytes):
+                self.rfile = io.BytesIO(request)
+                self.writes = []
+
+            def makefile(self, mode, bufsize):
+                return self.rfile
+
+            def sendall(self, data):
+                self.writes.append(bytes(data))
+
+        body = json.dumps({"inputs": [_items(1)[0].tolist()]}).encode()
+        requests = (
+            b"GET /healthz HTTP/1.1\r\n\r\n"
+            b"GET /metrics HTTP/1.1\r\n\r\n"
+            b"GET /nope HTTP/1.1\r\n\r\n"
+            b"POST /predict HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        with ModelServer(_replicas(1), OUT, max_latency=0.002) as srv:
+            httpd = make_http_server(srv, "127.0.0.1", 0)
+            try:
+                sock = FakeSocket(requests)
+                httpd.RequestHandlerClass(sock, ("127.0.0.1", 0), httpd)
+            finally:
+                httpd.server_close()
+        assert len(sock.writes) == 4  # four keep-alive replies
+        for write, status in zip(sock.writes, (200, 200, 404, 200)):
+            head, _, payload = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 %d " % status)
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            assert len(payload) == length > 0
+        assert b"serve_requests_total" in sock.writes[1]
+        assert len(json.loads(sock.writes[3].partition(b"\r\n\r\n")[2])
+                   ["outputs"]) == 1
 
     def test_predict_matches_local(self, endpoint):
         items = _items(3, seed=9)
@@ -388,8 +448,8 @@ class TestRequestIds:
         assert all("latency_ms" in e for e in per_request)
 
     def test_shed_is_429_with_context(self):
-        srv = ModelServer(_replicas(1), OUT, max_latency=60.0,
-                          max_queue=1)
+        replica, entered, release = _gated_replica()
+        srv = ModelServer([replica], OUT, max_latency=60.0, max_queue=1)
         httpd = make_http_server(srv, "127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -404,27 +464,39 @@ class TestRequestIds:
                     headers={"Content-Type": "application/json",
                              "X-Request-ID": hdr}),
                 timeout=5)
-            # first request parks in the queue (latency trigger is 60s)
-            first = threading.Thread(target=lambda: self_post("a"))
-            first.start()
+            # the first request occupies the worker, the second the
+            # queue's one slot
+            served = {}
+
+            def post(hdr):
+                served[hdr] = self_post(hdr).status
+
+            posts = [threading.Thread(target=post, args=("a",))]
+            posts[0].start()
+            assert entered.wait(5.0)
+            posts.append(threading.Thread(target=post, args=("b",)))
+            posts[1].start()
             deadline = threading.Event()
-            for _ in range(200):  # wait until it is actually queued
+            for _ in range(500):  # wait until it is actually queued
                 if srv.batcher.depth() == 1:
                     break
                 deadline.wait(0.01)
             with pytest.raises(urllib.error.HTTPError) as exc:
-                self_post("b")
+                self_post("c")
             assert exc.value.code == 429
             body = json.loads(exc.value.read())
-            assert body["request_id"] == "b"
+            assert body["request_id"] == "c"
             assert body["shed"] == "queue_full"
             assert body["queue_depth"] == 1
-            assert exc.value.headers["X-Request-ID"] == "b"
+            assert exc.value.headers["X-Request-ID"] == "c"
         finally:
+            release.set()
             httpd.shutdown()
             httpd.server_close()
             srv.close()  # drains the parked request
-            first.join(15.0)
+            for poster in posts:
+                poster.join(15.0)
+        assert served == {"a": 200, "b": 200}
 
     def test_request_ids_reach_executor_spans(self):
         tracer = RecordingTracer()
