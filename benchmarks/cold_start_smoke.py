@@ -55,7 +55,7 @@ def child(checkpoint: str, cache_dir: str) -> int:
         checkpoint, batch_size=fig14_config()[1], cache=cache_dir)
     boot_seconds = time.perf_counter() - t0
     try:
-        report = server.replicas[0].compile_report
+        report = server.replicas[0].net.compile_report
         x = np.random.default_rng(7).standard_normal(
             server.item_shape).astype(np.float32)
         out = server.predict(x, timeout=60.0)

@@ -14,10 +14,10 @@ Three claims, measured on real processes (no simulator):
    degrades to a sanity floor on the parallel efficiency.
 2. **Sync reduction is deterministic.** Two identical 2-worker runs
    produce bitwise-identical parameters.
-3. **Process serving beats thread serving.** A 2-process
-   ``ProcessServerPool`` sustains higher aggregate QPS than a 2-replica
-   in-process ``ModelServer`` at the same replica count (gated on
-   multi-core hosts only — the GIL is the thing being escaped).
+3. **Process serving beats thread serving.** The same ``ModelServer``
+   sustains higher aggregate QPS over 2 worker processes
+   (``workers=2``) than over 2 in-thread replicas (gated on multi-core
+   hosts only — the GIL is the thing being escaped).
 
 Measurements land in ``benchmarks/results/BENCH_distributed.json``.
 """
@@ -42,11 +42,7 @@ from harness import BENCH_GEOMETRY, record_distributed  # noqa: E402
 from repro.models import alexnet_config, build_latte, mlp_config  # noqa: E402
 from repro.optim import CompilerOptions  # noqa: E402
 from repro.runtime import ProcessTrainer, SyncReduce  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ModelServer,
-    ProcessServerPool,
-    save_checkpoint,
-)
+from repro.serve import ModelServer, save_checkpoint  # noqa: E402
 from repro.solvers import (  # noqa: E402
     SGD,
     LRPolicy,
@@ -170,8 +166,10 @@ def _drive(server, items):
     dt = time.perf_counter() - t0
     if errors:
         raise errors[0]
-    p95 = server.stats()["latency_ms"]["p95"]
-    return len(items) / dt, p95
+    stats = server.stats()  # one shape, either transport
+    assert stats["errors"] == stats["restarts"] == 0, \
+        f"replicas failed during the serving benchmark: {stats}"
+    return len(items) / dt, stats["latency_ms"]["p95"]
 
 
 def bench_serving():
@@ -193,18 +191,16 @@ def bench_serving():
     thread_qps, thread_p95 = _drive(thread_srv, items)
     thread_srv.close()
 
-    pool = ProcessServerPool(ckpt, workers=2, batch_size=SERVE_BATCH,
-                             max_latency=0.002)
+    pool = ModelServer.from_checkpoint(
+        ckpt, batch_size=SERVE_BATCH, workers=2, max_latency=0.002)
     _drive(pool, items[:16])  # warm
     pool_qps, pool_p95 = _drive(pool, items)
-    restarts = pool.stats()["restarts"]
     pool.close()
 
     ratio = pool_qps / thread_qps
     print(f"serving: thread pool {thread_qps:.0f} qps (p95 "
           f"{thread_p95:.2f}ms), process pool {pool_qps:.0f} qps (p95 "
           f"{pool_p95:.2f}ms) -> {ratio:.2f}x")
-    assert restarts == 0, "workers died during the serving benchmark"
     if MULTI_CORE:
         assert ratio > 1.0, (
             f"process pool slower than thread pool on {CORES} cores: "

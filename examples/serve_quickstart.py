@@ -96,7 +96,8 @@ def main():
               f"to the eval-mode train graph")
 
         stats = server.stats()
-        print(f"batches {stats['batches']}, "
+        assert stats["errors"] == 0 and stats["alive"] == stats["replicas"]
+        print(f"{stats['alive']} replicas, batches {stats['batches']}, "
               f"mean fill {stats['mean_batch_fill']:.0%}, "
               f"latency p50 {stats['latency_ms']['p50']}ms "
               f"p99 {stats['latency_ms']['p99']}ms")

@@ -5,11 +5,13 @@ The compiler side lives in ``CompilerOptions(mode="inference")`` /
 ``CompilerOptions.inference()``; this package provides everything after
 compilation: persisting trained parameters (:mod:`repro.serve.checkpoint`),
 micro-batching request admission (:mod:`repro.serve.batcher`), and the
-replica-pool server with its stdlib HTTP front end
-(:mod:`repro.serve.server`). ``python -m repro.serve --checkpoint m.npz``
-boots the whole stack from one artifact; add ``--workers N`` to run the
-replicas as worker *processes* (:mod:`repro.serve.procserver`,
-docs/DISTRIBUTED.md) behind the same HTTP front end.
+one serving front end — replica pool, metrics, stdlib HTTP
+(:mod:`repro.serve.server`) — over a replica transport
+(:mod:`repro.serve.replica`). ``python -m repro.serve --checkpoint
+m.npz`` boots the whole stack from one artifact; add ``--workers N``
+(``ModelServer.from_checkpoint(workers=N)``) and the same server runs
+its replicas as worker *processes* (:mod:`repro.serve.procserver`,
+docs/DISTRIBUTED.md) instead of threads.
 """
 
 from repro.serve.batcher import (
@@ -24,8 +26,11 @@ from repro.serve.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.serve.procserver import ProcessServerPool
-from repro.serve.server import ModelServer, make_http_server
+from repro.serve.server import (
+    ModelServer,
+    ProcessServerPool,
+    make_http_server,
+)
 
 __all__ = [
     "BatcherClosedError",

@@ -42,14 +42,14 @@ def main(argv=None) -> int:
     ap.add_argument("--replicas", type=int, default=1,
                     help="worker replicas sharing one parameter set")
     ap.add_argument("--workers", type=int, default=0,
-                    help="run N ModelServer worker *processes* behind "
-                    "the front end instead of in-process replica "
-                    "threads (docs/DISTRIBUTED.md); each worker gets "
-                    "--replicas replicas")
+                    help="run N replicas as worker *processes* instead "
+                    "of in-process replica threads "
+                    "(docs/DISTRIBUTED.md); excludes --replicas > 1")
     ap.add_argument("--max-latency-ms", type=float, default=5.0,
                     help="oldest-request age that forces a ragged flush")
     ap.add_argument("--max-queue", type=int, default=64,
-                    help="admission bound; beyond it requests get 429")
+                    help="admission bound on the server's one queue; "
+                    "beyond it requests get 429")
     ap.add_argument("--output", default=None,
                     help="output ensemble (default: recorded in the "
                     "checkpoint)")
@@ -72,40 +72,27 @@ def main(argv=None) -> int:
         ap.error(f"--replicas must be >= 1, got {args.replicas}")
     if args.batch_size < 1:
         ap.error(f"--batch-size must be >= 1, got {args.batch_size}")
+    if args.workers and args.replicas > 1:
+        ap.error(f"--workers {args.workers} with --replicas "
+                 f"{args.replicas}: pick one transport")
 
     configure_json_logging()
-    if args.workers and args.workers > 0:
-        from repro.serve.procserver import ProcessServerPool
-
-        server = ProcessServerPool(
-            args.checkpoint,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            replicas=args.replicas,
-            output=args.output,
-            num_threads=args.threads,
-            max_latency=args.max_latency_ms / 1e3,
-            max_queue=args.max_queue,
-            cache=args.compile_cache,
-        )
-        topology = (f"workers={args.workers} processes × "
-                    f"{args.replicas} replica(s)")
-    else:
-        server = ModelServer.from_checkpoint(
-            args.checkpoint,
-            batch_size=args.batch_size,
-            replicas=args.replicas,
-            output=args.output,
-            num_threads=args.threads,
-            max_latency=args.max_latency_ms / 1e3,
-            max_queue=args.max_queue,
-            cache=args.compile_cache,
-        )
-        topology = f"replicas={len(server.replicas)}"
+    server = ModelServer.from_checkpoint(
+        args.checkpoint,
+        batch_size=args.batch_size,
+        replicas=args.replicas,
+        workers=args.workers,
+        output=args.output,
+        num_threads=args.threads,
+        max_latency=args.max_latency_ms / 1e3,
+        max_queue=args.max_queue,
+        cache=args.compile_cache,
+    )
     httpd = make_http_server(server, args.host, args.port)
     host, port = httpd.server_address[:2]
     print(f"serving {args.checkpoint} on http://{host}:{port} "
-          f"(batch={server.batch_size}, {topology}) "
+          f"(batch={server.batch_size}, replicas={len(server.replicas)} "
+          f"{'processes' if args.workers else 'threads'}) "
           f"— POST /predict, GET /healthz, GET /stats, GET /metrics",
           flush=True)
     try:

@@ -74,14 +74,11 @@ class Request:
             raise self.error
         return self.result
 
-    def complete(self, result: np.ndarray,
-                 latency: Optional[float] = None) -> None:
+    def complete(self, result: np.ndarray, latency: float) -> None:
         """Fulfil this request (worker side): store the output row,
-        stamp the latency (measured from admission unless the worker
-        supplies its own), and wake the waiter."""
+        stamp the latency the worker measured, and wake the waiter."""
         self.result = result
-        self.latency = (latency if latency is not None
-                        else time.monotonic() - self.enqueued_at)
+        self.latency = latency
         self.done.set()
 
     def fail(self, exc: BaseException) -> None:

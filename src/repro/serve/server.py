@@ -1,14 +1,17 @@
-"""The model server: replica pool + dynamic batcher + HTTP front end.
+"""The model server: the one serving front end — queue, dynamic batcher,
+metrics, drain, HTTP — over a replica transport.
 
-A :class:`ModelServer` owns one or more *replicas* — forward-only
-compiled copies of the same network — and a
-:class:`~repro.serve.batcher.DynamicBatcher`. Each replica gets a
-worker thread that loops: take the next micro-batch, zero-pad it to the
-compiled batch size if ragged, run ``forward``, slice the real rows
-back out, and complete the per-request handles. Replicas share
-parameter storage through ``CompiledNet.rebind_buffer`` — one set of
-weight arrays serves every worker, so N replicas cost N× activation
-memory but 1× parameter memory.
+A :class:`ModelServer` owns one
+:class:`~repro.serve.batcher.DynamicBatcher` and one or more *replicas*
+— forward-only compiled copies of the same network. Each replica gets a
+thread that loops: take the next micro-batch, zero-pad it to the
+compiled batch size if ragged, ``replica.run`` it, and complete the
+per-request handles with the real rows. What a replica *is* is all the
+two transports disagree on: a ``CompiledNet`` called in that thread
+(:mod:`repro.serve.replica`; replicas share parameter storage, so N
+cost N× activation memory but 1× parameter memory) or, with
+``from_checkpoint(workers=N)``, a forked worker process that compiled
+its own copy (:mod:`repro.serve.procserver`).
 
 Observability is three-layered (docs/OBSERVABILITY.md):
 
@@ -37,7 +40,9 @@ repro.serve`` is the CLI (see :mod:`repro.serve.__main__`).
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import threading
 import time
 from http import HTTPStatus
@@ -52,9 +57,16 @@ from repro.serve.batcher import (
     QueueFullError,
     Request,
 )
+from repro.serve.checkpoint import load_checkpoint
+from repro.serve.replica import NetReplica
 from repro.telemetry.logging import get_logger, log_event, new_request_id
 from repro.telemetry.metrics import FILL_BUCKETS, MetricsRegistry
 from repro.trace import NULL_TRACER
+
+#: seconds any one request may take: the default ``predict()`` wait, the
+#: HTTP handler's wait, and the deadline a process replica gets to answer
+#: one batch before it is declared hung
+REQUEST_TIMEOUT = 30.0
 
 
 class ModelServer:
@@ -64,22 +76,19 @@ class ModelServer:
     ----------
     replicas:
         Forward-only ``CompiledNet`` replicas of one network, all at the
-        same batch size. Replica 0 owns the parameter storage; the rest
-        are rebound onto it at construction (``share_params=False``
-        skips that, for replicas that are already sharing).
+        same batch size (each is wrapped in a
+        :class:`~repro.serve.replica.NetReplica`; replica 0 owns the
+        parameter storage, the rest are rebound onto it), or ready-made
+        replica handles.
     output:
         Ensemble whose value array is the prediction (sliced per row).
     max_latency:
         Seconds the oldest queued request may wait before a ragged
         flush (the batcher's latency trigger).
     max_queue:
-        Admission bound; beyond it :meth:`submit` sheds with
+        Admission bound on the server's one queue, whatever the
+        transport; beyond it :meth:`submit` sheds with
         :class:`~repro.serve.batcher.QueueFullError`.
-    data_name / label_name:
-        DataEnsemble fed with request items / zero-filled dummy labels
-        (loss-bearing training graphs still expect a label input at
-        forward time; ``None`` if the net has no label ensemble —
-        detected automatically by default).
     registry:
         The :class:`~repro.telemetry.metrics.MetricsRegistry` all
         serving metrics land in (a fresh one by default; pass
@@ -89,47 +98,32 @@ class ModelServer:
         Structured-log target (default: the ``repro.serve`` stdlib
         logger — silent until a handler is attached; see
         :func:`repro.telemetry.logging.configure_json_logging`).
-    checkpoint_path / checkpoint_mtime:
-        Provenance of the served parameters; when the mtime is known, a
-        ``serve_checkpoint_age_seconds`` gauge reports artifact age at
-        scrape time (set automatically by :meth:`from_checkpoint`).
+    checkpoint_mtime:
+        When known, a ``serve_checkpoint_age_seconds`` gauge reports the
+        served artifact's age at scrape time (set automatically by
+        :meth:`from_checkpoint`).
     """
 
     def __init__(self, replicas: Sequence, output: str, *,
                  max_latency: float = 0.005, max_queue: int = 64,
-                 data_name: str = "data",
-                 label_name: Optional[str] = "auto",
-                 share_params: bool = True, tracer=None,
-                 registry=None, logger=None,
-                 checkpoint_path: Optional[str] = None,
+                 tracer=None, registry=None, logger=None,
                  checkpoint_mtime: Optional[float] = None):
         if not replicas:
             raise ValueError("need at least one replica")
-        batches = {r.batch_size for r in replicas}
+        self.replicas = [r if hasattr(r, "run") else NetReplica(r, output)
+                         for r in replicas]
+        batches = {r.batch_size for r in self.replicas}
         if len(batches) != 1:
             raise ValueError(f"replicas disagree on batch size: {batches}")
-        self.replicas = list(replicas)
+        nets = [r for r in self.replicas if isinstance(r, NetReplica)]
+        for replica in nets[1:]:
+            replica.share_params(nets[0])
         self.output = output
         self.batch_size = self.replicas[0].batch_size
-        self.data_name = data_name
-        if label_name == "auto":
-            label_name = ("label" if "label"
-                          in self.replicas[0]._data_names else None)
-        self.label_name = label_name
+        self.item_shape = self.replicas[0].item_shape
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.logger = logger if logger is not None else get_logger()
-        self.checkpoint_path = checkpoint_path
         self.checkpoint_mtime = checkpoint_mtime
-        self.item_shape = tuple(
-            self.replicas[0].value(data_name).shape[1:]
-        )
-        if share_params and len(self.replicas) > 1:
-            primary = self.replicas[0]
-            for replica in self.replicas[1:]:
-                for info in replica.plan.params:
-                    replica.rebind_buffer(
-                        info.value_buf, primary.buffers[info.value_buf]
-                    )
         self.batcher = DynamicBatcher(self.batch_size, max_latency,
                                       max_queue)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -176,7 +170,20 @@ class ModelServer:
         r.gauge("serve_queue_depth",
                 "Requests waiting for batch assembly",
                 fn=self.batcher.depth)
+        self._m_restarts = r.counter(
+            "serve_worker_restarts_total",
+            "Replica workers found dead or hung and replaced by a fresh "
+            "fork (process transport; an in-thread replica never is)",
+            labels=("worker",),
+        )
+        # pre-touch so a scrape before any batch or failure shows
+        # explicit per-replica zeros
+        for index in range(len(self.replicas)):
+            self._m_batches.inc(0, replica=str(index))
+            self._m_restarts.inc(0, worker=str(index))
         r.gauge("serve_replicas", "Replica workers").set(len(self.replicas))
+        r.gauge("serve_replicas_alive", "Replica workers able to serve",
+                fn=self._alive)
         r.gauge("serve_batch_size", "Compiled batch size").set(
             self.batch_size)
         mstats = self.replicas[0].memory_stats()
@@ -193,12 +200,10 @@ class ModelServer:
         # compile-cache provenance: how many replica compiles were warm
         # thaws vs cold compiles, and how stale the warm entry is (only
         # populated when the replicas went through repro.cache)
-        reports = [getattr(rep, "compile_report", None)
-                   for rep in self.replicas]
-        reports = [rp for rp in reports if rp is not None
-                   and rp.cache_key is not None]
-        if reports:
-            hits = sum(1 for rp in reports if rp.cache_hit)
+        cached = [rep.cache for rep in self.replicas
+                  if rep.cache is not None]
+        if cached:
+            hits = sum(1 for hit, _ in cached if hit)
             r.counter(
                 "serve_compile_cache_hits_total",
                 "Replica compiles thawed from the compilation cache",
@@ -206,14 +211,17 @@ class ModelServer:
             r.counter(
                 "serve_compile_cache_misses_total",
                 "Replica compiles that ran cold and seeded the cache",
-            ).inc(len(reports) - hits)
-            created = [rp.cache_created for rp in reports
-                       if rp.cache_hit and rp.cache_created is not None]
+            ).inc(len(cached) - hits)
+            created = [made for hit, made in cached
+                       if hit and made is not None]
             if created:
                 oldest = min(created)
                 r.gauge("serve_compile_cache_age_seconds",
                         "Age of the oldest thawed compile-cache entry",
                         fn=lambda: max(0.0, time.time() - oldest))
+
+    def _alive(self) -> int:
+        return sum(1 for replica in self.replicas if replica.alive())
 
     # -- client API ---------------------------------------------------------
 
@@ -240,7 +248,7 @@ class ModelServer:
         return req
 
     def predict(self, item: np.ndarray,
-                timeout: Optional[float] = 30.0,
+                timeout: Optional[float] = REQUEST_TIMEOUT,
                 request_id: Optional[str] = None) -> np.ndarray:
         """Blocking single-item convenience: submit + wait."""
         return self.submit(item, request_id=request_id).wait(timeout)
@@ -253,7 +261,26 @@ class ModelServer:
             batch = self.batcher.next_batch()
             if batch is None:
                 return
+            # died while idle: nothing was in flight, the batch waits
+            self._revive(replica, index)
             self._run_batch(replica, batch, index)
+            # died or hung on that batch (its requests have failed):
+            # replace it now rather than in front of the next batch
+            self._revive(replica, index)
+
+    def _revive(self, replica, index: int) -> None:
+        """Replace ``replica``'s worker if it is gone; a replacement
+        that fails to boot is logged, and the batches this thread takes
+        fail with the structured error until one does."""
+        if replica.alive():
+            return
+        self._m_restarts.inc(worker=str(index))
+        log_event(self.logger, "worker_died", worker=index)
+        try:
+            replica.respawn()
+        except Exception as exc:  # noqa: BLE001 - any boot failure
+            log_event(self.logger, "worker_restart_failed", worker=index,
+                      error=str(exc))
 
     def _run_batch(self, replica, batch: List[Request],
                    index: int) -> None:
@@ -263,26 +290,13 @@ class ModelServer:
         x = np.zeros((self.batch_size,) + self.item_shape, np.float32)
         for i, req in enumerate(batch):
             x[i] = req.item
-        inputs = {self.data_name: x}
-        if self.label_name is not None:
-            inputs[self.label_name] = np.zeros(
-                replica.value(self.label_name).shape, np.float32
-            )
         t0 = time.monotonic()
         try:
-            if self.tracer.enabled:
-                # request identity flows into the executor's own step
-                # spans for this forward (replica-owned, single worker)
-                replica.trace_context = {"request_ids": ids_csv}
-            try:
-                with self.tracer.span("serve.batch", "serve",
-                                      replica=index, rows=n,
-                                      batch=self.batch_size,
-                                      request_ids=ids_csv):
-                    replica.forward(**inputs)
-            finally:
-                replica.trace_context = None
-            out = replica.value(self.output)[:n].copy()
+            with self.tracer.span("serve.batch", "serve",
+                                  replica=index, rows=n,
+                                  batch=self.batch_size,
+                                  request_ids=ids_csv):
+                out = replica.run(x, n, ids_csv)
         except BaseException as exc:  # complete waiters, then bookkeep
             for req in batch:
                 req.fail(exc)
@@ -315,9 +329,8 @@ class ModelServer:
 
     def metrics_text(self) -> str:
         """The Prometheus exposition page ``GET /metrics`` serves — the
-        in-process registry rendered. The multi-process pool
-        (:class:`~repro.serve.procserver.ProcessServerPool`) overrides
-        this with an aggregation of every worker's page."""
+        registry rendered; under either transport every serving number
+        is counted once, in this process."""
         return self.registry.render()
 
     def stats(self) -> Dict[str, object]:
@@ -325,13 +338,16 @@ class ModelServer:
         all derived from the metrics registry — the identical numbers
         ``GET /metrics`` exposes, reduced to one JSON object. The
         percentiles come from fixed histogram buckets, so state stays
-        bounded regardless of traffic."""
+        bounded regardless of traffic. One shape for both transports."""
         lat = self._m_latency
         out: Dict[str, object] = {
             "served": int(self._m_requests.value(outcome="served")),
             "shed": int(self._m_requests.value(outcome="shed")),
+            "errors": int(self._m_requests.value(outcome="error")),
             "batches": int(self._m_batches.total()),
             "replicas": len(self.replicas),
+            "alive": self._alive(),
+            "restarts": int(self._m_restarts.total()),
             "batch_size": self.batch_size,
             "queue_depth": self.batcher.depth(),
             "mean_batch_fill": round(self._m_fill.mean(), 4),
@@ -372,7 +388,7 @@ class ModelServer:
 
     @classmethod
     def from_checkpoint(cls, path: str, *, batch_size: int = 8,
-                        replicas: int = 1, options=None,
+                        replicas: int = 1, workers: int = 0, options=None,
                         output: Optional[str] = None,
                         num_threads: Optional[int] = None,
                         tracer=None, cache=None,
@@ -383,6 +399,11 @@ class ModelServer:
         artifact's mtime feeds the ``serve_checkpoint_age_seconds``
         gauge.
 
+        ``workers=N`` selects the process transport instead: N forked
+        workers each load the artifact and compile one replica (this
+        process never loads the model), replaced when they die or hang
+        (:mod:`repro.serve.procserver`). It excludes ``replicas > 1``.
+
         Pass ``cache=`` (a ``repro.cache.CompileCache``, a directory
         path, or ``True`` for the default store) to compile through the
         persistent compilation cache: a pre-warmed entry turns boot into
@@ -390,29 +411,38 @@ class ModelServer:
         seeds the cache so replicas 2..N (and the next boot) are warm.
         Hit/miss counts and entry age land in the metrics registry
         (``serve_compile_cache_*``)."""
-        import os
-
-        from repro.serve.checkpoint import load_checkpoint
-
-        ck = load_checkpoint(path)
-        out = output or ck.output
-        if out is None:
+        if workers and replicas > 1:
             raise ValueError(
-                "checkpoint records no output ensemble; pass output="
+                f"workers={workers} with replicas={replicas}: pick one "
+                "transport (worker processes run one replica each)"
             )
-        nets = [
-            ck.compile(batch_size, options=options,
-                       num_threads=num_threads, tracer=tracer,
-                       cache=cache)
-            for _ in range(replicas)
-        ]
+        boot = functools.partial(
+            NetReplica.from_checkpoint, batch_size=batch_size,
+            options=options, output=output, num_threads=num_threads,
+            cache=cache)
+        if workers:
+            from repro.serve.procserver import spawn_replicas
+
+            handles = spawn_replicas(functools.partial(boot, path),
+                                     workers, REQUEST_TIMEOUT)
+        else:
+            ck = load_checkpoint(path)
+            handles = [boot(ck, tracer=tracer) for _ in range(replicas)]
         try:
             mtime = os.path.getmtime(path)
         except OSError:
             mtime = None
-        kwargs.setdefault("checkpoint_path", path)
         kwargs.setdefault("checkpoint_mtime", mtime)
-        return cls(nets, out, tracer=tracer, **kwargs)
+        return cls(handles, handles[0].output, tracer=tracer, **kwargs)
+
+
+def ProcessServerPool(checkpoint: str, *, workers: int = 2,
+                      **kwargs) -> ModelServer:
+    """``ModelServer.from_checkpoint(checkpoint, workers=workers, ...)``
+    under the name benchmark and doc code imports."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return ModelServer.from_checkpoint(checkpoint, workers=workers, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +452,8 @@ class ModelServer:
 
 def make_http_server(server, host: str = "127.0.0.1",
                      port: int = 8080) -> ThreadingHTTPServer:
-    """A ``ThreadingHTTPServer`` exposing ``server`` — a
-    :class:`ModelServer` or anything with the same ``submit`` /
-    ``stats`` / ``metrics_text`` surface (the multi-process
-    :class:`~repro.serve.procserver.ProcessServerPool` plugs in here
-    unchanged):
+    """A ``ThreadingHTTPServer`` exposing ``server``, a
+    :class:`ModelServer` over either transport:
 
     * ``POST /predict`` — body ``{"inputs": [item, ...]}`` where each
       item is a nested list matching the model's input shape; responds
@@ -435,8 +462,9 @@ def make_http_server(server, host: str = "127.0.0.1",
       present (else generated), echoed in the response header and
       body, and propagated into batcher admission, worker spans, and
       log lines. Answers 429 when the batcher sheds — the body carries
-      ``request_id``, ``queue_depth``, and the ``shed`` reason — and
-      400 on malformed bodies.
+      ``request_id``, ``queue_depth``, and the ``shed`` reason — 400
+      on malformed bodies, and 503 (with ``request_id``) once the
+      server is closing.
     * ``GET /healthz`` — liveness.
     * ``GET /stats`` — the :meth:`ModelServer.stats` JSON.
     * ``GET /metrics`` — the metrics registry in Prometheus text
@@ -477,21 +505,21 @@ def make_http_server(server, host: str = "127.0.0.1",
             else:
                 self._reply(404, {"error": f"no route {self.path}"})
 
+        def _fail(self, code: int, error: str, rid: str, **context) -> None:
+            self._reply(code, {"error": error, "request_id": rid, **context},
+                        {"X-Request-ID": rid})
+
         def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
             if self.path != "/predict":
                 self._reply(404, {"error": f"no route {self.path}"})
                 return
             t0 = time.monotonic()
             rid = self.headers.get("X-Request-ID") or new_request_id()
-            echo = {"X-Request-ID": rid}
             try:
                 length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length))
-                items = payload["inputs"]
+                items = json.loads(self.rfile.read(length))["inputs"]
             except (ValueError, KeyError, TypeError) as exc:
-                self._reply(400, {"error": f"bad request body: {exc}",
-                                  "request_id": rid}, echo)
-                return
+                return self._fail(400, f"bad request body: {exc}", rid)
             # multi-item bodies fan out to per-item request IDs so each
             # row stays traceable; a single item keeps the ID verbatim
             item_ids = ([rid] if len(items) == 1
@@ -503,28 +531,22 @@ def make_http_server(server, host: str = "127.0.0.1",
                     for item, item_id in zip(items, item_ids)
                 ]
             except QueueFullError as exc:
-                self._reply(429, {
-                    "error": "overloaded, retry later",
-                    "request_id": rid,
-                    "queue_depth": exc.depth,
-                    "shed": exc.reason,
-                }, echo)
-                return
-            except (ValueError, BatcherClosedError) as exc:
-                self._reply(400, {"error": str(exc), "request_id": rid},
-                            echo)
-                return
+                return self._fail(429, "overloaded, retry later", rid,
+                                  queue_depth=exc.depth, shed=exc.reason)
+            except ValueError as exc:
+                return self._fail(400, str(exc), rid)
+            except BatcherClosedError as exc:  # closing: not the client's fault
+                return self._fail(503, str(exc), rid)
             try:
-                outputs = [h.wait(30.0).tolist() for h in handles]
+                outputs = [h.wait(REQUEST_TIMEOUT).tolist()
+                           for h in handles]
             except BaseException as exc:
-                self._reply(500, {"error": str(exc), "request_id": rid},
-                            echo)
-                return
+                return self._fail(500, str(exc), rid)
             self._reply(200, {
                 "outputs": outputs,
                 "request_id": rid,
                 "latency_ms": round(1e3 * (time.monotonic() - t0), 3),
-            }, echo)
+            }, {"X-Request-ID": rid})
 
         def log_message(self, fmt, *args):  # quiet by default
             pass

@@ -33,7 +33,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullMetricsRegistry,
-    merge_metrics_pages,
     parse_prometheus_text,
     sample_value,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "configure_json_logging",
     "get_logger",
     "log_event",
-    "merge_metrics_pages",
     "new_request_id",
     "parse_prometheus_text",
     "sample_value",

@@ -27,7 +27,7 @@ import bisect
 import math
 import re
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -38,7 +38,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
-    "merge_metrics_pages",
     "parse_prometheus_text",
 ]
 
@@ -573,62 +572,3 @@ def sample_value(families: Dict[str, dict], name: str,
             ):
                 return value
     return None
-
-
-def merge_metrics_pages(local: str,
-                        pages: Iterable[Tuple[object, str]],
-                        label: str = "worker") -> str:
-    """Merge per-worker Prometheus pages into one exposition page.
-
-    ``local`` is the coordinating process's own rendered registry
-    (samples pass through untouched); each ``(tag, text)`` in ``pages``
-    is one worker's page, whose every sample gains a ``label="tag"``
-    label so same-named families from different workers stay
-    distinguishable instead of colliding. Families are unified across
-    pages (one HELP/TYPE header each), so the result is itself a valid
-    page — :func:`parse_prometheus_text` round-trips it. The process
-    serving pool uses this to answer ``GET /metrics`` with every
-    worker's counters in a single scrape.
-    """
-    families: Dict[str, dict] = {}
-    order: List[str] = []
-
-    def fold(text: str, tag: Optional[str]) -> None:
-        for fname, fam in parse_prometheus_text(text).items():
-            merged = families.get(fname)
-            if merged is None:
-                merged = families[fname] = {
-                    "type": fam["type"], "help": fam["help"],
-                    "samples": [],
-                }
-                order.append(fname)
-            else:
-                if merged["type"] == "untyped":
-                    merged["type"] = fam["type"]
-                if not merged["help"]:
-                    merged["help"] = fam["help"]
-            for sname, slabels, value in fam["samples"]:
-                if tag is not None:
-                    slabels = dict(slabels)
-                    slabels[label] = tag
-                merged["samples"].append((sname, slabels, value))
-
-    fold(local, None)
-    for tag, text in pages:
-        fold(text, str(tag))
-    lines: List[str] = []
-    for fname in order:
-        fam = families[fname]
-        if fam["help"]:
-            lines.append(f"# HELP {fname} {fam['help']}")
-        lines.append(f"# TYPE {fname} {fam['type']}")
-        for sname, slabels, value in fam["samples"]:
-            if slabels:
-                inner = ",".join(
-                    f'{k}="{_escape_label_value(str(v))}"'
-                    for k, v in slabels.items()
-                )
-                lines.append(f"{sname}{{{inner}}} {_format_value(value)}")
-            else:
-                lines.append(f"{sname} {_format_value(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -19,7 +19,6 @@ from repro.telemetry import (
     NULL_REGISTRY,
     configure_json_logging,
     log_event,
-    merge_metrics_pages,
     new_request_id,
     parse_prometheus_text,
     sample_value,
@@ -291,85 +290,3 @@ class TestJsonLogging:
         ids = {new_request_id() for _ in range(64)}
         assert len(ids) == 64
         assert all(len(i) == 16 and int(i, 16) >= 0 for i in ids)
-
-
-class TestMergePages:
-    """Folding per-worker Prometheus pages into one exposition page."""
-
-    def _page(self, build):
-        r = MetricsRegistry()
-        build(r)
-        return r.render()
-
-    def test_local_untouched_workers_tagged(self):
-        local = self._page(lambda r: r.counter(
-            "jobs_total", labels=("outcome",)).inc(
-                3, outcome="ok"))
-        w0 = self._page(lambda r: r.counter(
-            "jobs_total", labels=("outcome",)).inc(
-                5, outcome="ok"))
-        merged = merge_metrics_pages(local, [("0", w0)])
-        fams = parse_prometheus_text(merged)
-        assert sample_value(fams, "jobs_total", outcome="ok",
-                            worker="0") == 5
-        # the local sample keeps its exact label set — no worker label
-        locals_ = [s for s in fams["jobs_total"]["samples"]
-                   if "worker" not in s[1]]
-        assert locals_ == [("jobs_total", {"outcome": "ok"}, 3.0)]
-
-    def test_mismatched_histogram_buckets_coexist(self):
-        # workers built at different versions can disagree on bucket
-        # boundaries; the merge must keep every worker's own ladder
-        # (distinguished by the worker label) and still round-trip
-        a = self._page(lambda r: r.histogram(
-            "lat_seconds", buckets=(0.1, 1.0)).observe(0.05))
-        b = self._page(lambda r: r.histogram(
-            "lat_seconds", buckets=(0.25,)).observe(0.05))
-        merged = merge_metrics_pages("", [("a", a), ("b", b)])
-        fams = parse_prometheus_text(merged)
-        assert fams["lat_seconds"]["type"] == "histogram"
-        assert sample_value(fams, "lat_seconds_bucket", le="0.1",
-                            worker="a") == 1
-        assert sample_value(fams, "lat_seconds_bucket", le="0.25",
-                            worker="b") == 1
-        # neither worker inherits the other's boundaries
-        assert sample_value(fams, "lat_seconds_bucket", le="0.25",
-                            worker="a") is None
-        assert sample_value(fams, "lat_seconds_bucket", le="0.1",
-                            worker="b") is None
-        assert sample_value(fams, "lat_seconds_count", worker="a") == 1
-        assert sample_value(fams, "lat_seconds_count", worker="b") == 1
-
-    def test_mismatched_label_sets_coexist(self):
-        # a newer worker adds a label dimension (e.g. precision) the
-        # older one lacks: same family, different label sets — the
-        # merge keeps each sample's own labels instead of colliding
-        old = self._page(lambda r: r.counter(
-            "req_total", labels=("outcome",)).inc(2, outcome="ok"))
-        new = self._page(lambda r: r.counter(
-            "req_total", labels=("outcome", "precision")).inc(
-                7, outcome="ok", precision="int8"))
-        merged = merge_metrics_pages("", [("0", old), ("1", new)])
-        fams = parse_prometheus_text(merged)
-        assert sample_value(fams, "req_total", worker="0",
-                            outcome="ok") == 2
-        assert sample_value(fams, "req_total", worker="1",
-                            outcome="ok", precision="int8") == 7
-        by_worker = {s[1]["worker"]: s[1] for s in
-                     fams["req_total"]["samples"]}
-        assert "precision" not in by_worker["0"]
-        # one family header only, and the page stays parseable (already
-        # proven by the parse above) with a single TYPE line
-        assert merged.count("# TYPE req_total") == 1
-
-    def test_merge_output_round_trips_through_parser(self):
-        local = self._page(lambda r: r.gauge("depth").set(4))
-        w = self._page(lambda r: r.histogram(
-            "lat_seconds", buckets=(0.5,)).observe(2.0))
-        merged = merge_metrics_pages(local, [("w", w)])
-        reparsed = parse_prometheus_text(merged)
-        assert merge_metrics_pages(merged, []) == merged
-        assert sample_value(reparsed, "depth") == 4
-        # +Inf row survives the round trip
-        assert sample_value(reparsed, "lat_seconds_bucket", le="+Inf",
-                            worker="w") == 1
