@@ -36,6 +36,7 @@ from repro.cache.key import CacheUnsupported
 from repro.codegen.python_backend import CompiledProgram, Step, exec_program
 from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
 from repro.ir import CommCall
+from repro.synthesis.access import StepAccess
 from repro.synthesis.liveness import Interval, MemoryPlan, Slab
 from repro.synthesis.lower import (
     make_gather_closures,
@@ -109,8 +110,8 @@ def _step_dict(step: Step) -> dict:
                  if step.comm is not None else None),
         "recurrent_reads": sorted(step.recurrent_reads),
         "label": step.label,
-        "reads": sorted(step.reads),
-        "writes": sorted(step.writes),
+        "access": {"accesses": [list(a) for a in step.access.accesses],
+                   "opaque": step.access.opaque},
         "flops": int(step.flops),
         "shardable": bool(step.shardable),
         "private_accums": dict(step.private_accums),
@@ -165,29 +166,15 @@ def _closure_descriptors(net, plan, closures,
         if isinstance(ens, NormalizationEnsemble):
             fkey, bkey = f"{name}.norm_forward", f"{name}.norm_backward"
             if fkey in closures:
-                descs.append({
-                    "kind": "norm", "ensemble": name,
-                    "vbuf": plan.value_buf(name),
-                    "gbuf": plan.grad_buf(name),
-                    "src_vals": [plan.value_buf(c.source.name)
-                                 for c in ens.inputs],
-                    "src_grads": [plan.grad_buf(c.source.name)
-                                  for c in ens.inputs],
-                    "has_backward": bkey in closures,
-                })
+                descs.append({"kind": "norm", "ensemble": name,
+                              "has_backward": bkey in closures})
                 covered.add(fkey)
                 if bkey in closures:
                     covered.add(bkey)
         elif isinstance(ens, LossEnsemble):
             fkey, bkey = f"{name}.loss_forward", f"{name}.loss_backward"
             if fkey in closures:
-                descs.append({
-                    "kind": "loss", "ensemble": name,
-                    "src_vals": [plan.value_buf(c.source.name)
-                                 for c in ens.inputs],
-                    "src_grads": [plan.grad_buf(c.source.name)
-                                  for c in ens.inputs],
-                })
+                descs.append({"kind": "loss", "ensemble": name})
                 covered.update((fkey, bkey))
     unknown = sorted(set(closures) - covered)
     if unknown:
@@ -351,7 +338,7 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
     return plan
 
 
-def _rebuild_closures(net, meta, arrays) -> Dict:
+def _rebuild_closures(net, plan, meta, arrays) -> Dict:
     closures: Dict = {}
     for d in meta["closures"]:
         name = d["ensemble"]
@@ -372,27 +359,23 @@ def _rebuild_closures(net, meta, arrays) -> Dict:
                 d["src_value"], d["src_grad"],
             )
             j = d["conn"]
-            closures[f"{name}.gather{j}"] = fwd
-            closures[f"{name}.scatter{j}"] = bwd
+            closures[f"{name}.gather{j}"] = fwd.fn
+            closures[f"{name}.scatter{j}"] = bwd.fn
         elif kind == "norm":
             if not isinstance(ens, NormalizationEnsemble):
                 raise CacheError(f"{name} is not a NormalizationEnsemble")
-            fwd, bwd = make_norm_closures(
-                ens, d["vbuf"], d["gbuf"], d["src_vals"], d["src_grads"]
-            )
-            closures[f"{name}.norm_forward"] = fwd
+            fwd, bwd = make_norm_closures(ens, plan)
+            closures[f"{name}.norm_forward"] = fwd.fn
             if d["has_backward"]:
                 if bwd is None:
                     raise CacheError(f"{name} lost its backward_fn")
-                closures[f"{name}.norm_backward"] = bwd
+                closures[f"{name}.norm_backward"] = bwd.fn
         elif kind == "loss":
             if not isinstance(ens, LossEnsemble):
                 raise CacheError(f"{name} is not a LossEnsemble")
-            fwd, bwd = make_loss_closures(
-                ens, d["src_vals"], d["src_grads"]
-            )
-            closures[f"{name}.loss_forward"] = fwd
-            closures[f"{name}.loss_backward"] = bwd
+            fwd, bwd = make_loss_closures(ens, plan)
+            closures[f"{name}.loss_forward"] = fwd.fn
+            closures[f"{name}.loss_backward"] = bwd.fn
         else:
             raise CacheError(f"unknown closure descriptor kind {kind!r}")
     return closures
@@ -420,8 +403,10 @@ def _rebuild_steps(meta, namespace) -> Tuple[List[Step], List[Step]]:
                 comm=comm,
                 recurrent_reads=frozenset(d["recurrent_reads"]),
                 label=d["label"],
-                reads=frozenset(d["reads"]),
-                writes=frozenset(d["writes"]),
+                access=StepAccess(
+                    tuple((b, k) for b, k in d["access"]["accesses"]),
+                    d["access"]["opaque"],
+                ),
                 flops=d["flops"],
                 shardable=d["shardable"],
                 private_accums=dict(d["private_accums"]),
@@ -505,7 +490,7 @@ def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,
                 f"{net.time_steps}"
             )
         plan = _rebuild_plan(net, meta, arrays)
-        closures = _rebuild_closures(net, meta, arrays)
+        closures = _rebuild_closures(net, plan, meta, arrays)
         namespace = exec_program(meta["source"], closures)
         fwd, bwd = _rebuild_steps(meta, namespace)
         compiled = CompiledProgram(fwd, bwd, meta["source"], closures)

@@ -51,7 +51,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #:     and its source is split into translation units at markers
 #: v6: float32 programs only — buffers carry no storage dtype, and the
 #:     paper-style C listing is no longer stored
-FORMAT_VERSION = 6
+#: v7: steps carry their ordered, alias-folded def/use record
+#:     (``access``) instead of unfolded ``reads``/``writes`` name sets;
+#:     norm/loss closures are rebuilt from the topology alone
+FORMAT_VERSION = 7
 
 
 class CacheUnsupported(ValueError):

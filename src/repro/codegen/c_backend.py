@@ -82,6 +82,7 @@ from repro.ir import (
     SliceExpr,
     UnaryOp,
     Var,
+    write_target_vars,
 )
 from repro.ir.printer import to_c
 from repro.synthesis.units import FusedGroup, LoopUnit, unit_to_for_tree
@@ -728,19 +729,6 @@ _PAR_PRAGMA = (
 )
 
 
-def _target_disjoint_vars(target: Index) -> set:
-    """Loop vars the target's indices scalar-depend on: iterations of
-    such a loop write disjoint elements, so it can be parallelized."""
-    from repro.ir import free_vars, walk_exprs
-
-    out: set = set()
-    for ix in target.indices:
-        if any(isinstance(e, Index) for e in walk_exprs(ix)):
-            return set()  # indirect target: rows may collide
-        out |= free_vars(ix)
-    return out
-
-
 def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
                  depth: int) -> None:
     stmt = unit.stmt
@@ -749,7 +737,9 @@ def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
         raise _Unlowerable("non-buffer assignment target")
     if any(isinstance(ix, (SliceExpr,)) for ix in tgt.indices):
         raise _Unlowerable("sliced assignment target")
-    disjoint = _target_disjoint_vars(tgt)
+    # loops the target is scalar-indexed by write disjoint elements and
+    # may run in parallel; an indirect target (rows may collide) has none
+    disjoint = write_target_vars(stmt) or ()
     top = depth
     for i, sp in enumerate(unit.loops):
         pragma = _PAR_PRAGMA if (i == 0 and sp.var in disjoint) else ""

@@ -24,7 +24,6 @@ import numpy as np
 from repro.codegen.exprs import render, render_plain_index
 from repro.codegen.vectorize import lower_unit_scalar, lower_unit_vector
 from repro.ir import (
-    Assign,
     CommCall,
     Expr,
     ExternOp,
@@ -32,10 +31,8 @@ from repro.ir import (
     Index,
     SliceExpr,
     Var,
-    buffers_read,
-    buffers_written,
-    walk_exprs,
 )
+from repro.synthesis.access import StepAccess, record, unit_accesses
 from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, ShardInfo
 
@@ -53,11 +50,11 @@ class Step:
     comm: Optional[CommCall] = None
     recurrent_reads: frozenset = frozenset()
     label: str = ""
-    #: buffer names this step reads / writes (compile-time metadata for
-    #: the tracer's bytes-touched accounting; externs report what they
-    #: declare)
-    reads: frozenset = frozenset()
-    writes: frozenset = frozenset()
+    #: the step's def/use record — the same one the passes scheduled it
+    #: by (:mod:`repro.synthesis.access`); feeds the tracer's
+    #: bytes-touched accounting, the numerics watchdog's blame and
+    #: calibration's observation set
+    access: StepAccess = StepAccess()
     #: multiply-add FLOPs of pattern-matched GEMMs in this step (2*M*N*K
     #: per Gemm, derived from the matched loop extents)
     flops: int = 0
@@ -67,6 +64,16 @@ class Step:
     #: buffer name -> 'add' | 'store': batch-invariant accumulation
     #: targets the executor must privatize per shard and tree-reduce
     private_accums: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def reads(self) -> frozenset:
+        """Base buffers this step reads."""
+        return self.access.reads
+
+    @property
+    def writes(self) -> frozenset:
+        """Base buffers this step writes."""
+        return self.access.writes
 
 
 @dataclass
@@ -97,24 +104,6 @@ def _scalar_expr(e: Expr) -> str:
     return render(e, render_plain_index, vector=True)
 
 
-def _collect_buffers(unit: LoopUnit) -> set:
-    names = set()
-    stmt = unit.stmt
-    if isinstance(stmt, Assign):
-        for e in walk_exprs(stmt):
-            if isinstance(e, Index):
-                names.add(e.buffer)
-    elif isinstance(stmt, Gemm):
-        for ref in (stmt.a, stmt.b, stmt.c):
-            names.add(ref.buffer)
-            for e in walk_exprs(ref):
-                if isinstance(e, Index):
-                    names.add(e.buffer)
-    elif isinstance(stmt, ExternOp):
-        pass  # externs receive the whole buffer dict
-    return names
-
-
 def _gemm_flops(gemm: Gemm) -> int:
     """2*M*N*K of a pattern-matched Gemm; 0 when extents are symbolic."""
     try:
@@ -122,18 +111,6 @@ def _gemm_flops(gemm: Gemm) -> int:
     except (TypeError, ValueError):
         return 0
     return 2 * m * n * k
-
-
-def _group_metadata(group: FusedGroup):
-    """(reads, writes, flops) for one fused group's member statements."""
-    reads, writes = set(), set()
-    flops = 0
-    for u in group.units:
-        reads |= buffers_read(u.stmt)
-        writes |= buffers_written(u.stmt)
-        if isinstance(u.stmt, Gemm):
-            flops += _gemm_flops(u.stmt)
-    return frozenset(reads), frozenset(writes), flops
 
 
 def _gemm_rhs(subscripts: str, a: str, b: str) -> str:
@@ -235,9 +212,13 @@ def _emit_group(
     else:
         lines.append(f"def {name}(B, rt):")
         units = group.units
-    buffers = set()
-    for u in units:
-        buffers |= _collect_buffers(u)
+    # externs receive the whole buffer dict; everything else binds the
+    # names its statement spells as locals
+    buffers = {
+        name
+        for u in units if not isinstance(u.stmt, ExternOp)
+        for name, _kind in unit_accesses(u)
+    }
     for b in sorted(buffers):
         lines.append(f"    {b} = B[{b!r}]")
     indent = 1
@@ -292,9 +273,10 @@ def exec_program(source: str, closures: Dict[str, Callable]) -> Dict:
 
 
 def compile_items(
-    fwd_items, bwd_items, closures, vectorize: bool
+    fwd_items, bwd_items, closures, vectorize: bool, plan
 ) -> CompiledProgram:
-    """Emit and compile the whole program."""
+    """Emit and compile the whole program; every step keeps the
+    def/use record of the schedule item it was generated from."""
     lines: List[str] = []
     steps: Dict[str, List[Step]] = {"f": [], "b": []}
     counter = 0
@@ -307,7 +289,7 @@ def compile_items(
                         kind="comm",
                         comm=item,
                         label=f"async_grad_reduce({item.ensemble})",
-                        reads=frozenset(item.params),
+                        access=record(plan, item),
                     )
                 )
                 continue
@@ -317,16 +299,15 @@ def compile_items(
             shard = item.shard if isinstance(item, FusedGroup) else None
             _emit_group(item, name, vectorize, lines, shard)
             lines.append("")
-            reads, writes, flops = _group_metadata(item)
             steps[tag].append(
                 Step(
                     name=name,
                     kind="task",
                     recurrent_reads=item.recurrent_reads,
                     label=item.label,
-                    reads=reads,
-                    writes=writes,
-                    flops=flops,
+                    access=record(plan, item),
+                    flops=sum(_gemm_flops(u.stmt) for u in item.units
+                              if isinstance(u.stmt, Gemm)),
                     shardable=shard is not None,
                     private_accums=(
                         dict(shard.private_accums) if shard else {}

@@ -254,11 +254,15 @@ class CommCall(Stmt):
 @dataclass
 class ExternOp(Stmt):
     """Call into a Python-level kernel (NormalizationEnsemble array ops,
-    loss layers). ``fn_key`` names a callable in the task closure table;
-    ``buffers`` lists buffer-table names passed positionally."""
+    loss layers, gathers, fake-quant). ``fn_key`` names a callable in
+    the task closure table. ``reads`` and ``writes`` are the only
+    buffer-table names the callable looks up: it may read the former,
+    and fully defines or accumulates into the latter (an accumulation
+    target is listed in both, like the target of a reduction)."""
 
     fn_key: str
-    buffers: Tuple[str, ...]
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -454,60 +458,66 @@ def free_vars(node) -> set:
     return {e.name for e in walk_exprs(node) if isinstance(e, Var)}
 
 
+def _leaf_stmts(stmt: Stmt):
+    """The statements under any ``For``/``Block`` nesting of ``stmt``."""
+    if isinstance(stmt, (For, Block)):
+        for child in (stmt.body if isinstance(stmt, For) else stmt.stmts):
+            yield from _leaf_stmts(child)
+    else:
+        yield stmt
+
+
+def _index_buffers(expr) -> set:
+    return {e.buffer for e in walk_exprs(expr) if isinstance(e, Index)}
+
+
 def buffers_read(stmt: Stmt) -> set:
     """Buffer names read by a statement."""
     out = set()
-
-    def collect(s):
+    for s in _leaf_stmts(stmt):
         if isinstance(s, Assign):
-            out.update(
-                e.buffer for e in walk_exprs(s.value) if isinstance(e, Index)
-            )
-            if s.reduce is not None and isinstance(s.target, Index):
-                out.add(s.target.buffer)
-            # index expressions of the target are reads too
+            out |= _index_buffers(s.value)
             if isinstance(s.target, Index):
+                if s.reduce is not None:
+                    out.add(s.target.buffer)
+                # index expressions of the target are reads too
                 for i in s.target.indices:
-                    out.update(
-                        e.buffer for e in walk_exprs(i) if isinstance(e, Index)
-                    )
-        elif isinstance(s, For):
-            for child in s.body:
-                collect(child)
+                    out |= _index_buffers(i)
         elif isinstance(s, Gemm):
-            out.add(s.a.buffer)
-            out.add(s.b.buffer)
+            out.update((s.a.buffer, s.b.buffer))
             if s.accumulate:
                 out.add(s.c.buffer)
-        elif isinstance(s, Block):
-            for child in s.stmts:
-                collect(child)
         elif isinstance(s, ExternOp):
-            out.update(s.buffers)
-
-    collect(stmt)
+            out.update(s.reads)
     return out
 
 
 def buffers_written(stmt: Stmt) -> set:
     """Buffer names written by a statement."""
     out = set()
-
-    def collect(s):
+    for s in _leaf_stmts(stmt):
         if isinstance(s, Assign) and isinstance(s.target, Index):
             out.add(s.target.buffer)
-        elif isinstance(s, For):
-            for child in s.body:
-                collect(child)
         elif isinstance(s, Gemm):
             out.add(s.c.buffer)
-        elif isinstance(s, Block):
-            for child in s.stmts:
-                collect(child)
         elif isinstance(s, ExternOp):
-            out.update(s.buffers)
+            out.update(s.writes)
+    return out
 
-    collect(stmt)
+
+def write_target_vars(stmt: Stmt) -> Optional[set]:
+    """Loop variables the write target of an ``Assign``/``Gemm`` is
+    scalar-indexed by: iterations of such a loop write disjoint
+    elements. ``None`` when the target is not a buffer reference or is
+    indexed through another buffer (rows may collide)."""
+    target = stmt.c if isinstance(stmt, Gemm) else getattr(stmt, "target", None)
+    if not isinstance(target, Index):
+        return None
+    out: set = set()
+    for ix in target.indices:
+        if any(isinstance(e, Index) for e in walk_exprs(ix)):
+            return None
+        out |= free_vars(ix)
     return out
 
 

@@ -99,8 +99,14 @@ def to_pseudo(stmt: Stmt, indent: int = 0) -> str:
     if isinstance(stmt, CommCall):
         return f"{pad}async_grad_reduce({stmt.ensemble!r}, {list(stmt.params)})"
     if isinstance(stmt, ExternOp):
-        return f"{pad}{stmt.fn_key}({', '.join(stmt.buffers)})"
+        return f"{pad}{stmt.fn_key}({', '.join(_extern_args(stmt))})"
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")
+
+
+def _extern_args(stmt: ExternOp) -> list:
+    """Outputs first, then the read-only inputs — the argument order of
+    the DSL's ``forward_fn(out, ins, ...)`` callbacks."""
+    return list(stmt.writes) + [b for b in stmt.reads if b not in stmt.writes]
 
 
 def _c_expr(e: Expr) -> str:
@@ -182,5 +188,5 @@ def to_c(stmt: Stmt, indent: int = 0) -> str:
             f"{{{', '.join(stmt.params)}}});  // async MPI_Iallreduce"
         )
     if isinstance(stmt, ExternOp):
-        return f"{pad}{stmt.fn_key}({', '.join(stmt.buffers)});"
+        return f"{pad}{stmt.fn_key}({', '.join(_extern_args(stmt))});"
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")

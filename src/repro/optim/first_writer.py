@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.ir import Const, Gemm, Index, SliceExpr, buffers_read, buffers_written
+from repro.ir import Const, Gemm, Index, SliceExpr
+from repro.synthesis.access import unit_rw
 from repro.synthesis.units import LoopUnit, Section
 
 
@@ -53,15 +54,12 @@ def _covers_buffer(ref: Index, plan) -> bool:
 def run(sections: List[Section], plan) -> None:
     """Apply first-writer forwarding to one direction's sections."""
     touched = set()
-
-    def resolve(name):
-        return plan.resolve_alias(name) if name in plan.buffers else name
-
     for sec in sections:
         new_units: List[LoopUnit] = []
         i = 0
         while i < len(sec.units):
             unit = sec.units[i]
+            reads, writes = unit_rw(plan, unit)
             # fill immediately followed by a covering GEMM on the same
             # untouched buffer: drop the fill, let the GEMM store
             if (
@@ -70,10 +68,9 @@ def run(sections: List[Section], plan) -> None:
                 and isinstance(sec.units[i + 1].stmt, Gemm)
             ):
                 gemm: Gemm = sec.units[i + 1].stmt
-                tgt = resolve(gemm.c.buffer)
-                fill_tgt = resolve(next(iter(buffers_written(unit.stmt))))
+                tgt = plan.resolve_alias(gemm.c.buffer)
                 if (
-                    tgt == fill_tgt
+                    writes == {tgt}
                     and tgt not in touched
                     and gemm.accumulate
                     and _covers_buffer(gemm.c, plan)
@@ -84,7 +81,7 @@ def run(sections: List[Section], plan) -> None:
                     continue
             if isinstance(unit.stmt, Gemm) and unit.stmt.accumulate:
                 gemm = unit.stmt
-                tgt = resolve(gemm.c.buffer)
+                tgt = plan.resolve_alias(gemm.c.buffer)
                 spec = plan.buffers.get(gemm.c.buffer)
                 role = spec.role if spec is not None else ""
                 if (
@@ -100,8 +97,7 @@ def run(sections: List[Section], plan) -> None:
                         "grad_input",
                     ):
                         resolved_spec.needs_zero = False
-            touched.update(resolve(b) for b in buffers_read(unit.stmt))
-            touched.update(resolve(b) for b in buffers_written(unit.stmt))
+            touched.update(reads, writes)
             new_units.append(unit)
             i += 1
         sec.units = new_units

@@ -35,15 +35,14 @@ from repro.ir import (
     CommCall,
     Const,
     ExternOp,
-    Gemm,
     Index,
     Var,
-    buffers_read,
-    buffers_written,
     free_vars,
+    substitute,
     substitute_stmt,
     walk_exprs,
 )
+from repro.synthesis.access import unit_rw
 from repro.synthesis.lower import (
     BATCH_VAR,
     _kflat_expr,
@@ -223,7 +222,8 @@ def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan) -> bool:
     src = unit.tags.copy_source
     ens_shape = _ens_shape(unit, plan)
     if unit.tags.kind in ("copy",) or (
-        unit.tags.kind == "compute" and src is not None and buf == _resolved(src, plan)
+        unit.tags.kind == "compute" and src is not None
+        and buf == plan.resolve_alias(src)
     ):
         if info is None or ens_shape is None:
             return False
@@ -257,10 +257,6 @@ def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan) -> bool:
     return False
 
 
-def _resolved(name, plan):
-    return plan.resolve_alias(name) if name in plan.buffers else name
-
-
 def _ens_shape(unit, plan):
     facts = plan.facts.get(unit.tags.ensemble)
     return facts.ensemble.shape if facts is not None else None
@@ -271,8 +267,8 @@ def build_schedule(
 ) -> List[ScheduleItem]:
     """Group units into fused groups and interleave communication calls."""
     items: List[ScheduleItem] = []
-    group: Optional[FusedGroup] = None
-    written: Dict[str, LoopUnit] = {}
+    group: Optional[FusedGroup] = None  # the open tiled group, if any
+    written: Dict[str, LoopUnit] = {}  # base buffer -> its in-group writer
 
     def close():
         nonlocal group, written
@@ -302,44 +298,22 @@ def build_schedule(
                                recurrent_reads=rec)
                 )
                 continue
-            if group is None or group.tile_loop is None:
-                close()
-                tile = unit.loops.pop(0)
-                group = FusedGroup([unit], tile, _label(unit))
-                written.update(
-                    {_resolved(b, plan): unit
-                     for b in buffers_written(unit.stmt)}
-                )
-                continue
-            # try to join the open group
-            tile = unit.loops[0]
-            ok = tile.extent == group.tile_loop.extent
-            if ok:
-                reads = {
-                    _resolved(b, plan) for b in buffers_read(unit.stmt)
-                }
-                for b in reads & set(written):
-                    if not _reads_tile_local(unit, b, written[b], plan):
-                        ok = False
-                        break
-            if ok:
-                unit.loops.pop(0)
+            reads, writes = unit_rw(plan, unit)
+            tile = unit.loops.pop(0)
+            if (
+                group is not None
+                and tile.extent == group.tile_loop.extent
+                and all(_reads_tile_local(unit, b, written[b], plan)
+                        for b in reads & written.keys())
+            ):
                 if tile.var != group.tile_loop.var:
                     _rename_var(unit, tile.var, group.tile_loop.var)
                 group.units.append(unit)
                 group.label += f"+{_label(unit)}"
-                written.update(
-                    {_resolved(b, plan): unit
-                     for b in buffers_written(unit.stmt)}
-                )
             else:
                 close()
-                tile = unit.loops.pop(0)
                 group = FusedGroup([unit], tile, _label(unit))
-                written.update(
-                    {_resolved(b, plan): unit
-                     for b in buffers_written(unit.stmt)}
-                )
+            written.update((b, unit) for b in writes)
         if sec.comm:
             close()
             items.extend(sec.comm)
@@ -354,9 +328,5 @@ def _label(unit: LoopUnit) -> str:
 def _rename_var(unit: LoopUnit, old: str, new: str) -> None:
     unit.stmt = substitute_stmt(unit.stmt, {old: Var(new)})
     for sp in unit.loops:
-        from repro.ir import substitute
-
         sp.start = substitute(sp.start, {old: Var(new)})
         sp.stop = substitute(sp.stop, {old: Var(new)})
-    if isinstance(unit.stmt, Gemm):
-        pass  # substitute_stmt already rewrote the slice expressions

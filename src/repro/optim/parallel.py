@@ -31,7 +31,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ir import Assign, CommCall, Gemm, Index, free_vars, walk_exprs
+from repro.ir import (
+    Assign,
+    CommCall,
+    Gemm,
+    Index,
+    free_vars,
+    walk_exprs,
+    write_target_vars,
+)
 from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, ShardInfo
 
@@ -94,17 +102,12 @@ def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
     for unit in group.units:
         stmt = unit.stmt
         if isinstance(stmt, Assign):
-            tgt = stmt.target
-            if not isinstance(tgt, Index):
+            # indirect (materialized-index) targets can cross rows
+            tgt_vars = write_target_vars(stmt)
+            if tgt_vars is None:
                 return None
             if not any(sp.role == "batch" for sp in unit.loops):
                 return None
-            tgt_vars = set()
-            for ix in tgt.indices:
-                # indirect (materialized-index) targets can cross rows
-                if any(isinstance(e, Index) for e in walk_exprs(ix)):
-                    return None
-                tgt_vars |= free_vars(ix)
             if BATCH_VAR in tgt_vars:
                 continue  # writes its own batch rows
             if stmt.reduce != "add":
@@ -114,7 +117,7 @@ def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
                 # trip count into a constant factor, which would be the
                 # full batch in every shard
                 return None
-            name, mode = tgt.buffer, "add"
+            name, mode = stmt.target.buffer, "add"
         elif isinstance(stmt, Gemm):
             axes = stmt.var_axes.get(BATCH_VAR, ())
             if axes:
@@ -127,10 +130,7 @@ def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
                 # output must carry it for shards to write disjoint rows
                 if not any(sp.role == "batch" for sp in unit.loops):
                     return None
-                c_vars = set()
-                for ix in stmt.c.indices:
-                    c_vars |= free_vars(ix)
-                if BATCH_VAR not in c_vars:
+                if BATCH_VAR not in (write_target_vars(stmt) or ()):
                     return None
                 continue
         else:  # ExternOp etc. — opaque to the sharding analysis

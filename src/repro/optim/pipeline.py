@@ -425,7 +425,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     with tracer.span("codegen", "compile"):
         compiled = python_backend.compile_items(
-            fwd_items, bwd_items, program.closures, options.vectorize
+            fwd_items, bwd_items, program.closures, options.vectorize, plan
         )
         compiled.c_source = c_backend.render_items(
             fwd_items, "forward"

@@ -126,14 +126,8 @@ class RangeObserver:
     def after_step(self, rt, step, phase, t, env) -> None:
         if phase != "forward":
             return
-        plan = rt.plan
-        for name in step.writes:
-            if name not in plan.buffers:
-                continue
-            base = plan.resolve_alias(name)
-            arr = env.get(base)
-            if arr is not None:
-                self._observe_array(base, np.asarray(arr))
+        for base in step.writes:
+            self._observe_array(base, np.asarray(env[base]))
 
     def observe_input(self, buf_name: str, array: np.ndarray) -> None:
         """Record a network-input buffer (fed by ``set_input``, never

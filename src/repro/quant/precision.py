@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.ir import CommCall, ExternOp, buffers_written
 from repro.quant.calibrate import CalibrationError
 from repro.quant.qparams import (
     QParams,
@@ -47,7 +46,9 @@ from repro.quant.qparams import (
     fake_quant,
     weight_qparams,
 )
-from repro.synthesis.units import FusedGroup, LoopUnit, UnitTags
+from repro.synthesis.access import ProgramView
+from repro.synthesis.lower import ExternFn, extern_unit
+from repro.synthesis.units import FusedGroup, UnitTags
 
 #: buffer roles eligible for reduced precision — everything else
 #: (parameter fields, gradients kept for solver plumbing) stays fp32
@@ -84,25 +85,6 @@ class QuantPlan:
         return out
 
 
-def extern_touched_buffers(plan, fwd_items) -> set:
-    """Base buffer names any extern (opaque Python closure) step touches.
-
-    Extern closures are compiled against float32 arrays and may read or
-    write their buffers outside the generated-kernel discipline, so the
-    precision pass never retypes or fake-quantizes them.
-    """
-    touched = set()
-    for item in fwd_items:
-        if isinstance(item, CommCall):
-            continue
-        for unit in item.units:
-            if isinstance(unit.stmt, ExternOp):
-                for b in unit.stmt.buffers:
-                    if b in plan.buffers:
-                        touched.add(plan.resolve_alias(b))
-    return touched
-
-
 def _candidate_bases(plan):
     for spec in plan.buffers.values():
         if (spec.alias_of is None and spec.array is None
@@ -110,7 +92,7 @@ def _candidate_bases(plan):
             yield spec
 
 
-def _weight_quant(weight_bufs):
+def _weight_quant(weight_bufs) -> ExternFn:
     """Closure fake-quantizing the parameter arrays in place, symmetric
     per-tensor at ``max|w| / 127`` of their *current* contents — so
     parameters restored or rebound after the compile are the ones
@@ -123,47 +105,38 @@ def _weight_quant(weight_bufs):
         for name in weight_bufs:
             w = env[name]
             w[...] = fake_quant(w, weight_qparams(w))
-    return quantize_weights
+    return ExternFn(quantize_weights, reads=weight_bufs, writes=weight_bufs)
 
 
-def _activation_quant(buf: str, qp: QParams):
+def _activation_quant(buf: str, qp: QParams) -> ExternFn:
     """Closure overwriting ``buf`` (this time step's view of it) with
     its exact int8 reconstruction under ``qp``."""
 
     def fake_quantize(env, rt):
         v = env[buf]
         v[...] = fake_quant(v, qp)
-    return fake_quantize
+    return ExternFn(fake_quantize, reads=(buf,), writes=(buf,))
 
 
-def _insert_fake_quant(plan, fwd_items, closures, qp: QuantPlan) -> None:
+def _insert_fake_quant(view, fwd_items, closures, qp: QuantPlan) -> None:
     """Splice the int8 plan into the forward schedule as extern steps:
     weights first, then calibrated buffers no step writes (network
     inputs, fed by ``set_input``), then each calibrated activation right
     after every step that writes it."""
 
-    def step(key: str, what: str, buffers, fn) -> FusedGroup:
-        closures[key] = fn
-        unit = LoopUnit([], ExternOp(key, tuple(buffers)),
-                        UnitTags(kind="extern"))
+    def step(key: str, what: str, ext: ExternFn) -> FusedGroup:
+        unit = extern_unit(key, ext, closures, UnitTags(kind="extern"))
         return FusedGroup([unit], None, f"fake_quant({what})")
 
     def activation(buf: str) -> FusedGroup:
-        return step(f"quant.{buf}", buf, (buf,),
+        return step(f"quant.{buf}", buf,
                     _activation_quant(buf, qp.qparams[buf]))
 
     calibrated = set(qp.qparams)
-    written_by = [
-        set() if isinstance(item, CommCall) else calibrated & {
-            plan.resolve_alias(b)
-            for unit in item.units for b in buffers_written(unit.stmt)
-            if b in plan.buffers
-        }
-        for item in fwd_items
-    ]
+    written_by = [calibrated & rec.writes for rec in view.records]
     out = []
     if qp.weight_bufs:
-        out.append(step("quant.weights", "weights", qp.weight_bufs,
+        out.append(step("quant.weights", "weights",
                         _weight_quant(qp.weight_bufs)))
     out.extend(activation(b)
                for b in sorted(calibrated.difference(*written_by)))
@@ -183,7 +156,11 @@ def apply_precision(plan, fwd_items, closures, precision: str,
     their closures registered in ``closures`` (int8); attaches and
     returns the :class:`QuantPlan`.
     """
-    extern = extern_touched_buffers(plan, fwd_items)
+    # extern closures are compiled against float32 arrays and may read
+    # or write their buffers outside the generated-kernel discipline, so
+    # nothing they touch is retyped or fake-quantized
+    view = ProgramView(plan, fwd_items, ())
+    extern = view.opaque_touched
 
     if precision == "fp16":
         qp = QuantPlan(precision="fp16")
@@ -222,7 +199,7 @@ def apply_precision(plan, fwd_items, closures, precision: str,
             if plan.buffers[info.value_buf].array is not None
             and plan.buffers[info.value_buf].array.ndim >= 2
         ))
-        _insert_fake_quant(plan, fwd_items, closures, qp)
+        _insert_fake_quant(view, fwd_items, closures, qp)
     else:  # pragma: no cover — pipeline only calls for fp16/int8
         raise ValueError(f"unknown precision {precision!r}")
 

@@ -288,15 +288,11 @@ class CompiledNet:
     # -- introspection ------------------------------------------------------
 
     def step_bytes(self, step) -> int:
-        """Bytes touched by one step, computed once from the buffer plan
-        (sum of the allocated sizes of its read/write sets)."""
+        """Bytes touched by one step, computed once: the allocated
+        sizes of the base buffers its def/use record names."""
         cached = self._step_bytes.get(step.name)
         if cached is None:
-            cached = sum(
-                self.buffers[b].nbytes
-                for b in (step.reads | step.writes)
-                if b in self.buffers
-            )
+            cached = sum(self.buffers[b].nbytes for b in step.access.touched)
             self._step_bytes[step.name] = cached
         return cached
 

@@ -5,9 +5,10 @@ copy there. This module extends that to whole-program reuse, the way
 compiler-infrastructure successors to Latte (DLVM, DeepDSL) treat
 preallocation: given the final scheduled forward/backward step lists it
 
-1. computes, for every base (non-alias) buffer, a **live interval** over
+1. takes, for every base (non-alias) buffer, its **live interval** over
    the linearized program points ``[fwd item 0 .. fwd item F-1,
-   bwd item 0 .. bwd item B-1]``,
+   bwd item 0 .. bwd item B-1]`` from the program's def/use view
+   (:class:`~repro.synthesis.access.ProgramView`),
 2. decides which buffers are **pool candidates** — excluded are
    parameter fields (user-owned arrays), field buffers written by opaque
    ``pre_forward`` closures, privatized accumulators, recurrent-read
@@ -17,13 +18,17 @@ preallocation: given the final scheduled forward/backward step lists it
    set (user-inspectable ``value()``/``grad()`` arrays), and
 3. assigns the candidates to shared **slabs** of a single arena by
    first-fit interval-graph coloring (largest first), so buffers whose
-   intervals never overlap occupy the same bytes.
+   intervals never overlap occupy the same bytes — and dissolves any
+   slab that, after alignment, is larger than its members would be on
+   their own, so a plan is never larger than no plan.
 
 A candidate is admitted only when its contents are fully (re)defined
 before every read of an iteration:
 
 * its first access in program order is a write that covers the buffer
-  (synthesized copy/compute/fill nests always span the full extents), or
+  (synthesized copy/compute/fill nests always span the full extents,
+  and an extern step's declared outputs are fully defined by contract —
+  docs/DSL.md), or
 * it is a gradient-role buffer the executor used to blanket-zero before
   each backward pass; the planner instead schedules a **zero def**
   immediately before the buffer's first touching backward step (recorded
@@ -46,11 +51,12 @@ materializes it as offset views into one arena allocation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.ensemble import DataEnsemble, LossEnsemble
-from repro.ir import CommCall, ExternOp, buffers_read, buffers_written
+from repro.synthesis.access import Interval, ProgramView, unnamed_buffers
 from repro.synthesis.plan import BufferPlan, BufferSpec
 
 #: arena slab alignment in bytes — 64 bytes, one cache line, matching
@@ -61,30 +67,6 @@ ALIGN_BYTES = 64
 
 #: gradient-role buffers eligible for a scheduled zero def
 GRAD_ROLES = ("grad", "grad_input", "padded_grad")
-
-
-@dataclass
-class Interval:
-    """Live range of one base buffer over the linearized program."""
-
-    buffer: str
-    #: linear point of the first/last access (-1 when never touched)
-    first: int = -1
-    last: int = -1
-    #: phases ('forward'/'backward') with at least one access
-    phases: Set[str] = field(default_factory=set)
-    #: kind of the first access: 'w' (clean write), 'r' (read or
-    #: read-modify-write), 'x' (extern touch), None (dead)
-    first_kind: Optional[str] = None
-
-    @property
-    def dead(self) -> bool:
-        return self.first < 0
-
-    def overlaps(self, other: "Interval") -> bool:
-        if self.dead or other.dead:
-            return False
-        return self.first <= other.last and other.first <= self.last
 
 
 @dataclass
@@ -170,79 +152,6 @@ def buffer_nbytes(plan: BufferPlan, spec: BufferSpec) -> int:
     return buffer_elems(plan, spec) * spec.itemsize
 
 
-# ---------------------------------------------------------------------------
-# Access walk
-# ---------------------------------------------------------------------------
-
-
-def _item_accesses(item) -> Iterable[Tuple[str, str]]:
-    """Yield ``(buffer, kind)`` in execution order for one schedule item.
-
-    ``kind`` is ``'r'`` (read, including the target of a reduction or an
-    index array), ``'w'`` (write) or ``'x'`` (opaque extern touch). A
-    statement's reads are yielded before its write, so a buffer whose
-    first yielded access is ``'w'`` is defined before any use.
-    """
-    if isinstance(item, CommCall):
-        for b in item.params:
-            yield b, "r"
-        return
-    for unit in item.units:
-        stmt = unit.stmt
-        if isinstance(stmt, ExternOp):
-            for b in stmt.buffers:
-                yield b, "x"
-            continue
-        reads = buffers_read(stmt)
-        for b in sorted(reads):
-            yield b, "r"
-        for b in sorted(buffers_written(stmt)):
-            yield b, "w"
-
-
-def _scan(plan: BufferPlan, fwd_items, bwd_items):
-    """First/last/kind-of-first-access per *base* buffer, plus the
-    first touching backward item index per base (for zero defs)."""
-    intervals: Dict[str, Interval] = {}
-    first_bwd_item: Dict[str, int] = {}
-    point = 0
-    for phase, items in (("forward", fwd_items), ("backward", bwd_items)):
-        for idx, item in enumerate(items):
-            for name, kind in _item_accesses(item):
-                if name not in plan.buffers:
-                    continue  # extern-declared scratch outside the plan
-                base = plan.resolve_alias(name)
-                iv = intervals.get(base)
-                if iv is None:
-                    iv = intervals[base] = Interval(base)
-                if iv.first < 0:
-                    iv.first = point
-                    iv.first_kind = kind
-                iv.last = point
-                iv.phases.add(phase)
-                if phase == "backward" and base not in first_bwd_item:
-                    first_bwd_item[base] = idx
-            point += 1
-    # dead buffers still get interval records
-    for name, spec in plan.buffers.items():
-        if spec.alias_of is None and name not in intervals:
-            intervals[name] = Interval(name)
-    return intervals, first_bwd_item
-
-
-def _recurrent_bases(plan: BufferPlan, fwd_items, bwd_items) -> Set[str]:
-    """Bases read (or scattered into) at the previous time step."""
-    out: Set[str] = set()
-    for items in (fwd_items, bwd_items):
-        for item in items:
-            reads = getattr(item, "recurrent_reads", None)
-            if reads:
-                for name in reads:
-                    if name in plan.buffers:
-                        out.add(plan.resolve_alias(name))
-    return out
-
-
 def _mandatory_keep_ensembles(net) -> Set[str]:
     """Ensembles whose value/grad arrays outlive the program contract:
     data inputs (fed/inspected outside the step lists), network sinks
@@ -267,7 +176,7 @@ def _mandatory_keep_ensembles(net) -> Set[str]:
 
 
 def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, int]:
-    """Drop buffer-table entries no scheduled item references.
+    """Drop buffer-table entries no scheduled item names.
 
     Used by inference compilation: with the backward program empty, the
     gradient/accumulator half of the table (``*_grad``, ``*_grad_inputs``,
@@ -287,55 +196,25 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
     Returns counters for the compile report (``buffers_pruned`` and the
     allocated ``bytes_pruned`` they would have occupied).
     """
-    referenced: Set[str] = set()
-    for items in (fwd_items, bwd_items):
-        for item in items:
-            for name, _kind in _item_accesses(item):
-                if name in plan.buffers:
-                    referenced.add(name)
-    keep: Set[str] = set(referenced)
-    for name, spec in plan.buffers.items():
-        if spec.array is not None or spec.role == "field":
-            keep.add(name)
-    for p in plan.params:
-        for name in (p.value_buf, p.grad_buf):
-            if name in plan.buffers:
-                keep.add(name)
-    # close over alias chains: every kept alias needs its base allocated
-    for name in list(keep):
-        link = plan.buffers[name].alias_of
-        while link is not None:
-            keep.add(link)
-            link = plan.buffers[link].alias_of
+    dropped = unnamed_buffers(plan, fwd_items, bwd_items)
+    dropped -= {n for n, spec in plan.buffers.items()
+                if spec.array is not None or spec.role == "field"}
+    dropped -= {n for p in plan.params for n in (p.value_buf, p.grad_buf)}
+    # every surviving alias needs the whole chain beneath it allocated
+    for name in set(plan.buffers) - dropped:
+        while (name := plan.buffers[name].alias_of) is not None:
+            dropped.discard(name)
     pruned_bytes = 0
-    dropped = [n for n in plan.buffers if n not in keep]
     for name in dropped:
-        spec = plan.buffers[name]
+        spec = plan.buffers.pop(name)
         if spec.alias_of is None and spec.array is None:
             pruned_bytes += buffer_nbytes(plan, spec)
-        del plan.buffers[name]
     return {"buffers_pruned": len(dropped), "bytes_pruned": pruned_bytes}
 
 
 # ---------------------------------------------------------------------------
 # Memory-aware backward scheduling
 # ---------------------------------------------------------------------------
-
-
-def _item_rw(plan: BufferPlan, item) -> Tuple[Set[str], Set[str]]:
-    """Base-resolved (reads, writes) of one schedule item; opaque extern
-    touches count as both."""
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    for name, kind in _item_accesses(item):
-        if name not in plan.buffers:
-            continue
-        base = plan.resolve_alias(name)
-        if kind in ("r", "x"):
-            reads.add(base)
-        if kind in ("w", "x"):
-            writes.add(base)
-    return reads, writes
 
 
 def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
@@ -362,26 +241,16 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     n = len(bwd_items)
     if plan.time_steps > 1 or n < 3:
         return 0
-    rw = [_item_rw(plan, item) for item in bwd_items]
-    opaque = [
-        isinstance(item, CommCall)
-        or any(isinstance(u.stmt, ExternOp) for u in item.units)
-        for item in bwd_items
-    ]
-    succs: List[List[int]] = [[] for _ in range(n)]
+    view = ProgramView(plan, (), bwd_items)
+    touched = [rec.touched for rec in view.records]
+    succs = [[j for j in range(i + 1, n) if view.depends(i, j)]
+             for i in range(n)]
     indeg = [0] * n
-    for i in range(n):
-        ri, wi = rw[i]
-        for j in range(i + 1, n):
-            rj, wj = rw[j]
-            if (wi & (rj | wj)) or (ri & wj) or (opaque[i] and opaque[j]):
-                succs[i].append(j)
-                indeg[j] += 1
-    touchers: Dict[str, int] = {}
+    for later in succs:
+        for j in later:
+            indeg[j] += 1
+    touchers = Counter(b for bases in touched for b in bases)
     seen_bases: Set[str] = set()
-    for reads, writes in rw:
-        for b in reads | writes:
-            touchers[b] = touchers.get(b, 0) + 1
     nbytes = {
         b: buffer_nbytes(plan, plan.buffers[b])
         for b in touchers
@@ -389,9 +258,8 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     }
 
     def score(i: int) -> int:
-        reads, writes = rw[i]
         freed = born = 0
-        for b in reads | writes:
+        for b in touched[i]:
             size = nbytes.get(b)
             if size is None:
                 continue  # parameter storage is permanent
@@ -407,8 +275,7 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
         best = max(ready, key=lambda i: (score(i), -i))
         ready.remove(best)
         order.append(best)
-        reads, writes = rw[best]
-        for b in reads | writes:
+        for b in touched[best]:
             touchers[b] -= 1
             seen_bases.add(b)
         for j in succs[best]:
@@ -446,9 +313,8 @@ def plan_memory(
     are always kept regardless.
     """
     mem = MemoryPlan()
-    intervals, first_bwd_item = _scan(plan, fwd_items, bwd_items)
-    mem.intervals = intervals
-    recurrent = _recurrent_bases(plan, fwd_items, bwd_items)
+    view = ProgramView(plan, fwd_items, bwd_items)
+    intervals = mem.intervals = view.intervals
 
     keep_bufs: Set[str] = set()
     keep_ens = _mandatory_keep_ensembles(net)
@@ -482,7 +348,7 @@ def plan_memory(
             return "pad-border"  # zero border written only at allocation
         if base in privatized:
             return "privatized"
-        if base in recurrent:
+        if base in view.recurrent:
             return "recurrent"
         if base in keep_bufs:
             return "keep_alive"
@@ -491,7 +357,7 @@ def plan_memory(
         if iv.first_kind == "w":
             return None  # defined before use every iteration
         if spec.role in GRAD_ROLES and spec.needs_zero:
-            if iv.phases == {"backward"} and base in first_bwd_item:
+            if iv.phases == {"backward"}:
                 return None  # zero def scheduled below
             return "grad-outside-backward"
         return "live-in"  # first access reads state from a prior run
@@ -505,19 +371,6 @@ def plan_memory(
             candidates.append(base)
         else:
             mem.kept_reasons[base] = reason
-
-    # schedule zero defs for pooled gradient buffers that used to rely
-    # on the executor's blanket pre-backward zeroing
-    for base in candidates:
-        spec = plan.buffers[base]
-        iv = intervals[base]
-        if (
-            spec.role in GRAD_ROLES
-            and spec.needs_zero
-            and not iv.dead
-            and iv.first_kind != "w"
-        ):
-            mem.zero_defs[base] = ("backward", first_bwd_item[base])
 
     # -- interval-graph coloring: first fit, largest first ------------------
     sizes = {b: buffer_nbytes(plan, plan.buffers[b]) for b in candidates}
@@ -545,15 +398,37 @@ def plan_memory(
         placed.members.append(b)
         placed.nbytes = max(placed.nbytes, sizes[b])
 
+    def aligned(nbytes: int) -> int:
+        return -(-nbytes // ALIGN_BYTES) * ALIGN_BYTES
+
+    # a slab that, once aligned, is larger than its members would be on
+    # their own is dissolved: a lone small tenant (or, under the
+    # phase-disjoint rule, a few of them) only pays the alignment, and
+    # enough of those make the plan *larger* than no plan
     offset = 0
     for slab in slabs:
+        if aligned(slab.nbytes) > sum(sizes[m] for m in slab.members):
+            mem.kept_reasons.update((m, "no-saving") for m in slab.members)
+            continue
         slab.offset = offset
-        for m in slab.members:
-            mem.offsets[m] = offset
-        offset += -(-slab.nbytes // ALIGN_BYTES) * ALIGN_BYTES
+        mem.slabs.append(slab)
+        mem.offsets.update((m, offset) for m in slab.members)
+        offset += aligned(slab.nbytes)
     mem.arena_bytes = offset
-    mem.slabs = slabs
-    mem.pooled = frozenset(candidates)
+    mem.pooled = frozenset(mem.offsets)
+
+    # schedule zero defs for pooled gradient buffers that used to rely
+    # on the executor's blanket pre-backward zeroing
+    for base in mem.offsets:
+        spec = plan.buffers[base]
+        iv = intervals[base]
+        if (
+            spec.role in GRAD_ROLES
+            and spec.needs_zero
+            and not iv.dead
+            and iv.first_kind != "w"
+        ):
+            mem.zero_defs[base] = ("backward", view.first_backward[base])
 
     # -- accounting (non-parameter bytes) -----------------------------------
     naive = planned = 0

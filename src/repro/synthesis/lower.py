@@ -25,8 +25,8 @@ are independent by the DSL's semantics (§5.4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -73,6 +73,41 @@ class Program:
     plan: BufferPlan
 
 
+class ExternFn(NamedTuple):
+    """A runtime closure plus the only buffer names it looks up — the
+    ``reads``/``writes`` its :class:`~repro.ir.ExternOp` declares. The
+    factories below build both from the same tuples, so the planner's
+    view of an extern step is what the callback can actually touch."""
+
+    fn: Callable
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
+
+
+def extern_unit(key: str, ext: ExternFn, closures, tags: UnitTags) -> LoopUnit:
+    """Register ``ext.fn`` under ``key`` and wrap its declaration in a
+    loop-less unit."""
+    closures[key] = ext.fn
+    return LoopUnit([], ExternOp(key, ext.reads, ext.writes), tags)
+
+
+def _extern_sections(ens, stem: str, externs, closures) -> List[Section]:
+    """``ens``'s forward and backward sections, each holding the one
+    extern unit of ``externs`` (forward, backward) — or nothing where
+    that is ``None``."""
+    sections = []
+    for direction, ext in zip(("forward", "backward"), externs):
+        sec = Section(ens.name, direction)
+        if ext is not None:
+            sec.units.append(extern_unit(
+                f"{ens.name}.{stem}_{direction}", ext, closures,
+                UnitTags(ensemble=ens.name, kind="extern",
+                         direction=direction),
+            ))
+        sections.append(sec)
+    return sections
+
+
 def dim_var(ens_name: str, k: int) -> str:
     return f"{ens_name}_d{k}"
 
@@ -88,9 +123,11 @@ def synthesize(net, plan: BufferPlan, options) -> Program:
         if isinstance(ens, Ensemble):
             f_sec, b_sec = _lower_ensemble(ens, plan, options, closures)
         elif isinstance(ens, NormalizationEnsemble):
-            f_sec, b_sec = _lower_normalization(ens, plan, closures)
+            f_sec, b_sec = _extern_sections(
+                ens, "norm", make_norm_closures(ens, plan), closures)
         elif isinstance(ens, LossEnsemble):
-            f_sec, b_sec = _lower_loss(ens, plan, closures)
+            f_sec, b_sec = _extern_sections(
+                ens, "loss", make_loss_closures(ens, plan), closures)
         elif isinstance(ens, DataEnsemble):
             f_sec = Section(ens.name, "forward")
             b_sec = Section(ens.name, "backward")
@@ -124,15 +161,14 @@ def _lower_ensemble(ens, plan, options, closures):
     bwd = Section(ens.name, "backward")
 
     if ens.pre_forward is not None:
-        key = f"{ens.name}.pre_forward"
-        closures[key] = ens.pre_forward
-        fwd.units.append(
-            LoopUnit([], ExternOp(key, ()),
-                     UnitTags(ensemble=ens.name, kind="extern",
-                              direction="forward"))
-        )
+        # declares nothing: it only fills role-'field' buffers, which
+        # the planner never pools and the pruner never drops
+        fwd.units.append(extern_unit(
+            f"{ens.name}.pre_forward", ExternFn(ens.pre_forward), closures,
+            UnitTags(ensemble=ens.name, kind="extern", direction="forward"),
+        ))
 
-    fwd_recurrent, bwd_recurrent = set(), set()
+    fwd_recurrent = set()  # buffers this section reads at t-1
     # 1. pads + copies (forward), scatters + unpads (backward)
     for j, cf in enumerate(facts.connections):
         cplan = plan.conn_plans[(ens.name, j)]
@@ -143,7 +179,6 @@ def _lower_ensemble(ens, plan, options, closures):
             _make_gather(ens, j, cf, cplan, closures, fwd, bwd)
             if conn.recurrent:
                 fwd_recurrent.add(cplan.src_value)
-                bwd_recurrent.add(cplan.src_grad)
             continue
         if cplan.padded_value:
             fwd.units.append(_pad_unit(ens, j, cf, cplan))
@@ -155,7 +190,6 @@ def _lower_ensemble(ens, plan, options, closures):
             bwd.units.append(_unpad_unit(ens, j, cf, cplan))
         if conn.recurrent:
             fwd_recurrent.add(cplan.padded_value or cplan.src_value)
-            bwd_recurrent.add(cplan.padded_grad or cplan.src_grad)
 
     # 2. compute units
     fwd.units.extend(_compute_units(ens, facts, plan, "forward"))
@@ -168,8 +202,6 @@ def _lower_ensemble(ens, plan, options, closures):
     if grad_bufs:
         bwd.comm.append(CommCall(ens.name, grad_bufs))
 
-    fwd.recurrent_reads = frozenset(fwd_recurrent)
-    bwd.recurrent_reads = frozenset(bwd_recurrent)
     _check_recurrent_conflicts(ens, plan, fwd_recurrent)
     return fwd, bwd
 
@@ -309,7 +341,9 @@ def _unpad_unit(ens, j, cf, cplan) -> LoopUnit:
 
 
 def make_gather_closures(idx, in_buf, grad_in, src_value, src_grad):
-    """(forward, backward) closures for one materialized-index gather.
+    """(forward, backward) :class:`ExternFn` pair for one
+    materialized-index gather: forward defines ``in_buf`` from
+    ``src_value``, backward accumulates ``grad_in`` into ``src_grad``.
 
     Module-level so the compile cache can rebuild the pair at thaw time
     from the stored index array + buffer names (see ``repro.cache``)
@@ -327,33 +361,28 @@ def make_gather_closures(idx, in_buf, grad_in, src_value, src_grad):
         for b in range(flat.shape[0]):
             np.add.at(flat[b], idx, g[b])
 
-    return gather_fwd, gather_bwd
+    return (ExternFn(gather_fwd, reads=(src_value,), writes=(in_buf,)),
+            ExternFn(gather_bwd, reads=(grad_in, src_grad),
+                     writes=(src_grad,)))
 
 
 def _make_gather(ens, j, cf, cplan, closures, fwd, bwd):
     """Non-affine mappings: materialized index arrays + runtime gather."""
     info = cf.mapping
-    in_buf, grad_in = cplan.in_buf, cplan.grad_in_buf
     src_v, src_g = cplan.src_value, cplan.src_grad
     gather_fwd, gather_bwd = make_gather_closures(
-        info.gather_indices, in_buf, grad_in, src_v, src_g
+        info.gather_indices, cplan.in_buf, cplan.grad_in_buf, src_v, src_g
     )
-    fkey, bkey = f"{ens.name}.gather{j}", f"{ens.name}.scatter{j}"
-    closures[fkey] = gather_fwd
-    closures[bkey] = gather_bwd
     recurrent = ens.inputs[j].recurrent
-    fwd.units.append(
-        LoopUnit([], ExternOp(fkey, (in_buf, src_v)),
-                 UnitTags(ensemble=ens.name, kind="copy", direction="forward",
-                          conn=info, conn_index=j,
-                          recurrent_src=src_v if recurrent else None))
-    )
-    bwd.units.append(
-        LoopUnit([], ExternOp(bkey, (grad_in, src_g)),
-                 UnitTags(ensemble=ens.name, kind="scatter",
-                          direction="backward", conn=info, conn_index=j,
-                          recurrent_src=src_g if recurrent else None))
-    )
+    for sec, kind, stem, ext, src in (
+            (fwd, "copy", "gather", gather_fwd, src_v),
+            (bwd, "scatter", "scatter", gather_bwd, src_g)):
+        sec.units.append(extern_unit(
+            f"{ens.name}.{stem}{j}", ext, closures,
+            UnitTags(ensemble=ens.name, kind=kind, direction=sec.direction,
+                     conn=info, conn_index=j,
+                     recurrent_src=src if recurrent else None),
+        ))
 
 
 # -- compute ------------------------------------------------------------------
@@ -555,23 +584,34 @@ class _RefRewriter:
 # ---------------------------------------------------------------------------
 
 
-def make_norm_closures(ens, vbuf, gbuf, src_vals, src_grads):
-    """(forward, backward-or-None) closures for a NormalizationEnsemble.
+def _source_bufs(ens, plan) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """(value, grad) buffer names of ``ens``'s sources, in input order."""
+    return (tuple(plan.value_buf(c.source.name) for c in ens.inputs),
+            tuple(plan.grad_buf(c.source.name) for c in ens.inputs))
+
+
+def make_norm_closures(ens, plan):
+    """(forward, backward-or-None) :class:`ExternFn` pair for a
+    NormalizationEnsemble: forward defines the output from ``ins``;
+    backward reads ``out_grad``, ``ins`` and ``out`` and accumulates
+    into ``in_grads`` (the contract table in docs/DSL.md).
 
     Bound to the *live* ensemble object (its ``forward_fn``/
-    ``backward_fn``/``state``), so the compile cache rebuilds them from
-    a freshly constructed net plus stored buffer names.
+    ``backward_fn``/``state``) and to names that are pure functions of
+    the topology, so the compile cache rebuilds them from a freshly
+    constructed net.
     """
+    vbuf, gbuf = plan.value_buf(ens.name), plan.grad_buf(ens.name)
+    src_vals, src_grads = _source_bufs(ens, plan)
 
-    def fwd_fn(bufs, rt, ens=ens, vbuf=vbuf, src_vals=src_vals):
+    def fwd_fn(bufs, rt):
         ens.state["training"] = rt.training
         ens.state["t"] = rt.current_t
         ens.forward_fn(bufs[vbuf], [bufs[s] for s in src_vals], ens.state)
 
-    bwd_fn = None
+    bwd = None
     if ens.backward_fn is not None:
-        def bwd_fn(bufs, rt, ens=ens, vbuf=vbuf, gbuf=gbuf,
-                   src_vals=src_vals, src_grads=src_grads):
+        def bwd_fn(bufs, rt):
             ens.state["t"] = rt.current_t
             ens.backward_fn(
                 [bufs[s] for s in src_grads],
@@ -581,44 +621,24 @@ def make_norm_closures(ens, vbuf, gbuf, src_vals, src_grads):
                 ens.state,
             )
 
-    return fwd_fn, bwd_fn
+        bwd = ExternFn(bwd_fn, reads=(gbuf,) + src_vals + (vbuf,) + src_grads,
+                       writes=src_grads)
+    return ExternFn(fwd_fn, reads=src_vals, writes=(vbuf,)), bwd
 
 
-def _lower_normalization(ens, plan, closures):
-    vbuf, gbuf = plan.value_buf(ens.name), plan.grad_buf(ens.name)
-    src_vals = [plan.value_buf(c.source.name) for c in ens.inputs]
-    src_grads = [plan.grad_buf(c.source.name) for c in ens.inputs]
-    fwd_fn, bwd_fn = make_norm_closures(ens, vbuf, gbuf, src_vals, src_grads)
+def make_loss_closures(ens, plan):
+    """(forward, backward) :class:`ExternFn` pair for a LossEnsemble:
+    forward reads ``ins``; backward reads ``ins`` and accumulates into
+    ``in_grads``. Module-level for the same cache-thaw reason as
+    :func:`make_norm_closures`."""
+    src_vals, src_grads = _source_bufs(ens, plan)
 
-    fkey = f"{ens.name}.norm_forward"
-    closures[fkey] = fwd_fn
-    fwd = Section(ens.name, "forward")
-    fwd.units.append(
-        LoopUnit([], ExternOp(fkey, tuple([vbuf] + src_vals)),
-                 UnitTags(ensemble=ens.name, kind="extern", direction="forward"))
-    )
-    bwd = Section(ens.name, "backward")
-    if bwd_fn is not None:
-        bkey = f"{ens.name}.norm_backward"
-        closures[bkey] = bwd_fn
-        bwd.units.append(
-            LoopUnit([], ExternOp(bkey, tuple([gbuf] + src_grads)),
-                     UnitTags(ensemble=ens.name, kind="extern",
-                              direction="backward"))
-        )
-    return fwd, bwd
-
-
-def make_loss_closures(ens, src_vals, src_grads):
-    """(forward, backward) closures for a LossEnsemble — module-level
-    for the same cache-thaw reason as :func:`make_norm_closures`."""
-
-    def fwd_fn(bufs, rt, ens=ens, src_vals=src_vals):
+    def fwd_fn(bufs, rt):
         ens.state["t"] = rt.current_t
         loss = ens.forward_fn([bufs[s] for s in src_vals], ens.state)
         rt.record_loss(ens.name, float(loss))
 
-    def bwd_fn(bufs, rt, ens=ens, src_vals=src_vals, src_grads=src_grads):
+    def bwd_fn(bufs, rt):
         ens.state["t"] = rt.current_t
         ens.backward_fn(
             [bufs[s] for s in src_grads],
@@ -626,25 +646,5 @@ def make_loss_closures(ens, src_vals, src_grads):
             ens.state,
         )
 
-    return fwd_fn, bwd_fn
-
-
-def _lower_loss(ens, plan, closures):
-    src_vals = [plan.value_buf(c.source.name) for c in ens.inputs]
-    src_grads = [plan.grad_buf(c.source.name) for c in ens.inputs]
-    fwd_fn, bwd_fn = make_loss_closures(ens, src_vals, src_grads)
-
-    fkey, bkey = f"{ens.name}.loss_forward", f"{ens.name}.loss_backward"
-    closures[fkey] = fwd_fn
-    closures[bkey] = bwd_fn
-    fwd = Section(ens.name, "forward")
-    fwd.units.append(
-        LoopUnit([], ExternOp(fkey, tuple(src_vals)),
-                 UnitTags(ensemble=ens.name, kind="extern", direction="forward"))
-    )
-    bwd = Section(ens.name, "backward")
-    bwd.units.append(
-        LoopUnit([], ExternOp(bkey, tuple(src_grads)),
-                 UnitTags(ensemble=ens.name, kind="extern", direction="backward"))
-    )
-    return fwd, bwd
+    return (ExternFn(fwd_fn, reads=src_vals),
+            ExternFn(bwd_fn, reads=src_vals + src_grads, writes=src_grads))

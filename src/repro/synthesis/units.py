@@ -138,13 +138,7 @@ class Section:
     ensemble: str
     direction: str
     units: List[LoopUnit] = field(default_factory=list)
-    externs: List = field(default_factory=list)  # ExternOp statements
     comm: List = field(default_factory=list)  # CommCall statements
-    #: buffer names this section reads at the previous time step
-    recurrent_reads: frozenset = frozenset()
-
-    def is_extern(self) -> bool:
-        return bool(self.externs) and not self.units
 
 
 def unit_to_for_tree(unit: LoopUnit) -> Stmt:

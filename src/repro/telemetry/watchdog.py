@@ -85,8 +85,9 @@ class NumericsWatchdog:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry`;
         detections increment ``numerics_nonfinite_total{step,buffer}``.
     buffers:
-        Optional collection restricting which buffer names are checked
-        (default: every float buffer each step writes).
+        Optional collection restricting which buffers are checked, by
+        the name of their storage (an in-place ensemble's output is its
+        source's buffer). Default: every float buffer each step writes.
     """
 
     def __init__(self, every: int = 1, raise_on_error: bool = True,
@@ -116,12 +117,8 @@ class NumericsWatchdog:
         for name in sorted(step.writes):
             if self.buffers is not None and name not in self.buffers:
                 continue
-            arr = env.get(name)
-            if arr is None:
-                arr = cnet.buffers.get(name)
-            if arr is None or arr.dtype.kind != "f":
-                continue
-            if np.isfinite(arr).all():
+            arr = env[name]
+            if arr.dtype.kind != "f" or np.isfinite(arr).all():
                 continue
             n_nan = int(np.isnan(arr).sum())
             n_inf = int(np.isinf(arr).sum())

@@ -126,6 +126,8 @@ class RunResult:
     output: np.ndarray
     dx: np.ndarray
     param_grads: Dict[str, np.ndarray]
+    #: ``CompiledNet.memory_stats()`` of the compile that produced it
+    memory: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -161,7 +163,7 @@ class OracleReport:
 
 def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
              memory_plan: Optional[bool] = None,
-             backend: str = "numpy") -> RunResult:
+             backend: str = "numpy", keep_alive=None) -> RunResult:
     """Build + compile ``spec`` at one configuration and run one
     forward/backward on its deterministic inputs.
 
@@ -169,7 +171,9 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     so parameter initialization and dropout masks are identical across
     every (level, threads) configuration of the same spec.
     ``memory_plan`` overrides the level's default arena-planner setting
-    (O3+ on, below off) for the planned-vs-unplanned bitwise checks.
+    (O3+ on, below off) for the planned-vs-unplanned bitwise checks;
+    ``keep_alive=()`` opts every ensemble the planner may pool into the
+    arena (``head`` and ``data`` are always kept: loss feeder, input).
     ``backend="c"`` compiles the fused steps to an OpenMP shared object
     (requires a C toolchain; see :mod:`repro.codegen.c_backend`).
     """
@@ -180,7 +184,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     opts.backend = backend
     if memory_plan is not None:
         opts.memory_plan = memory_plan
-    cnet = compile_net(net, opts, num_threads=num_threads)
+    cnet = compile_net(net, opts, num_threads=num_threads,
+                       keep_alive=keep_alive)
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
     cnet.clear_param_grads()
@@ -190,11 +195,12 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
         output=cnet.value("head").copy(),
         dx=cnet.grad("data").copy(),
         param_grads={p.key: p.grad.copy() for p in cnet.parameters()},
+        memory=cnet.memory_stats(),
     )
 
 
-def run_eval_forward(spec: NetSpec, level: int,
-                     mode: str = "train") -> Tuple[float, np.ndarray]:
+def run_eval_forward(spec: NetSpec, level: int, mode: str = "train"
+                     ) -> Tuple[float, np.ndarray, Dict[str, int]]:
     """Build + compile ``spec`` and run one eval-mode forward pass.
 
     ``mode="train"`` compiles the full train graph and flips the
@@ -202,7 +208,8 @@ def run_eval_forward(spec: NetSpec, level: int,
     forward-only (backward dropped, gradient buffers pruned). Both
     paths reseed from ``spec.seed`` so parameter initialization is
     identical, and eval-mode dropout draws no RNG — the two must
-    produce bitwise-identical loss and output.
+    produce bitwise-identical loss and output. Also returns the
+    compile's ``memory_stats()``.
     """
     seed_all(spec.seed)
     net = build_net(spec)
@@ -215,7 +222,7 @@ def run_eval_forward(spec: NetSpec, level: int,
     cnet.training = False
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
-    return float(loss), cnet.value("head").copy()
+    return float(loss), cnet.value("head").copy(), cnet.memory_stats()
 
 
 def run_quant_forward(spec: NetSpec, level: int, precision: str,
@@ -319,6 +326,15 @@ def _compare_bitwise(check: str, got: RunResult, want: RunResult,
                         want.param_grads[key], 0, 0, out, bitwise=True)
 
 
+def _check_plan_size(check: str, memory: Dict[str, int],
+                     out: List[Mismatch]) -> None:
+    """A memory plan is never larger than no plan (DESIGN.md §5.2)."""
+    if memory["planned_bytes"] > memory["naive_bytes"]:
+        out.append(Mismatch(
+            check, f"planned_bytes {memory['planned_bytes']} > "
+                   f"naive_bytes {memory['naive_bytes']}"))
+
+
 def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
     """Run ``spec`` twice through ``compile_cached`` against a throwaway
     store — a cold compile that populates it, then a warm thaw — and
@@ -371,7 +387,7 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
     with a loose agreement fraction. Each quantized path is rebuilt
     and rerun once to pin run-to-run bitwise determinism.
     """
-    _, ref_out = run_eval_forward(spec, level, "inference")
+    _, ref_out, _ = run_eval_forward(spec, level, "inference")
     ref64 = ref_out.astype(np.float64)
     ref_range = float(ref64.max() - ref64.min())
     scale = max(ref_range, 1e-3)
@@ -573,10 +589,19 @@ def check_spec(
         planned = by_level.get(memplan_level)
         if planned is None:
             planned = run_spec(spec, level=memplan_level)
-        _compare_bitwise(
-            check, planned,
-            run_spec(spec, level=memplan_level, memory_plan=False),
-            report.mismatches)
+        unplanned = run_spec(spec, level=memplan_level, memory_plan=False)
+        _compare_bitwise(check, planned, unplanned, report.mismatches)
+        _check_plan_size(check, planned.memory, report.mismatches)
+
+        # the default keep_alive pools only staging buffers; opt every
+        # ensemble the planner is allowed to pool into the arena so
+        # LRN / batchnorm / concat / gather / recurrent values and
+        # gradients share slabs too — still the unplanned run's bits
+        check = "memplan-pooled"
+        report.checks.append(check)
+        pooled = run_spec(spec, level=memplan_level, keep_alive=())
+        _compare_bitwise(check, pooled, unplanned, report.mismatches)
+        _check_plan_size(check, pooled.memory, report.mismatches)
 
     # forward-only compilation must be a pure subtraction: dropping the
     # backward program and pruning gradient buffers cannot perturb the
@@ -585,8 +610,10 @@ def check_spec(
     inf_level = max(levels) if levels else 4
     check = "inference"
     report.checks.append(check)
-    train_loss, train_out = run_eval_forward(spec, inf_level, "train")
-    inf_loss, inf_out = run_eval_forward(spec, inf_level, "inference")
+    train_loss, train_out, _ = run_eval_forward(spec, inf_level, "train")
+    inf_loss, inf_out, inf_memory = run_eval_forward(spec, inf_level,
+                                                     "inference")
+    _check_plan_size(check, inf_memory, report.mismatches)
     if inf_loss != train_loss:
         report.mismatches.append(Mismatch(
             check, f"eval loss not bitwise: inference {inf_loss!r} != "

@@ -27,7 +27,12 @@ from repro.cache import (
 )
 from repro.cache.__main__ import main as cache_main
 from repro.core import Dim, Ensemble, FieldBinding, Net
-from repro.layers import MemoryDataLayer
+from repro.layers import (
+    BatchNormLayer,
+    FullyConnectedLayer,
+    MemoryDataLayer,
+    SoftmaxLossLayer,
+)
 from repro.layers.neurons import ScaleNeuron
 from repro.models.build import build_latte
 from repro.models.configs import (
@@ -139,13 +144,18 @@ class TestRoundTrip:
         with pytest.raises(RuntimeError, match="thaw does not rebuild"):
             warm.c_source
 
-    def test_gather_net_freeze_thaw(self, tmp_path):
+    @pytest.mark.parametrize("with_norm", [False, True],
+                             ids=["gather", "gather+norm+loss"])
+    def test_gather_net_freeze_thaw(self, tmp_path, with_norm):
         """Hand-built DSL nets are unkeyable (no builder record) but the
-        freeze/thaw layer itself must still round-trip their gather/
-        scatter closures bitwise."""
+        freeze/thaw layer itself must still round-trip their extern
+        closures bitwise — gather/scatter pairs from the stored index
+        array, norm and loss from the topology — and every step's
+        def/use record with them."""
         perm = [5, 2, 7, 0, 3, 6, 1, 4]
 
         def build():
+            seed_all(21)
             net = Net(3)
             d = MemoryDataLayer(net, "data", (8,))
             ens = Ensemble(net, "perm", ScaleNeuron, (8,), fields={
@@ -153,18 +163,38 @@ class TestRoundTrip:
                                       (0, Dim(0)))
             })
             net.add_connections(d, ens, lambda i: (perm[i],))
+            if with_norm:
+                label = MemoryDataLayer(net, "label", (1,))
+                bn = BatchNormLayer("bn", net, ens)
+                fc = FullyConnectedLayer("fc", net, bn, 3)
+                SoftmaxLossLayer("loss", net, fc, label)
             return net
 
         cold = compile_net(build(), CompilerOptions.level(4))
         meta, arrays = freeze(cold)
         warm = thaw(build(), meta, arrays, cold.options)
-        x = np.random.default_rng(0).standard_normal((3, 8)).astype(
-            np.float32)
-        cold.forward(data=x)
-        warm.forward(data=x)
+        for phase in ("forward", "backward"):
+            assert ([s.access for s in getattr(warm.compiled, phase)]
+                    == [s.access for s in getattr(cold.compiled, phase)])
+        feeds = {"data": np.random.default_rng(0).standard_normal(
+            (3, 8)).astype(np.float32)}
+        if with_norm:
+            feeds["label"] = np.array([[0], [2], [1]], np.float32)
+        for cnet in (cold, warm):
+            cnet.forward(**feeds)
+            if with_norm:
+                cnet.clear_param_grads()
+                cnet.backward()
         np.testing.assert_array_equal(warm.value("perm"),
                                       cold.value("perm"))
-        np.testing.assert_array_equal(warm.value("perm"), x[:, perm])
+        np.testing.assert_array_equal(warm.value("perm"),
+                                      feeds["data"][:, perm])
+        if with_norm:
+            assert warm.loss == cold.loss
+            np.testing.assert_array_equal(warm.grad("data"),
+                                          cold.grad("data"))
+            for pw, pc in zip(warm.parameters(), cold.parameters()):
+                np.testing.assert_array_equal(pw.grad, pc.grad, pc.key)
 
     def test_unkeyable_model_raises(self):
         with pytest.raises(CacheUnsupported):
@@ -260,8 +290,9 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v4: a ``c_exec``
-        without ``symbols``) is dropped on get, never thawed."""
+        """An entry written under the last layout (v6: steps with
+        unfolded ``reads``/``writes`` name sets, no ``access`` record)
+        is dropped on get — a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -271,7 +302,8 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION
+        assert meta["version"] == FORMAT_VERSION == 7
+        assert "access" in meta["steps"]["forward"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)
@@ -279,6 +311,8 @@ class TestCorruption:
             np.savez(fh, **arrays)
         assert store.get(key) is None
         assert not path.exists()
+        again = compile_cached(MLP, 4, cache=store)  # recompiles cold
+        assert not again.compile_report.cache_hit
 
     def test_incompatible_meta_thaws_cold(self, tmp_path):
         """An entry that loads but references state the net lacks must

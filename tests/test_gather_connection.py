@@ -92,3 +92,39 @@ class TestGatherWithFanIn:
         assert (cn.grad("data")[:, 0] == 4).all()
         assert (cn.grad("data")[:, 2] == 4).all()
         assert (cn.grad("data")[:, 1] == 0).all()
+
+
+class TestGatherStagingPools:
+    def test_gather_output_is_defined_so_its_staging_buffer_pools(self):
+        """The forward gather *defines* ``perm_inputs0`` (first access a
+        write), so the planner may pool it in train mode — at PR 15 an
+        extern's buffers were an undifferentiated touch, first access
+        "live-in", never pooled. Results stay those of the unplanned
+        program, bit for bit."""
+        n = 16  # 4 x 16 x float32 = 256 B: a slab needs no padding
+        perm = [(7 * i + 3) % n for i in range(n)]
+
+        def run(memory_plan):
+            net = Net(4)
+            d = MemoryDataLayer(net, "data", (n,))
+            ens = Ensemble(net, "perm", ScaleNeuron, (n,), fields={
+                "scale": FieldBinding(np.ones((1, n), np.float32),
+                                      (0, Dim(0)))
+            })
+            net.add_connections(d, ens, lambda i: (perm[i],))
+            cn = net.init(CompilerOptions(memory_plan=memory_plan))
+            x = np.random.default_rng(0).standard_normal((4, n)).astype(
+                np.float32)
+            cn.forward(data=x)
+            g = np.random.default_rng(1).standard_normal((4, n)).astype(
+                np.float32)
+            run_backward_seeded(cn, "perm", g)
+            return cn, cn.value("perm").copy(), cn.grad("data").copy()
+
+        cn, value, dx = run(True)
+        mem = cn.plan.memory
+        assert mem.intervals["perm_inputs0"].first_kind == "w"
+        assert "perm_inputs0" in mem.pooled
+        _, value_u, dx_u = run(False)
+        np.testing.assert_array_equal(value, value_u)
+        np.testing.assert_array_equal(dx, dx_u)

@@ -29,6 +29,7 @@ from repro.ir import (
     to_c,
     to_pseudo,
     walk_exprs,
+    write_target_vars,
 )
 
 
@@ -121,10 +122,23 @@ class TestReadWriteSets:
         a = Assign(Index("c", (Var("i"),)), Index("a", (Var("i"),)))
         assert "c" not in buffers_read(a)
 
-    def test_extern_op_counts_both(self):
-        op = ExternOp("f", ("x", "y"))
-        assert buffers_read(op) == {"x", "y"}
-        assert buffers_written(op) == {"x", "y"}
+    def test_extern_op_reads_and_writes_what_it_declares(self):
+        op = ExternOp("f", reads=("x", "acc"), writes=("y", "acc"))
+        assert buffers_read(op) == {"x", "acc"}
+        assert buffers_written(op) == {"y", "acc"}
+        assert buffers_read(ExternOp("g")) == buffers_written(
+            ExternOp("g")) == set()
+
+    def test_write_target_vars(self):
+        direct = Assign(Index("c", (Var("n"), BinOp("+", Var("i"), Const(1)))),
+                        Index("a", (Var("i"),)), reduce="add")
+        assert write_target_vars(direct) == {"n", "i"}
+        # a target indexed through another buffer may collide across
+        # iterations: no loop is provably disjoint
+        indirect = Assign(Index("c", (Index("idx", (Var("i"),)),)),
+                          Index("a", (Var("i"),)))
+        assert write_target_vars(indirect) is None
+        assert write_target_vars(Assign(Var("s"), Const(0))) is None
 
     def test_nested_loops(self):
         inner = Assign(Index("c", (Var("i"),)), Index("a", (Var("i"),)))

@@ -412,5 +412,145 @@ class TestBitwiseNeutrality:
         report = check_spec(spec, levels=(4,), threads=(2,),
                             gradcheck_indices=0, baselines=False)
         assert "memplan" in report.checks
+        assert "memplan-pooled" in report.checks
         assert "memplan-threads:2" in report.checks
         assert report.ok, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# Extern steps declare everything their callbacks receive
+# ---------------------------------------------------------------------------
+
+
+def _sq_forward(out, ins, ctx):
+    out[...] = ins[0] ** 2
+
+
+def _sq_backward_reads_ins(in_grads, out_grad, ins, out, ctx):
+    in_grads[0] += 2.0 * ins[0] * out_grad
+
+
+def _exp_forward(out, ins, ctx):
+    out[...] = np.exp(0.1 * ins[0])
+
+
+def _exp_backward_reads_out(in_grads, out_grad, ins, out, ctx):
+    in_grads[0] += 0.1 * out * out_grad
+
+
+def _mse_forward(ins, ctx):
+    return float(0.5 * ((ins[0] - ins[1]) ** 2).mean())
+
+
+def _mse_backward_reads_ins(in_grads, ins, ctx):
+    in_grads[0] += (ins[0] - ins[1]) / ins[0].size
+
+
+def _extern_net(norm=None, custom_loss=False, **init_kw):
+    """data(12) -> fc1(16) -> [norm] -> fc2(32) -> fc3(16) -> ip(4) ->
+    loss: wide-narrow-wide, so that a value buffer the planner believes
+    dead after the forward pass is overlaid by a later tenant."""
+    from repro.core import LossEnsemble, NormalizationEnsemble
+
+    seed_all(5)
+    net = Net(4)
+    data = MemoryDataLayer(net, "data", (12,))
+    label = MemoryDataLayer(net, "label", (4 if custom_loss else 1,))
+    top = FullyConnectedLayer("fc1", net, data, 16)
+    if norm is not None:
+        fwd, bwd = norm
+        sq = NormalizationEnsemble(net, "sq", (16,), fwd, bwd)
+        net.add_connections(top, sq, one_to_one(1))
+        top = sq
+    top = FullyConnectedLayer("fc2", net, top, 32)
+    top = FullyConnectedLayer("fc3", net, top, 16)
+    ip = FullyConnectedLayer("ip", net, top, 4)
+    if custom_loss:
+        loss = LossEnsemble(net, "loss", _mse_forward, _mse_backward_reads_ins)
+        net.add_connections(ip, loss, one_to_one(1))
+        net.add_connections(label, loss, one_to_one(1))
+    else:
+        SoftmaxLossLayer("loss", net, ip, label)
+    cn = net.init(CompilerOptions(**init_kw.pop("options", {})), **init_kw)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 12)).astype(np.float32)
+    y = (rng.standard_normal((4, 4)) if custom_loss
+         else rng.integers(0, 4, (4, 1))).astype(np.float32)
+    loss_value = cn.forward(data=x, label=y)
+    cn.clear_param_grads()
+    cn.backward()
+    return cn, loss_value, {p.key: p.grad.copy() for p in cn.parameters()}
+
+
+class TestExternDeclarations:
+    """An extern step's record lists every array its callback is handed
+    (docs/DSL.md, the extern contract): the planner keeps those alive.
+    At PR 15 the ``ins``-reading norm and the loss twin produced a wrong
+    ``fc1`` weight gradient (1.57 / 0.46 max-abs here) at an unchanged
+    loss; the ``out``-reading norm guards what PR 16 made legal, a
+    pooled norm output."""
+
+    @pytest.mark.parametrize("norm", [
+        (_sq_forward, _sq_backward_reads_ins),
+        (_exp_forward, _exp_backward_reads_out),
+    ], ids=["backward-reads-ins", "backward-reads-out"])
+    def test_norm_backward_inputs_outlive_the_forward_pass(self, norm):
+        cn, loss_p, grads_p = _extern_net(norm, keep_alive=[])
+        # both really are at risk: pooled, so only their declared
+        # backward reads keep later tenants off them
+        assert {"fc1_value", "sq_value"} <= cn.plan.memory.pooled
+        _, loss_u, grads_u = _extern_net(
+            norm, options={"memory_plan": False})
+        assert loss_p == loss_u
+        for key in grads_u:
+            np.testing.assert_array_equal(grads_p[key], grads_u[key], key)
+
+    def test_loss_backward_inputs_outlive_the_forward_pass(self, monkeypatch):
+        # the loss feeder is always kept inspectable, which masks an
+        # under-declared loss backward; drop that rule so the record
+        # itself is what keeps ``ip_value`` alive
+        from repro.core.ensemble import DataEnsemble
+        from repro.synthesis import liveness
+
+        monkeypatch.setattr(
+            liveness, "_mandatory_keep_ensembles",
+            lambda net: {e.name for e in net.ensembles.values()
+                         if isinstance(e, DataEnsemble)})
+        cn, loss_p, grads_p = _extern_net(custom_loss=True, keep_alive=[])
+        assert "ip_value" in cn.plan.memory.pooled
+        _, loss_u, grads_u = _extern_net(
+            custom_loss=True, options={"memory_plan": False})
+        assert loss_p == loss_u
+        for key in grads_u:
+            np.testing.assert_array_equal(grads_p[key], grads_u[key], key)
+
+
+class TestExternOutputsPool:
+    """An extern's output is *defined* by its step (first access
+    ``'w'``), so it pools like any computed value. At PR 15 it counted
+    as live-in and stayed individually allocated: the two numbers below
+    are that commit's ``planned_bytes`` at the perf ledger's geometry."""
+
+    def test_alexnet_inference_pools_both_lrn_outputs(self):
+        from repro.models import alexnet_config, build_latte
+
+        cfg = alexnet_config().scaled(channel_scale=0.25, input_size=67,
+                                      classes=100)
+        cnet = build_latte(cfg, 8).net.init(CompilerOptions.inference())
+        mem = cnet.plan.memory
+        assert {"norm1_value", "norm2_value"} <= mem.pooled
+        assert mem.planned_bytes < 3_857_024
+
+    def test_inception_inference_pools_the_concat_output(self):
+        import json
+        from pathlib import Path
+
+        from repro.testing.generator import build_net
+
+        path = (Path(__file__).resolve().parents[1] / "benchmarks"
+                / "ledger" / "specs" / "inception_a.json")
+        spec = NetSpec.from_dict(json.loads(path.read_text()))
+        cnet = build_net(spec).init(CompilerOptions.inference())
+        mem = cnet.plan.memory
+        assert "L0_inception_value" in mem.pooled
+        assert mem.planned_bytes < 38_272
