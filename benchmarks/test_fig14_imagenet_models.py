@@ -112,13 +112,14 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 
 @pytest.mark.parametrize("name", list(FACTORIES))
 def test_fig14_memory_plan_reuse(name):
-    """The arena planner drops peak non-parameter buffer bytes by ≥30%
-    on every fig14 model (PR 4 acceptance criterion), at the *default*
-    keep-alive policy (every ensemble still inspectable)."""
+    """The arena planner drops peak non-parameter buffer bytes by ≥40%
+    on every fig14 model and ≥60% on vgg (PR 4's floor was 30%: staging
+    copies are now re-gathered in backward instead of retained), at the
+    *default* keep-alive policy (every ensemble still inspectable)."""
     cfg, batch = _config(name)
     m = measure_memory(cfg, batch)
     saved = m["naive_bytes"] - m["planned_bytes"]
-    assert saved / m["naive_bytes"] >= 0.30, m
+    assert saved / m["naive_bytes"] >= (0.60 if name == "vgg" else 0.40), m
 
 
 def test_fig14_all_models_in_band(speedups):

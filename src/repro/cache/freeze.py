@@ -28,6 +28,7 @@ oracle's ``cache`` check pins this bitwise).
 from __future__ import annotations
 
 import re
+from dataclasses import asdict
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.codegen.python_backend import CompiledProgram, Step, exec_program
 from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
 from repro.ir import CommCall
 from repro.synthesis.access import StepAccess
-from repro.synthesis.liveness import Interval, MemoryPlan, Slab
+from repro.synthesis.liveness import Interval, MemoryPlan, Rematerialized, Slab
 from repro.synthesis.lower import (
     make_gather_closures,
     make_loss_closures,
@@ -135,6 +136,9 @@ def _memory_dict(mem: MemoryPlan) -> dict:
         "naive_bytes": int(mem.naive_bytes),
         "planned_bytes": int(mem.planned_bytes),
         "kept_reasons": dict(mem.kept_reasons),
+        "rematerialized": {k: asdict(r)
+                           for k, r in mem.rematerialized.items()},
+        "declined": dict(mem.declined),
     }
 
 
@@ -220,8 +224,6 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
     contains state the thaw path cannot reconstruct (callers then simply
     skip caching this compile).
     """
-    from dataclasses import asdict
-
     plan, compiled = cnet.plan, cnet.compiled
     arrays: Dict[str, np.ndarray] = {}
     report = cnet.compile_report
@@ -334,6 +336,9 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
             naive_bytes=md["naive_bytes"],
             planned_bytes=md["planned_bytes"],
             kept_reasons=dict(md["kept_reasons"]),
+            rematerialized={k: Rematerialized(**r)
+                            for k, r in md["rematerialized"].items()},
+            declined=dict(md["declined"]),
         )
     return plan
 

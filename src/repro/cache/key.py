@@ -54,7 +54,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v7: steps carry their ordered, alias-folded def/use record
 #:     (``access``) instead of unfolded ``reads``/``writes`` name sets;
 #:     norm/loss closures are rebuilt from the topology alone
-FORMAT_VERSION = 7
+#: v8: train programs re-gather staging copies in backward (re-copy
+#:     steps, ``*_re`` buffers, a smaller arena); the memory plan
+#:     carries ``rematerialized``/``declined``
+FORMAT_VERSION = 8
 
 
 class CacheUnsupported(ValueError):

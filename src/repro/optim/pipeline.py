@@ -403,16 +403,31 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     # the final schedule (fusion order, parallel privatization marks).
     # The backward list is first re-scheduled to shrink live intervals
     # (hoist last readers above buffer births) — dependency-exact, so
-    # outputs are unchanged bitwise.
+    # outputs are unchanged bitwise. Staging copies the resulting plan
+    # retains across the phase boundary are then re-gathered in
+    # backward instead, and the schedule with the re-copies is planned
+    # again; ``naive_bytes`` stays what no plan would allocate.
     reorder_stats = {"steps_moved": 0}
 
     def plan_mem():
         reorder_stats["steps_moved"] = liveness.reorder_backward(
             plan, bwd_items
         )
-        plan.memory = liveness.plan_memory(
+        mem = liveness.plan_memory(
             net, plan, fwd_items, bwd_items, keep_alive=keep_alive
         )
+        remat, declined = liveness.rematerialize_staging(
+            plan, fwd_items, bwd_items, mem.pooled
+        )
+        if remat:
+            counts["steps"] += len(remat)
+            naive = mem.naive_bytes
+            mem = liveness.plan_memory(
+                net, plan, fwd_items, bwd_items, keep_alive=keep_alive
+            )
+            mem.naive_bytes = naive
+        mem.rematerialized, mem.declined = remat, declined
+        plan.memory = mem
 
     run_pass(
         "memory_plan",

@@ -24,7 +24,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.synthesis.liveness import full_shape
+from repro.synthesis.liveness import ALIGN_BYTES, full_shape
 from repro.synthesis.plan import BufferPlan, BufferSpec
 
 DTYPE = np.float32
@@ -42,8 +42,14 @@ def allocate(plan: BufferPlan) -> Dict[str, np.ndarray]:
     mem = plan.memory
     arena = None
     if mem is not None and mem.arena_bytes:
-        # a byte arena: buffers of any dtype carve typed views out of it
-        arena = np.zeros(mem.arena_bytes, np.uint8)
+        # a byte arena: buffers of any dtype carve typed views out of
+        # it. NumPy promises 16-byte alignment only, so over-allocate and
+        # start at the first slab-aligned byte — slab offsets are
+        # multiples of ALIGN_BYTES, which puts every pooled buffer on a
+        # cache line (the views keep the allocation alive)
+        raw = np.zeros(mem.arena_bytes + ALIGN_BYTES - 1, np.uint8)
+        lead = -raw.ctypes.data % ALIGN_BYTES
+        arena = raw[lead:lead + mem.arena_bytes]
 
     for spec in plan.buffers.values():
         if spec.alias_of is not None:

@@ -361,6 +361,7 @@ class CompiledNet:
             f"({4 * n_params / 1e6:.2f} MB) in {len(self._params)} tensors",
             f"  buffers    : {len(seen)} arrays, {buf_bytes / 1e6:.2f} MB",
             mem_line,
+            *(f"    {row}" for row in self.memory_report().decisions()),
         ]
         for phase in ("forward", "backward"):
             steps = getattr(self.compiled, phase)

@@ -44,6 +44,12 @@ accesses fall in strictly different phases (forward-only with
 backward-only); every slice of the forward tenant is dead once the
 backward phase begins.
 
+Before the final plan, :func:`rematerialize_staging` rewrites the
+schedule so that no staging copy (im2col) is held from its forward GEMM
+to its backward one: the copy is run again right before its backward
+reader, into a buffer of its own, and the arena is the largest such
+buffer instead of the sum of all of them.
+
 The result is a :class:`MemoryPlan` stored on the
 :class:`~repro.synthesis.plan.BufferPlan`; ``repro.runtime.buffers``
 materializes it as offset views into one arena allocation.
@@ -52,16 +58,24 @@ materializes it as offset views into one arena allocation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.ensemble import DataEnsemble, LossEnsemble
-from repro.synthesis.access import Interval, ProgramView, unnamed_buffers
+from repro.ir import Index, map_expr, transform_exprs
+from repro.synthesis.access import (
+    Interval,
+    ProgramView,
+    unit_rw,
+    unnamed_buffers,
+)
 from repro.synthesis.plan import BufferPlan, BufferSpec
+from repro.synthesis.units import LoopUnit
 
-#: arena slab alignment in bytes — 64 bytes, one cache line, matching
-#: what a fresh ``np.zeros`` typically provides; also guarantees every
-#: slab offset is a multiple of any member's itemsize, so typed views
+#: arena slab alignment in bytes — 64 bytes, one cache line; the
+#: runtime aligns the arena's base to it (``np.zeros`` alone gives 16),
+#: so every pooled buffer starts on a line. Also guarantees every slab
+#: offset is a multiple of any member's itemsize, so typed views
 #: (``arena[off:off+n].view(dtype)``) are always legal
 ALIGN_BYTES = 64
 
@@ -76,6 +90,16 @@ class Slab:
     offset: int  # bytes from arena start (64-byte aligned)
     nbytes: int  # size in bytes (max over members, any dtype)
     members: List[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Rematerialized:
+    """One staging copy re-gathered in backward instead of retained."""
+
+    buffer: str  # the backward staging buffer the re-copy defines
+    source: str  # base buffer it is gathered from, both times
+    label: str  # the re-copy step, a span of its own in a traced run
+    nbytes: int
 
 
 @dataclass
@@ -105,6 +129,11 @@ class MemoryPlan:
     planned_bytes: int = 0
     #: why each non-candidate buffer was kept (reporting/tests)
     kept_reasons: Dict[str, str] = field(default_factory=dict)
+    #: forward staging buffer -> its backward re-gather
+    #: (:func:`rematerialize_staging`), and the staging buffers still
+    #: live across the phase boundary -> why they were declined
+    rematerialized: Dict[str, Rematerialized] = field(default_factory=dict)
+    declined: Dict[str, str] = field(default_factory=dict)
 
     @property
     def saved_bytes(self) -> int:
@@ -126,6 +155,9 @@ class MemoryPlan:
             "planned_bytes": self.planned_bytes,
             "saved_bytes": self.saved_bytes,
             "reuse_pct": round(100.0 * self.reuse_fraction, 2),
+            "copies_rematerialized": len(self.rematerialized),
+            "bytes_rematerialized": sum(
+                r.nbytes for r in self.rematerialized.values()),
         }
 
 
@@ -287,6 +319,97 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     if moved:
         bwd_items[:] = [bwd_items[i] for i in order]
     return moved
+
+
+# ---------------------------------------------------------------------------
+# Rematerialization of staging copies
+# ---------------------------------------------------------------------------
+
+
+def rematerialize_staging(
+    plan: BufferPlan, fwd_items: list, bwd_items: list, pooled=frozenset()
+) -> Tuple[Dict[str, Rematerialized], Dict[str, str]]:
+    """Re-gather in backward every staging copy that is read again there.
+
+    A conv layer's im2col buffer is written before its forward GEMM and
+    read again by its weight-gradient GEMM, so a training step holds all
+    of them across the phase boundary and nothing can overlay them. But
+    a staging buffer is a cheap pure function of a source that is still
+    alive: the forward copy step is cloned into ``bwd_items`` right
+    before the first backward reader, defining a fresh role-``input``
+    buffer that the backward readers are respelled to. The forward
+    buffer then dies at its forward GEMM, the clone lives two or three
+    steps, and :func:`plan_memory` overlays all of them in one slab.
+
+    Runs on the *reordered* backward list (a re-copy is always ready, so
+    :func:`reorder_backward` would hoist it to the top of backward) and
+    mutates the schedule and the buffer table. ``pooled`` is the pooled
+    set of a plan of the schedule as it stands: gathering again from a
+    pooled source extends that source's life, and a copy whose staging
+    bytes exceed the bytes so extended by less than slab alignment can
+    cost is declined (a kept source costs nothing). Returns
+    ``(rematerialized, declined)`` keyed by forward staging buffer;
+    reasons are ``'time-unrolled'``, ``'fused-group'``, ``'opaque'`` (a
+    gather closure or extern reader looks the buffer up by name),
+    ``'target-rewritten'``, ``'source-rewritten'`` and ``'no-saving'``.
+    """
+    done: Dict[str, Rematerialized] = {}
+    declined: Dict[str, str] = {}
+    copies = [(point, item, unit) for point, item in enumerate(fwd_items)
+              for unit in getattr(item, "units", ())
+              if unit.tags.kind == "copy"]
+    if not (copies and bwd_items):
+        return done, declined
+    view = ProgramView(plan, fwd_items, bwd_items)
+    n_fwd, records = view.n_forward, view.records
+    clones = []  # (index into bwd_items, re-copy item)
+    for point, item, unit in copies:
+        reads, (target,) = unit_rw(plan, unit)
+        spec = plan.buffers[target]
+        readers = [q for q in view.readers_after(point, target) if q >= n_fwd]
+        if spec.role != "input" or not readers:
+            continue
+        first = readers[0]
+        size = buffer_nbytes(plan, spec)
+        extended = sum(
+            buffer_nbytes(plan, plan.buffers[b]) for b in reads
+            if b in pooled and view.intervals[b].last < first)
+        if plan.time_steps > 1:
+            declined[target] = "time-unrolled"
+        elif len(item.units) > 1:
+            declined[target] = "fused-group"
+        elif records[point].opaque or any(records[q].opaque for q in readers):
+            declined[target] = "opaque"
+        elif any(target in rec.writes
+                 for q, rec in enumerate(records) if q != point):
+            declined[target] = "target-rewritten"
+        elif any(rec.writes & reads for rec in records[point + 1:first]):
+            declined[target] = "source-rewritten"
+        elif size - extended < ALIGN_BYTES:
+            declined[target] = "no-saving"
+        else:
+            fresh = plan.add(replace(spec, name=target + "_re"))
+            for q in readers:
+                for reader in bwd_items[q - n_fwd].units:
+                    reader.stmt = _respelled(reader.stmt, target, fresh)
+            recopy = replace(item, label=item.label + ".re", units=[LoopUnit(
+                unit.loops, _respelled(unit.stmt, target, fresh), unit.tags)])
+            clones.append((first - n_fwd, recopy))
+            done[target] = Rematerialized(
+                fresh, ", ".join(sorted(reads)), recopy.label, size)
+    for index, recopy in sorted(clones, key=lambda c: -c[0]):
+        bwd_items.insert(index, recopy)
+    return done, declined
+
+
+def _respelled(stmt, old: str, new: str):
+    """Structural copy of ``stmt`` naming buffer ``new`` for ``old``."""
+    def rename(e):
+        if isinstance(e, Index) and e.buffer == old:
+            return Index(new, e.indices)
+        return None
+
+    return transform_exprs(stmt, lambda e: map_expr(rename, e))
 
 
 # ---------------------------------------------------------------------------

@@ -142,19 +142,24 @@ class MemoryReport:
     slabs: List[Tuple[int, int, List[str]]] = field(default_factory=list)
     #: buffer -> reason it was excluded from pooling
     kept_reasons: Dict[str, str] = field(default_factory=dict)
+    #: staging buffer -> its backward re-gather (a ``liveness.
+    #: Rematerialized``) / why it is retained across the phases instead
+    rematerialized: Dict[str, object] = field(default_factory=dict)
+    declined: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_compiled(cls, cnet) -> "MemoryReport":
         stats = cnet.memory_stats()
         mem = cnet.plan.memory
-        slabs = []
-        kept: Dict[str, str] = {}
+        report = cls(stats["naive_bytes"], stats["planned_bytes"],
+                     stats["arena_bytes"])
         if mem is not None:
-            slabs = [(s.offset, s.nbytes, list(s.members))
-                     for s in mem.slabs]
-            kept = dict(mem.kept_reasons)
-        return cls(stats["naive_bytes"], stats["planned_bytes"],
-                   stats["arena_bytes"], slabs, kept)
+            report.slabs = [(s.offset, s.nbytes, list(s.members))
+                            for s in mem.slabs]
+            report.kept_reasons = dict(mem.kept_reasons)
+            report.rematerialized = dict(mem.rematerialized)
+            report.declined = dict(mem.declined)
+        return report
 
     @property
     def saved_bytes(self) -> int:
@@ -164,12 +169,26 @@ class MemoryReport:
     def reuse_fraction(self) -> float:
         return self.saved_bytes / self.naive_bytes if self.naive_bytes else 0.0
 
+    def decisions(self) -> List[str]:
+        """One row per staging copy read again in backward: re-gathered
+        there (bytes no longer retained, source, re-copy step) or
+        retained, with the reason."""
+        rows = [
+            f"re-gathered {name}: {r.nbytes / 1024:.1f} KB from {r.source}"
+            f" by {r.label}"
+            for name, r in self.rematerialized.items()
+        ]
+        rows += [f"retained {name}: {reason}"
+                 for name, reason in self.declined.items()]
+        return rows
+
     def table(self, max_members: int = 4) -> str:
         lines = [
             f"peak buffer bytes: {self.planned_bytes / 1e6:.2f} MB planned"
             f" vs {self.naive_bytes / 1e6:.2f} MB naive"
             f" ({100 * self.reuse_fraction:.1f}% reuse)",
         ]
+        lines += self.decisions()
         if not self.slabs:
             lines.append("no arena (memory planner off or nothing pooled)")
             return "\n".join(lines)

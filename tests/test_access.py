@@ -146,6 +146,9 @@ class TestProgramView:
                 iv.first, iv.last, iv.first_kind, iv.phases), base
 
     def test_who_reads_the_im2col_buffer_last(self):
+        """The forward GEMM: the weight-gradient GEMM reads a re-copy
+        (``repro.synthesis.liveness.rematerialize_staging``) that is
+        born one step before it."""
         cnet = self._conv(options=CompilerOptions())
         view = ProgramView(cnet.plan, cnet.compiled.forward,
                            cnet.compiled.backward)
@@ -153,10 +156,16 @@ class TestProgramView:
         iv = view.intervals["conv1_inputs0"]
         assert iv.first_kind == "w"          # the im2col copy defines it
         assert steps[iv.first].label == "conv1.copy"
-        readers = view.readers_after(iv.first, "conv1_inputs0")
-        assert readers[-1] == iv.last and view.phase(iv.last) == "backward"
-        assert "conv1_inputs0" in steps[iv.last].reads
-        assert not view.readers_after(iv.last, "conv1_inputs0")
+        assert view.readers_after(iv.first, "conv1_inputs0") == [iv.last]
+        assert steps[iv.last].label == "conv1.compute"
+        assert iv.phases == {"forward"}
+        re = view.intervals["conv1_inputs0_re"]
+        assert re.phases == {"backward"} and re.first_kind == "w"
+        assert steps[re.first].label == "conv1.copy.re"
+        assert steps[re.first].reads == steps[iv.first].reads
+        (wgrad,) = view.readers_after(re.first, "conv1_inputs0_re")
+        assert wgrad == re.first + 1 == re.last
+        assert "conv1_grad_weights" in steps[wgrad].writes
 
     def test_depends_orders_conflicts_and_opaque_pairs(self):
         cnet = self._conv(options=CompilerOptions())

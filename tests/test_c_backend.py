@@ -321,6 +321,33 @@ class TestBuild:
             in cnet.summary()
         cnet.close()
 
+    def test_recopy_steps_run_their_forward_twins_kernel(self, build):
+        """A staging copy re-gathered in backward differs from its
+        forward original by one buffer name, which alpha-renaming
+        erases: same kernels, same shared object as a build of the
+        program with no re-copies in it."""
+        builds = {}
+        for memory_plan in (True, False):
+            seed_all(ZOO["conv_pool_fc"].seed)
+            cnet = compile_net(build_net(ZOO["conv_pool_fc"]),
+                               CompilerOptions(backend="c",
+                                               memory_plan=memory_plan))
+            builds[memory_plan] = cnet
+            cnet.close()
+        compiled = builds[True].compiled
+        by_label = {s.label: s.name for s in compiled.forward}
+        recopies = [s for s in compiled.backward
+                    if s.label.endswith(".copy.re")]
+        assert [s.label for s in recopies] == ["L0_conv.copy.re"]
+        for step in recopies:
+            assert compiled.c_symbols[step.name] == by_label[step.label[:-3]]
+            assert f"int {step.name}(" not in compiled.c_exec_source
+        with_re, without = (builds[mp].compile_report["codegen-c"].rewrites
+                            for mp in (True, False))
+        assert with_re["native_steps"] == without["native_steps"] + 1
+        assert with_re["kernels_unique"] == without["kernels_unique"]
+        assert with_re["so_bytes"] == without["so_bytes"]
+
     def test_warm_build_dir_spawns_no_compiler(self, build, monkeypatch):
         _compile_c(ZOO["conv_pool_fc"]).close()
 

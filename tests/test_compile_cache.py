@@ -46,7 +46,12 @@ from repro.models.configs import (
 from repro.optim import CompilerOptions, compile_net
 from repro.serve.checkpoint import load_checkpoint, save_checkpoint
 from repro.serve.server import ModelServer
-from repro.testing.generator import build_net, make_inputs, random_spec
+from repro.testing.generator import (
+    NetSpec,
+    build_net,
+    make_inputs,
+    random_spec,
+)
 from repro.utils.rng import seed_all
 
 MLP = mlp_config(hidden=(16, 5), classes=5, input_dim=30)
@@ -94,6 +99,56 @@ class TestRoundTrip:
         warm_net, warm = _train_run(spec, store)
         assert warm_net.compile_report.cache_hit
         _assert_same_run(warm, cold)
+
+    def test_conv_net_thaws_with_its_recopy_steps(self, tmp_path):
+        """Train-mode conv programs re-gather their staging copies in
+        backward: the re-copy steps, their ``*_re`` buffers and the
+        decision records all survive freeze -> thaw."""
+        spec = NetSpec(
+            seed=7, batch=4, input_shape=(3, 10, 10), classes=3,
+            layers=(
+                {"kind": "conv", "filters": 4, "kernel": 3, "stride": 1,
+                 "pad": 1},
+                {"kind": "relu"},
+                {"kind": "pool", "mode": "max", "kernel": 2, "stride": 2,
+                 "pad": 0},
+                {"kind": "conv", "filters": 6, "kernel": 3, "stride": 1,
+                 "pad": 0},
+            ),
+        )
+        store = CompileCache(tmp_path)
+        x, y = make_inputs(spec)
+
+        def run():
+            seed_all(spec.seed)
+            cnet = compile_cached(spec, net=build_net(spec), cache=store)
+            loss = cnet.forward(data=x, label=y)
+            cnet.clear_param_grads()
+            cnet.backward()
+            return cnet, {
+                "loss": float(loss), "output": cnet.value("head").copy(),
+                "dx": cnet.grad("data").copy(),
+                "grads": {p.key: p.grad.copy() for p in cnet.parameters()}}
+
+        cold_net, cold = run()
+        warm_net, warm = run()
+        assert warm_net.compile_report.cache_hit
+        assert not cold_net.compile_report.cache_hit
+        _assert_same_run(warm, cold)
+        labels = [s.label for s in warm_net.compiled.backward]
+        assert {"L0_conv.copy.re", "L3_conv.copy.re"} <= set(labels)
+        for phase in ("forward", "backward"):
+            cold_steps = getattr(cold_net.compiled, phase)
+            warm_steps = getattr(warm_net.compiled, phase)
+            assert ([(s.label, s.access) for s in warm_steps]
+                    == [(s.label, s.access) for s in cold_steps])
+        cold_mem, warm_mem = cold_net.plan.memory, warm_net.plan.memory
+        assert len(cold_mem.rematerialized) == 2
+        assert warm_mem.rematerialized == cold_mem.rematerialized
+        assert warm_mem.declined == cold_mem.declined
+        assert (warm_net.memory_report().table()
+                == cold_net.memory_report().table())
+        assert warm_net.memory_stats() == cold_net.memory_stats()
 
     def test_model_config_inference_bitwise(self, tmp_path):
         store = CompileCache(tmp_path)
@@ -290,9 +345,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v6: steps with
-        unfolded ``reads``/``writes`` name sets, no ``access`` record)
-        is dropped on get — a miss, never an error, never thawed."""
+        """An entry written under the last layout (v7: conv programs
+        that retain every staging copy across the phase boundary, no
+        ``rematerialized``/``declined`` in the memory plan) is dropped
+        on get — a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -302,8 +358,8 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 7
-        assert "access" in meta["steps"]["forward"][0]
+        assert meta["version"] == FORMAT_VERSION == 8
+        assert "rematerialized" in meta["memory"]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)

@@ -26,6 +26,7 @@ from repro.synthesis.liveness import Interval
 from repro.testing import check_spec
 from repro.testing.generator import NetSpec
 from repro.utils.rng import seed_all
+from tests.test_access import _corpus
 
 
 def _conv_net(keep_alive=None, memory_plan=None, num_threads=1, batch=4):
@@ -554,3 +555,333 @@ class TestExternOutputsPool:
         mem = cnet.plan.memory
         assert "L0_inception_value" in mem.pooled
         assert mem.planned_bytes < 38_272
+
+
+# ---------------------------------------------------------------------------
+# Staging copies are re-gathered in backward, not retained
+# ---------------------------------------------------------------------------
+
+
+def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
+                keep_alive=None):
+    """conv -> relu -> pool -> conv -> fc. ``padded``: both convs gather
+    from a kept ``*_padsrc0`` border buffer; otherwise conv1 is
+    alexnet-conv1 style (stride < kernel, no pad) and gathers straight
+    from value buffers."""
+    seed_all(5)
+    net = Net(4)
+    data, label = DataAndLabelLayer(net, (3, 21, 21))
+    if padded:
+        c1 = ConvolutionLayer("c1", net, data, 6, 3, pad=1)
+    else:
+        c1 = ConvolutionLayer("c1", net, data, 6, 5, stride=2)
+    p1 = MaxPoolingLayer("p1", net, ReLULayer("r1", net, c1), 2, 2)
+    c2 = ConvolutionLayer("c2", net, p1, 8, 3, pad=1 if padded else 0)
+    fc = FullyConnectedLayer("fc", net, ReLULayer("r2", net, c2), 5)
+    SoftmaxLossLayer("loss", net, fc, label)
+    return net.init(CompilerOptions(memory_plan=memory_plan, backend=backend),
+                    num_threads=num_threads, keep_alive=keep_alive)
+
+
+def _staged_run(cn):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(cn.value("data").shape).astype(np.float32)
+    y = rng.integers(0, 5, (4, 1)).astype(np.float32)
+    loss = cn.forward(data=x, label=y)
+    cn.clear_param_grads()
+    cn.backward()
+    grads = {p.key: p.grad.copy() for p in cn.parameters()}
+    cn.close()
+    return loss, grads
+
+
+#: Fig 14 geometry of benchmarks/ledger/programs.py (copied, not
+#: imported): config factory, channel scale, input size, classes, and
+#: the train ``planned_bytes`` this planner delivers at batch 8
+_LEDGER = {
+    "vgg": ("vgg_config", 0.25, 64, 100, 21_115_584),
+    "alexnet": ("alexnet_config", 0.25, 67, 100, 5_556_608),
+    "overfeat": ("overfeat_config", 0.125, 75, 100, 5_169_280),
+    "lenet": ("lenet_config", 0.5, 28, None, 1_167_680),
+}
+
+
+def _ledger_net(name, options=None, keep_alive=None):
+    import repro.models as models
+
+    factory, scale, size, classes, _ = _LEDGER[name]
+    cfg = getattr(models, factory)().scaled(
+        channel_scale=scale, input_size=size, classes=classes)
+    seed_all(1)
+    return models.build_latte(cfg, 8).net.init(
+        options or CompilerOptions(), keep_alive=keep_alive)
+
+
+class TestRematerialization:
+    def test_ledger_geometry_planned_bytes(self):
+        for name, (*_, bound) in _LEDGER.items():
+            cn = _ledger_net(name)
+            assert cn.memory_stats()["planned_bytes"] <= bound, name
+            assert not cn.plan.memory.declined, name
+
+    def test_vgg_arena_is_its_largest_backward_pair(self):
+        """Eight im2col buffers used to be live at the phase boundary
+        (arena 20 201 472 B, the peak-live bound of those intervals);
+        re-gathered, the arena is the one step where a data-gradient
+        buffer and the padded gradient it scatters into coexist."""
+        cn = _ledger_net("vgg")
+        mem = cn.plan.memory
+        assert len(mem.rematerialized) == 8
+        pair = sum(cn.buffers[b].nbytes for b in
+                   ("conv3_2_grad_inputs0", "conv3_2_padsrc0_grad"))
+        assert mem.arena_bytes == pair == 5_382_144
+        assert (cn.buffers["conv3_2_grad_inputs0"].nbytes,
+                cn.buffers["conv3_2_padsrc0_grad"].nbytes) == (
+            4_718_592, 663_552)
+
+    def test_naive_bytes_does_not_count_the_recopies(self):
+        planned = _staged_net(True)
+        unplanned = _staged_net(True, memory_plan=False)
+        assert planned.plan.memory.rematerialized
+        assert (planned.memory_stats()["naive_bytes"]
+                == unplanned.memory_stats()["naive_bytes"])
+        rec = planned.compile_report["memory_plan"]
+        remat = planned.plan.memory.rematerialized
+        assert rec.rewrites["copies_rematerialized"] == len(remat) == 2
+        assert rec.rewrites["bytes_rematerialized"] == sum(
+            planned.buffers[r.buffer].nbytes for r in remat.values())
+        assert rec.units_after == rec.units_before + 2
+
+    @pytest.mark.parametrize("name,spec", list(_corpus()),
+                             ids=[n for n, _ in _corpus()])
+    def test_no_staging_copy_spans_the_phase_boundary_undeclared(
+            self, name, spec):
+        """Train, default and fully pooled: a pooled buffer some
+        ``*.copy`` step defines is live in one phase only, or its
+        decline is on record. Inference: nothing to re-gather."""
+        from repro.testing.generator import build_net
+
+        for keep_alive in (None, ()):
+            seed_all(spec.seed)
+            cn = build_net(spec).init(CompilerOptions(),
+                                      keep_alive=keep_alive)
+            mem = cn.plan.memory
+            staged = {b for s in cn.compiled.forward
+                      if s.label.endswith(".copy") for b in s.writes
+                      if cn.plan.buffers[b].role == "input"}
+            for b in staged & mem.pooled:
+                if len(mem.intervals[b].phases) == 2:
+                    assert b in mem.declined, (name, keep_alive, b)
+            for b, r in mem.rematerialized.items():
+                assert mem.intervals[b].phases == {"forward"}
+                assert mem.intervals[r.buffer].phases == {"backward"}
+        seed_all(spec.seed)
+        cn = build_net(spec).init(CompilerOptions.inference())
+        mem = cn.plan.memory
+        assert not mem.rematerialized and not mem.declined
+        assert not any(b.endswith("_re") for b in cn.plan.buffers)
+        assert not any(s.label.endswith(".re") for s in cn.compiled.forward)
+        assert cn.compile_report["memory_plan"].rewrites[
+            "copies_rematerialized"] == 0
+
+    def test_inference_vgg_footprint_is_untouched(self):
+        cn = _ledger_net("vgg", CompilerOptions.inference())
+        assert cn.memory_stats() == {
+            "naive_bytes": 29_410_848, "planned_bytes": 10_192_416,
+            "arena_bytes": 6_815_744}
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("padded", [True, False],
+                             ids=["padded", "strided"])
+    @pytest.mark.parametrize("num_threads", [1, 2, 4])
+    def test_recopies_are_bitwise_neutral(self, padded, num_threads,
+                                          backend):
+        if backend == "c":
+            from repro.codegen.c_backend import have_c_toolchain
+
+            if not have_c_toolchain():
+                pytest.skip("no usable C toolchain")
+        cn = _staged_net(padded, num_threads=num_threads, backend=backend)
+        assert sorted(cn.plan.memory.rematerialized) == [
+            "c1_inputs0", "c2_inputs0"]
+        if num_threads > 1:  # a re-copy shards like its original
+            assert all(s.shardable for s in cn.compiled.backward
+                       if s.label.endswith(".copy.re"))
+        loss_p, grads_p = _staged_run(cn)
+        loss_u, grads_u = _staged_run(_staged_net(
+            padded, memory_plan=False, num_threads=num_threads,
+            backend=backend))
+        assert loss_p == loss_u
+        assert grads_p.keys() == grads_u.keys()
+        for key in grads_p:
+            np.testing.assert_array_equal(grads_p[key], grads_u[key], key)
+
+    def test_report_and_summary_explain_the_decision(self):
+        cn = _staged_net(False)
+        row = ("re-gathered c2_inputs0: "
+               f"{cn.buffers['c2_inputs0'].nbytes / 1024:.1f} KB "
+               "from p1_value by c2.copy.re")
+        assert row in cn.memory_report().table().splitlines()
+        assert f"    {row}" in cn.summary().splitlines()
+        # a fused copy is retained, and says so
+        seed_all(0)
+        net = Net(4)
+        data, label = DataAndLabelLayer(net, (3, 8, 8))
+        conv = ConvolutionLayer("conv", net, data, 4, 3, pad=1)
+        fc = FullyConnectedLayer("fc", net, ReLULayer("relu", net, conv), 3)
+        SoftmaxLossLayer("loss", net, fc, label)
+        fused = net.init(CompilerOptions(min_tile_rows=2))
+        assert fused.plan.memory.declined == {"conv_inputs0": "fused-group"}
+        assert "retained conv_inputs0: fused-group" in fused.summary()
+
+    def test_recopy_is_a_span_of_its_own(self):
+        from repro.trace import RecordingTracer
+
+        seed_all(5)
+        cn = _staged_net(True)
+        cn.tracer = tracer = RecordingTracer()
+        _staged_run(cn)
+        spans = {(s.cat, s.name) for s in tracer.spans}
+        assert {("forward", "c1.copy"), ("backward", "c1.copy.re")} <= spans
+
+    def test_pooled_buffers_start_on_a_cache_line(self):
+        """``np.zeros`` alone lands mmap-sized arenas at 16 or 48 mod
+        64; the planner pays for 64-byte slabs, so the runtime must
+        deliver them."""
+        for cn in (_ledger_net("lenet"), _staged_net(True),
+                   _staged_net(False, keep_alive=())):
+            mem = cn.plan.memory
+            assert mem.pooled
+            for name in mem.pooled:
+                assert cn.buffers[name].ctypes.data % 64 == 0, name
+
+
+def _hand_schedule(time_steps=1, src_shape=(8,), rewrite_source=False,
+                   rewrite_target=False, fused=False):
+    """copy ``stage <- src``; compute ``out <- stage``; backward
+    ``gw += stage``: the shape of a conv layer's staging traffic, small
+    enough to build by hand."""
+    from repro.ir import Assign, Index, Var
+    from repro.synthesis.plan import BufferPlan, BufferSpec
+    from repro.synthesis.units import (
+        FusedGroup,
+        LoopSpec,
+        LoopUnit,
+        UnitTags,
+    )
+
+    plan = BufferPlan(2, time_steps)
+    plan.add(BufferSpec("src", src_shape, "value"))
+    plan.add(BufferSpec("stage", (3, 8), "input"))
+    plan.add(BufferSpec("out", (8,), "value"))
+    plan.add(BufferSpec("gw", (8,), "grad", batched=False))
+    n, k, i = Var("_n"), Var("k"), Var("i")
+
+    def group(kind, target, value, reduce=None, loops="nki"):
+        specs = {"n": LoopSpec.simple("_n", 2, role="batch"),
+                 "k": LoopSpec.simple("k", 3, role="window"),
+                 "i": LoopSpec.simple("i", 8)}
+        unit = LoopUnit([specs[c] for c in loops],
+                        Assign(target, value, reduce),
+                        UnitTags(ensemble="c", kind=kind))
+        return FusedGroup([unit], label=f"c.{kind}")
+
+    stage = Index("stage", (n, k, i))
+    copy = group("copy", stage, Index("src", (n, i)))
+    compute = group("compute", Index("out", (n, i)), stage)
+    fwd = [copy, compute]
+    if fused:
+        fwd = [FusedGroup(copy.units + compute.units,
+                          label="c.copy+c.compute")]
+    if rewrite_source:
+        fwd.append(group("compute", Index("src", (n, i)),
+                         Index("out", (n, i)), loops="ni"))
+    bwd = [group("compute", Index("gw", (i,)), stage, reduce="add")]
+    if rewrite_target:
+        bwd.append(group("fill", stage, Index("out", (n, i))))
+    return plan, fwd, bwd
+
+
+class TestRematerializeStagingUnit:
+    """``rematerialize_staging`` on hand-built schedules: the rewrite,
+    and one schedule per declined reason."""
+
+    def _run(self, pooled=frozenset(), **kw):
+        from repro.synthesis.liveness import rematerialize_staging
+
+        plan, fwd, bwd = _hand_schedule(**kw)
+        before = (list(fwd), list(bwd), set(plan.buffers))
+        done, declined = rematerialize_staging(plan, fwd, bwd, pooled)
+        if declined:  # a declined schedule is left exactly as it was
+            assert not done
+            assert (fwd, bwd, set(plan.buffers)) == before
+        return plan, fwd, bwd, done, declined
+
+    def test_clones_the_copy_before_its_backward_reader(self):
+        from repro.synthesis.access import record
+
+        plan, fwd, bwd, done, declined = self._run()
+        assert not declined
+        r = done["stage"]
+        assert (r.buffer, r.source, r.label, r.nbytes) == (
+            "stage_re", "src", "c.copy.re", 2 * 3 * 8 * 4)
+        assert [it.label for it in bwd] == ["c.copy.re", "c.compute"]
+        assert [it.label for it in fwd] == ["c.copy", "c.compute"]
+        spec = plan.buffers["stage_re"]
+        assert (spec.role, spec.shape) == ("input", (3, 8))
+        recopy, reader = (record(plan, it) for it in bwd)
+        assert recopy.accesses == (("src", "r"), ("stage_re", "w"))
+        assert reader.reads == {"stage_re", "gw"}
+        # the forward pair still spells the forward buffer
+        assert record(plan, fwd[0]).writes == {"stage"}
+        assert record(plan, fwd[1]).reads == {"stage"}
+
+    def test_pooled_source_smaller_than_the_staging_still_pays(self):
+        # 192 B of staging against 64 B of source kept alive longer
+        *_, done, declined = self._run(pooled={"src"})
+        assert "stage" in done and not declined
+
+    @pytest.mark.parametrize("kw,pooled,reason", [
+        (dict(time_steps=3), (), "time-unrolled"),
+        (dict(fused=True), (), "fused-group"),
+        (dict(rewrite_source=True), (), "source-rewritten"),
+        (dict(rewrite_target=True), (), "target-rewritten"),
+        # re-gathering would keep 192 pooled source bytes alive to save
+        # 192 staging bytes
+        (dict(src_shape=(3, 8)), ("src",), "no-saving"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_declined(self, kw, pooled, reason):
+        if "src_shape" in kw:
+            # same schedule, kept source: nothing is extended
+            *_, done, declined = self._run(**kw)
+            assert "stage" in done and not declined
+        *_, done, declined = self._run(pooled=frozenset(pooled), **kw)
+        assert declined == {"stage": reason} and not done
+
+    def test_extern_gather_staging_is_opaque(self):
+        """A gather's closures look their buffers up by name, so its
+        staging buffer cannot be respelled: retained, on record."""
+        from repro.layers.neurons import MulNeuron
+
+        seed_all(9)
+        net = Net(4)
+        data = MemoryDataLayer(net, "data", (16,))
+        label = MemoryDataLayer(net, "label", (1,))
+        mul = Ensemble(net, "mul", MulNeuron, (16,))  # backward reads both
+        net.add_connections(data, mul, lambda i: ((i * 5 + 3) % 16,))
+        net.add_connections(data, mul, lambda i: ((i * 3 + 1) % 16,))
+        fc = FullyConnectedLayer("fc", net, mul, 3)
+        SoftmaxLossLayer("loss", net, fc, label)
+        mem = net.init(CompilerOptions()).plan.memory
+        assert mem.declined == {"mul_inputs0": "opaque",
+                                "mul_inputs1": "opaque"}
+
+    def test_time_unrolled_net_declines_every_recurrent_copy(self):
+        net = Net(2, time_steps=3)
+        x = MemoryDataLayer(net, "data", (3,))
+        h = Ensemble(net, "h", AddNeuron, (3,))
+        net.add_connections(x, h, one_to_one(1))
+        net.add_connections(h, h, one_to_one(1), recurrent=True)
+        mem = net.init(CompilerOptions.level(4)).plan.memory
+        assert not mem.rematerialized
+        assert set(mem.declined.values()) <= {"time-unrolled"}
