@@ -4,7 +4,7 @@ Not a paper figure — this is the design-choice ablation DESIGN.md calls
 for, decomposing where Fig. 13's win comes from in this substrate:
 
 * O1 vectorize: loop nests → NumPy slice operations
-* O2 +GEMM pattern matching (tensordot instead of loop-level products)
+* O2 +GEMM pattern matching (matmul instead of loop-level products)
 * O3 +in-place activations (and the parallel annotation)
 * O4 +tiling, cross-layer fusion, copy elimination, first-writer stores
 

@@ -110,16 +110,25 @@ def test_fig14_latte_faster(benchmark, speedups, name):
     assert s > 1.0, f"{name}: latte {tl:.3f}s vs caffe {tc:.3f}s"
 
 
+#: train ``planned_bytes`` at this geometry with every over-budget
+#: staging chain batch-tiled and contracted (21 115 584 / 5 556 608 /
+#: 5 169 280 with whole-batch staging re-gathered in backward)
+PLANNED_BYTES = {"vgg": 16_986_816, "alexnet": 4_249_792,
+                 "overfeat": 3_490_752}
+
+
 @pytest.mark.parametrize("name", list(FACTORIES))
 def test_fig14_memory_plan_reuse(name):
-    """The arena planner drops peak non-parameter buffer bytes by ≥40%
-    on every fig14 model and ≥60% on vgg (PR 4's floor was 30%: staging
-    copies are now re-gathered in backward instead of retained), at the
-    *default* keep-alive policy (every ensemble still inspectable)."""
+    """Peak non-parameter buffer bytes at the *default* keep-alive
+    policy (every ensemble still inspectable), as an absolute count:
+    contraction shrinks the naive footprint too (a contracted buffer is
+    small pooled or not), so the reuse *fraction* falls while the
+    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 39 % of
+    27.9 MB is 17.0 MB."""
     cfg, batch = _config(name)
     m = measure_memory(cfg, batch)
-    saved = m["naive_bytes"] - m["planned_bytes"]
-    assert saved / m["naive_bytes"] >= (0.60 if name == "vgg" else 0.40), m
+    assert m["planned_bytes"] <= PLANNED_BYTES[name], m
+    assert m["planned_bytes"] <= m["naive_bytes"], m
 
 
 def test_fig14_all_models_in_band(speedups):

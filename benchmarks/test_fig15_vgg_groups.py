@@ -6,7 +6,9 @@ shrinks after each pooling layer (less tiling benefit) and group 4's two
 back-to-back convolutions cannot be fused (overlapping windows). We
 reproduce each group at proportionally scaled geometry and assert the
 compiler-level part of the claim directly: groups 1-3 fuse
-conv+relu+pool into one step, group 4's conv-conv pair does not fuse.
+conv+relu+pool into one step (the im2col copy and its GEMM are a step
+of their own where the staging buffer is batch-tiled), group 4's
+conv-conv pair does not fuse.
 """
 
 import pytest

@@ -90,6 +90,7 @@ def _buffer_dicts(net, plan) -> List[dict]:
             "alias_reshape": ([int(x) for x in spec.alias_reshape]
                               if spec.alias_reshape is not None else None),
             "needs_zero": bool(spec.needs_zero),
+            "tile": spec.tile,
         }
         if spec.array is not None:
             ref = fields.get(spec.name)
@@ -251,6 +252,8 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
             for p in plan.params
         ],
         "inplace": dict(plan.inplace),
+        "contracted": dict(plan.contracted),
+        "untiled": dict(plan.untiled),
         "private_accums": {
             name: [int(x) for x in acc.shape]
             for name, acc in plan.private_accums.items()
@@ -291,6 +294,7 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
             alias_reshape=(tuple(d["alias_reshape"])
                            if d["alias_reshape"] is not None else None),
             needs_zero=d["needs_zero"],
+            tile=d["tile"],
         )
         if d.get("field") is not None:
             ens_name, fname = d["field"]
@@ -315,6 +319,8 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
         for d in meta["params"]
     ]
     plan.inplace = dict(meta["inplace"])
+    plan.contracted = dict(meta["contracted"])
+    plan.untiled = dict(meta["untiled"])
     plan.private_accums = {
         name: PrivateAccum(name, tuple(shape))
         for name, shape in meta["private_accums"].items()

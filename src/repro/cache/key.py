@@ -12,9 +12,10 @@ compiled program, rendered as canonical (sorted-keys) JSON:
   (``asdict``), the executor thread count (shard marking happens at
   compile time), and the normalized ``keep_alive`` set (it shapes the
   memory plan);
-* the backend identifier, the library version, the NumPy version, and
-  the entry :data:`FORMAT_VERSION` — bumping any of these invalidates
-  every existing entry rather than risking a stale thaw;
+* the backend identifier, the library version, the NumPy version, the
+  batch-tile rule's constants (``repro.optim.tiling``) and the entry
+  :data:`FORMAT_VERSION` — bumping any of these invalidates every
+  existing entry rather than risking a stale thaw;
 * for ``backend="c"``, the toolchain fingerprint (compiler version +
   flags) — those entries embed the built shared object's bytes, which
   are only valid for the toolchain that produced them.
@@ -57,7 +58,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v8: train programs re-gather staging copies in backward (re-copy
 #:     steps, ``*_re`` buffers, a smaller arena); the memory plan
 #:     carries ``rematerialized``/``declined``
-FORMAT_VERSION = 8
+#: v9: staging chains are batch-tiled and their buffers contracted
+#:     (buffers carry ``tile``; the plan carries ``contracted`` /
+#:     ``untiled``); native kernels return ``void``
+FORMAT_VERSION = 9
 
 
 class CacheUnsupported(ValueError):
@@ -110,6 +114,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
     docstring). ``keep_alive=None`` means the mode-dependent default and
     hashes as a sentinel distinct from any explicit set."""
     import repro
+    from repro.optim import tiling
 
     if options.precision != "fp32":
         raise CacheUnsupported("only float32 programs are cached")
@@ -124,6 +129,10 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,
         "format_version": FORMAT_VERSION,
+        # module constants of the batch-tile rule: they shape the
+        # schedule and the buffer table like an option would
+        "staging_tile": [tiling.STAGING_TILE_BYTES,
+                         tiling.TILE_GRANULE_BYTES],
     }
     if getattr(options, "backend", "numpy") == "c":
         # C-backend entries embed built .so bytes, so the key must

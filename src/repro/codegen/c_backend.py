@@ -21,23 +21,24 @@ The native lowering contract:
 
 * one exported C function per *distinct* kernel, named like the Python
   step function of the first step that needs it (``_step_f0``,
-  ``_step_b3``, ...), with the signature ``int step(float* <buf>, ...,
+  ``_step_b3``, ...), with the signature ``void step(float* <buf>, ...,
   long long _b0, long long _b1, long long _omp)`` where the buffer
   pointers are that step's touched buffers in sorted-name order and
   ``_b0/_b1`` are the same batch-shard bounds the threaded Python
   backend's step functions take; a later step whose body is identical
   up to buffer and loop-variable names calls the same function with
   its own buffers (``CompiledProgram.c_symbols``);
-* the return value is 0, or 1 when a packed GEMM could not allocate its
-  scratch — raised by the step wrapper as :class:`MemoryError`;
 * scalar :class:`~repro.ir.Assign` units become plain loop nests over
   flat row-major offsets (strides baked in at compile time from the
   buffer plan), with value arithmetic performed in ``double`` and
   results stored as ``float`` — mirroring the O0 interpreter's
   float64-compute/float32-store behaviour;
-* pattern-matched :class:`~repro.ir.Gemm` units become loop nests over
-  the matched einsum letters — free (output) letters outer, contraction
-  letters inner — accumulating into a local ``double`` with
+* pattern-matched :class:`~repro.ir.Gemm` units become one sgemm call
+  on the operands where they lie — per image, under a loop over the
+  batch letter, for ``[n][c][y][x]`` conv operands — and kernels never
+  allocate; a letter structure sgemm cannot express becomes a loop nest
+  over the matched einsum letters — free (output) letters outer,
+  contraction letters inner — accumulating into a local ``double`` with
   ``#pragma omp simd reduction`` on the innermost contraction loop;
 * batch-disjoint outer loops carry ``#pragma omp parallel for``
   guarded by the per-call ``_omp`` thread count, which the binder pins
@@ -82,9 +83,11 @@ from repro.ir import (
     SliceExpr,
     UnaryOp,
     Var,
+    free_vars,
     write_target_vars,
 )
 from repro.ir.printer import to_c
+from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, LoopUnit, unit_to_for_tree
 
 
@@ -99,7 +102,13 @@ def render_items(items, title: str = "") -> str:
             continue
         assert isinstance(item, FusedGroup)
         out.append(f"// {item.label}")
-        trees = [unit_to_for_tree(u) for u in item.units]
+        units = item.units
+        if item.contracted:
+            from repro.codegen.python_backend import _contract_unit
+
+            units = [_contract_unit(u, set(item.contracted), item.tile_loop)
+                     for u in units]
+        trees = [unit_to_for_tree(u) for u in units]
         if item.tile_loop is not None:
             sp = item.tile_loop
             tree = For(
@@ -137,7 +146,7 @@ _C_RESERVED = frozenset("""
 auto break case char const continue default do double else enum extern
 float for goto if inline int long register restrict return short signed
 sizeof static struct switch typedef union unsigned void volatile while
-_b0 _b1 _omp _acc _pa _pb _pc _M _N _K _v _t
+_b0 _b1 _omp _acc _M _N _K _v _t
 """.split())
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
@@ -622,6 +631,8 @@ class _Frame:
     def __init__(self, shapes: Dict[str, Tuple[int, ...]]):
         self.shapes = shapes
         self.used: set = set()
+        #: Gemms lowered to an in-place sgemm call / a strided loop nest
+        self.gemm_inplace = self.gemm_nests = 0
 
     def flat(self, buffer: str, index_exprs: List[str]) -> str:
         """Row-major flat offset of one element, strides baked in."""
@@ -729,6 +740,34 @@ _PAR_PRAGMA = (
 )
 
 
+def _disjoint_vars(unit: LoopUnit) -> set:
+    """Loop variables whose iterations write disjoint elements, so
+    that their loop may run in parallel: on some target axis the index
+    is affine in the loops and the variable's stride exceeds all that
+    the others can add — alone on the axis, or a leading digit of a
+    mixed-radix index such as the flattened window offset. ``y + w``
+    lets two iterations of ``w`` meet; an indirect target (rows may
+    collide) has none."""
+    from repro.codegen.exprs import NonAffine, extract_affine
+
+    out: set = set()
+    if write_target_vars(unit.stmt) is None:
+        return out
+    reach = {sp.var: sp.extent - 1 for sp in unit.loops}
+    for ix in unit.stmt.target.indices:
+        try:
+            stride = {}
+            for v in free_vars(ix) & reach.keys():  # others: outer, fixed
+                stride[v], ix = extract_affine(ix, v)
+        except NonAffine:
+            continue
+        for v in stride:
+            if abs(stride[v]) > sum(abs(stride[u]) * reach[u]
+                                    for u in stride if u != v):
+                out.add(v)
+    return out
+
+
 def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
                  depth: int) -> None:
     stmt = unit.stmt
@@ -737,12 +776,13 @@ def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
         raise _Unlowerable("non-buffer assignment target")
     if any(isinstance(ix, (SliceExpr,)) for ix in tgt.indices):
         raise _Unlowerable("sliced assignment target")
-    # loops the target is scalar-indexed by write disjoint elements and
-    # may run in parallel; an indirect target (rows may collide) has none
-    disjoint = write_target_vars(stmt) or ()
+    disjoint = _disjoint_vars(unit)
     top = depth
-    for i, sp in enumerate(unit.loops):
-        pragma = _PAR_PRAGMA if (i == 0 and sp.var in disjoint) else ""
+    # the outermost loop that iterates at all: a one-image tile's batch
+    # loop has one trip, and a pragma there would run the nest serially
+    outer = next((sp for sp in unit.loops if sp.extent > 1), None)
+    for sp in unit.loops:
+        pragma = _PAR_PRAGMA if (sp is outer and sp.var in disjoint) else ""
         depth = _open_loop(sp, lines, depth, pragma)
     pad = "  " * depth
     idx = [_ri(ix) for ix in tgt.indices]
@@ -806,7 +846,16 @@ def _classify_gemm(stmt: Gemm):
     return refs, owner, ranges, slices, free, contract
 
 
-def _gemm_flat(refs, owner, fr: _Frame, rk: str) -> str:
+def _at(where: str, ix: SliceExpr, letter: SliceExpr) -> str:
+    """Index along an operand's axis ``ix`` when its letter, ranging
+    over ``letter``, is at ``where``: a contracted buffer counts rows
+    from its tile's first, so its slice starts elsewhere."""
+    if ix.start == letter.start:
+        return where
+    return f"({where} - ({_ri(letter.start)}) + ({_ri(ix.start)}))"
+
+
+def _gemm_flat(refs, owner, slices, fr: _Frame, rk: str) -> str:
     """Flat offset of operand ``rk`` with matched axes replaced by their
     loop variables and remaining axes rendered as scalar expressions."""
     ref = refs[rk]
@@ -814,7 +863,7 @@ def _gemm_flat(refs, owner, fr: _Frame, rk: str) -> str:
     for ax, ix in enumerate(ref.indices):
         var = owner.get((rk, ax))
         if var is not None:
-            idx.append(var)
+            idx.append(_at(var, ix, slices[var]))
         elif isinstance(ix, (SliceExpr,)):
             raise _Unlowerable("unmatched gemm slice axis")
         else:
@@ -822,9 +871,9 @@ def _gemm_flat(refs, owner, fr: _Frame, rk: str) -> str:
     return fr.flat(ref.buffer, idx)
 
 
-def _gemm_packable(stmt: Gemm, free: List[str],
+def _gemm_is_sgemm(stmt: Gemm, free: List[str],
                    contract: List[str]) -> bool:
-    """True when the Gemm maps onto one packed row-major sgemm call:
+    """True when the Gemm's letters map onto a row-major sgemm call:
     there is a real contraction and no output letter spans both
     operands (a letter in A and B and C is a batched-diagonal pattern
     sgemm cannot express)."""
@@ -838,10 +887,22 @@ def _gemm_packable(stmt: Gemm, free: List[str],
 
 
 def _int_extent(sl: SliceExpr) -> Optional[int]:
-    """Compile-time extent of a matched slice, or None when the bounds
-    are runtime expressions (shard/tile sub-ranges)."""
-    if isinstance(sl.start, Const) and isinstance(sl.stop, Const):
-        return _int_const(sl.stop) - _int_const(sl.start)
+    """Compile-time extent of a matched slice — constant bounds, or a
+    tile's ``size*t : size*(t+1)``, whose difference is — or None when
+    the bounds are runtime expressions (shard sub-ranges)."""
+    from repro.codegen.exprs import NonAffine, extract_affine
+
+    lo, hi = sl.start, sl.stop
+    try:
+        for var in sorted(free_vars(lo) | free_vars(hi)):
+            (c_lo, lo), (c_hi, hi) = (extract_affine(e, var)
+                                      for e in (lo, hi))
+            if c_lo != c_hi:
+                return None
+    except NonAffine:
+        return None
+    if isinstance(lo, Const) and isinstance(hi, Const):
+        return _int_const(hi) - _int_const(lo)
     return None
 
 
@@ -851,7 +912,10 @@ def _rm_layout(outer: List[str], inner: List[str], stride: Dict[str, int],
     match the operand's row-major layout — the inner letters form one
     contiguous mixed-radix index and the outer letters advance by a
     single stride — else None. Inner extents (and all outer extents but
-    the first) must be compile-time."""
+    the first) must be compile-time; a letter of extent 1 (a one-image
+    tile's batch letter) constrains nothing and is skipped."""
+    outer, inner = ([v for v in vs if _int_extent(slices[v]) != 1]
+                    for vs in (outer, inner))
     width = 1
     for v in inner:
         ex = _int_extent(slices[v])
@@ -876,8 +940,11 @@ def _rm_layout(outer: List[str], inner: List[str], stride: Dict[str, int],
 
 
 def _try_passthrough(rk: str, rows: List[str], cols: List[str], refs,
-                     owner, slices, fr: _Frame, allow_trans: bool = True):
-    """Can operand ``rk`` be handed to sgemm in place?
+                     owner, slices, fr: _Frame, allow_trans: bool = True,
+                     hoist: Optional[str] = None):
+    """Can operand ``rk`` be handed to sgemm in place — for one value of
+    the loop variable ``hoist``, when a letter is hoisted out of the
+    matrices into a loop around the call?
 
     True when its matched letters map onto the buffer's row-major
     layout either as ``[rows..., cols...]`` (NoTrans) or as
@@ -888,8 +955,6 @@ def _try_passthrough(rk: str, rows: List[str], cols: List[str], refs,
     operand must be gathered into scratch (replicated letters, strided
     or scattered layouts, runtime inner extents).
     """
-    from repro.ir import free_vars
-
     ref = refs[rk]
     shape = fr.shapes.get(ref.buffer)
     if shape is None or len(shape) != len(ref.indices):
@@ -900,6 +965,7 @@ def _try_passthrough(rk: str, rows: List[str], cols: List[str], refs,
         if rk2 == rk:
             axes_of.setdefault(v, []).append(ax)
     matched = set(owner.values())
+    rows, cols = ([v for v in vs if v != hoist] for vs in (rows, cols))
     for v in rows + cols:
         if len(axes_of.get(v, [])) != 1:
             return None  # replicated (broadcast) or diagonal letter
@@ -923,56 +989,57 @@ def _try_passthrough(rk: str, rows: List[str], cols: List[str], refs,
     idx = []
     for ax, ix in enumerate(ref.indices):
         v = owner.get((rk, ax))
-        idx.append(f"_lo_{v}" if v is not None else _ri(ix))
+        idx.append(_ri(ix) if v is None else
+                   _at(v if v == hoist else f"_lo_{v}", ix, slices[v]))
     base = fr.flat(ref.buffer, idx)
     return f"{ref.buffer} + ({base})", f"{ld}LL", trans
 
 
-def _emit_gemm_packed(unit: LoopUnit, fr: _Frame, lines: List[str],
-                      depth: int, refs, owner, ranges, slices,
-                      free: List[str], contract: List[str]) -> None:
-    """Lower a Gemm as (gather) → ``_latte_gemm_rm`` → (scatter).
+def _emit_gemm_inplace(unit: LoopUnit, fr: _Frame, lines: List[str],
+                       depth: int, refs, owner, ranges, slices,
+                       free: List[str], contract: List[str]) -> bool:
+    """Lower a Gemm as ``_latte_gemm_rm`` on the operands where they
+    lie; False (nothing emitted) when some operand is not a row-major
+    matrix over its letters.
 
-    Operands already laid out row-major over their letters are passed
-    to sgemm in place (pointer + leading dimension); the rest are
-    gathered into contiguous scratch first — an O(M·K + K·N + M·N)
-    copy, negligible next to the O(M·N·K) contraction. The multiply
-    itself then runs as one library sgemm — the exact BLAS NumPy uses,
-    injected at load time — or the blocked fallback when no BLAS is
-    present. Should scratch allocation fail the kernel returns status
-    1, which the step wrapper raises as :class:`MemoryError`; an
-    in-place loop nest per step for that branch would cost a tenth of
-    every build.
+    ``C[m…][n…] = A[m…][k…] · B[k…][n…]`` is tried with either operand
+    as ``A`` (cblas can transpose ``A`` and ``B`` but not ``C``, and
+    which letters are rows is only a naming). When operands fail only
+    because the batch letter sits between the row and column letters —
+    ``[n][c][y][x]`` storage: every conv GEMM — that letter is hoisted
+    into a loop around one call per image, accumulating after the first
+    when it is a contraction letter. The multiply itself runs as a
+    library sgemm — the exact BLAS NumPy uses, injected at load time —
+    or the blocked fallback when no BLAS is present. Nothing is ever
+    gathered into scratch: packing an operand costs O(M·K + K·N + M·N)
+    copies, which is most of a contraction with few rows (~70 % of a
+    16-filter conv1 kernel).
     """
     stmt = unit.stmt
-    m_vars = [v for v in free
-              if "b" not in {rk for rk, _ in stmt.var_axes[v]}]
-    n_vars = [v for v in free if v not in m_vars]
+    in_a = [v for v in free
+            if "b" not in {rk for rk, _ in stmt.var_axes[v]}]
+    in_b = [v for v in free if v not in in_a]
 
-    def extent_product(vars_: List[str]) -> str:
-        return " * ".join(f"_ex_{v}" for v in vars_) if vars_ else "1LL"
+    def passthrough(ka, kb, m_vars, n_vars, hoist):
+        found = tuple(
+            _try_passthrough(rk, rows, cols, refs, owner, slices, fr,
+                             allow_trans=(rk != "c"), hoist=hoist)
+            for rk, rows, cols in ((ka, m_vars, contract),
+                                   (kb, contract, n_vars),
+                                   ("c", m_vars, n_vars)))
+        return None if None in found else (found, m_vars, n_vars, hoist)
 
-    def lin(vars_: List[str]) -> str:
-        if not vars_:
-            return "0"
-        expr = f"({vars_[0]} - _lo_{vars_[0]})"
-        for v in vars_[1:]:
-            expr = f"({expr} * _ex_{v} + ({v} - _lo_{v}))"
-        return expr
+    hoists = (None, BATCH_VAR) if BATCH_VAR in ranges else (None,)
+    match = next(filter(None, (
+        passthrough(*sides, hoist) for hoist in hoists
+        for sides in (("a", "b", in_a, in_b), ("b", "a", in_b, in_a)))),
+        None)
+    if match is None:
+        return False
+    args, m_vars, n_vars, hoist = match
 
-    def open_var_loops(vars_: List[str], d: int) -> int:
-        for v in vars_:
-            lines.append(f"{'  ' * d}for (long long {v} = _lo_{v}; "
-                         f"{v} < _lo_{v} + _ex_{v}; {v}++) {{")
-            d += 1
-        return d
-
-    layout = {"a": (m_vars, contract, "_K"), "b": (contract, n_vars, "_N"),
-              "c": (m_vars, n_vars, "_N")}
-    direct = {rk: _try_passthrough(rk, rows, cols, refs, owner, slices,
-                                   fr, allow_trans=(rk != "c"))
-              for rk, (rows, cols, _) in layout.items()}
-    packed = [rk for rk in ("a", "b", "c") if direct[rk] is None]
+    def extent(vars_: List[str]) -> str:
+        return " * ".join(f"_ex_{v}" for v in vars_ if v != hoist) or "1LL"
 
     top = depth
     # the unit's own loops (e.g. a tile loop the tiler pushed inside)
@@ -980,85 +1047,53 @@ def _emit_gemm_packed(unit: LoopUnit, fr: _Frame, lines: List[str],
         depth = _open_loop(sp, lines, depth)
     pad = "  " * depth
     lines.append(pad + "{")
-    depth += 1
-    pad = "  " * depth
-    for v in m_vars + n_vars + contract:
+    pad += "  "
+    for v in free + contract:
         lo, hi = ranges[v]
         lines.append(f"{pad}const long long _lo_{v} = {lo};")
         lines.append(f"{pad}const long long _ex_{v} = ({hi}) - ({lo});")
-    lines.append(f"{pad}const long long _M = {extent_product(m_vars)};")
-    lines.append(f"{pad}const long long _N = {extent_product(n_vars)};")
-    lines.append(f"{pad}const long long _K = {extent_product(contract)};")
-    sizes = {"a": "_M * _K", "b": "_K * _N", "c": "_M * _N"}
-    for rk in packed:
-        lines.append(
-            f"{pad}float *_p{rk} = "
-            f"(float *)malloc((size_t)({sizes[rk]}) * sizeof(float));")
-    args = {}
-    for rk in ("a", "b", "c"):
-        if direct[rk] is not None:
-            base, ld, trans = direct[rk]
-            args[rk] = (f"({base})", ld, trans)
-        else:
-            args[rk] = (f"_p{rk}", layout[rk][2], 0)
-    frees = " ".join(f"free(_p{rk});" for rk in packed)
-    if packed:
-        guard = " && ".join(f"_p{rk}" for rk in packed)
-        lines.append(f"{pad}if (!({guard})) {{ {frees} return 1; }}")
-
-    def gather(rk: str) -> None:
-        rows, cols, ldname = layout[rk]
-        d = open_var_loops(rows + cols, depth)
-        lines.append(
-            f"{'  ' * d}_p{rk}[{lin(rows)} * {ldname} + {lin(cols)}] = "
-            f"{refs[rk].buffer}[{_gemm_flat(refs, owner, fr, rk)}];")
-        _close_loops(lines, d, depth)
-
-    for rk in ("a", "b"):
-        if direct[rk] is None:
-            gather(rk)
-    if direct["c"] is None and stmt.accumulate:
-        gather("c")
+    for name, vars_ in (("_M", m_vars), ("_N", n_vars), ("_K", contract)):
+        lines.append(f"{pad}const long long {name} = {extent(vars_)};")
+    accumulate = "1" if stmt.accumulate else "0"
+    if hoist is not None:
+        lines.append(f"{pad}for (long long {hoist} = _lo_{hoist}; "
+                     f"{hoist} < _lo_{hoist} + _ex_{hoist}; {hoist}++)")
+        pad += "  "
+        if hoist in contract and not stmt.accumulate:
+            accumulate = f"({hoist} > _lo_{hoist})"
+    operands = ", ".join(f"({base}), {ld}" + (f", {trans}" if i < 2 else "")
+                         for i, (base, ld, trans) in enumerate(args))
     lines.append(
-        f"{pad}_latte_gemm_rm(_M, _N, _K, {args['a'][0]}, {args['a'][1]},"
-        f" {args['a'][2]}, {args['b'][0]}, {args['b'][1]},"
-        f" {args['b'][2]}, {args['c'][0]}, {args['c'][1]},"
-        f" {1 if stmt.accumulate else 0}, _omp);")
-    if direct["c"] is None:
-        d = open_var_loops(m_vars + n_vars, depth)
-        lines.append(
-            f"{'  ' * d}{stmt.c.buffer}"
-            f"[{_gemm_flat(refs, owner, fr, 'c')}] = "
-            f"_pc[{lin(m_vars)} * _N + {lin(n_vars)}];")
-        _close_loops(lines, d, depth)
-    if packed:
-        lines.append(f"{pad}{frees}")
-    depth -= 1
+        f"{pad}_latte_gemm_rm(_M, _N, _K, {operands}, {accumulate}, _omp);")
     lines.append("  " * depth + "}")
     _close_loops(lines, depth, top)
+    return True
 
 
 def _emit_gemm(unit: LoopUnit, fr: _Frame, lines: List[str],
                depth: int) -> None:
-    """Lower a pattern-matched Gemm: packed-sgemm form when the letter
-    structure allows it, strided loop nest otherwise."""
+    """Lower a pattern-matched Gemm: one in-place sgemm when the letter
+    structure and the operands' layout allow it, strided loop nest
+    otherwise."""
     stmt = unit.stmt
     refs, owner, ranges, slices, free, contract = _classify_gemm(stmt)
     fr.used.add(stmt.c.buffer)
-    if _gemm_packable(stmt, free, contract):
-        _emit_gemm_packed(unit, fr, lines, depth, refs, owner, ranges,
-                          slices, free, contract)
+    if _gemm_is_sgemm(stmt, free, contract) and _emit_gemm_inplace(
+            unit, fr, lines, depth, refs, owner, ranges, slices, free,
+            contract):
+        fr.gemm_inplace += 1
         return
+    fr.gemm_nests += 1
     top = depth
     for sp in unit.loops:
         depth = _open_loop(sp, lines, depth)
     _emit_gemm_loop_body(unit, fr, lines, depth, refs, owner, ranges,
-                         free, contract)
+                         slices, free, contract)
     _close_loops(lines, depth, top)
 
 
 def _emit_gemm_loop_body(unit: LoopUnit, fr: _Frame, lines: List[str],
-                         depth: int, refs, owner, ranges,
+                         depth: int, refs, owner, ranges, slices,
                          free: List[str], contract: List[str]) -> None:
     """The strided loop-nest Gemm lowering (no packing): free letters
     outer, contraction letters inner around a double accumulator. Used
@@ -1066,7 +1101,7 @@ def _emit_gemm_loop_body(unit: LoopUnit, fr: _Frame, lines: List[str],
     stmt = unit.stmt
 
     def flat(rk: str) -> str:
-        return _gemm_flat(refs, owner, fr, rk)
+        return _gemm_flat(refs, owner, slices, fr, rk)
 
     top = depth
     for i, var in enumerate(free):
@@ -1138,27 +1173,27 @@ def env_shape(plan, spec, time_steps: int) -> Tuple[int, ...]:
 
 def _emit_step(group: FusedGroup,
                shapes: Dict[str, Tuple[int, ...]]
-               ) -> Tuple[List[str], List[str]]:
+               ) -> Tuple[List[str], List[str], "_Frame"]:
     """Lower one fused step to C statements; returns its touched
-    buffers in sorted-name order and the function-body lines.
+    buffers in sorted-name order, the function-body lines and the
+    lowering frame (for its GEMM counters).
 
     Raises :class:`_Unlowerable` when any member unit cannot be
     expressed.
     """
-    from repro.codegen.python_backend import _shard_unit
+    from repro.codegen.python_backend import lowered_units
 
-    units = ([_shard_unit(u) for u in group.units]
-             if group.shard is not None else list(group.units))
+    tile, units = lowered_units(group)
     fr = _Frame(shapes)
     body: List[str] = []
     depth = 1
-    if group.tile_loop is not None:
-        depth = _open_loop(group.tile_loop, body, depth)
+    if tile is not None:
+        depth = _open_loop(tile, body, depth)
     for unit in units:
         _emit_unit_c(unit, fr, body, depth)
-    if group.tile_loop is not None:
+    if tile is not None:
         _close_loops(body, depth, 1)
-    return sorted(fr.used), body
+    return sorted(fr.used), body, fr
 
 
 _IDENT = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
@@ -1194,10 +1229,8 @@ _C_HEADER = """\
 /* Latte-generated native program. Machine-written; see
  * repro.codegen.c_backend. Compiled to a shared object and driven
  * through ctypes; buffers are NumPy-owned float32 arrays passed as raw
- * pointers. Every kernel returns 0, or 1 when it could not allocate
- * GEMM pack scratch. */
+ * pointers. */
 #include <math.h>
-#include <stdlib.h>
 
 /* C[M,N] (+)= op(A)[M,K] @ op(B)[K,N], row-major with leading
  * dimensions (operands may be in-place views of larger buffers; ta/tb
@@ -1293,14 +1326,17 @@ void _latte_gemm_rm(long long M, long long N, long long K,
 
 def emit_native_program(
     compiled, fwd_items, bwd_items, plan, time_steps: int
-) -> Tuple[str, Dict[str, List[str]], Dict[str, str], Dict[str, str]]:
+) -> Tuple[str, Dict[str, List[str]], Dict[str, str], Dict[str, str],
+           Dict[str, int]]:
     """Lower every lowerable task step of a compiled program to C.
 
-    Returns ``(source, steps, skipped, symbols)``. ``steps`` maps each
-    native step name to its buffer-argument order and ``symbols`` maps a
-    step to the kernel it calls when that is not its own (together the
-    rebuild recipe stored in compile-cache entries); ``skipped`` maps
-    each Python-retained step name to the reason it stayed interpreted.
+    Returns ``(source, steps, skipped, symbols, gemms)``. ``steps`` maps
+    each native step name to its buffer-argument order and ``symbols``
+    maps a step to the kernel it calls when that is not its own
+    (together the rebuild recipe stored in compile-cache entries);
+    ``skipped`` maps each Python-retained step name to the reason it
+    stayed interpreted; ``gemms`` counts the native steps' Gemms by how
+    they were lowered (``gemm_inplace`` / ``gemm_nests``).
 
     One function is emitted per *distinct* kernel: a step whose body
     equals an earlier step's up to buffer and loop-variable names
@@ -1315,6 +1351,7 @@ def emit_native_program(
     steps: Dict[str, List[str]] = {}
     skipped: Dict[str, str] = {}
     symbols: Dict[str, str] = {}
+    gemms = {"gemm_inplace": 0, "gemm_nests": 0}
     #: renamed body -> (owning step, its label, its buffers' ranks)
     kernels: Dict[str, Tuple[str, str, List[int]]] = {}
     for step_list, items in ((compiled.forward, fwd_items),
@@ -1324,10 +1361,12 @@ def emit_native_program(
         assert len(groups) == len(task_steps), "schedule/steps drifted"
         for step, group in zip(task_steps, groups):
             try:
-                buffers, body = _emit_step(group, shapes)
+                buffers, body, fr = _emit_step(group, shapes)
             except _Unlowerable as exc:
                 skipped[step.name] = str(exc)
                 continue
+            for key in gemms:
+                gemms[key] += getattr(fr, key)
             text = "\n".join(body)
             canon, ranks = _alpha_rename(buffers, text)
             owner = kernels.setdefault(canon,
@@ -1345,28 +1384,25 @@ def emit_native_program(
                                   "long long _omp"])
             parts.append(
                 f"{_KERNEL_MARK}/* {group.label} */\n"
-                f"int {step.name}({params}) {{\n"
+                f"void {step.name}({params}) {{\n"
                 f"  (void)_b0; (void)_b1; (void)_omp;\n"
-                f"{text}\n  return 0;\n}}\n\n"
+                f"{text}\n}}\n\n"
             )
-    return "".join(parts), steps, skipped, symbols
+    return "".join(parts), steps, skipped, symbols, gemms
 
 
 # ---------------------------------------------------------------------------
 # Native backend: ctypes binding
 # ---------------------------------------------------------------------------
 
-def _make_step_fn(cfn, step_name: str, names: Tuple[str, ...], batch: int,
-                  omp: int):
+def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
     """Wrap one exported kernel as an executor-compatible step function.
 
     The wrapper has the exact calling convention of a Python-backend step
     — ``fn(env, rt)`` plain, ``fn(env, rt, _b0, _b1)`` sharded — and
     fetches each buffer pointer from ``env`` *per call*, so per-``t``
     views, recurrent zero views, private-accumulator swaps, and
-    ``rebind_buffer`` all work with zero executor changes. A non-zero
-    kernel status (GEMM pack scratch could not be allocated) is raised
-    as :class:`MemoryError` naming the step.
+    ``rebind_buffer`` all work with zero executor changes.
     """
     def step(env, rt, _b0=0, _b1=batch):
         args = []
@@ -1382,11 +1418,7 @@ def _make_step_fn(cfn, step_name: str, names: Tuple[str, ...], batch: int,
                     "(rebind_buffer with a contiguous array)"
                 )
             args.append(a.ctypes.data)
-        if cfn(*args, _b0, _b1, omp):
-            raise MemoryError(
-                f"C backend: step {step_name} could not allocate its "
-                "GEMM pack scratch"
-            )
+        cfn(*args, _b0, _b1, omp)
 
     step._latte_native = True
     return step
@@ -1417,11 +1449,11 @@ def bind_steps(compiled, so_path: str, batch: int,
         if bufnames is None:
             continue
         cfn = dll[compiled.c_symbols.get(step.name, step.name)]
-        cfn.restype = ctypes.c_int
+        cfn.restype = None
         cfn.argtypes = (
             [ctypes.c_void_p] * len(bufnames) + [ctypes.c_longlong] * 3
         )
-        step.fn = _make_step_fn(cfn, step.name, tuple(bufnames), batch, omp)
+        step.fn = _make_step_fn(cfn, tuple(bufnames), batch, omp)
 
 
 def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
@@ -1440,7 +1472,7 @@ def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
         raise CBackendUnavailable(
             f"backend='c' requested but {toolchain_error()}"
         )
-    source, steps, skipped, symbols = emit_native_program(
+    source, steps, skipped, symbols, gemms = emit_native_program(
         compiled, fwd_items, bwd_items, plan, time_steps
     )
     compiled.c_exec_source = source
@@ -1448,7 +1480,7 @@ def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
     compiled.c_skipped = skipped
     compiled.c_symbols = symbols
     stats = {"native_steps": len(steps),
-             "kernels_unique": len(steps) - len(symbols)}
+             "kernels_unique": len(steps) - len(symbols), **gemms}
     if steps:
         so_path = compile_shared_object(source, stats)
         bind_steps(compiled, so_path, plan.batch_size, num_threads)

@@ -209,9 +209,11 @@ class Gemm(Stmt):
     Represents ``C[out ⊕]= contract(A, B)`` where the contraction and free
     dimensions are described by einsum-style subscripts computed at
     pattern-match time. The Python backend lowers this to
-    ``np.einsum(subscripts, A, B)`` (BLAS-backed, standing in for MKL's
-    ``sgemm``); the C backend prints the paper's simplified
-    ``gemm(tA, tB, m, n, k, A, B, C)`` call.
+    ``np.matmul`` on views of the operands (BLAS-backed, standing in
+    for MKL's ``sgemm``; ``np.tensordot``/``np.einsum`` for what a
+    batched product cannot express); the C backend prints the paper's
+    simplified ``gemm(tA, tB, m, n, k, A, B, C)`` call and runs one
+    sgemm on the operands in place.
     """
 
     a: Index

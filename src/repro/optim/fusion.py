@@ -1,6 +1,6 @@
 """Cross-layer fusion (§5.4.2).
 
-Two cooperating transformations:
+Three cooperating transformations:
 
 1. **Copy inlining** — when an input buffer's only uses index it
    uniformly, the gather (and its reverse scatter) is folded into the
@@ -20,7 +20,13 @@ Two cooperating transformations:
    tiled dimension) and the scales line up. Overlapping windows — e.g. a
    3×3 stride-1 convolution consuming another convolution — are
    fusion-preventing dependences, which is why the paper cannot fuse the
-   conv+conv+pool group 4 of VGG (§7.1.2).
+   conv+conv+pool group 4 of VGG (§7.1.2). A unit that touches nothing
+   the group wrote starts a group of its own: fusing it would buy no
+   locality and hold two chains' staging alive at once.
+
+3. **Contraction** — a staging buffer whose whole life is inside one
+   *batch*-tiled group (see :mod:`repro.optim.tiling`) holds one tile at
+   a time, so it is allocated for one tile only (:func:`contract`).
 
 NormalizationEnsembles, losses, paddings and communication calls are
 fusion barriers (§5.5).
@@ -35,6 +41,7 @@ from repro.ir import (
     CommCall,
     Const,
     ExternOp,
+    Gemm,
     Index,
     Var,
     free_vars,
@@ -42,8 +49,10 @@ from repro.ir import (
     substitute_stmt,
     walk_exprs,
 )
-from repro.synthesis.access import unit_rw
+from repro.synthesis.access import ProgramView, unit_rw
+from repro.synthesis.liveness import buffer_nbytes
 from repro.synthesis.lower import (
+    BATCH_TILE_VAR,
     BATCH_VAR,
     _kflat_expr,
     _src_index,
@@ -51,7 +60,7 @@ from repro.synthesis.lower import (
     dim_var,
 )
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, Section
-from repro.optim.tiling import TILE_DIM
+from repro.optim.tiling import TILE_DIM, is_tiled
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +221,31 @@ def _window_tile_local(info, ens_shape, src_buf_shape) -> bool:
     return any_dep
 
 
-def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan) -> bool:
+def _at_batch_rows(unit: LoopUnit, buf: str, plan) -> bool:
+    """Does every access ``unit`` makes to base buffer ``buf`` index its
+    lead axis by the batch variable — so that a batch tile of the unit
+    touches exactly that tile's rows of the buffer?"""
+    rows = {Var(BATCH_VAR)}
+    if isinstance(unit.stmt, Gemm):
+        refs = {"a": unit.stmt.a, "b": unit.stmt.b, "c": unit.stmt.c}
+        rows = {refs[key].indices[axis]
+                for key, axis in unit.stmt.var_axes.get(BATCH_VAR, ())}
+    return all(e.indices and e.indices[0] in rows
+               for e in walk_exprs(unit.stmt) if isinstance(e, Index)
+               and plan.resolve_alias(e.buffer) == buf)
+
+
+def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan,
+                      batch: bool = False) -> bool:
     """May ``unit`` read ``buf`` (written earlier in the group) within the
-    shared tile?"""
+    shared tile? Under a ``batch`` tile, when both touch it row by row."""
     spec = plan.buffers.get(buf)
     if spec is not None and spec.alias_reshape is not None:
         return False  # reshaped alias views are not tile-decomposable
+    if batch:
+        return (spec is not None and spec.batched
+                and _at_batch_rows(unit, buf, plan)
+                and _at_batch_rows(writer, buf, plan))
     info = unit.tags.conn
     src = unit.tags.copy_source
     ens_shape = _ens_shape(unit, plan)
@@ -279,10 +307,9 @@ def build_schedule(
 
     for sec in sections:
         for unit in sec.units:
-            tiled = bool(unit.loops) and unit.loops[0].role == "tile"
             fusable = (
                 options.fusion
-                and tiled
+                and is_tiled(unit)
                 and unit.tags.recurrent_src is None
                 and not isinstance(unit.stmt, ExternOp)
             )
@@ -300,11 +327,18 @@ def build_schedule(
                 continue
             reads, writes = unit_rw(plan, unit)
             tile = unit.loops.pop(0)
+            batch = tile.var == BATCH_TILE_VAR
             if (
                 group is not None
                 and tile.extent == group.tile_loop.extent
-                and all(_reads_tile_local(unit, b, written[b], plan)
+                and batch == (group.tile_loop.var == BATCH_TILE_VAR)
+                and all(_reads_tile_local(unit, b, written[b], plan, batch)
                         for b in reads & written.keys())
+                # fusion keeps a producer's tile hot for its consumer: a
+                # unit of another chain would only hold that chain's
+                # staging alive beside this one's (a fill reads nothing
+                # and joins the unit it initializes for)
+                and (not reads or (reads | writes) & written.keys())
             ):
                 if tile.var != group.tile_loop.var:
                     _rename_var(unit, tile.var, group.tile_loop.var)
@@ -319,6 +353,45 @@ def build_schedule(
             items.extend(sec.comm)
     close()
     return items
+
+
+def contract(plan, fwd_items, bwd_items) -> int:
+    """Shrink to one tile every staging buffer that lives inside one
+    batch-tiled group; returns the bytes no longer allocated.
+
+    A buffer whose every access in the program is in a single group —
+    defined there before it is read, row by row of the batch — holds
+    one tile's rows at a time, so ``[tile, …]`` is all it needs
+    (``BufferSpec.tile``). The code generators then spell its lead
+    index relative to the tile's first row
+    (``python_backend.lowered_units``). A buffer read again later (a
+    forward staging copy its backward pass was not allowed to
+    re-gather) is in two items and keeps the whole batch.
+    """
+    view = ProgramView(plan, fwd_items, bwd_items)
+    items = list(fwd_items) + list(bwd_items)
+    aliased = {spec.alias_of for spec in plan.buffers.values()}
+    saved = 0
+    for base, iv in view.intervals.items():
+        spec = plan.buffers[base]
+        group = items[iv.first] if not iv.dead else None
+        if (
+            iv.first != iv.last
+            or iv.first_kind != "w"
+            or spec.role not in ("input", "grad_input")
+            or not spec.batched
+            or base in aliased
+            or group.tile_loop is None
+            or group.tile_loop.var != BATCH_TILE_VAR
+            or not all(_at_batch_rows(u, base, plan) for u in group.units)
+        ):
+            continue
+        whole = buffer_nbytes(plan, spec)
+        spec.tile = plan.batch_size // group.tile_loop.extent
+        group.contracted += (base,)
+        plan.contracted[base] = group.label
+        saved += whole - buffer_nbytes(plan, spec)
+    return saved
 
 
 def _label(unit: LoopUnit) -> str:

@@ -61,7 +61,8 @@ def run(items, plan=None, num_threads: int = 1) -> None:
         assert isinstance(item, FusedGroup)
         if item.tile_loop is not None:
             item.tile_loop.parallel = True
-            item.tile_loop.collapse = 2
+            # collapse needs one perfect nest under the tile loop
+            item.tile_loop.collapse = 2 if len(item.units) == 1 else 0
             item.tile_loop.schedule = SCHEDULE
         else:
             for unit in item.units:
@@ -155,6 +156,9 @@ def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
             }
         if data_reads & priv.keys():
             return None
+    # each shard gathers into its own tile of a contracted buffer:
+    # private like an accumulator, but neither zeroed nor reduced
+    priv.update((name, "tile") for name in group.contracted)
     for name in priv:
         plan.mark_private(name)
     return ShardInfo(batch=plan.batch_size, private_accums=priv)

@@ -2,7 +2,7 @@
 
 Latte pattern-matches synthesized loop nests against matrix
 multiplication and replaces them with a library GEMM call (the paper uses
-MKL ``sgemm``; we lower to BLAS-backed ``np.einsum``). A unit matches
+MKL ``sgemm``; we lower to BLAS-backed ``np.matmul``). A unit matches
 when it is a multiply-accumulate::
 
     for v0, v1, ... :

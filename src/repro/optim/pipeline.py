@@ -312,6 +312,25 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         },
     )
 
+    # staging copies read again in backward are re-gathered there: a
+    # unit cloned ahead of tiling, so that fusion sees both gathers
+    # inside their layers and can contract what they stage
+    staging = {"regathered": {}, "declined": {}}
+
+    def regather():
+        staging["regathered"], staging["declined"] = (
+            liveness.regather_staging(
+                plan, program.forward, program.backward,
+                liveness.kept_buffers(net, plan, keep_alive)))
+
+    run_pass(
+        "regather",
+        options.memory_plan and not inference,
+        regather,
+        lambda: {"copies_regathered": len(staging["regathered"]),
+                 "copies_declined": len(staging["declined"])},
+    )
+
     run_pass(
         "tiling",
         options.tiling,
@@ -330,6 +349,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     def build():
         schedule["fwd"] = fusion.build_schedule(program.forward, plan, options)
         schedule["bwd"] = fusion.build_schedule(program.backward, plan, options)
+        schedule["bytes_contracted"] = fusion.contract(
+            plan, schedule["fwd"], schedule["bwd"])
 
     units_total = count_units(program.forward) + count_units(program.backward)
     t0 = time.perf_counter()
@@ -344,7 +365,10 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     report.add(PassRecord(
         "fusion", options.fusion, dt, units_total, counts["steps"],
         {"fused_groups": counts["fused_groups"],
-         "fused_units": counts["fused_units"]} if options.fusion else {},
+         "fused_units": counts["fused_units"],
+         "buffers_contracted": len(plan.contracted),
+         "bytes_contracted": schedule["bytes_contracted"]}
+        if options.fusion else {},
     ))
     fwd_items, bwd_items = schedule["fwd"], schedule["bwd"]
 
@@ -400,13 +424,10 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         )
 
     # whole-program liveness + arena reuse: runs last so intervals see
-    # the final schedule (fusion order, parallel privatization marks).
-    # The backward list is first re-scheduled to shrink live intervals
-    # (hoist last readers above buffer births) — dependency-exact, so
-    # outputs are unchanged bitwise. Staging copies the resulting plan
-    # retains across the phase boundary are then re-gathered in
-    # backward instead, and the schedule with the re-copies is planned
-    # again; ``naive_bytes`` stays what no plan would allocate.
+    # the final schedule (fusion order, contracted shapes, parallel
+    # privatization marks). The backward list is first re-scheduled to
+    # shrink live intervals (hoist last readers above buffer births) —
+    # dependency-exact, so outputs are unchanged bitwise.
     reorder_stats = {"steps_moved": 0}
 
     def plan_mem():
@@ -416,17 +437,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         mem = liveness.plan_memory(
             net, plan, fwd_items, bwd_items, keep_alive=keep_alive
         )
-        remat, declined = liveness.rematerialize_staging(
-            plan, fwd_items, bwd_items, mem.pooled
-        )
-        if remat:
-            counts["steps"] += len(remat)
-            naive = mem.naive_bytes
-            mem = liveness.plan_memory(
-                net, plan, fwd_items, bwd_items, keep_alive=keep_alive
-            )
-            mem.naive_bytes = naive
-        mem.rematerialized, mem.declined = remat, declined
+        mem.rematerialized = staging["regathered"]
+        mem.declined = staging["declined"]
         plan.memory = mem
 
     run_pass(

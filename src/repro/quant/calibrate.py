@@ -127,7 +127,9 @@ class RangeObserver:
         if phase != "forward":
             return
         for base in step.writes:
-            self._observe_array(base, np.asarray(env[base]))
+            # a contracted buffer holds its step's last tile only
+            if not rt.plan.buffers[base].tile:
+                self._observe_array(base, np.asarray(env[base]))
 
     def observe_input(self, buf_name: str, array: np.ndarray) -> None:
         """Record a network-input buffer (fed by ``set_input``, never

@@ -184,6 +184,8 @@ def apply_precision(plan, fwd_items, closures, precision: str,
         qp = QuantPlan(precision="int8",
                        calibration_digest=calibration.digest())
         for spec in _candidate_bases(plan):
+            if spec.tile:  # never whole, so never observed: no range
+                qp.fallbacks[spec.name] = "contracted"
             if spec.role != "value":
                 continue
             if spec.name in extern:

@@ -651,6 +651,8 @@ class CompiledNet:
             self._pool = ShardPool(n)
         self._pool.run(run_shard)
         for name, mode in accums.items():
+            if mode == "tile":  # per-shard staging, nothing to combine
+                continue
             total = tree_reduce(privates[name])
             if mode == "add":
                 views[name] += total

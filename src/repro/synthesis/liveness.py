@@ -44,11 +44,12 @@ accesses fall in strictly different phases (forward-only with
 backward-only); every slice of the forward tenant is dead once the
 backward phase begins.
 
-Before the final plan, :func:`rematerialize_staging` rewrites the
-schedule so that no staging copy (im2col) is held from its forward GEMM
-to its backward one: the copy is run again right before its backward
+Ahead of tiling, :func:`regather_staging` rewrites the synthesized
+units so that no staging copy (im2col) is held from its forward GEMM to
+its backward one: the copy is run again right before its backward
 reader, into a buffer of its own, and the arena is the largest such
-buffer instead of the sum of all of them.
+buffer — one batch tile of it, once fusion has contracted it — instead
+of the sum of all of them.
 
 The result is a :class:`MemoryPlan` stored on the
 :class:`~repro.synthesis.plan.BufferPlan`; ``repro.runtime.buffers``
@@ -70,7 +71,7 @@ from repro.synthesis.access import (
     unnamed_buffers,
 )
 from repro.synthesis.plan import BufferPlan, BufferSpec
-from repro.synthesis.units import LoopUnit
+from repro.synthesis.units import FusedGroup, LoopUnit
 
 #: arena slab alignment in bytes — 64 bytes, one cache line; the
 #: runtime aligns the arena's base to it (``np.zeros`` alone gives 16),
@@ -98,7 +99,7 @@ class Rematerialized:
 
     buffer: str  # the backward staging buffer the re-copy defines
     source: str  # base buffer it is gathered from, both times
-    label: str  # the re-copy step, a span of its own in a traced run
+    label: str  # the re-gather unit, ``<ensemble>.regather``
     nbytes: int
 
 
@@ -130,7 +131,7 @@ class MemoryPlan:
     #: why each non-candidate buffer was kept (reporting/tests)
     kept_reasons: Dict[str, str] = field(default_factory=dict)
     #: forward staging buffer -> its backward re-gather
-    #: (:func:`rematerialize_staging`), and the staging buffers still
+    #: (:func:`regather_staging`), and the staging buffers still
     #: live across the phase boundary -> why they were declined
     rematerialized: Dict[str, Rematerialized] = field(default_factory=dict)
     declined: Dict[str, str] = field(default_factory=dict)
@@ -166,7 +167,7 @@ def full_shape(plan: BufferPlan, spec: BufferSpec) -> Tuple[int, ...]:
     (mirrors ``repro.runtime.buffers.allocate``)."""
     lead: Tuple[int, ...] = ()
     if spec.batched and spec.array is None:
-        lead = (plan.batch_size,)
+        lead = (spec.tile or plan.batch_size,)
         if plan.time_steps > 1:
             lead = (plan.time_steps, plan.batch_size)
     return lead + tuple(spec.shape)
@@ -200,6 +201,25 @@ def _mandatory_keep_ensembles(net) -> Set[str]:
         elif ens.name not in has_consumer:
             keep.add(ens.name)
     return keep
+
+
+def kept_buffers(net, plan: BufferPlan,
+                 keep_alive: Optional[Iterable[str]] = None) -> Set[str]:
+    """Value/grad base buffers ``keep_alive`` (plus the mandatory
+    ensembles) keeps individually allocated; see :func:`plan_memory`."""
+    keep_ens = _mandatory_keep_ensembles(net)
+    if keep_alive is None:
+        keep_ens |= set(net.ensembles)
+    else:
+        keep_ens |= {str(e) for e in keep_alive}
+    unknown = keep_ens - set(net.ensembles)
+    if unknown:
+        raise KeyError(
+            f"keep_alive names unknown ensembles: {sorted(unknown)}"
+        )
+    return {plan.resolve_alias(name) for e in keep_ens
+            for name in (plan.value_buf(e), plan.grad_buf(e))
+            if name in plan.buffers}
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +294,17 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     if plan.time_steps > 1 or n < 3:
         return 0
     view = ProgramView(plan, (), bwd_items)
-    touched = [rec.touched for rec in view.records]
+    # a solo re-gather is always ready and only births: it takes no
+    # part in the scheduling and goes back in right before its reader
+    late = {i for i, it in enumerate(bwd_items)
+            if [u.tags.kind for u in getattr(it, "units", ())] == ["regather"]}
+    touched = [frozenset() if i in late else rec.touched
+               for i, rec in enumerate(view.records)]
     succs = [[j for j in range(i + 1, n) if view.depends(i, j)]
              for i in range(n)]
     indeg = [0] * n
-    for later in succs:
-        for j in later:
+    for i, later in enumerate(succs):
+        for j in later if i not in late else ():
             indeg[j] += 1
     touchers = Counter(b for bases in touched for b in bases)
     seen_bases: Set[str] = set()
@@ -302,10 +327,12 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
         return freed - born
 
     order: List[int] = []
-    ready = [i for i in range(n) if indeg[i] == 0]
+    ready = [i for i in range(n) if indeg[i] == 0 and i not in late]
     while ready:
         best = max(ready, key=lambda i: (score(i), -i))
         ready.remove(best)
+        order.extend(i for i in sorted(late) if best in succs[i])
+        late -= set(order)
         order.append(best)
         for b in touched[best]:
             touchers[b] -= 1
@@ -322,48 +349,52 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rematerialization of staging copies
+# Re-gathering of staging copies
 # ---------------------------------------------------------------------------
 
 
-def rematerialize_staging(
-    plan: BufferPlan, fwd_items: list, bwd_items: list, pooled=frozenset()
+def regather_staging(
+    plan: BufferPlan, fwd: list, bwd: list, keep_bufs=frozenset()
 ) -> Tuple[Dict[str, Rematerialized], Dict[str, str]]:
     """Re-gather in backward every staging copy that is read again there.
 
     A conv layer's im2col buffer is written before its forward GEMM and
-    read again by its weight-gradient GEMM, so a training step holds all
-    of them across the phase boundary and nothing can overlay them. But
-    a staging buffer is a cheap pure function of a source that is still
-    alive: the forward copy step is cloned into ``bwd_items`` right
-    before the first backward reader, defining a fresh role-``input``
-    buffer that the backward readers are respelled to. The forward
-    buffer then dies at its forward GEMM, the clone lives two or three
-    steps, and :func:`plan_memory` overlays all of them in one slab.
+    read again by its weight-gradient GEMM, so a training step would
+    hold all of them across the phase boundary and nothing could overlay
+    (or contract) them. But a staging buffer is a cheap pure function of
+    a source that is still alive: the forward copy *unit* is cloned into
+    the backward section right before its first reader there, defining
+    a fresh role-``input`` buffer that the backward readers are
+    respelled to. Both buffers then live inside one layer's units, so
+    tiling and fusion treat the clone like any other unit and the
+    planner overlays all of them in one slab.
 
-    Runs on the *reordered* backward list (a re-copy is always ready, so
-    :func:`reorder_backward` would hoist it to the top of backward) and
-    mutates the schedule and the buffer table. ``pooled`` is the pooled
-    set of a plan of the schedule as it stands: gathering again from a
-    pooled source extends that source's life, and a copy whose staging
-    bytes exceed the bytes so extended by less than slab alignment can
-    cost is declined (a kept source costs nothing). Returns
-    ``(rematerialized, declined)`` keyed by forward staging buffer;
-    reasons are ``'time-unrolled'``, ``'fused-group'``, ``'opaque'`` (a
+    Runs on the synthesized sections, before tiling. ``keep_bufs`` are
+    the value/grad bases the planner will keep out of the arena
+    (:func:`kept_buffers`): gathering again from a source it may pool
+    extends that source's life, and a copy whose staging bytes exceed
+    the bytes so extended by less than slab alignment can cost is
+    declined. Returns ``(rematerialized, declined)`` keyed by forward
+    staging buffer; reasons are ``'time-unrolled'``, ``'opaque'`` (a
     gather closure or extern reader looks the buffer up by name),
     ``'target-rewritten'``, ``'source-rewritten'`` and ``'no-saving'``.
     """
     done: Dict[str, Rematerialized] = {}
     declined: Dict[str, str] = {}
-    copies = [(point, item, unit) for point, item in enumerate(fwd_items)
-              for unit in getattr(item, "units", ())
-              if unit.tags.kind == "copy"]
-    if not (copies and bwd_items):
-        return done, declined
-    view = ProgramView(plan, fwd_items, bwd_items)
+    fwd_units = [u for sec in fwd for u in sec.units]
+    bwd_units = [u for sec in bwd for u in sec.units]
+    view = ProgramView(plan, [FusedGroup([u]) for u in fwd_units],
+                       [FusedGroup([u]) for u in bwd_units])
     n_fwd, records = view.n_forward, view.records
-    clones = []  # (index into bwd_items, re-copy item)
-    for point, item, unit in copies:
+
+    def poolable(base: str) -> bool:
+        spec = plan.buffers[base]
+        return (spec.array is None and spec.role not in ("field", "padded")
+                and base not in keep_bufs)
+
+    for point, unit in enumerate(fwd_units):
+        if unit.tags.kind != "copy":
+            continue
         reads, (target,) = unit_rw(plan, unit)
         spec = plan.buffers[target]
         readers = [q for q in view.readers_after(point, target) if q >= n_fwd]
@@ -373,11 +404,9 @@ def rematerialize_staging(
         size = buffer_nbytes(plan, spec)
         extended = sum(
             buffer_nbytes(plan, plan.buffers[b]) for b in reads
-            if b in pooled and view.intervals[b].last < first)
+            if poolable(b) and view.intervals[b].last < first)
         if plan.time_steps > 1:
             declined[target] = "time-unrolled"
-        elif len(item.units) > 1:
-            declined[target] = "fused-group"
         elif records[point].opaque or any(records[q].opaque for q in readers):
             declined[target] = "opaque"
         elif any(target in rec.writes
@@ -390,15 +419,18 @@ def rematerialize_staging(
         else:
             fresh = plan.add(replace(spec, name=target + "_re"))
             for q in readers:
-                for reader in bwd_items[q - n_fwd].units:
-                    reader.stmt = _respelled(reader.stmt, target, fresh)
-            recopy = replace(item, label=item.label + ".re", units=[LoopUnit(
-                unit.loops, _respelled(unit.stmt, target, fresh), unit.tags)])
-            clones.append((first - n_fwd, recopy))
+                reader = bwd_units[q - n_fwd]
+                reader.stmt = _respelled(reader.stmt, target, fresh)
+            tags = replace(unit.tags, kind="regather", direction="backward")
+            clone = LoopUnit([replace(sp) for sp in unit.loops],
+                             _respelled(unit.stmt, target, fresh), tags)
+            before = bwd_units[first - n_fwd]
+            at = next((sec.units, i) for sec in bwd
+                      for i, u in enumerate(sec.units) if u is before)
+            at[0].insert(at[1], clone)
             done[target] = Rematerialized(
-                fresh, ", ".join(sorted(reads)), recopy.label, size)
-    for index, recopy in sorted(clones, key=lambda c: -c[0]):
-        bwd_items.insert(index, recopy)
+                fresh, ", ".join(sorted(reads)),
+                f"{tags.ensemble}.{tags.kind}", size)
     return done, declined
 
 
@@ -439,26 +471,14 @@ def plan_memory(
     view = ProgramView(plan, fwd_items, bwd_items)
     intervals = mem.intervals = view.intervals
 
-    keep_bufs: Set[str] = set()
-    keep_ens = _mandatory_keep_ensembles(net)
-    if keep_alive is None:
-        keep_ens |= set(net.ensembles)
-    else:
-        keep_ens |= {str(e) for e in keep_alive}
-    unknown = keep_ens - set(net.ensembles)
-    if unknown:
-        raise KeyError(
-            f"keep_alive names unknown ensembles: {sorted(unknown)}"
-        )
-    for e in keep_ens:
-        for name in (plan.value_buf(e), plan.grad_buf(e)):
-            if name in plan.buffers:
-                keep_bufs.add(plan.resolve_alias(name))
+    keep_bufs = kept_buffers(net, plan, keep_alive)
 
+    # (a contracted staging buffer's per-shard copies are scratch, not
+    # partial sums of it: the buffer itself pools like any other)
     privatized = {
         plan.resolve_alias(n)
         for n in plan.private_accums
-        if n in plan.buffers
+        if n in plan.buffers and not plan.buffers[n].tile
     }
 
     def keep_reason(base: str, spec: BufferSpec) -> Optional[str]:

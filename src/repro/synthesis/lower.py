@@ -56,6 +56,8 @@ from repro.synthesis.plan import BufferPlan, ConnPlan
 from repro.synthesis.units import LoopSpec, LoopUnit, Section, UnitTags
 
 BATCH_VAR = "_n"
+#: the tile loop of a unit the tiling pass split along the batch
+BATCH_TILE_VAR = f"{BATCH_VAR}_t"
 
 
 class SynthesisError(ValueError):

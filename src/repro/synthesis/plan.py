@@ -60,6 +60,10 @@ class BufferSpec:
     #: storage dtype name; float32 everywhere unless the precision pass
     #: (repro.quant) retypes inference buffers
     dtype: str = "float32"
+    #: batch rows actually allocated: ``None`` = the whole batch; set by
+    #: fusion's contraction on a buffer that lives inside one
+    #: batch-tiled group, which then indexes it tile-locally
+    tile: Optional[int] = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -103,13 +107,14 @@ class ParamInfo:
 
 @dataclass
 class PrivateAccum:
-    """Per-thread private accumulator storage for one shared buffer.
+    """Per-thread private storage for one shared buffer.
 
     Registered by the parallel pass (§5.4.3's shared-variable treatment
     applied at runtime): a batch-invariant buffer that batch shards
     accumulate into concurrently gets ``num_shards`` private copies of
     ``shape``, combined by a deterministic tree reduction after the shard
-    barrier (see :mod:`repro.runtime.threads`).
+    barrier (see :mod:`repro.runtime.threads`); a contracted staging
+    buffer gets one tile-sized copy per shard and no reduction.
     """
 
     name: str
@@ -140,6 +145,12 @@ class BufferPlan:
     #: reduced-precision plan (a :class:`repro.quant.precision.QuantPlan`),
     #: attached by the pipeline's ``precision`` pass; None = pure fp32
     quant: Optional[object] = None
+    #: contracted buffer -> label of the batch-tiled group it lives in
+    #: (:func:`repro.optim.fusion.contract`), and over-budget staging
+    #: buffer -> why its chain was not batch-tiled
+    #: (:func:`repro.optim.tiling.run`)
+    contracted: Dict[str, str] = field(default_factory=dict)
+    untiled: Dict[str, str] = field(default_factory=dict)
 
     def add(self, spec: BufferSpec) -> str:
         if spec.name in self.buffers:
@@ -148,10 +159,12 @@ class BufferPlan:
         return spec.name
 
     def mark_private(self, name: str) -> None:
-        """Register ``name`` (an unbatched, non-alias buffer) for
-        per-thread private accumulator allocation."""
+        """Register ``name`` (a non-alias buffer: unbatched, or
+        contracted to a tile) for per-thread private allocation."""
         spec = self.buffers[name]
-        self.private_accums[name] = PrivateAccum(name, tuple(spec.shape))
+        lead = (spec.tile,) if spec.tile else ()
+        self.private_accums[name] = PrivateAccum(
+            name, lead + tuple(spec.shape))
 
     def value_buf(self, ens_name: str) -> str:
         return f"{ens_name}_value"

@@ -103,12 +103,14 @@ class ShardInfo:
     group accumulates into (weight/bias gradients); each maps to the
     combining mode — ``'add'`` (shard partials are summed into the real
     buffer) or ``'store'`` (a first-writer-forwarded overwrite; the shard
-    partials replace the buffer's contents).
+    partials replace the buffer's contents). A contracted staging buffer
+    rides the same path with mode ``'tile'``: one private tile per
+    shard, nothing to combine.
     """
 
     #: full batch extent — the default ``_b1`` of the emitted function
     batch: int
-    #: buffer name -> 'add' | 'store'
+    #: buffer name -> 'add' | 'store' | 'tile'
     private_accums: Dict[str, str] = field(default_factory=dict)
 
 
@@ -128,6 +130,9 @@ class FusedGroup:
     recurrent_reads: frozenset = frozenset()
     #: set by the parallel pass when the group is batch-shardable
     shard: Optional[ShardInfo] = None
+    #: buffers fusion contracted to this group's batch tile: allocated
+    #: ``[tile, ...]`` and indexed relative to the tile's first row
+    contracted: Tuple[str, ...] = ()
 
 
 @dataclass

@@ -128,6 +128,8 @@ class RunResult:
     param_grads: Dict[str, np.ndarray]
     #: ``CompiledNet.memory_stats()`` of the compile that produced it
     memory: Dict[str, int] = field(default_factory=dict)
+    #: how many staging buffers that compile contracted to a batch tile
+    contracted: int = 0
 
 
 @dataclass
@@ -161,9 +163,28 @@ class OracleReport:
         return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def batch_tiles(engaged: bool = True):
+    """Engage batch tiling at fuzz geometry while compiling: stage no
+    more than 1 KB of a window copy at a time, however little each
+    window offset then moves. The rule has no option to set — its
+    constants (``repro.optim.tiling``) are patched, the way
+    ``min_tile_rows = 2`` engages the y tiler."""
+    from repro.optim import tiling
+
+    saved = tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES
+    if engaged:
+        tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES = 1024, 1
+    try:
+        yield
+    finally:
+        tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES = saved
+
+
 def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
              memory_plan: Optional[bool] = None,
-             backend: str = "numpy", keep_alive=None) -> RunResult:
+             backend: str = "numpy", keep_alive=None,
+             tiled: bool = False) -> RunResult:
     """Build + compile ``spec`` at one configuration and run one
     forward/backward on its deterministic inputs.
 
@@ -176,6 +197,7 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     arena (``head`` and ``data`` are always kept: loss feeder, input).
     ``backend="c"`` compiles the fused steps to an OpenMP shared object
     (requires a C toolchain; see :mod:`repro.codegen.c_backend`).
+    ``tiled`` compiles under :func:`batch_tiles`.
     """
     seed_all(spec.seed)
     net = build_net(spec)
@@ -184,8 +206,9 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     opts.backend = backend
     if memory_plan is not None:
         opts.memory_plan = memory_plan
-    cnet = compile_net(net, opts, num_threads=num_threads,
-                       keep_alive=keep_alive)
+    with batch_tiles(tiled):
+        cnet = compile_net(net, opts, num_threads=num_threads,
+                           keep_alive=keep_alive)
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
     cnet.clear_param_grads()
@@ -196,6 +219,7 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
         dx=cnet.grad("data").copy(),
         param_grads={p.key: p.grad.copy() for p in cnet.parameters()},
         memory=cnet.memory_stats(),
+        contracted=len(cnet.plan.contracted),
     )
 
 
@@ -603,6 +627,37 @@ def check_spec(
         _compare_bitwise(check, pooled, unplanned, report.mismatches)
         _check_plan_size(check, pooled.memory, report.mismatches)
 
+    # staging chains tiled along the batch, fused and contracted: the
+    # same values as the interpreter's (weight-gradient sums reassociate
+    # per tile), planned or not, sharded or not, on either backend
+    if memplan_level >= 4 and spec.batch > 1:
+        check = "batchtile"
+        report.checks.append(check)
+        tiled = run_spec(spec, level=4, tiled=True)
+        _compare_runs(check, tiled, reference, report.mismatches,
+                      tol["loss_rtol"], tol["level_rtol"],
+                      tol["level_atol"], tol["level_param_rtol"],
+                      tol["level_param_atol"])
+        _check_plan_size(check, tiled.memory, report.mismatches)
+    # (a spec with nothing to tile compiled the level:4 program again)
+    if memplan_level >= 4 and spec.batch > 1 and tiled.contracted:
+        check = "batchtile-memplan"
+        report.checks.append(check)
+        _compare_bitwise(
+            check, tiled,
+            run_spec(spec, level=4, tiled=True, memory_plan=False),
+            report.mismatches)
+        if threads:
+            check = f"batchtile-threads:{max(threads)}"
+            report.checks.append(check)
+            _compare_runs(
+                check, run_spec(spec, level=4, tiled=True,
+                                num_threads=max(threads)),
+                tiled, report.mismatches,
+                tol["thread_loss_rtol"], tol["thread_fwd_rtol"],
+                tol["thread_fwd_atol"], tol["thread_param_rtol"],
+                tol["thread_param_atol"])
+
     # forward-only compilation must be a pure subtraction: dropping the
     # backward program and pruning gradient buffers cannot perturb the
     # forward schedule, so inference output == eval-mode train output
@@ -670,6 +725,16 @@ def check_spec(
                       tol["loss_rtol"], tol["level_rtol"],
                       tol["level_atol"], tol["level_param_rtol"],
                       tol["level_param_atol"])
+
+        if c_level >= 4 and spec.batch > 1 and tiled.contracted:
+            check = "cbackend-batchtile"
+            report.checks.append(check)
+            _compare_runs(check,
+                          run_spec(spec, level=4, backend="c", tiled=True),
+                          reference, report.mismatches,
+                          tol["loss_rtol"], tol["level_rtol"],
+                          tol["level_atol"], tol["level_param_rtol"],
+                          tol["level_param_atol"])
 
         # run-to-run determinism at one thread: a full rebuild (fresh
         # net, fresh .so load) must reproduce every bit — any drift is

@@ -146,6 +146,12 @@ class MemoryReport:
     #: Rematerialized``) / why it is retained across the phases instead
     rematerialized: Dict[str, object] = field(default_factory=dict)
     declined: Dict[str, str] = field(default_factory=dict)
+    #: contracted staging buffer -> (allocated bytes, batch rows it
+    #: holds, batch size, its group's label) / over-budget staging
+    #: buffer whose chain could not be batch-tiled -> why
+    contracted: Dict[str, Tuple[int, int, int, str]] = field(
+        default_factory=dict)
+    untiled: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_compiled(cls, cnet) -> "MemoryReport":
@@ -159,6 +165,12 @@ class MemoryReport:
             report.kept_reasons = dict(mem.kept_reasons)
             report.rematerialized = dict(mem.rematerialized)
             report.declined = dict(mem.declined)
+        plan = cnet.plan
+        report.contracted = {
+            name: (cnet.buffers[name].nbytes, plan.buffers[name].tile,
+                   plan.batch_size, label)
+            for name, label in plan.contracted.items()}
+        report.untiled = dict(plan.untiled)
         return report
 
     @property
@@ -171,8 +183,9 @@ class MemoryReport:
 
     def decisions(self) -> List[str]:
         """One row per staging copy read again in backward: re-gathered
-        there (bytes no longer retained, source, re-copy step) or
-        retained, with the reason."""
+        there (bytes no longer retained, source, re-gather unit) or
+        retained, with the reason; one per staging buffer contracted to
+        its group's batch tile, and one per chain left whole-batch."""
         rows = [
             f"re-gathered {name}: {r.nbytes / 1024:.1f} KB from {r.source}"
             f" by {r.label}"
@@ -180,6 +193,13 @@ class MemoryReport:
         ]
         rows += [f"retained {name}: {reason}"
                  for name, reason in self.declined.items()]
+        rows += [
+            f"contracted {name}: {nbytes * batch / tile / 1024:.1f} KB → "
+            f"{nbytes / 1024:.1f} KB, tile {tile} of {batch}, group {label}"
+            for name, (nbytes, tile, batch, label) in self.contracted.items()
+        ]
+        rows += [f"whole-batch {name}: {reason}"
+                 for name, reason in self.untiled.items()]
         return rows
 
     def table(self, max_members: int = 4) -> str:

@@ -146,9 +146,9 @@ class TestProgramView:
                 iv.first, iv.last, iv.first_kind, iv.phases), base
 
     def test_who_reads_the_im2col_buffer_last(self):
-        """The forward GEMM: the weight-gradient GEMM reads a re-copy
-        (``repro.synthesis.liveness.rematerialize_staging``) that is
-        born one step before it."""
+        """The forward GEMM: the weight-gradient GEMM reads a re-gather
+        (``repro.synthesis.liveness.regather_staging``) that is born one
+        step before it."""
         cnet = self._conv(options=CompilerOptions())
         view = ProgramView(cnet.plan, cnet.compiled.forward,
                            cnet.compiled.backward)
@@ -161,7 +161,7 @@ class TestProgramView:
         assert iv.phases == {"forward"}
         re = view.intervals["conv1_inputs0_re"]
         assert re.phases == {"backward"} and re.first_kind == "w"
-        assert steps[re.first].label == "conv1.copy.re"
+        assert steps[re.first].label == "conv1.regather"
         assert steps[re.first].reads == steps[iv.first].reads
         (wgrad,) = view.readers_after(re.first, "conv1_inputs0_re")
         assert wgrad == re.first + 1 == re.last

@@ -14,8 +14,9 @@ equivalence plus bitwise run-to-run determinism. ``TestBuild`` pins the
 build itself: twin steps share kernels, the ``.so`` does not depend on
 the worker count, failed and hung compiler processes leave a structured
 error and a clean build directory, racing builders converge, the sgemm
-hook is defined once across translation units, and an allocation
-failure inside a kernel surfaces as ``MemoryError``. Without a working C
+hook is defined once across translation units, and no kernel ever
+allocates (every GEMM runs on its operands where they lie). Without a
+working C
 compiler the execution tests skip with the probe's reason and the
 ``backend="c"`` knob raises ``CBackendUnavailable``.
 """
@@ -304,7 +305,7 @@ class TestBuild:
         assert len(symbols) <= 15
         src = compiled.c_exec_source
         # one definition per distinct kernel, a comment per twin
-        assert src.count("\nint _step_") == len(symbols)
+        assert src.count("\nvoid _step_") == len(symbols)
         twin, owner = next(iter(compiled.c_symbols.items()))
         assert re.search(rf"/\* {twin} \S+: same kernel as {owner} ", src)
         assert f"int {twin}(" not in src
@@ -321,11 +322,11 @@ class TestBuild:
             in cnet.summary()
         cnet.close()
 
-    def test_recopy_steps_run_their_forward_twins_kernel(self, build):
+    def test_a_solo_regather_runs_its_forward_twins_kernel(self, build):
         """A staging copy re-gathered in backward differs from its
         forward original by one buffer name, which alpha-renaming
         erases: same kernels, same shared object as a build of the
-        program with no re-copies in it."""
+        program with no re-gathers in it."""
         builds = {}
         for memory_plan in (True, False):
             seed_all(ZOO["conv_pool_fc"].seed)
@@ -336,17 +337,112 @@ class TestBuild:
             cnet.close()
         compiled = builds[True].compiled
         by_label = {s.label: s.name for s in compiled.forward}
-        recopies = [s for s in compiled.backward
-                    if s.label.endswith(".copy.re")]
-        assert [s.label for s in recopies] == ["L0_conv.copy.re"]
-        for step in recopies:
-            assert compiled.c_symbols[step.name] == by_label[step.label[:-3]]
-            assert f"int {step.name}(" not in compiled.c_exec_source
+        (regather,) = [s for s in compiled.backward
+                       if s.label.endswith(".regather")]
+        assert regather.label == "L0_conv.regather"
+        assert compiled.c_symbols[regather.name] == by_label["L0_conv.copy"]
+        assert f"void {regather.name}(" not in compiled.c_exec_source
         with_re, without = (builds[mp].compile_report["codegen-c"].rewrites
                             for mp in (True, False))
         assert with_re["native_steps"] == without["native_steps"] + 1
         assert with_re["kernels_unique"] == without["kernels_unique"]
         assert with_re["so_bytes"] == without["so_bytes"]
+
+    def test_a_tiled_regather_lives_in_the_weight_gradient_kernel(
+            self, build, monkeypatch):
+        """Over the staging budget the re-gather is a unit of the
+        batch-tiled weight-gradient group: one kernel gathers a tile
+        into its contracted buffer and multiplies it, image by image,
+        where it lies."""
+        from repro.optim import tiling
+
+        whole = _compile_c(ZOO["conv_pool_fc"])
+        batch, *image = whole.buffers["L0_conv_inputs0_re"].shape
+        assert batch == 4 and not whole.plan.contracted
+        whole.close()
+        # room for two images of the staging buffer: two tiles of two
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES",
+                            2 * 4 * int(np.prod(image)))
+        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
+        cnet = _compile_c(ZOO["conv_pool_fc"])
+        compiled = cnet.compiled
+        (step,) = [s for s in compiled.backward if "regather" in s.label]
+        assert step.label == "L0_conv.regather+L0_conv.compute"
+        assert step.name in compiled.c_steps
+        src = compiled.c_exec_source
+        body = src[src.index(f"void {step.name}("):]
+        body = body[:body.index("\n}\n")]
+        assert cnet.plan.buffers["L0_conv_inputs0_re"].tile == 2
+        assert cnet.buffers["L0_conv_inputs0_re"].shape == (2, *image)
+        assert "for (long long _n_t = 0LL; _n_t < 2LL;" in body
+        assert body.count("_latte_gemm_rm(") == 1
+        # the weight gradient sums over the hoisted batch letter
+        assert re.search(r"for \(long long _n = _lo__n;.*\n\s*_latte_gemm_rm\(",
+                         body)
+        assert ", 1, _omp);" in body  # accumulating into grad_weights
+        cnet.close()
+
+    def test_one_image_tiles_parallelise_the_loop_that_iterates(
+            self, build, monkeypatch):
+        """A one-image tile's batch loop has one trip: the pragma goes
+        on the next loop in, or ``_omp > 1`` would run the nest on one
+        thread."""
+        from repro.optim import tiling
+
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 1)
+        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
+        cnet = _compile_c(ZOO["conv_pool_fc"])
+        (step,) = [s for s in cnet.compiled.forward
+                   if s.label == "L0_conv.copy+L0_conv.compute"]
+        assert cnet.plan.buffers["L0_conv_inputs0"].tile == 1
+        src = cnet.compiled.c_exec_source
+        lines = src[src.index(f"void {step.name}("):].splitlines()
+        at = next(i for i, ln in enumerate(lines) if "#pragma omp" in ln)
+        assert "for (long long _n = 0LL; _n < 1LL;" in lines[at - 1]
+        assert "for (long long L0_conv_c0w0 = 0LL;" in lines[at + 1]
+        cnet.close()
+
+    def test_window_loops_are_never_parallelised(self, build):
+        """Batch 1 and one input channel leave a scatter's window loop
+        outermost: ``y + w`` lets two of its iterations meet on one
+        gradient element, so it gets no pragma (a race under
+        ``_omp > 1``: cold and thawed runs differed in the last bit)."""
+        spec = _spec(113, 1, (1, 11, 11), 2, [
+            {"kind": "conv", "filters": 1, "kernel": 5, "stride": 1,
+             "pad": 0}])
+        seed_all(spec.seed)
+        cnet = compile_net(build_net(spec), CompilerOptions(backend="c"),
+                           num_threads=4)
+        src = cnet.compiled.c_exec_source
+        (step,) = [s for s in cnet.compiled.backward
+                   if s.label == "L0_conv.scatter"]
+        body = src[src.index(f"void {step.name}("):]
+        body = body[:body.index("\n}\n")]
+        assert "for (long long L0_conv_c0w1" in body
+        assert "#pragma omp" not in body
+        cnet.close()
+
+    def test_kernels_never_allocate(self, build):
+        """Every GEMM of the zoo and of a Fig-14 vgg is one sgemm call
+        on its operands in place — conv operands per image under a loop
+        over the batch letter — so no kernel has scratch to fail on."""
+        from repro.models import build_latte, vgg_config
+
+        nets = [build_net(spec) for spec in ZOO.values()]
+        cfg = vgg_config().scaled(channel_scale=0.25, input_size=64,
+                                  classes=100)
+        nets.append(build_latte(cfg, 8).net)
+        for net in nets:
+            for opts in (CompilerOptions(backend="c"),
+                         CompilerOptions(backend="c", mode="inference")):
+                cnet = compile_net(net, opts)
+                src = cnet.compiled.c_exec_source
+                assert "malloc" not in src and "free(" not in src
+                rec = cnet.compile_report["codegen-c"].rewrites
+                assert rec["gemm_inplace"] > 0
+                cnet.close()
+        # vgg, forward only: eight conv GEMMs and three fc GEMMs
+        assert rec["gemm_inplace"] == 11 and rec["gemm_nests"] == 0
 
     def test_warm_build_dir_spawns_no_compiler(self, build, monkeypatch):
         _compile_c(ZOO["conv_pool_fc"]).close()
@@ -389,7 +485,7 @@ class TestBuild:
         msg = str(exc.value)
         assert "unit k1" in msg and "error: injected" in msg
         (kept,) = [p for p in build.iterdir() if p.name.endswith(".k1.c")]
-        assert str(kept) in msg and "int _step_" in kept.read_text()
+        assert str(kept) in msg and "void _step_" in kept.read_text()
         assert _build_debris(build) == []
 
     def test_hung_compiler_times_out_cleanly(self, build, tmp_path,
@@ -459,39 +555,6 @@ class TestBuild:
         proc = _run_script(script, no_blas, REPRO_C_NO_BLAS=no_blas)
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="RLIMIT_AS + /proc/self/status")
-    def test_scratch_allocation_failure_raises_memory_error(self, build):
-        # cap the address space just above what the process holds
-        # before its first step: the 19 MB im2col pack cannot be had
-        # (after one forward the allocator keeps that much in reserve)
-        script = """
-            import resource
-            import numpy as np
-            from test_c_backend import _compile_c, _spec
-            spec = _spec(106, 8, (16, 64, 64), 3, [
-                {"kind": "conv", "filters": 4, "kernel": 3, "stride": 1,
-                 "pad": 1}])
-            cnet = _compile_c(spec)
-            x = np.zeros((8, 16, 64, 64), np.float32)
-            y = np.zeros((8, 1), np.float32)
-            for line in open("/proc/self/status"):
-                if line.startswith("VmSize:"):
-                    vm = int(line.split()[1]) * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (vm + (4 << 20),) * 2)
-            try:
-                cnet.forward(data=x, label=y)
-            except MemoryError as exc:
-                print("MemoryError:", exc)
-        """
-        # one malloc arena: the build's worker threads must not leave
-        # reserved address space behind that the pack could land in
-        proc = _run_script(script, MALLOC_ARENA_MAX="1")
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
-        assert re.search(r"MemoryError: C backend: step _step_f\d+ could "
-                         r"not allocate", out), out
 
 
 class TestToolchainGating:

@@ -109,6 +109,19 @@ class TestCBackendGolden:
         # §5.3/§6: async reduction calls after backward sections
         assert c.count("latte_iallreduce") == 2  # conv1 + fc1
 
+    def test_collapse_only_over_a_perfect_nest(self):
+        """A fused tile loop holds several nests; ``collapse(2)`` over
+        it is not OpenMP (parent: printed anyway). A solo nest keeps
+        it."""
+        c = _cnn().c_source
+        fused = c[c.index("// conv1.copy+conv1.compute"):]
+        pragma, loop = fused.splitlines()[1:3]
+        assert pragma == "#pragma omp for schedule(static, 1)"
+        assert loop.startswith("for (int conv1_d1_t = 0;")
+        solo = c[c.index("// conv1.pad"):].splitlines()[1:3]
+        assert solo[0] == "#pragma omp for collapse(2) schedule(static, 1)"
+        assert solo[1].startswith("for (int _n = 0;")
+
     def test_unfused_c_shows_fig9_shape(self):
         cn = _cnn(CompilerOptions.level(2))
         c = cn.c_source

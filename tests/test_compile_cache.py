@@ -26,6 +26,7 @@ from repro.cache import (
     thaw,
 )
 from repro.cache.__main__ import main as cache_main
+from repro.codegen.c_backend import have_c_toolchain
 from repro.core import Dim, Ensemble, FieldBinding, Net
 from repro.layers import (
     BatchNormLayer,
@@ -100,10 +101,19 @@ class TestRoundTrip:
         assert warm_net.compile_report.cache_hit
         _assert_same_run(warm, cold)
 
-    def test_conv_net_thaws_with_its_recopy_steps(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_tiled_conv_net_thaws_with_its_contracted_buffers(
+            self, tmp_path, monkeypatch, backend):
         """Train-mode conv programs re-gather their staging copies in
-        backward: the re-copy steps, their ``*_re`` buffers and the
-        decision records all survive freeze -> thaw."""
+        backward and run them tile by tile: the fused groups, the
+        ``*_re`` buffers, the contracted shapes and the decision records
+        all survive freeze -> thaw, bitwise."""
+        from repro.optim import tiling
+
+        if backend == "c" and not have_c_toolchain():
+            pytest.skip("no usable C toolchain")
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
+        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         spec = NetSpec(
             seed=7, batch=4, input_shape=(3, 10, 10), classes=3,
             layers=(
@@ -121,7 +131,8 @@ class TestRoundTrip:
 
         def run():
             seed_all(spec.seed)
-            cnet = compile_cached(spec, net=build_net(spec), cache=store)
+            cnet = compile_cached(spec, net=build_net(spec), cache=store,
+                                  options=CompilerOptions(backend=backend))
             loss = cnet.forward(data=x, label=y)
             cnet.clear_param_grads()
             cnet.backward()
@@ -136,7 +147,8 @@ class TestRoundTrip:
         assert not cold_net.compile_report.cache_hit
         _assert_same_run(warm, cold)
         labels = [s.label for s in warm_net.compiled.backward]
-        assert {"L0_conv.copy.re", "L3_conv.copy.re"} <= set(labels)
+        assert {"L0_conv.regather+L0_conv.compute",
+                "L3_conv.compute+L3_conv.scatter"} <= set(labels)
         for phase in ("forward", "backward"):
             cold_steps = getattr(cold_net.compiled, phase)
             warm_steps = getattr(warm_net.compiled, phase)
@@ -146,9 +158,23 @@ class TestRoundTrip:
         assert len(cold_mem.rematerialized) == 2
         assert warm_mem.rematerialized == cold_mem.rematerialized
         assert warm_mem.declined == cold_mem.declined
+        assert sorted(cold_net.plan.contracted) == [
+            "L0_conv_grad_inputs0", "L0_conv_inputs0", "L0_conv_inputs0_re",
+            "L3_conv_grad_inputs0", "L3_conv_inputs0", "L3_conv_inputs0_re"]
+        assert warm_net.plan.contracted == cold_net.plan.contracted
+        assert warm_net.plan.untiled == cold_net.plan.untiled == {}
+        for name in cold_net.plan.contracted:
+            assert (warm_net.buffers[name].shape
+                    == cold_net.buffers[name].shape
+                    == ((1, 27, 10, 10) if "L0" in name else (1, 36, 3, 3)))
         assert (warm_net.memory_report().table()
                 == cold_net.memory_report().table())
         assert warm_net.memory_stats() == cold_net.memory_stats()
+        # the rule's constants are part of the key
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 4096)
+        other, _ = run()
+        assert not other.compile_report.cache_hit
+        assert other.buffers["L3_conv_inputs0"].shape[0] == 2
 
     def test_model_config_inference_bitwise(self, tmp_path):
         store = CompileCache(tmp_path)
@@ -345,9 +371,9 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v7: conv programs
-        that retain every staging copy across the phase boundary, no
-        ``rematerialized``/``declined`` in the memory plan) is dropped
+        """An entry written under the last layout (v8: whole-batch
+        staging buffers, no ``tile`` on a buffer, no ``contracted`` /
+        ``untiled`` on the plan, kernels returning ``int``) is dropped
         on get — a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
@@ -358,8 +384,8 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 8
-        assert "rematerialized" in meta["memory"]
+        assert meta["version"] == FORMAT_VERSION == 9
+        assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)

@@ -219,6 +219,37 @@ class TestOracleReporting:
                          cbackend=False)
         assert not (expected & set(off.checks))
 
+    def test_batch_tile_checks_run_and_engage_the_tiler(self):
+        """``batchtile*``: the corpus's conv chains tiled along the
+        batch, fused and contracted under the oracle's patched budget —
+        not a configuration that silently compiles the untiled
+        program."""
+        from repro.codegen.c_backend import have_c_toolchain
+        from repro.optim import CompilerOptions
+        from repro.testing.generator import build_net
+        from repro.testing.oracle import batch_tiles
+        from repro.utils.rng import seed_all
+
+        spec = random_spec(11)  # conv net, batch 4
+        report = check_spec(spec, levels=(4,), threads=(2,),
+                            gradcheck_indices=0, baselines=False,
+                            quant=False)
+        assert report.ok, report.summary()
+        expected = {"batchtile", "batchtile-memplan", "batchtile-threads:2"}
+        if have_c_toolchain():
+            expected.add("cbackend-batchtile")
+        assert expected <= set(report.checks), report.checks
+        seed_all(spec.seed)
+        with batch_tiles():
+            cnet = build_net(spec).init(CompilerOptions.level(4))
+        assert len(cnet.plan.contracted) == 6
+        assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 12
+        assert all(cnet.buffers[b].shape[0] == cnet.plan.buffers[b].tile < 4
+                   for b in cnet.plan.contracted)
+        seed_all(spec.seed)
+        assert not build_net(spec).init(
+            CompilerOptions.level(4)).plan.contracted
+
     def test_run_results_are_finite(self):
         from repro.testing import run_spec
 

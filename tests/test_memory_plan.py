@@ -7,6 +7,9 @@ and sharded), the executor-facing contracts (inspection errors, zero
 defs, per-direction zero states), and the reporting plumbing.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -558,18 +561,19 @@ class TestExternOutputsPool:
 
 
 # ---------------------------------------------------------------------------
-# Staging copies are re-gathered in backward, not retained
+# Staging copies are re-gathered in backward, tiled along the batch and
+# contracted to one tile
 # ---------------------------------------------------------------------------
 
 
 def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
-                keep_alive=None):
+                keep_alive=None, batch=4, level=4, options=None):
     """conv -> relu -> pool -> conv -> fc. ``padded``: both convs gather
     from a kept ``*_padsrc0`` border buffer; otherwise conv1 is
     alexnet-conv1 style (stride < kernel, no pad) and gathers straight
     from value buffers."""
     seed_all(5)
-    net = Net(4)
+    net = Net(batch)
     data, label = DataAndLabelLayer(net, (3, 21, 21))
     if padded:
         c1 = ConvolutionLayer("c1", net, data, 6, 3, pad=1)
@@ -579,29 +583,43 @@ def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
     c2 = ConvolutionLayer("c2", net, p1, 8, 3, pad=1 if padded else 0)
     fc = FullyConnectedLayer("fc", net, ReLULayer("r2", net, c2), 5)
     SoftmaxLossLayer("loss", net, fc, label)
-    return net.init(CompilerOptions(memory_plan=memory_plan, backend=backend),
-                    num_threads=num_threads, keep_alive=keep_alive)
+    opts = dataclasses.replace(options or CompilerOptions.level(level),
+                               memory_plan=memory_plan, backend=backend)
+    return net.init(opts, num_threads=num_threads, keep_alive=keep_alive)
 
 
 def _staged_run(cn):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(cn.value("data").shape).astype(np.float32)
-    y = rng.integers(0, 5, (4, 1)).astype(np.float32)
+    y = rng.integers(0, 5, (cn.batch_size, 1)).astype(np.float32)
     loss = cn.forward(data=x, label=y)
     cn.clear_param_grads()
     cn.backward()
-    grads = {p.key: p.grad.copy() for p in cn.parameters()}
+    out = {"loss": loss, "fc": cn.value("fc").copy(),
+           "d(data)": cn.grad("data").copy()}
+    out.update((p.key, p.grad.copy()) for p in cn.parameters())
     cn.close()
-    return loss, grads
+    return out
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """The batch-tile rule at the tiny test geometry: any staging over
+    2 KB is tiled, however little a window offset then moves (the way
+    ``min_tile_rows=2`` engages the y tiler)."""
+    from repro.optim import tiling
+
+    monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
+    monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
 
 
 #: Fig 14 geometry of benchmarks/ledger/programs.py (copied, not
 #: imported): config factory, channel scale, input size, classes, and
 #: the train ``planned_bytes`` this planner delivers at batch 8
 _LEDGER = {
-    "vgg": ("vgg_config", 0.25, 64, 100, 21_115_584),
-    "alexnet": ("alexnet_config", 0.25, 67, 100, 5_556_608),
-    "overfeat": ("overfeat_config", 0.125, 75, 100, 5_169_280),
+    "vgg": ("vgg_config", 0.25, 64, 100, 16_986_816),
+    "alexnet": ("alexnet_config", 0.25, 67, 100, 4_249_792),
+    "overfeat": ("overfeat_config", 0.125, 75, 100, 3_490_752),
     "lenet": ("lenet_config", 0.5, 28, None, 1_167_680),
 }
 
@@ -623,34 +641,70 @@ class TestRematerialization:
             cn = _ledger_net(name)
             assert cn.memory_stats()["planned_bytes"] <= bound, name
             assert not cn.plan.memory.declined, name
+            assert not cn.plan.untiled, name
+        # lenet's largest staging buffer is 512 000 B: under the budget,
+        # so nothing of it is tiled and its plan is the parent's
+        assert cn.memory_stats()["planned_bytes"] == 1_167_680
+        assert not cn.plan.contracted
 
-    def test_vgg_arena_is_its_largest_backward_pair(self):
+    def test_vgg_arena_is_one_tile_and_the_gradient_it_scatters_into(self):
         """Eight im2col buffers used to be live at the phase boundary
-        (arena 20 201 472 B, the peak-live bound of those intervals);
-        re-gathered, the arena is the one step where a data-gradient
-        buffer and the padded gradient it scatters into coexist."""
+        (arena 20 201 472 B); re-gathered, the arena was one whole-batch
+        data-gradient buffer and the padded gradient it scatters into
+        (5 382 144 B); contracted, it is one *image* of that buffer."""
         cn = _ledger_net("vgg")
         mem = cn.plan.memory
         assert len(mem.rematerialized) == 8
+        assert len(cn.plan.contracted) == 24  # in, in_re, grad_in x 8
         pair = sum(cn.buffers[b].nbytes for b in
                    ("conv3_2_grad_inputs0", "conv3_2_padsrc0_grad"))
-        assert mem.arena_bytes == pair == 5_382_144
-        assert (cn.buffers["conv3_2_grad_inputs0"].nbytes,
+        assert mem.arena_bytes == pair == 1_253_376
+        assert (cn.buffers["conv3_2_grad_inputs0"].shape,
                 cn.buffers["conv3_2_padsrc0_grad"].nbytes) == (
-            4_718_592, 663_552)
+            (1, 576, 16, 16), 663_552)
 
-    def test_naive_bytes_does_not_count_the_recopies(self):
+    def test_every_contracted_buffer_is_allocated_at_its_tile(self):
+        from repro.optim.tiling import STAGING_TILE_BYTES
+
+        for name in ("vgg", "alexnet", "overfeat"):
+            cn = _ledger_net(name)
+            assert cn.plan.contracted, name
+            for buf, label in cn.plan.contracted.items():
+                spec = cn.plan.buffers[buf]
+                assert cn.buffers[buf].shape == (spec.tile,) + spec.shape
+                assert 8 % spec.tile == 0 and spec.tile < 8
+                # the largest divisor of the batch that fits the budget
+                # (one image when none does) ...
+                row = cn.buffers[buf].nbytes // spec.tile
+                fits = 2 * spec.tile * row <= STAGING_TILE_BYTES
+                # ... unless a window offset would then move under 8 KB
+                # (the 11x11 conv1 layers: 121 offsets, 4 images)
+                coarse = name != "vgg" and buf.startswith("conv1_")
+                assert not fits or coarse, (name, buf)
+                assert coarse == (spec.tile == 4 and 2 * row
+                                  > STAGING_TILE_BYTES), (name, buf)
+                assert buf in label.replace("regather", "copy") or \
+                    "compute" in label
+
+    def test_naive_bytes_is_what_the_program_allocates_unpooled(self):
+        """``naive_bytes`` counts the buffers the compiled program has —
+        re-gather targets included, contracted ones at their tile — so
+        it equals the unplanned compile's allocation only where the
+        planner's own rewrites (the re-gathers) add nothing."""
         planned = _staged_net(True)
         unplanned = _staged_net(True, memory_plan=False)
-        assert planned.plan.memory.rematerialized
-        assert (planned.memory_stats()["naive_bytes"]
-                == unplanned.memory_stats()["naive_bytes"])
-        rec = planned.compile_report["memory_plan"]
         remat = planned.plan.memory.rematerialized
-        assert rec.rewrites["copies_rematerialized"] == len(remat) == 2
-        assert rec.rewrites["bytes_rematerialized"] == sum(
-            planned.buffers[r.buffer].nbytes for r in remat.values())
+        assert sorted(remat) == ["c1_inputs0", "c2_inputs0"]
+        extra = sum(planned.buffers[r.buffer].nbytes for r in remat.values())
+        assert (planned.memory_stats()["naive_bytes"]
+                == unplanned.memory_stats()["naive_bytes"] + extra)
+        rec = planned.compile_report["regather"]
+        assert rec.rewrites == {"copies_regathered": 2, "copies_declined": 0}
         assert rec.units_after == rec.units_before + 2
+        mem = planned.compile_report["memory_plan"].rewrites
+        assert mem["copies_rematerialized"] == 2
+        assert mem["bytes_rematerialized"] == extra
+        assert not unplanned.compile_report["regather"].enabled
 
     @pytest.mark.parametrize("name,spec", list(_corpus()),
                              ids=[n for n, _ in _corpus()])
@@ -675,27 +729,35 @@ class TestRematerialization:
             for b, r in mem.rematerialized.items():
                 assert mem.intervals[b].phases == {"forward"}
                 assert mem.intervals[r.buffer].phases == {"backward"}
+            assert "fused-group" not in mem.declined.values()
         seed_all(spec.seed)
         cn = build_net(spec).init(CompilerOptions.inference())
         mem = cn.plan.memory
         assert not mem.rematerialized and not mem.declined
         assert not any(b.endswith("_re") for b in cn.plan.buffers)
-        assert not any(s.label.endswith(".re") for s in cn.compiled.forward)
+        assert not any("regather" in s.label for s in cn.compiled.forward)
+        assert not cn.compile_report["regather"].enabled
         assert cn.compile_report["memory_plan"].rewrites[
             "copies_rematerialized"] == 0
 
-    def test_inference_vgg_footprint_is_untouched(self):
+    def test_inference_vgg_footprint(self):
         cn = _ledger_net("vgg", CompilerOptions.inference())
         assert cn.memory_stats() == {
-            "naive_bytes": 29_410_848, "planned_bytes": 10_192_416,
-            "arena_bytes": 6_815_744}
+            "naive_bytes": 12_453_408, "planned_bytes": 6_063_648,
+            "arena_bytes": 2_686_976}
+        src = cn.source
+        conv = [src[m.start():src.index("\n\n", m.start())]
+                for m in re.finditer(r"# --- f conv\w+\.copy\+", src)]
+        assert len(conv) == 8
+        assert all("tensordot" not in body and "_np.matmul(" in body
+                   and ", out=conv" in body for body in conv)
 
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     @pytest.mark.parametrize("padded", [True, False],
                              ids=["padded", "strided"])
     @pytest.mark.parametrize("num_threads", [1, 2, 4])
-    def test_recopies_are_bitwise_neutral(self, padded, num_threads,
-                                          backend):
+    def test_regathers_are_bitwise_neutral(self, padded, num_threads,
+                                           backend):
         if backend == "c":
             from repro.codegen.c_backend import have_c_toolchain
 
@@ -704,37 +766,39 @@ class TestRematerialization:
         cn = _staged_net(padded, num_threads=num_threads, backend=backend)
         assert sorted(cn.plan.memory.rematerialized) == [
             "c1_inputs0", "c2_inputs0"]
-        if num_threads > 1:  # a re-copy shards like its original
+        if num_threads > 1:  # a re-gather shards like its original
             assert all(s.shardable for s in cn.compiled.backward
-                       if s.label.endswith(".copy.re"))
-        loss_p, grads_p = _staged_run(cn)
-        loss_u, grads_u = _staged_run(_staged_net(
+                       if s.label.endswith(".regather"))
+        planned = _staged_run(cn)
+        unplanned = _staged_run(_staged_net(
             padded, memory_plan=False, num_threads=num_threads,
             backend=backend))
-        assert loss_p == loss_u
-        assert grads_p.keys() == grads_u.keys()
-        for key in grads_p:
-            np.testing.assert_array_equal(grads_p[key], grads_u[key], key)
+        assert planned.keys() == unplanned.keys()
+        for key in planned:
+            np.testing.assert_array_equal(planned[key], unplanned[key], key)
 
-    def test_report_and_summary_explain_the_decision(self):
+    def test_report_and_summary_explain_the_decisions(self, small_tiles):
         cn = _staged_net(False)
-        row = ("re-gathered c2_inputs0: "
-               f"{cn.buffers['c2_inputs0'].nbytes / 1024:.1f} KB "
-               "from p1_value by c2.copy.re")
-        assert row in cn.memory_report().table().splitlines()
-        assert f"    {row}" in cn.summary().splitlines()
-        # a fused copy is retained, and says so
-        seed_all(0)
-        net = Net(4)
-        data, label = DataAndLabelLayer(net, (3, 8, 8))
-        conv = ConvolutionLayer("conv", net, data, 4, 3, pad=1)
-        fc = FullyConnectedLayer("fc", net, ReLULayer("relu", net, conv), 3)
-        SoftmaxLossLayer("loss", net, fc, label)
-        fused = net.init(CompilerOptions(min_tile_rows=2))
-        assert fused.plan.memory.declined == {"conv_inputs0": "fused-group"}
-        assert "retained conv_inputs0: fused-group" in fused.summary()
+        tile = cn.buffers["c2_inputs0"].shape[0]
+        assert tile == 2  # two 864 B images fit the patched 2 KB budget
+        kb = cn.buffers["c2_inputs0"].nbytes / 1024
+        rows = [f"re-gathered c2_inputs0: {2 * kb:.1f} KB from p1_value "
+                "by c2.regather",
+                f"contracted c2_inputs0: {2 * kb:.1f} KB → {kb:.1f} KB, "
+                "tile 2 of 4, group c2.copy+c2.compute",
+                f"contracted c2_inputs0_re: {2 * kb:.1f} KB → {kb:.1f} KB, "
+                "tile 2 of 4, group c2.regather+c2.compute"]
+        for row in rows:
+            assert row in cn.memory_report().table().splitlines()
+            assert f"    {row}" in cn.summary().splitlines()
+        fusion = cn.compile_report["fusion"].rewrites
+        assert fusion["buffers_contracted"] == len(cn.plan.contracted) == 6
+        assert fusion["bytes_contracted"] == sum(
+            (4 // cn.plan.buffers[b].tile - 1) * cn.buffers[b].nbytes
+            for b in cn.plan.contracted)
+        assert cn.compile_report["tiling"].rewrites["units_tiled"] == 12
 
-    def test_recopy_is_a_span_of_its_own(self):
+    def test_a_solo_regather_is_a_span_of_its_own(self):
         from repro.trace import RecordingTracer
 
         seed_all(5)
@@ -742,7 +806,7 @@ class TestRematerialization:
         cn.tracer = tracer = RecordingTracer()
         _staged_run(cn)
         spans = {(s.cat, s.name) for s in tracer.spans}
-        assert {("forward", "c1.copy"), ("backward", "c1.copy.re")} <= spans
+        assert {("forward", "c1.copy"), ("backward", "c1.regather")} <= spans
 
     def test_pooled_buffers_start_on_a_cache_line(self):
         """``np.zeros`` alone lands mmap-sized arenas at 16 or 48 mod
@@ -756,17 +820,142 @@ class TestRematerialization:
                 assert cn.buffers[name].ctypes.data % 64 == 0, name
 
 
-def _hand_schedule(time_steps=1, src_shape=(8,), rewrite_source=False,
-                   rewrite_target=False, fused=False):
+class TestBatchTiles:
+    """Staging chains tiled along the batch, fused and contracted
+    (``tiling._tile_batch`` -> ``fusion.build_schedule`` ->
+    ``fusion.contract``), at a budget the tiny test nets exceed."""
+
+    @pytest.mark.parametrize("padded", [True, False],
+                             ids=["padded", "strided"])
+    def test_groups_and_contracted_shapes(self, small_tiles, padded):
+        cn = _staged_net(padded)
+        fwd = [s.label for s in cn.compiled.forward]
+        bwd = [s.label for s in cn.compiled.backward]
+        for conv in ("c1", "c2"):
+            assert f"{conv}.copy+{conv}.compute" in fwd
+            assert f"{conv}.regather+{conv}.compute" in bwd
+            assert f"{conv}.compute+{conv}.scatter" in bwd
+            for buf in (f"{conv}_inputs0", f"{conv}_inputs0_re",
+                        f"{conv}_grad_inputs0"):
+                assert cn.plan.buffers[buf].tile == cn.buffers[buf].shape[0]
+                assert cn.buffers[buf].shape[0] < 4
+        # the weight-gradient tile and the data-gradient tile are two
+        # groups: one staging tile is live at a time
+        mem = cn.plan.memory
+        assert not (mem.intervals["c1_inputs0_re"].overlaps(
+            mem.intervals["c1_grad_inputs0"]))
+        assert cn.plan.untiled == {} and mem.declined == {}
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("padded", [True, False],
+                             ids=["padded", "strided"])
+    @pytest.mark.parametrize("batch,num_threads",
+                             [(4, 1), (6, 4), (8, 2), (1, 2)])
+    def test_tiled_matches_untiled(self, monkeypatch, padded, backend,
+                                   batch, num_threads):
+        """Forward outputs and data gradients bitwise, parameter
+        gradients inside the oracle's ``level_param`` tier (their sums
+        over the batch reassociate per tile) — also under shards whose
+        bounds fall inside tiles (batch 6 on 4 threads)."""
+        from repro.optim import tiling
+        from repro.testing.oracle import TOLERANCES
+
+        if backend == "c":
+            from repro.codegen.c_backend import have_c_toolchain
+
+            if not have_c_toolchain():
+                pytest.skip("no usable C toolchain")
+        kw = dict(num_threads=num_threads, backend=backend, batch=batch)
+        untiled = _staged_run(_staged_net(padded, **kw))
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 6000)
+        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
+        cn = _staged_net(padded, **kw)
+        assert bool(cn.plan.contracted) == (batch > 1)
+        tiled = _staged_run(cn)
+        tol = TOLERANCES["float32"]
+        for key in untiled:
+            if key in ("loss", "fc", "d(data)"):
+                np.testing.assert_array_equal(tiled[key], untiled[key], key)
+            else:
+                np.testing.assert_allclose(
+                    tiled[key], untiled[key], rtol=tol["level_param_rtol"],
+                    atol=tol["level_param_atol"], err_msg=key)
+        # planned and unplanned run the same tiles: bitwise
+        unplanned = _staged_run(_staged_net(padded, memory_plan=False, **kw))
+        for key in tiled:
+            np.testing.assert_array_equal(tiled[key], unplanned[key], key)
+
+    def test_turning_tiling_on_never_costs_memory(self, small_tiles):
+        """Parent: a y-tiled fused group retained its im2col copy
+        (``fused-group``), so O4 planned twice what O3 did."""
+        for padded in (True, False):
+            o3 = _staged_net(padded, level=3).memory_stats()
+            o4 = _staged_net(padded, level=4).memory_stats()
+            assert o4["planned_bytes"] <= o3["planned_bytes"]
+            assert o4["naive_bytes"] < o3["naive_bytes"]
+        seed_all(0)
+        net = Net(4)
+        data, label = DataAndLabelLayer(net, (3, 8, 8))
+        conv = ConvolutionLayer("conv", net, data, 4, 3, pad=1)
+        fc = FullyConnectedLayer("fc", net, ReLULayer("relu", net, conv), 3)
+        SoftmaxLossLayer("loss", net, fc, label)
+        fused = net.init(CompilerOptions(min_tile_rows=2))  # y tiles
+        assert any("conv.copy+" in s.label for s in fused.compiled.forward)
+        assert fused.plan.memory.declined == {}
+        assert sorted(fused.plan.memory.rematerialized) == ["conv_inputs0"]
+        # ... nor do y tiles: 692 480 B at O4 against 440 144 at O3 on
+        # the padded net before, LeNet at the ledger's geometry 2 140 480
+        # against 1 167 680 untiled
+        y = dataclasses.replace(CompilerOptions.level(4), min_tile_rows=2)
+        for padded in (True, False):
+            seed_all(5)
+            o3 = _staged_net(padded, level=3).memory_stats()
+            o4 = _staged_net(padded, options=y).memory_stats()
+            assert o4["planned_bytes"] <= o3["planned_bytes"], padded
+        lenet = _ledger_net("lenet", y)
+        assert lenet.compile_report["fusion"].rewrites["fused_groups"] > 0
+        assert lenet.memory_stats()["planned_bytes"] <= 1_167_680
+
+    def test_declined_chains_run_whole_batch_and_say_why(self, small_tiles):
+        from repro.layers.neurons import MulNeuron
+
+        seed_all(9)
+        net = Net(4)
+        data = MemoryDataLayer(net, "data", (1024,))
+        label = MemoryDataLayer(net, "label", (1,))
+        mul = Ensemble(net, "mul", MulNeuron, (1024,))
+        net.add_connections(data, mul, lambda i: ((i * 5 + 3) % 1024,))
+        net.add_connections(data, mul, lambda i: ((i * 3 + 1) % 1024,))
+        fc = FullyConnectedLayer("fc", net, mul, 3)
+        SoftmaxLossLayer("loss", net, fc, label)
+        cn = net.init(CompilerOptions())
+        assert cn.plan.untiled == {
+            b: "opaque" for b in ("mul_inputs0", "mul_inputs1",
+                                  "mul_grad_inputs0", "mul_grad_inputs1")}
+        assert "whole-batch mul_inputs0: opaque" in cn.summary()
+        assert not cn.plan.contracted
+
+        net = Net(2, time_steps=3)
+        x = MemoryDataLayer(net, "data", (1024,))
+        h = Ensemble(net, "h", AddNeuron, (1024,))
+        net.add_connections(x, h, one_to_one(1))
+        net.add_connections(h, h, one_to_one(1), recurrent=True)
+        cn = net.init(CompilerOptions.level(4))
+        assert set(cn.plan.untiled.values()) == {"time-unrolled"}
+        assert not cn.plan.contracted
+
+
+def _hand_sections(time_steps=1, src_shape=(8,), rewrite_source=False,
+                   rewrite_target=False):
     """copy ``stage <- src``; compute ``out <- stage``; backward
     ``gw += stage``: the shape of a conv layer's staging traffic, small
     enough to build by hand."""
     from repro.ir import Assign, Index, Var
     from repro.synthesis.plan import BufferPlan, BufferSpec
     from repro.synthesis.units import (
-        FusedGroup,
         LoopSpec,
         LoopUnit,
+        Section,
         UnitTags,
     )
 
@@ -777,85 +966,86 @@ def _hand_schedule(time_steps=1, src_shape=(8,), rewrite_source=False,
     plan.add(BufferSpec("gw", (8,), "grad", batched=False))
     n, k, i = Var("_n"), Var("k"), Var("i")
 
-    def group(kind, target, value, reduce=None, loops="nki"):
+    def unit(kind, target, value, reduce=None, loops="nki"):
         specs = {"n": LoopSpec.simple("_n", 2, role="batch"),
                  "k": LoopSpec.simple("k", 3, role="window"),
                  "i": LoopSpec.simple("i", 8)}
-        unit = LoopUnit([specs[c] for c in loops],
+        return LoopUnit([specs[c] for c in loops],
                         Assign(target, value, reduce),
                         UnitTags(ensemble="c", kind=kind))
-        return FusedGroup([unit], label=f"c.{kind}")
 
     stage = Index("stage", (n, k, i))
-    copy = group("copy", stage, Index("src", (n, i)))
-    compute = group("compute", Index("out", (n, i)), stage)
-    fwd = [copy, compute]
-    if fused:
-        fwd = [FusedGroup(copy.units + compute.units,
-                          label="c.copy+c.compute")]
+    fwd = Section("c", "forward", [
+        unit("copy", stage, Index("src", (n, i))),
+        unit("compute", Index("out", (n, i)), stage)])
     if rewrite_source:
-        fwd.append(group("compute", Index("src", (n, i)),
-                         Index("out", (n, i)), loops="ni"))
-    bwd = [group("compute", Index("gw", (i,)), stage, reduce="add")]
+        fwd.units.append(unit("compute", Index("src", (n, i)),
+                              Index("out", (n, i)), loops="ni"))
+    bwd = Section("c", "backward", [
+        unit("compute", Index("gw", (i,)), stage, reduce="add")])
     if rewrite_target:
-        bwd.append(group("fill", stage, Index("out", (n, i))))
+        bwd.units.append(unit("fill", stage, Index("out", (n, i))))
     return plan, fwd, bwd
 
 
-class TestRematerializeStagingUnit:
-    """``rematerialize_staging`` on hand-built schedules: the rewrite,
-    and one schedule per declined reason."""
+class TestRegatherStagingUnit:
+    """``regather_staging`` on hand-built sections: the rewrite, and one
+    per declined reason."""
 
-    def _run(self, pooled=frozenset(), **kw):
-        from repro.synthesis.liveness import rematerialize_staging
+    def _run(self, keep=("src",), **kw):
+        from repro.synthesis.liveness import regather_staging
 
-        plan, fwd, bwd = _hand_schedule(**kw)
-        before = (list(fwd), list(bwd), set(plan.buffers))
-        done, declined = rematerialize_staging(plan, fwd, bwd, pooled)
-        if declined:  # a declined schedule is left exactly as it was
+        plan, fwd, bwd = _hand_sections(**kw)
+        before = (list(fwd.units), list(bwd.units), set(plan.buffers))
+        done, declined = regather_staging(plan, [fwd], [bwd],
+                                          frozenset(keep))
+        if declined:  # declined sections are left exactly as they were
             assert not done
-            assert (fwd, bwd, set(plan.buffers)) == before
+            assert (fwd.units, bwd.units, set(plan.buffers)) == before
         return plan, fwd, bwd, done, declined
 
     def test_clones_the_copy_before_its_backward_reader(self):
-        from repro.synthesis.access import record
+        from repro.synthesis.access import unit_accesses
 
         plan, fwd, bwd, done, declined = self._run()
         assert not declined
         r = done["stage"]
         assert (r.buffer, r.source, r.label, r.nbytes) == (
-            "stage_re", "src", "c.copy.re", 2 * 3 * 8 * 4)
-        assert [it.label for it in bwd] == ["c.copy.re", "c.compute"]
-        assert [it.label for it in fwd] == ["c.copy", "c.compute"]
+            "stage_re", "src", "c.regather", 2 * 3 * 8 * 4)
+        assert [u.tags.kind for u in bwd.units] == ["regather", "compute"]
+        assert [u.tags.kind for u in fwd.units] == ["copy", "compute"]
         spec = plan.buffers["stage_re"]
         assert (spec.role, spec.shape) == ("input", (3, 8))
-        recopy, reader = (record(plan, it) for it in bwd)
-        assert recopy.accesses == (("src", "r"), ("stage_re", "w"))
-        assert reader.reads == {"stage_re", "gw"}
+        regather, reader = bwd.units
+        assert unit_accesses(regather) == [("src", "r"), ("stage_re", "w")]
+        assert ("stage_re", "r") in unit_accesses(reader)
+        # a unit of its own: tiling one nest must not tile the other
+        assert regather.loops is not fwd.units[0].loops
+        assert all(a is not b for a, b in zip(regather.loops,
+                                              fwd.units[0].loops))
         # the forward pair still spells the forward buffer
-        assert record(plan, fwd[0]).writes == {"stage"}
-        assert record(plan, fwd[1]).reads == {"stage"}
+        assert ("stage", "w") in unit_accesses(fwd.units[0])
+        assert ("stage", "r") in unit_accesses(fwd.units[1])
 
-    def test_pooled_source_smaller_than_the_staging_still_pays(self):
+    def test_poolable_source_smaller_than_the_staging_still_pays(self):
         # 192 B of staging against 64 B of source kept alive longer
-        *_, done, declined = self._run(pooled={"src"})
+        *_, done, declined = self._run(keep=())
         assert "stage" in done and not declined
 
-    @pytest.mark.parametrize("kw,pooled,reason", [
-        (dict(time_steps=3), (), "time-unrolled"),
-        (dict(fused=True), (), "fused-group"),
-        (dict(rewrite_source=True), (), "source-rewritten"),
-        (dict(rewrite_target=True), (), "target-rewritten"),
-        # re-gathering would keep 192 pooled source bytes alive to save
-        # 192 staging bytes
-        (dict(src_shape=(3, 8)), ("src",), "no-saving"),
+    @pytest.mark.parametrize("kw,keep,reason", [
+        (dict(time_steps=3), ("src",), "time-unrolled"),
+        (dict(rewrite_source=True), ("src",), "source-rewritten"),
+        (dict(rewrite_target=True), ("src",), "target-rewritten"),
+        # re-gathering would keep 192 poolable source bytes alive to
+        # save 192 staging bytes
+        (dict(src_shape=(3, 8)), (), "no-saving"),
     ], ids=lambda v: v if isinstance(v, str) else None)
-    def test_declined(self, kw, pooled, reason):
+    def test_declined(self, kw, keep, reason):
         if "src_shape" in kw:
-            # same schedule, kept source: nothing is extended
+            # same sections, kept source: nothing is extended
             *_, done, declined = self._run(**kw)
             assert "stage" in done and not declined
-        *_, done, declined = self._run(pooled=frozenset(pooled), **kw)
+        *_, done, declined = self._run(keep=keep, **kw)
         assert declined == {"stage": reason} and not done
 
     def test_extern_gather_staging_is_opaque(self):

@@ -292,6 +292,37 @@ class TestPrecisionPass:
         for name, params in qp.qparams.items():
             assert _on_grid(cnet.buffers[name], params)
 
+    def test_contracted_staging_is_neither_observed_nor_quantized(self):
+        """A buffer contracted to its group's batch tile never holds
+        the whole batch: calibration skips it, int8 records why it has
+        no range, and fp16 retypes the tile it is."""
+        from repro.testing.oracle import batch_tiles
+
+        spec = random_spec(CONV_SEED)
+        x, y = make_inputs(spec)
+        with batch_tiles():
+            seed_all(spec.seed)
+            profile = calibrate(build_net(spec), [{"data": x, "label": y}],
+                                options=_options(level=4))
+            _, int8 = _compile_spec(CONV_SEED, "int8", profile, level=4)
+            _, fp16 = _compile_spec(CONV_SEED, "fp16", level=4)
+        contracted = set(int8.plan.contracted)
+        assert contracted == {"L0_conv_inputs0", "L3_conv_inputs0"}
+        assert not contracted & set(profile.ranges)
+        assert "L0_conv_value" in profile.ranges
+        qp = int8.plan.quant
+        assert {b: qp.fallbacks.get(b) for b in contracted} == dict.fromkeys(
+            contracted, "contracted")
+        assert qp.stats()["fallback_contracted"] == 2
+        assert not contracted & set(qp.qparams)
+        assert not any(b in s.label for s in int8.compiled.forward
+                       for b in contracted if s.label.startswith("fake_quant"))
+        for b in contracted:
+            assert fp16.buffers[b].dtype == np.float16
+            assert fp16.buffers[b].shape[0] == fp16.plan.buffers[b].tile < 4
+        loss, _ = int8.forward(data=x, label=y), fp16.forward(data=x, label=y)
+        assert np.isfinite(loss)
+
     def test_int8_traced_forward_has_a_span_per_fake_quant_step(self):
         spec = random_spec(FC_SEED)
         tracer = RecordingTracer()

@@ -193,8 +193,8 @@ class TestCompileReport:
         cn = _cnn()
         names = [r.name for r in cn.compile_report.records]
         assert names == ["copy_inline", "pattern_match", "first_writer",
-                         "tiling", "fusion", "parallel", "prune_buffers",
-                         "memory_plan"]
+                         "regather", "tiling", "fusion", "parallel",
+                         "prune_buffers", "memory_plan"]
 
     def test_compile_spans_on_tracer(self):
         tr = RecordingTracer()
