@@ -268,22 +268,6 @@ def record_cold_start(payload: Dict[str, object]) -> None:
         f.write("\n")
 
 
-# -- multi-process training / serving ----------------------------------------
-
-DISTRIBUTED_JSON = os.path.join(RESULTS_DIR, "BENCH_distributed.json")
-
-
-def record_distributed(payload: Dict[str, object]) -> None:
-    """Persist the multi-process smoke measurements (training steps/sec
-    at 1 vs 2 workers with the speedup and determinism verdicts, and
-    process-pool vs thread-pool serving QPS/p95 at equal replica count)
-    to ``benchmarks/results/BENCH_distributed.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(DISTRIBUTED_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 # -- compiled C/OpenMP backend -----------------------------------------------
 
 C_BACKEND_JSON = os.path.join(RESULTS_DIR, "BENCH_c_backend.json")

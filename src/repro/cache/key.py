@@ -129,10 +129,10 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,
         "format_version": FORMAT_VERSION,
-        # module constants of the batch-tile rule: they shape the
-        # schedule and the buffer table like an option would
+        # module constants of the tile rules: they shape the schedule
+        # and the buffer table like an option would
         "staging_tile": [tiling.STAGING_TILE_BYTES,
-                         tiling.TILE_GRANULE_BYTES],
+                         tiling.TILE_GRANULE_BYTES, tiling.N_TILES],
     }
     if getattr(options, "backend", "numpy") == "c":
         # C-backend entries embed built .so bytes, so the key must

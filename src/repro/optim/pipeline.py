@@ -57,8 +57,6 @@ class CompilerOptions:
     #: Bitwise-neutral — planned and unplanned runs produce identical
     #: outputs (checked by the differential oracle)
     memory_plan: bool = True
-    #: tile count per tiled dimension (trip count of the tile loop)
-    n_tiles: int = 4
     #: smallest tile height the tiler may create (see repro.optim.tiling)
     min_tile_rows: int = 32
     #: numerics watchdog sampling stride: 0 (default) disables it
@@ -334,10 +332,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     run_pass(
         "tiling",
         options.tiling,
-        lambda: (tiling.run(program.forward, plan, options.n_tiles,
-                            options.min_tile_rows),
-                 tiling.run(program.backward, plan, options.n_tiles,
-                            options.min_tile_rows)),
+        lambda: (tiling.run(program.forward, plan, options.min_tile_rows),
+                 tiling.run(program.backward, plan, options.min_tile_rows)),
         lambda: {"units_tiled": count_tiled(program.forward)
                  + count_tiled(program.backward)},
     )

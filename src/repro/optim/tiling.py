@@ -37,6 +37,10 @@ from repro.synthesis.units import LoopSpec, LoopUnit, Section
 TILE_NDIM = 3
 TILE_DIM = 1
 
+#: y tile count per network (trip count of the tile loop) — an upper
+#: bound: the smallest layer's achievable count bounds everyone
+N_TILES = 4
+
 #: do not split below this many rows per tile: in the NumPy backend a
 #: tile is an array-operation granule, and tiny tiles only add dispatch
 #: overhead (the paper's per-thread cache-blocking rationale does not
@@ -205,7 +209,7 @@ def _adjoin(units: List[LoopUnit], chain: List[LoopUnit], rw) -> None:
         at = {id(u): i for i, u in enumerate(units)}
 
 
-def run(sections: List[Section], plan, n_tiles: int,
+def run(sections: List[Section], plan,
         min_rows: int = MIN_TILE_ROWS) -> None:
     """Tile every unit of every synthesized section.
 
@@ -226,7 +230,7 @@ def run(sections: List[Section], plan, n_tiles: int,
     if not extents:
         return
     requested = min(
-        [n_tiles] + [max(1, e // min_rows) for e in extents]
+        [N_TILES] + [max(1, e // min_rows) for e in extents]
     )
     if requested <= 1:
         return

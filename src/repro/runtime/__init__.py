@@ -21,10 +21,13 @@ from repro.runtime.distributed import (
 from repro.runtime.executor import CompiledNet, ParamView
 from repro.runtime.procpool import (
     AsyncLossy,
-    ProcessPoolUnavailable,
-    ProcessTrainer,
+    DataParallelTrainer,
+    LossyAccumulate,
     SharedParamBlock,
     SyncReduce,
+)
+from repro.runtime.worker import (
+    ProcessPoolUnavailable,
     WorkerDiedError,
     WorkerError,
 )
@@ -42,13 +45,14 @@ __all__ = [
     "CommPoint",
     "CompiledNet",
     "ComputeProfile",
+    "DataParallelTrainer",
     "DeviceSpec",
     "HeterogeneousScheduler",
+    "LossyAccumulate",
     "MultiThreadTrainer",
     "NetworkModel",
     "ParamView",
     "ProcessPoolUnavailable",
-    "ProcessTrainer",
     "SharedParamBlock",
     "SyncReduce",
     "WorkerDiedError",

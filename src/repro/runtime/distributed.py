@@ -1,39 +1,34 @@
-"""Distributed data parallelism (§5.3, §6, §7.2-7.3).
+"""Distributed data parallelism on a virtual clock (§5.3, §6, §7.2).
 
-Two components:
+Two components: :class:`ComputeProfile` measures one node's compute on
+the real compiled network, and :class:`ClusterSimulator` is a
+discrete-event model of cluster-level data parallelism. The compiler
+inserts an asynchronous gradient reduction after each ensemble's backward
+section (§5.3); the simulator replays exactly that schedule: compute
+advances along the profiled backward timeline, each comm point enqueues
+an allreduce on the NIC (serialized per node, overlapping subsequent
+compute), and the iteration ends when both compute and the last reduction
+finish. This is the substitution for the paper's MPI runs on Cori and the
+commodity cluster (Figs. 18-19).
 
-* :class:`ClusterSimulator` — a discrete-event model of cluster-level
-  data parallelism. The compiler inserts an asynchronous gradient
-  reduction after each ensemble's backward section (§5.3); the simulator
-  replays exactly that schedule: compute advances along the profiled
-  backward timeline, each comm point enqueues an allreduce on the NIC
-  (serialized per node, overlapping subsequent compute), and the
-  iteration ends when both compute and the last reduction finish. This is
-  the substitution for the paper's MPI runs on Cori and the commodity
-  cluster (Figs. 18-19); the compute timeline is calibrated from the real
-  compiled network.
-
-* :class:`MultiThreadTrainer` — *real* multi-threaded data-parallel
-  training used for the Fig. 20 experiment. Worker threads run replicas
-  sharing the master's parameter arrays. With ``lossy=True`` they also
-  share gradient arrays and accumulate into them without synchronization
-  (genuine read-modify-write races — the paper's "threads update their
-  computed values in place", §3.1, after Project Adam); with
-  ``lossy=False`` each worker accumulates privately and gradients are
-  reduced under a lock (the "normal synchronized reduction").
+Data-parallel training on real workers is
+:class:`repro.runtime.procpool.DataParallelTrainer`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.runtime.netsim import NetworkModel
+from repro.runtime.procpool import (
+    DataParallelTrainer,
+    LossyAccumulate,
+    SyncReduce,
+)
 from repro.trace import NULL_TRACER
 
 
@@ -232,90 +227,17 @@ def scaling_efficiency(throughputs: Dict[int, float],
     return {n: tp / (n * base) for n, tp in throughputs.items()}
 
 
-# ---------------------------------------------------------------------------
-# Real multi-threaded training (Fig. 20)
-# ---------------------------------------------------------------------------
-
-
-class MultiThreadTrainer:
-    """Data-parallel training across threads sharing parameter memory.
-
-    ``build_fn()`` must construct an identical CompiledNet each call
-    (same seeds/architecture). The master's parameter arrays are shared
-    into every replica's buffer table; gradient arrays are shared too in
-    lossy mode, kept private and lock-reduced otherwise.
-    """
-
-    def __init__(self, build_fn: Callable[[], object], n_workers: int,
-                 lossy: bool):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.lossy = lossy
-        self.n_workers = n_workers
-        self.master = build_fn()
-        self.replicas = [self.master] + [
-            build_fn() for _ in range(n_workers - 1)
-        ]
-        self._lock = threading.Lock()
-        master_params = {p.key: p for p in self.master.parameters()}
-        for rep in self.replicas[1:]:
-            for p in rep.parameters():
-                m = master_params[p.key]
-                # share parameter values by rebinding the buffer-table
-                # entries the generated code reads (rebind_buffer also
-                # refreshes the replica's pre-bound step programs and
-                # its ParamView value/grad references)
-                rep.rebind_buffer(f"{p.ensemble}_{p.name}", m.value)
-                if lossy:
-                    rep.rebind_buffer(_grad_buf_name(rep, p), m.grad)
-        self._pool = ThreadPoolExecutor(max_workers=n_workers)
-
-    def train_epoch(self, solver, data: np.ndarray, labels: np.ndarray,
-                    data_name: str = "data", label_name: str = "label",
-                    rng=None) -> float:
-        """One epoch: each worker consumes its own mini-batches; one
-        solver update per round of worker batches (gradient summation
-        semantics, §5.3). Returns the mean loss."""
-        rng = rng or np.random.default_rng(0)
-        b = self.master.batch_size
-        idx = rng.permutation(len(data))
-        group = b * self.n_workers
-        losses: List[float] = []
-        for start in range(0, len(idx) - group + 1, group):
-            batch_idx = [
-                idx[start + k * b : start + (k + 1) * b]
-                for k in range(self.n_workers)
-            ]
-            self.master.clear_param_grads()
-            if not self.lossy:
-                for rep in self.replicas[1:]:
-                    rep.clear_param_grads()
-
-            def work(k):
-                rep = self.replicas[k]
-                sel = batch_idx[k]
-                loss = rep.forward(**{data_name: data[sel],
-                                      label_name: labels[sel]})
-                rep.backward()
-                return loss
-
-            futs = [self._pool.submit(work, k) for k in range(self.n_workers)]
-            losses.extend(f.result() for f in futs)
-            if not self.lossy:
-                with self._lock:
-                    master_params = {p.key: p for p in self.master.parameters()}
-                    for rep in self.replicas[1:]:
-                        for p in rep.parameters():
-                            master_params[p.key].grad += p.grad
-            solver.update(self.master)
-        return float(np.mean(losses)) if losses else 0.0
-
-    def close(self):
-        self._pool.shutdown(wait=True)
-
-
-def _grad_buf_name(cnet, p) -> str:
-    for info in cnet.plan.params:
-        if info.ensemble == p.ensemble and info.name == p.name:
-            return info.grad_buf
-    raise KeyError(p.key)
+def MultiThreadTrainer(build_fn: Callable[[], object], n_workers: int,
+                       lossy: bool) -> DataParallelTrainer:
+    """:class:`~repro.runtime.procpool.DataParallelTrainer` over threads,
+    under the name ``benchmarks/ledger/extras.py`` and Fig. 20 import —
+    delete with the Ledger v2 PR. ``build_fn()`` must compile an
+    identical net each call; ``.master`` is the parent replica."""
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
+    replicas = [build_fn() for _ in range(n_workers)]
+    trainer = DataParallelTrainer(
+        replicas[0], policy=LossyAccumulate() if lossy else SyncReduce(),
+        replicas=replicas)
+    trainer.master, trainer.replicas = replicas[0], replicas
+    return trainer

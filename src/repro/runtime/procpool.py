@@ -1,42 +1,29 @@
-"""Real multi-process data parallelism (§7, Figs 18-20 on real cores).
+"""Real data parallelism (§5.3, §7, Figs 18-20 on real cores).
 
 The simulator (:class:`~repro.runtime.distributed.ClusterSimulator`)
-models the paper's cluster runs on a virtual clock; the thread trainer
-shares one interpreter and therefore one GIL. This module is the third
-substrate: N **worker processes**, each owning a full compiled replica,
-with parameters and gradient accumulators living in POSIX shared memory
-(``multiprocessing.shared_memory``) so the replicas genuinely share
-storage across address spaces.
+models the paper's cluster runs on a virtual clock. This module is the
+one trainer that runs them for real: N workers, each owning a full
+compiled replica, with parameters and gradient accumulators in one
+block every replica is rebound onto.
 
 How the pieces fit:
 
 * :class:`SharedParamBlock` packs every learnable parameter into one
-  flat float32 *values* block plus an ``(n_workers, total)`` *gradient
+  flat float32 *values* block plus an ``(n_rows, total)`` *gradient
   grid*, carved back into per-tensor views with
-  :func:`~repro.runtime.buffers.param_layout`. Each process maps the
-  same blocks and rebinds its replica onto them through the existing
+  :func:`~repro.runtime.buffers.param_layout`. Each worker rebinds its
+  replica onto the block through the existing
   :meth:`~repro.runtime.executor.CompiledNet.rebind_buffers` seam — the
   compiled program is untouched; only the buffer table changes.
-* :class:`ProcessTrainer` forks the workers (the compiled replica is
-  inherited copy-on-write — no pickling, no recompilation), feeds them
-  micro-batch index sets over pipes, and applies one of two
-  :class:`ReducePolicy` options:
+* :class:`DataParallelTrainer` starts the workers over one of two
+  transports, derived from its arguments — forked processes with the
+  block in POSIX shared memory, or daemon threads with it on the heap —
+  all running the one :func:`_worker_main` loop behind a
+  :mod:`~repro.runtime.worker` handle, and deals them micro-batch index
+  sets under a :class:`ReducePolicy`: :class:`SyncReduce`,
+  :class:`LossyAccumulate` or :class:`AsyncLossy`.
 
-  - :class:`SyncReduce` — the parent barriers on every round of
-    ``n_workers`` micro-batches, tree-reduces the gradient grid in the
-    same fixed pairwise order the thread executor uses
-    (:func:`~repro.runtime.threads.tree_reduce`), and applies one
-    solver update. Deterministic: bitwise-reproducible run to run at a
-    fixed worker count, and at ``workers=1`` bitwise-identical to the
-    serial training loop.
-  - :class:`AsyncLossy` — the paper's §7 asynchronous story: every
-    worker applies its own solver update directly to the shared
-    values, racing with its peers (genuine cross-process
-    read-modify-write, after Project Adam's "threads update their
-    computed values in place"). A shared step counter bounds how far
-    any worker may run ahead of the slowest (``max_staleness``).
-
-Fork is the only supported start method: ``spawn`` would have to pickle
+Fork is the only process start method: ``spawn`` would have to pickle
 the compiled program (closures and all) and recompile in every worker.
 On platforms without ``fork`` the constructor raises. One caveat
 inherited from fork: the C/OpenMP backend's libgomp state does not
@@ -44,65 +31,36 @@ survive a fork that happens *after* the parent entered a parallel
 region — fork the trainer before running the parent net, or use the
 NumPy backend for multi-process training (see docs/DISTRIBUTED.md).
 
-Worker failures never hang the parent: replies are polled alongside
-``Process.is_alive()``, a dead worker raises :class:`WorkerDiedError`
-(index, exit code, phase), and an exception inside a worker is shipped
-back and re-raised as :class:`WorkerError` with the worker's traceback
-text attached.
+Worker failures never hang the parent: a dead process is pipe EOF and
+raises :class:`~repro.runtime.worker.WorkerDiedError` (index, exit
+code, phase); an exception inside a worker is shipped back and
+re-raised as :class:`~repro.runtime.worker.WorkerError` with the
+worker's traceback text attached. Either closes the trainer on the
+spot (the other workers are not waited for), which hands the parent net
+back its own arrays holding the values trained so far.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import copy
 import time
 import traceback
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.runtime.buffers import carve_param_views, param_layout
 from repro.runtime.threads import tree_reduce
-
-
-class ProcessPoolUnavailable(RuntimeError):
-    """The platform cannot run the multi-process backend (no ``fork``
-    start method — e.g. Windows)."""
-
-
-class WorkerError(RuntimeError):
-    """An exception raised *inside* a worker process, re-raised in the
-    parent with the worker's traceback text attached."""
-
-    def __init__(self, worker: int, error_type: str, message: str,
-                 tb: str = ""):
-        super().__init__(
-            f"worker {worker} raised {error_type}: {message}"
-            + (f"\n--- worker traceback ---\n{tb}" if tb else "")
-        )
-        self.worker = worker
-        self.error_type = error_type
-        self.worker_message = message
-        self.worker_traceback = tb
-
-
-class WorkerDiedError(RuntimeError):
-    """A worker process exited (or was killed) while work was pending.
-
-    Structured: :attr:`worker` (index), :attr:`exitcode` (negative =
-    killed by that signal), :attr:`phase` (what the parent was doing).
-    """
-
-    def __init__(self, worker: int, exitcode: Optional[int],
-                 phase: str = ""):
-        super().__init__(
-            f"worker {worker} died (exitcode={exitcode})"
-            + (f" while {phase}" if phase else "")
-        )
-        self.worker = worker
-        self.exitcode = exitcode
-        self.phase = phase
+from repro.runtime.worker import (
+    ForkedWorker,
+    ThreadWorker,
+    WorkerDiedError,
+    WorkerError,
+)
+from repro.solvers.solve import _batches
 
 
 # ---------------------------------------------------------------------------
@@ -112,40 +70,41 @@ class WorkerDiedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SyncReduce:
-    """Synchronous gradient summation: barrier per round, deterministic
-    tree reduction, one solver update on the parent (§5.3 semantics at
-    process granularity)."""
+    """Synchronous gradient summation (§5.3 semantics at worker
+    granularity): the parent barriers on every round of ``n_workers``
+    micro-batches, tree-reduces the gradient grid in the same fixed
+    pairwise order the thread executor uses
+    (:func:`~repro.runtime.threads.tree_reduce`), and applies one solver
+    update. Deterministic: bitwise-reproducible run to run at a fixed
+    worker count, bitwise equal across the two transports, and at one
+    worker bitwise-identical to the serial training loop."""
 
-    kind = "sync"
+
+@dataclass(frozen=True)
+class LossyAccumulate:
+    """Racing gradient accumulation (§3.1, measured by Fig. 20): rounds
+    like :class:`SyncReduce`, but every worker accumulates into the *one*
+    gradient row without synchronization (genuine read-modify-write
+    races — the paper's "threads update their computed values in
+    place") and nobody reduces."""
 
 
 @dataclass(frozen=True)
 class AsyncLossy:
-    """Asynchronous/lossy updates (§7): each worker runs its own solver
-    against the shared parameter block without synchronization, bounded
-    by ``max_staleness`` — no worker may be more than that many steps
+    """Asynchronous/lossy updates (§7, after Project Adam): each worker
+    applies its own solver's update directly to the shared values,
+    racing with its peers, bounded by ``max_staleness`` — a shared step
+    counter keeps any worker from running more than that many steps
     ahead of the slowest one."""
 
     max_staleness: int = 4
-    kind = "async"
 
     def __post_init__(self):
         if self.max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
 
 
-ReducePolicy = Union[SyncReduce, AsyncLossy]
-
-
-def _fork_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-        raise ProcessPoolUnavailable(
-            "the multi-process backend needs the 'fork' start method "
-            "(workers inherit the compiled replica copy-on-write); "
-            "this platform does not provide it"
-        ) from exc
+ReducePolicy = Union[SyncReduce, LossyAccumulate, AsyncLossy]
 
 
 # ---------------------------------------------------------------------------
@@ -154,61 +113,63 @@ def _fork_context():
 
 
 class SharedParamBlock:
-    """Parameter values + per-worker gradient rows in shared memory.
+    """Parameter values, gradient rows and per-worker step counters in
+    one place every replica binds to — POSIX shared memory
+    (``shared=True``, for forked workers) or heap arrays of the same
+    layout (threads).
 
     ``values`` is a flat float32 array holding every parameter tensor
     at :func:`~repro.runtime.buffers.param_layout` offsets; ``grads``
     is an ``(n_rows, total)`` grid — worker ``k`` accumulates into row
-    ``k``, and a sync round tree-reduces the rows into row 0 (which is
-    exactly what the parent replica's gradient views alias).
+    ``k % n_rows``, and a sync round tree-reduces the rows into row 0
+    (which is exactly what the parent replica's gradient views alias);
+    ``steps`` holds one completed-step counter per row, read under
+    :class:`AsyncLossy` where every worker has its own (int64, so a
+    torn read is not a practical concern on one word).
     """
 
-    def __init__(self, plan, n_rows: int):
+    def __init__(self, plan, n_rows: int, shared: bool = True):
         self.layout, self.total = param_layout(plan)
         self.n_rows = int(n_rows)
-        nbytes = max(4 * self.total, 1)
-        self._shm_values = shared_memory.SharedMemory(
-            create=True, size=nbytes)
-        self._shm_grads = shared_memory.SharedMemory(
-            create=True, size=max(nbytes * self.n_rows, 1))
-        self.values = np.ndarray(
-            (self.total,), np.float32, buffer=self._shm_values.buf)
-        self.grads = np.ndarray(
-            (self.n_rows, self.total), np.float32,
-            buffer=self._shm_grads.buf)
-        self._closed = False
+        self._shms: List[shared_memory.SharedMemory] = []
+        try:
+            self.values = self._array((self.total,), np.float32, shared)
+            self.grads = self._array(
+                (self.n_rows, self.total), np.float32, shared)
+            self.steps = self._array((self.n_rows,), np.int64, shared)
+        except BaseException:
+            self.close(unlink=True)
+            raise
+
+    def _array(self, shape, dtype, shared: bool) -> np.ndarray:
+        if not shared:
+            return np.zeros(shape, dtype)
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        self._shms.append(
+            shared_memory.SharedMemory(create=True, size=max(nbytes, 1)))
+        return np.ndarray(shape, dtype, buffer=self._shms[-1].buf)
 
     def bindings(self, grad_row: int) -> Dict[str, np.ndarray]:
         """The buffer name → shared view dict that maps one replica
         onto this block (values shared by all, gradients private to
-        ``grad_row``)."""
+        ``grad_row``) through ``rebind_buffers`` — one program re-bake."""
         out = carve_param_views(self.layout, self.values)
         out.update(carve_param_views(
             self.layout, self.grads[grad_row], grads=True))
         return out
 
-    def bind(self, cnet, grad_row: int) -> None:
-        """Rebind ``cnet``'s parameter value/grad buffers onto the
-        shared block (one program re-bake)."""
-        cnet.rebind_buffers(self.bindings(grad_row))
-
     def load_from(self, cnet) -> None:
         """Copy ``cnet``'s current parameter values into the shared
-        values block (call before :meth:`bind`)."""
+        values block (call before rebinding it)."""
         for info, off, shape, n in self.layout:
             self.values[off:off + n] = cnet.buffers[info.value_buf].ravel()
-        self.grads[:] = 0.0
 
     def close(self, unlink: bool) -> None:
         """Drop this process's mapping; ``unlink=True`` (parent only)
-        also removes the underlying blocks."""
-        if self._closed:
-            return
-        self._closed = True
+        also removes the underlying blocks. Idempotent."""
         # release the exported views before closing the mappings
-        self.values = None
-        self.grads = None
-        for shm in (self._shm_values, self._shm_grads):
+        self.values = self.grads = self.steps = None
+        for shm in self._shms:
             # close() raises BufferError while numpy views of the block
             # are still alive — unlink anyway (the name goes away; the
             # mapping is released when the views are collected)
@@ -223,191 +184,161 @@ class SharedParamBlock:
                     pass
 
 
+def _worker_main(conn, replica, block: SharedParamBlock, k: int) -> None:
+    """Bind ``replica`` onto ``block`` (gradient row ``k % n_rows``),
+    report ``("ready",)``, then answer ``("data", data, labels, data_name,
+    label_name)``, ``("step", sel)`` and ``("async_epoch", sels, solver,
+    max_staleness)`` until ``None`` (stop) or, in a forked child, parent
+    death (pipe EOF)."""
+    data = labels = names = solver = None
+
+    def step(sel) -> float:
+        # the serial loop clears parameter gradients here; the parent
+        # clears the whole grid before each round instead, so that
+        # workers sharing a row do not wipe each other's sums
+        loss = replica.forward(**{names[0]: data[sel],
+                                  names[1]: labels[sel]})
+        replica.backward()
+        return float(loss)
+
+    msg = ("bind",)  # what every worker does first, unasked
+    while msg is not None:
+        kind, *args = msg
+        try:
+            if kind == "bind":
+                replica.rebind_buffers(block.bindings(k % block.n_rows))
+                reply = ("ready",)
+            elif kind == "data":
+                data, labels, *names = args
+                reply = ("ok",)
+            elif kind == "step":
+                reply = ("done", step(*args))
+            else:
+                sels, shipped, bound = args
+                solver = shipped if shipped is not None else solver
+                reply = ("done", *_async_epoch(
+                    replica, solver, block.steps, k, step, sels, bound))
+        except Exception as exc:  # noqa: BLE001 - shipped; ends the trainer
+            reply = ("error", type(exc).__name__, str(exc),
+                     traceback.format_exc())
+        conn.send(reply)
+        msg = conn.recv()
+
+
+def _async_epoch(replica, solver, steps, k, step, sels, bound):
+    losses: List[float] = []
+    max_spread = 0
+    try:
+        for sel in sels:
+            # staleness gate: stall while we are too far ahead of the
+            # slowest worker (spread measured in completed steps)
+            while (spread := int(steps[k] - steps.min())) > bound:
+                time.sleep(1e-4)
+            max_spread = max(max_spread, spread)
+            replica.clear_param_grads()
+            losses.append(step(sel))
+            # lossy by construction: in-place update of the shared
+            # values, racing with every other worker's updates
+            solver.update(replica)
+            steps[k] += 1
+    finally:
+        # finished or failed: never hold a peer at the gate
+        steps[k] = np.iinfo(np.int64).max
+    return losses, max_spread
+
+
 # ---------------------------------------------------------------------------
-# The process trainer
+# The data-parallel trainer
 # ---------------------------------------------------------------------------
 
-#: parent-side poll granularity while waiting on a worker reply: short
-#: enough to notice a death promptly, long enough to stay off the CPU
-_POLL_S = 0.05
 
-
-class ProcessTrainer:
-    """Data-parallel training across forked worker processes.
+class DataParallelTrainer(AbstractContextManager):
+    """Data-parallel training across workers sharing parameter memory.
 
     ``cnet`` is the parent's compiled net. Construction packs its
     parameters into a :class:`SharedParamBlock`, rebinds the parent
-    onto it (gradient row 0), and forks ``n_workers`` children that
-    each rebind their inherited replica copy onto the same block
-    (gradient row ``k``). :meth:`train_epoch` then drives the epoch
-    under the chosen :class:`ReducePolicy`; :meth:`close` restores the
-    parent's original parameter arrays (values copied back) and tears
-    the pool down.
+    onto it (gradient row 0) and starts the workers: with
+    ``replicas=[...]`` one daemon thread per caller-compiled replica
+    (identical programs; ``replicas[0]`` may be ``cnet`` itself; one
+    interpreter, one GIL), otherwise ``n_workers`` forked children that
+    each rebind their inherited copy of ``cnet`` (copy-on-write — no
+    pickling, no recompilation). :meth:`train_epoch` then drives the
+    epoch under the chosen :class:`ReducePolicy`; :meth:`close` restores
+    the parent's original parameter arrays (values copied back) and
+    tears the workers down.
 
-    Works as a context manager; ``solve(..., workers=N)`` wraps this
-    for the full training loop (eval, checkpoints, monitors).
+    Works as a context manager; ``solve(..., workers=N)`` wraps the
+    process transport for the full training loop (eval, checkpoints,
+    monitors).
     """
 
-    def __init__(self, cnet, n_workers: int,
-                 policy: Optional[ReducePolicy] = None):
-        if n_workers < 1:
+    def __init__(self, cnet, n_workers: Optional[int] = None,
+                 policy: Optional[ReducePolicy] = None,
+                 replicas: Optional[Sequence] = None):
+        threads = replicas is not None
+        if threads and n_workers not in (None, len(replicas)):
+            raise ValueError("n_workers disagrees with len(replicas)")
+        n = len(replicas) if threads else n_workers
+        if n is None or n < 1:
             raise ValueError("n_workers must be >= 1")
-        self.cnet = cnet
-        self.n_workers = int(n_workers)
-        self.policy = policy if policy is not None else SyncReduce()
-        if not isinstance(self.policy, (SyncReduce, AsyncLossy)):
+        policy = policy if policy is not None else SyncReduce()
+        if not isinstance(policy, (SyncReduce, LossyAccumulate, AsyncLossy)):
             raise TypeError(
-                f"reduce policy must be SyncReduce or AsyncLossy, "
-                f"got {type(self.policy).__name__}"
+                f"reduce policy must be SyncReduce, LossyAccumulate or "
+                f"AsyncLossy, got {type(policy).__name__}"
             )
-        ctx = _fork_context()
-        self.block = SharedParamBlock(cnet.plan, self.n_workers)
-        # per-worker completed-step counters (async staleness gate);
-        # int64 so a torn read is not a practical concern on one word
-        self._shm_steps = shared_memory.SharedMemory(
-            create=True, size=8 * self.n_workers)
-        self.steps = np.ndarray(
-            (self.n_workers,), np.int64, buffer=self._shm_steps.buf)
-        self.steps[:] = 0
-        # remember the original arrays so close() can restore them:
-        # the ensemble field bindings alias these, and they must hold
-        # the trained values after the shared block is unlinked
-        self._orig = {
-            name: cnet.buffers[name]
-            for name in self.block.bindings(0)
-        }
-        self.block.load_from(cnet)
-        self.block.bind(cnet, grad_row=0)
-        self._workers: List[Tuple] = []
-        for k in range(self.n_workers):
-            parent_conn, child_conn = ctx.Pipe()
-            # children forked later inherit the earlier workers' parent
-            # pipe ends; hand them over so each child can close them
-            inherited = [pc for _proc, pc in self._workers]
-            proc = ctx.Process(
-                target=self._worker_main,
-                args=(k, child_conn, inherited),
-                name=f"repro-train-{k}", daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers.append((proc, parent_conn))
+        self.cnet = cnet
+        self.n_workers = int(n)
+        self.policy = policy
+        self.workers: List[ForkedWorker] = []
+        self.block: Optional[SharedParamBlock] = None
+        self._orig: Dict[str, np.ndarray] = {}
         self._data_token = None
         self._async_solver_sent = False
         self._closed = False
         #: stats from the last train_epoch call
         self.last_batches = 0
         self.last_max_spread = 0
-
-    # -- child side ---------------------------------------------------------
-
-    def _worker_main(self, k: int, conn, inherited) -> None:
-        for pc in inherited:
-            pc.close()
-        cnet = self.cnet
-        cnet._pool = None  # parent's shard threads did not survive fork
-        self.block.bind(cnet, grad_row=k)
-        data = labels = None
-        data_name = label_name = None
-        solver = None
         try:
-            while True:
-                msg = conn.recv()
-                kind = msg[0]
-                if kind == "step":
-                    _, sel = msg
-                    try:
-                        loss = cnet.forward(**{data_name: data[sel],
-                                               label_name: labels[sel]})
-                        cnet.clear_param_grads()
-                        cnet.backward()
-                        conn.send(("done", float(loss)))
-                    except BaseException as exc:
-                        conn.send(("error", type(exc).__name__, str(exc),
-                                   traceback.format_exc()))
-                elif kind == "async_epoch":
-                    _, sels, shipped = msg
-                    if shipped is not None:
-                        solver = shipped  # arrived pickled = own copy
-                    try:
-                        losses, spread = self._run_async_epoch(
-                            cnet, solver, data, labels,
-                            data_name, label_name, sels, k)
-                        conn.send(("done", losses, spread))
-                    except BaseException as exc:
-                        conn.send(("error", type(exc).__name__, str(exc),
-                                   traceback.format_exc()))
-                elif kind == "data":
-                    _, data, labels, data_name, label_name = msg
-                    conn.send(("ok",))
-                elif kind == "ping":
-                    conn.send(("pong",))
-                elif kind == "stop":
-                    return
-        except (EOFError, OSError, KeyboardInterrupt):
-            pass  # parent went away; just exit
-        finally:
-            conn.close()
+            n_rows = 1 if isinstance(policy, LossyAccumulate) else n
+            self.block = block = SharedParamBlock(
+                cnet.plan, n_rows, shared=not threads)
+            # remember the original arrays so close() can restore them:
+            # the ensemble field bindings alias these, and they must hold
+            # the trained values after the shared block is unlinked
+            self._orig = {name: cnet.buffers[name]
+                          for name in block.bindings(0)}
+            block.load_from(cnet)
+            cnet.rebind_buffers(block.bindings(0))
+            if not threads:
+                cnet.close()  # shard threads do not survive a fork
+            handle = ThreadWorker if threads else ForkedWorker
+            for k, net in enumerate(replicas if threads else [cnet] * n):
+                self.workers.append(handle(
+                    k, _worker_main, (net, block, k), self.workers, None,
+                    "repro-train"))
+            self._gather(n, "binding the shared block")
+        except BaseException:
+            self.close()
+            raise
 
-    def _run_async_epoch(self, cnet, solver, data, labels, data_name,
-                         label_name, sels, k):
-        if solver is None:
-            raise RuntimeError("async worker received no solver")
-        steps = self.steps
-        bound = self.policy.max_staleness
-        losses: List[float] = []
-        max_spread = 0
-        for sel in sels:
-            # staleness gate: stall while we are too far ahead of the
-            # slowest worker (spread measured in completed steps)
-            while True:
-                spread = int(steps[k] - steps.min())
-                if spread <= bound:
-                    break
-                time.sleep(1e-4)
-            max_spread = max(max_spread, spread)
-            loss = cnet.forward(**{data_name: data[sel],
-                                   label_name: labels[sel]})
-            cnet.clear_param_grads()
-            cnet.backward()
-            # lossy by construction: in-place update of the shared
-            # values, racing with every other worker's updates
-            solver.update(cnet)
-            steps[k] += 1
-            losses.append(float(loss))
-        return losses, max_spread
-
-    # -- parent side --------------------------------------------------------
-
-    def _send(self, k: int, msg) -> None:
-        proc, conn = self._workers[k]
-        try:
-            conn.send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerDiedError(
-                k, proc.exitcode, "sending work") from exc
-
-    def _await_reply(self, k: int, phase: str):
-        proc, conn = self._workers[k]
-        while not conn.poll(_POLL_S):
-            if not proc.is_alive():
-                raise WorkerDiedError(k, proc.exitcode, phase)
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerDiedError(k, proc.exitcode, phase) from exc
-        if reply[0] == "error":
-            raise WorkerError(k, reply[1], reply[2], reply[3])
-        return reply
+    def _gather(self, n: int, phase: str) -> list:
+        """One reply from each of the first ``n`` workers, taken as
+        they arrive, returned in worker order."""
+        pending, replies = list(self.workers[:n]), {}
+        while pending:
+            w = pending[0].first_ready(pending)
+            pending.remove(w)
+            replies[w.index] = w.recv(phase)
+        return [replies[k] for k in range(n)]
 
     def _ship_data(self, data, labels, data_name, label_name) -> None:
         token = (id(data), id(labels), len(data), data_name, label_name)
         if token == self._data_token:
             return
-        for k in range(self.n_workers):
-            self._send(k, ("data", data, labels, data_name, label_name))
-        for k in range(self.n_workers):
-            self._await_reply(k, "shipping the dataset")
+        for w in self.workers:
+            w.send(("data", data, labels, data_name, label_name))
+        self._gather(self.n_workers, "shipping the dataset")
         self._data_token = token
 
     def train_epoch(self, solver, data: np.ndarray, labels: np.ndarray,
@@ -415,136 +346,97 @@ class ProcessTrainer:
                     rng=None, shuffle: bool = True) -> float:
         """One epoch over ``data``; returns the mean micro-batch loss.
 
-        Micro-batches are formed exactly like the serial loop's (same
-        RNG consumption, same ordering), then dealt to workers: under
-        :class:`SyncReduce` in rounds of ``n_workers`` consecutive
-        batches with one solver update per round (group semantics — the
-        effective batch is ``batch_size * n_workers``; a short final
-        round updates from however many batches remain), under
-        :class:`AsyncLossy` round-robin with worker-local updates. Sets
-        :attr:`last_batches` (micro-batches run) and
-        :attr:`last_max_spread` (async only: the largest observed
-        staleness)."""
+        Micro-batches are the serial loop's (same generator: same RNG
+        consumption, same ordering), then dealt to workers: under
+        :class:`SyncReduce` / :class:`LossyAccumulate` in rounds of
+        ``n_workers`` consecutive batches with one solver update per
+        round (group semantics — the effective batch is ``batch_size *
+        n_workers``; a short final round updates from however many
+        batches remain), under :class:`AsyncLossy` round-robin with
+        worker-local updates. Sets :attr:`last_batches` (micro-batches
+        run) and :attr:`last_max_spread` (async only: the largest
+        observed staleness)."""
         if self._closed:
             raise RuntimeError("trainer is closed")
         rng = rng if rng is not None else np.random.default_rng(0)
-        b = self.cnet.batch_size
-        idx = np.arange(len(data))
-        if shuffle:
-            rng.shuffle(idx)
-        sels = [idx[start:start + b]
-                for start in range(0, len(idx) - b + 1, b)]
-        self._ship_data(data, labels, data_name, label_name)
+        sels = list(_batches(len(data), self.cnet.batch_size, rng, shuffle))
         self.last_batches = len(sels)
         self.last_max_spread = 0
-        if isinstance(self.policy, AsyncLossy):
-            return self._async_epoch(solver, sels)
-        return self._sync_epoch(solver, sels)
+        try:
+            self._ship_data(data, labels, data_name, label_name)
+            if isinstance(self.policy, AsyncLossy):
+                losses = self._async_epoch(solver, sels)
+            else:
+                losses = self._round_epoch(solver, sels)
+        except (WorkerError, WorkerDiedError):
+            # the trainer ends here, without waiting: a survivor may
+            # still owe a reply or be stalled on a dead peer's counter
+            self.close(timeout=0)
+            raise
+        # plain sequential sum: the serial loop accumulates epoch loss
+        # the same way, keeping one worker bitwise-identical to it
+        return sum(losses) / max(len(losses), 1)
 
-    def _sync_epoch(self, solver, sels) -> float:
+    def _round_epoch(self, solver, sels) -> List[float]:
         losses: List[float] = []
         n = self.n_workers
         grads = self.block.grads
         for start in range(0, len(sels), n):
+            grads[:] = 0.0
             round_sels = sels[start:start + n]
-            m = len(round_sels)
-            for k in range(m):
-                self._send(k, ("step", round_sels[k]))
-            for k in range(m):
-                reply = self._await_reply(k, "running a sync round")
-                losses.append(reply[1])
-            if m < n:
-                # short final round: idle workers' rows still hold the
-                # previous round's gradients — zero them so the fixed
-                # tree reduction sums only this round's work
-                grads[m:] = 0.0
+            for w, sel in zip(self.workers, round_sels):
+                w.send(("step", sel))
+            losses += [loss for _done, loss in self._gather(
+                len(round_sels), "running a round")]
+            # one row (lossy) is already the racing sum; the parent's
+            # gradient views alias row 0 either way
             tree_reduce(grads)
-            # the parent's gradient views alias row 0 = the reduced sum
             solver.update(self.cnet)
-        # plain sequential sum: the serial loop accumulates epoch loss
-        # the same way, keeping workers=1 bitwise-identical to it
-        return sum(losses) / max(len(losses), 1)
+        return losses
 
-    def _async_epoch(self, solver, sels) -> float:
-        self.steps[:] = 0
-        shipped = None if self._async_solver_sent else solver
-        for k in range(self.n_workers):
-            self._send(
-                k, ("async_epoch", sels[k::self.n_workers], shipped))
+    def _async_epoch(self, solver, sels) -> List[float]:
+        self.block.steps[:] = 0
+        for k, w in enumerate(self.workers):
+            # each worker updates through its own copy of the solver
+            shipped = (None if self._async_solver_sent
+                       else copy.deepcopy(solver))
+            w.send(("async_epoch", sels[k::self.n_workers], shipped,
+                    self.policy.max_staleness))
         self._async_solver_sent = True
         losses: List[float] = []
-        spread = 0
-        for k in range(self.n_workers):
-            reply = self._await_reply(k, "running an async epoch")
-            losses.extend(reply[1])
-            spread = max(spread, reply[2])
-        self.last_max_spread = spread
-        return sum(losses) / max(len(losses), 1)
+        for _done, worker_losses, spread in self._gather(
+                self.n_workers, "running an async epoch"):
+            losses += worker_losses
+            self.last_max_spread = max(self.last_max_spread, spread)
+        return losses
 
     # -- lifecycle ----------------------------------------------------------
-
-    def ping(self, timeout: float = 5.0) -> List[bool]:
-        """Liveness probe: True per worker that answered in time."""
-        out = []
-        for k, (proc, conn) in enumerate(self._workers):
-            try:
-                self._send(k, ("ping",))
-                deadline = time.monotonic() + timeout
-                while not conn.poll(_POLL_S):
-                    if (not proc.is_alive()
-                            or time.monotonic() > deadline):
-                        raise WorkerDiedError(k, proc.exitcode, "ping")
-                out.append(conn.recv() == ("pong",))
-            except (WorkerDiedError, OSError):
-                out.append(False)
-        return out
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers, restore the parent net's original
         parameter arrays (trained values copied back in), and unlink
-        the shared blocks. Idempotent."""
+        the shared blocks. Idempotent, and safe on a half-built
+        trainer."""
         if self._closed:
             return
         self._closed = True
-        for k, (proc, conn) in enumerate(self._workers):
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc, conn in self._workers:
-            proc.join(timeout)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout)
-            conn.close()
+        for w in self.workers:
+            w.close(timeout)
+        if self.block is None:
+            return
         # copy the trained values back into the original arrays (which
         # the ensembles' field bindings still alias) and rebind the net
         # off the shared block before unlinking it
-        restored = {}
         for name, arr in self._orig.items():
             arr[...] = self.cnet.buffers[name]
-            restored[name] = arr
-        self.cnet.rebind_buffers(restored)
+        self.cnet.rebind_buffers(self._orig)
         self.block.close(unlink=True)
-        self.steps = None
-        try:
-            self._shm_steps.close()
-        except BufferError:  # pragma: no cover - stray view alive
-            pass
-        try:
-            self._shm_steps.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-    def __enter__(self) -> "ProcessTrainer":
-        return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     def __del__(self):  # pragma: no cover - interpreter teardown
         try:
-            if not getattr(self, "_closed", True):
-                self.close()
+            self.close()
         except Exception:
             pass

@@ -117,7 +117,7 @@ def solve(
 
     ``workers=N`` trains data-parallel across N forked worker
     processes sharing parameter memory
-    (:class:`repro.runtime.ProcessTrainer`): each epoch's micro-batches
+    (:class:`repro.runtime.DataParallelTrainer`): each epoch's micro-batches
     are formed exactly as the serial loop forms them, then dealt to the
     workers under ``reduce_policy`` —
     :class:`~repro.runtime.SyncReduce` (default; deterministic tree
@@ -159,9 +159,9 @@ def solve(
     if workers is not None:
         # created after any resume_from restore so the shared block is
         # loaded from the restored parameters
-        from repro.runtime.procpool import ProcessTrainer
+        from repro.runtime.procpool import DataParallelTrainer
 
-        trainer = ProcessTrainer(cnet, workers, reduce_policy)
+        trainer = DataParallelTrainer(cnet, workers, reduce_policy)
     try:
         for _epoch in range(start_epoch, epochs):
             token = tracer.begin("epoch", "train", epoch=_epoch)

@@ -36,7 +36,7 @@ from repro.models import (
     build_latte,
 )
 from repro.optim import CompilerOptions
-from repro.runtime.procpool import WorkerDiedError, WorkerError
+from repro.runtime.worker import WorkerDiedError, WorkerError
 from repro.serve import (
     BatcherClosedError,
     ModelServer,
