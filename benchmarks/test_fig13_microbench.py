@@ -118,7 +118,7 @@ def test_fig13_o4_tiles_and_fuses():
     report_ = r.cnet.compile_report
     assert report_["tiling"].rewrites["units_tiled"] > 0
     assert report_["fusion"].rewrites["fused_groups"] > 0
-    assert report_["fusion"].rewrites["buffers_contracted"] > 0
+    assert report_["fusion"].rewrites["staging_contracted"] > 0
 
 
 def test_fig13_optimizations_help(results):

@@ -111,10 +111,12 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 
 
 #: train ``planned_bytes`` at this geometry with every over-budget
-#: staging chain batch-tiled and contracted (21 115 584 / 5 556 608 /
-#: 5 169 280 with whole-batch staging re-gathered in backward)
-PLANNED_BYTES = {"vgg": 16_986_816, "alexnet": 4_249_792,
-                 "overfeat": 3_490_752}
+#: staging chain batch-tiled and contracted and the padded inputs pooled
+#: (21 115 584 / 5 556 608 / 5 169 280 with whole-batch staging
+#: re-gathered in backward; 16 986 816 / 4 249 792 / 3 490 752 with
+#: the padded inputs kept out of the arena)
+PLANNED_BYTES = {"vgg": 16_208_576, "alexnet": 4_156_864,
+                 "overfeat": 3_425_216}
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
@@ -123,11 +125,11 @@ def test_fig14_memory_plan_reuse(name):
     policy (every ensemble still inspectable), as an absolute count:
     contraction shrinks the naive footprint too (a contracted buffer is
     small pooled or not), so the reuse *fraction* falls while the
-    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 39 % of
-    27.9 MB is 17.0 MB."""
+    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 42 % of
+    27.9 MB is 16.2 MB."""
     cfg, batch = _config(name)
     m = measure_memory(cfg, batch)
-    assert m["planned_bytes"] <= PLANNED_BYTES[name], m
+    assert m["planned_bytes"] == PLANNED_BYTES[name], m
     assert m["planned_bytes"] <= m["naive_bytes"], m
 
 

@@ -61,7 +61,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v9: staging chains are batch-tiled and their buffers contracted
 #:     (buffers carry ``tile``; the plan carries ``contracted`` /
 #:     ``untiled``); native kernels return ``void``
-FORMAT_VERSION = 9
+#: v10: one batch-tiled group per conv layer (pad → … → pool); values
+#:     and padded buffers carry ``tile`` too, and a pad is a zero-fill
+#:     step plus its interior copy
+FORMAT_VERSION = 10
 
 
 class CacheUnsupported(ValueError):

@@ -24,12 +24,14 @@ Three cooperating transformations:
    the group wrote starts a group of its own: fusing it would buy no
    locality and hold two chains' staging alive at once.
 
-3. **Contraction** — a staging buffer whose whole life is inside one
-   *batch*-tiled group (see :mod:`repro.optim.tiling`) holds one tile at
-   a time, so it is allocated for one tile only (:func:`contract`).
+3. **Contraction** — a staging, value or padded buffer whose whole
+   life is inside one *batch*-tiled group (see :mod:`repro.optim.tiling`:
+   one group per conv layer, pad → im2col → GEMM → bias → ReLU → pool)
+   holds one tile at a time, so it is allocated for one tile only
+   (:func:`contract`).
 
-NormalizationEnsembles, losses, paddings and communication calls are
-fusion barriers (§5.5).
+NormalizationEnsembles, losses, untiled paddings and communication
+calls are fusion barriers (§5.5).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from repro.ir import (
     CommCall,
     Const,
     ExternOp,
-    Gemm,
     Index,
     Var,
     free_vars,
@@ -50,7 +51,7 @@ from repro.ir import (
     walk_exprs,
 )
 from repro.synthesis.access import ProgramView, unit_rw
-from repro.synthesis.liveness import buffer_nbytes
+from repro.synthesis.liveness import buffer_nbytes, respelled
 from repro.synthesis.lower import (
     BATCH_TILE_VAR,
     BATCH_VAR,
@@ -59,8 +60,9 @@ from repro.synthesis.lower import (
     _window_vars,
     dim_var,
 )
+from repro.synthesis.plan import BufferSpec
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, Section
-from repro.optim.tiling import TILE_DIM, is_tiled
+from repro.optim.tiling import TILE_DIM, at_batch_rows, is_tiled
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +223,6 @@ def _window_tile_local(info, ens_shape, src_buf_shape) -> bool:
     return any_dep
 
 
-def _at_batch_rows(unit: LoopUnit, buf: str, plan) -> bool:
-    """Does every access ``unit`` makes to base buffer ``buf`` index its
-    lead axis by the batch variable — so that a batch tile of the unit
-    touches exactly that tile's rows of the buffer?"""
-    rows = {Var(BATCH_VAR)}
-    if isinstance(unit.stmt, Gemm):
-        refs = {"a": unit.stmt.a, "b": unit.stmt.b, "c": unit.stmt.c}
-        rows = {refs[key].indices[axis]
-                for key, axis in unit.stmt.var_axes.get(BATCH_VAR, ())}
-    return all(e.indices and e.indices[0] in rows
-               for e in walk_exprs(unit.stmt) if isinstance(e, Index)
-               and plan.resolve_alias(e.buffer) == buf)
-
-
 def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan,
                       batch: bool = False) -> bool:
     """May ``unit`` read ``buf`` (written earlier in the group) within the
@@ -244,8 +232,8 @@ def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan,
         return False  # reshaped alias views are not tile-decomposable
     if batch:
         return (spec is not None and spec.batched
-                and _at_batch_rows(unit, buf, plan)
-                and _at_batch_rows(writer, buf, plan))
+                and at_batch_rows(unit, buf, plan)
+                and at_batch_rows(writer, buf, plan))
     info = unit.tags.conn
     src = unit.tags.copy_source
     ens_shape = _ens_shape(unit, plan)
@@ -337,8 +325,10 @@ def build_schedule(
                 # fusion keeps a producer's tile hot for its consumer: a
                 # unit of another chain would only hold that chain's
                 # staging alive beside this one's (a fill reads nothing
-                # and joins the unit it initializes for)
+                # and joins the unit it initializes for) — and liveness
+                # is per group, so two layers' chains never share one
                 and (not reads or (reads | writes) & written.keys())
+                and unit.tags.chain == group.units[-1].tags.chain
             ):
                 if tile.var != group.tile_loop.var:
                     _rename_var(unit, tile.var, group.tile_loop.var)
@@ -355,39 +345,61 @@ def build_schedule(
     return items
 
 
-def contract(plan, fwd_items, bwd_items) -> int:
-    """Shrink to one tile every staging buffer that lives inside one
-    batch-tiled group; returns the bytes no longer allocated.
+def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
+    """Shrink to one tile every staging, value or padded buffer that
+    lives inside one batch-tiled group; returns the bytes no longer
+    allocated.
 
     A buffer whose every access in the program is in a single group —
     defined there before it is read, row by row of the batch — holds
     one tile's rows at a time, so ``[tile, …]`` is all it needs
-    (``BufferSpec.tile``). The code generators then spell its lead
-    index relative to the tile's first row
-    (``python_backend.lowered_units``). A buffer read again later (a
-    forward staging copy its backward pass was not allowed to
-    re-gather) is in two items and keeps the whole batch.
+    (``BufferSpec.tile``; its in-place aliases share the tile and the
+    group's units are respelled to name the base). The code generators
+    then spell its lead index relative to the tile's first row
+    (``python_backend.lowered_units``). A value or padded buffer of a
+    batch-tiled group stays whole — with the reason in
+    ``plan.untiled`` — when it is in ``keep`` (the bases
+    ``keep_alive`` keeps inspectable, :func:`~repro.synthesis.liveness.
+    kept_buffers`), has a reshaped alias (not tile-decomposable), or is
+    read by another item. A staging buffer read again later (a forward
+    copy its backward pass was not allowed to re-gather) keeps the
+    whole batch too; the memory plan says why.
     """
     view = ProgramView(plan, fwd_items, bwd_items)
     items = list(fwd_items) + list(bwd_items)
-    aliased = {spec.alias_of for spec in plan.buffers.values()}
+    aliases: Dict[str, List[BufferSpec]] = {}
+    for spec in plan.buffers.values():
+        if spec.alias_of is not None:
+            aliases.setdefault(plan.resolve_alias(spec.name), []).append(spec)
     saved = 0
     for base, iv in view.intervals.items():
         spec = plan.buffers[base]
-        group = items[iv.first] if not iv.dead else None
-        if (
-            iv.first != iv.last
-            or iv.first_kind != "w"
-            or spec.role not in ("input", "grad_input")
-            or not spec.batched
-            or base in aliased
-            or group.tile_loop is None
-            or group.tile_loop.var != BATCH_TILE_VAR
-            or not all(_at_batch_rows(u, base, plan) for u in group.units)
-        ):
+        if (spec.role not in ("input", "grad_input", "value", "padded")
+                or not spec.batched or iv.first_kind != "w"):
+            continue
+        group = items[iv.first]
+        if group.tile_loop is None or group.tile_loop.var != BATCH_TILE_VAR:
+            continue
+        reason = (
+            "keep_alive" if base in keep
+            else "reshaped-alias" if any(a.alias_reshape is not None
+                                         for a in aliases.get(base, ()))
+            else "read-by-next-group" if iv.first != iv.last
+            else None)
+        if reason is not None:
+            if spec.role in ("value", "padded"):
+                plan.untiled[base] = reason
+            continue
+        if not all(at_batch_rows(u, base, plan) for u in group.units):
             continue
         whole = buffer_nbytes(plan, spec)
         spec.tile = plan.batch_size // group.tile_loop.extent
+        for alias in aliases.get(base, ()):
+            alias.tile = spec.tile
+        if base in aliases:
+            names = {alias.name: base for alias in aliases[base]}
+            for unit in group.units:
+                unit.stmt = respelled(unit.stmt, names)
         group.contracted += (base,)
         plan.contracted[base] = group.label
         saved += whole - buffer_nbytes(plan, spec)

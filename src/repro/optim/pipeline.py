@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.codegen import c_backend, python_backend
@@ -345,14 +346,22 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     def build():
         schedule["fwd"] = fusion.build_schedule(program.forward, plan, options)
         schedule["bwd"] = fusion.build_schedule(program.backward, plan, options)
+        # values keep_alive keeps inspectable stay whole — and under int8
+        # every activation does: the precision pass fake-quantizes whole
+        # values and padded copies of them between steps
+        keep = liveness.kept_buffers(net, plan, keep_alive)
+        if options.precision == "int8":
+            keep |= {name for name, spec in plan.buffers.items()
+                     if spec.role in ("value", "padded")}
         schedule["bytes_contracted"] = fusion.contract(
-            plan, schedule["fwd"], schedule["bwd"])
+            plan, schedule["fwd"], schedule["bwd"], keep)
 
     units_total = count_units(program.forward) + count_units(program.backward)
     t0 = time.perf_counter()
     with tracer.span("fusion", "compile"):
         build()
     dt = time.perf_counter() - t0
+    roles = Counter(plan.buffers[b].role for b in plan.contracted)
     counts = {
         k: count_schedule(schedule["fwd"])[k]
         + count_schedule(schedule["bwd"])[k]
@@ -362,7 +371,9 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         "fusion", options.fusion, dt, units_total, counts["steps"],
         {"fused_groups": counts["fused_groups"],
          "fused_units": counts["fused_units"],
-         "buffers_contracted": len(plan.contracted),
+         "staging_contracted": roles["input"] + roles["grad_input"],
+         "values_contracted": roles["value"],
+         "padded_contracted": roles["padded"],
          "bytes_contracted": schedule["bytes_contracted"]}
         if options.fusion else {},
     ))

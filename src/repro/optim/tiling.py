@@ -28,7 +28,8 @@ import math
 from dataclasses import replace
 from typing import List
 
-from repro.ir import Const, ExternOp, Gemm, Index, SliceExpr, Var, add, mul
+from repro.ir import (Assign, Const, ExternOp, Gemm, Index, SliceExpr, Var,
+                      add, mul, walk_exprs)
 from repro.synthesis.access import unit_rw
 from repro.synthesis.lower import BATCH_VAR, dim_var
 from repro.synthesis.units import LoopSpec, LoopUnit, Section
@@ -151,20 +152,92 @@ def batch_rows(batch: int, row_bytes: int, positions: int = 1) -> int:
     return max(fit, grain)
 
 
+def at_batch_rows(unit: LoopUnit, buf: str, plan) -> bool:
+    """Does every access ``unit`` makes to base buffer ``buf`` index its
+    lead axis by the batch variable — so that a batch tile of the unit
+    touches exactly that tile's rows of the buffer?"""
+    rows = {Var(BATCH_VAR)}
+    if isinstance(unit.stmt, Gemm):
+        refs = {"a": unit.stmt.a, "b": unit.stmt.b, "c": unit.stmt.c}
+        rows = {refs[key].indices[axis]
+                for key, axis in unit.stmt.var_axes.get(BATCH_VAR, ())}
+    return all(e.indices and e.indices[0] in rows
+               for e in walk_exprs(unit.stmt) if isinstance(e, Index)
+               and plan.resolve_alias(e.buffer) == buf)
+
+
+def _row_wise(unit: LoopUnit, plan) -> bool:
+    """May ``unit`` follow a batch-tiled chain tile by tile? A loop nest
+    over the batch computing each image's rows of batched values from
+    the same image's rows — a bias, an activation, a pooling layer's
+    init and max. Copies, pads and GEMMs start (or are) another layer's
+    chain, so they end this one."""
+    if (unit.tags.kind not in ("compute", "fill") or is_tiled(unit)
+            or not isinstance(unit.stmt, Assign)
+            or unit.tags.recurrent_src is not None
+            or unit.find_loop(BATCH_VAR) is None):
+        return False
+    for e in walk_exprs(unit.stmt):
+        if not isinstance(e, Index):
+            continue
+        base = plan.buffers[plan.resolve_alias(e.buffer)]
+        if plan.buffers[e.buffer].alias_reshape is not None or (
+                base.batched and e.indices[:1] != (Var(BATCH_VAR),)):
+            return False
+    return all(plan.buffers[b].batched and plan.buffers[b].role == "value"
+               for b in unit_rw(plan, unit)[1])
+
+
+def _pads(units: List[LoopUnit], chain: List[LoopUnit], rw) -> List[LoopUnit]:
+    """The units ahead of a chain that write the padded buffer it
+    gathers from: the pad's zero-fill and its interior copy."""
+    start = next(i for i, u in enumerate(units) if u is chain[0])
+    reads = frozenset().union(*(rw[id(u)][0] for u in chain))
+    return [u for u in units[:start] if u.tags.kind in ("pad_fill", "pad")
+            and rw[id(u)][1] & reads]
+
+
+def _consumers(sections: List[Section], at: int, chain: List[LoopUnit],
+               rw, plan) -> List[LoopUnit]:
+    """The row-wise units that follow a chain — in its section and the
+    ones after — consuming what it wrote: bias, in-place ReLU, the
+    pool's init and its max. A unit that reads nothing (an init) joins
+    with the consumer after it."""
+    units = (u for sec in sections[at:] for u in sec.units)
+    next(u for u in units if u is chain[-1])
+    written = frozenset().union(*(rw[id(u)][1] for u in chain))
+    out: List[LoopUnit] = []
+    pending: List[LoopUnit] = []
+    for unit in units:
+        if not _row_wise(unit, plan):
+            break
+        reads, writes = unit_rw(plan, unit)
+        if not reads:
+            pending.append(unit)
+            continue
+        if not reads & written:
+            break
+        out += pending + [unit]
+        pending = []
+        written |= writes
+    return out
+
+
 def _tile_batch(sections: List[Section], plan) -> None:
     """Batch-tile the chain of every staging buffer too large to stay
-    whole: the units of its layer that read or write it, made adjacent
-    so that fusion can put them under one tile loop. A chain that
-    cannot be tiled (its units are not all loop nests over one time
-    step's batch) runs whole-batch, with the reason in
-    ``plan.untiled``."""
+    whole: its layer's pad, the units that read or write it, and the
+    row-wise units consuming what they wrote (:func:`_consumers`), made
+    adjacent so that fusion can put them under one tile loop — one
+    group per layer. A chain that cannot be tiled (its units are not
+    all loop nests over one time step's batch) runs whole-batch, with
+    the reason in ``plan.untiled``."""
     staging = {
         name: spec.itemsize * math.prod(spec.shape)
         for name, spec in plan.buffers.items()
         if spec.role in ("input", "grad_input") and spec.batched
         and spec.alias_of is None and spec.array is None}
     batch = plan.batch_size
-    for sec in sections:
+    for at, sec in enumerate(sections):
         rw = {id(u): unit_rw(plan, u) for u in sec.units}
         for name in staging:
             chain = [u for u in sec.units
@@ -186,9 +259,11 @@ def _tile_batch(sections: List[Section], plan) -> None:
             elif any(u.tags.recurrent_src is not None for u in chain):
                 plan.untiled[name] = "recurrent"
             else:
-                for u in chain:
-                    tile_unit(u, BATCH_VAR, batch // rows, 1)
+                chain = _pads(sec.units, chain, rw) + chain
                 _adjoin(sec.units, chain, rw)
+                for u in chain + _consumers(sections, at, chain, rw, plan):
+                    tile_unit(u, BATCH_VAR, batch // rows, 1)
+                    u.tags.chain = name
 
 
 def _adjoin(units: List[LoopUnit], chain: List[LoopUnit], rw) -> None:

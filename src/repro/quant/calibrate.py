@@ -157,7 +157,9 @@ def calibrate(net, batches: Iterable[dict], *, options=None,
         options = CompilerOptions.inference()
     if options.precision != "fp32":
         options = dataclasses.replace(options, precision="fp32")
-    cnet = compile_net(net, options, num_threads=num_threads)
+    # every value whole: a contracted one would hold a tile, not a range
+    cnet = compile_net(net, options, num_threads=num_threads,
+                       keep_alive=list(net.ensembles))
     cnet.training = False
     observer = RangeObserver(percentile=percentile)
     cnet.watchdog = observer

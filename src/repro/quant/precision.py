@@ -26,8 +26,10 @@ Two modes, both inference-only:
   ordinary extern step — an :class:`~repro.ir.ExternOp` unit in its own
   group, its closure in ``program.closures`` — so the executor runs,
   traces and re-binds it like a loss or normalization closure. Every
-  tensor value a consumer reads is exactly int8-representable while the
-  float execution engine stays as it is.
+  tensor value a step reads from another step is exactly
+  int8-representable while the float execution engine stays as it is
+  (inside a fused conv layer the intermediates stay float, as an int8
+  kernel's accumulator would).
 
 The resulting :class:`QuantPlan` is attached as ``plan.quant``; its
 :meth:`~QuantPlan.stats` feed the ``precision`` row of the compile

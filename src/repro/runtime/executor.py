@@ -448,8 +448,14 @@ class CompiledNet:
                 + (" (pruned by mode='inference' compilation)"
                    if self.mode == "inference" else "")
             )
-        if (self._pooled
-                and self.plan.resolve_alias(name) in self._pooled):
+        base = self.plan.resolve_alias(name)
+        if self.plan.buffers[base].tile:
+            raise KeyError(
+                f"{ens_name!r} was opted out of inspection: it lives inside "
+                f"one batch-tiled group, which holds one tile of it at a "
+                f"time. Add it to keep_alive= to inspect it."
+            )
+        if self._pooled and base in self._pooled:
             raise KeyError(
                 f"{ens_name!r} was opted out of inspection: its buffers "
                 f"share arena storage under the memory planner and do "

@@ -13,9 +13,8 @@ preallocation: given the final scheduled forward/backward step lists it
    parameter fields (user-owned arrays), field buffers written by opaque
    ``pre_forward`` closures, privatized accumulators, recurrent-read
    sources (their previous-time-step slices outlive the linear model),
-   padded *value* staging buffers (their zero border is written once at
-   allocation and never again), and everything in the ``keep_alive``
-   set (user-inspectable ``value()``/``grad()`` arrays), and
+   and everything in the ``keep_alive`` set (user-inspectable
+   ``value()``/``grad()`` arrays), and
 3. assigns the candidates to shared **slabs** of a single arena by
    first-fit interval-graph coloring (largest first), so buffers whose
    intervals never overlap occupy the same bytes — and dissolves any
@@ -243,7 +242,9 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
       dropout mask);
     * both buffers of every :class:`~repro.synthesis.plan.ParamInfo`, so
       ``parameters()`` / ``clear_param_grads`` stay well-formed;
-    * the full alias chain beneath any surviving buffer.
+    * the full alias chain beneath any surviving buffer, and every alias
+      of a surviving base — still its ensemble's name for it when fusion
+      respelled a contracted group to the base.
 
     Returns counters for the compile report (``buffers_pruned`` and the
     allocated ``bytes_pruned`` they would have occupied).
@@ -252,6 +253,8 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
     dropped -= {n for n, spec in plan.buffers.items()
                 if spec.array is not None or spec.role == "field"}
     dropped -= {n for p in plan.params for n in (p.value_buf, p.grad_buf)}
+    dropped -= {n for n in dropped if plan.buffers[n].alias_of is not None
+                and plan.resolve_alias(n) not in dropped}
     # every surviving alias needs the whole chain beneath it allocated
     for name in set(plan.buffers) - dropped:
         while (name := plan.buffers[name].alias_of) is not None:
@@ -389,7 +392,7 @@ def regather_staging(
 
     def poolable(base: str) -> bool:
         spec = plan.buffers[base]
-        return (spec.array is None and spec.role not in ("field", "padded")
+        return (spec.array is None and spec.role != "field"
                 and base not in keep_bufs)
 
     for point, unit in enumerate(fwd_units):
@@ -420,10 +423,10 @@ def regather_staging(
             fresh = plan.add(replace(spec, name=target + "_re"))
             for q in readers:
                 reader = bwd_units[q - n_fwd]
-                reader.stmt = _respelled(reader.stmt, target, fresh)
+                reader.stmt = respelled(reader.stmt, {target: fresh})
             tags = replace(unit.tags, kind="regather", direction="backward")
             clone = LoopUnit([replace(sp) for sp in unit.loops],
-                             _respelled(unit.stmt, target, fresh), tags)
+                             respelled(unit.stmt, {target: fresh}), tags)
             before = bwd_units[first - n_fwd]
             at = next((sec.units, i) for sec in bwd
                       for i, u in enumerate(sec.units) if u is before)
@@ -434,11 +437,12 @@ def regather_staging(
     return done, declined
 
 
-def _respelled(stmt, old: str, new: str):
-    """Structural copy of ``stmt`` naming buffer ``new`` for ``old``."""
+def respelled(stmt, renames: Dict[str, str]):
+    """Structural copy of ``stmt`` naming buffer ``renames[b]`` for
+    every ``b`` it spells that ``renames`` maps."""
     def rename(e):
-        if isinstance(e, Index) and e.buffer == old:
-            return Index(new, e.indices)
+        if isinstance(e, Index) and e.buffer in renames:
+            return Index(renames[e.buffer], e.indices)
         return None
 
     return transform_exprs(stmt, lambda e: map_expr(rename, e))
@@ -487,8 +491,6 @@ def plan_memory(
             return "parameter"
         if spec.role == "field":
             return "field"  # written by opaque pre_forward closures
-        if spec.role == "padded":
-            return "pad-border"  # zero border written only at allocation
         if base in privatized:
             return "privatized"
         if base in view.recurrent:

@@ -3,8 +3,9 @@
 For every ensemble (in topological order) and both directions this module
 produces a :class:`~repro.synthesis.units.Section` holding:
 
-* **pad units** — staging copies into padded buffers when a window
-  mapping reaches out of bounds;
+* **pad units** — a zero-fill of the padded buffer plus the copy of
+  the source into its interior, when a window mapping reaches out of
+  bounds;
 * **copy units** — gather loop nests moving each source's output values
   into the sink's input buffer, with dimensions dropped per
   shared-variable analysis (so e.g. a convolution's im2col copy runs once
@@ -183,7 +184,7 @@ def _lower_ensemble(ens, plan, options, closures):
                 fwd_recurrent.add(cplan.src_value)
             continue
         if cplan.padded_value:
-            fwd.units.append(_pad_unit(ens, j, cf, cplan))
+            fwd.units.extend(_pad_units(ens, j, cplan, plan))
         fwd.units.append(_copy_unit(ens, j, cf, cplan, "forward"))
         # backward: scatter into the (padded) source gradient first, then
         # copy the interior back out of the padding
@@ -303,23 +304,32 @@ def _copy_unit(ens, j, cf, cplan: ConnPlan, direction) -> LoopUnit:
     )
 
 
-def _pad_unit(ens, j, cf, cplan) -> LoopUnit:
+def _pad_units(ens, j, cplan, plan) -> List[LoopUnit]:
+    """Zero-fill the padded buffer, then copy the source into its
+    interior: the border is written every step, so the buffer is
+    defined before use like any other and may share storage."""
     src = ens.inputs[j].source
     pvars = [f"{ens.name}_c{j}p{d}" for d in range(len(src.shape))]
-    loops = [LoopSpec.simple(BATCH_VAR, -1, role="batch")] + [
-        LoopSpec.simple(v, s, role="dim") for v, s in zip(pvars, src.shape)
-    ]
-    stmt = Assign(
-        Index(
-            cplan.padded_value,
-            (Var(BATCH_VAR),)
-            + tuple(add(Var(v), pb) for v, pb in zip(pvars, cplan.pad_before)),
-        ),
-        Index(cplan.src_value, (Var(BATCH_VAR),) + tuple(Var(v) for v in pvars)),
+    n = Var(BATCH_VAR)
+
+    def unit(extents, stmt, kind):
+        loops = [LoopSpec.simple(BATCH_VAR, -1, role="batch")] + [
+            LoopSpec.simple(v, s, role="dim") for v, s in zip(pvars, extents)
+        ]
+        return LoopUnit(loops, stmt, UnitTags(ensemble=ens.name, kind=kind,
+                                              direction="forward"))
+
+    fill = Assign(
+        Index(cplan.padded_value, (n,) + tuple(Var(v) for v in pvars)),
+        Const(0.0))
+    copy = Assign(
+        Index(cplan.padded_value,
+              (n,) + tuple(add(Var(v), pb)
+                           for v, pb in zip(pvars, cplan.pad_before))),
+        Index(cplan.src_value, (n,) + tuple(Var(v) for v in pvars)),
     )
-    return LoopUnit(
-        loops, stmt, UnitTags(ensemble=ens.name, kind="pad", direction="forward")
-    )
+    return [unit(plan.buffers[cplan.padded_value].shape, fill, "pad_fill"),
+            unit(src.shape, copy, "pad")]
 
 
 def _unpad_unit(ens, j, cf, cplan) -> LoopUnit:

@@ -52,7 +52,8 @@ class UnitTags:
     """Provenance metadata used by fusion and the runtime."""
 
     ensemble: str = ""
-    #: 'fill' | 'copy' | 'compute' | 'scatter' | 'pad' | 'unpad' | 'extern'
+    #: 'fill' | 'copy' | 'compute' | 'scatter' | 'pad_fill' | 'pad' |
+    #: 'unpad' | 'regather' | 'extern'
     kind: str = ""
     direction: str = "forward"  # 'forward' | 'backward'
     #: for copy/scatter units: the connection analysis driving them
@@ -66,6 +67,9 @@ class UnitTags:
     recurrent_src: Optional[str] = None
     #: the input buffer a copy fills / a compute consumes
     note: str = ""
+    #: the staging buffer whose batch-tiled chain the unit belongs to
+    #: (:mod:`repro.optim.tiling`): fusion puts one chain in a group
+    chain: str = ""
 
 
 @dataclass
@@ -130,8 +134,9 @@ class FusedGroup:
     recurrent_reads: frozenset = frozenset()
     #: set by the parallel pass when the group is batch-shardable
     shard: Optional[ShardInfo] = None
-    #: buffers fusion contracted to this group's batch tile: allocated
-    #: ``[tile, ...]`` and indexed relative to the tile's first row
+    #: base buffers fusion contracted to this group's batch tile:
+    #: allocated ``[tile, ...]`` and indexed relative to the tile's
+    #: first row
     contracted: Tuple[str, ...] = ()
 
 

@@ -223,7 +223,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     )
 
 
-def run_eval_forward(spec: NetSpec, level: int, mode: str = "train"
+def run_eval_forward(spec: NetSpec, level: int, mode: str = "train",
+                     tiled: bool = False, num_threads: int = 1
                      ) -> Tuple[float, np.ndarray, Dict[str, int]]:
     """Build + compile ``spec`` and run one eval-mode forward pass.
 
@@ -233,7 +234,8 @@ def run_eval_forward(spec: NetSpec, level: int, mode: str = "train"
     paths reseed from ``spec.seed`` so parameter initialization is
     identical, and eval-mode dropout draws no RNG — the two must
     produce bitwise-identical loss and output. Also returns the
-    compile's ``memory_stats()``.
+    compile's ``memory_stats()``. ``tiled`` compiles under
+    :func:`batch_tiles`.
     """
     seed_all(spec.seed)
     net = build_net(spec)
@@ -242,7 +244,8 @@ def run_eval_forward(spec: NetSpec, level: int, mode: str = "train"
     else:
         opts = CompilerOptions.level(level)
     opts.min_tile_rows = 2
-    cnet = compile_net(net, opts)
+    with batch_tiles(tiled):
+        cnet = compile_net(net, opts, num_threads=num_threads)
     cnet.training = False
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
@@ -357,6 +360,26 @@ def _check_plan_size(check: str, memory: Dict[str, int],
         out.append(Mismatch(
             check, f"planned_bytes {memory['planned_bytes']} > "
                    f"naive_bytes {memory['naive_bytes']}"))
+
+
+def _check_inference(check: str, spec: NetSpec, level: int,
+                     out: List[Mismatch], tiled: bool = False
+                     ) -> Tuple[float, np.ndarray]:
+    """Forward-only output and loss bitwise those of the eval-mode train
+    graph, and a plan no larger than no plan; returns the forward-only
+    ``(loss, output)``."""
+    train_loss, train_out, _ = run_eval_forward(spec, level, "train",
+                                                tiled=tiled)
+    inf_loss, inf_out, inf_memory = run_eval_forward(spec, level,
+                                                     "inference", tiled=tiled)
+    _check_plan_size(check, inf_memory, out)
+    if inf_loss != train_loss:
+        out.append(Mismatch(
+            check, f"eval loss not bitwise: inference {inf_loss!r} != "
+                   f"train graph {train_loss!r}"))
+    _compare_arrays(check, "output", inf_out, train_out, 0, 0, out,
+                    bitwise=True)
+    return inf_loss, inf_out
 
 
 def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
@@ -658,23 +681,34 @@ def check_spec(
                 tol["thread_fwd_atol"], tol["thread_param_rtol"],
                 tol["thread_param_atol"])
 
+    # forward-only under batch tiles: a layer's values and padded input
+    # contracted to its group's tile (keep_alive is empty), still the
+    # eval-mode train graph's bits — and sharded, each shard on private
+    # tiles of them
+    if memplan_level >= 4 and spec.batch > 1:
+        report.checks.append("batchtile-inference")
+        inf_loss, inf_out = _check_inference(
+            "batchtile-inference", spec, 4, report.mismatches, tiled=True)
+        if threads:
+            check = f"batchtile-inference-threads:{max(threads)}"
+            report.checks.append(check)
+            thr_loss, thr_out, _ = run_eval_forward(
+                spec, 4, "inference", tiled=True, num_threads=max(threads))
+            if abs(thr_loss - inf_loss) > tol["thread_loss_rtol"] * max(
+                    1e-12, abs(inf_loss)):
+                report.mismatches.append(Mismatch(
+                    check, f"loss {thr_loss:.6g} vs serial {inf_loss:.6g}"))
+            _compare_arrays(check, "output", thr_out, inf_out,
+                            tol["thread_fwd_rtol"], tol["thread_fwd_atol"],
+                            report.mismatches)
+
     # forward-only compilation must be a pure subtraction: dropping the
     # backward program and pruning gradient buffers cannot perturb the
     # forward schedule, so inference output == eval-mode train output
     # down to the bit
-    inf_level = max(levels) if levels else 4
-    check = "inference"
-    report.checks.append(check)
-    train_loss, train_out, _ = run_eval_forward(spec, inf_level, "train")
-    inf_loss, inf_out, inf_memory = run_eval_forward(spec, inf_level,
-                                                     "inference")
-    _check_plan_size(check, inf_memory, report.mismatches)
-    if inf_loss != train_loss:
-        report.mismatches.append(Mismatch(
-            check, f"eval loss not bitwise: inference {inf_loss!r} != "
-                   f"train graph {train_loss!r}"))
-    _compare_arrays(check, "output", inf_out, train_out, 0, 0,
-                    report.mismatches, bitwise=True)
+    report.checks.append("inference")
+    _check_inference("inference", spec, max(levels) if levels else 4,
+                     report.mismatches)
 
     # a thawed compile-cache entry is the stored cold program re-bound
     # to a freshly built net: no synthesis, no passes, no codegen — so

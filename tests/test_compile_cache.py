@@ -162,7 +162,12 @@ class TestRoundTrip:
             "L0_conv_grad_inputs0", "L0_conv_inputs0", "L0_conv_inputs0_re",
             "L3_conv_grad_inputs0", "L3_conv_inputs0", "L3_conv_inputs0_re"]
         assert warm_net.plan.contracted == cold_net.plan.contracted
-        assert warm_net.plan.untiled == cold_net.plan.untiled == {}
+        # training keeps every value inspectable; the padded input is
+        # read again by the backward re-gather
+        assert warm_net.plan.untiled == cold_net.plan.untiled == {
+            "L0_conv_padsrc0": "read-by-next-group",
+            "L0_conv_value": "keep_alive", "L2_pool_value": "keep_alive",
+            "L3_conv_value": "keep_alive"}
         for name in cold_net.plan.contracted:
             assert (warm_net.buffers[name].shape
                     == cold_net.buffers[name].shape
@@ -175,6 +180,62 @@ class TestRoundTrip:
         other, _ = run()
         assert not other.compile_report.cache_hit
         assert other.buffers["L3_conv_inputs0"].shape[0] == 2
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_contracted_value_inference_net_thaws_bitwise(
+            self, tmp_path, monkeypatch, backend):
+        """Forward-only, a layer's value and padded input live inside
+        its batch-tiled group and are allocated one tile at a time: the
+        contracted shapes, the pad's fill step and the whole-batch
+        reasons survive freeze -> thaw, and the thawed net computes the
+        cold one's bits."""
+        from repro.optim import tiling
+
+        if backend == "c" and not have_c_toolchain():
+            pytest.skip("no usable C toolchain")
+        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
+        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
+        spec = NetSpec(
+            seed=7, batch=4, input_shape=(3, 10, 10), classes=3,
+            layers=(
+                {"kind": "conv", "filters": 4, "kernel": 3, "stride": 1,
+                 "pad": 1},
+                {"kind": "relu"},
+                {"kind": "pool", "mode": "max", "kernel": 2, "stride": 2,
+                 "pad": 0},
+            ),
+        )
+        store = CompileCache(tmp_path)
+        x, y = make_inputs(spec)
+        opts = CompilerOptions.inference()
+        opts.backend = backend
+
+        def run():
+            seed_all(spec.seed)
+            cnet = compile_cached(spec, net=build_net(spec), cache=store,
+                                  options=opts)
+            loss = cnet.forward(data=x, label=y)
+            return cnet, float(loss), cnet.value("head").copy()
+
+        cold_net, cold_loss, cold_out = run()
+        warm_net, warm_loss, warm_out = run()
+        assert warm_net.compile_report.cache_hit
+        assert warm_loss == cold_loss
+        np.testing.assert_array_equal(warm_out, cold_out)
+        (group,) = [s.label for s in warm_net.compiled.forward
+                    if s.label.startswith("L0_conv.pad_fill+")]
+        assert group.endswith("+L2_pool.compute")
+        for net in (cold_net, warm_net):
+            assert net.plan.contracted == {
+                b: group for b in ("L0_conv_padsrc0", "L0_conv_inputs0",
+                                   "L0_conv_value")}
+            assert net.plan.untiled == {"L2_pool_value": "reshaped-alias"}
+            assert net.buffers["L0_conv_value"].shape == (1, 4, 10, 10)
+            assert net.buffers["L0_conv_padsrc0"].shape == (1, 3, 12, 12)
+        assert (warm_net.memory_report().table()
+                == cold_net.memory_report().table())
+        with pytest.raises(KeyError, match="batch-tiled group"):
+            warm_net.value("L1_relu")
 
     def test_model_config_inference_bitwise(self, tmp_path):
         store = CompileCache(tmp_path)
@@ -371,10 +432,9 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v8: whole-batch
-        staging buffers, no ``tile`` on a buffer, no ``contracted`` /
-        ``untiled`` on the plan, kernels returning ``int``) is dropped
-        on get — a miss, never an error, never thawed."""
+        """An entry written under the last layout (v9: values and
+        padded buffers always whole, a pad without its fill step) is
+        dropped on get — a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -384,7 +444,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 9
+        assert meta["version"] == FORMAT_VERSION == 10
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),

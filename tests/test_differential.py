@@ -235,7 +235,8 @@ class TestOracleReporting:
                             gradcheck_indices=0, baselines=False,
                             quant=False)
         assert report.ok, report.summary()
-        expected = {"batchtile", "batchtile-memplan", "batchtile-threads:2"}
+        expected = {"batchtile", "batchtile-memplan", "batchtile-threads:2",
+                    "batchtile-inference", "batchtile-inference-threads:2"}
         if have_c_toolchain():
             expected.add("cbackend-batchtile")
         assert expected <= set(report.checks), report.checks
@@ -243,9 +244,19 @@ class TestOracleReporting:
         with batch_tiles():
             cnet = build_net(spec).init(CompilerOptions.level(4))
         assert len(cnet.plan.contracted) == 6
-        assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 12
+        # each conv layer's pad fill, pad, copy, GEMM, bias and tanh,
+        # and two backward chains of two units
+        assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 20
         assert all(cnet.buffers[b].shape[0] == cnet.plan.buffers[b].tile < 4
                    for b in cnet.plan.contracted)
+        # forward-only, a value and both padded inputs are contracted too
+        seed_all(spec.seed)
+        with batch_tiles():
+            inf = build_net(spec).init(CompilerOptions.inference())
+        assert {b: inf.plan.buffers[b].role for b in inf.plan.contracted
+                if inf.plan.buffers[b].role != "input"} == {
+            "L0_conv_value": "value", "L0_conv_padsrc0": "padded",
+            "L3_conv_padsrc0": "padded"}
         seed_all(spec.seed)
         assert not build_net(spec).init(
             CompilerOptions.level(4)).plan.contracted

@@ -9,6 +9,7 @@ defs, per-direction zero states), and the reporting plumbing.
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.testing import check_spec
 from repro.testing.generator import NetSpec
 from repro.utils.rng import seed_all
 from tests.test_access import _corpus
+from tests.test_planned_bytes import PLANNED, ledger_net
 
 
 def _conv_net(keep_alive=None, memory_plan=None, num_threads=1, batch=4):
@@ -613,52 +615,48 @@ def small_tiles(monkeypatch):
     monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
 
 
-#: Fig 14 geometry of benchmarks/ledger/programs.py (copied, not
-#: imported): config factory, channel scale, input size, classes, and
-#: the train ``planned_bytes`` this planner delivers at batch 8
-_LEDGER = {
-    "vgg": ("vgg_config", 0.25, 64, 100, 16_986_816),
-    "alexnet": ("alexnet_config", 0.25, 67, 100, 4_249_792),
-    "overfeat": ("overfeat_config", 0.125, 75, 100, 3_490_752),
-    "lenet": ("lenet_config", 0.5, 28, None, 1_167_680),
-}
-
-
 def _ledger_net(name, options=None, keep_alive=None):
-    import repro.models as models
-
-    factory, scale, size, classes, _ = _LEDGER[name]
-    cfg = getattr(models, factory)().scaled(
-        channel_scale=scale, input_size=size, classes=classes)
-    seed_all(1)
-    return models.build_latte(cfg, 8).net.init(
-        options or CompilerOptions(), keep_alive=keep_alive)
+    return ledger_net(name).init(options or CompilerOptions(),
+                                 keep_alive=keep_alive)
 
 
 class TestRematerialization:
     def test_ledger_geometry_planned_bytes(self):
-        for name, (*_, bound) in _LEDGER.items():
+        for name in ("vgg", "alexnet", "overfeat", "lenet"):
             cn = _ledger_net(name)
-            assert cn.memory_stats()["planned_bytes"] <= bound, name
+            assert cn.memory_stats()["planned_bytes"] == PLANNED[name][0]
             assert not cn.plan.memory.declined, name
-            assert not cn.plan.untiled, name
+            # every staging chain is tiled; what stays whole is a value
+            # keep_alive keeps or a padded input its re-gather reads
+            assert {(cn.plan.buffers[b].role, why)
+                    for b, why in cn.plan.untiled.items()} <= {
+                ("value", "keep_alive"), ("padded", "read-by-next-group")}
         # lenet's largest staging buffer is 512 000 B: under the budget,
         # so nothing of it is tiled and its plan is the parent's
         assert cn.memory_stats()["planned_bytes"] == 1_167_680
         assert not cn.plan.contracted
 
-    def test_vgg_arena_is_one_tile_and_the_gradient_it_scatters_into(self):
+    def test_vgg_arena_holds_the_padded_inputs_and_one_tile(self):
         """Eight im2col buffers used to be live at the phase boundary
         (arena 20 201 472 B); re-gathered, the arena was one whole-batch
         data-gradient buffer and the padded gradient it scatters into
-        (5 382 144 B); contracted, it is one *image* of that buffer."""
+        (5 382 144 B); contracted, one *image* of that buffer
+        (1 253 376 B). The eight padded inputs (2 914 688 B) were kept
+        out of it — their zero border was written only at allocation.
+        Now the pad is a fill step, so they pool: each lives from its
+        forward group to its backward re-gather, so they nest, but the
+        backward staging that follows a re-gather reuses its slab —
+        778 240 B fewer planned than kept."""
         cn = _ledger_net("vgg")
         mem = cn.plan.memory
         assert len(mem.rematerialized) == 8
         assert len(cn.plan.contracted) == 24  # in, in_re, grad_in x 8
-        pair = sum(cn.buffers[b].nbytes for b in
-                   ("conv3_2_grad_inputs0", "conv3_2_padsrc0_grad"))
-        assert mem.arena_bytes == pair == 1_253_376
+        padded = {b for b, spec in cn.plan.buffers.items()
+                  if spec.role == "padded"}
+        assert len(padded) == 8 and padded <= mem.pooled
+        assert sum(cn.buffers[b].nbytes for b in padded) == 2_914_688
+        assert mem.arena_bytes == 3_389_824
+        assert mem.planned_bytes == 16_986_816 - 778_240
         assert (cn.buffers["conv3_2_grad_inputs0"].shape,
                 cn.buffers["conv3_2_padsrc0_grad"].nbytes) == (
             (1, 576, 16, 16), 663_552)
@@ -741,16 +739,48 @@ class TestRematerialization:
             "copies_rematerialized"] == 0
 
     def test_inference_vgg_footprint(self):
+        """One group per conv layer (pad -> im2col -> GEMM -> bias ->
+        ReLU -> pool); a layer's value and padded input live inside it
+        and are contracted, so the served program plans 6 063 648 ->
+        2 043 296 B (``conv1_value`` alone was 2 MB of a 2.69 MB arena,
+        the padded inputs 2.91 MB more outside it)."""
         cn = _ledger_net("vgg", CompilerOptions.inference())
         assert cn.memory_stats() == {
-            "naive_bytes": 12_453_408, "planned_bytes": 6_063_648,
-            "arena_bytes": 2_686_976}
+            "naive_bytes": 6_565_840, "planned_bytes": 2_043_296,
+            "arena_bytes": 1_581_312}
         src = cn.source
         conv = [src[m.start():src.index("\n\n", m.start())]
-                for m in re.finditer(r"# --- f conv\w+\.copy\+", src)]
+                for m in re.finditer(r"# --- f conv\w+\.pad_fill\+", src)]
         assert len(conv) == 8
         assert all("tensordot" not in body and "_np.matmul(" in body
                    and ", out=conv" in body for body in conv)
+        roles = Counter(cn.plan.buffers[b].role for b in cn.plan.contracted)
+        assert roles == {"input": 8, "padded": 8, "value": 5}
+        rec = cn.compile_report["fusion"].rewrites
+        assert (rec["staging_contracted"], rec["values_contracted"],
+                rec["padded_contracted"]) == (8, 5, 8)
+        # a conv value read by the next layer's pad, a pool value read
+        # by the next group, the last pool's fc alias: whole, and why
+        assert cn.plan.untiled == {
+            **dict.fromkeys(("conv3_1_value", "conv4_1_value",
+                             "conv5_1_value", "pool_conv1_value",
+                             "pool_conv2_value", "pool_conv3_value",
+                             "pool_conv4_value"), "read-by-next-group"),
+            "pool_conv5_value": "reshaped-alias"}
+        table = cn.memory_report().table().splitlines()
+        assert "whole-batch pool_conv5_value: reshaped-alias" in table
+        assert ("contracted conv1_value: 2048.0 KB → 256.0 KB, tile 1 of "
+                "8, group conv1.pad_fill+conv1.pad+conv1.copy+conv1.compute"
+                "+conv1.compute+relu_conv1.compute+pool_conv1.compute"
+                "+pool_conv1.compute") in table
+        with pytest.raises(KeyError, match="batch-tiled group"):
+            cn.value("relu_conv1")
+        # inspection opts a value back out: conv1 stays whole
+        kept = _ledger_net("vgg", CompilerOptions.inference(),
+                           keep_alive=["conv1"])
+        assert "conv1_value" not in kept.plan.contracted
+        assert kept.plan.untiled["conv1_value"] == "keep_alive"
+        assert kept.value("relu_conv1").shape == (8, 16, 64, 64)
 
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     @pytest.mark.parametrize("padded", [True, False],
@@ -785,18 +815,24 @@ class TestRematerialization:
         rows = [f"re-gathered c2_inputs0: {2 * kb:.1f} KB from p1_value "
                 "by c2.regather",
                 f"contracted c2_inputs0: {2 * kb:.1f} KB → {kb:.1f} KB, "
-                "tile 2 of 4, group c2.copy+c2.compute",
+                "tile 2 of 4, group c2.copy+c2.compute+c2.compute"
+                "+r2.compute",
                 f"contracted c2_inputs0_re: {2 * kb:.1f} KB → {kb:.1f} KB, "
-                "tile 2 of 4, group c2.regather+c2.compute"]
+                "tile 2 of 4, group c2.regather+c2.compute",
+                "whole-batch c2_value: keep_alive"]
         for row in rows:
             assert row in cn.memory_report().table().splitlines()
             assert f"    {row}" in cn.summary().splitlines()
         fusion = cn.compile_report["fusion"].rewrites
-        assert fusion["buffers_contracted"] == len(cn.plan.contracted) == 6
+        assert len(cn.plan.contracted) == 6
+        assert (fusion["staging_contracted"], fusion["values_contracted"],
+                fusion["padded_contracted"]) == (6, 0, 0)
         assert fusion["bytes_contracted"] == sum(
             (4 // cn.plan.buffers[b].tile - 1) * cn.buffers[b].nbytes
             for b in cn.plan.contracted)
-        assert cn.compile_report["tiling"].rewrites["units_tiled"] == 12
+        # c1: copy, GEMM, bias, ReLU, pool init and max; c2: copy, GEMM,
+        # bias, ReLU; two backward chains of two units per layer
+        assert cn.compile_report["tiling"].rewrites["units_tiled"] == 18
 
     def test_a_solo_regather_is_a_span_of_its_own(self):
         from repro.trace import RecordingTracer
@@ -831,8 +867,13 @@ class TestBatchTiles:
         cn = _staged_net(padded)
         fwd = [s.label for s in cn.compiled.forward]
         bwd = [s.label for s in cn.compiled.backward]
+        pad = "c1.pad_fill+c1.pad+" if padded else ""
+        assert fwd[:2] == [
+            f"{pad}c1.copy+c1.compute+c1.compute+r1.compute+p1.compute"
+            "+p1.compute",
+            f"{pad.replace('c1', 'c2')}c2.copy+c2.compute+c2.compute"
+            "+r2.compute"]
         for conv in ("c1", "c2"):
-            assert f"{conv}.copy+{conv}.compute" in fwd
             assert f"{conv}.regather+{conv}.compute" in bwd
             assert f"{conv}.compute+{conv}.scatter" in bwd
             for buf in (f"{conv}_inputs0", f"{conv}_inputs0_re",
@@ -844,7 +885,12 @@ class TestBatchTiles:
         mem = cn.plan.memory
         assert not (mem.intervals["c1_inputs0_re"].overlaps(
             mem.intervals["c1_grad_inputs0"]))
-        assert cn.plan.untiled == {} and mem.declined == {}
+        assert mem.declined == {}
+        assert cn.plan.untiled == {
+            **dict.fromkeys(("c1_value", "p1_value", "c2_value"),
+                            "keep_alive"),
+            **dict.fromkeys(("c1_padsrc0", "c2_padsrc0")
+                            if padded else (), "read-by-next-group")}
 
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     @pytest.mark.parametrize("padded", [True, False],
