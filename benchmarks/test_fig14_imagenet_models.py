@@ -111,12 +111,14 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 
 
 #: train ``planned_bytes`` at this geometry with every over-budget
-#: staging chain batch-tiled and contracted and the padded inputs pooled
-#: (21 115 584 / 5 556 608 / 5 169 280 with whole-batch staging
-#: re-gathered in backward; 16 986 816 / 4 249 792 / 3 490 752 with
-#: the padded inputs kept out of the arena)
-PLANNED_BYTES = {"vgg": 16_208_576, "alexnet": 4_156_864,
-                 "overfeat": 3_425_216}
+#: staging chain batch-tiled and contracted and each re-gathered conv
+#: layer's input re-padded in backward (21 115 584 / 5 556 608 /
+#: 5 169 280 with whole-batch staging re-gathered in backward;
+#: 16 986 816 / 4 249 792 / 3 490 752 with the padded inputs kept out
+#: of the arena; 16 208 576 / 4 156 864 / 3 425 216 with them pooled but
+#: held across the phases)
+PLANNED_BYTES = {"vgg": 14_072_128, "alexnet": 3_952_064,
+                 "overfeat": 3_376_064}
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
@@ -125,8 +127,8 @@ def test_fig14_memory_plan_reuse(name):
     policy (every ensemble still inspectable), as an absolute count:
     contraction shrinks the naive footprint too (a contracted buffer is
     small pooled or not), so the reuse *fraction* falls while the
-    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 42 % of
-    27.9 MB is 16.2 MB."""
+    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 46 % of
+    26.0 MB is 14.1 MB."""
     cfg, batch = _config(name)
     m = measure_memory(cfg, batch)
     assert m["planned_bytes"] == PLANNED_BYTES[name], m

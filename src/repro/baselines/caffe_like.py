@@ -190,33 +190,41 @@ class PoolLayer(Layer):
         self.out_w = pool_output_dim(w, s.kernel, s.stride, s.pad)
         return (c, self.out_h, self.out_w)
 
-    def _gather(self, bottom):
+    def _pad(self, bottom):
+        """``bottom`` inside a zero border of ``pad`` — Latte's padded
+        buffer, which a max window reads like any other."""
         s = self.spec
+        if not s.pad:
+            return bottom
         b, c, h, w = bottom.shape
-        if s.pad:
-            fill = -np.inf if s.mode == "max" else 0.0
-            padded = np.full((b, c, h + 2 * s.pad, w + 2 * s.pad), fill, DTYPE)
-            padded[:, :, s.pad : s.pad + h, s.pad : s.pad + w] = bottom
-        else:
-            padded = bottom
-        windows = np.empty(
-            (s.kernel * s.kernel, b, c, self.out_h, self.out_w), DTYPE
-        )
-        i = 0
+        padded = np.zeros((b, c, h + 2 * s.pad, w + 2 * s.pad), DTYPE)
+        padded[:, :, s.pad : s.pad + h, s.pad : s.pad + w] = bottom
+        return padded
+
+    def _crop(self, padded):
+        """The interior of a padded-layout array (inverse of ``_pad``)."""
+        s = self.spec
+        _, h, w = self.bottom_shape
+        return padded[:, :, s.pad : s.pad + h, s.pad : s.pad + w]
+
+    def _windows(self, padded):
+        """One strided view of ``padded`` per window offset: element
+        ``[n, c, y, x]`` is that offset's input to output ``(y, x)``."""
+        s = self.spec
         for ky in range(s.kernel):
             for kx in range(s.kernel):
-                windows[i] = padded[
+                yield padded[
                     :, :,
                     ky : ky + self.out_h * s.stride : s.stride,
                     kx : kx + self.out_w * s.stride : s.stride,
                 ]
-                i += 1
-        return windows
 
     def forward(self, bottom):
-        windows = self._gather(bottom)  # materialized pool input buffer
+        padded = self._pad(bottom)
+        # materialized pool input buffer
+        windows = np.stack(list(self._windows(padded)))
         if self.spec.mode == "max":
-            self._bottom = bottom
+            self._padded = padded
             top = windows.max(axis=0)
             self._top = top
         else:
@@ -225,32 +233,20 @@ class PoolLayer(Layer):
 
     def backward(self, top_grad):
         s = self.spec
-        b = top_grad.shape[0]
-        bottom_grad = np.zeros((b,) + self.bottom_shape, DTYPE)
+        # accumulate in the padded layout forward gathered from, then
+        # drop the border
+        c, h, w = self.bottom_shape
+        grad = np.zeros((top_grad.shape[0], c, h + 2 * s.pad, w + 2 * s.pad),
+                        DTYPE)
         if s.mode == "max":
-            for ky in range(s.kernel):
-                for kx in range(s.kernel):
-                    view = self._bottom[
-                        :, :,
-                        ky : ky + self.out_h * s.stride : s.stride,
-                        kx : kx + self.out_w * s.stride : s.stride,
-                    ]
-                    gview = bottom_grad[
-                        :, :,
-                        ky : ky + self.out_h * s.stride : s.stride,
-                        kx : kx + self.out_w * s.stride : s.stride,
-                    ]
-                    gview += np.where(view == self._top, top_grad, 0)
+            for view, gview in zip(self._windows(self._padded),
+                                   self._windows(grad)):
+                gview += np.where(view == self._top, top_grad, 0)
         else:
             share = top_grad / (s.kernel * s.kernel)
-            for ky in range(s.kernel):
-                for kx in range(s.kernel):
-                    bottom_grad[
-                        :, :,
-                        ky : ky + self.out_h * s.stride : s.stride,
-                        kx : kx + self.out_w * s.stride : s.stride,
-                    ] += share
-        return bottom_grad
+            for gview in self._windows(grad):
+                gview += share
+        return self._crop(grad)
 
 
 class FCLayer(Layer):

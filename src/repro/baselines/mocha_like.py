@@ -125,7 +125,7 @@ class MochaPoolLayer(PoolLayer):
     def forward(self, bottom):
         s = self.spec
         b, c = bottom.shape[:2]
-        self._bottom = bottom
+        bottom = self._bottom = self._pad(bottom)
         top = np.full((b, c, self.out_h, self.out_w),
                       -np.inf if s.mode == "max" else 0.0, DTYPE)
         for n in range(b):
@@ -146,7 +146,7 @@ class MochaPoolLayer(PoolLayer):
     def backward(self, top_grad):
         s = self.spec
         b = top_grad.shape[0]
-        bottom_grad = np.zeros((b,) + self.bottom_shape, DTYPE)
+        bottom_grad = np.zeros(self._bottom.shape, DTYPE)  # padded layout
         for n in range(b):
             for y in range(self.out_h):
                 for ky in range(s.kernel):
@@ -165,7 +165,7 @@ class MochaPoolLayer(PoolLayer):
                             )
                         else:
                             dst += top_grad[n, :, y] / (s.kernel * s.kernel)
-        return bottom_grad
+        return self._crop(bottom_grad)
 
 
 def _make_mocha_layer(spec, rng):

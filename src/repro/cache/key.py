@@ -64,7 +64,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v10: one batch-tiled group per conv layer (pad → … → pool); values
 #:     and padded buffers carry ``tile`` too, and a pad is a zero-fill
 #:     step plus its interior copy
-FORMAT_VERSION = 10
+#: v11: a re-gather from a padded buffer re-pads it first (backward
+#:     ``pad_fill``/``pad`` steps, ``*_padsrc*_re`` buffers); a
+#:     ``Rematerialized`` record names the re-padded buffer
+FORMAT_VERSION = 11
 
 
 class CacheUnsupported(ValueError):

@@ -311,9 +311,10 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         },
     )
 
-    # staging copies read again in backward are re-gathered there: a
-    # unit cloned ahead of tiling, so that fusion sees both gathers
-    # inside their layers and can contract what they stage
+    # staging copies read again in backward are re-gathered there (and
+    # re-padded first, if they gather from a padded buffer): units
+    # cloned ahead of tiling, so that fusion sees both gathers inside
+    # their layers and can contract what they stage
     staging = {"regathered": {}, "declined": {}}
 
     def regather():
@@ -327,6 +328,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         options.memory_plan and not inference,
         regather,
         lambda: {"copies_regathered": len(staging["regathered"]),
+                 "pads_regathered": sum(
+                     1 for r in staging["regathered"].values() if r.padded),
                  "copies_declined": len(staging["declined"])},
     )
 

@@ -82,6 +82,9 @@ ALIGN_BYTES = 64
 #: gradient-role buffers eligible for a scheduled zero def
 GRAD_ROLES = ("grad", "grad_input", "padded_grad")
 
+#: unit kinds :func:`regather_staging` clones into the backward section
+REMATERIALIZING = ("pad_fill", "pad", "regather")
+
 
 @dataclass
 class Slab:
@@ -97,9 +100,12 @@ class Rematerialized:
     """One staging copy re-gathered in backward instead of retained."""
 
     buffer: str  # the backward staging buffer the re-copy defines
-    source: str  # base buffer it is gathered from, both times
+    source: str  # base buffer it is gathered (or padded) from, both times
     label: str  # the re-gather unit, ``<ensemble>.regather``
     nbytes: int
+    #: the padded buffer re-padded ahead of the re-gather ('' if the
+    #: copy gathers from an unpadded source)
+    padded: str = ""
 
 
 @dataclass
@@ -297,10 +303,12 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     if plan.time_steps > 1 or n < 3:
         return 0
     view = ProgramView(plan, (), bwd_items)
-    # a solo re-gather is always ready and only births: it takes no
-    # part in the scheduling and goes back in right before its reader
+    # a re-gather (and the re-pad ahead of it) not fused into its reader
+    # is always ready and only births: it takes no part in the
+    # scheduling and goes back in right before its reader
     late = {i for i, it in enumerate(bwd_items)
-            if [u.tags.kind for u in getattr(it, "units", ())] == ["regather"]}
+            if getattr(it, "units", None) and all(
+                u.tags.kind in REMATERIALIZING for u in it.units)}
     touched = [frozenset() if i in late else rec.touched
                for i, rec in enumerate(view.records)]
     succs = [[j for j in range(i + 1, n) if view.depends(i, j)]
@@ -334,8 +342,14 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     while ready:
         best = max(ready, key=lambda i: (score(i), -i))
         ready.remove(best)
-        order.extend(i for i in sorted(late) if best in succs[i])
-        late -= set(order)
+        # the late items feeding ``best``, and the ones feeding those (a
+        # successor is always a later point: one pass, last first)
+        due: List[int] = []
+        for i in sorted(late, reverse=True):
+            if best in succs[i] or any(j in succs[i] for j in due):
+                due.append(i)
+        order.extend(reversed(due))
+        late -= set(due)
         order.append(best)
         for b in touched[best]:
             touchers[b] -= 1
@@ -368,19 +382,24 @@ def regather_staging(
     a source that is still alive: the forward copy *unit* is cloned into
     the backward section right before its first reader there, defining
     a fresh role-``input`` buffer that the backward readers are
-    respelled to. Both buffers then live inside one layer's units, so
-    tiling and fusion treat the clone like any other unit and the
-    planner overlays all of them in one slab.
+    respelled to. A copy that gathers from a padded buffer takes its
+    layer's pad (zero-fill + interior copy) along: the padded buffer is
+    as cheap a function of the previous layer's value, so it is re-padded
+    into a fresh ``<padded>_re`` ahead of the re-gather rather than held
+    across the phases too. All of these buffers then live inside one
+    layer's units, so tiling and fusion treat the clones like any other
+    units and the planner overlays all of them in one slab.
 
     Runs on the synthesized sections, before tiling. ``keep_bufs`` are
     the value/grad bases the planner will keep out of the arena
-    (:func:`kept_buffers`): gathering again from a source it may pool
-    extends that source's life, and a copy whose staging bytes exceed
-    the bytes so extended by less than slab alignment can cost is
-    declined. Returns ``(rematerialized, declined)`` keyed by forward
-    staging buffer; reasons are ``'time-unrolled'``, ``'opaque'`` (a
-    gather closure or extern reader looks the buffer up by name),
-    ``'target-rewritten'``, ``'source-rewritten'`` and ``'no-saving'``.
+    (:func:`kept_buffers`): gathering (or padding) again from a source
+    it may pool extends that source's life, and a copy whose staging
+    bytes exceed the bytes so extended by less than slab alignment can
+    cost is declined. Returns ``(rematerialized, declined)`` keyed by
+    forward staging buffer; reasons are ``'time-unrolled'``,
+    ``'opaque'`` (a gather closure or extern reader looks the buffer up
+    by name), ``'target-rewritten'``, ``'source-rewritten'`` and
+    ``'no-saving'``.
     """
     done: Dict[str, Rematerialized] = {}
     declined: Dict[str, str] = {}
@@ -405,8 +424,14 @@ def regather_staging(
             continue
         first = readers[0]
         size = buffer_nbytes(plan, spec)
+        # the layer's pad (fill + interior copy) is re-run too, so what
+        # backward reads again is the pad's source, not the padded buffer
+        pads = [p for p in range(point) if records[p].writes & reads
+                and fwd_units[p].tags.kind in ("pad_fill", "pad")]
+        padded = frozenset().union(*(records[p].writes for p in pads))
+        sources = (reads - padded).union(*(records[p].reads for p in pads))
         extended = sum(
-            buffer_nbytes(plan, plan.buffers[b]) for b in reads
+            buffer_nbytes(plan, plan.buffers[b]) for b in sources
             if poolable(b) and view.intervals[b].last < first)
         if plan.time_steps > 1:
             declined[target] = "time-unrolled"
@@ -415,25 +440,32 @@ def regather_staging(
         elif any(target in rec.writes
                  for q, rec in enumerate(records) if q != point):
             declined[target] = "target-rewritten"
-        elif any(rec.writes & reads for rec in records[point + 1:first]):
+        elif any(rec.writes & sources
+                 for rec in records[min(pads, default=point) + 1:first]):
             declined[target] = "source-rewritten"
         elif size - extended < ALIGN_BYTES:
             declined[target] = "no-saving"
         else:
-            fresh = plan.add(replace(spec, name=target + "_re"))
+            renames = {b: plan.add(replace(plan.buffers[b], name=b + "_re"))
+                       for b in [target, *sorted(padded)]}
+            fresh = renames[target]
             for q in readers:
                 reader = bwd_units[q - n_fwd]
                 reader.stmt = respelled(reader.stmt, {target: fresh})
-            tags = replace(unit.tags, kind="regather", direction="backward")
-            clone = LoopUnit([replace(sp) for sp in unit.loops],
-                             respelled(unit.stmt, {target: fresh}), tags)
+            originals = [(fwd_units[p], fwd_units[p].tags.kind) for p in pads]
+            clones = [
+                LoopUnit([replace(sp) for sp in u.loops],
+                         respelled(u.stmt, renames),
+                         replace(u.tags, kind=kind, direction="backward"))
+                for u, kind in originals + [(unit, "regather")]]
             before = bwd_units[first - n_fwd]
             at = next((sec.units, i) for sec in bwd
                       for i, u in enumerate(sec.units) if u is before)
-            at[0].insert(at[1], clone)
+            at[0][at[1]:at[1]] = clones
             done[target] = Rematerialized(
-                fresh, ", ".join(sorted(reads)),
-                f"{tags.ensemble}.{tags.kind}", size)
+                fresh, ", ".join(sorted(sources)),
+                f"{unit.tags.ensemble}.regather", size,
+                ", ".join(sorted(renames[b] for b in padded)))
     return done, declined
 
 

@@ -54,6 +54,8 @@ Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
 from __future__ import annotations
 
 import contextlib
+import os
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -543,27 +545,40 @@ def _check_baselines(spec: NetSpec, tol: dict, checks: List[str],
     for cls, label in ((CaffeNet, "caffe"), (MochaNet, "mocha")):
         check = f"baseline:{label}"
         checks.append(check)
-        base = cls(config, spec.batch)
-        base.load_params_from(cnet)
-        loss = cnet.forward(data=x, label=y)
-        cnet.clear_param_grads()
-        cnet.backward()
-        base.forward(x, y)
-        if abs(base.loss - loss) > tol["loss_rtol"] * max(1e-12, abs(loss)):
+        # a baseline that raises is a mismatch like any other, so the
+        # fuzz CLI shrinks the spec and writes a reproducer
+        try:
+            _compare_baseline(check, cls(config, spec.batch), cnet, x, y,
+                              tol, out)
+        except Exception as exc:  # noqa: BLE001 - recorded as a mismatch
+            where = traceback.extract_tb(exc.__traceback__)[-1]
             out.append(Mismatch(
-                check, f"loss {loss:.6g} vs baseline {base.loss:.6g}"))
-        base.clear_grads()
-        dx_base = base.backward()
-        _compare_arrays(check, "d(data)", cnet.grad("data"), dx_base,
+                check, f"raised {type(exc).__name__} at "
+                f"{os.path.basename(where.filename)}:{where.lineno}: {exc}"))
+
+
+def _compare_baseline(check: str, base, cnet, x, y, tol: dict,
+                      out: List[Mismatch]) -> None:
+    base.load_params_from(cnet)
+    loss = cnet.forward(data=x, label=y)
+    cnet.clear_param_grads()
+    cnet.backward()
+    base.forward(x, y)
+    if abs(base.loss - loss) > tol["loss_rtol"] * max(1e-12, abs(loss)):
+        out.append(Mismatch(
+            check, f"loss {loss:.6g} vs baseline {base.loss:.6g}"))
+    base.clear_grads()
+    dx_base = base.backward()
+    _compare_arrays(check, "d(data)", cnet.grad("data"), dx_base,
+                    tol["baseline_rtol"], tol["baseline_atol"], out)
+    base_params = base.params()
+    latte_params = cnet.parameters()
+    if len(base_params) != len(latte_params):
+        out.append(Mismatch(check, "parameter count differs"))
+        return
+    for (bv, bg), p in zip(base_params, latte_params):
+        _compare_arrays(check, f"d({p.key})", p.grad, bg,
                         tol["baseline_rtol"], tol["baseline_atol"], out)
-        base_params = base.params()
-        latte_params = cnet.parameters()
-        if len(base_params) != len(latte_params):
-            out.append(Mismatch(check, "parameter count differs"))
-            continue
-        for (bv, bg), p in zip(base_params, latte_params):
-            _compare_arrays(check, f"d({p.key})", p.grad, bg,
-                            tol["baseline_rtol"], tol["baseline_atol"], out)
 
 
 def _check_gradients(spec: NetSpec, tol: dict, n_indices: int,
@@ -666,10 +681,15 @@ def check_spec(
     if memplan_level >= 4 and spec.batch > 1 and tiled.contracted:
         check = "batchtile-memplan"
         report.checks.append(check)
-        _compare_bitwise(
-            check, tiled,
-            run_spec(spec, level=4, tiled=True, memory_plan=False),
-            report.mismatches)
+        unplanned = run_spec(spec, level=4, tiled=True, memory_plan=False)
+        _compare_bitwise(check, tiled, unplanned, report.mismatches)
+        # every ensemble opted into the arena: a backward re-pad reads a
+        # value the planner may pool, and still computes the same bits
+        check = "batchtile-pooled"
+        report.checks.append(check)
+        pooled = run_spec(spec, level=4, tiled=True, keep_alive=())
+        _compare_bitwise(check, pooled, unplanned, report.mismatches)
+        _check_plan_size(check, pooled.memory, report.mismatches)
         if threads:
             check = f"batchtile-threads:{max(threads)}"
             report.checks.append(check)

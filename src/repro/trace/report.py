@@ -188,7 +188,8 @@ class MemoryReport:
         its group's batch tile, and one per chain left whole-batch."""
         rows = [
             f"re-gathered {name}: {r.nbytes / 1024:.1f} KB from {r.source}"
-            f" by {r.label}"
+            + (f" (re-padded into {r.padded})" if r.padded else "")
+            + f" by {r.label}"
             for name, r in self.rematerialized.items()
         ]
         rows += [f"retained {name}: {reason}"

@@ -148,7 +148,8 @@ class TestProgramView:
     def test_who_reads_the_im2col_buffer_last(self):
         """The forward GEMM: the weight-gradient GEMM reads a re-gather
         (``repro.synthesis.liveness.regather_staging``) that is born one
-        step before it."""
+        step before it, from a re-padded buffer born two steps before
+        that."""
         cnet = self._conv(options=CompilerOptions())
         view = ProgramView(cnet.plan, cnet.compiled.forward,
                            cnet.compiled.backward)
@@ -162,7 +163,13 @@ class TestProgramView:
         re = view.intervals["conv1_inputs0_re"]
         assert re.phases == {"backward"} and re.first_kind == "w"
         assert steps[re.first].label == "conv1.regather"
-        assert steps[re.first].reads == steps[iv.first].reads
+        assert steps[iv.first].reads == {"conv1_padsrc0"}
+        assert steps[re.first].reads == {"conv1_padsrc0_re"}
+        assert view.intervals["conv1_padsrc0"].phases == {"forward"}
+        repad = view.intervals["conv1_padsrc0_re"]
+        assert [steps[p].label for p in range(repad.first, repad.last + 1)
+                ] == ["conv1.pad_fill", "conv1.pad", "conv1.regather"]
+        assert steps[repad.first + 1].reads == steps[iv.first - 1].reads
         (wgrad,) = view.readers_after(re.first, "conv1_inputs0_re")
         assert wgrad == re.first + 1 == re.last
         assert "conv1_grad_weights" in steps[wgrad].writes

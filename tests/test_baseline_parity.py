@@ -3,6 +3,8 @@ implementations: the compiled Latte network, the Caffe-like static
 kernel library, and the Mocha-like interpreted framework must agree on
 outputs, losses, and gradients when loaded with the same parameters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,54 @@ class TestBackwardParity:
         assert len(base_params) == len(latte_params)
         for (bv, bg), (lg,) in zip(base_params, latte_params):
             np.testing.assert_allclose(lg, bg, rtol=1e-3, atol=1e-4)
+
+
+def _padded_pool_spec(mode):
+    from repro.testing.generator import NetSpec
+
+    return NetSpec(seed=3, batch=2, input_shape=(2, 7, 7), classes=3,
+                   layers=({"kind": "conv", "filters": 3, "kernel": 3,
+                            "stride": 1, "pad": 0},
+                           {"kind": "pool", "mode": mode, "kernel": 3,
+                            "stride": 2, "pad": 1}))
+
+
+@pytest.mark.parametrize("mode", ["max", "mean"])
+def test_padded_pool_matches_latte(mode):
+    """Both baselines pool a padded layout and crop its gradient: loss,
+    input gradient and every parameter gradient agree with Latte's
+    (whose padded buffer has a zero border, under a max window too)."""
+    from repro.testing.oracle import TOLERANCES, _check_baselines
+
+    checks, out = [], []
+    _check_baselines(_padded_pool_spec(mode), TOLERANCES["float32"],
+                     checks, out)
+    assert checks == ["baseline:caffe", "baseline:mocha"]
+    assert not out, [str(m) for m in out]
+
+
+def test_a_raising_baseline_is_a_mismatch(monkeypatch):
+    """The oracle records the exception under the baseline's check, so
+    the fuzz CLI shrinks the spec instead of exiting with a traceback —
+    and the other baseline is still compared."""
+    from repro.testing.oracle import TOLERANCES, _check_baselines
+
+    backward = CaffeNet.backward
+
+    def boom(self, *args):
+        if type(self) is CaffeNet:  # MochaNet inherits it
+            raise RuntimeError("boom")
+        return backward(self, *args)
+
+    monkeypatch.setattr(CaffeNet, "backward", boom)
+    checks, out = [], []
+    _check_baselines(_padded_pool_spec("max"), TOLERANCES["float32"],
+                     checks, out)
+    assert checks == ["baseline:caffe", "baseline:mocha"]
+    (mismatch,) = out
+    assert mismatch.check == "baseline:caffe"
+    assert re.fullmatch(r"raised RuntimeError at test_baseline_parity\.py:"
+                        r"\d+: boom", mismatch.detail)
 
 
 class TestBaselineInternals:

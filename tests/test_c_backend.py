@@ -323,10 +323,11 @@ class TestBuild:
         cnet.close()
 
     def test_a_solo_regather_runs_its_forward_twins_kernel(self, build):
-        """A staging copy re-gathered in backward differs from its
-        forward original by one buffer name, which alpha-renaming
-        erases: same kernels, same shared object as a build of the
-        program with no re-gathers in it."""
+        """A staging copy re-gathered in backward, and the pad re-run
+        ahead of it, differ from their forward originals by one buffer
+        name each, which alpha-renaming erases: same kernels, same
+        shared object as a build of the program with no re-gathers in
+        it."""
         builds = {}
         for memory_plan in (True, False):
             seed_all(ZOO["conv_pool_fc"].seed)
@@ -337,23 +338,26 @@ class TestBuild:
             cnet.close()
         compiled = builds[True].compiled
         by_label = {s.label: s.name for s in compiled.forward}
-        (regather,) = [s for s in compiled.backward
-                       if s.label.endswith(".regather")]
-        assert regather.label == "L0_conv.regather"
-        assert compiled.c_symbols[regather.name] == by_label["L0_conv.copy"]
-        assert f"void {regather.name}(" not in compiled.c_exec_source
+        clones = [s for s in compiled.backward
+                  if s.label.endswith((".regather", ".pad_fill", ".pad"))]
+        assert [s.label for s in clones] == [
+            "L0_conv.pad_fill", "L0_conv.pad", "L0_conv.regather"]
+        for step, twin in zip(clones, ("L0_conv.pad_fill", "L0_conv.pad",
+                                       "L0_conv.copy")):
+            assert compiled.c_symbols[step.name] == by_label[twin]
+            assert f"void {step.name}(" not in compiled.c_exec_source
         with_re, without = (builds[mp].compile_report["codegen-c"].rewrites
                             for mp in (True, False))
-        assert with_re["native_steps"] == without["native_steps"] + 1
+        assert with_re["native_steps"] == without["native_steps"] + 3
         assert with_re["kernels_unique"] == without["kernels_unique"]
         assert with_re["so_bytes"] == without["so_bytes"]
 
     def test_a_tiled_regather_lives_in_the_weight_gradient_kernel(
             self, build, monkeypatch):
-        """Over the staging budget the re-gather is a unit of the
-        batch-tiled weight-gradient group: one kernel gathers a tile
-        into its contracted buffer and multiplies it, image by image,
-        where it lies."""
+        """Over the staging budget the re-pad and the re-gather are
+        units of the batch-tiled weight-gradient group: one kernel pads
+        a tile, gathers it into its contracted buffer and multiplies
+        it, image by image, where it lies."""
         from repro.optim import tiling
 
         whole = _compile_c(ZOO["conv_pool_fc"])
@@ -367,8 +371,12 @@ class TestBuild:
         cnet = _compile_c(ZOO["conv_pool_fc"])
         compiled = cnet.compiled
         (step,) = [s for s in compiled.backward if "regather" in s.label]
-        assert step.label == "L0_conv.regather+L0_conv.compute"
+        assert step.label == ("L0_conv.pad_fill+L0_conv.pad"
+                              "+L0_conv.regather+L0_conv.compute")
         assert step.name in compiled.c_steps
+        assert {b for b, label in cnet.plan.contracted.items()
+                if label == step.label} == {"L0_conv_padsrc0_re",
+                                            "L0_conv_inputs0_re"}
         src = compiled.c_exec_source
         body = src[src.index(f"void {step.name}("):]
         body = body[:body.index("\n}\n")]

@@ -104,10 +104,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     def test_tiled_conv_net_thaws_with_its_contracted_buffers(
             self, tmp_path, monkeypatch, backend):
-        """Train-mode conv programs re-gather their staging copies in
-        backward and run them tile by tile: the fused groups, the
-        ``*_re`` buffers, the contracted shapes and the decision records
-        all survive freeze -> thaw, bitwise."""
+        """Train-mode conv programs re-pad and re-gather their staging
+        copies in backward and run them tile by tile: the fused groups,
+        the ``*_re`` buffers, the contracted shapes and the decision
+        records all survive freeze -> thaw, bitwise."""
         from repro.optim import tiling
 
         if backend == "c" and not have_c_toolchain():
@@ -147,7 +147,8 @@ class TestRoundTrip:
         assert not cold_net.compile_report.cache_hit
         _assert_same_run(warm, cold)
         labels = [s.label for s in warm_net.compiled.backward]
-        assert {"L0_conv.regather+L0_conv.compute",
+        assert {"L0_conv.pad_fill+L0_conv.pad+L0_conv.regather"
+                "+L0_conv.compute",
                 "L3_conv.compute+L3_conv.scatter"} <= set(labels)
         for phase in ("forward", "backward"):
             cold_steps = getattr(cold_net.compiled, phase)
@@ -156,22 +157,26 @@ class TestRoundTrip:
                     == [(s.label, s.access) for s in cold_steps])
         cold_mem, warm_mem = cold_net.plan.memory, warm_net.plan.memory
         assert len(cold_mem.rematerialized) == 2
+        assert cold_mem.rematerialized["L0_conv_inputs0"].padded == (
+            "L0_conv_padsrc0_re")
         assert warm_mem.rematerialized == cold_mem.rematerialized
         assert warm_mem.declined == cold_mem.declined
         assert sorted(cold_net.plan.contracted) == [
             "L0_conv_grad_inputs0", "L0_conv_inputs0", "L0_conv_inputs0_re",
+            "L0_conv_padsrc0", "L0_conv_padsrc0_re",
             "L3_conv_grad_inputs0", "L3_conv_inputs0", "L3_conv_inputs0_re"]
         assert warm_net.plan.contracted == cold_net.plan.contracted
         # training keeps every value inspectable; the padded input is
-        # read again by the backward re-gather
+        # re-padded in backward, so both copies of it contract
         assert warm_net.plan.untiled == cold_net.plan.untiled == {
-            "L0_conv_padsrc0": "read-by-next-group",
             "L0_conv_value": "keep_alive", "L2_pool_value": "keep_alive",
             "L3_conv_value": "keep_alive"}
         for name in cold_net.plan.contracted:
             assert (warm_net.buffers[name].shape
                     == cold_net.buffers[name].shape
-                    == ((1, 27, 10, 10) if "L0" in name else (1, 36, 3, 3)))
+                    == ((1, 3, 12, 12) if "padsrc" in name
+                        else (1, 27, 10, 10) if "L0" in name
+                        else (1, 36, 3, 3)))
         assert (warm_net.memory_report().table()
                 == cold_net.memory_report().table())
         assert warm_net.memory_stats() == cold_net.memory_stats()
@@ -432,9 +437,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v9: values and
-        padded buffers always whole, a pad without its fill step) is
-        dropped on get — a miss, never an error, never thawed."""
+        """An entry written under the last layout (v10: a re-gather
+        from a padded buffer reads the forward padded buffer, held
+        across the phases, instead of re-padding it) is dropped on get —
+        a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -444,7 +450,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 10
+        assert meta["version"] == FORMAT_VERSION == 11
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),

@@ -235,20 +235,33 @@ class TestOracleReporting:
                             gradcheck_indices=0, baselines=False,
                             quant=False)
         assert report.ok, report.summary()
-        expected = {"batchtile", "batchtile-memplan", "batchtile-threads:2",
-                    "batchtile-inference", "batchtile-inference-threads:2"}
+        expected = {"batchtile", "batchtile-memplan", "batchtile-pooled",
+                    "batchtile-threads:2", "batchtile-inference",
+                    "batchtile-inference-threads:2"}
         if have_c_toolchain():
             expected.add("cbackend-batchtile")
         assert expected <= set(report.checks), report.checks
         seed_all(spec.seed)
         with batch_tiles():
             cnet = build_net(spec).init(CompilerOptions.level(4))
-        assert len(cnet.plan.contracted) == 6
-        # each conv layer's pad fill, pad, copy, GEMM, bias and tanh,
-        # and two backward chains of two units
-        assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 20
+        # per conv layer: both padded inputs, both im2col copies and the
+        # gradient input
+        assert len(cnet.plan.contracted) == 10
+        # each conv layer's pad fill, pad, copy, GEMM, bias and tanh, its
+        # re-pad + re-gather + weight-gradient chain of four units and
+        # its data-gradient chain of two
+        assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 24
         assert all(cnet.buffers[b].shape[0] == cnet.plan.buffers[b].tile < 4
                    for b in cnet.plan.contracted)
+        # every ensemble pooled: the second layer re-pads from a value
+        # the arena holds (``batchtile-pooled``)
+        seed_all(spec.seed)
+        with batch_tiles():
+            pooled = build_net(spec).init(CompilerOptions.level(4),
+                                          keep_alive=())
+        remat = pooled.plan.memory.rematerialized["L3_conv_inputs0"]
+        assert remat.padded == "L3_conv_padsrc0_re"
+        assert remat.source in pooled.plan.memory.pooled
         # forward-only, a value and both padded inputs are contracted too
         seed_all(spec.seed)
         with batch_tiles():

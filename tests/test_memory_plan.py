@@ -627,39 +627,65 @@ class TestRematerialization:
             assert cn.memory_stats()["planned_bytes"] == PLANNED[name][0]
             assert not cn.plan.memory.declined, name
             # every staging chain is tiled; what stays whole is a value
-            # keep_alive keeps or a padded input its re-gather reads
+            # keep_alive keeps
             assert {(cn.plan.buffers[b].role, why)
                     for b, why in cn.plan.untiled.items()} <= {
-                ("value", "keep_alive"), ("padded", "read-by-next-group")}
+                ("value", "keep_alive")}
         # lenet's largest staging buffer is 512 000 B: under the budget,
         # so nothing of it is tiled and its plan is the parent's
         assert cn.memory_stats()["planned_bytes"] == 1_167_680
         assert not cn.plan.contracted
 
-    def test_vgg_arena_holds_the_padded_inputs_and_one_tile(self):
+    @pytest.mark.parametrize("name", sorted(PLANNED))
+    def test_no_padded_input_spans_the_phase_boundary(self, name):
+        """A backward re-gather re-pads its layer's input instead of
+        reading the forward padded buffer again, so every padded buffer
+        an im2col copy gathers from lives in one phase, and none is
+        left whole for being read by a later group. (A pool whose window
+        copy was inlined reads its padded input in its own backward
+        compute: that one is not re-gathered, and spans both.)"""
+        cn = _ledger_net(name)
+        mem = cn.plan.memory
+        gathered = {cp.padded_value for cp in cn.plan.conn_plans.values()
+                    if cp.padded_value and cp.mode == "copy"}
+        for base, spec in cn.plan.buffers.items():
+            if spec.role == "padded" and spec.alias_of is None:
+                assert (len(mem.intervals[base].phases) == 1) == (
+                    base.removesuffix("_re") in gathered), base
+        assert not [b for b, why in cn.plan.untiled.items()
+                    if cn.plan.buffers[b].role == "padded"
+                    and why == "read-by-next-group"]
+
+    def test_vgg_arena_holds_one_padded_gradient_and_one_tile(self):
         """Eight im2col buffers used to be live at the phase boundary
         (arena 20 201 472 B); re-gathered, the arena was one whole-batch
         data-gradient buffer and the padded gradient it scatters into
         (5 382 144 B); contracted, one *image* of that buffer
-        (1 253 376 B). The eight padded inputs (2 914 688 B) were kept
-        out of it — their zero border was written only at allocation.
-        Now the pad is a fill step, so they pool: each lives from its
-        forward group to its backward re-gather, so they nest, but the
-        backward staging that follows a re-gather reuses its slab —
-        778 240 B fewer planned than kept."""
+        (1 253 376 B). Pooled padded inputs then lived from their
+        forward group to their backward re-gather, nested, and grew it
+        to 3 389 824 B. Re-padded in backward, each padded input — the
+        forward one and its ``_re`` twin — lives inside one group and is
+        contracted to its tile, so the arena is again the largest
+        padded gradient plus one data-gradient tile."""
         cn = _ledger_net("vgg")
         mem = cn.plan.memory
         assert len(mem.rematerialized) == 8
-        assert len(cn.plan.contracted) == 24  # in, in_re, grad_in x 8
+        assert all(r.padded == f"{b[:-len('_inputs0')]}_padsrc0_re"
+                   for b, r in mem.rematerialized.items())
+        # in, in_re, grad_in, padsrc, padsrc_re x 8
+        assert len(cn.plan.contracted) == 40
         padded = {b for b, spec in cn.plan.buffers.items()
                   if spec.role == "padded"}
-        assert len(padded) == 8 and padded <= mem.pooled
-        assert sum(cn.buffers[b].nbytes for b in padded) == 2_914_688
-        assert mem.arena_bytes == 3_389_824
-        assert mem.planned_bytes == 16_986_816 - 778_240
-        assert (cn.buffers["conv3_2_grad_inputs0"].shape,
+        assert len(padded) == 16 and padded <= set(cn.plan.contracted)
+        assert sum(cn.buffers[b].nbytes for b in padded) == 1_001_056
+        assert mem.arena_bytes == 1_253_376 == 663_552 + 589_824
+        assert mem.planned_bytes == 16_208_576 - 2_136_448
+        assert (cn.buffers["conv3_2_grad_inputs0"].nbytes,
                 cn.buffers["conv3_2_padsrc0_grad"].nbytes) == (
-            (1, 576, 16, 16), 663_552)
+            589_824, 663_552)
+        assert cn.compile_report["regather"].rewrites == {
+            "copies_regathered": 8, "pads_regathered": 8,
+            "copies_declined": 0}
 
     def test_every_contracted_buffer_is_allocated_at_its_tile(self):
         from repro.optim.tiling import STAGING_TILE_BYTES
@@ -667,10 +693,15 @@ class TestRematerialization:
         for name in ("vgg", "alexnet", "overfeat"):
             cn = _ledger_net(name)
             assert cn.plan.contracted, name
+            tiles = {label: cn.plan.buffers[buf].tile
+                     for buf, label in cn.plan.contracted.items()}
             for buf, label in cn.plan.contracted.items():
                 spec = cn.plan.buffers[buf]
                 assert cn.buffers[buf].shape == (spec.tile,) + spec.shape
                 assert 8 % spec.tile == 0 and spec.tile < 8
+                assert spec.tile == tiles[label]
+                if spec.role == "padded":
+                    continue  # its group's tile, sized by the im2col copy
                 # the largest divisor of the batch that fits the budget
                 # (one image when none does) ...
                 row = cn.buffers[buf].nbytes // spec.tile
@@ -686,22 +717,26 @@ class TestRematerialization:
 
     def test_naive_bytes_is_what_the_program_allocates_unpooled(self):
         """``naive_bytes`` counts the buffers the compiled program has —
-        re-gather targets included, contracted ones at their tile — so
-        it equals the unplanned compile's allocation only where the
-        planner's own rewrites (the re-gathers) add nothing."""
+        re-gather and re-pad targets included, contracted ones at their
+        tile — so it equals the unplanned compile's allocation only
+        where the planner's own rewrites (the re-gathers) add nothing."""
         planned = _staged_net(True)
         unplanned = _staged_net(True, memory_plan=False)
         remat = planned.plan.memory.rematerialized
         assert sorted(remat) == ["c1_inputs0", "c2_inputs0"]
-        extra = sum(planned.buffers[r.buffer].nbytes for r in remat.values())
+        staging = sum(planned.buffers[r.buffer].nbytes
+                      for r in remat.values())
+        padded = sum(planned.buffers[r.padded].nbytes for r in remat.values())
         assert (planned.memory_stats()["naive_bytes"]
-                == unplanned.memory_stats()["naive_bytes"] + extra)
+                == unplanned.memory_stats()["naive_bytes"] + staging + padded)
         rec = planned.compile_report["regather"]
-        assert rec.rewrites == {"copies_regathered": 2, "copies_declined": 0}
-        assert rec.units_after == rec.units_before + 2
+        assert rec.rewrites == {"copies_regathered": 2, "pads_regathered": 2,
+                                "copies_declined": 0}
+        # per layer: the pad's fill, its interior copy and the re-gather
+        assert rec.units_after == rec.units_before + 6
         mem = planned.compile_report["memory_plan"].rewrites
         assert mem["copies_rematerialized"] == 2
-        assert mem["bytes_rematerialized"] == extra
+        assert mem["bytes_rematerialized"] == staging
         assert not unplanned.compile_report["regather"].enabled
 
     @pytest.mark.parametrize("name,spec", list(_corpus()),
@@ -727,6 +762,8 @@ class TestRematerialization:
             for b, r in mem.rematerialized.items():
                 assert mem.intervals[b].phases == {"forward"}
                 assert mem.intervals[r.buffer].phases == {"backward"}
+                if r.padded:
+                    assert mem.intervals[r.padded].phases == {"backward"}
             assert "fused-group" not in mem.declined.values()
         seed_all(spec.seed)
         cn = build_net(spec).init(CompilerOptions.inference())
@@ -834,6 +871,14 @@ class TestRematerialization:
         # bias, ReLU; two backward chains of two units per layer
         assert cn.compile_report["tiling"].rewrites["units_tiled"] == 18
 
+    def test_a_repad_is_reported_with_its_regather(self):
+        cn = _staged_net(True)
+        kb = cn.buffers["c2_inputs0_re"].nbytes / 1024
+        row = (f"re-gathered c2_inputs0: {kb:.1f} KB from p1_value "
+               "(re-padded into c2_padsrc0_re) by c2.regather")
+        assert row in cn.memory_report().table().splitlines()
+        assert f"    {row}" in cn.summary().splitlines()
+
     def test_a_solo_regather_is_a_span_of_its_own(self):
         from repro.trace import RecordingTracer
 
@@ -874,10 +919,13 @@ class TestBatchTiles:
             f"{pad.replace('c1', 'c2')}c2.copy+c2.compute+c2.compute"
             "+r2.compute"]
         for conv in ("c1", "c2"):
-            assert f"{conv}.regather+{conv}.compute" in bwd
+            repad = pad.replace("c1", conv)
+            assert f"{repad}{conv}.regather+{conv}.compute" in bwd
             assert f"{conv}.compute+{conv}.scatter" in bwd
             for buf in (f"{conv}_inputs0", f"{conv}_inputs0_re",
-                        f"{conv}_grad_inputs0"):
+                        f"{conv}_grad_inputs0") + (
+                            (f"{conv}_padsrc0", f"{conv}_padsrc0_re")
+                            if padded else ()):
                 assert cn.plan.buffers[buf].tile == cn.buffers[buf].shape[0]
                 assert cn.buffers[buf].shape[0] < 4
         # the weight-gradient tile and the data-gradient tile are two
@@ -886,11 +934,8 @@ class TestBatchTiles:
         assert not (mem.intervals["c1_inputs0_re"].overlaps(
             mem.intervals["c1_grad_inputs0"]))
         assert mem.declined == {}
-        assert cn.plan.untiled == {
-            **dict.fromkeys(("c1_value", "p1_value", "c2_value"),
-                            "keep_alive"),
-            **dict.fromkeys(("c1_padsrc0", "c2_padsrc0")
-                            if padded else (), "read-by-next-group")}
+        assert cn.plan.untiled == dict.fromkeys(
+            ("c1_value", "p1_value", "c2_value"), "keep_alive")
 
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     @pytest.mark.parametrize("padded", [True, False],

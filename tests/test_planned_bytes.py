@@ -29,22 +29,22 @@ CONFIGS = {
     "lenet": ("lenet_config", 0.5, 28, None, 8),
 }
 
-#: program -> (train, inference) ``planned_bytes``. One group per conv
-#: layer, its value and padded input contracted forward-only and every
-#: padded input pooled moved the Fig 14 trio, the served vgg and the
-#: padded spec programs; the numbers before that follow each row
+#: program -> (train, inference) ``planned_bytes``. Re-padding each
+#: re-gathered conv layer's input in backward, instead of holding the
+#: forward padded buffer across the phases, moved the Fig 14 trio's
+#: training programs; the numbers before that follow each row
 PLANNED = {
-    "alexnet": (4_156_864, 2_063_424),      # 4 249 792, 2 277 056
-    "overfeat": (3_425_216, 2_340_544),     # 3 490 752, 2 500 672
-    "vgg": (16_208_576, 2_043_296),         # 16 986 816, 6 063 648
+    "alexnet": (3_952_064, 2_063_424),      # 4 156 864
+    "overfeat": (3_376_064, 2_340_544),     # 3 425 216
+    "vgg": (14_072_128, 2_043_296),         # 16 208 576
     "lenet": (1_167_680, 767_840),
     "mlp6x16": (3_744, 848),
-    "cnn_a": (23_664, 10_312),              # 25 200, 11 432
+    "cnn_a": (23_664, 10_312),
     "cnn_b": (9_536, 4_040),
     "mlp": (1_184, 480),
     "recurrent": (5_112, 2_556),
-    "inception_a": (65_536, 25_664),        # 67 840, 31 872
-    "inception_b": (66_080, 36_064),        # 69 536, 39 520
+    "inception_a": (65_536, 25_664),
+    "inception_b": (66_080, 36_064),
     "lstm": (11_424, 5_712),
 }
 
