@@ -16,7 +16,8 @@ twice — once per backend — and then:
 * **coverage** — every fused step must lower to native code except
   extern closures (dropout masks, softmax loss);
 * **build** — the first compile runs against an empty build directory
-  and records its cold ``cc`` seconds, unique/total kernels and
+  and records its cold ``cc`` seconds (the pool's and its slowest
+  translation unit's), unique/total kernels and
   translation-unit count (the ``codegen-c`` compile-report row); a
   second compile of the same model must then find the shared object in
   the build directory and spawn no compiler process at all;
@@ -136,6 +137,7 @@ def _build_record(c_r, name, num_threads, failures):
     if not warm["build_dir_hit"] or warm["cc_jobs"]:
         failures.append(f"{name}: a warm build dir spawned cc ({warm})")
     return {"cc_seconds": round(cold["cc_seconds"], 3),
+            "cc_unit_max_seconds": round(cold["cc_unit_max_seconds"], 3),
             "link_seconds": round(cold["link_seconds"], 3),
             "cc_jobs": cold["cc_jobs"],
             "kernels_unique": cold["kernels_unique"],
@@ -178,7 +180,9 @@ def main(num_threads: int = 1) -> int:
         print(f"{name:9s} fwd {n_fwd * 1e3:7.2f} -> {c_fwd * 1e3:7.2f}ms "
               f"({n_fwd / c_fwd:.2f}x)  fwd+bwd {n_fb * 1e3:7.2f} -> "
               f"{c_fb * 1e3:7.2f}ms ({n_fb / c_fb:.2f}x)  cold cc "
-              f"{build['cc_seconds']:.2f}s: {coverage['native_steps']} steps"
+              f"{build['cc_seconds']:.2f}s (slowest unit "
+              f"{build['cc_unit_max_seconds']:.2f}s): "
+              f"{coverage['native_steps']} steps"
               f" on {build['kernels_unique']} kernels in "
               f"{build['translation_units']} units, {build['cc_jobs']} jobs",
               flush=True)

@@ -17,8 +17,9 @@ compiled program, rendered as canonical (sorted-keys) JSON:
   :data:`FORMAT_VERSION` — bumping any of these invalidates every
   existing entry rather than risking a stale thaw;
 * for ``backend="c"``, the toolchain fingerprint (compiler version +
-  flags) — those entries embed the built shared object's bytes, which
-  are only valid for the toolchain that produced them.
+  flags + the target ``-march=native`` resolved to) — those entries
+  embed the built shared object's bytes, which are only valid for the
+  toolchain and the CPU that produced them.
 
 Anything *not* in the key (tracer, watchdog, cache directory) must
 never change the generated program.
@@ -142,7 +143,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
     }
     if getattr(options, "backend", "numpy") == "c":
         # C-backend entries embed built .so bytes, so the key must
-        # change with the (compiler, flags) pair that produced them
+        # change with the (compiler, flags, target) that produced them
         from repro.codegen.c_backend import toolchain_fingerprint
 
         identity["toolchain"] = toolchain_fingerprint()

@@ -149,7 +149,14 @@ sizeof static struct switch typedef union unsigned void volatile while
 _b0 _b1 _omp _acc _M _N _K _v _t
 """.split())
 
-_BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
+#: the build recipe. The loop vectorizer is what makes kernels fast
+#: (``-O2`` alone keeps it to its cheapest cost model); ``-O3``'s
+#: complete peeling of small constant-trip loops is what makes them
+#: slow to build. This recipe spends about two thirds of ``-O3``'s
+#: ``cc`` time and computes the same bits at the same step time
+#: (EXPERIMENTS.md, "cold native build", with the recipes measured and
+#: rejected).
+_BASE_FLAGS = ["-O2", "-ftree-vectorize", "-fpeel-loops", "-fPIC", "-shared"]
 _EXTRA_FLAGS = ["-march=native", "-fopenmp"]
 
 _PROBE_SRC = (
@@ -161,7 +168,8 @@ _PROBE_SRC = (
     "}\n"
 )
 
-#: memoized toolchain probe: {'cc': path, 'flags': [...], 'why': str}
+#: memoized toolchain probe: {'cc': path, 'flags': [...], 'why': str,
+#: 'target': digest of the target the flags resolve to}
 _toolchain: Optional[Dict] = None
 #: dlopen cache: .so path -> ctypes.CDLL
 _dll_cache: Dict[str, ctypes.CDLL] = {}
@@ -208,6 +216,21 @@ def _try_compile(cc: str, flags: List[str], src: Path, out: Path) -> bool:
     return proc.returncode == 0 and out.exists()
 
 
+def _target_macros(cc: str, flags: List[str]) -> str:
+    """The macros ``cc`` predefines under ``flags``, sorted. They spell
+    out the CPU ``-march=native`` resolved to (``__AVX512F__``,
+    ``__FMA__``, ...); empty when the compiler cannot list them."""
+    try:
+        proc = subprocess.run([cc, *flags, "-dM", "-E", "-"],
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return ""
+    if proc.returncode:
+        return ""
+    return "\n".join(sorted(proc.stdout.decode(errors="replace").splitlines()))
+
+
 def _probe_toolchain() -> Dict:
     """Find a compiler and the widest flag set it accepts (memoized)."""
     global _toolchain
@@ -225,7 +248,12 @@ def _probe_toolchain() -> Dict:
         for n_extra in range(len(_EXTRA_FLAGS), -1, -1):
             flags = _BASE_FLAGS + _EXTRA_FLAGS[:n_extra]
             if _try_compile(cc, flags, src, Path(td) / f"probe{n_extra}.so"):
-                _toolchain = {"cc": cc, "flags": flags, "why": ""}
+                # "-march=native" names no CPU: a .so built for one must
+                # not be found by a build or cache lookup on another
+                target = hashlib.sha256(
+                    _target_macros(cc, flags).encode()).hexdigest()[:16]
+                _toolchain = {"cc": cc, "flags": flags, "why": "",
+                              "target": target}
                 return _toolchain
     _toolchain = {"cc": cc, "flags": [],
                   "why": f"{cc} failed to build a trivial shared object"}
@@ -263,15 +291,16 @@ _TU_BYTES = 16 * 1024
 
 def _artifact(source: str) -> Path:
     """Content-addressed ``.so`` path for ``source`` under the active
-    (compiler, flags) pair; its ``.c`` twin sits beside it."""
+    (compiler, flags, resolved target) triple; its ``.c`` twin sits
+    beside it."""
     info = _probe_toolchain()
     if not info["cc"] or info["why"]:
         raise CBackendUnavailable(
             f"C backend unavailable: {toolchain_error()}"
         )
-    tag = hashlib.sha256(
-        "\x00".join([source, info["cc"], " ".join(info["flags"])]).encode()
-    ).hexdigest()[:24]
+    tag = hashlib.sha256("\x00".join([
+        source, info["cc"], " ".join(info["flags"]), info["target"],
+    ]).encode()).hexdigest()[:24]
     return build_dir() / f"latte_{tag}.so"
 
 
@@ -317,8 +346,10 @@ class _CcFailed(Exception):
         self.unit, self.reason = unit, reason
 
 
-def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
-    """Run the named compiler commands, ``jobs`` at a time, in ``cwd``.
+def _run_cc(cmds: Dict[str, List[str]], cwd: Path,
+            jobs: int) -> Dict[str, float]:
+    """Run the named compiler commands, ``jobs`` at a time, in ``cwd``;
+    returns each command's wall seconds by name.
 
     Raises ``_CcFailed(name, reason)`` for the first command that
     cannot start, exits non-zero or outlives ``_CC_TIMEOUT``; by then
@@ -328,6 +359,7 @@ def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
     lock = threading.Lock()
     live: set = set()
     failed: List[Tuple[str, str]] = []
+    seconds: Dict[str, float] = {}
 
     def fail(name: str, why: str) -> None:
         failed.append((name, why))
@@ -339,6 +371,7 @@ def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
         with lock:
             if failed:
                 return
+            t0 = time.perf_counter()
             try:
                 proc = subprocess.Popen(
                     cmd, cwd=cwd, stdin=subprocess.DEVNULL,
@@ -358,6 +391,7 @@ def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
             proc.communicate()
             why = f"{cmd[0]} still running after {_CC_TIMEOUT:g}s"
         with lock:
+            seconds[name] = time.perf_counter() - t0
             live.discard(proc)
             if why and not failed:
                 fail(name, why)
@@ -366,12 +400,14 @@ def _run_cc(cmds: Dict[str, List[str]], cwd: Path, jobs: int) -> None:
         list(pool.map(one, cmds))  # list(): re-raise a worker's exception
     if failed:
         raise _CcFailed(*failed[0])
+    return seconds
 
 
 def _build(so: Path, source: str, units: List[Tuple[str, str]]) -> Dict:
     """Compile ``units`` in a private scratch directory under the build
     directory, link them in unit order and move the result to ``so``;
-    returns the build's ``cc_jobs``/``cc_seconds``/``link_seconds``."""
+    returns the build's ``cc_jobs``/``cc_seconds``/
+    ``cc_unit_max_seconds``/``link_seconds``."""
     info = _probe_toolchain()
     so.with_suffix(".c").write_text(source)
     flags = [f for f in info["flags"] if f != "-shared"]
@@ -388,7 +424,7 @@ def _build(so: Path, source: str, units: List[Tuple[str, str]]) -> Dict:
         for name, text in units:
             (tmp / f"{name}.c").write_text(text)
         t0 = time.perf_counter()
-        _run_cc(compile_cmds, tmp, jobs)
+        unit_seconds = _run_cc(compile_cmds, tmp, jobs)
         t1 = time.perf_counter()
         _run_cc({"link": link_cmd}, tmp, 1)
         t2 = time.perf_counter()
@@ -404,14 +440,17 @@ def _build(so: Path, source: str, units: List[Tuple[str, str]]) -> Dict:
         ) from None
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return {"cc_jobs": jobs, "cc_seconds": t1 - t0, "link_seconds": t2 - t1}
+    return {"cc_jobs": jobs, "cc_seconds": t1 - t0,
+            "cc_unit_max_seconds": max(unit_seconds.values()),
+            "link_seconds": t2 - t1}
 
 
 def compile_shared_object(source: str,
                           stats: Optional[Dict] = None) -> str:
     """Compile generated C ``source`` to a shared object; returns its path.
 
-    Builds are content-addressed on (source, compiler, flags): recompiling
+    Builds are content-addressed on (source, compiler, flags, resolved
+    target): recompiling
     an identical program — e.g. a cache thaw, or the second oracle run of
     a determinism check — reuses the existing ``.so`` byte-for-byte.
 
@@ -426,13 +465,15 @@ def compile_shared_object(source: str,
     and leaves no object, shared object or scratch directory behind.
 
     ``stats``, when given, receives the build's counters
-    (``translation_units``, ``cc_jobs``, ``cc_seconds``,
+    (``translation_units``, ``cc_jobs``, ``cc_seconds`` — the pool's
+    wall time —, ``cc_unit_max_seconds`` — its slowest unit's —,
     ``link_seconds``, ``so_bytes``, ``build_dir_hit``).
     """
     so = _artifact(source)
     units = _translation_units(source)
     rec = {"translation_units": len(units), "cc_jobs": 0, "cc_seconds": 0.0,
-           "link_seconds": 0.0, "build_dir_hit": int(so.exists())}
+           "cc_unit_max_seconds": 0.0, "link_seconds": 0.0,
+           "build_dir_hit": int(so.exists())}
     if not rec["build_dir_hit"]:
         rec.update(_build(so, source, units))
     rec["so_bytes"] = so.stat().st_size
@@ -446,7 +487,8 @@ _fingerprint: Optional[str] = None
 
 
 def toolchain_fingerprint() -> str:
-    """A short stable identifier for the active (compiler, flags) pair.
+    """A short stable identifier for the active compiler, its flags and
+    the target they resolve to (``-march=native`` on this CPU).
 
     Cache entries that embed compiled shared-object bytes record this so
     a thaw on a different machine (or after a compiler upgrade) knows
@@ -466,8 +508,8 @@ def toolchain_fingerprint() -> str:
         version = proc.stdout.decode(errors="replace").splitlines()[0]
     except (OSError, subprocess.TimeoutExpired, IndexError):
         version = "unknown"
-    digest = hashlib.sha256(
-        "\x00".join([version, " ".join(info["flags"])]).encode()
+    digest = hashlib.sha256("\x00".join(
+        [version, " ".join(info["flags"]), info["target"]]).encode()
     ).hexdigest()[:16]
     _fingerprint = f"{Path(info['cc']).name}:{digest}"
     return _fingerprint

@@ -387,6 +387,7 @@ class CompiledNet:
             elif "cc_seconds" in c:
                 line += (f", {c['translation_units']} units: "
                          f"cc {c['cc_seconds']:.2f}s on {c['cc_jobs']} jobs"
+                         f" (slowest unit {c['cc_unit_max_seconds']:.2f}s)"
                          f" + link {c['link_seconds']:.2f}s")
             lines.append(line)
         if report is not None and report.cache_hit:

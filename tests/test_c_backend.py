@@ -14,11 +14,13 @@ equivalence plus bitwise run-to-run determinism. ``TestBuild`` pins the
 build itself: twin steps share kernels, the ``.so`` does not depend on
 the worker count, failed and hung compiler processes leave a structured
 error and a clean build directory, racing builders converge, the sgemm
-hook is defined once across translation units, and no kernel ever
-allocates (every GEMM runs on its operands where they lie). Without a
-working C
-compiler the execution tests skip with the probe's reason and the
-``backend="c"`` knob raises ``CBackendUnavailable``.
+hook is defined once across translation units, no kernel ever
+allocates (every GEMM runs on its operands where they lie), the build
+recipe changes build time but not one bit of a training step, and the
+CPU ``-march=native`` resolves to keys both the build directory and the
+compile cache. Without a working C compiler the execution tests skip
+with the probe's reason and the ``backend="c"`` knob raises
+``CBackendUnavailable``.
 """
 
 import os
@@ -317,6 +319,9 @@ class TestBuild:
         assert rec.rewrites["kernels_unique"] == len(symbols)
         assert rec.rewrites["build_dir_hit"] == 0
         assert rec.rewrites["cc_jobs"] >= 1
+        # the slowest unit ran inside the pool's wall time
+        assert 0 < rec.rewrites["cc_unit_max_seconds"] \
+            <= rec.rewrites["cc_seconds"]
         assert rec.rewrites["so_bytes"] > 0
         assert f"{len(compiled.c_steps)} steps on {len(symbols)} kernels" \
             in cnet.summary()
@@ -463,8 +468,51 @@ class TestBuild:
         cnet = _compile_c(ZOO["conv_pool_fc"])
         rec = cnet.compile_report["codegen-c"].rewrites
         assert rec["build_dir_hit"] == 1 and rec["cc_jobs"] == 0
+        assert rec["cc_unit_max_seconds"] == 0
         assert "build dir hit" in cnet.summary()
         cnet.close()
+
+    def test_build_recipe_changes_time_not_bits(self, build, monkeypatch):
+        """``-O3`` and the shipped recipe are different toolchains to
+        the build directory and the cache, and compute the same bits:
+        the recipe moves build time only."""
+        runs, prints = [], []
+        for flags in (["-O3", "-fPIC", "-shared"], c_backend._BASE_FLAGS):
+            monkeypatch.setattr(c_backend, "_BASE_FLAGS", flags)
+            monkeypatch.setattr(c_backend, "_toolchain", None)
+            monkeypatch.setattr(c_backend, "_fingerprint", None)
+            prints.append(c_backend.toolchain_fingerprint())
+            runs.append(run_spec(ZOO["conv_pool_fc"], level=4, backend="c"))
+        assert prints[0] != prints[1]
+        assert len([p for p in build.iterdir() if p.suffix == ".so"]) == 2
+        mismatches = []
+        _compare_bitwise("recipe", runs[0], runs[1], mismatches)
+        assert not mismatches, "\n".join(str(m) for m in mismatches)
+
+    def test_resolved_target_keys_the_c_cache_and_the_build(self, build,
+                                                           monkeypatch):
+        """``-march=native`` names no CPU: a .so built where the
+        compiler predefines ``__AVX512F__`` must be a build-dir and a
+        cache miss where it does not, or it is installed and crashes."""
+        from repro.cache.key import as_builder, cache_key
+
+        spec = ZOO["conv_pool_fc"]
+
+        def keys():
+            monkeypatch.setattr(c_backend, "_toolchain", None)
+            monkeypatch.setattr(c_backend, "_fingerprint", None)
+            return [cache_key(as_builder(spec), spec.batch, opts, 1, None)
+                    for opts in (CompilerOptions(backend="c"),
+                                 CompilerOptions())
+                    ] + [c_backend._artifact("void f(void) {}\n")]
+
+        here = keys()
+        monkeypatch.setattr(c_backend, "_target_macros",
+                            lambda cc, flags: "#define __AVX512F__ 1")
+        elsewhere = keys()
+        c_key, numpy_key, so = zip(here, elsewhere)
+        assert c_key[0] != c_key[1] and so[0] != so[1]
+        assert numpy_key[0] == numpy_key[1]
 
     def test_so_bytes_independent_of_worker_count(self, tmp_path,
                                                   monkeypatch):
