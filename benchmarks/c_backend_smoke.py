@@ -17,8 +17,9 @@ twice — once per backend — and then:
   extern closures (dropout masks, softmax loss);
 * **build** — the first compile runs against an empty build directory
   and records its cold ``cc`` seconds (the pool's and its slowest
-  translation unit's), unique/total kernels and
-  translation-unit count (the ``codegen-c`` compile-report row); a
+  translation unit's), unique/total kernels, the in-kernel thread count
+  and the parallel regions printed for it, and the translation-unit
+  count (the ``codegen-c`` compile-report row); a
   second compile of the same model must then find the shared object in
   the build directory and spawn no compiler process at all;
 * **speed** — median forward and forward+backward wall times; the
@@ -141,6 +142,8 @@ def _build_record(c_r, name, num_threads, failures):
             "link_seconds": round(cold["link_seconds"], 3),
             "cc_jobs": cold["cc_jobs"],
             "kernels_unique": cold["kernels_unique"],
+            "omp_threads": cold["omp_threads"],
+            "parallel_regions": cold["parallel_regions"],
             "translation_units": cold["translation_units"],
             "so_bytes": cold["so_bytes"]}
 

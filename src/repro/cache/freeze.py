@@ -195,15 +195,17 @@ _SO_KEY = "__so__"
 
 def _c_exec_dict(cnet, compiled, arrays: Dict[str, np.ndarray]):
     """The ``meta["c_exec"]`` record for a ``backend='c'`` compile —
-    source + step argument orders + twin-step kernel names + toolchain
-    fingerprint — stashing the built ``.so`` bytes into ``arrays``
-    alongside. ``None`` for the numpy backend."""
+    source + step argument orders + twin-step kernel names + the thread
+    count the kernels were emitted for + toolchain fingerprint —
+    stashing the built ``.so`` bytes into ``arrays`` alongside. ``None``
+    for the numpy backend."""
     if getattr(cnet.options, "backend", "numpy") != "c":
         return None
     ce = {
         "source": compiled.c_exec_source,
         "steps": {k: list(v) for k, v in compiled.c_steps.items()},
         "symbols": dict(compiled.c_symbols),
+        "omp": compiled.c_omp,
         "toolchain": None,
     }
     if compiled.c_steps:
@@ -445,6 +447,7 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
     compiled.c_steps = {k: list(v)
                         for k, v in (ce.get("steps") or {}).items()}
     compiled.c_symbols = dict(ce.get("symbols") or {})
+    compiled.c_omp = int(ce["omp"])
     if not compiled.c_steps:
         return
     so_path = None

@@ -68,7 +68,9 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v11: a re-gather from a padded buffer re-pads it first (backward
 #:     ``pad_fill``/``pad`` steps, ``*_padsrc*_re`` buffers); a
 #:     ``Rematerialized`` record names the re-padded buffer
-FORMAT_VERSION = 11
+#: v12: native kernels print parallel regions only when they run with
+#:     more than one thread; ``c_exec`` records that count (``omp``)
+FORMAT_VERSION = 12
 
 
 class CacheUnsupported(ValueError):

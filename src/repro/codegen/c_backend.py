@@ -40,10 +40,13 @@ The native lowering contract:
   over the matched einsum letters — free (output) letters outer,
   contraction letters inner — accumulating into a local ``double`` with
   ``#pragma omp simd reduction`` on the innermost contraction loop;
-* batch-disjoint outer loops carry ``#pragma omp parallel for``
-  guarded by the per-call ``_omp`` thread count, which the binder pins
-  to 1 whenever the executor itself shards batches across threads (no
-  oversubscription, and bitwise-reproducible at 1 thread);
+* the kernels' thread count is decided once, at emit time
+  (:func:`omp_threads_for`: 1 whenever the executor shards batches
+  across threads itself, or runs on one thread) and recorded as
+  ``CompiledProgram.c_omp``, which the binder passes as ``_omp``. Only
+  above 1 do batch-disjoint outer loops carry ``#pragma omp parallel
+  for``: a region ``_omp`` never opens is an outlined function ``cc``
+  optimises for nothing;
 * any step the lowering cannot express (extern closures such as
   softmax-loss, or exotic index forms) silently keeps its Python step
   function — programs are hybrid by construction.
@@ -668,10 +671,13 @@ def _strides(shape: Tuple[int, ...]) -> List[int]:
 
 
 class _Frame:
-    """Per-step lowering context: buffer shapes and touched-buffer set."""
+    """Per-step lowering context: buffer shapes, the threads the kernel
+    will run with and the touched-buffer set."""
 
-    def __init__(self, shapes: Dict[str, Tuple[int, ...]]):
+    def __init__(self, shapes: Dict[str, Tuple[int, ...]], omp: int):
         self.shapes = shapes
+        #: parallel regions are printed only when this is above 1
+        self.omp = omp
         self.used: set = set()
         #: Gemms lowered to an in-place sgemm call / a strided loop nest
         self.gemm_inplace = self.gemm_nests = 0
@@ -818,10 +824,10 @@ def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
         raise _Unlowerable("non-buffer assignment target")
     if any(isinstance(ix, (SliceExpr,)) for ix in tgt.indices):
         raise _Unlowerable("sliced assignment target")
-    disjoint = _disjoint_vars(unit)
+    disjoint = _disjoint_vars(unit) if fr.omp > 1 else set()
     top = depth
-    # the outermost loop that iterates at all: a one-image tile's batch
-    # loop has one trip, and a pragma there would run the nest serially
+    # the outermost loop that iterates at all: a one-image batch loop
+    # has one trip, and a pragma there would run the nest serially
     outer = next((sp for sp in unit.loops if sp.extent > 1), None)
     for sp in unit.loops:
         pragma = _PAR_PRAGMA if (sp is outer and sp.var in disjoint) else ""
@@ -1148,9 +1154,8 @@ def _emit_gemm_loop_body(unit: LoopUnit, fr: _Frame, lines: List[str],
     top = depth
     for i, var in enumerate(free):
         lo, hi = ranges[var]
-        pragma = _PAR_PRAGMA if i == 0 else ""
-        if pragma:
-            lines.append("  " * depth + pragma)
+        if i == 0 and fr.omp > 1:
+            lines.append("  " * depth + _PAR_PRAGMA)
         lines.append(
             f"{'  ' * depth}for (long long {var} = {lo}; "
             f"{var} < {hi}; {var}++) {{"
@@ -1213,12 +1218,12 @@ def env_shape(plan, spec, time_steps: int) -> Tuple[int, ...]:
     return tuple(int(d) for d in fs)
 
 
-def _emit_step(group: FusedGroup,
-               shapes: Dict[str, Tuple[int, ...]]
-               ) -> Tuple[List[str], List[str], "_Frame"]:
-    """Lower one fused step to C statements; returns its touched
-    buffers in sorted-name order, the function-body lines and the
-    lowering frame (for its GEMM counters).
+def _emit_step(group: FusedGroup, shapes: Dict[str, Tuple[int, ...]],
+               omp: int) -> Tuple[List[str], List[str], "_Frame"]:
+    """Lower one fused step to C statements for a kernel run with
+    ``omp`` threads; returns its touched buffers in sorted-name order,
+    the function-body lines and the lowering frame (for its GEMM
+    counters).
 
     Raises :class:`_Unlowerable` when any member unit cannot be
     expressed.
@@ -1226,7 +1231,7 @@ def _emit_step(group: FusedGroup,
     from repro.codegen.python_backend import lowered_units
 
     tile, units = lowered_units(group)
-    fr = _Frame(shapes)
+    fr = _Frame(shapes, omp)
     body: List[str] = []
     depth = 1
     if tile is not None:
@@ -1367,10 +1372,12 @@ void _latte_gemm_rm(long long M, long long N, long long K,
 
 
 def emit_native_program(
-    compiled, fwd_items, bwd_items, plan, time_steps: int
+    compiled, fwd_items, bwd_items, plan, time_steps: int, omp: int
 ) -> Tuple[str, Dict[str, List[str]], Dict[str, str], Dict[str, str],
            Dict[str, int]]:
-    """Lower every lowerable task step of a compiled program to C.
+    """Lower every lowerable task step of a compiled program to C, for
+    kernels that will run with ``omp`` in-kernel threads (parallel
+    regions are printed only when it is above 1).
 
     Returns ``(source, steps, skipped, symbols, gemms)``. ``steps`` maps
     each native step name to its buffer-argument order and ``symbols``
@@ -1403,7 +1410,7 @@ def emit_native_program(
         assert len(groups) == len(task_steps), "schedule/steps drifted"
         for step, group in zip(task_steps, groups):
             try:
-                buffers, body, fr = _emit_step(group, shapes)
+                buffers, body, fr = _emit_step(group, shapes, omp)
             except _Unlowerable as exc:
                 skipped[step.name] = str(exc)
                 continue
@@ -1483,9 +1490,18 @@ def bind_steps(compiled, so_path: str, batch: int,
     """Load a built program and swap its kernels into ``compiled``'s
     step lists: every step in ``c_steps`` calls the function named by
     ``c_symbols`` (its own name unless it shares a twin's kernel) with
-    its own buffers."""
+    its own buffers and ``_omp = compiled.c_omp``, the thread count the
+    kernels were emitted for."""
+    omp = compiled.c_omp
+    # kernels printed without parallel regions must never be bound where
+    # the executor leaves the threading to them, nor the reverse; a
+    # thawed count comes from disk, so this is a check, not an assert
+    want = omp_threads_for(compiled, batch, num_threads)
+    if omp != want:
+        raise ValueError(
+            f"kernels emitted for _omp={omp}, but the executor leaves "
+            f"{want} to them ({num_threads} threads over batch {batch})")
     dll = _load(so_path)
-    omp = omp_threads_for(compiled, batch, num_threads)
     for step in compiled.forward + compiled.backward:
         bufnames = compiled.c_steps.get(step.name)
         if bufnames is None:
@@ -1506,23 +1522,27 @@ def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
 
     Extern-closure steps and anything the lowering rejects keep their
     Python functions; ``compiled.c_exec_source``/``c_steps``/
-    ``c_symbols`` record the native artifact + rebuild recipe for the
-    compile cache, and ``c_skipped`` the per-step fallback reasons.
-    Returns the ``codegen-c`` compile-report counters.
+    ``c_symbols``/``c_omp`` record the native artifact + rebuild recipe
+    for the compile cache, and ``c_skipped`` the per-step fallback
+    reasons. Returns the ``codegen-c`` compile-report counters.
     """
     if not have_c_toolchain():
         raise CBackendUnavailable(
             f"backend='c' requested but {toolchain_error()}"
         )
+    omp = omp_threads_for(compiled, plan.batch_size, num_threads)
     source, steps, skipped, symbols, gemms = emit_native_program(
-        compiled, fwd_items, bwd_items, plan, time_steps
+        compiled, fwd_items, bwd_items, plan, time_steps, omp
     )
     compiled.c_exec_source = source
     compiled.c_steps = steps
     compiled.c_skipped = skipped
     compiled.c_symbols = symbols
+    compiled.c_omp = omp
     stats = {"native_steps": len(steps),
-             "kernels_unique": len(steps) - len(symbols), **gemms}
+             "kernels_unique": len(steps) - len(symbols), **gemms,
+             "omp_threads": omp,
+             "parallel_regions": source.count(_PAR_PRAGMA)}
     if steps:
         so_path = compile_shared_object(source, stats)
         bind_steps(compiled, so_path, plan.batch_size, num_threads)

@@ -100,12 +100,15 @@ class CompiledProgram:
     #: schedule to render
     c_source: Optional[str] = None
     #: executable C program (backend='c'): the source actually compiled
-    #: to a shared object, per-native-step buffer-argument order, and
-    #: for each step that shares an earlier twin's kernel the name of
-    #: that kernel — together the rebuild recipe the compile cache stores
+    #: to a shared object, per-native-step buffer-argument order, for
+    #: each step that shares an earlier twin's kernel the name of that
+    #: kernel, and the in-kernel thread count the kernels were emitted
+    #: for (parallel regions only above 1) — together the rebuild
+    #: recipe the compile cache stores
     c_exec_source: str = ""
     c_steps: Dict[str, List[str]] = field(default_factory=dict)
     c_symbols: Dict[str, str] = field(default_factory=dict)
+    c_omp: int = 1
     #: step name -> reason it kept its Python fn under backend='c'
     c_skipped: Dict[str, str] = field(default_factory=dict)
 

@@ -381,7 +381,10 @@ class CompiledNet:
         if report is not None and "codegen-c" in report:
             c = report["codegen-c"].rewrites
             line = (f"  native     : {c['native_steps']} steps on "
-                    f"{c['kernels_unique']} kernels")
+                    f"{c['kernels_unique']} kernels, ")
+            line += (f"{c['parallel_regions']} parallel regions at "
+                     f"{c['omp_threads']} threads" if c["omp_threads"] > 1
+                     else "serial kernels (executor shards / one thread)")
             if c.get("build_dir_hit"):
                 line += ", build dir hit"
             elif "cc_seconds" in c:

@@ -31,7 +31,9 @@ Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
   float-reassociation (``level_*``) tier. Run-to-run at one thread is
   **bitwise** (fixed loop order, content-addressed shared object), as
   is a freeze/thaw through the compile cache (the thaw recompiles the
-  stored C source). Enabled automatically when a C toolchain is
+  stored C source). Threaded (in-kernel OpenMP at batch 1, executor
+  shards above it) it sits in the thread tiers against serial C and is
+  bitwise run to run. Enabled automatically when a C toolchain is
   present; skipped cleanly otherwise.
 * **Finite differences** — central differences with a non-smoothness
   guard (:mod:`repro.testing.gradcheck`).
@@ -211,6 +213,12 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     with batch_tiles(tiled):
         cnet = compile_net(net, opts, num_threads=num_threads,
                            keep_alive=keep_alive)
+    return run_compiled(cnet, spec)
+
+
+def run_compiled(cnet, spec: NetSpec) -> RunResult:
+    """One forward/backward of a compiled ``spec`` on its deterministic
+    inputs."""
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
     cnet.clear_param_grads()
@@ -404,17 +412,7 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
         opts.min_tile_rows = 2
         opts.backend = backend
         cnet = compile_cached(spec, net=net, options=opts, cache=store)
-        x, y = make_inputs(spec)
-        loss = cnet.forward(data=x, label=y)
-        cnet.clear_param_grads()
-        cnet.backward()
-        result = RunResult(
-            loss=float(loss),
-            output=cnet.value("head").copy(),
-            dx=cnet.grad("data").copy(),
-            param_grads={p.key: p.grad.copy() for p in cnet.parameters()},
-        )
-        return result, cnet.compile_report.cache_hit
+        return run_compiled(cnet, spec), cnet.compile_report.cache_hit
 
     with tempfile.TemporaryDirectory() as tmp:
         store = CompileCache(tmp)
@@ -617,7 +615,8 @@ def check_spec(
     input gradient itself; ``baselines`` enables caffe/mocha parity
     when the spec stays within their layer vocabulary; ``cbackend``
     pins the compiled C/OpenMP backend against both the O0 interpreter
-    and the same-level NumPy backend (``None`` = run exactly when a
+    and the same-level NumPy backend, and at ``max(threads)`` against
+    itself at one thread (``None`` = run exactly when a
     working C toolchain is present, so corpus runs cover it wherever
     they can and skip cleanly where they cannot); ``quant`` runs the
     reduced-precision gates (fp16 tier, calibrated int8 accuracy,
@@ -811,6 +810,24 @@ def check_spec(
                 check, "second compile_cached did not hit the cache"))
         else:
             _compare_bitwise(check, warm, cold, report.mismatches)
+
+        # threaded native runs: at batch 1 the kernels thread themselves
+        # (the one configuration printed with parallel regions), above it
+        # the executor shards — thread tiers against serial C, and
+        # bitwise run to run, where a race inside a region shows
+        nt = max(threads, default=1)
+        if nt > 1:
+            check = f"cbackend-threads:{nt}"
+            report.checks.append(check)
+            threaded = run_spec(spec, level=c_level, backend="c",
+                                num_threads=nt)
+            _compare_runs(check, threaded, native, report.mismatches,
+                          tol["thread_loss_rtol"], tol["thread_fwd_rtol"],
+                          tol["thread_fwd_atol"], tol["thread_param_rtol"],
+                          tol["thread_param_atol"])
+            _compare_bitwise(check, run_spec(spec, level=c_level,
+                                             backend="c", num_threads=nt),
+                             threaded, report.mismatches)
 
     if threads and spec.batch > 1:
         thread_level = max(levels) if levels else 4

@@ -15,14 +15,17 @@ build itself: twin steps share kernels, the ``.so`` does not depend on
 the worker count, failed and hung compiler processes leave a structured
 error and a clean build directory, racing builders converge, the sgemm
 hook is defined once across translation units, no kernel ever
-allocates (every GEMM runs on its operands where they lie), the build
-recipe changes build time but not one bit of a training step, and the
-CPU ``-march=native`` resolves to keys both the build directory and the
+allocates (every GEMM runs on its operands where they lie), parallel
+regions are printed only where the kernels run with more than one
+thread and change no bit where they do not, the build recipe changes
+build time but not one bit of a training step, and the CPU
+``-march=native`` resolves to keys both the build directory and the
 compile cache. Without a working C compiler the execution tests skip
 with the probe's reason and the ``backend="c"`` knob raises
 ``CBackendUnavailable``.
 """
 
+import dataclasses
 import os
 import re
 import stat
@@ -51,6 +54,7 @@ from repro.testing.oracle import (
     TOLERANCES,
     _compare_bitwise,
     _compare_runs,
+    run_compiled,
     run_spec,
 )
 from repro.utils.rng import seed_all
@@ -310,7 +314,7 @@ class TestBuild:
         assert src.count("\nvoid _step_") == len(symbols)
         twin, owner = next(iter(compiled.c_symbols.items()))
         assert re.search(rf"/\* {twin} \S+: same kernel as {owner} ", src)
-        assert f"int {twin}(" not in src
+        assert f"void {twin}(" not in src and f"void {owner}(" in src
         # a twin passes its own buffers, in its owner's parameter order
         assert compiled.c_steps[twin] != compiled.c_steps[owner]
         assert len(compiled.c_steps[twin]) == len(compiled.c_steps[owner])
@@ -396,18 +400,16 @@ class TestBuild:
         cnet.close()
 
     def test_one_image_tiles_parallelise_the_loop_that_iterates(
-            self, build, monkeypatch):
-        """A one-image tile's batch loop has one trip: the pragma goes
-        on the next loop in, or ``_omp > 1`` would run the nest on one
-        thread."""
-        from repro.optim import tiling
-
-        monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 1)
-        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
-        cnet = _compile_c(ZOO["conv_pool_fc"])
+            self, build):
+        """At batch 1 on two threads — the one configuration whose
+        kernels carry parallel regions — the batch loop has one trip:
+        the pragma goes on the next loop in, or ``_omp > 1`` would run
+        the nest on one thread."""
+        cnet = _compile_c(dataclasses.replace(ZOO["conv_pool_fc"], batch=1),
+                          num_threads=2)
+        assert cnet.compiled.c_omp == 2
         (step,) = [s for s in cnet.compiled.forward
                    if "L0_conv.copy+L0_conv.compute" in s.label]
-        assert cnet.plan.buffers["L0_conv_inputs0"].tile == 1
         src = cnet.compiled.c_exec_source
         lines = src[src.index(f"void {step.name}("):].splitlines()
         at = next(i for i, ln in enumerate(lines)
@@ -427,6 +429,7 @@ class TestBuild:
         seed_all(spec.seed)
         cnet = compile_net(build_net(spec), CompilerOptions(backend="c"),
                            num_threads=4)
+        assert cnet.compiled.c_omp == 4  # regions are printed here
         src = cnet.compiled.c_exec_source
         (step,) = [s for s in cnet.compiled.backward
                    if s.label == "L0_conv.scatter"]
@@ -434,6 +437,54 @@ class TestBuild:
         body = body[:body.index("\n}\n")]
         assert "for (long long L0_conv_c0w1" in body
         assert "#pragma omp" not in body
+        cnet.close()
+
+    def test_parallel_regions_only_where_they_run(self, build):
+        """Kernels are printed with parallel regions only when the
+        executor leaves the threading to them: never on one thread, never
+        under executor shards, and at batch 1 on two threads."""
+        for batch, threads, omp in ((4, 1, 1), (4, 2, 1), (1, 2, 2)):
+            cnet = _compile_c(dataclasses.replace(ZOO["conv_pool_fc"],
+                                                  batch=batch),
+                              num_threads=threads)
+            rec = cnet.compile_report["codegen-c"].rewrites
+            src = cnet.compiled.c_exec_source
+            regions = src.count("#pragma omp parallel for")
+            assert (cnet.compiled.c_omp, rec["omp_threads"]) == (omp, omp)
+            # the runtime's portable GEMM threads at run time: one region
+            assert rec["parallel_regions"] == regions - 1
+            if omp == 1:
+                assert regions == 1
+                assert "serial kernels (executor shards / one thread)" \
+                    in cnet.summary()
+            else:
+                assert regions > 1
+                assert f"{regions - 1} parallel regions at 2 threads" \
+                    in cnet.summary()
+            cnet.close()
+
+    def test_regions_at_one_thread_compute_the_region_free_bits(
+            self, build, monkeypatch):
+        """At ``_omp == 1`` a region's ``if (_omp > 1)`` clause is false
+        and it runs serially, in order, on the calling thread: printing
+        it or not cannot change one bit of a training step."""
+        spec = ZOO["conv_pool_fc"]
+        plain = run_spec(spec, level=4, backend="c")
+        with monkeypatch.context() as patch:
+            patch.setattr(c_backend, "omp_threads_for", lambda *a: 2)
+            cnet = _compile_c(spec)
+        compiled = cnet.compiled
+        assert cnet.compile_report["codegen-c"].rewrites[
+            "parallel_regions"] > 0
+        compiled.c_omp = 1
+        c_backend.bind_steps(
+            compiled,
+            c_backend.compile_shared_object(compiled.c_exec_source),
+            spec.batch, 1)
+        mismatches = []
+        _compare_bitwise("regions", run_compiled(cnet, spec), plain,
+                         mismatches)
+        assert not mismatches, "\n".join(str(m) for m in mismatches)
         cnet.close()
 
     def test_kernels_never_allocate(self, build):

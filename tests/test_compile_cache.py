@@ -437,10 +437,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v10: a re-gather
-        from a padded buffer reads the forward padded buffer, held
-        across the phases, instead of re-padding it) is dropped on get —
-        a miss, never an error, never thawed."""
+        """An entry written under the last layout (v11: native kernels
+        print a parallel region on every nest whatever thread count they
+        run with, and ``c_exec`` records none) is dropped on get — a
+        miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -450,7 +450,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 11
+        assert meta["version"] == FORMAT_VERSION == 12
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
@@ -660,6 +660,37 @@ class TestNativeSharedObject:
             assert data["__so__"].size > 0
             meta = json.loads(bytes(data["__meta__"]).decode())
         assert meta["c_exec"]["toolchain"] == toolchain_fingerprint()
+
+    @needs_toolchain
+    def test_thaw_binds_the_thread_count_the_kernels_were_emitted_for(
+            self, tmp_path):
+        """``c_exec`` records the in-kernel thread count (batch 1 on two
+        threads: the kernels thread themselves); a thaw binds at it, and
+        an entry whose record disagrees with the executor is refused
+        and recompiled cold, never run."""
+        store = CompileCache(tmp_path / "cache")
+        runs = []
+        for _ in range(2):
+            seed_all(3)
+            cnet = compile_cached(MLP, 1, options=self._c_opts(),
+                                  num_threads=2, cache=store)
+            assert cnet.compiled.c_omp == 2
+            runs.append(cnet.forward(
+                data=np.ones((1, 30), np.float32),
+                label=np.zeros((1, 1), np.float32)))
+            cnet.close()
+        assert cnet.compile_report.cache_hit and runs[0] == runs[1]
+        key = cnet.compile_report.cache_key
+        meta, arrays = store.get(key)
+        assert meta["c_exec"]["omp"] == 2
+        meta["c_exec"]["omp"] = 1  # regions the executor would not open
+        store.put(key, meta, arrays)
+        seed_all(3)
+        again = compile_cached(MLP, 1, options=self._c_opts(),
+                               num_threads=2, cache=store)
+        assert not again.compile_report.cache_hit
+        assert again.compiled.c_omp == 2
+        again.close()
 
     @needs_toolchain
     def test_warm_boot_never_invokes_the_compiler(self, tmp_path,

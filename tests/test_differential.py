@@ -14,6 +14,8 @@ exercises the generator/oracle/shrinker stack deterministically:
 * shrinker unit tests against a pure predicate (no nets built).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,20 +205,26 @@ class TestOracleReporting:
         # turning the whole check family off
         from repro.codegen.c_backend import have_c_toolchain
 
-        spec = random_spec(0, families=("mlp",))
-        report = check_spec(spec, levels=(4,), threads=(),
-                            gradcheck_indices=0, baselines=False)
+        # batch 1: ``cbackend-threads:2`` cannot shard, so it runs the
+        # kernels compiled with parallel regions (the corpus's other
+        # batches run it on executor shards)
+        spec = dataclasses.replace(random_spec(0, families=("mlp",)),
+                                   batch=1)
+        report = check_spec(spec, levels=(4,), threads=(2,),
+                            gradcheck_indices=0, baselines=False,
+                            quant=False)
         names = set(report.checks)
         expected = {"cbackend", "cbackend-vs-numpy", "cbackend-repro",
-                    "cbackend-cache"}
+                    "cbackend-cache", "cbackend-threads:2"}
         if have_c_toolchain():
+            assert report.ok, report.summary()
             assert expected <= names, report.checks
         else:
             assert not (expected & names), report.checks
         # and the explicit opt-out always wins
         off = check_spec(spec, levels=(4,), threads=(),
                          gradcheck_indices=0, baselines=False,
-                         cbackend=False)
+                         cbackend=False, quant=False)
         assert not (expected & set(off.checks))
 
     def test_batch_tile_checks_run_and_engage_the_tiler(self):

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.codegen.c_backend import have_c_toolchain
 from repro.core import Net
 from repro.layers import (
     DataAndLabelLayer,
@@ -28,6 +29,7 @@ from repro.layers import (
     ReLULayer,
     SoftmaxLossLayer,
 )
+from repro.optim import CompilerOptions
 from repro.runtime import (
     AsyncLossy,
     DataParallelTrainer,
@@ -56,7 +58,7 @@ POLICIES = {"sync": SyncReduce(), "lossy": LossyAccumulate(),
             "async": AsyncLossy(max_staleness=2)}
 
 
-def _build():
+def _build(backend="numpy"):
     seed_all(17)
     net = Net(BATCH)
     data, label = DataAndLabelLayer(net, (32,))
@@ -64,7 +66,7 @@ def _build():
     r = ReLULayer("r", net, ip1)
     ip2 = FullyConnectedLayer("ip2", net, r, 4)
     SoftmaxLossLayer("loss", net, ip2, label)
-    return net.init()
+    return net.init(CompilerOptions(backend=backend))
 
 
 def _task(n=256, seed=0):
@@ -92,10 +94,18 @@ def _own_arrays(cnet):
 
 
 @contextlib.contextmanager
-def _trainer(transport, n_workers, policy=None):
+def _trainer(transport, n_workers, policy=None, backend="numpy",
+             parent_step=False):
     """``(trainer, parent net)`` on ``transport``: forked workers of one
-    net, or threads on ``n_workers`` identically built ones."""
-    nets = [_build() for _ in range(n_workers if transport == "thread" else 1)]
+    net, or threads on ``n_workers`` identically built ones;
+    ``parent_step`` runs one training step on the parent net before the
+    trainer starts its workers."""
+    nets = [_build(backend)
+            for _ in range(n_workers if transport == "thread" else 1)]
+    if parent_step:
+        x, y = _task(BATCH, seed=5)
+        nets[0].forward(data=x, label=y)
+        nets[0].backward()
     try:
         args = ((None, policy, nets) if transport == "thread"
                 else (n_workers, policy))
@@ -202,8 +212,8 @@ class TestSerialParity:
         cnet.close()
 
 
-def _sync_run(transport, n_workers, data, labels, epochs=2):
-    with _trainer(transport, n_workers, SyncReduce()) as (tr, cnet):
+def _sync_run(transport, n_workers, data, labels, epochs=2, **build):
+    with _trainer(transport, n_workers, SyncReduce(), **build) as (tr, cnet):
         solver = _solver()
         losses = [tr.train_epoch(solver, data, labels,
                                  rng=np.random.default_rng(11 + epoch))
@@ -223,14 +233,25 @@ def test_sync_reduce_is_deterministic(n_workers):
         assert np.array_equal(a[name], b[name]), name
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_sync_reduce_is_bitwise_across_transports(n_workers):
+@pytest.mark.parametrize("n_workers,backend", [
+    pytest.param(1, "numpy", id="1"),
+    pytest.param(2, "numpy", id="2"),
+    pytest.param(4, "numpy", id="4"),
+    pytest.param(2, "c", id="2-c", marks=pytest.mark.skipif(
+        not have_c_toolchain(), reason="no usable C toolchain")),
+])
+def test_sync_reduce_is_bitwise_across_transports(n_workers, backend):
     """One round loop, one reduction order: threads and processes give
     the same numbers, per-epoch losses and final parameters — on 13
     micro-batches, so 2 and 4 workers end on a short round — and one
-    worker on either gives the serial loop's."""
+    worker on either gives the serial loop's. On the C backend the
+    parent runs a step before its workers fork: its kernels were
+    printed without parallel regions, so the child inherits no OpenMP
+    state."""
     data, labels = _task(13 * BATCH + 3)
-    runs = {t: _sync_run(t, n_workers, data, labels) for t in TRANSPORTS}
+    runs = {t: _sync_run(t, n_workers, data, labels, backend=backend,
+                         parent_step=backend == "c")
+            for t in TRANSPORTS}
     if n_workers == 1:
         cnet = _build()
         solver = _solver()
