@@ -5,21 +5,15 @@ The paper observes decreasing benefit in deeper groups: the spatial size
 shrinks after each pooling layer (less tiling benefit) and group 4's two
 back-to-back convolutions cannot be fused (overlapping windows). We
 reproduce each group at proportionally scaled geometry and assert the
-compiler-level part of the claim directly: groups 1-3 fuse
-conv+relu+pool into one step (the im2col copy and its GEMM are a step
-of their own where the staging buffer is batch-tiled), group 4's
-conv-conv pair does not fuse.
+compiler-level part of the claim directly, at default options: groups
+1-3 fuse pad, im2col copy, GEMM, bias, ReLU and pool into one
+batch-tiled step, group 4's conv-conv pair does not fuse.
 """
 
 import pytest
 
 from harness import Runners, median_time, report
 from repro.models import vgg_group_config
-from repro.optim import CompilerOptions
-
-#: scaled group geometry has 14-56 row extents; keep tiling engaged so
-#: the fusion structure the figure is about still forms
-OPTS = CompilerOptions(min_tile_rows=2)
 
 #: (channel_scale, input_size) per group — proportional to each group's
 #: position in the network, with extents that divide into equal tiles
@@ -37,7 +31,7 @@ def group_results():
     out = {}
     for g in (1, 2, 3, 4):
         cfg, batch = _config(g)
-        r = Runners(cfg, batch, options=OPTS)
+        r = Runners(cfg, batch)
         tl = median_time(r.latte_fwd_bwd, repeats=3)
         tc = median_time(r.base_fwd_bwd, repeats=3)
         fused_labels = [
@@ -54,7 +48,7 @@ def group_results():
 @pytest.mark.parametrize("group", [1, 2, 3, 4])
 def test_fig15_group_benchmark(benchmark, group_results, group):
     cfg, batch = _config(group)
-    r = Runners(cfg, batch, options=OPTS)
+    r = Runners(cfg, batch)
     benchmark.pedantic(r.latte_fwd_bwd, rounds=2, iterations=1,
                        warmup_rounds=1)
     assert group_results[group][2] > 0.8  # never dramatically slower
@@ -69,7 +63,10 @@ def test_fig15_groups_123_fuse_conv_relu_pool(group_results):
 
 
 def test_fig15_group4_conv_conv_unfused(group_results):
-    """The fusion-preventing dependence of §7.1.2."""
+    """§7.1.2's limit: the paper cannot fuse the pair for the overlap of
+    their windows along its tiled ``y``. Under batch tiles each conv
+    layer is a chain of its own (``tags.chain``), and no group spans two
+    chains."""
     fused = group_results[4][3]
     for label in fused:
         assert not ("conv4_1" in label and "conv4_2.co" in label), label

@@ -88,16 +88,6 @@ class MappingInfo:
         shared = self.shared_sink_dims
         return tuple(i for i in range(len(self.sink_shape)) if i not in shared)
 
-    def dep_distance(self, sink_dim: int) -> int:
-        """Input dependence distance along a sink dimension — how many
-        source elements one step of the sink consumes. Drives the tile
-        scaling of the fusion pass (§5.4.2, Fig. 11)."""
-        if self.kind in ("one_to_one", "all_to_all"):
-            return 1
-        if self.kind == "gather":
-            return 1
-        return max((abs(d.coeffs[sink_dim]) for d in self.dims), default=1)
-
     def padding(self) -> Tuple[Tuple[int, int], ...]:
         """Per-source-dimension ``(pad_before, pad_after)`` needed so all
         window accesses land inside the (padded) source."""

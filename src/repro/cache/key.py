@@ -141,7 +141,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         # module constants of the tile rules: they shape the schedule
         # and the buffer table like an option would
         "staging_tile": [tiling.STAGING_TILE_BYTES,
-                         tiling.TILE_GRANULE_BYTES, tiling.N_TILES],
+                         tiling.TILE_GRANULE_BYTES],
     }
     if getattr(options, "backend", "numpy") == "c":
         # C-backend entries embed built .so bytes, so the key must

@@ -43,7 +43,7 @@ from repro.ir import (
     transform_exprs,
 )
 from repro.synthesis.access import StepAccess, record, unit_accesses
-from repro.synthesis.lower import BATCH_TILE_VAR, BATCH_VAR
+from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit
 
 #: batch-bound parameters of shard-parameterized step functions
@@ -323,7 +323,7 @@ def _shard_unit(unit: LoopUnit) -> LoopUnit:
         if sp.role == "batch":
             lo, hi = _shard_range(sp.start, sp.stop)
             sp = dc_replace(sp, start=lo, stop=hi)
-        elif sp.var == BATCH_TILE_VAR:
+        elif sp.role == "tile":
             sp = _shard_tiles(sp, _tile_rows(unit))
         loops.append(sp)
     stmt = unit.stmt
@@ -378,7 +378,7 @@ def lowered_units(group: FusedGroup):
     tile, units = group.tile_loop, group.units
     if group.shard is not None:
         units = [_shard_unit(u) for u in units]
-        if tile is not None and tile.var == BATCH_TILE_VAR:
+        if tile is not None:
             tile = _shard_tiles(tile, _tile_rows(units[0]))
     if group.contracted:
         names = set(group.contracted)

@@ -155,28 +155,12 @@ class Assign(Stmt):
 
 
 @dataclass
-class TileInfo:
-    """Metadata attached to a tiled loop (§5.4.1).
-
-    ``dep_distance`` is the input dependence distance along the tiled
-    dimension, used by the fusion pass to scale producer tile sizes
-    (Fig. 11: a pooling tile of 2x2 needs a 2x-larger producer tile).
-    """
-
-    dim_name: str
-    tile_size: int
-    dep_distance: int = 1
-
-
-@dataclass
 class For(Stmt):
     """A counted loop ``for var in range(start, stop, step)``.
 
     ``parallel`` marks the loop for the parallelization pass (rendered as
     an OpenMP pragma by the C backend, Fig. 12); ``collapse`` counts how
-    many immediately-nested loops are collapsed with it. ``tile`` carries
-    tiling metadata when this is the *outer* (tile-index) loop produced by
-    the tiling pass.
+    many immediately-nested loops are collapsed with it.
     """
 
     var: str
@@ -187,7 +171,6 @@ class For(Stmt):
     parallel: bool = False
     collapse: int = 0
     schedule: Optional[str] = None
-    tile: Optional[TileInfo] = None
 
     def extent(self) -> Optional[int]:
         """Constant trip count if statically known, else ``None``."""
@@ -381,12 +364,11 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
             parallel=stmt.parallel,
             collapse=stmt.collapse,
             schedule=stmt.schedule,
-            tile=stmt.tile,
         )
     if isinstance(stmt, Gemm):
         # var_axes/var_loops key on matched loop-variable names, which no
-        # expression rewrite renames (fusion only renames tile vars), so
-        # the match metadata survives structural copies
+        # expression rewrite renames, so the match metadata survives
+        # structural copies
         return Gemm(
             fn(stmt.a),
             fn(stmt.b),

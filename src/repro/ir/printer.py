@@ -70,11 +70,6 @@ def to_pseudo(stmt: Stmt, indent: int = 0) -> str:
             sched = f", schedule={stmt.schedule}" if stmt.schedule else ""
             coll = f", collapse={stmt.collapse}" if stmt.collapse else ""
             bits.append(f"{pad}# parallel{coll}{sched}")
-        if stmt.tile is not None:
-            bits.append(
-                f"{pad}# tiled dim={stmt.tile.dim_name} "
-                f"size={stmt.tile.tile_size} dep={stmt.tile.dep_distance}"
-            )
         rng = f"range({expr_str(stmt.start)}, {expr_str(stmt.stop)}"
         if not (isinstance(stmt.step, Const) and stmt.step.value == 1):
             rng += f", {expr_str(stmt.step)}"

@@ -10,25 +10,23 @@ Three cooperating transformations:
    Fig. 9 line 11 disappears in Fig. 12 line 13). This both removes a
    full pass over the data and frees the buffer.
 
-2. **Tile-loop fusion** — after tiling, consecutive units (within and
-   across layers) whose tile loops have identical trip counts are merged
-   under one shared tile loop, so a thread computes a convolution tile,
-   applies ReLU in place, and pools it while it is hot. Fusion is legal
-   only when every in-group value a unit reads is *tile-local*:
-   one-to-one and input-buffer reads always are; window reads are when
-   the window does not overlap between steps (extent ≤ stride along the
-   tiled dimension) and the scales line up. Overlapping windows — e.g. a
-   3×3 stride-1 convolution consuming another convolution — are
-   fusion-preventing dependences, which is why the paper cannot fuse the
-   conv+conv+pool group 4 of VGG (§7.1.2). A unit that touches nothing
-   the group wrote starts a group of its own: fusing it would buy no
-   locality and hold two chains' staging alive at once.
+2. **Tile-loop fusion** — after tiling, consecutive units of one
+   batch-tiled chain (:mod:`repro.optim.tiling`: one per conv layer)
+   are merged under one shared tile loop, so a thread gathers a tile,
+   multiplies it, applies bias and ReLU in place and pools it while it
+   is hot. A unit joins when its tile loop has the group's trip count
+   and every in-group buffer it reads is touched row by row of the
+   batch, by it and by its writer. A unit that touches nothing the group
+   wrote, or belongs to another chain, starts a group of its own:
+   fusing it would buy no locality and hold two chains' staging alive
+   at once. So conv → conv stays apart because each conv layer is its
+   own chain (the paper refuses VGG's group 4, §7.1.2, for the overlap
+   of 3×3 windows along its tiled ``y``).
 
 3. **Contraction** — a staging, value or padded buffer whose whole
-   life is inside one *batch*-tiled group (see :mod:`repro.optim.tiling`:
-   one group per conv layer, pad → im2col → GEMM → bias → ReLU → pool)
-   holds one tile at a time, so it is allocated for one tile only
-   (:func:`contract`).
+   life is inside one tiled group (one per conv layer: pad → im2col →
+   GEMM → bias → ReLU → pool) holds one tile at a time, so it is
+   allocated for one tile only (:func:`contract`).
 
 NormalizationEnsembles, losses, untiled paddings and communication
 calls are fusion barriers (§5.5).
@@ -36,33 +34,16 @@ calls are fusion barriers (§5.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from repro.ir import (
-    Assign,
-    CommCall,
-    Const,
-    ExternOp,
-    Index,
-    Var,
-    free_vars,
-    substitute,
-    substitute_stmt,
-    walk_exprs,
-)
+from repro.ir import (CommCall, Const, ExternOp, Index, Var, free_vars,
+                      walk_exprs)
 from repro.synthesis.access import ProgramView, unit_rw
 from repro.synthesis.liveness import buffer_nbytes, respelled
-from repro.synthesis.lower import (
-    BATCH_TILE_VAR,
-    BATCH_VAR,
-    _kflat_expr,
-    _src_index,
-    _window_vars,
-    dim_var,
-)
+from repro.synthesis.lower import BATCH_VAR, _src_index
 from repro.synthesis.plan import BufferSpec
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, Section
-from repro.optim.tiling import TILE_DIM, at_batch_rows, is_tiled
+from repro.optim.tiling import at_batch_rows, is_tiled
 
 
 # ---------------------------------------------------------------------------
@@ -199,83 +180,15 @@ def _rewrite_inlined(unit, ens, j, info, cplan, sub_var) -> None:
 ScheduleItem = Union[FusedGroup, CommCall]
 
 
-def _window_tile_local(info, ens_shape, src_buf_shape) -> bool:
-    """Can a window read be satisfied from the producer's current tile?
-
-    Requires non-overlapping stepping (length ≤ coeff) and exact scale
-    coverage along the tiled sink dimension.
-    """
-    td = TILE_DIM
-    if len(ens_shape) <= td:
-        return False
-    any_dep = False
-    for d, wd in enumerate(info.dims):
-        c = wd.coeffs[td] if td < len(wd.coeffs) else 0
-        if c == 0:
-            continue
-        any_dep = True
-        if wd.length > c:
-            return False
-        if wd.offset < 0:
-            return False
-        if c * ens_shape[td] != info.source_shape[d]:
-            return False
-    return any_dep
-
-
-def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit, plan,
-                      batch: bool = False) -> bool:
+def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit,
+                      plan) -> bool:
     """May ``unit`` read ``buf`` (written earlier in the group) within the
-    shared tile? Under a ``batch`` tile, when both touch it row by row."""
+    shared batch tile — do both touch it row by row?"""
     spec = plan.buffers.get(buf)
-    if spec is not None and spec.alias_reshape is not None:
+    if spec is None or spec.alias_reshape is not None:
         return False  # reshaped alias views are not tile-decomposable
-    if batch:
-        return (spec is not None and spec.batched
-                and at_batch_rows(unit, buf, plan)
-                and at_batch_rows(writer, buf, plan))
-    info = unit.tags.conn
-    src = unit.tags.copy_source
-    ens_shape = _ens_shape(unit, plan)
-    if unit.tags.kind in ("copy",) or (
-        unit.tags.kind == "compute" and src is not None
-        and buf == plan.resolve_alias(src)
-    ):
-        if info is None or ens_shape is None:
-            return False
-        if info.kind == "one_to_one":
-            return True
-        if info.kind != "window":
-            return False
-        return _window_tile_local(info, ens_shape, None)
-    if unit.tags.kind in ("compute", "fill", "scatter"):
-        # input buffers and value/grad aliases are tile-aligned by
-        # construction (same tiled dimension variable) — provided the
-        # writer itself stayed inside its tile (a scatter through an
-        # overlapping window would not)
-        role = spec.role if spec is not None else ""
-        if role not in ("input", "grad_input", "value", "grad", "padded",
-                        "padded_grad"):
-            return False
-        if writer.tags.kind == "scatter" or (
-            writer.tags.kind == "compute" and writer.tags.note == "inlined"
-        ):
-            w_info = writer.tags.conn
-            w_shape = _ens_shape(writer, plan)
-            if w_info is None or w_shape is None:
-                return False
-            if w_info.kind == "one_to_one":
-                return True
-            if w_info.kind != "window":
-                return False
-            return _window_tile_local(w_info, w_shape, None)
-        return True
-    return False
-
-
-def _ens_shape(unit, plan):
-    facts = plan.facts.get(unit.tags.ensemble)
-    return facts.ensemble.shape if facts is not None else None
+    return (spec.batched and at_batch_rows(unit, buf, plan)
+            and at_batch_rows(writer, buf, plan))
 
 
 def build_schedule(
@@ -315,12 +228,10 @@ def build_schedule(
                 continue
             reads, writes = unit_rw(plan, unit)
             tile = unit.loops.pop(0)
-            batch = tile.var == BATCH_TILE_VAR
             if (
                 group is not None
                 and tile.extent == group.tile_loop.extent
-                and batch == (group.tile_loop.var == BATCH_TILE_VAR)
-                and all(_reads_tile_local(unit, b, written[b], plan, batch)
+                and all(_reads_tile_local(unit, b, written[b], plan)
                         for b in reads & written.keys())
                 # fusion keeps a producer's tile hot for its consumer: a
                 # unit of another chain would only hold that chain's
@@ -330,8 +241,6 @@ def build_schedule(
                 and (not reads or (reads | writes) & written.keys())
                 and unit.tags.chain == group.units[-1].tags.chain
             ):
-                if tile.var != group.tile_loop.var:
-                    _rename_var(unit, tile.var, group.tile_loop.var)
                 group.units.append(unit)
                 group.label += f"+{_label(unit)}"
             else:
@@ -347,7 +256,7 @@ def build_schedule(
 
 def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
     """Shrink to one tile every staging, value or padded buffer that
-    lives inside one batch-tiled group; returns the bytes no longer
+    lives inside one tiled group; returns the bytes no longer
     allocated.
 
     A buffer whose every access in the program is in a single group —
@@ -378,7 +287,7 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
                 or not spec.batched or iv.first_kind != "w"):
             continue
         group = items[iv.first]
-        if group.tile_loop is None or group.tile_loop.var != BATCH_TILE_VAR:
+        if group.tile_loop is None:
             continue
         reason = (
             "keep_alive" if base in keep
@@ -408,10 +317,3 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
 
 def _label(unit: LoopUnit) -> str:
     return f"{unit.tags.ensemble}.{unit.tags.kind}"
-
-
-def _rename_var(unit: LoopUnit, old: str, new: str) -> None:
-    unit.stmt = substitute_stmt(unit.stmt, {old: Var(new)})
-    for sp in unit.loops:
-        sp.start = substitute(sp.start, {old: Var(new)})
-        sp.stop = substitute(sp.stop, {old: Var(new)})

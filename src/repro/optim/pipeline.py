@@ -58,8 +58,6 @@ class CompilerOptions:
     #: Bitwise-neutral — planned and unplanned runs produce identical
     #: outputs (checked by the differential oracle)
     memory_plan: bool = True
-    #: smallest tile height the tiler may create (see repro.optim.tiling)
-    min_tile_rows: int = 32
     #: numerics watchdog sampling stride: 0 (default) disables it
     #: entirely (the executor hot paths are untouched); N >= 1 attaches
     #: a :class:`repro.telemetry.NumericsWatchdog` checking every Nth
@@ -336,8 +334,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     run_pass(
         "tiling",
         options.tiling,
-        lambda: (tiling.run(program.forward, plan, options.min_tile_rows),
-                 tiling.run(program.backward, plan, options.min_tile_rows)),
+        lambda: (tiling.run(program.forward, plan),
+                 tiling.run(program.backward, plan)),
         lambda: {"units_tiled": count_tiled(program.forward)
                  + count_tiled(program.backward)},
     )

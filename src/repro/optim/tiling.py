@@ -1,24 +1,19 @@
 """Loop tiling (§5.4.1).
 
-Latte tiles the synthesized loop nests so threads can compute output
-tiles in parallel while sharing cached values, and so fusion can operate
-tile-by-tile. We tile the second spatial dimension (the paper's ``y``)
-of rank-3 ``(channel, y, x)`` ensembles, splitting its loop into an outer
-tile-index loop and an inner intra-tile loop — and, where a layer's
-im2col staging would not fit in cache for the whole batch, the *batch*
-loop of that layer's copy → GEMM chain instead (the paper keeps the
-batch loop outside the tile loop and calls GEMM once per tile under it,
-Figs 10–12; along the batch axis a tile of ``[n][c][y][x]`` storage is
-contiguous, independent by the DSL's semantics and contractible).
-
-Rather than fixing a tile *size* and letting trip counts differ across
-layers, the pass fixes the tile *count* per network: a pooling layer's
-half-height extent then automatically yields a double-size producer tile
-with an identical trip count — the tile-size doubling of Fig. 11 — which
-is precisely what makes the fusion pass's loops mergeable.
+Latte tiles the synthesized loop nests so that fusion can operate tile
+by tile and a tile's intermediates stay cache-resident. The paper tiles
+the second spatial dimension (``y``) of every layer with one trip count
+per network; this repository tiles the *batch* loop of each conv layer's
+staging chain — pad → im2col copy → GEMM → bias → ReLU → pool — where
+its im2col buffer would not fit in cache for the whole batch (the paper
+keeps the batch loop outside the tile loop and calls GEMM once per tile
+under it, Figs 10–12; along the batch axis a tile of ``[n][c][y][x]``
+storage is contiguous, independent by the DSL's semantics and
+contractible). Forced y tiles measured slower on NumPy and flat on C
+(EXPERIMENTS.md), so the batch is the one tile axis.
 
 Pattern-matched :class:`~repro.ir.Gemm` units are tiled by re-splitting
-the full slice their tiled variable became (the per-tile ``gemm`` calls
+the full slice their batch variable became (the per-tile ``gemm`` calls
 of Fig. 10).
 """
 
@@ -31,22 +26,8 @@ from typing import List
 from repro.ir import (Assign, Const, ExternOp, Gemm, Index, SliceExpr, Var,
                       add, mul, walk_exprs)
 from repro.synthesis.access import unit_rw
-from repro.synthesis.lower import BATCH_VAR, dim_var
+from repro.synthesis.lower import BATCH_TILE_VAR, BATCH_VAR
 from repro.synthesis.units import LoopSpec, LoopUnit, Section
-
-#: ensembles of this rank are tiled along this dimension index
-TILE_NDIM = 3
-TILE_DIM = 1
-
-#: y tile count per network (trip count of the tile loop) — an upper
-#: bound: the smallest layer's achievable count bounds everyone
-N_TILES = 4
-
-#: do not split below this many rows per tile: in the NumPy backend a
-#: tile is an array-operation granule, and tiny tiles only add dispatch
-#: overhead (the paper's per-thread cache-blocking rationale does not
-#: apply to whole-array kernels)
-MIN_TILE_ROWS = 32
 
 #: a staging (im2col / gradient-input) buffer larger than this is not
 #: materialized for the whole batch: its chain is tiled along the batch
@@ -64,76 +45,62 @@ STAGING_TILE_BYTES = 512 * 1024
 TILE_GRANULE_BYTES = 8 * 1024
 
 
-def _tile_count(extent: int, requested: int,
-                min_rows: int = MIN_TILE_ROWS) -> int:
-    """Largest divisor of ``extent`` not exceeding ``requested`` while
-    keeping tiles at least ``min_rows`` tall."""
-    requested = min(requested, max(1, extent // min_rows))
-    for n in range(min(requested, extent), 0, -1):
-        if extent % n == 0:
-            return n
-    return 1
-
-
 def is_tiled(unit: LoopUnit) -> bool:
     return bool(unit.loops) and unit.loops[0].role == "tile"
 
 
-def tile_unit(unit: LoopUnit, var: str, n_tiles: int,
-              min_rows: int = MIN_TILE_ROWS) -> LoopUnit:
-    """Tile one unit along loop variable ``var`` (in place)."""
+def tile_unit(unit: LoopUnit, count: int) -> LoopUnit:
+    """Split one unit's batch loop into ``count`` tiles (in place): an
+    outer tile-index loop and the intra-tile remainder."""
     if is_tiled(unit):
         return unit
     if isinstance(unit.stmt, Gemm):
-        return _tile_gemm(unit, var, n_tiles, min_rows)
-    idx = next((i for i, sp in enumerate(unit.loops) if sp.var == var), None)
+        return _tile_gemm(unit, count)
+    idx = next((i for i, sp in enumerate(unit.loops) if sp.var == BATCH_VAR),
+               None)
     if idx is None:
         return unit
     sp = unit.loops[idx]
     if not (isinstance(sp.start, Const) and sp.start.value == 0):
         return unit
-    count = _tile_count(sp.extent, n_tiles, min_rows)
-    if count <= 1:
-        return unit
     unit.loops[idx] = _inner(sp, count)
-    unit.loops.insert(0, _tile_loop(var, count))
+    unit.loops.insert(0, _tile_loop(count))
     return unit
 
 
-def _tile_loop(var: str, count: int) -> LoopSpec:
-    return LoopSpec(f"{var}_t", Const(0), Const(count), count, role="tile")
+def _tile_loop(count: int) -> LoopSpec:
+    return LoopSpec(BATCH_TILE_VAR, Const(0), Const(count), count,
+                    role="tile")
 
 
 def _inner(sp: LoopSpec, count: int) -> LoopSpec:
     """The intra-tile remainder of loop ``sp`` split ``count`` ways."""
-    size, tv = sp.extent // count, Var(f"{sp.var}_t")
+    size, tv = sp.extent // count, Var(BATCH_TILE_VAR)
     return replace(sp, start=mul(size, tv), stop=mul(size, add(tv, 1)),
                    extent=size)
 
 
-def _tile_gemm(unit: LoopUnit, var: str, n_tiles: int,
-               min_rows: int = MIN_TILE_ROWS) -> LoopUnit:
+def _tile_gemm(unit: LoopUnit, count: int) -> LoopUnit:
     gemm: Gemm = unit.stmt
-    if var not in gemm.var_axes:
+    if BATCH_VAR not in gemm.var_axes:
         return unit
-    sp = gemm.var_loops[var]
-    count = _tile_count(sp.extent, n_tiles, min_rows)
     # tiles of a contracted letter sum into the output: a store would
     # keep the last tile only
-    contracted = not any(key == "c" for key, _ in gemm.var_axes[var])
-    if count <= 1 or (contracted and not gemm.accumulate):
+    contracted = not any(key == "c" for key, _ in gemm.var_axes[BATCH_VAR])
+    if contracted and not gemm.accumulate:
         return unit
-    inner = gemm.var_loops[var] = _inner(sp, count)
+    inner = gemm.var_loops[BATCH_VAR] = _inner(gemm.var_loops[BATCH_VAR],
+                                               count)
     new_slice = SliceExpr(inner.start, inner.stop)
 
     refs = {"a": gemm.a, "b": gemm.b, "c": gemm.c}
-    for key, axis in gemm.var_axes[var]:
+    for key, axis in gemm.var_axes[BATCH_VAR]:
         ref = refs[key]
         indices = list(ref.indices)
         indices[axis] = new_slice
         refs[key] = Index(ref.buffer, tuple(indices))
     gemm.a, gemm.b, gemm.c = refs["a"], refs["b"], refs["c"]
-    unit.loops.insert(0, _tile_loop(var, count))
+    unit.loops.insert(0, _tile_loop(count))
     return unit
 
 
@@ -223,7 +190,7 @@ def _consumers(sections: List[Section], at: int, chain: List[LoopUnit],
     return out
 
 
-def _tile_batch(sections: List[Section], plan) -> None:
+def run(sections: List[Section], plan) -> None:
     """Batch-tile the chain of every staging buffer too large to stay
     whole: its layer's pad, the units that read or write it, and the
     row-wise units consuming what they wrote (:func:`_consumers`), made
@@ -262,7 +229,7 @@ def _tile_batch(sections: List[Section], plan) -> None:
                 chain = _pads(sec.units, chain, rw) + chain
                 _adjoin(sec.units, chain, rw)
                 for u in chain + _consumers(sections, at, chain, rw, plan):
-                    tile_unit(u, BATCH_VAR, batch // rows, 1)
+                    tile_unit(u, batch // rows)
                     u.tags.chain = name
 
 
@@ -282,36 +249,3 @@ def _adjoin(units: List[LoopUnit], chain: List[LoopUnit], rw) -> None:
             return
         units[i:j] = between + block
         at = {id(u): i for i, u in enumerate(units)}
-
-
-def run(sections: List[Section], plan,
-        min_rows: int = MIN_TILE_ROWS) -> None:
-    """Tile every unit of every synthesized section.
-
-    Staging chains over the byte budget are tiled along the batch loop
-    first (:func:`_tile_batch`); a unit so tiled is not tiled again.
-
-    The y trip count is chosen once per network — the smallest layer's
-    achievable count bounds everyone — so that sub-sampling layers end up
-    with the *same number of larger tiles* (the producer-tile doubling of
-    Fig. 11) and fusion sees identical trip counts across layers.
-    """
-    _tile_batch(sections, plan)
-    extents = []
-    for sec in sections:
-        facts = plan.facts.get(sec.ensemble)
-        if facts is not None and len(facts.ensemble.shape) == TILE_NDIM:
-            extents.append(facts.ensemble.shape[TILE_DIM])
-    if not extents:
-        return
-    requested = min(
-        [N_TILES] + [max(1, e // min_rows) for e in extents]
-    )
-    if requested <= 1:
-        return
-    for sec in sections:
-        facts = plan.facts.get(sec.ensemble)
-        if facts is None or len(facts.ensemble.shape) != TILE_NDIM:
-            continue
-        var = dim_var(sec.ensemble, TILE_DIM)
-        sec.units = [tile_unit(u, var, requested, 1) for u in sec.units]

@@ -172,8 +172,8 @@ def batch_tiles(engaged: bool = True):
     """Engage batch tiling at fuzz geometry while compiling: stage no
     more than 1 KB of a window copy at a time, however little each
     window offset then moves. The rule has no option to set — its
-    constants (``repro.optim.tiling``) are patched, the way
-    ``min_tile_rows = 2`` engages the y tiler."""
+    constants (``repro.optim.tiling``) are patched; outside this block
+    the tiny nets of the fuzz corpus and the tests compile untiled."""
     from repro.optim import tiling
 
     saved = tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES
@@ -206,7 +206,6 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     seed_all(spec.seed)
     net = build_net(spec)
     opts = CompilerOptions.level(level)
-    opts.min_tile_rows = 2  # tiny fuzz geometry: keep tiling engaged
     opts.backend = backend
     if memory_plan is not None:
         opts.memory_plan = memory_plan
@@ -253,7 +252,6 @@ def run_eval_forward(spec: NetSpec, level: int, mode: str = "train",
         opts = CompilerOptions.inference(level)
     else:
         opts = CompilerOptions.level(level)
-    opts.min_tile_rows = 2
     with batch_tiles(tiled):
         cnet = compile_net(net, opts, num_threads=num_threads)
     cnet.training = False
@@ -275,7 +273,6 @@ def run_quant_forward(spec: NetSpec, level: int, precision: str,
     seed_all(spec.seed)
     net = build_net(spec)
     opts = CompilerOptions.inference(level, precision=precision)
-    opts.min_tile_rows = 2
     cnet = compile_net(net, opts, calibration=calibration)
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
@@ -292,7 +289,6 @@ def calibrate_spec(spec: NetSpec, level: int):
     seed_all(spec.seed)
     net = build_net(spec)
     opts = CompilerOptions.inference(level)
-    opts.min_tile_rows = 2
     x, y = make_inputs(spec)
     return calibrate(net, [{"data": x, "label": y}], options=opts)
 
@@ -409,7 +405,6 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
         seed_all(spec.seed)
         net = build_net(spec)
         opts = CompilerOptions.level(level)
-        opts.min_tile_rows = 2
         opts.backend = backend
         cnet = compile_cached(spec, net=net, options=opts, cache=store)
         return run_compiled(cnet, spec), cnet.compile_report.cache_hit
@@ -583,9 +578,7 @@ def _check_gradients(spec: NetSpec, tol: dict, n_indices: int,
                      out: List[Mismatch]) -> None:
     def build_fn():
         seed_all(spec.seed)
-        opts = CompilerOptions.level(0)
-        opts.min_tile_rows = 2
-        return compile_net(build_net(spec), opts)
+        return compile_net(build_net(spec), CompilerOptions.level(0))
 
     x, y = make_inputs(spec)
     failures = check_input_gradient(

@@ -54,6 +54,7 @@ from repro.testing.oracle import (
     TOLERANCES,
     _compare_bitwise,
     _compare_runs,
+    batch_tiles,
     run_compiled,
     run_spec,
 )
@@ -70,9 +71,8 @@ def _conv_net(level=4):
     p = MaxPoolingLayer("pool", net, r)
     fc = FullyConnectedLayer("fc", net, p, 3)
     SoftmaxLossLayer("loss", net, fc, label)
-    opts = CompilerOptions.level(level)
-    opts.min_tile_rows = 2
-    return net.init(opts)
+    with batch_tiles():  # tiny geometry: tile the conv chain anyway
+        return net.init(CompilerOptions.level(level))
 
 
 class TestCSource:
@@ -86,9 +86,9 @@ class TestCSource:
 
     def test_conv_lowering_structure(self):
         src = _conv_net().c_source
-        # padding stage, im2col copy, then the pattern-matched GEMM
-        assert "// conv.pad" in src
-        assert "// conv.copy" in src
+        # padding stage, im2col copy, then the pattern-matched GEMM, all
+        # under one tile loop
+        assert "// conv.pad_fill+conv.pad+conv.copy+conv.compute+" in src
         assert re.search(r"gemm\('T', 'N', \d+, \d+, \d+, conv_weights, "
                          r"conv_inputs0, conv_value\)", src)
         # FC layer also pattern-matches to a GEMM
@@ -185,9 +185,10 @@ ZOO = {
 
 
 def _compile_c(spec, level=4, num_threads=1):
+    """``run_spec``'s compile on the C backend — untiled at zoo
+    geometry, so tests may compare its bits with the oracle's."""
     seed_all(spec.seed)
     opts = CompilerOptions.level(level)
-    opts.min_tile_rows = 2
     opts.backend = "c"
     return compile_net(build_net(spec), opts, num_threads=num_threads)
 
@@ -199,11 +200,13 @@ class TestCExecution:
         # the native program must agree with both the same-level NumPy
         # backend and the O0 scalar interpreter within the
         # float-reassociation tier (forward values, input gradient, and
-        # every parameter gradient)
+        # every parameter gradient) — conv chains tiled, fused and
+        # contracted, as at the ledger's geometry
         spec = ZOO[name]
-        native = run_spec(spec, level=4, backend="c")
+        native = run_spec(spec, level=4, backend="c", tiled=True)
         mismatches = []
-        _compare_runs("c-vs-numpy", native, run_spec(spec, level=4),
+        _compare_runs("c-vs-numpy", native,
+                      run_spec(spec, level=4, tiled=True),
                       mismatches, TOL["loss_rtol"], TOL["level_rtol"],
                       TOL["level_atol"], TOL["level_param_rtol"],
                       TOL["level_param_atol"])
@@ -217,7 +220,9 @@ class TestCExecution:
         # on the conv net every fused step must lower to C — only
         # extern closures (dropout masks, the softmax loss) may stay in
         # Python; a new skip reason here means the emitter regressed
-        cnet = _compile_c(ZOO["conv_pool_fc"])
+        with batch_tiles():
+            cnet = _compile_c(ZOO["conv_pool_fc"])
+        assert cnet.compile_report["tiling"].rewrites["units_tiled"] > 0
         assert cnet.compiled.c_steps, "no steps lowered to C"
         for step, why in cnet.compiled.c_skipped.items():
             assert "extern closure" in why, f"{step} fell back: {why}"
@@ -409,7 +414,7 @@ class TestBuild:
                           num_threads=2)
         assert cnet.compiled.c_omp == 2
         (step,) = [s for s in cnet.compiled.forward
-                   if "L0_conv.copy+L0_conv.compute" in s.label]
+                   if s.label == "L0_conv.copy"]
         src = cnet.compiled.c_exec_source
         lines = src[src.index(f"void {step.name}("):].splitlines()
         at = next(i for i, ln in enumerate(lines)

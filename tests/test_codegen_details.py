@@ -14,6 +14,7 @@ from repro.layers import (
     ReLULayer,
 )
 from repro.optim import CompilerOptions
+from repro.testing.oracle import batch_tiles
 
 
 class TestGemmLowering:
@@ -64,7 +65,8 @@ def _cnn(opts=None):
     relu = ReLULayer("relu1", net, conv)
     pool = MaxPoolingLayer("pool1", net, relu, 2, 2)
     FullyConnectedLayer("fc1", net, pool, 5)
-    return net.init(opts or CompilerOptions(min_tile_rows=2))
+    with batch_tiles():  # tiny geometry: tile conv1's chain anyway
+        return net.init(opts or CompilerOptions())
 
 
 class TestEmittedModule:
@@ -114,11 +116,11 @@ class TestCBackendGolden:
         it is not OpenMP (parent: printed anyway). A solo nest keeps
         it."""
         c = _cnn().c_source
-        fused = c[c.index("// conv1.copy+conv1.compute"):]
+        fused = c[c.index("// conv1.pad_fill+conv1.pad+conv1.copy"):]
         pragma, loop = fused.splitlines()[1:3]
         assert pragma == "#pragma omp for schedule(static, 1)"
-        assert loop.startswith("for (int conv1_d1_t = 0;")
-        solo = c[c.index("// conv1.pad"):].splitlines()[1:3]
+        assert loop == "for (int _n_t = 0; _n_t < 2; _n_t++) {"
+        solo = c[c.index("// relu1.compute"):].splitlines()[1:3]
         assert solo[0] == "#pragma omp for collapse(2) schedule(static, 1)"
         assert solo[1].startswith("for (int _n = 0;")
 

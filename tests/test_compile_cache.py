@@ -53,18 +53,20 @@ from repro.testing.generator import (
     make_inputs,
     random_spec,
 )
+from repro.testing.oracle import batch_tiles
 from repro.utils.rng import seed_all
 
 MLP = mlp_config(hidden=(16, 5), classes=5, input_dim=30)
 
 
 def _train_run(spec, store, level=4):
-    """One seeded forward+backward through compile_cached."""
+    """One seeded forward+backward through compile_cached, under batch
+    tiles (a conv chain staging over 1 KB runs tiled and contracted)."""
     seed_all(spec.seed)
     net = build_net(spec)
-    opts = CompilerOptions.level(level)
-    opts.min_tile_rows = 2
-    cnet = compile_cached(spec, net=net, options=opts, cache=store)
+    with batch_tiles():
+        cnet = compile_cached(spec, net=net, cache=store,
+                              options=CompilerOptions.level(level))
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
     cnet.clear_param_grads()
@@ -88,8 +90,9 @@ def _assert_same_run(warm, cold):
 
 
 class TestRoundTrip:
-    # seed 3: conv/tanh/pool/dropout (pre_forward closure);
-    # seed 11: batchnorm (norm closures); seed 42: fc+gru, T=3 (recurrent)
+    # seed 3: conv/tanh/pool/dropout (pre_forward closure); seed 11:
+    # batchnorm (norm closures) between batch-tiled conv chains;
+    # seed 42: fc+gru, T=3 (recurrent)
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_fuzz_spec_bitwise(self, tmp_path, seed):
         spec = random_spec(seed)
@@ -112,6 +115,8 @@ class TestRoundTrip:
 
         if backend == "c" and not have_c_toolchain():
             pytest.skip("no usable C toolchain")
+        # patched here, not by batch_tiles(): the test moves the budget
+        # again to show the rule's constants key the cache
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
         monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         spec = NetSpec(

@@ -16,6 +16,7 @@ from repro.layers import (
 )
 from repro.layers.concat import ConcatLayer
 from repro.optim import CompilerOptions
+from repro.testing.oracle import batch_tiles
 from repro.utils.rng import seed_all
 from tests.conftest import run_backward_seeded
 
@@ -83,9 +84,8 @@ class TestInceptionBlock:
         cat = ConcatLayer("cat", net, [b1, b2, b3])
         fc = FullyConnectedLayer("fc", net, cat, 5)
         SoftmaxLossLayer("loss", net, fc, label)
-        opts = CompilerOptions.level(lvl)
-        opts.min_tile_rows = 2
-        return net.init(opts)
+        with batch_tiles():  # tiny geometry: tile the conv chains anyway
+            return net.init(CompilerOptions.level(lvl))
 
     def test_forward_shape(self):
         cn = self._build()

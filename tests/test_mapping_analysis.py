@@ -55,21 +55,6 @@ class TestPadding:
         assert not info.needs_padding
 
 
-class TestDepDistance:
-    def test_pool_stride(self):
-        info = analyze_mapping(spatial_window_2d(2, 2), (8, 16, 16), (8, 8, 8))
-        assert info.dep_distance(1) == 2
-        assert info.dep_distance(2) == 2
-
-    def test_conv_stride1(self):
-        info = analyze_mapping(window_2d(3, 1, 1, 4), (4, 8, 8), (6, 8, 8))
-        assert info.dep_distance(1) == 1
-
-    def test_one_to_one_distance(self):
-        info = analyze_mapping(one_to_one(2), (4, 4), (4, 4))
-        assert info.dep_distance(0) == 1
-
-
 class TestWindowStarts:
     def test_start_at_matches_mapping(self):
         mapping = window_2d(3, 2, 1, 4)

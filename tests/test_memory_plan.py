@@ -29,6 +29,7 @@ from repro.optim import CompilerOptions
 from repro.synthesis.liveness import Interval
 from repro.testing import check_spec
 from repro.testing.generator import NetSpec
+from repro.testing.oracle import batch_tiles
 from repro.utils.rng import seed_all
 from tests.test_access import _corpus
 from tests.test_planned_bytes import PLANNED, ledger_net
@@ -569,7 +570,7 @@ class TestExternOutputsPool:
 
 
 def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
-                keep_alive=None, batch=4, level=4, options=None):
+                keep_alive=None, batch=4, level=4):
     """conv -> relu -> pool -> conv -> fc. ``padded``: both convs gather
     from a kept ``*_padsrc0`` border buffer; otherwise conv1 is
     alexnet-conv1 style (stride < kernel, no pad) and gathers straight
@@ -585,7 +586,7 @@ def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
     c2 = ConvolutionLayer("c2", net, p1, 8, 3, pad=1 if padded else 0)
     fc = FullyConnectedLayer("fc", net, ReLULayer("r2", net, c2), 5)
     SoftmaxLossLayer("loss", net, fc, label)
-    opts = dataclasses.replace(options or CompilerOptions.level(level),
+    opts = dataclasses.replace(CompilerOptions.level(level),
                                memory_plan=memory_plan, backend=backend)
     return net.init(opts, num_threads=num_threads, keep_alive=keep_alive)
 
@@ -602,17 +603,6 @@ def _staged_run(cn):
     out.update((p.key, p.grad.copy()) for p in cn.parameters())
     cn.close()
     return out
-
-
-@pytest.fixture
-def small_tiles(monkeypatch):
-    """The batch-tile rule at the tiny test geometry: any staging over
-    2 KB is tiled, however little a window offset then moves (the way
-    ``min_tile_rows=2`` engages the y tiler)."""
-    from repro.optim import tiling
-
-    monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
-    monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
 
 
 def _ledger_net(name, options=None, keep_alive=None):
@@ -844,18 +834,19 @@ class TestRematerialization:
         for key in planned:
             np.testing.assert_array_equal(planned[key], unplanned[key], key)
 
-    def test_report_and_summary_explain_the_decisions(self, small_tiles):
-        cn = _staged_net(False)
+    def test_report_and_summary_explain_the_decisions(self):
+        with batch_tiles():
+            cn = _staged_net(False)
         tile = cn.buffers["c2_inputs0"].shape[0]
-        assert tile == 2  # two 864 B images fit the patched 2 KB budget
+        assert tile == 1  # two 864 B images overflow batch_tiles()' 1 KB
         kb = cn.buffers["c2_inputs0"].nbytes / 1024
-        rows = [f"re-gathered c2_inputs0: {2 * kb:.1f} KB from p1_value "
+        rows = [f"re-gathered c2_inputs0: {4 * kb:.1f} KB from p1_value "
                 "by c2.regather",
-                f"contracted c2_inputs0: {2 * kb:.1f} KB → {kb:.1f} KB, "
-                "tile 2 of 4, group c2.copy+c2.compute+c2.compute"
+                f"contracted c2_inputs0: {4 * kb:.1f} KB → {kb:.1f} KB, "
+                "tile 1 of 4, group c2.copy+c2.compute+c2.compute"
                 "+r2.compute",
-                f"contracted c2_inputs0_re: {2 * kb:.1f} KB → {kb:.1f} KB, "
-                "tile 2 of 4, group c2.regather+c2.compute",
+                f"contracted c2_inputs0_re: {4 * kb:.1f} KB → {kb:.1f} KB, "
+                "tile 1 of 4, group c2.regather+c2.compute",
                 "whole-batch c2_value: keep_alive"]
         for row in rows:
             assert row in cn.memory_report().table().splitlines()
@@ -908,8 +899,9 @@ class TestBatchTiles:
 
     @pytest.mark.parametrize("padded", [True, False],
                              ids=["padded", "strided"])
-    def test_groups_and_contracted_shapes(self, small_tiles, padded):
-        cn = _staged_net(padded)
+    def test_groups_and_contracted_shapes(self, padded):
+        with batch_tiles():
+            cn = _staged_net(padded)
         fwd = [s.label for s in cn.compiled.forward]
         bwd = [s.label for s in cn.compiled.backward]
         pad = "c1.pad_fill+c1.pad+" if padded else ""
@@ -958,6 +950,8 @@ class TestBatchTiles:
                 pytest.skip("no usable C toolchain")
         kw = dict(num_threads=num_threads, backend=backend, batch=batch)
         untiled = _staged_run(_staged_net(padded, **kw))
+        # not batch_tiles(): its one-image tiles would put no shard
+        # bound inside a tile — 6000 B keeps several images per tile
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 6000)
         monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         cn = _staged_net(padded, **kw)
@@ -976,38 +970,28 @@ class TestBatchTiles:
         for key in tiled:
             np.testing.assert_array_equal(tiled[key], unplanned[key], key)
 
-    def test_turning_tiling_on_never_costs_memory(self, small_tiles):
-        """Parent: a y-tiled fused group retained its im2col copy
-        (``fused-group``), so O4 planned twice what O3 did."""
-        for padded in (True, False):
-            o3 = _staged_net(padded, level=3).memory_stats()
-            o4 = _staged_net(padded, level=4).memory_stats()
-            assert o4["planned_bytes"] <= o3["planned_bytes"]
-            assert o4["naive_bytes"] < o3["naive_bytes"]
-        seed_all(0)
-        net = Net(4)
-        data, label = DataAndLabelLayer(net, (3, 8, 8))
-        conv = ConvolutionLayer("conv", net, data, 4, 3, pad=1)
-        fc = FullyConnectedLayer("fc", net, ReLULayer("relu", net, conv), 3)
-        SoftmaxLossLayer("loss", net, fc, label)
-        fused = net.init(CompilerOptions(min_tile_rows=2))  # y tiles
+    def test_turning_tiling_on_never_costs_memory(self):
+        """A fused group that retained its im2col copy (``fused-group``)
+        once made O4 plan twice what O3 did."""
+        with batch_tiles():
+            for padded in (True, False):
+                o3 = _staged_net(padded, level=3).memory_stats()
+                o4 = _staged_net(padded, level=4).memory_stats()
+                assert o4["planned_bytes"] <= o3["planned_bytes"]
+                assert o4["naive_bytes"] < o3["naive_bytes"]
+            seed_all(0)
+            net = Net(4)
+            data, label = DataAndLabelLayer(net, (3, 8, 8))
+            conv = ConvolutionLayer("conv", net, data, 4, 3, pad=1)
+            fc = FullyConnectedLayer("fc", net, ReLULayer("relu", net, conv),
+                                     3)
+            SoftmaxLossLayer("loss", net, fc, label)
+            fused = net.init(CompilerOptions())
         assert any("conv.copy+" in s.label for s in fused.compiled.forward)
         assert fused.plan.memory.declined == {}
         assert sorted(fused.plan.memory.rematerialized) == ["conv_inputs0"]
-        # ... nor do y tiles: 692 480 B at O4 against 440 144 at O3 on
-        # the padded net before, LeNet at the ledger's geometry 2 140 480
-        # against 1 167 680 untiled
-        y = dataclasses.replace(CompilerOptions.level(4), min_tile_rows=2)
-        for padded in (True, False):
-            seed_all(5)
-            o3 = _staged_net(padded, level=3).memory_stats()
-            o4 = _staged_net(padded, options=y).memory_stats()
-            assert o4["planned_bytes"] <= o3["planned_bytes"], padded
-        lenet = _ledger_net("lenet", y)
-        assert lenet.compile_report["fusion"].rewrites["fused_groups"] > 0
-        assert lenet.memory_stats()["planned_bytes"] <= 1_167_680
 
-    def test_declined_chains_run_whole_batch_and_say_why(self, small_tiles):
+    def test_declined_chains_run_whole_batch_and_say_why(self):
         from repro.layers.neurons import MulNeuron
 
         seed_all(9)
@@ -1019,7 +1003,8 @@ class TestBatchTiles:
         net.add_connections(data, mul, lambda i: ((i * 3 + 1) % 1024,))
         fc = FullyConnectedLayer("fc", net, mul, 3)
         SoftmaxLossLayer("loss", net, fc, label)
-        cn = net.init(CompilerOptions())
+        with batch_tiles():
+            cn = net.init(CompilerOptions())
         assert cn.plan.untiled == {
             b: "opaque" for b in ("mul_inputs0", "mul_inputs1",
                                   "mul_grad_inputs0", "mul_grad_inputs1")}
@@ -1031,7 +1016,8 @@ class TestBatchTiles:
         h = Ensemble(net, "h", AddNeuron, (1024,))
         net.add_connections(x, h, one_to_one(1))
         net.add_connections(h, h, one_to_one(1), recurrent=True)
-        cn = net.init(CompilerOptions.level(4))
+        with batch_tiles():
+            cn = net.init(CompilerOptions.level(4))
         assert set(cn.plan.untiled.values()) == {"time-unrolled"}
         assert not cn.plan.contracted
 

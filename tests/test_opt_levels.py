@@ -23,9 +23,18 @@ from repro.layers import (
     TanhLayer,
 )
 from repro.optim import CompilerOptions
+from repro.testing.oracle import batch_tiles
 from repro.utils.rng import seed_all
 
 LEVELS = [0, 1, 2, 3, 4]
+
+
+def _init(net, lvl):
+    """Compile at ``lvl`` under batch tiles: at this tiny geometry the
+    default staging budget would leave every conv chain whole, and O4
+    would run no tiled, fused or contracted code."""
+    with batch_tiles():
+        return net.init(CompilerOptions.level(lvl))
 
 
 def _cnn_padded(lvl):
@@ -37,9 +46,7 @@ def _cnn_padded(lvl):
     pool = MaxPoolingLayer("pool1", net, relu, 2, 2)
     fc = FullyConnectedLayer("fc1", net, pool, 5)
     SoftmaxLossLayer("loss", net, fc, label)
-    opts = CompilerOptions.level(lvl)
-    opts.min_tile_rows = 2  # tiny test geometry: keep tiling engaged
-    return net.init(opts), ["conv1", "fc1"]
+    return _init(net, lvl), ["conv1", "fc1"]
 
 
 def _cnn_strided(lvl):
@@ -53,9 +60,7 @@ def _cnn_strided(lvl):
     relu = ReLULayer("relu2", net, conv2)
     fc = FullyConnectedLayer("fc1", net, relu, 4)
     SoftmaxLossLayer("loss", net, fc, label)
-    opts = CompilerOptions.level(lvl)
-    opts.min_tile_rows = 2  # tiny test geometry: keep tiling engaged
-    return net.init(opts), ["conv1", "conv2", "fc1"]
+    return _init(net, lvl), ["conv1", "conv2", "fc1"]
 
 
 def _overlapping_pool(lvl):
@@ -67,9 +72,7 @@ def _overlapping_pool(lvl):
     pool = MaxPoolingLayer("pool1", net, relu, 3, 2)  # overlapping
     fc = FullyConnectedLayer("fc1", net, pool, 4)
     SoftmaxLossLayer("loss", net, fc, label)
-    opts = CompilerOptions.level(lvl)
-    opts.min_tile_rows = 2  # tiny test geometry: keep tiling engaged
-    return net.init(opts), ["conv1", "fc1"]
+    return _init(net, lvl), ["conv1", "fc1"]
 
 
 def _mlp(lvl):
@@ -80,9 +83,8 @@ def _mlp(lvl):
     s1 = SigmoidLayer("s1", net, ip1)
     ip2 = FullyConnectedLayer("ip2", net, s1, 5)
     SoftmaxLossLayer("loss", net, ip2, label)
-    opts = CompilerOptions.level(lvl)
-    opts.min_tile_rows = 2  # tiny test geometry: keep tiling engaged
-    return net.init(opts), ["ip1", "ip2"]
+    # no window staging: nothing here is ever tiled
+    return net.init(CompilerOptions.level(lvl)), ["ip1", "ip2"]
 
 
 BUILDERS = {
@@ -123,6 +125,14 @@ def test_level_matches_scalar_oracle(name, lvl):
     for key in grads0:
         np.testing.assert_allclose(grads[key], grads0[key], rtol=1e-3,
                                    atol=2e-4, err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["cnn_padded", "cnn_strided",
+                                  "overlapping_pool"])
+def test_o4_conv_nets_run_tiled(name):
+    cnet, _ = BUILDERS[name](4)
+    assert cnet.compile_report["tiling"].rewrites["units_tiled"] > 0
+    assert cnet.compile_report["fusion"].rewrites["fused_groups"] > 0
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))

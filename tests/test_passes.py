@@ -1,6 +1,9 @@
 """Tests for the optimization passes: GEMM pattern matching, first-writer
 forwarding, tiling, copy inlining, and cross-layer fusion (§5.4)."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.layers import (
 from repro.optim import CompilerOptions
 from repro.optim.pattern_match import match_gemm
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, UnitTags
+from repro.testing.oracle import batch_tiles
 
 
 def _unit(loops, stmt):
@@ -88,14 +92,20 @@ class TestGemmMatching:
         assert match_gemm(_unit([("n", 4)], stmt)) is None
 
 
+def _init(net, opts=None):
+    """Compile under batch tiles: at this tiny geometry the default
+    staging budget would leave every chain whole."""
+    with batch_tiles():
+        return net.init(opts or CompilerOptions())
+
+
 def _cnn(batch=2, opts=None):
     net = Net(batch)
     d = MemoryDataLayer(net, "data", (3, 8, 8))
     conv = ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
     relu = ReLULayer("relu1", net, conv)
     pool = MaxPoolingLayer("pool1", net, relu, 2, 2)
-    # small geometry: force tiles small enough that tiling engages
-    return net.init(opts or CompilerOptions(min_tile_rows=2))
+    return _init(net, opts)
 
 
 class TestPipelineStructure:
@@ -114,9 +124,13 @@ class TestPipelineStructure:
         cn = _cnn(opts=CompilerOptions.level(2))
         assert "pool1_inputs0" in cn.buffers
 
-    def test_large_min_tile_rows_disables_tiling(self):
-        cn = _cnn(opts=CompilerOptions(min_tile_rows=32))
+    def test_chains_under_the_staging_budget_stay_untiled(self):
+        net = Net(2)
+        d = MemoryDataLayer(net, "data", (3, 8, 8))
+        ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
+        cn = net.init(CompilerOptions())
         assert "# tile loop" not in cn.source
+        assert cn.compile_report["tiling"].rewrites["units_tiled"] == 0
 
     def test_inplace_relu_shares_value(self):
         cn = _cnn()
@@ -127,18 +141,21 @@ class TestPipelineStructure:
         d = MemoryDataLayer(net, "data", (3, 8, 8))
         conv = ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
         sm = SoftmaxLayer("sm", net, conv)
-        cn = net.init(CompilerOptions(min_tile_rows=2))
+        cn = _init(net)
         labels = [s.label for s in cn.compiled.forward]
         assert any("sm" in l and "conv1" not in l for l in labels)
 
     def test_conv_conv_not_fused(self):
-        """Overlapping 3x3 stride-1 windows are fusion-preventing — the
-        paper's VGG group-4 limit (§7.1.2)."""
+        """The paper's VGG group-4 limit (§7.1.2): it refuses conv → conv
+        for the overlap of 3x3 windows along its tiled ``y``. Under batch
+        tiles each conv layer is a chain of its own (``tags.chain``), and
+        a group never spans two chains."""
         net = Net(2)
         d = MemoryDataLayer(net, "data", (3, 8, 8))
         c1 = ConvolutionLayer("c1", net, d, 4, 3, pad=1)
         c2 = ConvolutionLayer("c2", net, c1, 4, 3, pad=1)
-        cn = net.init(CompilerOptions(min_tile_rows=2))
+        cn = _init(net)
+        assert cn.compile_report["fusion"].rewrites["fused_groups"] > 0
         for step in cn.compiled.forward:
             assert not ("c1" in step.label and "c2.co" in step.label), (
                 step.label
@@ -163,7 +180,8 @@ class TestPipelineStructure:
 
     def test_tile_loop_in_source(self):
         cn = _cnn()
-        assert "# tile loop" in cn.source
+        assert "for _n_t in range(" in cn.source  # sharded or not
+        assert cn.compile_report["tiling"].rewrites["units_tiled"] > 0
 
     def test_comm_calls_after_each_param_ensemble(self):
         net = Net(2)
@@ -189,7 +207,9 @@ class TestCBackend:
         cn = _cnn()
         c = cn.c_source
         assert "gemm('T', 'N'," in c
-        assert "#pragma omp for" in c
+        # Fig. 12: the fused group runs under one parallel tile loop
+        assert ("#pragma omp for schedule(static, 1)\n"
+                "for (int _n_t = 0; _n_t < 2; _n_t++) {") in c
         assert "schedule(static, 1)" in c
         assert "latte_iallreduce" in c
 
@@ -197,3 +217,30 @@ class TestCBackend:
         cn = _cnn()
         assert "=== forward ===" in cn.c_source
         assert "=== backward ===" in cn.c_source
+
+
+class TestOneTileAxis:
+    """Structure: the batch is the one tile axis — the y tiler, its
+    option and its tile metadata stay deleted."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    GONE = ("min_tile_rows", "N_TILES", "MIN_TILE_ROWS", "TILE_DIM",
+            "TileInfo", "dep_distance")
+
+    def test_y_tiler_names_are_gone(self):
+        files = [p for top in ("src", "docs", "examples")
+                 for p in sorted((self.ROOT / top).rglob("*"))
+                 if p.suffix in (".py", ".md")]
+        files += sorted((self.ROOT / "benchmarks").glob("*.py"))
+        files += [p for p in sorted((self.ROOT / ".claude").rglob("*"))
+                  if p.is_file()]
+        assert len(files) > 50
+        for path in files:
+            text = path.read_text()
+            for name in self.GONE:
+                assert name not in text, f"{path} mentions {name}"
+
+    def test_tiling_is_one_flag(self):
+        fields = [f.name for f in dataclasses.fields(CompilerOptions)]
+        assert len(fields) == 11
+        assert [f for f in fields if "til" in f] == ["tiling"]

@@ -56,9 +56,7 @@ CONV_SEED = 11
 
 
 def _options(precision="fp32", level=3):
-    opts = CompilerOptions.inference(level, precision=precision)
-    opts.min_tile_rows = 2
-    return opts
+    return CompilerOptions.inference(level, precision=precision)
 
 
 def _compile_spec(seed, precision="fp32", calibration=None, level=3,
@@ -144,9 +142,8 @@ class TestCalibration:
         seed_all(spec.seed)
         net = build_net(spec)
         x, y = make_inputs(spec)
-        opts = CompilerOptions.inference(3)
-        opts.min_tile_rows = 2
-        result = calibrate(net, [{"data": x, "label": y}], options=opts)
+        result = calibrate(net, [{"data": x, "label": y}],
+                           options=CompilerOptions.inference(3))
         assert result.batches == 1
         # set_input-fed buffers are only visible via observe_input
         lo, hi = result.range("data_value")

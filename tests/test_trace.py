@@ -21,6 +21,7 @@ from repro.models import CONFIGS, build_latte
 from repro.optim import CompilerOptions, compile_net
 from repro.runtime import ClusterSimulator, ComputeProfile, CommPoint
 from repro.runtime.netsim import cori_aries
+from repro.testing.oracle import batch_tiles
 from repro.trace import (
     NULL_TRACER,
     NullTracer,
@@ -30,13 +31,14 @@ from repro.trace import (
 )
 
 
-def _cnn(tracer=None, opts=None):
+def _cnn(tracer=None):
     net = Net(2)
     d = MemoryDataLayer(net, "data", (3, 8, 8))
     conv = ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
     relu = ReLULayer("relu1", net, conv)
     MaxPoolingLayer("pool1", net, relu, 2, 2)
-    return net.init(opts or CompilerOptions(min_tile_rows=2), tracer=tracer)
+    with batch_tiles():  # tiny geometry: tile conv1's chain anyway
+        return net.init(CompilerOptions(), tracer=tracer)
 
 
 def _mlp(tracer=None):
@@ -157,13 +159,12 @@ class TestNullTracerPath:
 
 class TestCompileReport:
     def test_vgg_micro_o4_shows_gemms_and_fusion(self):
-        import dataclasses
-
         config = CONFIGS["vgg_micro"]().scaled(0.25, 32)
-        # scaled-down batch: lower the tiling threshold as test_passes does
-        opts = dataclasses.replace(CompilerOptions.level(4), min_tile_rows=2)
-        cn = build_latte(config, 2).init(opts)
+        # scaled-down batch: engage the batch tiles as test_passes does
+        with batch_tiles():
+            cn = build_latte(config, 2).init(CompilerOptions.level(4))
         rep = cn.compile_report
+        assert rep["tiling"].rewrites["units_tiled"] > 0
         assert rep["pattern_match"].rewrites["gemms_matched"] > 0
         assert rep["fusion"].rewrites["fused_groups"] > 0
         assert rep["copy_inline"].rewrites["copies_inlined"] > 0
