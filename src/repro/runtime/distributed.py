@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.runtime.procpool import (
     LossyAccumulate,
     SyncReduce,
 )
-from repro.trace import NULL_TRACER
+from repro.trace import NULL_TRACER, RecordingTracer
 
 
 # ---------------------------------------------------------------------------
@@ -100,37 +100,34 @@ def _profile_once(cnet, inputs, repeats):
     cnet.backward()
 
     fwd = 0.0
-    step_times: List[float] = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         cnet.forward()
         fwd += time.perf_counter() - t0
     fwd /= repeats
 
-    # per-step backward timing, accumulating compute between comm points;
-    # walks the pre-bound program so arena zero-defs and recurrent views
-    # are applied exactly as in a real run
-    cnet._zero_grads()
-    segments: List[Tuple[float, Optional[object]]] = []
-    for kind, fn, env, step, _t in cnet._entries["backward"]:
-        if kind == "comm":
-            segments.append((0.0, step.comm))
-            continue
-        if kind == "aux":
-            fn(env, cnet)  # untimed bookkeeping (set_t / zeroing)
-            continue
-        t0 = time.perf_counter()
-        fn(env, cnet)
-        segments.append((time.perf_counter() - t0, None))
-
-    total = sum(t for t, _ in segments) or 1e-9
-    points: List[CommPoint] = []
-    done = 0.0
-    for t, comm in segments:
-        done += t
-        if comm is not None:
-            nbytes = sum(cnet.buffers[g].nbytes for g in comm.params)
-            points.append(CommPoint(done / total, nbytes, comm.ensemble))
+    # one traced backward: task spans time the compute in timeline
+    # order, and each comm span (fired only while a hook is set) marks
+    # where that reduction is issued
+    tracer, hook, rec = cnet.tracer, cnet.comm_hook, RecordingTracer()
+    cnet.tracer, cnet.comm_hook = rec, lambda ensemble, grads: None
+    try:
+        cnet.backward()
+    finally:
+        cnet.tracer, cnet.comm_hook = tracer, hook
+    comms = {s.label: s.comm for s in cnet.compiled.backward
+             if s.kind == "comm"}
+    done, issued = 0.0, []
+    for span in rec.spans:
+        if span.cat == "comm":
+            issued.append((done, comms[span.name]))
+        elif not span.args.get("shard"):  # shard 0 times a sharded step
+            done += span.dur
+    total = done or 1e-9
+    points = [CommPoint(at / total,
+                        sum(cnet.buffers[g].nbytes for g in comm.params),
+                        comm.ensemble)
+              for at, comm in issued]
     return fwd, total, points
 
 

@@ -11,24 +11,20 @@ forward/backward step lists. It
   ``CommCall`` (a no-op unless a distributed runtime is attached, §6),
 * exposes parameter/gradient views to solvers.
 
-Execution is driven by **pre-bound step programs** baked at init: for
-every (phase, time step) the argument table each step function receives
-— buffer views sliced to the right time step, recurrent reads shifted to
-``t - 1``, per-direction zero views for the ``t == 0`` initial state,
-and the memory planner's scheduled gradient zero-defs — is constructed
-once, so the serial hot loop is literally ``for fn, env in program:
-fn(env, self)`` with no per-call dict building or per-step branching.
-
-Compiled with ``num_threads > 1``, steps the parallel pass marked
-batch-shardable execute as contiguous batch shards on a persistent
-thread pool (§5.4.3 realized at runtime; see
-:mod:`repro.runtime.threads`): each shard calls the step function with
-its ``(_b0, _b1)`` batch bounds, buffers named in the step's
-``private_accums`` are swapped for per-shard private accumulators, and
-after the shard barrier the privates are combined by a deterministic
-tree reduction. Everything else — extern steps, comm steps, whole nets
-compiled with the default ``num_threads=1`` — runs exactly the serial
-code path.
+Execution is driven by one **phase program** per phase, baked at init:
+for every (phase, time step) the argument table each step function
+receives — buffer views sliced to the right time step, recurrent reads
+shifted to ``t - 1``, per-direction zero views for the ``t == 0``
+initial state, and the memory planner's scheduled gradient zero-defs —
+is constructed once, and each entry's callable is bound once, so
+``forward()`` and ``backward()`` are literally ``for fn, env in
+program: fn(env, self)``. With nothing attached and one thread the
+program holds the compiled step functions themselves. Compiled with
+``num_threads > 1``, a step the parallel pass marked batch-shardable is
+bound as a shard closure over a persistent thread pool (§5.4.3 realized
+at runtime; see :mod:`repro.runtime.threads`). A recording tracer wraps
+task steps and fired comm hooks in spans, and a numerics watchdog
+follows each task step with its check; assigning either re-binds.
 """
 
 from __future__ import annotations
@@ -84,18 +80,16 @@ class CompiledNet:
         self.plan = plan
         self.compiled = compiled
         self.options = options
-        #: observability hooks (§7's "where does the time go"): a
-        #: Tracer (NullTracer by default — the untraced hot loops are
-        #: untouched) and the per-pass compilation record
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: observability hooks (§7's "where does the time go"): the
+        #: :attr:`tracer` (NullTracer by default), the :attr:`watchdog`
+        #: (None by default) and the per-pass compilation record
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._watchdog = watchdog
         self.compile_report = compile_report
-        #: numerics watchdog (repro.telemetry.watchdog): called after
-        #: every executed task step to sample written buffers for
-        #: NaN/Inf. None (default) keeps the untouched fast paths.
-        self.watchdog = watchdog
         #: extra args merged into every runtime span while set — the
         #: server stashes {'request_ids': ...} here so one request can
-        #: be followed from HTTP admission into executor step spans
+        #: be followed from HTTP admission into executor step spans.
+        #: Traced callables read it per call: setting it re-binds nothing
         self.trace_context: Optional[Dict] = None
         self.buffers = allocate(plan)
         self.batch_size = net.batch_size
@@ -172,9 +166,9 @@ class CompiledNet:
         return env
 
     def _build_programs(self) -> None:
-        """Bake one argument table per (step, t): the hot loop then runs
-        ``fn(env, self)`` with zero per-call construction. Called once at
-        init and again by :meth:`rebind_buffer`."""
+        """Bake one argument table per (step, t) into ``(kind, fn, env,
+        step, t)`` records, then :meth:`_bind` them. Called once at init
+        and again by :meth:`rebind_buffers`."""
         T = self.time_steps
         mem = self.plan.memory
         #: per-direction zero initial-state views — forward reads and
@@ -234,11 +228,112 @@ class CompiledNet:
                     entries.append((_TASK, step.fn, step_env, step, t))
                 first_t = False
             self._entries[phase] = entries
-        #: the serial untraced hot path: kind/step/t stripped
-        self._fast = {
-            phase: [(fn, env) for _k, fn, env, _s, _t in entries]
-            for phase, entries in self._entries.items()
-        }
+        self._bind()
+
+    def _bind(self) -> None:
+        """Turn each record into the ``(fn, env)`` pair the phase loop
+        runs: shard closures for shardable steps under ``num_shards >
+        1``, spans when a recording tracer is attached (around task
+        steps, and around comm hooks that fire), numerics checks when a
+        watchdog is. Aux entries and, with nothing attached, serial task
+        steps stay bare. Re-run whenever the tracer or watchdog
+        changes."""
+        tracer = self._tracer if self._tracer.enabled else None
+        watchdog = self._watchdog
+        self._program: Dict[str, list] = {}
+        for phase, entries in self._entries.items():
+            program = []
+            for kind, fn, env, step, t in entries:
+                if kind == _TASK:
+                    if self.num_shards > 1 and step.shardable:
+                        fn = self._shard_fn(step, env, phase, t, tracer)
+                    elif tracer is not None:
+                        fn = _spanned(fn, tracer, step.label, phase, t, {
+                            "kind": step.kind,
+                            "bytes": self.step_bytes(step),
+                            "flops": step.flops})
+                    if watchdog is not None:
+                        fn = _watched(fn, watchdog, step, phase, t)
+                elif kind == _COMM and tracer is not None:
+                    fn = _when_hooked(_spanned(
+                        fn, tracer, step.label, "comm", t,
+                        {"kind": "comm", "bytes": self.step_bytes(step)}))
+                program.append((fn, env))
+            self._program[phase] = program
+
+    def _shard_fn(self, step, env, cat: str, t: int, tracer):
+        """One shardable step as ``num_shards`` contiguous batch shards
+        on the pool, each with its own slice of the step's private
+        accumulators, combined by a tree reduction after the barrier.
+        Traced, each shard records its own span."""
+        n, bounds, fn = self.num_shards, self._shard_bounds, step.fn
+        accums = step.private_accums
+        privates = {name: self._shard_accums[name] for name in accums}
+        envs = [
+            {**env, **{name: arr[w] for name, arr in privates.items()}}
+            if privates else env
+            for w in range(n)
+        ]
+        zeroed = [privates[name] for name, mode in accums.items()
+                  if mode == "add"]
+        # 'tile' privates are per-shard staging: nothing to combine
+        reduced = [(name, mode == "add", privates[name])
+                   for name, mode in accums.items() if mode != "tile"]
+        if tracer is not None:
+            args = {"kind": step.kind, "bytes": self.step_bytes(step) // n,
+                    "flops": step.flops // n}
+
+        def sharded(env, rt):
+            for parts in zeroed:
+                parts[...] = 0
+            if rt._pool is None:
+                rt._pool = ShardPool(n)
+            if tracer is None:
+                rt._pool.run(lambda w: fn(envs[w], rt, *bounds[w]))
+            else:
+                # establish the tracer origin on the main thread;
+                # workers only *read* the clock and stash timestamps
+                tracer.now()
+                marks = [None] * n
+
+                def run_shard(w: int) -> None:
+                    t0 = tracer.now()
+                    fn(envs[w], rt, *bounds[w])
+                    marks[w] = (t0, tracer.now() - t0)
+
+                rt._pool.run(run_shard)
+            for name, add, parts in reduced:
+                total = tree_reduce(parts)
+                if add:
+                    env[name] += total
+                else:  # 'store': first-writer-forwarded overwrite
+                    env[name][...] = total
+            if tracer is not None:
+                ctx = rt.trace_context or {}
+                for w, (start, dur) in enumerate(marks):
+                    tracer.add_span(step.label, cat, start, dur, t=t,
+                                    **args, shard=w, shards=n, **ctx)
+        return sharded
+
+    @property
+    def tracer(self):
+        """The attached :class:`~repro.trace.Tracer`; assigning re-binds."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._bind()
+
+    @property
+    def watchdog(self):
+        """The attached numerics watchdog; assigning re-binds."""
+        return self._watchdog
+
+    @watchdog.setter
+    def watchdog(self, watchdog) -> None:
+        self._watchdog = watchdog
+        self._bind()
 
     def rebind_buffer(self, name: str, array: np.ndarray) -> None:
         """Replace one buffer-table entry (e.g. to share parameter
@@ -517,13 +612,7 @@ class CompiledNet:
         for name, arr in inputs.items():
             self.set_input(name, arr)
         self._losses.clear()
-        if self.num_shards > 1:
-            self._run_parallel("forward")
-            return self.loss
-        if self.tracer.enabled or self.watchdog is not None:
-            self._run_traced("forward")
-            return self.loss
-        for fn, env in self._fast["forward"]:
+        for fn, env in self._program["forward"]:
             fn(env, self)
         return self.loss
 
@@ -545,139 +634,8 @@ class CompiledNet:
         if seed_grads:
             for ens_name, g in seed_grads.items():
                 self.buffers[f"{ens_name}_grad"][...] = g
-        if self.num_shards > 1:
-            self._run_parallel("backward")
-            return
-        if self.tracer.enabled or self.watchdog is not None:
-            self._run_traced("backward")
-            return
-        for fn, env in self._fast["backward"]:
+        for fn, env in self._program["backward"]:
             fn(env, self)
-
-    def _run_traced(self, phase: str) -> None:
-        """One phase emitting a span per task step (and per fired comm
-        hook); aux entries run silently. Also the watchdog path: with a
-        NullTracer but a watchdog attached, begin/end are no-ops and
-        only the per-step numerics check runs — same fns, same order,
-        bitwise-identical outputs."""
-        tracer = self.tracer
-        watchdog = self.watchdog
-        ctx = self.trace_context
-        for kind, fn, env, step, t in self._entries[phase]:
-            if kind == _TASK:
-                token = tracer.begin(
-                    step.label, phase, t=t, kind=step.kind,
-                    bytes=self.step_bytes(step), flops=step.flops,
-                    **(ctx or {}),
-                )
-                fn(env, self)
-                tracer.end(token)
-                if watchdog is not None:
-                    watchdog.after_step(self, step, phase, t, env)
-            elif kind == _COMM:
-                if self.comm_hook is not None:
-                    token = tracer.begin(
-                        step.label, "comm", t=t, kind="comm",
-                        bytes=self.step_bytes(step),
-                    )
-                    grads = [self.buffers[g] for g in step.comm.params]
-                    self.comm_hook(step.comm.ensemble, grads)
-                    tracer.end(token)
-            else:
-                fn(env, self)
-
-    # -- thread-parallel execution -------------------------------------------
-
-    def _run_parallel(self, phase: str) -> None:
-        """One phase with shardable steps split across the pool."""
-        tracer = self.tracer
-        watchdog = self.watchdog
-        for kind, fn, env, step, t in self._entries[phase]:
-            if kind == _TASK:
-                self._run_step_threaded(step, t, phase, env)
-                if watchdog is not None:
-                    watchdog.after_step(self, step, phase, t, env)
-            elif kind == _COMM:
-                if self.comm_hook is not None:
-                    grads = [self.buffers[g] for g in step.comm.params]
-                    if tracer.enabled:
-                        with tracer.span(
-                            step.label, "comm", t=t, kind="comm",
-                            bytes=self.step_bytes(step),
-                        ):
-                            self.comm_hook(step.comm.ensemble, grads)
-                    else:
-                        self.comm_hook(step.comm.ensemble, grads)
-            else:
-                fn(env, self)
-
-    def _run_step_threaded(self, step, t: int, cat: str, views) -> None:
-        """Run one task step: sharded if marked, serial otherwise."""
-        tracer = self.tracer
-        ctx = self.trace_context or {}
-        if not step.shardable:
-            if tracer.enabled:
-                with tracer.span(
-                    step.label, cat, t=t, kind=step.kind,
-                    bytes=self.step_bytes(step), flops=step.flops,
-                    **ctx,
-                ):
-                    step.fn(views, self)
-            else:
-                step.fn(views, self)
-            return
-        n = self.num_shards
-        accums = step.private_accums
-        privates = {}
-        for name, mode in accums.items():
-            arr = self._shard_accums[name]
-            if mode == "add":
-                arr[...] = 0
-            privates[name] = arr
-        bounds = self._shard_bounds
-        fn = step.fn
-        traced = tracer.enabled
-        if traced:
-            # establish the tracer origin on the main thread; workers
-            # only *read* the clock and stash timestamps locally
-            tracer.now()
-            marks: List[Optional[tuple]] = [None] * n
-
-        def run_shard(w: int) -> None:
-            lo, hi = bounds[w]
-            v = views
-            if privates:
-                v = dict(views)
-                for name, arr in privates.items():
-                    v[name] = arr[w]
-            if traced:
-                t0 = tracer.now()
-                fn(v, self, lo, hi)
-                marks[w] = (t0, tracer.now() - t0)
-            else:
-                fn(v, self, lo, hi)
-
-        if self._pool is None:
-            self._pool = ShardPool(n)
-        self._pool.run(run_shard)
-        for name, mode in accums.items():
-            if mode == "tile":  # per-shard staging, nothing to combine
-                continue
-            total = tree_reduce(privates[name])
-            if mode == "add":
-                views[name] += total
-            else:  # 'store': first-writer-forwarded overwrite
-                views[name][...] = total
-        if traced:
-            per_shard_bytes = self.step_bytes(step) // n
-            per_shard_flops = step.flops // n
-            for w, mark in enumerate(marks):
-                start, dur = mark
-                tracer.add_span(
-                    step.label, cat, start, dur, t=t, kind=step.kind,
-                    bytes=per_shard_bytes, flops=per_shard_flops,
-                    shard=w, shards=n, **ctx,
-                )
 
     def close(self) -> None:
         """Release the shard worker pool (idempotent; the pool is also
@@ -740,4 +698,33 @@ def _comm_fn(step):
         if hook is not None:
             hook(_step.comm.ensemble,
                  [rt.buffers[g] for g in _step.comm.params])
+    return comm
+
+
+# -- wrappers :meth:`CompiledNet._bind` puts around an entry ---------------
+
+
+def _spanned(fn, tracer, name: str, cat: str, t: int, args: Dict):
+    """``fn`` inside one span; the net's ``trace_context`` (request IDs)
+    joins the span's args at call time."""
+    def spanned(env, rt):
+        token = tracer.begin(name, cat, t=t, **args,
+                             **(rt.trace_context or {}))
+        fn(env, rt)
+        tracer.end(token)
+    return spanned
+
+
+def _watched(fn, watchdog, step, phase: str, t: int):
+    def watched(env, rt):
+        fn(env, rt)
+        watchdog.after_step(rt, step, phase, t, env)
+    return watched
+
+
+def _when_hooked(fn):
+    """A comm entry runs (and is traced) only while a hook is set."""
+    def comm(env, rt):
+        if rt.comm_hook is not None:
+            fn(env, rt)
     return comm

@@ -8,9 +8,10 @@ one shared timeline.
 
 Design constraints:
 
-* **zero overhead when disabled** — the default :class:`NullTracer` is a
-  sentinel the executor checks once per ``forward()``/``backward()``
-  call; the untraced hot loop is byte-for-byte the original one;
+* **zero overhead when disabled** — the executor reads ``enabled`` once,
+  when the tracer is attached, and wraps each step in a span only for
+  an enabled tracer; under the default :class:`NullTracer` the phase
+  program holds the bare compiled step functions;
 * **one timeline, many clocks** — runtime spans are measured with
   ``time.perf_counter`` relative to the tracer's first event, while the
   discrete-event simulators (:mod:`repro.runtime.distributed`,

@@ -116,6 +116,75 @@ class TestStepSpans:
         comm = tr.spans_by_cat("comm")
         assert [s.name for s in comm] == ["async_grad_reduce(fc1)"]
 
+    def test_comm_span_carries_trace_context(self):
+        tr = RecordingTracer()
+        cn = _mlp(tracer=tr)
+        cn.comm_hook = lambda ens, grads: None
+        cn.trace_context = {"request_ids": [3, 4]}
+        cn.forward(data=np.zeros((4, 12), np.float32),
+                   label=np.zeros((4, 1), np.float32))
+        cn.backward()
+        comm = tr.spans_by_cat("comm")
+        assert [s.name for s in comm] == ["async_grad_reduce(fc1)"]
+        assert comm[0].args["request_ids"] == [3, 4]
+        assert all(s.args["request_ids"] == [3, 4]
+                   for s in tr.spans_by_cat("backward"))
+
+
+def _task_fns(cn, phase):
+    """The step functions a phase program calls bare, in order."""
+    fns = {s.fn for s in getattr(cn.compiled, phase) if s.kind == "task"}
+    return [fn for fn, _env in cn._program[phase] if fn in fns]
+
+
+class TestAttachByAssignment:
+    def _run(self, cn):
+        cn.forward(data=np.zeros((2, 3, 8, 8), np.float32))
+        cn.backward()
+
+    def test_tracer_attaches_and_detaches(self):
+        cn = _cnn()
+        tr = RecordingTracer()
+        cn.tracer = tr
+        self._run(cn)
+        for phase in ("forward", "backward"):
+            got = [s.name for s in tr.spans_by_cat(phase)]
+            assert got == _expected_labels(cn, phase)
+        cn.tracer = NULL_TRACER
+        del tr.spans[:]
+        self._run(cn)
+        assert tr.spans == []
+
+    def test_watchdog_attaches_and_detaches(self):
+        from repro.telemetry import NumericsError, NumericsWatchdog
+
+        cn = _cnn()
+        x = np.zeros((2, 3, 8, 8), np.float32)
+        x[0, 0, 0, 0] = np.nan
+        cn.watchdog = NumericsWatchdog()
+        with pytest.raises(NumericsError):
+            cn.forward(data=x)
+        cn.watchdog = None
+        cn.forward(data=x)  # unwatched: the NaN flows through silently
+
+    def test_unattached_program_is_the_bare_step_functions(self):
+        net = Net(2)
+        d = MemoryDataLayer(net, "data", (3, 8, 8))
+        conv = ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
+        MaxPoolingLayer("pool1", net, conv, 2, 2)
+        cn = net.init(CompilerOptions(), num_threads=1)
+        bare = {phase: [s.fn for s in getattr(cn.compiled, phase)
+                        if s.kind == "task"]
+                for phase in ("forward", "backward")}
+        for phase, fns in bare.items():
+            assert fns and _task_fns(cn, phase) == fns
+        cn.tracer = RecordingTracer()
+        assert all(_task_fns(cn, phase) == [] for phase in bare)
+        cn.tracer = NullTracer()
+        cn.watchdog = None
+        for phase, fns in bare.items():
+            assert _task_fns(cn, phase) == fns
+
 
 class TestNullTracerPath:
     def test_traced_and_untraced_programs_are_identical(self):

@@ -37,7 +37,8 @@ from repro.utils.rng import seed_all
 BATCH = 4
 
 
-def _mlp(watchdog=None, options=None, tracer=None, seed=11):
+def _mlp(watchdog=None, options=None, tracer=None, seed=11,
+         num_threads=None):
     seed_all(seed)
     net = Net(BATCH)
     d = MemoryDataLayer(net, "data", (12,))
@@ -46,7 +47,8 @@ def _mlp(watchdog=None, options=None, tracer=None, seed=11):
     relu = ReLULayer("relu1", net, fc1)
     FullyConnectedLayer("fc2", net, relu, 3)
     SoftmaxLossLayer("loss", net, net["fc2"], lbl)
-    return net.init(options, tracer=tracer, watchdog=watchdog)
+    return net.init(options, tracer=tracer, watchdog=watchdog,
+                    num_threads=num_threads)
 
 
 def _inputs(fill=1.0):
@@ -169,6 +171,57 @@ class TestDisabledPathNeutrality:
         cn = _mlp(watchdog=NumericsWatchdog())
         assert cn.tracer is NULL_TRACER  # watchdog never forces tracing
         cn.close()
+
+
+class TestWithThreadsAndTracer:
+    """A watchdog and a recording tracer wrap batch-sharded steps too."""
+
+    def _both(self, seed=11):
+        return _mlp(seed=seed, num_threads=2, tracer=RecordingTracer(),
+                    watchdog=NumericsWatchdog())
+
+    def test_sharded_steps_span_every_shard(self):
+        cn = self._both()
+        x, y = _inputs(0.5)
+        cn.forward(data=x, label=y)
+        cn.clear_param_grads()
+        cn.backward()
+        for phase in ("forward", "backward"):
+            shardable = [s.label for s in getattr(cn.compiled, phase)
+                         if s.kind == "task" and s.shardable]
+            assert shardable, f"no shardable {phase} step"
+            got = [(s.name, s.args["shard"])
+                   for s in cn.tracer.spans_by_cat(phase) if "shard" in s.args]
+            assert sorted(got) == sorted(
+                (label, w) for label in shardable for w in (0, 1))
+        cn.close()
+
+    def test_nan_input_names_first_writing_step(self):
+        cn = self._both()
+        x, y = _inputs()
+        x[0, 0] = np.nan
+        with pytest.raises(NumericsError) as exc:
+            cn.forward(data=x, label=y)
+        assert exc.value.step == "fc1.compute"
+        assert exc.value.buffer == "fc1_value"
+        cn.close()
+
+    def test_outputs_bitwise_identical_to_unattached(self):
+        plain = _mlp(seed=23, num_threads=2)
+        both = self._both(seed=23)
+        assert plain.num_shards == both.num_shards == 2
+        x, y = _inputs(0.5)
+        x += np.linspace(-1, 1, x.size, dtype=np.float32).reshape(x.shape)
+        assert plain.forward(data=x, label=y) == both.forward(data=x,
+                                                              label=y)
+        plain.clear_param_grads()
+        both.clear_param_grads()
+        plain.backward()
+        both.backward()
+        for pa, pb in zip(plain.parameters(), both.parameters()):
+            np.testing.assert_array_equal(pa.grad, pb.grad, err_msg=pa.key)
+        plain.close()
+        both.close()
 
 
 class TestCompilerOption:
