@@ -213,72 +213,3 @@ def record_memory(figure: str, per_model: Dict[str, Dict[str, int]]) -> None:
     with open(MEMORY_JSON, "w") as f:
         json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-# -- serving measurement -----------------------------------------------------
-
-SERVING_JSON = os.path.join(RESULTS_DIR, "BENCH_serving.json")
-
-
-def record_serving(payload: Dict[str, object],
-                   registry_snapshot: Dict[str, dict] | None = None) -> None:
-    """Persist the serving-smoke measurements (latency percentiles,
-    batch fill, train-vs-inference memory) to
-    ``benchmarks/results/BENCH_serving.json``. ``registry_snapshot``
-    optionally embeds the parsed ``/metrics`` scrape (or a
-    ``MetricsRegistry.snapshot()``) under a ``"metrics"`` key so the
-    artifact carries the raw counter state the summary numbers came
-    from."""
-    if registry_snapshot is not None:
-        payload = dict(payload)
-        payload["metrics"] = registry_snapshot
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(SERVING_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# -- observability overhead --------------------------------------------------
-
-OBSERVABILITY_JSON = os.path.join(RESULTS_DIR, "BENCH_observability.json")
-
-
-def record_observability(payload: Dict[str, object]) -> None:
-    """Persist the telemetry-overhead measurements (disabled-path /
-    watchdog / traced forward medians and their ratios) to
-    ``benchmarks/results/BENCH_observability.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(OBSERVABILITY_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# -- compile-cache cold start ------------------------------------------------
-
-COLD_START_JSON = os.path.join(RESULTS_DIR, "BENCH_cold_start.json")
-
-
-def record_cold_start(payload: Dict[str, object]) -> None:
-    """Persist the cold-vs-warm server-boot measurements (compile and
-    boot wall times in fresh processes, warm/cold speedup, bitwise
-    prediction parity) to ``benchmarks/results/BENCH_cold_start.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(COLD_START_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# -- compiled C/OpenMP backend -----------------------------------------------
-
-C_BACKEND_JSON = os.path.join(RESULTS_DIR, "BENCH_c_backend.json")
-
-
-def record_c_backend(payload: Dict[str, object]) -> None:
-    """Persist the C-backend smoke measurements (per-model forward and
-    forward+backward medians for the NumPy and native backends, their
-    speedups, native-step coverage, parity verdicts) to
-    ``benchmarks/results/BENCH_c_backend.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(C_BACKEND_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

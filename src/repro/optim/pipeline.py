@@ -58,15 +58,6 @@ class CompilerOptions:
     #: Bitwise-neutral — planned and unplanned runs produce identical
     #: outputs (checked by the differential oracle)
     memory_plan: bool = True
-    #: numerics watchdog sampling stride: 0 (default) disables it
-    #: entirely (the executor hot paths are untouched); N >= 1 attaches
-    #: a :class:`repro.telemetry.NumericsWatchdog` checking every Nth
-    #: executed task step's written buffers for NaN/Inf and raising a
-    #: structured :class:`repro.telemetry.NumericsError` naming the
-    #: offending step and buffer. ``True`` is accepted as 1. Pass a
-    #: configured watchdog via ``compile_net(..., watchdog=)`` /
-    #: ``Net.init(watchdog=)`` instead for record-don't-raise modes.
-    check_numerics: int = 0
     #: executable backend: ``'numpy'`` (default) runs the generated
     #: Python/NumPy program; ``'c'`` additionally lowers every fused
     #: step to C, compiles the program with the system toolchain
@@ -126,9 +117,6 @@ class CompilerOptions:
                     f"precision={self.precision!r} requires the NumPy "
                     f"backend (the C kernels are float32-only)"
                 )
-        self.check_numerics = int(self.check_numerics)
-        if self.check_numerics < 0:
-            raise ValueError("check_numerics must be >= 0")
 
     @classmethod
     def level(cls, n: int) -> "CompilerOptions":
@@ -218,10 +206,9 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         See docs/ARCHITECTURE.md §Buffers and docs/SERVING.md.
     watchdog:
         A :class:`repro.telemetry.NumericsWatchdog` attached to the
-        executor (checked after every task step). Defaults to ``None``
-        — or, when ``options.check_numerics`` is N >= 1, a fresh
-        raising watchdog sampling every Nth step. See
-        docs/OBSERVABILITY.md.
+        executor (checked after every sampled task step), or ``None``.
+        Not an option: it changes no compiled code, so it stays out of
+        the compile-cache key. See docs/OBSERVABILITY.md.
     calibration:
         A :class:`repro.quant.CalibrationResult` (per-buffer activation
         ranges recorded by :func:`repro.quant.calibrate`) consumed by
@@ -235,10 +222,6 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     inference = options.mode == "inference"
     if inference and keep_alive is None:
         keep_alive = ()
-    if watchdog is None and options.check_numerics:
-        from repro.telemetry.watchdog import NumericsWatchdog
-
-        watchdog = NumericsWatchdog(every=options.check_numerics)
     tracer = tracer if tracer is not None else NULL_TRACER
     num_threads = resolve_num_threads(num_threads)
     report = CompileReport()

@@ -9,8 +9,8 @@ aggregate, scrapeable, and always-on-capable:
 * :mod:`repro.telemetry.logging` — one-JSON-object-per-line structured
   logging over stdlib :mod:`logging`, plus request-ID generation;
 * :class:`NumericsWatchdog` / :class:`TrainingMonitor` — runtime
-  detection of NaN/Inf buffers (``CompilerOptions(check_numerics=N)``)
-  and diverging training runs (``solve(..., monitor=...)``).
+  detection of NaN/Inf buffers (``Net.init(watchdog=NumericsWatchdog(
+  every=N))``) and diverging training runs (``solve(..., monitor=...)``).
 
 Everything follows the tracer's cost contract: the disabled path
 (:data:`NULL_REGISTRY`, no watchdog, no logger) leaves hot loops

@@ -383,8 +383,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, dict]:
         """JSON-friendly dump: per family, kind + every sample row —
-        the shape the benchmark harness persists next to
-        ``BENCH_serving.json``."""
+        the perf ledger diffs two of these per serving window."""
         out: Dict[str, dict] = {}
         for m in self.collect():
             out[m.name] = {
@@ -519,8 +518,8 @@ def parse_prometheus_text(text: str) -> Dict[str, dict]:
     "samples": [(name, labels, value), ...]}}``.
 
     Raises :class:`ValueError` on any line that is neither a comment,
-    blank, nor a well-formed sample — the CI serving-smoke job uses this
-    to validate that ``GET /metrics`` speaks the format.
+    blank, nor a well-formed sample — the server tests use this to
+    validate that ``GET /metrics`` speaks the format.
     """
     families: Dict[str, dict] = {}
 

@@ -6,8 +6,9 @@ here at runtime instead of N epochs later:
 * **non-finite activations/gradients** — §7's lossy asynchronous
   reduction and aggressive learning rates can push buffers to NaN/Inf
   with no visible symptom until accuracy collapses.
-  :class:`NumericsWatchdog` hooks the executor (``CompilerOptions(
-  check_numerics=N)`` or ``Net.init(watchdog=...)``) and samples each
+  :class:`NumericsWatchdog` hooks the executor (``watchdog=`` on
+  ``Net.init`` / ``compile_net`` / ``compile_cached``, or assigned to
+  ``cnet.watchdog``) and samples each
   step's *written* buffers after execution, raising (or recording) a
   structured :class:`NumericsError` that names the offending step and
   buffer — the first poisoned write, not the downstream wreckage.

@@ -9,7 +9,8 @@ pragmas, GEMM calls, and padding/copy structure. ``attach_native``
 fused steps with the system toolchain and executes them through ctypes;
 the execution classes pin that path against the NumPy backend and the
 O0 interpreter over a small model zoo (conv/pool/fc/norm/concat/LSTM),
-finite-difference-check a C-compiled net, and verify OpenMP thread
+check that every non-extern step of the Fig 14 training programs lowers
+to C, finite-difference-check a C-compiled net, and verify OpenMP thread
 equivalence plus bitwise run-to-run determinism. ``TestBuild`` pins the
 build itself: twin steps share kernels, the ``.so`` does not depend on
 the worker count, failed and hung compiler processes leave a structured
@@ -59,6 +60,7 @@ from repro.testing.oracle import (
     run_spec,
 )
 from repro.utils.rng import seed_all
+from tests.test_planned_bytes import ledger_net
 
 
 def _conv_net(level=4):
@@ -217,16 +219,23 @@ class TestCExecution:
         assert not mismatches, "\n".join(str(m) for m in mismatches)
 
     def test_native_coverage(self):
-        # on the conv net every fused step must lower to C — only
-        # extern closures (dropout masks, the softmax loss) may stay in
-        # Python; a new skip reason here means the emitter regressed
+        # on the conv net and on the ledger's Fig 14 training programs
+        # every fused step must lower to C — only extern closures
+        # (dropout masks, the softmax loss) may stay in Python; a new
+        # skip reason here means the emitter regressed
         with batch_tiles():
             cnet = _compile_c(ZOO["conv_pool_fc"])
         assert cnet.compile_report["tiling"].rewrites["units_tiled"] > 0
-        assert cnet.compiled.c_steps, "no steps lowered to C"
-        for step, why in cnet.compiled.c_skipped.items():
-            assert "extern closure" in why, f"{step} fell back: {why}"
         assert cnet.compiled.c_exec_source  # stored for cache freeze
+        nets = {"conv_pool_fc": cnet}
+        for name in ("alexnet", "overfeat", "vgg"):
+            nets[name] = compile_net(ledger_net(name),
+                                     CompilerOptions(backend="c"))
+        for name, cnet in nets.items():
+            assert cnet.compiled.c_steps, f"{name}: no steps lowered to C"
+            for step, why in cnet.compiled.c_skipped.items():
+                assert "extern closure" in why, f"{name}: {step}: {why}"
+            cnet.close()
 
     def test_thread_equivalence(self):
         # OpenMP sharding follows the executor's shard bounds, so the

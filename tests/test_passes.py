@@ -242,5 +242,5 @@ class TestOneTileAxis:
 
     def test_tiling_is_one_flag(self):
         fields = [f.name for f in dataclasses.fields(CompilerOptions)]
-        assert len(fields) == 11
+        assert len(fields) == 10
         assert [f for f in fields if "til" in f] == ["tiling"]

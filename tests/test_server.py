@@ -17,11 +17,15 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -719,14 +723,75 @@ class TestWorkerFaults:
                     if p.name.startswith("repro-serve")]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@contextlib.contextmanager
+def _cli(checkpoint, cache, log):
+    """``python -m repro.serve`` with two thread replicas on ``cache``,
+    in a child process; yields the URL it announces. Its JSON logs go
+    to ``log``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "repro.serve", "--checkpoint", checkpoint,
+            "--port", "0", "--batch-size", str(BATCH), "--replicas", "2",
+            "--max-latency-ms", "2", "--compile-cache", str(cache)]
+    with open(log, "w") as stderr, subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=stderr, text=True,
+            env=env) as proc:
+        try:
+            line = proc.stdout.readline()
+            url = re.search(r"http://[\d.]+:\d+", line)
+            assert url, f"no address in {line!r}: {Path(log).read_text()}"
+            yield url.group(0)
+        finally:
+            proc.terminate()
+
+
+class TestCLI:
+    """The deployment path across a process boundary: the checkpoint
+    alone is enough for the CLI to reproduce this process's eval-mode
+    forward bitwise, under concurrent clients, and a second boot on the
+    same compile-cache directory runs no compiler."""
+
+    def test_two_boots_on_one_cache(self, checkpoint, tmp_path):
+        items = _items(8, seed=9)
+        want = _serial_reference(items)
+        misses = []
+        for boot in (1, 2):
+            with _cli(checkpoint, tmp_path / "cache",
+                      tmp_path / f"boot{boot}.log") as base:
+
+                def client(i):
+                    rid = f"boot{boot}-{i}"
+                    resp, payload = _post(
+                        base + "/predict", {"inputs": [items[i].tolist()]},
+                        headers={"X-Request-ID": rid})
+                    assert resp.headers["X-Request-ID"] == rid
+                    assert payload["request_id"] == rid
+                    return payload["outputs"][0]
+
+                with ThreadPoolExecutor(len(items)) as pool:
+                    got = list(pool.map(client, range(len(items))))
+                np.testing.assert_array_equal(
+                    np.asarray(got, np.float32), want)
+                with urllib.request.urlopen(base + "/metrics",
+                                            timeout=10) as resp:
+                    families = parse_prometheus_text(resp.read().decode())
+            assert sample_value(families, "serve_requests_total",
+                                outcome="served") == len(items)
+            misses.append(sample_value(
+                families, "serve_compile_cache_misses_total"))
+        assert misses[0] >= 1 and misses[1] == 0, misses
+
+
 class TestOneFrontEnd:
     """Structure: the process transport is a worker loop, not a second
     server."""
 
-    ROOT = Path(__file__).resolve().parents[1]
-
     def test_worker_module_imports_no_front_end(self):
-        source = self.ROOT / "src" / "repro" / "serve" / "procserver.py"
+        source = ROOT / "src" / "repro" / "serve" / "procserver.py"
         imported = []
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.Import):
@@ -739,7 +804,7 @@ class TestOneFrontEnd:
 
     def test_pool_era_names_are_gone(self):
         files = [p for top in ("src", "docs", "examples")
-                 for p in sorted((self.ROOT / top).rglob("*"))
+                 for p in sorted((ROOT / top).rglob("*"))
                  if p.suffix in (".py", ".md")]
         assert len(files) > 50
         for path in files:

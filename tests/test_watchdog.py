@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.cache import compile_cached
 from repro.core import Net
 from repro.layers import (
     FullyConnectedLayer,
@@ -15,7 +16,7 @@ from repro.layers import (
     ReLULayer,
     SoftmaxLossLayer,
 )
-from repro.optim import CompilerOptions
+from repro.models import mlp_config
 from repro.solvers import (
     Dataset,
     LRPolicy,
@@ -37,8 +38,7 @@ from repro.utils.rng import seed_all
 BATCH = 4
 
 
-def _mlp(watchdog=None, options=None, tracer=None, seed=11,
-         num_threads=None):
+def _mlp(watchdog=None, tracer=None, seed=11, num_threads=None):
     seed_all(seed)
     net = Net(BATCH)
     d = MemoryDataLayer(net, "data", (12,))
@@ -47,7 +47,7 @@ def _mlp(watchdog=None, options=None, tracer=None, seed=11,
     relu = ReLULayer("relu1", net, fc1)
     FullyConnectedLayer("fc2", net, relu, 3)
     SoftmaxLossLayer("loss", net, net["fc2"], lbl)
-    return net.init(options, tracer=tracer, watchdog=watchdog,
+    return net.init(tracer=tracer, watchdog=watchdog,
                     num_threads=num_threads)
 
 
@@ -225,9 +225,11 @@ class TestWithThreadsAndTracer:
 
 
 class TestCompilerOption:
-    def test_check_numerics_attaches_watchdog(self):
-        cn = _mlp(options=CompilerOptions(check_numerics=3))
-        assert isinstance(cn.watchdog, NumericsWatchdog)
+    """Numerics checking is attached, not compiled: ``watchdog=`` is
+    its one spelling, and no ``CompilerOptions`` field names it."""
+
+    def test_watchdog_attaches_with_its_stride(self):
+        cn = _mlp(watchdog=NumericsWatchdog(every=3))
         assert cn.watchdog.every == 3
         cn.close()
 
@@ -236,23 +238,27 @@ class TestCompilerOption:
         assert cn.watchdog is None
         cn.close()
 
-    def test_check_numerics_catches_nan_end_to_end(self):
-        cn = _mlp(options=CompilerOptions(check_numerics=1))
+    def test_watchdog_catches_nan_end_to_end(self):
+        cn = _mlp(watchdog=NumericsWatchdog(every=1))
         x, y = _inputs()
         x[1, 3] = np.nan
         with pytest.raises(NumericsError, match="fc1"):
             cn.forward(data=x, label=y)
         cn.close()
 
-    def test_negative_check_numerics_rejected(self):
-        with pytest.raises(ValueError, match="check_numerics"):
-            CompilerOptions(check_numerics=-1)
-
-    def test_explicit_watchdog_wins_over_option(self):
-        wd = NumericsWatchdog(every=7)
-        cn = _mlp(options=CompilerOptions(check_numerics=1), watchdog=wd)
-        assert cn.watchdog is wd
-        cn.close()
+    def test_cold_and_warm_cached_compiles_attach_it(self, tmp_path):
+        # the watchdog is not in the cache key, so a thaw must attach
+        # it exactly as the cold compile does: a NaN raises either way
+        cfg = mlp_config(hidden=(8,), classes=3, input_dim=12)
+        x, y = _inputs(np.nan)
+        for hit in (False, True):
+            wd = NumericsWatchdog(every=1)
+            cn = compile_cached(cfg, BATCH, watchdog=wd, cache=tmp_path)
+            assert cn.compile_report.cache_hit is hit
+            assert cn.watchdog is wd
+            with pytest.raises(NumericsError):
+                cn.forward(data=x, label=y)
+            cn.close()
 
 
 class TestTrainingMonitor:
