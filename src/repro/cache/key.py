@@ -70,7 +70,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #:     ``Rematerialized`` record names the re-padded buffer
 #: v12: native kernels print parallel regions only when they run with
 #:     more than one thread; ``c_exec`` records that count (``omp``)
-FORMAT_VERSION = 12
+#: v13: with the parallel pass off a program runs on one thread — its
+#:     kernels print no parallel region and the entry records
+#:     ``num_threads`` 1
+FORMAT_VERSION = 13
 
 
 class CacheUnsupported(ValueError):

@@ -1,21 +1,16 @@
-"""C/OpenMP backend: paper-style rendering *and* native execution.
+"""C/OpenMP backend: the native program Latte synthesizes (Figs. 9-12).
 
-Two artifacts come out of this module:
-
-* :func:`render_items` — the C++/OpenMP *rendering* the paper presents
-  (Figures 9, 10, 12): the post-optimization schedule printed with
-  symbolic loop bounds and ``gemm(...)`` calls. Used for inspection,
-  golden tests, and documentation; never compiled.
-
-* the **executable native backend** (``CompilerOptions(backend="c")``):
-  every fused step is lowered to a C function (steps that are the same
-  kernel on different buffers share one), the program is compiled once
-  with the system toolchain (a few translation units through a pool of
-  ``cc`` processes → one shared object) and loaded via :mod:`ctypes`.
-  Buffers stay NumPy-owned — each step receives raw ``float*`` pointers
-  into the executor's buffer table, so checkpoints, the memory
-  planner's arena offsets, tracer spans, and ``rebind_buffer`` keep
-  working unchanged.
+:func:`emit_native_program` is the one C printer. With
+``CompilerOptions(backend="c")`` every fused step is lowered to a C
+function (steps that are the same kernel on different buffers share
+one), the program is compiled once with the system toolchain (a few
+translation units through a pool of ``cc`` processes → one shared
+object) and loaded via :mod:`ctypes`. Buffers stay NumPy-owned — each
+step receives raw ``float*`` pointers into the executor's buffer table,
+so checkpoints, the memory planner's arena offsets, tracer spans, and
+``rebind_buffer`` keep working unchanged. ``CompiledNet.c_source`` is
+this same text for any net: what a native program built, or, on the
+NumPy backend, what it would build, emitted when first read.
 
 The native lowering contract:
 
@@ -42,7 +37,8 @@ The native lowering contract:
   ``#pragma omp simd reduction`` on the innermost contraction loop;
 * the kernels' thread count is decided once, at emit time
   (:func:`omp_threads_for`: 1 whenever the executor shards batches
-  across threads itself, or runs on one thread) and recorded as
+  across threads itself, runs on one thread, or the parallel pass is
+  off) and recorded as
   ``CompiledProgram.c_omp``, which the binder passes as ``_omp``. Only
   above 1 do batch-disjoint outer loops carry ``#pragma omp parallel
   for``: a region ``_omp`` never opens is an outlined function ``cc``
@@ -76,11 +72,9 @@ from repro.ir import (
     Assign,
     BinOp,
     Call,
-    CommCall,
     Compare,
     Const,
     ExternOp,
-    For,
     Gemm,
     Index,
     SliceExpr,
@@ -89,44 +83,8 @@ from repro.ir import (
     free_vars,
     write_target_vars,
 )
-from repro.ir.printer import to_c
 from repro.synthesis.lower import BATCH_VAR
-from repro.synthesis.units import FusedGroup, LoopUnit, unit_to_for_tree
-
-
-def render_items(items, title: str = "") -> str:
-    """Render a schedule (list of FusedGroup/CommCall) as C-like source."""
-    out: List[str] = []
-    if title:
-        out.append(f"// === {title} ===")
-    for item in items:
-        if isinstance(item, CommCall):
-            out.append(to_c(item))
-            continue
-        assert isinstance(item, FusedGroup)
-        out.append(f"// {item.label}")
-        units = item.units
-        if item.contracted:
-            from repro.codegen.python_backend import _contract_unit
-
-            units = [_contract_unit(u, set(item.contracted), item.tile_loop)
-                     for u in units]
-        trees = [unit_to_for_tree(u) for u in units]
-        if item.tile_loop is not None:
-            sp = item.tile_loop
-            tree = For(
-                sp.var,
-                sp.start,
-                sp.stop,
-                trees,
-                parallel=sp.parallel,
-                collapse=sp.collapse,
-                schedule=sp.schedule,
-            )
-            out.append(to_c(tree))
-        else:
-            out.extend(to_c(t) for t in trees)
-    return "\n".join(out) + "\n"
+from repro.synthesis.units import FusedGroup, LoopUnit
 
 
 # ---------------------------------------------------------------------------
@@ -1477,7 +1435,9 @@ def omp_threads_for(compiled, batch: int, num_threads: int) -> int:
     """In-kernel OpenMP thread count: ``num_threads`` when the executor
     runs steps whole, 1 when it splits batches into thread shards itself
     (mirrors the executor's ``num_shards`` rule; avoids oversubscription
-    and keeps sharded runs comparable with the Python backend)."""
+    and keeps sharded runs comparable with the Python backend). With
+    ``CompilerOptions.parallel`` off, ``compile_net`` resolves
+    ``num_threads`` to 1, so the kernels run serially too."""
     shardable = any(
         s.shardable for s in compiled.forward + compiled.backward
     )

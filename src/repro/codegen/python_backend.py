@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,11 +94,11 @@ class CompiledProgram:
     backward: List[Step]
     source: str
     closures: Dict[str, Callable]
-    #: paper-style C++/OpenMP *rendering* of the schedule
-    #: (repro.codegen.c_backend.render_items) — inspection only, never
-    #: compiled; None on a cache thaw, which rebuilds steps but no
-    #: schedule to render
-    c_source: Optional[str] = None
+    #: the ``(forward, backward)`` schedule items the steps were
+    #: generated from — what ``CompiledNet.c_source`` emits the native
+    #: program from on the NumPy backend; None on a cache thaw, which
+    #: rebuilds steps but no schedule
+    schedule: Optional[Tuple[list, list]] = None
     #: executable C program (backend='c'): the source actually compiled
     #: to a shared object, per-native-step buffer-argument order, for
     #: each step that shares an earlier twin's kernel the name of that
@@ -315,8 +315,8 @@ def _shard_unit(unit: LoopUnit) -> LoopUnit:
     pattern matcher consumed from the batch loop become partial slices
     (the same re-splitting mechanism the tiling pass uses); a
     batch-tiled unit runs the tiles that meet the shard, each clipped to
-    it. Originals are left untouched so the C rendering still shows
-    full-batch loops.
+    it. Originals are left untouched: the native C emitter reads the
+    same schedule.
     """
     loops = []
     for sp in unit.loops:
@@ -510,4 +510,5 @@ def compile_items(
         for step in steps[tag]:
             if step.kind == "task":
                 step.fn = namespace[step.name]
-    return CompiledProgram(steps["f"], steps["b"], source, closures)
+    return CompiledProgram(steps["f"], steps["b"], source, closures,
+                           schedule=(fwd_items, bwd_items))

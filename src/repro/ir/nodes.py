@@ -6,8 +6,8 @@ we define a small, explicit loop-and-expression IR. Neuron ``forward`` /
 :mod:`repro.analysis.frontend`; synthesis (:mod:`repro.synthesis`) wraps
 them in loop nests; the optimization passes (:mod:`repro.optim`) rewrite
 the nests; and the code generators (:mod:`repro.codegen`) lower them to
-executable NumPy source or to the C++/OpenMP rendering shown in the
-paper's Figures 9-12.
+executable NumPy source or to the native C program whose shape the
+paper shows in Figures 9-12.
 
 Conventions
 -----------
@@ -156,21 +156,13 @@ class Assign(Stmt):
 
 @dataclass
 class For(Stmt):
-    """A counted loop ``for var in range(start, stop, step)``.
-
-    ``parallel`` marks the loop for the parallelization pass (rendered as
-    an OpenMP pragma by the C backend, Fig. 12); ``collapse`` counts how
-    many immediately-nested loops are collapsed with it.
-    """
+    """A counted loop ``for var in range(start, stop, step)``."""
 
     var: str
     start: Expr
     stop: Expr
     body: list
     step: Expr = field(default_factory=lambda: Const(1))
-    parallel: bool = False
-    collapse: int = 0
-    schedule: Optional[str] = None
 
     def extent(self) -> Optional[int]:
         """Constant trip count if statically known, else ``None``."""
@@ -194,9 +186,8 @@ class Gemm(Stmt):
     pattern-match time. The Python backend lowers this to
     ``np.matmul`` on views of the operands (BLAS-backed, standing in
     for MKL's ``sgemm``; ``np.tensordot``/``np.einsum`` for what a
-    batched product cannot express); the C backend prints the paper's
-    simplified ``gemm(tA, tB, m, n, k, A, B, C)`` call and runs one
-    sgemm on the operands in place.
+    batched product cannot express); the C backend runs one sgemm
+    (``_latte_gemm_rm``) on the operands in place.
     """
 
     a: Index
@@ -206,7 +197,7 @@ class Gemm(Stmt):
     accumulate: bool = True
     #: human-readable comment for emitted code, e.g. the matched layer
     note: str = ""
-    #: (m, n, k) expression strings for the C rendering
+    #: (m, n, k) expression strings (FLOP accounting)
     mnk: Tuple[str, str, str] = ("m", "n", "k")
     #: loop variable -> [(ref, axis)] with ref in 'a'|'b'|'c' — records
     #: which full-slice axes each consumed loop variable became, so the
@@ -214,13 +205,6 @@ class Gemm(Stmt):
     var_axes: dict = field(default_factory=dict)
     #: loop variable -> consumed LoopSpec (extents for M/N/K bookkeeping)
     var_loops: dict = field(default_factory=dict)
-
-
-@dataclass
-class FusionBarrier(Stmt):
-    """Prevents cross-layer fusion across this point (§5.5) — inserted
-    around NormalizationEnsembles and other unfuseable constructs.
-    Removed before final lowering."""
 
 
 @dataclass
@@ -361,9 +345,6 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
             fn(stmt.stop),
             [transform_exprs(s, fn) for s in stmt.body],
             step=fn(stmt.step),
-            parallel=stmt.parallel,
-            collapse=stmt.collapse,
-            schedule=stmt.schedule,
         )
     if isinstance(stmt, Gemm):
         # var_axes/var_loops key on matched loop-variable names, which no
@@ -382,7 +363,7 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
         )
     if isinstance(stmt, Block):
         return Block([transform_exprs(s, fn) for s in stmt.stmts], stmt.label)
-    if isinstance(stmt, (FusionBarrier, CommCall, ExternOp)):
+    if isinstance(stmt, (CommCall, ExternOp)):
         return stmt
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")
 

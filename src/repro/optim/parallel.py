@@ -1,19 +1,16 @@
-"""Parallelization (§5.4.3): loop annotation + batch-shard marking.
+"""Parallelization (§5.4.3): batch-shard marking.
 
-The computation of an ensemble is data-parallel across batch items, and
-inside a batch iteration each loop tile is data-parallel too; Latte
-parallelizes the batch loop and, when present, the tile loop via loop
-collapsing, with a compact static interleaved schedule::
-
-    #pragma omp for collapse(2) schedule(static, 1)
-
-This pass attaches those annotations to the outermost loops of every
-schedule item. The C backend renders them verbatim. The Python backend
-realizes them through the executor's thread pool: when compiled with
-``num_threads > 1`` this pass additionally *marks* each shardable group
-with a :class:`~repro.synthesis.units.ShardInfo`, and the executor splits
-the corresponding step into contiguous batch shards run concurrently
-(NumPy's BLAS/ufunc kernels release the GIL).
+The computation of an ensemble is data-parallel across batch items.
+Where the paper parallelizes the batch (and tile) loop with
+``#pragma omp for collapse(2) schedule(static, 1)``, this compiler
+splits the batch across threads in the executor: when compiled with
+``num_threads > 1`` this pass *marks* each shardable group with a
+:class:`~repro.synthesis.units.ShardInfo`, and the executor splits the
+corresponding step into contiguous batch shards run concurrently
+(NumPy's BLAS/ufunc kernels release the GIL; native kernels run their
+shard's rows). Where it marks nothing (batch 1), the C backend's
+kernels thread inside instead
+(:func:`repro.codegen.c_backend.omp_threads_for`).
 
 Sharding is sound only under the paper's shared-variable treatment: a
 statement whose writes land at its own batch row touches disjoint memory
@@ -33,7 +30,6 @@ from typing import Optional
 
 from repro.ir import (
     Assign,
-    CommCall,
     Gemm,
     Index,
     free_vars,
@@ -43,35 +39,14 @@ from repro.ir import (
 from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, ShardInfo
 
-SCHEDULE = "static, 1"
 
-
-def run(items, plan=None, num_threads: int = 1) -> None:
-    """Annotate outer batch/tile loops with the parallel schedule.
-
-    With ``num_threads > 1`` and a buffer ``plan``, additionally mark
-    batch-shardable groups (see module docstring) for the executor.
-    """
-    shard = (
-        plan is not None and num_threads > 1 and plan.batch_size > 1
-    )
+def run(items, plan, num_threads: int = 1) -> None:
+    """Mark the batch-shardable groups of a schedule (see module
+    docstring) for an executor running ``num_threads`` threads."""
+    if num_threads <= 1 or plan.batch_size <= 1:
+        return
     for item in items:
-        if isinstance(item, CommCall):
-            continue
-        assert isinstance(item, FusedGroup)
-        if item.tile_loop is not None:
-            item.tile_loop.parallel = True
-            # collapse needs one perfect nest under the tile loop
-            item.tile_loop.collapse = 2 if len(item.units) == 1 else 0
-            item.tile_loop.schedule = SCHEDULE
-        else:
-            for unit in item.units:
-                if unit.loops and unit.loops[0].role == "batch":
-                    sp = unit.loops[0]
-                    sp.parallel = True
-                    sp.collapse = 2 if len(unit.loops) > 1 else 0
-                    sp.schedule = SCHEDULE
-        if shard:
+        if isinstance(item, FusedGroup):
             item.shard = _mark_group(item, plan)
 
 

@@ -7,9 +7,9 @@ code generation (§5). This module wires them together:
 2. synthesis of loop units (`repro.synthesis.lower`)
 3. optimization passes, each gated by a :class:`CompilerOptions` flag:
    copy inlining, GEMM pattern matching, tiling, cross-layer fusion,
-   parallel annotation
-4. code generation (`repro.codegen.python_backend`, with a C rendering
-   from `repro.codegen.c_backend`)
+   parallel shard marking
+4. code generation (`repro.codegen.python_backend`; with
+   ``backend='c'`` the native program from `repro.codegen.c_backend`)
 
 ``OPT_LEVELS`` defines the ablation ladder used by the Fig. 13
 microbenchmark: O0 scalar oracle → O1 vectorized → O2 +GEMM →
@@ -36,7 +36,6 @@ from repro.trace.compile_report import (
     count_gemms,
     count_inlined,
     count_kind,
-    count_parallel,
     count_schedule,
     count_tiled,
     count_units,
@@ -187,7 +186,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     num_threads:
         Executor thread count for batch-sharded parallel execution of
         steps the parallel pass marks shardable (requires
-        ``options.parallel``, i.e. O3+). Defaults to the
+        ``options.parallel``, i.e. O3+; with it off the program runs
+        on one thread, native kernels included). Defaults to the
         ``REPRO_NUM_THREADS`` environment variable, else 1; at 1 the
         compiled program and its execution are identical to the serial
         compiler. See DESIGN.md "Parallel execution".
@@ -223,7 +223,9 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     if inference and keep_alive is None:
         keep_alive = ()
     tracer = tracer if tracer is not None else NULL_TRACER
-    num_threads = resolve_num_threads(num_threads)
+    # the parallel pass owns threading: with it off the program runs on
+    # one thread, native kernels included
+    num_threads = resolve_num_threads(num_threads) if options.parallel else 1
     report = CompileReport()
     t_compile = time.perf_counter()
 
@@ -368,9 +370,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         options.parallel,
         lambda: (parallel.run(fwd_items, plan, num_threads),
                  parallel.run(bwd_items, plan, num_threads)),
-        lambda: {"loops_annotated": count_parallel(fwd_items)
-                 + count_parallel(bwd_items),
-                 "steps_sharded": parallel.count_sharded(fwd_items)
+        lambda: {"steps_sharded": parallel.count_sharded(fwd_items)
                  + parallel.count_sharded(bwd_items)},
         before=lambda: counts["steps"],
         after=lambda: counts["steps"],
@@ -445,9 +445,6 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         compiled = python_backend.compile_items(
             fwd_items, bwd_items, program.closures, options.vectorize, plan
         )
-        compiled.c_source = c_backend.render_items(
-            fwd_items, "forward"
-        ) + c_backend.render_items(bwd_items, "backward")
     if options.backend == "c":
         # lower lowerable steps to C, build one shared object, and swap
         # the native kernels in (extern steps keep their Python fns)

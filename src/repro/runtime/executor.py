@@ -29,7 +29,8 @@ follows each task step with its check; assigning either re-binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -523,16 +524,30 @@ class CompiledNet:
         """Generated Python source of the compiled program."""
         return self.compiled.source
 
-    @property
+    @cached_property
     def c_source(self) -> str:
-        """C++/OpenMP rendering of the optimized schedule (Figs. 9-12)."""
-        if self.compiled.c_source is None:
+        """The native program (the C of Figs. 9-12): exactly the text
+        ``backend='c'`` compiles. A native program returns what it
+        built; on the NumPy backend the same text is emitted from the
+        compiled schedule when first read, with no toolchain."""
+        compiled = self.compiled
+        if self.options.backend == "c":
+            return compiled.c_exec_source
+        if compiled.schedule is None:
             raise RuntimeError(
-                "c_source is rendered from the compiler's schedule, which "
+                "c_source is emitted from the compiler's schedule, which "
                 "a compile-cache thaw does not rebuild; compile this net "
-                "cold (compile_net) to read its listing"
+                "cold (compile_net) to read its native program"
             )
-        return self.compiled.c_source
+        # reduced precision: raises the C kernels' float32-only reason
+        replace(self.options, backend="c")
+        from repro.codegen import c_backend
+
+        omp = c_backend.omp_threads_for(compiled, self.batch_size,
+                                        self.num_threads)
+        return c_backend.emit_native_program(
+            compiled, *compiled.schedule, self.plan, self.net.time_steps,
+            omp)[0]
 
     def parameters(self) -> List[ParamView]:
         """Views of every trainable parameter: ``(name, ensemble, value,

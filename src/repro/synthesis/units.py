@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ir import Assign, Const, Expr, For, Gemm, Stmt, Var
+from repro.ir import Assign, Const, Expr, Gemm, Stmt, Var
 
 
 @dataclass
@@ -38,9 +38,6 @@ class LoopSpec:
     role: str = "dim"
     #: ensemble dimension index for role='dim' loops
     dim_index: Optional[int] = None
-    parallel: bool = False
-    schedule: Optional[str] = None
-    collapse: int = 0
 
     @classmethod
     def simple(cls, var: str, extent: int, role: str = "dim", dim_index=None):
@@ -149,19 +146,3 @@ class Section:
     direction: str
     units: List[LoopUnit] = field(default_factory=list)
     comm: List = field(default_factory=list)  # CommCall statements
-
-
-def unit_to_for_tree(unit: LoopUnit) -> Stmt:
-    """Render a unit back into a plain For tree (for printing/O0)."""
-    stmt: Stmt = unit.stmt
-    for sp in reversed(unit.loops):
-        stmt = For(
-            sp.var,
-            sp.start,
-            sp.stop,
-            [stmt],
-            parallel=sp.parallel,
-            schedule=sp.schedule,
-            collapse=sp.collapse,
-        )
-    return stmt

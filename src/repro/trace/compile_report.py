@@ -4,7 +4,8 @@
 what it did: wall time, loop-unit counts before/after, and pass-specific
 rewrite counters ("matched 6 GEMMs", "fused 3 tile groups"). The result
 is attached to the compiled network as ``CompiledNet.compile_report`` so
-the rewrites that produced ``c_source`` are inspectable next to it —
+the rewrites that produced the program (``source``, and the native
+program ``c_source``) are inspectable next to it —
 the attribution DeepDSL/LazyTensor argue compiler-based DL stacks need.
 
 Counting helpers here operate on the middle-end's ``Section``/unit lists
@@ -147,17 +148,3 @@ def count_schedule(items) -> Dict[str, int]:
             fused_units += len(item.units)
     return {"steps": steps, "fused_groups": fused,
             "fused_units": fused_units}
-
-
-def count_parallel(items) -> int:
-    n = 0
-    for item in items:
-        if isinstance(item, CommCall):
-            continue
-        if item.tile_loop is not None and item.tile_loop.parallel:
-            n += 1
-            continue
-        for unit in item.units:
-            if unit.loops and unit.loops[0].parallel:
-                n += 1
-    return n

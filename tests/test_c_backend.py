@@ -1,29 +1,30 @@
-"""Tests for the C/OpenMP backend: rendering and native execution.
+"""Tests for the C/OpenMP backend: the native program and its execution.
 
-``repro.codegen.c_backend`` serves two roles. ``render_items`` renders
-the post-optimization schedule in the paper's presentation form
-(Figures 9, 10, 12) — never executed, so ``TestCSource`` pins its
-*shape*: a compilable-looking OpenMP loop nest with the expected
-pragmas, GEMM calls, and padding/copy structure. ``attach_native``
-(reached via ``CompilerOptions(backend="c")``) actually compiles the
-fused steps with the system toolchain and executes them through ctypes;
-the execution classes pin that path against the NumPy backend and the
-O0 interpreter over a small model zoo (conv/pool/fc/norm/concat/LSTM),
-check that every non-extern step of the Fig 14 training programs lowers
-to C, finite-difference-check a C-compiled net, and verify OpenMP thread
-equivalence plus bitwise run-to-run determinism. ``TestBuild`` pins the
-build itself: twin steps share kernels, the ``.so`` does not depend on
-the worker count, failed and hung compiler processes leave a structured
-error and a clean build directory, racing builders converge, the sgemm
-hook is defined once across translation units, no kernel ever
-allocates (every GEMM runs on its operands where they lie), parallel
-regions are printed only where the kernels run with more than one
-thread and change no bit where they do not, the build recipe changes
-build time but not one bit of a training step, and the CPU
-``-march=native`` resolves to keys both the build directory and the
-compile cache. Without a working C compiler the execution tests skip
-with the probe's reason and the ``backend="c"`` knob raises
-``CBackendUnavailable``.
+``repro.codegen.c_backend.emit_native_program`` is the one C printer.
+``TestCSource`` pins what it prints — ``CompiledNet.c_source``, which on
+the NumPy backend is emitted from the compiled schedule when first read
+and is byte-equal to what ``backend="c"`` builds — by the landmarks of
+the paper's Figures 9-12: one kernel per fused group, sgemm calls where
+the pattern matcher found GEMMs, a well-formed loop nest.
+``attach_native`` (reached via ``CompilerOptions(backend="c")``)
+actually compiles the fused steps with the system toolchain and
+executes them through ctypes; the execution classes pin that path
+against the NumPy backend and the O0 interpreter over a small model zoo
+(conv/pool/fc/norm/concat/LSTM), check that every non-extern step of
+the Fig 14 training programs lowers to C, finite-difference-check a
+C-compiled net, and verify OpenMP thread equivalence plus bitwise
+run-to-run determinism. ``TestBuild`` pins the build itself: twin steps
+share kernels, the ``.so`` does not depend on the worker count, failed
+and hung compiler processes leave a structured error and a clean build
+directory, racing builders converge, the sgemm hook is defined once
+across translation units, no kernel ever allocates (every GEMM runs on
+its operands where they lie), parallel regions are printed only where
+the kernels run with more than one thread and change no bit where they
+do not, the build recipe changes build time but not one bit of a
+training step, and the CPU ``-march=native`` resolves to keys both the
+build directory and the compile cache. Without a working C compiler the
+execution tests skip with the probe's reason and the ``backend="c"``
+knob raises ``CBackendUnavailable``.
 """
 
 import dataclasses
@@ -77,46 +78,79 @@ def _conv_net(level=4):
         return net.init(CompilerOptions.level(level))
 
 
+needs_toolchain = pytest.mark.skipif(
+    not have_c_toolchain(),
+    reason=f"no usable C toolchain: {c_backend.toolchain_error()}",
+)
+
+#: the conv net's Fig 12 group: pad, im2col, GEMM, bias, ReLU and
+#: pooling of one batch tile, one step
+FUSED = ("conv.pad_fill+conv.pad+conv.copy+conv.compute+conv.compute+"
+         "relu.compute+pool.compute+pool.compute")
+
+
+def _kernels(src):
+    """The kernel half of a native program, after its runtime section."""
+    return src[src.index(c_backend._KERNEL_MARK):]
+
+
+def _kernel(src, label):
+    """The first kernel a native program prints under ``label``."""
+    at = src.index(f"{c_backend._KERNEL_MARK}/* {label} */\nvoid ")
+    return src[at:src.index("\n}\n", at)]
+
+
 class TestCSource:
+    """``c_source`` is the native program: on the NumPy backend the
+    text ``backend='c'`` would build, emitted from the compiled
+    schedule when first read."""
+
     def test_sections_and_pragmas(self):
         src = _conv_net().c_source
-        assert "// === forward ===" in src
-        assert "// === backward ===" in src
-        # the parallel pass annotates batch loops with OpenMP pragmas
-        assert "#pragma omp for" in src
-        assert "collapse(" in src and "schedule(static" in src
+        kernels = _kernels(src)
+        # one marked section per distinct kernel, each a void function
+        assert kernels.count(c_backend._KERNEL_MARK) == len(
+            re.findall(r"^void _step_[fb]\d+\(", kernels, re.M))
+        # one thread: no kernel opens a parallel region
+        assert "#pragma omp parallel" not in kernels
 
     def test_conv_lowering_structure(self):
         src = _conv_net().c_source
-        # padding stage, im2col copy, then the pattern-matched GEMM, all
-        # under one tile loop
-        assert "// conv.pad_fill+conv.pad+conv.copy+conv.compute+" in src
-        assert re.search(r"gemm\('T', 'N', \d+, \d+, \d+, conv_weights, "
-                         r"conv_inputs0, conv_value\)", src)
-        # FC layer also pattern-matches to a GEMM
-        assert "fc_value" in src and src.count("gemm(") >= 2
+        # padding, im2col copy, then the GEMM on the operands in place,
+        # all under one tile loop
+        fused = _kernel(src, FUSED)
+        assert "for (long long _n_t = " in fused
+        assert re.search(r"_latte_gemm_rm\([^;]*\(conv_weights \+[^;]*"
+                         r"\(conv_inputs0 \+[^;]*\(conv_value \+", fused)
+        # the FC layer also pattern-matches to a GEMM
+        assert "_latte_gemm_rm(" in _kernel(src, "fc.compute")
 
     def test_loop_nest_is_well_formed(self):
-        src = _conv_net().c_source
-        assert src.count("{") == src.count("}")
-        # every for loop declares its own int induction variable
-        fors = re.findall(r"for \(int (\w+) = ", src)
-        assert fors and all(v.isidentifier() for v in fors)
-        # pragmas sit directly on a for loop
-        for m in re.finditer(r"#pragma omp[^\n]*\n(\s*)(\S+)", src):
-            assert m.group(2).startswith("for"), m.group(0)
+        spec = dataclasses.replace(ZOO["conv_pool_fc"], batch=1)
+        seed_all(spec.seed)
+        threaded = compile_net(build_net(spec), num_threads=2).c_source
+        for src in (_conv_net().c_source, threaded):
+            kernels = _kernels(src)
+            assert kernels.count("{") == kernels.count("}")
+            # every for loop declares its own induction variable
+            fors = re.findall(r"for \(long long (\w+) = ", kernels)
+            assert fors and all(v.isidentifier() for v in fors)
+            # pragmas sit directly on a for loop
+            for m in re.finditer(r"#pragma omp[^\n]*\n(\s*)(\S+)", kernels):
+                assert m.group(2).startswith("for"), m.group(0)
+        # batch 1 on two threads: the kernels thread themselves
+        assert "#pragma omp parallel for" in _kernels(threaded)
 
     def test_deterministic_across_rebuilds(self):
         assert _conv_net().c_source == _conv_net().c_source
 
     def test_levels_change_rendering(self):
-        # O1 has no GEMM pattern-match and no parallel pragmas; O4 does —
-        # the rendering reflects the schedule actually executed
-        o1 = _conv_net(level=1).c_source
-        o4 = _conv_net(level=4).c_source
-        assert "gemm(" not in o1
-        assert "#pragma omp for" not in o1
-        assert o1 != o4
+        # O1 has no GEMM pattern-match, O4 calls sgemm — the listing is
+        # the program each level runs
+        o1 = _kernels(_conv_net(level=1).c_source)
+        o4 = _kernels(_conv_net(level=4).c_source)
+        assert "_latte_gemm_rm(" not in o1
+        assert "_latte_gemm_rm(" in o4
 
     def test_rendering_does_not_perturb_execution(self):
         x = np.random.default_rng(3).standard_normal(
@@ -128,15 +162,53 @@ class TestCSource:
         assert listing and cn.forward(data=x, label=y) == loss
         assert cn.c_source == listing
 
+    def test_emitted_only_when_read(self, monkeypatch):
+        """A NumPy compile never calls the C printer; reading
+        ``c_source`` is what does."""
+        def printer(*a, **k):
+            raise AssertionError("C printer called")
+
+        monkeypatch.setattr(c_backend, "emit_native_program", printer)
+        cn = _conv_net()
+        cn.forward(data=np.zeros((4, 3, 8, 8), np.float32),
+                   label=np.zeros((4, 1), np.float32))
+        with pytest.raises(AssertionError, match="C printer called"):
+            cn.c_source
+
+    def test_reads_without_a_toolchain(self, monkeypatch):
+        monkeypatch.setattr(c_backend, "have_c_toolchain", lambda: False)
+        src = _conv_net().c_source
+        assert _kernel(src, FUSED).count("_latte_gemm_rm(") == 1
+
+    def test_reduced_precision_has_no_native_program(self):
+        cn = _conv_net().net.init(CompilerOptions.inference(
+            precision="fp16"))
+        with pytest.raises(ValueError, match="float32-only"):
+            cn.c_source
+
+    @needs_toolchain
+    @pytest.mark.parametrize("mode", ["train", "inference"])
+    @pytest.mark.parametrize("name", ["alexnet", "overfeat", "vgg",
+                                      "lenet", "mlp6x16"])
+    def test_listing_is_the_built_program(self, name, mode):
+        """Byte equality: a NumPy net's ``c_source`` is the source
+        ``backend='c'`` compiles for the same net, at one and at two
+        threads."""
+        for threads in (1, 2):
+            opts = dataclasses.replace(CompilerOptions(), mode=mode)
+            numpy = compile_net(ledger_net(name), opts, num_threads=threads)
+            native = compile_net(
+                ledger_net(name), dataclasses.replace(opts, backend="c"),
+                num_threads=threads)
+            assert numpy.c_source == native.compiled.c_exec_source
+            assert native.c_source is native.compiled.c_exec_source
+            native.close()
+
 
 # ---------------------------------------------------------------------------
 # Native execution (backend="c")
 # ---------------------------------------------------------------------------
 
-needs_toolchain = pytest.mark.skipif(
-    not have_c_toolchain(),
-    reason=f"no usable C toolchain: {c_backend.toolchain_error()}",
-)
 
 TOL = TOLERANCES["float32"]
 

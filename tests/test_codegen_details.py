@@ -1,9 +1,12 @@
 """Tests for code-generation details: GEMM lowering, the emitted module
-surface, and the C backend's paper fidelity."""
+surface, and the native program's paper fidelity."""
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.codegen import c_backend
 from repro.codegen.python_backend import _gemm_rhs
 from repro.core import Net
 from repro.layers import (
@@ -93,39 +96,39 @@ class TestEmittedModule:
         assert "_np.tensordot" not in cn.source
 
 
+def _kernels(src):
+    """The kernel half of a native program, after its runtime section."""
+    return src[src.index(c_backend._KERNEL_MARK):]
+
+
 class TestCBackendGolden:
-    """The C rendering reproduces the structural landmarks of the
+    """The native program reproduces the structural landmarks of the
     paper's Figures 9-12."""
 
     def test_fig12_landmarks(self):
         cn = _cnn()
-        c = cn.c_source
-        # Fig. 12 line 1: the parallel pragma with compact static schedule
-        assert "#pragma omp for collapse(2) schedule(static, 1)" in c
-        # Fig. 10/12: the simplified gemm interface
-        assert "gemm('T', 'N'," in c
+        kernels = _kernels(cn.c_source)
+        # Fig. 12: conv, ReLU and pooling of one batch tile are one kernel
+        assert re.search(
+            r"/\* conv1\.pad_fill\+conv1\.pad\+conv1\.copy\+conv1\.compute"
+            r"\+conv1\.compute\+relu1\.compute\+pool1\.compute\+"
+            r"pool1\.compute \*/\nvoid _step_f\d+\(", kernels)
+        # Fig. 10/12: the pattern-matched GEMMs call sgemm in place
+        assert kernels.count("_latte_gemm_rm(") >= 2
         # Fig. 12 line 14: pooling reads the producer directly (fused);
         # no poolinput buffer appears anywhere
-        assert "pool1_inputs0" not in c
-        assert "fmaxf" in c
-        # §5.3/§6: async reduction calls after backward sections
-        assert c.count("latte_iallreduce") == 2  # conv1 + fc1
-
-    def test_collapse_only_over_a_perfect_nest(self):
-        """A fused tile loop holds several nests; ``collapse(2)`` over
-        it is not OpenMP (parent: printed anyway). A solo nest keeps
-        it."""
-        c = _cnn().c_source
-        fused = c[c.index("// conv1.pad_fill+conv1.pad+conv1.copy"):]
-        pragma, loop = fused.splitlines()[1:3]
-        assert pragma == "#pragma omp for schedule(static, 1)"
-        assert loop == "for (int _n_t = 0; _n_t < 2; _n_t++) {"
-        solo = c[c.index("// relu1.compute"):].splitlines()[1:3]
-        assert solo[0] == "#pragma omp for collapse(2) schedule(static, 1)"
-        assert solo[1].startswith("for (int _n = 0;")
+        assert "pool1_inputs0" not in cn.c_source
+        # §5.3/§6: async reductions follow the backward sections
+        comms = [s.comm.ensemble for s in cn.compiled.backward
+                 if s.kind == "comm"]
+        assert comms == ["fc1", "conv1"]
 
     def test_unfused_c_shows_fig9_shape(self):
         cn = _cnn(CompilerOptions.level(2))
         c = cn.c_source
         # Fig. 9: the pooling data-copy into the materialized buffer
         assert "pool1_inputs0" in c
+        # Fig. 10: O2 pattern-matches GEMMs; O1 does not
+        assert "_latte_gemm_rm(" in _kernels(c)
+        o1 = _kernels(_cnn(CompilerOptions.level(1)).c_source)
+        assert "_latte_gemm_rm(" not in o1

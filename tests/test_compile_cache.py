@@ -7,6 +7,7 @@ cold compiles; concurrent writers leave a valid entry; eviction is
 size-bounded LRU).
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -42,6 +43,7 @@ from repro.models.configs import (
     ModelConfig,
     ReLUSpec,
     SoftmaxLossSpec,
+    lenet_config,
     mlp_config,
 )
 from repro.optim import CompilerOptions, compile_net
@@ -286,15 +288,26 @@ class TestRoundTrip:
         cold = compile_cached(MLP, 4, cache=store)
         warm = compile_cached(MLP, 4, cache=store)
         assert warm.compile_report.cache_hit
-        # a cold compile renders its schedule...
-        assert "=== forward ===" in cold.c_source
+        # a cold NumPy compile emits its native program from the
+        # schedule...
+        assert "void _step_f0(" in cold.c_source
         # ...an entry stores neither, and a thaw rebuilds steps only
         key, = (e.key for e in store.entries())
         meta, _ = store.get(key)
-        assert "c_source" not in meta
+        assert "c_source" not in meta and meta["c_exec"] is None
         assert all("dtype" not in b for b in meta["buffers"])
         with pytest.raises(RuntimeError, match="thaw does not rebuild"):
             warm.c_source
+        if not have_c_toolchain():
+            return
+        # a native entry stores the program it built; its thaw serves it
+        opts = CompilerOptions(backend="c")
+        cold = compile_cached(MLP, 4, options=opts, cache=store)
+        warm = compile_cached(MLP, 4, options=opts, cache=store)
+        assert warm.compile_report.cache_hit
+        assert warm.c_source == cold.c_source == cold.compiled.c_exec_source
+        cold.close()
+        warm.close()
 
     @pytest.mark.parametrize("with_norm", [False, True],
                              ids=["gather", "gather+norm+loss"])
@@ -455,7 +468,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 12
+        assert meta["version"] == FORMAT_VERSION == 13
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
@@ -696,6 +709,29 @@ class TestNativeSharedObject:
         assert not again.compile_report.cache_hit
         assert again.compiled.c_omp == 2
         again.close()
+
+    @needs_toolchain
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_parallel_off_keeps_the_kernels_serial(self, tmp_path, level):
+        """With the parallel pass off (O1/O2) nothing is sharded, and the
+        kernels do not thread either — as the NumPy steps run: no
+        parallel region on two threads, cold and warm."""
+        cfg = lenet_config().scaled(channel_scale=0.5, input_size=28)
+        opts = dataclasses.replace(CompilerOptions.level(level),
+                                   backend="c")
+        store = CompileCache(tmp_path / "cache")
+        for warm in (False, True):
+            seed_all(3)
+            cnet = compile_cached(cfg, 8, options=opts, num_threads=2,
+                                  cache=store)
+            assert cnet.compile_report.cache_hit == warm
+            assert cnet.num_threads == cnet.compiled.c_omp == 1
+            assert cnet.compile_report["codegen-c"].rewrites[
+                "parallel_regions"] == 0
+            src = cnet.compiled.c_exec_source
+            kernels = src[src.index("/*@latte:kernel*/"):]
+            assert "#pragma omp parallel for" not in kernels
+            cnet.close()
 
     @needs_toolchain
     def test_warm_boot_never_invokes_the_compiler(self, tmp_path,

@@ -7,11 +7,9 @@ from repro.ir import (
     BinOp,
     Block,
     Call,
-    CommCall,
     Const,
     ExternOp,
     For,
-    FusionBarrier,
     Index,
     Var,
     add,
@@ -26,7 +24,6 @@ from repro.ir import (
     sub,
     substitute,
     substitute_stmt,
-    to_c,
     to_pseudo,
     walk_exprs,
     write_target_vars,
@@ -155,32 +152,6 @@ class TestPrinters:
     def test_pseudo_reduce(self):
         a = Assign(Index("v", (Var("n"),)), Const(1.0), reduce="max")
         assert "max=" in to_pseudo(a)
-
-    def test_c_for_loop(self):
-        loop = For("i", Const(0), Const(8),
-                   [Assign(Index("v", (Var("i"),)), Const(0.0))])
-        c = to_c(loop)
-        assert "for (int i = 0; i < 8; i++) {" in c
-        assert "v[i] = 0.0;" in c
-
-    def test_c_parallel_pragma(self):
-        loop = For("i", Const(0), Const(8), [], parallel=True, collapse=2,
-                   schedule="static, 1")
-        c = to_c(loop)
-        assert "#pragma omp for collapse(2) schedule(static, 1)" in c
-
-    def test_c_max_reduce_uses_fmaxf(self):
-        a = Assign(Index("v", (Var("i"),)), Index("x", (Var("i"),)),
-                   reduce="max")
-        assert "fmaxf" in to_c(a)
-
-    def test_comm_call_renders_iallreduce(self):
-        c = to_c(CommCall("conv1", ("conv1_grad_weights",)))
-        assert "MPI_Iallreduce" in c
-        assert "conv1" in c
-
-    def test_fusion_barrier(self):
-        assert "barrier" in to_c(FusionBarrier())
 
     def test_expr_str_call(self):
         e = Call("max", (Var("a"), Const(0.0)))

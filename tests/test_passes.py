@@ -2,6 +2,7 @@
 forwarding, tiling, copy inlining, and cross-layer fusion (§5.4)."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -206,17 +207,20 @@ class TestCBackend:
     def test_paper_shaped_output(self):
         cn = _cnn()
         c = cn.c_source
-        assert "gemm('T', 'N'," in c
-        # Fig. 12: the fused group runs under one parallel tile loop
-        assert ("#pragma omp for schedule(static, 1)\n"
-                "for (int _n_t = 0; _n_t < 2; _n_t++) {") in c
-        assert "schedule(static, 1)" in c
-        assert "latte_iallreduce" in c
+        # Fig. 12: the fused group runs under one tile loop, its GEMM a
+        # call on the operands in place
+        at = c.index("/* conv1.pad_fill+conv1.pad+conv1.copy+conv1.compute")
+        fused = c[at:c.index("\n}\n", at)]
+        assert "for (long long _n_t = " in fused
+        assert "_latte_gemm_rm(" in fused
+        # the reduction points are the backward program's comm steps
+        assert [s.comm.ensemble for s in cn.compiled.backward
+                if s.kind == "comm"] == ["conv1"]
 
     def test_c_source_has_both_directions(self):
         cn = _cnn()
-        assert "=== forward ===" in cn.c_source
-        assert "=== backward ===" in cn.c_source
+        kernels = re.findall(r"^void _step_([fb])\d+\(", cn.c_source, re.M)
+        assert "f" in kernels and "b" in kernels
 
 
 class TestOneTileAxis:
