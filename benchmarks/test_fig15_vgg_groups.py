@@ -65,8 +65,10 @@ def test_fig15_groups_123_fuse_conv_relu_pool(group_results):
 def test_fig15_group4_conv_conv_unfused(group_results):
     """§7.1.2's limit: the paper cannot fuse the pair for the overlap of
     their windows along its tiled ``y``. Under batch tiles each conv
-    layer is a chain of its own (``tags.chain``), and no group spans two
-    chains."""
+    layer is a chain of its own (``tags.chain``); a training program
+    keeps the value between the two (inspectable, and read by the
+    backward pass), so the second chain never joins the first's group —
+    only forward-only programs merge layers (``fusion.build_schedule``)."""
     fused = group_results[4][3]
     for label in fused:
         assert not ("conv4_1" in label and "conv4_2.co" in label), label

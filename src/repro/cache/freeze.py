@@ -131,7 +131,8 @@ def _memory_dict(mem: MemoryPlan) -> dict:
                       for k, v in mem.zero_defs.items()},
         "intervals": {
             k: {"first": int(iv.first), "last": int(iv.last),
-                "phases": sorted(iv.phases), "first_kind": iv.first_kind}
+                "phases": sorted(iv.phases), "first_kind": iv.first_kind,
+                "units": list(iv.units) if iv.units else None}
             for k, iv in mem.intervals.items()
         },
         "naive_bytes": int(mem.naive_bytes),
@@ -338,7 +339,8 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
             zero_defs={k: (v[0], v[1]) for k, v in md["zero_defs"].items()},
             intervals={
                 k: Interval(k, iv["first"], iv["last"],
-                            set(iv["phases"]), iv["first_kind"])
+                            set(iv["phases"]), iv["first_kind"],
+                            tuple(iv["units"]) if iv["units"] else None)
                 for k, iv in md["intervals"].items()
             },
             naive_bytes=md["naive_bytes"],

@@ -73,7 +73,11 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v13: with the parallel pass off a program runs on one thread — its
 #:     kernels print no parallel region and the entry records
 #:     ``num_threads`` 1
-FORMAT_VERSION = 13
+#: v14: a conv layer's batch-tiled chain may join the group of the layer
+#:     before it (the value between them contracts), and a buffer
+#:     contracted to a group records the units it is live across
+#:     (interval ``units``)
+FORMAT_VERSION = 14
 
 
 class CacheUnsupported(ValueError):

@@ -16,17 +16,25 @@ Three cooperating transformations:
    multiplies it, applies bias and ReLU in place and pools it while it
    is hot. A unit joins when its tile loop has the group's trip count
    and every in-group buffer it reads is touched row by row of the
-   batch, by it and by its writer. A unit that touches nothing the group
-   wrote, or belongs to another chain, starts a group of its own:
-   fusing it would buy no locality and hold two chains' staging alive
-   at once. So conv → conv stays apart because each conv layer is its
-   own chain (the paper refuses VGG's group 4, §7.1.2, for the overlap
-   of 3×3 windows along its tiled ``y``).
+   batch, by it and by its writer; a unit that touches nothing the
+   group wrote starts a group of its own. The next conv layer's chain
+   joins as a whole, and only where that is what lets the buffer
+   between the two layers contract: the same tile count, and a bridge
+   that is neither kept nor read by anything outside the two chains.
+   That is the paper's VGG grouping (§7.1.2) — whose group 4 it refuses
+   for 3×3 windows overlapping along a tiled ``y``; the batch is the one
+   tile axis here, and batch tiles are independent images. Training
+   keeps every value by default (and its backward pass reads them), so
+   forward-only programs are the ones that merge layers.
 
 3. **Contraction** — a staging, value or padded buffer whose whole
-   life is inside one tiled group (one per conv layer: pad → im2col →
-   GEMM → bias → ReLU → pool) holds one tile at a time, so it is
-   allocated for one tile only (:func:`contract`).
+   life is inside one tiled group (pad → im2col → GEMM → bias → ReLU →
+   pool, for one conv layer or several) holds one tile at a time, so it
+   is allocated for one tile only (:func:`contract`). The memory
+   planner then overlays two buffers contracted to one group wherever
+   the units touching them do not overlap
+   (:attr:`~repro.synthesis.access.Interval.units`), so a group of
+   several layers needs no more arena than its largest layer.
 
 NormalizationEnsembles, losses, untiled paddings and communication
 calls are fusion barriers (§5.5).
@@ -34,7 +42,7 @@ calls are fusion barriers (§5.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.ir import (CommCall, Const, ExternOp, Index, Var, free_vars,
                       walk_exprs)
@@ -191,13 +199,82 @@ def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit,
             and at_batch_rows(writer, buf, plan))
 
 
-def build_schedule(
-    sections: List[Section], plan, options
-) -> List[ScheduleItem]:
-    """Group units into fused groups and interleave communication calls."""
+#: buffer roles :func:`contract` may shrink to one batch tile
+CONTRACTIBLE = ("input", "grad_input", "value", "padded")
+
+
+def _fits(unit: LoopUnit, reads, writes, written: Dict[str, LoopUnit],
+          extent: int, plan) -> bool:
+    """May tiled ``unit`` run under a tile loop of ``extent`` trips,
+    after the units that wrote ``written``? Every in-group buffer it
+    reads must be touched row by row of the batch, by it and by its
+    writer; and a unit that touches nothing the group wrote would buy
+    no locality (a fill reads nothing and joins the unit it initializes
+    for)."""
+    return (unit.loops[0].extent == extent
+            and all(_reads_tile_local(unit, b, written[b], plan)
+                    for b in reads & written.keys())
+            and (not reads or bool((reads | writes) & written.keys())))
+
+
+def build_schedule(sections: List[Section], plan, options,
+                   keep=frozenset(), later=()) -> List[ScheduleItem]:
+    """Group units into fused groups and interleave communication calls.
+
+    ``keep`` are the bases :func:`contract` must leave whole and
+    ``later`` the sections that run after these (the backward program,
+    for the forward schedule). Why a value or padded buffer a tiled
+    group hands on to the next item stays whole goes into
+    ``plan.untiled``.
+    """
     items: List[ScheduleItem] = []
     group: Optional[FusedGroup] = None  # the open tiled group, if any
     written: Dict[str, LoopUnit] = {}  # base buffer -> its in-group writer
+    units = [u for sec in sections for u in sec.units]
+    everywhere = units + [u for sec in later for u in sec.units]
+    rw = {id(u): unit_rw(plan, u) for u in everywhere}
+    readers: Dict[str, Set[int]] = {}  # base buffer -> units reading it
+    for u in everywhere:
+        for b in rw[id(u)][0]:
+            readers.setdefault(b, set()).add(id(u))
+    chains: Dict[str, List[LoopUnit]] = {}
+    for u in filter(is_tiled, units):
+        chains.setdefault(u.tags.chain, []).append(u)
+
+    def refusal(chain: List[LoopUnit]) -> Optional[str]:
+        """Why the next layer's ``chain`` may not join the open group;
+        ``None`` when it may: its units fit the group's tile loop, and
+        the bridge — what it reads of the group — is read nowhere else
+        and may contract, so joining is exactly what lets it."""
+        bridge = frozenset().union(
+            *(rw[id(u)][0] for u in chain)) & written.keys()
+        if not bridge:
+            return "nothing-bridged"
+        inside = {id(u) for u in group.units + chain}
+        rows = plan.batch_size // group.tile_loop.extent
+        its = plan.batch_size // chain[0].loops[0].extent
+        if bridge & keep:
+            reason = "keep_alive"
+        elif any(readers[b] - inside for b in bridge):
+            reason = "read-later"
+        elif rows != its:
+            reason = f"tile-mismatch ({rows} vs {its} rows)"
+        elif any(plan.buffers[b].role not in CONTRACTIBLE for b in bridge):
+            reason = "not-contractible"
+        else:
+            seen = dict(written)
+            for u in chain:
+                reads, writes = rw[id(u)]
+                if not _fits(u, reads, writes, seen, group.tile_loop.extent,
+                             plan):
+                    break
+                seen.update((b, u) for b in writes)
+            else:
+                return None
+            reason = "not-tile-local"
+        plan.untiled.update((b, reason) for b in bridge
+                            if plan.buffers[b].role in ("value", "padded"))
+        return reason
 
     def close():
         nonlocal group, written
@@ -208,6 +285,7 @@ def build_schedule(
 
     for sec in sections:
         for unit in sec.units:
+            reads, writes = rw[id(unit)]
             fusable = (
                 options.fusion
                 and is_tiled(unit)
@@ -226,26 +304,22 @@ def build_schedule(
                                recurrent_reads=rec)
                 )
                 continue
-            reads, writes = unit_rw(plan, unit)
-            tile = unit.loops.pop(0)
-            if (
-                group is not None
-                and tile.extent == group.tile_loop.extent
-                and all(_reads_tile_local(unit, b, written[b], plan)
-                        for b in reads & written.keys())
-                # fusion keeps a producer's tile hot for its consumer: a
-                # unit of another chain would only hold that chain's
-                # staging alive beside this one's (a fill reads nothing
-                # and joins the unit it initializes for) — and liveness
-                # is per group, so two layers' chains never share one
-                and (not reads or (reads | writes) & written.keys())
-                and unit.tags.chain == group.units[-1].tags.chain
-            ):
+            # the first unit of the next layer's chain joins the open
+            # group only with the whole chain (the paper's VGG groups,
+            # §7.1.2); per-unit liveness inside the group keeps the
+            # layers' tiles from stacking up in the arena
+            if (group is not None
+                    and unit.tags.chain != group.units[-1].tags.chain
+                    and refusal(chains[unit.tags.chain]) is not None):
+                close()
+            if group is not None and _fits(unit, reads, writes, written,
+                                           group.tile_loop.extent, plan):
+                unit.loops.pop(0)
                 group.units.append(unit)
                 group.label += f"+{_label(unit)}"
             else:
                 close()
-                group = FusedGroup([unit], tile, _label(unit))
+                group = FusedGroup([unit], unit.loops.pop(0), _label(unit))
             written.update((b, unit) for b in writes)
         if sec.comm:
             close()
@@ -267,12 +341,16 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
     then spell its lead index relative to the tile's first row
     (``python_backend.lowered_units``). A value or padded buffer of a
     batch-tiled group stays whole — with the reason in
-    ``plan.untiled`` — when it is in ``keep`` (the bases
-    ``keep_alive`` keeps inspectable, :func:`~repro.synthesis.liveness.
-    kept_buffers`), has a reshaped alias (not tile-decomposable), or is
-    read by another item. A staging buffer read again later (a forward
-    copy its backward pass was not allowed to re-gather) keeps the
-    whole batch too; the memory plan says why.
+    ``plan.untiled`` — when it is in ``keep`` (``keep_alive``: the
+    bases kept inspectable, :func:`~repro.synthesis.liveness.
+    kept_buffers`), has a reshaped alias (``reshaped-alias``: not
+    tile-decomposable), or is read by another item: the reason
+    :func:`build_schedule` refused the next chain for
+    (``tile-mismatch (R vs S rows)``, ``read-later``, …), else
+    ``barrier (<kind>)`` when an untiled step of its phase reads it
+    next and ``read-later`` otherwise. A staging buffer read again
+    later (a forward copy its backward pass was not allowed to
+    re-gather) keeps the whole batch too; the memory plan says why.
     """
     view = ProgramView(plan, fwd_items, bwd_items)
     items = list(fwd_items) + list(bwd_items)
@@ -283,8 +361,8 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
     saved = 0
     for base, iv in view.intervals.items():
         spec = plan.buffers[base]
-        if (spec.role not in ("input", "grad_input", "value", "padded")
-                or not spec.batched or iv.first_kind != "w"):
+        if (spec.role not in CONTRACTIBLE or not spec.batched
+                or iv.first_kind != "w"):
             continue
         group = items[iv.first]
         if group.tile_loop is None:
@@ -293,8 +371,8 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
             "keep_alive" if base in keep
             else "reshaped-alias" if any(a.alias_reshape is not None
                                          for a in aliases.get(base, ()))
-            else "read-by-next-group" if iv.first != iv.last
-            else None)
+            else plan.untiled.get(base) or _handed_on(view, items, base)
+            if iv.first != iv.last else None)
         if reason is not None:
             if spec.role in ("value", "padded"):
                 plan.untiled[base] = reason
@@ -317,3 +395,22 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
 
 def _label(unit: LoopUnit) -> str:
     return f"{unit.tags.ensemble}.{unit.tags.kind}"
+
+
+def _handed_on(view: ProgramView, items, base: str) -> str:
+    """Why ``base``, which a tiled group hands on to a later item, stays
+    whole when no chain was refused for it: an untiled step of the same
+    phase reads it next (``barrier``), or a later group or the other
+    phase does (``read-later``)."""
+    first = view.intervals[base].first
+    nxt = view.readers_after(first, base)[:1]
+    if not nxt or view.phase(nxt[0]) != view.phase(first):
+        return "read-later"
+    item = items[nxt[0]]
+    if getattr(item, "tile_loop", True) is not None:
+        return "read-later"
+    (unit,) = item.units
+    kind = ("extern" if isinstance(unit.stmt, ExternOp)
+            else "recurrent" if unit.tags.recurrent_src is not None
+            else "untiled")
+    return f"barrier ({kind})"

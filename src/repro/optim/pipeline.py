@@ -330,8 +330,6 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     schedule = {}
 
     def build():
-        schedule["fwd"] = fusion.build_schedule(program.forward, plan, options)
-        schedule["bwd"] = fusion.build_schedule(program.backward, plan, options)
         # values keep_alive keeps inspectable stay whole — and under int8
         # every activation does: the precision pass fake-quantizes whole
         # values and padded copies of them between steps
@@ -339,6 +337,10 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         if options.precision == "int8":
             keep |= {name for name, spec in plan.buffers.items()
                      if spec.role in ("value", "padded")}
+        schedule["fwd"] = fusion.build_schedule(
+            program.forward, plan, options, keep, later=program.backward)
+        schedule["bwd"] = fusion.build_schedule(
+            program.backward, plan, options, keep)
         schedule["bytes_contracted"] = fusion.contract(
             plan, schedule["fwd"], schedule["bwd"], keep)
 
@@ -351,12 +353,13 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     counts = {
         k: count_schedule(schedule["fwd"])[k]
         + count_schedule(schedule["bwd"])[k]
-        for k in ("steps", "fused_groups", "fused_units")
+        for k in ("steps", "fused_groups", "fused_units", "chains_joined")
     }
     report.add(PassRecord(
         "fusion", options.fusion, dt, units_total, counts["steps"],
         {"fused_groups": counts["fused_groups"],
          "fused_units": counts["fused_units"],
+         "chains_joined": counts["chains_joined"],
          "staging_contracted": roles["input"] + roles["grad_input"],
          "values_contracted": roles["value"],
          "padded_contracted": roles["padded"],

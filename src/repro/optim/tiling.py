@@ -195,9 +195,10 @@ def run(sections: List[Section], plan) -> None:
     whole: its layer's pad, the units that read or write it, and the
     row-wise units consuming what they wrote (:func:`_consumers`), made
     adjacent so that fusion can put them under one tile loop — one
-    group per layer. A chain that cannot be tiled (its units are not
-    all loop nests over one time step's batch) runs whole-batch, with
-    the reason in ``plan.untiled``."""
+    group per layer, or per run of layers whose chains fusion joins. A
+    chain that cannot be tiled (its units are not all loop nests over
+    one time step's batch) runs whole-batch, with the reason in
+    ``plan.untiled``."""
     staging = {
         name: spec.itemsize * math.prod(spec.shape)
         for name, spec in plan.buffers.items()

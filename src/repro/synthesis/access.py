@@ -121,6 +121,10 @@ class Interval:
     #: kind of the first access: 'w' (defined before use), 'r' (read or
     #: read-modify-write of earlier contents), None (dead)
     first_kind: Optional[str] = None
+    #: for a buffer contracted to a batch-tiled group (whose one point
+    #: is ``first == last``): the first and last of that group's units
+    #: touching it; ``None`` otherwise
+    units: Optional[Tuple[int, int]] = None
 
     @property
     def dead(self) -> bool:
@@ -129,6 +133,11 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         if self.dead or other.dead:
             return False
+        if self.units and other.units and self.first == other.first:
+            # contracted to one group: each tile iteration writes both
+            # before reading them, so only their unit ranges can clash
+            return (self.units[0] <= other.units[1]
+                    and other.units[0] <= self.units[1])
         return self.first <= other.last and other.first <= self.last
 
 
@@ -172,6 +181,16 @@ class ProgramView:
         for name, spec in plan.buffers.items():
             if spec.alias_of is None:
                 self.intervals.setdefault(name, Interval(name))
+        # inside a group, a contracted buffer is live between the first
+        # and the last unit touching it
+        for item in items:
+            contracted = getattr(item, "contracted", ())
+            touched = [frozenset().union(*unit_rw(plan, unit))
+                       for unit in item.units] if contracted else ()
+            for base in contracted:
+                touching = [i for i, bases in enumerate(touched)
+                            if base in bases]
+                self.intervals[base].units = (touching[0], touching[-1])
 
     def phase(self, point: int) -> str:
         return "forward" if point < self.n_forward else "backward"

@@ -65,7 +65,8 @@ class UnitTags:
     #: the input buffer a copy fills / a compute consumes
     note: str = ""
     #: the staging buffer whose batch-tiled chain the unit belongs to
-    #: (:mod:`repro.optim.tiling`): fusion puts one chain in a group
+    #: (:mod:`repro.optim.tiling`): fusion joins a chain to the group of
+    #: the chain before it only as a whole
     chain: str = ""
 
 

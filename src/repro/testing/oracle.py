@@ -904,8 +904,12 @@ def inject_bug(name: str):
       other shard's weight/bias-gradient contribution.
     * ``overlapping-shards`` — every shard covers ``[0, hi)`` instead of
       its own slice, double-counting privatized gradient contributions.
+    * ``group-slab-overlap`` — the memory planner takes any two buffers
+      contracted to one batch-tiled group for disjoint, whatever units
+      touch them, so a group's tiles may overwrite one another.
     """
     from repro.runtime import executor
+    from repro.synthesis.access import Interval
 
     if name == "drop-private-reduce":
         orig = executor.tree_reduce
@@ -923,12 +927,19 @@ def inject_bug(name: str):
             yield
         finally:
             executor.shard_bounds = orig
+    elif name == "group-slab-overlap":
+        orig = Interval.overlaps
+        Interval.overlaps = lambda a, b: orig(a, b) and not (
+            a.units and b.units and a.first == b.first)
+        try:
+            yield
+        finally:
+            Interval.overlaps = orig
     else:
         raise KeyError(
-            f"unknown bug {name!r}; have: drop-private-reduce, "
-            f"overlapping-shards"
-        )
+            f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
 
 
 #: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
-INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards")
+INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
+                   "group-slab-overlap")

@@ -137,8 +137,10 @@ def count_inlined(plan) -> int:
 
 
 def count_schedule(items) -> Dict[str, int]:
-    """Schedule-level counters: total steps, fused groups, member units."""
-    steps = fused = fused_units = 0
+    """Schedule-level counters: total steps, fused groups, member units,
+    and the batch-tiled chains that joined the group of the chain before
+    them."""
+    steps = fused = fused_units = joined = 0
     for item in items:
         if isinstance(item, CommCall):
             continue
@@ -146,5 +148,6 @@ def count_schedule(items) -> Dict[str, int]:
         if len(item.units) > 1:
             fused += 1
             fused_units += len(item.units)
+            joined += len({u.tags.chain for u in item.units}) - 1
     return {"steps": steps, "fused_groups": fused,
-            "fused_units": fused_units}
+            "fused_units": fused_units, "chains_joined": joined}

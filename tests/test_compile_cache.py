@@ -455,10 +455,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v11: native kernels
-        print a parallel region on every nest whatever thread count they
-        run with, and ``c_exec`` records none) is dropped on get — a
-        miss, never an error, never thawed."""
+        """An entry written under the last layout (v13: every conv layer
+        its own group, so a forward-only entry holds the plan a cold
+        compile no longer produces) is dropped on get — a miss, never an
+        error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -468,7 +468,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 13
+        assert meta["version"] == FORMAT_VERSION == 14
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),

@@ -123,6 +123,29 @@ class TestInjectedBugs:
                                 gradcheck_indices=0, baselines=False)
         assert not report.ok
 
+    def test_group_slab_overlap_is_caught(self):
+        """Forward-only, this spec's two 3x3 conv layers run one batch
+        tile, so the second layer's chain joins the first's group; a
+        planner that takes every two buffers contracted to the group
+        for disjoint overlays the layers' live tiles, and the
+        ``batchtile-inference`` check sees the output move."""
+        from repro.optim import CompilerOptions
+        from repro.testing.generator import build_net
+        from repro.testing.oracle import batch_tiles
+        from repro.utils.rng import seed_all
+
+        spec = random_spec(34)
+        seed_all(spec.seed)
+        with batch_tiles():
+            cnet = build_net(spec).init(CompilerOptions.inference())
+        assert cnet.compile_report["fusion"].rewrites["chains_joined"] == 1
+        kwargs = dict(levels=(), threads=(), gradcheck_indices=0,
+                      baselines=False, cbackend=False, quant=False)
+        assert check_spec(spec, **kwargs).ok
+        with inject_bug("group-slab-overlap"):
+            report = check_spec(spec, **kwargs)
+        assert "batchtile-inference" in {m.check for m in report.mismatches}
+
     def test_unknown_bug_name_rejected(self):
         with pytest.raises(KeyError):
             with inject_bug("no-such-bug"):
