@@ -70,7 +70,7 @@ from repro.layers import (
     TanhLayer,
     top1_accuracy,
 )
-from repro.optim import OPT_LEVELS, CompilerOptions, compile_net
+from repro.optim import CompilerOptions, compile_net
 from repro.runtime import CompiledNet
 from repro.solvers import (
     SGD,
@@ -100,7 +100,6 @@ __version__ = "1.0.0"
 from repro.cache import CompileCache, compile_cached  # noqa: E402
 
 __all__ = [
-    "OPT_LEVELS",
     "SGD",
     "ActivationEnsemble",
     "AdaDelta",

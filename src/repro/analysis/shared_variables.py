@@ -61,14 +61,6 @@ class EnsembleFacts:
     #: field name -> ensemble dims the field is shared across
     field_shared_dims: Dict[str, frozenset]
 
-    def field_index_dims(self, fname: str) -> tuple:
-        """Ensemble dims that index the field, in pattern order — the
-        dims that *survive* the SoA rewrite for this field."""
-        binding = self.ensemble.field_bindings[fname]
-        from repro.core.ensemble import Dim
-
-        return tuple(p.index for p in binding.pattern if isinstance(p, Dim))
-
 
 def analyze_ensemble(ens: Ensemble) -> EnsembleFacts:
     """Run shared-variable analysis for one ensemble."""

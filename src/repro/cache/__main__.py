@@ -106,14 +106,10 @@ def _cmd_warm(args) -> int:
 
     cache = CompileCache(args.cache_dir)
     ck = load_checkpoint(args.checkpoint)
-    if args.level is not None:
-        options = CompilerOptions.level(args.level)
-        if args.mode == "inference":
-            options = CompilerOptions.inference(args.level)
-    else:
-        options = CompilerOptions.inference()
-        if args.mode == "training":
-            options = CompilerOptions()
+    options = CompilerOptions(
+        opt_level=args.level,
+        mode="train" if args.mode == "training" else "inference",
+    )
     cnet = ck.compile(
         batch_size=args.batch_size,
         options=options,
@@ -159,8 +155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="serving batch size (default: checkpoint's)")
     p_warm.add_argument("--mode", choices=("inference", "training"),
                         default="inference")
-    p_warm.add_argument("--level", type=int, default=None,
-                        help="optimization level 0..4 (default: full)")
+    p_warm.add_argument("--level", type=int, choices=range(5), default=4,
+                        help="optimization level 0..4 (default: 4, full)")
     p_warm.add_argument("--threads", type=int, default=None,
                         help="executor thread count baked into the key")
 

@@ -24,6 +24,7 @@ from repro.cache.freeze import CacheError, freeze, thaw
 from repro.cache.key import (
     CacheUnsupported,
     as_builder,
+    build_from,
     builder_batch,
     cache_key,
 )
@@ -46,20 +47,6 @@ def model_label(builder: dict) -> str:
     if builder["kind"] == "net_spec":
         return f"net_spec(seed={builder['spec'].get('seed')})"
     return builder["kind"]
-
-
-def _build_from(builder: dict, batch: int):
-    if builder["kind"] == "model_config":
-        from repro.models import build_latte
-        from repro.models.configs import config_from_dict
-
-        return build_latte(config_from_dict(builder["config"]), batch).net
-    from dataclasses import replace
-
-    from repro.testing.generator import NetSpec, build_net
-
-    spec = NetSpec.from_dict(builder["spec"])
-    return build_net(replace(spec, batch=batch))
 
 
 def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
@@ -116,7 +103,7 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
         key = cache_key(builder, batch_size, options, nt, keep_alive)
     except CacheUnsupported:
         # not a cacheable compile: run it cold, store nothing
-        return compile_net(net or _build_from(builder, batch_size), options,
+        return compile_net(net or build_from(builder, batch_size), options,
                            tracer=tracer, num_threads=nt,
                            keep_alive=keep_alive, watchdog=watchdog)
     store = _as_cache(cache)
@@ -125,7 +112,7 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
     if entry is not None:
         meta, arrays = entry
         if net is None:
-            net = _build_from(builder, batch_size)
+            net = build_from(builder, batch_size)
         t0 = time.perf_counter()
         try:
             cnet = thaw(net, meta, arrays, options, tracer=tracer,
@@ -146,7 +133,7 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
             return cnet
 
     if net is None:
-        net = _build_from(builder, batch_size)
+        net = build_from(builder, batch_size)
     cnet = compile_net(net, options, tracer=tracer, num_threads=nt,
                        keep_alive=keep_alive, watchdog=watchdog)
     cnet.compile_report.cache_key = key

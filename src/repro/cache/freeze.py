@@ -200,7 +200,7 @@ def _c_exec_dict(cnet, compiled, arrays: Dict[str, np.ndarray]):
     count the kernels were emitted for + toolchain fingerprint —
     stashing the built ``.so`` bytes into ``arrays`` alongside. ``None``
     for the numpy backend."""
-    if getattr(cnet.options, "backend", "numpy") != "c":
+    if cnet.options.backend != "c":
         return None
     ce = {
         "source": compiled.c_exec_source,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -77,7 +77,13 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #:     before it (the value between them contracts), and a buffer
 #:     contracted to a group records the units it is live across
 #:     (interval ``units``)
-FORMAT_VERSION = 14
+#: v15: the options record is the opt level plus ``memory_plan``,
+#:     ``backend``, ``mode`` and ``precision`` (no per-pass booleans)
+FORMAT_VERSION = 15
+
+
+#: the kinds of builder record (:func:`as_builder`)
+BUILDER_KINDS = ("model_config", "net_spec")
 
 
 class CacheUnsupported(ValueError):
@@ -94,7 +100,7 @@ def as_builder(model) -> dict:
     already-built builder dict (as stored in checkpoint metadata).
     """
     if isinstance(model, dict):
-        if model.get("kind") not in ("model_config", "net_spec"):
+        if model.get("kind") not in BUILDER_KINDS:
             raise CacheUnsupported(
                 f"builder dict has unknown kind {model.get('kind')!r}"
             )
@@ -109,6 +115,20 @@ def as_builder(model) -> dict:
         f"cannot derive a builder record from {type(model).__name__}; "
         f"pass a ModelConfig, a NetSpec, or a checkpoint builder dict"
     )
+
+
+def build_from(builder: dict, batch: int):
+    """The (uncompiled) :class:`~repro.core.Net` a builder record
+    describes, rebuilt at ``batch``."""
+    if builder["kind"] == "model_config":
+        from repro.models import build_latte
+        from repro.models.configs import config_from_dict
+
+        return build_latte(config_from_dict(builder["config"]), batch).net
+    from repro.testing.generator import NetSpec, build_net
+
+    spec = NetSpec.from_dict(builder["spec"])
+    return build_net(replace(spec, batch=batch))
 
 
 def builder_batch(builder: dict) -> Optional[int]:
@@ -141,7 +161,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "num_threads": int(num_threads),
         "keep_alive": (sorted(str(k) for k in keep_alive)
                        if keep_alive is not None else "default"),
-        "backend": BACKEND_IDS[getattr(options, "backend", "numpy")],
+        "backend": BACKEND_IDS[options.backend],
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,
         "format_version": FORMAT_VERSION,
@@ -150,7 +170,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "staging_tile": [tiling.STAGING_TILE_BYTES,
                          tiling.TILE_GRANULE_BYTES],
     }
-    if getattr(options, "backend", "numpy") == "c":
+    if options.backend == "c":
         # C-backend entries embed built .so bytes, so the key must
         # change with the (compiler, flags, target) that produced them
         from repro.codegen.c_backend import toolchain_fingerprint

@@ -1435,8 +1435,8 @@ def omp_threads_for(compiled, batch: int, num_threads: int) -> int:
     """In-kernel OpenMP thread count: ``num_threads`` when the executor
     runs steps whole, 1 when it splits batches into thread shards itself
     (mirrors the executor's ``num_shards`` rule; avoids oversubscription
-    and keeps sharded runs comparable with the Python backend). With
-    ``CompilerOptions.parallel`` off, ``compile_net`` resolves
+    and keeps sharded runs comparable with the Python backend). Below
+    the parallel pass's rung of the ladder, ``compile_net`` resolves
     ``num_threads`` to 1, so the kernels run serially too."""
     shardable = any(
         s.shardable for s in compiled.forward + compiled.backward

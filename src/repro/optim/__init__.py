@@ -1,5 +1,5 @@
 """Compiler optimization passes and the compilation driver (§5.4)."""
 
-from repro.optim.pipeline import OPT_LEVELS, CompilerOptions, compile_net
+from repro.optim.pipeline import CompilerOptions, compile_net
 
-__all__ = ["OPT_LEVELS", "CompilerOptions", "compile_net"]
+__all__ = ["CompilerOptions", "compile_net"]

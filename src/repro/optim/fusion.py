@@ -217,11 +217,12 @@ def _fits(unit: LoopUnit, reads, writes, written: Dict[str, LoopUnit],
             and (not reads or bool((reads | writes) & written.keys())))
 
 
-def build_schedule(sections: List[Section], plan, options,
+def build_schedule(sections: List[Section], plan, fuse: bool,
                    keep=frozenset(), later=()) -> List[ScheduleItem]:
     """Group units into fused groups and interleave communication calls.
 
-    ``keep`` are the bases :func:`contract` must leave whole and
+    With ``fuse`` off (below the fusion rung) every unit is its own
+    step. ``keep`` are the bases :func:`contract` must leave whole and
     ``later`` the sections that run after these (the backward program,
     for the forward schedule). Why a value or padded buffer a tiled
     group hands on to the next item stays whole goes into
@@ -287,7 +288,7 @@ def build_schedule(sections: List[Section], plan, options,
         for unit in sec.units:
             reads, writes = rw[id(unit)]
             fusable = (
-                options.fusion
+                fuse
                 and is_tiled(unit)
                 and unit.tags.recurrent_src is None
                 and not isinstance(unit.stmt, ExternOp)

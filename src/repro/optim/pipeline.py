@@ -5,15 +5,16 @@ code generation (§5). This module wires them together:
 
 1. buffer planning + shared-variable analysis (`repro.synthesis.plan`)
 2. synthesis of loop units (`repro.synthesis.lower`)
-3. optimization passes, each gated by a :class:`CompilerOptions` flag:
-   copy inlining, GEMM pattern matching, tiling, cross-layer fusion,
-   parallel shard marking
+3. optimization passes, each turned on at its rung of the opt level
+   ladder (:data:`PASS_LEVELS`): copy inlining, GEMM pattern matching,
+   tiling, cross-layer fusion, parallel shard marking, arena planning
 4. code generation (`repro.codegen.python_backend`; with
    ``backend='c'`` the native program from `repro.codegen.c_backend`)
 
-``OPT_LEVELS`` defines the ablation ladder used by the Fig. 13
-microbenchmark: O0 scalar oracle → O1 vectorized → O2 +GEMM →
-O3 +in-place&parallel → O4 +tiling&fusion (the full compiler).
+``CompilerOptions.opt_level`` is the one pass switch; the ladder is the
+ablation the Fig. 13 microbenchmark decomposes: O0 scalar oracle → O1
+vectorized → O2 +GEMM → O3 +in-place, parallel & arena planning → O4
++tiling & fusion (the full compiler).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.codegen import c_backend, python_backend
 from repro.ir import Gemm
@@ -42,20 +43,29 @@ from repro.trace.compile_report import (
 )
 
 
+#: The optimization ladder (§5, the Fig. 13 breakdown): the opt level
+#: at which each pass, or planning rule, turns on. Cumulative — a pass
+#: on at one rung stays on above it. The one place a rung is written;
+#: every gate asks :meth:`CompilerOptions.runs`.
+PASS_LEVELS = {
+    "vectorize": 1,
+    "pattern_match": 2, "first_writer": 2,
+    "inplace": 3, "parallel": 3, "regather": 3, "memory_plan": 3,
+    "copy_inline": 4, "tiling": 4, "fusion": 4,
+}
+
+
 @dataclass
 class CompilerOptions:
-    """Optimization switches (all on by default — opt level O4)."""
+    """What changes the compiled program (default: opt level O4, every
+    optimization on)."""
 
-    vectorize: bool = True
-    pattern_match: bool = True
-    inplace: bool = True
-    fusion: bool = True
-    tiling: bool = True
-    parallel: bool = True
-    #: liveness-driven arena reuse (repro.synthesis.liveness): share
-    #: storage between buffers whose live intervals never overlap.
-    #: Bitwise-neutral — planned and unplanned runs produce identical
-    #: outputs (checked by the differential oracle)
+    #: the rung of the O0..O4 ladder (:data:`PASS_LEVELS`)
+    opt_level: int = 4
+    #: liveness-driven arena reuse (repro.synthesis.liveness), O3+:
+    #: share storage between buffers whose live intervals never
+    #: overlap. Bitwise-neutral — ``False`` compiles the unplanned
+    #: program the differential oracle checks planned runs against
     memory_plan: bool = True
     #: executable backend: ``'numpy'`` (default) runs the generated
     #: Python/NumPy program; ``'c'`` additionally lowers every fused
@@ -91,6 +101,14 @@ class CompilerOptions:
     precision: str = "fp32"
 
     def __post_init__(self):
+        if self.opt_level not in range(5):
+            raise ValueError(f"opt_level must be 0..4, got {self.opt_level!r}")
+        floor = PASS_LEVELS["memory_plan"]
+        if not self.memory_plan and self.opt_level < floor:
+            raise ValueError(
+                f"memory_plan=False needs opt_level >= {floor}: no arena "
+                f"planner runs below O{floor} (got {self.opt_level})"
+            )
         if self.mode not in ("train", "inference"):
             raise ValueError(
                 f"mode must be 'train' or 'inference', got {self.mode!r}"
@@ -117,30 +135,25 @@ class CompilerOptions:
                     f"backend (the C kernels are float32-only)"
                 )
 
+    def runs(self, pass_name: str) -> bool:
+        """Whether ``pass_name`` of :data:`PASS_LEVELS` is on. The arena
+        planner, and the re-gathers that only shrink its arena, also
+        need ``memory_plan``."""
+        planner = pass_name in ("regather", "memory_plan")
+        return (self.opt_level >= PASS_LEVELS[pass_name]
+                and (self.memory_plan or not planner))
+
     @classmethod
     def level(cls, n: int) -> "CompilerOptions":
-        """The O0..O4 ablation ladder (see module docstring)."""
-        if n not in range(5):
-            raise ValueError("opt level must be 0..4")
-        return cls(
-            vectorize=n >= 1,
-            pattern_match=n >= 2,
-            inplace=n >= 3,
-            parallel=n >= 3,
-            memory_plan=n >= 3,
-            tiling=n >= 4,
-            fusion=n >= 4,
-        )
+        """Opt level ``n`` of the O0..O4 ladder."""
+        return cls(opt_level=n)
 
     @classmethod
     def inference(cls, n: int = 4,
                   precision: str = "fp32") -> "CompilerOptions":
         """Forward-only compilation at opt level ``n`` (default O4),
         optionally at reduced precision (``'fp16'`` / ``'int8'``)."""
-        return replace(cls.level(n), mode="inference", precision=precision)
-
-
-OPT_LEVELS = {f"O{n}": CompilerOptions.level(n) for n in range(5)}
+        return cls(opt_level=n, mode="inference", precision=precision)
 
 
 def _count_gemm_stores(sections) -> int:
@@ -175,7 +188,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     options:
         A :class:`CompilerOptions`; defaults to every optimization on
         (opt level O4). ``CompilerOptions.level(n)`` gives the O0..O4
-        ablation ladder.
+        ablation ladder; each pass turns on at its rung of
+        :data:`PASS_LEVELS`.
     tracer:
         A :class:`repro.trace.Tracer` attached to the returned network;
         it additionally receives one ``compile``-category span per
@@ -185,16 +199,16 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         as ``CompiledNet.compile_report``.
     num_threads:
         Executor thread count for batch-sharded parallel execution of
-        steps the parallel pass marks shardable (requires
-        ``options.parallel``, i.e. O3+; with it off the program runs
-        on one thread, native kernels included). Defaults to the
+        steps the parallel pass marks shardable (the pass runs from O3;
+        below it the program runs on one thread, native kernels
+        included). Defaults to the
         ``REPRO_NUM_THREADS`` environment variable, else 1; at 1 the
         compiled program and its execution are identical to the serial
         compiler. See DESIGN.md "Parallel execution".
     keep_alive:
-        With ``options.memory_plan`` on: ensembles whose value/grad
-        arrays must stay individually allocated for post-run
-        ``value()``/``grad()`` inspection. ``None`` (default) keeps
+        With the arena planner on (O3+, ``memory_plan``): ensembles
+        whose value/grad arrays must stay individually allocated for
+        post-run ``value()``/``grad()`` inspection. ``None`` (default) keeps
         every ensemble inspectable — the planner then pools only the
         staging buffers (im2col inputs, gradient inputs, padded
         gradients). Pass an explicit collection (data ensembles,
@@ -225,7 +239,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     tracer = tracer if tracer is not None else NULL_TRACER
     # the parallel pass owns threading: with it off the program runs on
     # one thread, native kernels included
-    num_threads = resolve_num_threads(num_threads) if options.parallel else 1
+    num_threads = (resolve_num_threads(num_threads)
+                   if options.runs("parallel") else 1)
     report = CompileReport()
     t_compile = time.perf_counter()
 
@@ -256,7 +271,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     run_pass(
         "copy_inline",
-        options.fusion,
+        options.runs("copy_inline"),
         lambda: fusion.inline_copies(program.forward, program.backward, plan),
         lambda: {"copies_inlined": count_inlined(plan)},
     )
@@ -264,7 +279,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     gemms_before = count_gemms(program.forward) + count_gemms(program.backward)
     run_pass(
         "pattern_match",
-        options.pattern_match,
+        options.runs("pattern_match"),
         lambda: (pattern_match.run(program.forward),
                  pattern_match.run(program.backward)),
         lambda: {"gemms_matched":
@@ -275,7 +290,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     # first-writer forwarding assumes each buffer is produced once per
     # pass; time-unrolled nets re-execute the program per step and carry
     # recurrent scatters across iterations
-    fw_enabled = options.pattern_match and net.time_steps == 1
+    fw_enabled = options.runs("first_writer") and net.time_steps == 1
     fills_before = (count_kind(program.forward, "fill")
                     + count_kind(program.backward, "fill"))
     stores_before = (_count_gemm_stores(program.forward)
@@ -308,7 +323,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     run_pass(
         "regather",
-        options.memory_plan and not inference,
+        options.runs("regather") and not inference,
         regather,
         lambda: {"copies_regathered": len(staging["regathered"]),
                  "pads_regathered": sum(
@@ -318,7 +333,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     run_pass(
         "tiling",
-        options.tiling,
+        options.runs("tiling"),
         lambda: (tiling.run(program.forward, plan),
                  tiling.run(program.backward, plan)),
         lambda: {"units_tiled": count_tiled(program.forward)
@@ -326,7 +341,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     )
 
     # the schedule is always built; cross-layer merging inside it is what
-    # options.fusion gates, so the pass record reflects the merge effect
+    # the fusion rung gates, so the pass record reflects the merge effect
+    fuse = options.runs("fusion")
     schedule = {}
 
     def build():
@@ -338,9 +354,9 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
             keep |= {name for name, spec in plan.buffers.items()
                      if spec.role in ("value", "padded")}
         schedule["fwd"] = fusion.build_schedule(
-            program.forward, plan, options, keep, later=program.backward)
+            program.forward, plan, fuse, keep, later=program.backward)
         schedule["bwd"] = fusion.build_schedule(
-            program.backward, plan, options, keep)
+            program.backward, plan, fuse, keep)
         schedule["bytes_contracted"] = fusion.contract(
             plan, schedule["fwd"], schedule["bwd"], keep)
 
@@ -356,7 +372,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         for k in ("steps", "fused_groups", "fused_units", "chains_joined")
     }
     report.add(PassRecord(
-        "fusion", options.fusion, dt, units_total, counts["steps"],
+        "fusion", fuse, dt, units_total, counts["steps"],
         {"fused_groups": counts["fused_groups"],
          "fused_units": counts["fused_units"],
          "chains_joined": counts["chains_joined"],
@@ -364,13 +380,13 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
          "values_contracted": roles["value"],
          "padded_contracted": roles["padded"],
          "bytes_contracted": schedule["bytes_contracted"]}
-        if options.fusion else {},
+        if fuse else {},
     ))
     fwd_items, bwd_items = schedule["fwd"], schedule["bwd"]
 
     run_pass(
         "parallel",
-        options.parallel,
+        options.runs("parallel"),
         lambda: (parallel.run(fwd_items, plan, num_threads),
                  parallel.run(bwd_items, plan, num_threads)),
         lambda: {"steps_sharded": parallel.count_sharded(fwd_items)
@@ -437,7 +453,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     run_pass(
         "memory_plan",
-        options.memory_plan,
+        options.runs("memory_plan"),
         plan_mem,
         lambda: dict(plan.memory.stats(), **reorder_stats),
         before=lambda: counts["steps"],
@@ -446,7 +462,8 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     with tracer.span("codegen", "compile"):
         compiled = python_backend.compile_items(
-            fwd_items, bwd_items, program.closures, options.vectorize, plan
+            fwd_items, bwd_items, program.closures,
+            options.runs("vectorize"), plan
         )
     if options.backend == "c":
         # lower lowerable steps to C, build one shared object, and swap

@@ -118,7 +118,7 @@ class CompiledNet:
         )
         #: compilation mode: 'train' (full program) or 'inference'
         #: (forward-only; :meth:`backward` refuses to run)
-        self.mode = getattr(options, "mode", "train")
+        self.mode = options.mode
         #: read by stochastic/normalization closures (dropout mask
         #: sampling, batch-norm batch-vs-running statistics); inference
         #: programs start — and should stay — in eval semantics

@@ -27,10 +27,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.cache.key import BUILDER_KINDS, as_builder, build_from
 
 FORMAT = "latte-checkpoint"
 VERSION = 1
@@ -73,13 +75,8 @@ def save_checkpoint(
     """
     if config is not None and spec is not None:
         raise ValueError("pass config= or spec=, not both")
-    builder: Optional[dict] = None
-    if config is not None:
-        from repro.models.configs import config_to_dict
-
-        builder = {"kind": "model_config", "config": config_to_dict(config)}
-    elif spec is not None:
-        builder = {"kind": "net_spec", "spec": spec.to_dict()}
+    model = config if config is not None else spec
+    builder = as_builder(model) if model is not None else None
 
     arrays: Dict[str, np.ndarray] = {}
     param_meta = []
@@ -167,10 +164,8 @@ class Checkpoint:
     # -- reconstruction -----------------------------------------------------
 
     def build(self, batch_size: Optional[int] = None):
-        """Reconstruct the (uncompiled) architecture from the builder
-        record, optionally at a different batch size. Returns a
-        :class:`~repro.models.BuiltModel` for ``model_config`` builders
-        or a bare :class:`~repro.core.Net` for ``net_spec`` builders."""
+        """Reconstruct the (uncompiled) :class:`~repro.core.Net` from
+        the builder record, optionally at a different batch size."""
         builder = self.meta.get("builder")
         if builder is None:
             raise CheckpointError(
@@ -178,18 +173,11 @@ class Checkpoint:
                 "config=/spec= and can only restore parameters into a "
                 "net you construct yourself"
             )
-        batch = batch_size if batch_size is not None else self.batch_size
-        if builder["kind"] == "model_config":
-            from repro.models import build_latte
-            from repro.models.configs import config_from_dict
-
-            return build_latte(config_from_dict(builder["config"]), batch)
-        if builder["kind"] == "net_spec":
-            from repro.testing.generator import NetSpec, build_net
-
-            spec = NetSpec.from_dict(builder["spec"])
-            return build_net(replace(spec, batch=batch))
-        raise CheckpointError(f"unknown builder kind {builder['kind']!r}")
+        if builder["kind"] not in BUILDER_KINDS:
+            raise CheckpointError(
+                f"unknown builder kind {builder['kind']!r}")
+        return build_from(
+            builder, batch_size if batch_size is not None else self.batch_size)
 
     def compile(self, batch_size: Optional[int] = None, options=None,
                 tracer=None, num_threads=None, keep_alive=None,
@@ -222,10 +210,9 @@ class Checkpoint:
             )
             self.restore_params(cnet)
             return cnet
-        built = self.build(batch_size)
-        net = getattr(built, "net", built)
-        cnet = net.init(options, tracer=tracer, num_threads=num_threads,
-                        keep_alive=keep_alive)
+        cnet = self.build(batch_size).init(
+            options, tracer=tracer, num_threads=num_threads,
+            keep_alive=keep_alive)
         self.restore_params(cnet)
         return cnet
 

@@ -139,7 +139,7 @@ def synthesize(net, plan: BufferPlan, options) -> Program:
         fwd.append(f_sec)
         bwd.append(b_sec)
     bwd.reverse()
-    if getattr(options, "mode", "train") == "inference":
+    if options.mode == "inference":
         # forward-only program: backward sections survive as named
         # placeholders (passes index sections by ensemble) but carry no
         # units, externs, or comm calls

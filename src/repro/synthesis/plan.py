@@ -246,14 +246,14 @@ def plan_buffers(net, options) -> BufferPlan:
         facts = plan.facts[ens.name]
         for j, cf in enumerate(facts.connections):
             plan.conn_plans[(ens.name, j)] = _plan_connection(
-                plan, ens, j, cf, options
+                plan, ens, j, cf
             )
     return plan
 
 
 def _inplace_source(ens, facts, options, net) -> Optional[AbstractEnsemble]:
     """Return the source to run in place on, or None."""
-    if not options.inplace or not isinstance(ens, ActivationEnsemble):
+    if not (options.runs("inplace") and isinstance(ens, ActivationEnsemble)):
         return None
     if len(facts.connections) != 1 or not facts.connections[0].identity:
         return None
@@ -284,7 +284,7 @@ def _backward_reads_value(neuron_type) -> bool:
     return any("$value" in buffers_read(stmt) for stmt in fn_ir.body)
 
 
-def _plan_connection(plan, ens, j, cf, options) -> ConnPlan:
+def _plan_connection(plan, ens, j, cf) -> ConnPlan:
     info = cf.mapping
     conn = ens.inputs[j]
     src = conn.source

@@ -87,12 +87,6 @@ class LoopUnit:
                 return sp
         return None
 
-    def iteration_count(self) -> int:
-        n = 1
-        for sp in self.loops:
-            n *= sp.extent
-        return n
-
 
 @dataclass
 class ShardInfo:

@@ -186,7 +186,7 @@ def batch_tiles(engaged: bool = True):
 
 
 def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
-             memory_plan: Optional[bool] = None,
+             memory_plan: bool = True,
              backend: str = "numpy", keep_alive=None,
              tiled: bool = False) -> RunResult:
     """Build + compile ``spec`` at one configuration and run one
@@ -195,8 +195,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     The library RNG is reseeded from ``spec.seed`` before construction,
     so parameter initialization and dropout masks are identical across
     every (level, threads) configuration of the same spec.
-    ``memory_plan`` overrides the level's default arena-planner setting
-    (O3+ on, below off) for the planned-vs-unplanned bitwise checks;
+    ``memory_plan=False`` turns the arena planner off (at its rung and
+    above) for the planned-vs-unplanned bitwise checks;
     ``keep_alive=()`` opts every ensemble the planner may pool into the
     arena (``head`` and ``data`` are always kept: loss feeder, input).
     ``backend="c"`` compiles the fused steps to an OpenMP shared object
@@ -205,10 +205,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     """
     seed_all(spec.seed)
     net = build_net(spec)
-    opts = CompilerOptions.level(level)
-    opts.backend = backend
-    if memory_plan is not None:
-        opts.memory_plan = memory_plan
+    opts = CompilerOptions(opt_level=level, memory_plan=memory_plan,
+                           backend=backend)
     with batch_tiles(tiled):
         cnet = compile_net(net, opts, num_threads=num_threads,
                            keep_alive=keep_alive)
@@ -248,10 +246,7 @@ def run_eval_forward(spec: NetSpec, level: int, mode: str = "train",
     """
     seed_all(spec.seed)
     net = build_net(spec)
-    if mode == "inference":
-        opts = CompilerOptions.inference(level)
-    else:
-        opts = CompilerOptions.level(level)
+    opts = CompilerOptions(opt_level=level, mode=mode)
     with batch_tiles(tiled):
         cnet = compile_net(net, opts, num_threads=num_threads)
     cnet.training = False
@@ -404,8 +399,7 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
     def one(store):
         seed_all(spec.seed)
         net = build_net(spec)
-        opts = CompilerOptions.level(level)
-        opts.backend = backend
+        opts = CompilerOptions(opt_level=level, backend=backend)
         cnet = compile_cached(spec, net=net, options=opts, cache=store)
         return run_compiled(cnet, spec), cnet.compile_report.cache_hit
 
@@ -637,7 +631,9 @@ def check_spec(
     # the arena planner must be bitwise-neutral: reuse changes where
     # buffers live, never what the steps compute (DESIGN.md §5.2)
     memplan_level = max(levels) if levels else 4
-    if memplan_level >= 3:
+    top = CompilerOptions.level(memplan_level)
+    tiles = top.runs("tiling") and spec.batch > 1
+    if top.runs("memory_plan"):
         check = "memplan"
         report.checks.append(check)
         planned = by_level.get(memplan_level)
@@ -660,7 +656,7 @@ def check_spec(
     # staging chains tiled along the batch, fused and contracted: the
     # same values as the interpreter's (weight-gradient sums reassociate
     # per tile), planned or not, sharded or not, on either backend
-    if memplan_level >= 4 and spec.batch > 1:
+    if tiles:
         check = "batchtile"
         report.checks.append(check)
         tiled = run_spec(spec, level=4, tiled=True)
@@ -670,7 +666,7 @@ def check_spec(
                       tol["level_param_atol"])
         _check_plan_size(check, tiled.memory, report.mismatches)
     # (a spec with nothing to tile compiled the level:4 program again)
-    if memplan_level >= 4 and spec.batch > 1 and tiled.contracted:
+    if tiles and tiled.contracted:
         check = "batchtile-memplan"
         report.checks.append(check)
         unplanned = run_spec(spec, level=4, tiled=True, memory_plan=False)
@@ -697,7 +693,7 @@ def check_spec(
     # contracted to its group's tile (keep_alive is empty), still the
     # eval-mode train graph's bits — and sharded, each shard on private
     # tiles of them
-    if memplan_level >= 4 and spec.batch > 1:
+    if tiles:
         report.checks.append("batchtile-inference")
         inf_loss, inf_out = _check_inference(
             "batchtile-inference", spec, 4, report.mismatches, tiled=True)
@@ -772,7 +768,7 @@ def check_spec(
                       tol["level_atol"], tol["level_param_rtol"],
                       tol["level_param_atol"])
 
-        if c_level >= 4 and spec.batch > 1 and tiled.contracted:
+        if tiles and tiled.contracted:
             check = "cbackend-batchtile"
             report.checks.append(check)
             _compare_runs(check,
@@ -850,7 +846,8 @@ def check_spec(
                     check, run_spec(spec, level=thread_level,
                                     num_threads=nt),
                     parallel, report.mismatches)
-            if not memplan_threads_checked and thread_level >= 3:
+            if not memplan_threads_checked and CompilerOptions.level(
+                    thread_level).runs("memory_plan"):
                 # planner neutrality must also hold under sharding
                 # (shared slabs + per-shard privates interact)
                 memplan_threads_checked = True

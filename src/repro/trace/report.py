@@ -77,9 +77,6 @@ class ProfileReport:
         """Wall time attributed to named steps across all phases."""
         return sum(self.phase_totals.values())
 
-    def phase_rows(self, phase: str) -> List[ProfileRow]:
-        return [r for r in self.rows if r.phase == phase]
-
     def by_ensemble(self) -> Dict[str, float]:
         """Total seconds credited per ensemble.
 

@@ -91,7 +91,7 @@ class TestInPlace:
 
     def test_disabled_when_option_off(self):
         net, *_ = self._net()
-        plan = _plan(net, inplace=False)
+        plan = _plan(net, opt_level=2)
         assert plan.inplace == {}
         assert plan.buffers["relu_value"].alias_of is None
 

@@ -382,9 +382,7 @@ class TestKeying:
 
     def test_each_component_changes_key(self):
         base = self._key()
-        opts = CompilerOptions()
-        opts.fusion = False
-        assert self._key(options=opts) != base
+        assert self._key(options=CompilerOptions.level(3)) != base
         assert self._key(options=CompilerOptions.inference()) != base
         assert self._key(batch=8) != base
         assert self._key(threads=2) != base
@@ -395,9 +393,8 @@ class TestKeying:
     def test_options_mismatch_forces_recompile(self, tmp_path):
         store = CompileCache(tmp_path)
         compile_cached(MLP, 4, cache=store)
-        opts = CompilerOptions()
-        opts.tiling = False
-        again = compile_cached(MLP, 4, options=opts, cache=store)
+        again = compile_cached(MLP, 4, options=CompilerOptions.level(3),
+                               cache=store)
         assert not again.compile_report.cache_hit
         assert len(store.entries()) == 2
 
@@ -455,10 +452,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v13: every conv layer
-        its own group, so a forward-only entry holds the plan a cold
-        compile no longer produces) is dropped on get — a miss, never an
-        error, never thawed."""
+        """An entry written under the last layout (v14: its options
+        record carries one boolean per pass, options this library no
+        longer has) is dropped on get — a miss, never an error, never
+        thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -468,7 +465,7 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 14
+        assert meta["version"] == FORMAT_VERSION == 15
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
@@ -643,6 +640,14 @@ class TestCLI:
 
     def test_prune_needs_a_target(self, tmp_path, capsys):
         assert cache_main(["--cache-dir", str(tmp_path), "prune"]) == 2
+
+    def test_warm_rejects_an_unknown_level(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cache_main(["--cache-dir", str(tmp_path), "warm",
+                        "--checkpoint", str(tmp_path / "m.npz"),
+                        "--level", "7"])
+        assert exc.value.code == 2
+        assert "--level" in capsys.readouterr().err
 
 
 class TestNativeSharedObject:

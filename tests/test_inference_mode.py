@@ -57,9 +57,8 @@ class TestOptions:
     def test_inference_classmethod_wraps_level(self):
         opts = CompilerOptions.inference(3)
         assert opts.mode == "inference"
-        ref = CompilerOptions.level(3)
-        assert opts.fusion == ref.fusion
-        assert opts.memory_plan == ref.memory_plan
+        assert opts.opt_level == 3
+        assert opts == CompilerOptions(opt_level=3, mode="inference")
 
     def test_default_mode_is_train(self):
         assert CompilerOptions.level(4).mode == "train"

@@ -2,6 +2,7 @@
 forwarding, tiling, copy inlining, and cross-layer fusion (§5.4)."""
 
 import dataclasses
+import itertools
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.layers import (
     SoftmaxLayer,
 )
 from repro.optim import CompilerOptions
+from repro.optim.pipeline import PASS_LEVELS
 from repro.optim.pattern_match import match_gemm
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, UnitTags
 from repro.testing.oracle import batch_tiles
@@ -196,10 +198,12 @@ class TestPipelineStructure:
 
     def test_opt_levels_ladder(self):
         o0 = CompilerOptions.level(0)
-        assert not o0.vectorize and not o0.fusion
+        assert o0.opt_level == 0
+        assert not o0.runs("vectorize") and not o0.runs("fusion")
         o4 = CompilerOptions.level(4)
-        assert o4.vectorize and o4.fusion and o4.tiling
-        with pytest.raises(ValueError):
+        assert o4 == CompilerOptions()
+        assert all(o4.runs(p) for p in PASS_LEVELS)
+        with pytest.raises(ValueError, match="opt_level"):
             CompilerOptions.level(9)
 
 
@@ -223,6 +227,66 @@ class TestCBackend:
         assert "f" in kernels and "b" in kernels
 
 
+class TestOptionCells:
+    """Every configuration ``CompilerOptions`` accepts compiles a
+    distinct program; every other one is rejected, naming its field."""
+
+    LEVELS = range(-1, 6)
+    BACKENDS = ("numpy", "c", "fortran")
+    MODES = ("train", "inference", "predict")
+    PRECISIONS = ("fp32", "fp16", "int8")
+
+    def test_options_are_the_five_fields(self):
+        """The opt level is the one pass switch: no per-pass field."""
+        fields = [f.name for f in dataclasses.fields(CompilerOptions)]
+        assert fields == ["opt_level", "memory_plan", "backend", "mode",
+                          "precision"]
+
+    @staticmethod
+    def _violations(opt_level, memory_plan, backend, mode, precision):
+        bad = set()
+        if opt_level not in range(5):
+            bad.add("opt_level")
+        elif not memory_plan and opt_level < 3:
+            bad.add("memory_plan")
+        if backend not in ("numpy", "c"):
+            bad.add("backend")
+        if mode not in ("train", "inference"):
+            bad.add("mode")
+        if precision != "fp32" and (mode, backend) != ("inference", "numpy"):
+            bad.add("precision")
+        return bad
+
+    def test_the_accepted_cells_are_closed(self):
+        accepted = []
+        for cell in itertools.product(self.LEVELS, (True, False),
+                                      self.BACKENDS, self.MODES,
+                                      self.PRECISIONS):
+            bad = self._violations(*cell)
+            try:
+                CompilerOptions(*cell)
+            except ValueError as e:
+                assert bad, cell
+                assert any(field in str(e) for field in bad), (cell, e)
+            else:
+                assert not bad, cell
+                accepted.append(cell)
+        passes = {cell[:2] for cell in accepted}
+        rest = {cell[2:] for cell in accepted}
+        assert len(passes) == 7 and len(rest) == 6
+        assert len(accepted) == 42 == len(passes) * len(rest)
+
+    def test_accepted_pass_cells_differ(self):
+        ran = set()
+        for opt_level, memory_plan in itertools.product(range(5),
+                                                        (True, False)):
+            if opt_level < 3 and not memory_plan:
+                continue
+            opts = CompilerOptions(opt_level, memory_plan)
+            ran.add(frozenset(p for p in PASS_LEVELS if opts.runs(p)))
+        assert len(ran) == 7
+
+
 class TestOneTileAxis:
     """Structure: the batch is the one tile axis — the y tiler, its
     option and its tile metadata stay deleted."""
@@ -243,8 +307,3 @@ class TestOneTileAxis:
             text = path.read_text()
             for name in self.GONE:
                 assert name not in text, f"{path} mentions {name}"
-
-    def test_tiling_is_one_flag(self):
-        fields = [f.name for f in dataclasses.fields(CompilerOptions)]
-        assert len(fields) == 10
-        assert [f for f in fields if "til" in f] == ["tiling"]
