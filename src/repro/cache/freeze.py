@@ -34,7 +34,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.cache.key import CacheUnsupported
-from repro.codegen.python_backend import CompiledProgram, Step, exec_program
+from repro.codegen.python_backend import (CompiledProgram, NativeCall,
+                                          Step, exec_program)
 from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
 from repro.ir import CommCall
 from repro.synthesis.access import StepAccess
@@ -117,6 +118,9 @@ def _step_dict(step: Step) -> dict:
         "flops": int(step.flops),
         "shardable": bool(step.shardable),
         "private_accums": dict(step.private_accums),
+        "native": step.native and [step.native.symbol,
+                                   list(step.native.args)],
+        "fallback": step.fallback,
     }
 
 
@@ -195,21 +199,14 @@ _SO_KEY = "__so__"
 
 
 def _c_exec_dict(cnet, compiled, arrays: Dict[str, np.ndarray]):
-    """The ``meta["c_exec"]`` record for a ``backend='c'`` compile —
-    source + step argument orders + twin-step kernel names + the thread
-    count the kernels were emitted for + toolchain fingerprint —
-    stashing the built ``.so`` bytes into ``arrays`` alongside. ``None``
-    for the numpy backend."""
+    """The ``meta["c_exec"]`` record of a ``backend='c'`` compile —
+    source, kernel thread count, toolchain fingerprint — stashing the
+    built ``.so`` bytes in ``arrays``. ``None`` for the numpy backend."""
     if cnet.options.backend != "c":
         return None
-    ce = {
-        "source": compiled.c_exec_source,
-        "steps": {k: list(v) for k, v in compiled.c_steps.items()},
-        "symbols": dict(compiled.c_symbols),
-        "omp": compiled.c_omp,
-        "toolchain": None,
-    }
-    if compiled.c_steps:
+    ce = {"source": compiled.c_exec_source, "omp": compiled.c_omp,
+          "toolchain": None}
+    if any(s.native for s in compiled.steps):
         from repro.codegen import c_backend
 
         try:
@@ -237,11 +234,9 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
         "num_threads": int(cnet.num_threads),
         "options": asdict(cnet.options),
         "source": compiled.source,
-        # native-backend rebuild recipe: the executable C source plus
-        # each native step's buffer-argument order; the compiled shared
-        # object's bytes ride along in arrays["__so__"] (keyed to the
-        # toolchain fingerprint) so a warm thaw installs them directly
-        # and never invokes the compiler
+        # native-backend recipe: the executable C source (each step
+        # freezes its own binding); the shared object's bytes ride in
+        # arrays["__so__"], so a warm thaw never invokes the compiler
         "c_exec": _c_exec_dict(cnet, compiled, arrays),
         "steps": {
             "forward": [_step_dict(s) for s in compiled.forward],
@@ -403,6 +398,7 @@ def _rebuild_steps(meta, namespace) -> Tuple[List[Step], List[Step]]:
         for d in meta["steps"][phase]:
             fn = None
             comm = None
+            native = d["native"]
             if d["kind"] == "task":
                 fn = namespace.get(d["name"])
                 if fn is None:
@@ -425,6 +421,8 @@ def _rebuild_steps(meta, namespace) -> Tuple[List[Step], List[Step]]:
                 flops=d["flops"],
                 shardable=d["shardable"],
                 private_accums=dict(d["private_accums"]),
+                native=native and NativeCall(native[0], tuple(native[1])),
+                fallback=d["fallback"],
             ))
         phases.append(steps)
     return phases[0], phases[1]
@@ -443,33 +441,26 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
     unchanged program on the same machine is still a disk hit)."""
     from repro.codegen import c_backend
 
-    ce = meta.get("c_exec") or {}
-    source = ce.get("source", "")
-    compiled.c_exec_source = source
-    compiled.c_steps = {k: list(v)
-                        for k, v in (ce.get("steps") or {}).items()}
-    compiled.c_symbols = dict(ce.get("symbols") or {})
+    ce = meta["c_exec"]
+    compiled.c_exec_source = source = ce["source"]
     compiled.c_omp = int(ce["omp"])
-    if not compiled.c_steps:
+    if not any(s.native for s in compiled.steps):
         return
     so_path = None
     so_bytes = arrays.get(_SO_KEY)
     if (so_bytes is not None
-            and ce.get("toolchain") is not None
             and ce["toolchain"] == c_backend.toolchain_fingerprint()):
         try:
-            so_path = c_backend.install_shared_object(
-                source, so_bytes.tobytes()
-            )
+            so_path = c_backend.install_shared_object(source,
+                                                      so_bytes.tobytes())
         except (c_backend.CBackendUnavailable, OSError):
-            so_path = None  # fall through to the source recompile
+            pass  # fall through to the source recompile
     if so_path is None:
         try:
             so_path = c_backend.compile_shared_object(source)
         except c_backend.CBackendUnavailable as exc:
             raise CacheError(
-                f"cannot rebuild native program: {exc}"
-            ) from exc
+                f"cannot rebuild native program: {exc}") from exc
     c_backend.bind_steps(compiled, so_path, int(meta["batch_size"]),
                          int(meta["num_threads"]))
 

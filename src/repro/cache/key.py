@@ -79,7 +79,8 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #:     (interval ``units``)
 #: v15: the options record is the opt level plus ``memory_plan``,
 #:     ``backend``, ``mode`` and ``precision`` (no per-pass booleans)
-FORMAT_VERSION = 15
+#: v16: each step carries its native binding and fallback reason
+FORMAT_VERSION = 16
 
 
 #: the kinds of builder record (:func:`as_builder`)

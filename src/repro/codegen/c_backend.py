@@ -22,7 +22,7 @@ The native lowering contract:
   ``_b0/_b1`` are the same batch-shard bounds the threaded Python
   backend's step functions take; a later step whose body is identical
   up to buffer and loop-variable names calls the same function with
-  its own buffers (``CompiledProgram.c_symbols``);
+  its own buffers (its ``Step.native`` names the owner's symbol);
 * scalar :class:`~repro.ir.Assign` units become plain loop nests over
   flat row-major offsets (strides baked in at compile time from the
   buffer plan), with value arithmetic performed in ``double`` and
@@ -38,17 +38,14 @@ The native lowering contract:
 * the kernels' thread count is decided once, at emit time
   (:func:`omp_threads_for`: 1 whenever the executor shards batches
   across threads itself, runs on one thread, or the parallel pass is
-  off) and recorded as
-  ``CompiledProgram.c_omp``, which the binder passes as ``_omp``. Only
-  above 1 do batch-disjoint outer loops carry ``#pragma omp parallel
-  for``: a region ``_omp`` never opens is an outlined function ``cc``
-  optimises for nothing;
+  off) and recorded as ``CompiledProgram.c_omp``, which the binder
+  passes as ``_omp``. Only above 1 do batch-disjoint outer loops carry
+  ``#pragma omp parallel for``: a region ``_omp`` never opens is an
+  outlined function ``cc`` optimises for nothing;
 * any step the lowering cannot express (extern closures such as
-  softmax-loss, or exotic index forms) silently keeps its Python step
-  function — programs are hybrid by construction.
-
-Steps that stay Python are recorded with a reason in
-``CompiledProgram.c_skipped`` for diagnostics and tests.
+  softmax-loss, or exotic index forms) keeps its Python step function,
+  with the reason in its ``Step.fallback`` — programs are hybrid by
+  construction.
 """
 
 from __future__ import annotations
@@ -68,6 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.codegen.python_backend import NativeCall, lowered_units
 from repro.ir import (
     Assign,
     BinOp,
@@ -1186,8 +1184,6 @@ def _emit_step(group: FusedGroup, shapes: Dict[str, Tuple[int, ...]],
     Raises :class:`_Unlowerable` when any member unit cannot be
     expressed.
     """
-    from repro.codegen.python_backend import lowered_units
-
     tile, units = lowered_units(group)
     fr = _Frame(shapes, omp)
     body: List[str] = []
@@ -1330,20 +1326,19 @@ void _latte_gemm_rm(long long M, long long N, long long K,
 
 
 def emit_native_program(
-    compiled, fwd_items, bwd_items, plan, time_steps: int, omp: int
-) -> Tuple[str, Dict[str, List[str]], Dict[str, str], Dict[str, str],
+    compiled, plan, time_steps: int, omp: int
+) -> Tuple[str, Dict[str, Tuple[Optional[NativeCall], str]],
            Dict[str, int]]:
-    """Lower every lowerable task step of a compiled program to C, for
-    kernels that will run with ``omp`` in-kernel threads (parallel
-    regions are printed only when it is above 1).
+    """Lower every lowerable task step of a compiled program to C from
+    its kept schedule, for kernels that will run with ``omp`` in-kernel
+    threads (parallel regions are printed only when it is above 1).
+    Reads the steps, never writes them.
 
-    Returns ``(source, steps, skipped, symbols, gemms)``. ``steps`` maps
-    each native step name to its buffer-argument order and ``symbols``
-    maps a step to the kernel it calls when that is not its own
-    (together the rebuild recipe stored in compile-cache entries);
-    ``skipped`` maps each Python-retained step name to the reason it
-    stayed interpreted; ``gemms`` counts the native steps' Gemms by how
-    they were lowered (``gemm_inplace`` / ``gemm_nests``).
+    Returns ``(source, bindings, gemms)``: ``bindings`` maps each task
+    step name to its ``(native, fallback)`` pair — a :class:`NativeCall`
+    and ``""``, or ``None`` and the reason the step stays interpreted;
+    ``gemms`` counts the native steps' Gemms by how they were lowered
+    (``gemm_inplace`` / ``gemm_nests``).
 
     One function is emitted per *distinct* kernel: a step whose body
     equals an earlier step's up to buffer and loop-variable names
@@ -1355,14 +1350,12 @@ def emit_native_program(
         for name, spec in plan.buffers.items()
     }
     parts: List[str] = [_C_HEADER, _RUNTIME_MARK, _C_RUNTIME]
-    steps: Dict[str, List[str]] = {}
-    skipped: Dict[str, str] = {}
-    symbols: Dict[str, str] = {}
+    bindings: Dict[str, Tuple[Optional[NativeCall], str]] = {}
     gemms = {"gemm_inplace": 0, "gemm_nests": 0}
     #: renamed body -> (owning step, its label, its buffers' ranks)
     kernels: Dict[str, Tuple[str, str, List[int]]] = {}
-    for step_list, items in ((compiled.forward, fwd_items),
-                             (compiled.backward, bwd_items)):
+    for step_list, items in zip((compiled.forward, compiled.backward),
+                                compiled.schedule):
         groups = [it for it in items if isinstance(it, FusedGroup)]
         task_steps = [s for s in step_list if s.kind == "task"]
         assert len(groups) == len(task_steps), "schedule/steps drifted"
@@ -1370,22 +1363,22 @@ def emit_native_program(
             try:
                 buffers, body, fr = _emit_step(group, shapes, omp)
             except _Unlowerable as exc:
-                skipped[step.name] = str(exc)
+                bindings[step.name] = (None, str(exc))
                 continue
             for key in gemms:
                 gemms[key] += getattr(fr, key)
             text = "\n".join(body)
             canon, ranks = _alpha_rename(buffers, text)
-            owner = kernels.setdefault(canon,
-                                       (step.name, group.label, ranks))
-            if owner[0] != step.name:
-                by_rank = dict(zip(ranks, buffers))
-                steps[step.name] = [by_rank[r] for r in owner[2]]
-                symbols[step.name] = owner[0]
+            owner, label, owner_ranks = kernels.setdefault(
+                canon, (step.name, group.label, ranks))
+            # this step's buffers in its owner's parameter order
+            by_rank = dict(zip(ranks, buffers))
+            bindings[step.name] = (
+                NativeCall(owner, tuple(by_rank[r] for r in owner_ranks)), "")
+            if owner != step.name:
                 parts.append(f"/* {step.name} {group.label}: same kernel "
-                             f"as {owner[0]} {owner[1]} */\n\n")
+                             f"as {owner} {label} */\n\n")
                 continue
-            steps[step.name] = buffers
             params = ", ".join([f"float* {b}" for b in buffers]
                                + ["long long _b0", "long long _b1",
                                   "long long _omp"])
@@ -1395,7 +1388,7 @@ def emit_native_program(
                 f"  (void)_b0; (void)_b1; (void)_omp;\n"
                 f"{text}\n}}\n\n"
             )
-    return "".join(parts), steps, skipped, symbols, gemms
+    return "".join(parts), bindings, gemms
 
 
 # ---------------------------------------------------------------------------
@@ -1427,31 +1420,25 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
             args.append(a.ctypes.data)
         cfn(*args, _b0, _b1, omp)
 
-    step._latte_native = True
     return step
 
 
 def omp_threads_for(compiled, batch: int, num_threads: int) -> int:
     """In-kernel OpenMP thread count: ``num_threads`` when the executor
     runs steps whole, 1 when it splits batches into thread shards itself
-    (mirrors the executor's ``num_shards`` rule; avoids oversubscription
-    and keeps sharded runs comparable with the Python backend). Below
-    the parallel pass's rung of the ladder, ``compile_net`` resolves
-    ``num_threads`` to 1, so the kernels run serially too."""
-    shardable = any(
-        s.shardable for s in compiled.forward + compiled.backward
-    )
-    num_shards = min(num_threads, batch) if shardable else 1
-    return num_threads if num_shards == 1 else 1
+    (avoids oversubscription and keeps sharded runs comparable with the
+    Python backend). Below the parallel pass's rung of the ladder,
+    ``compile_net`` resolves ``num_threads`` to 1, so the kernels run
+    serially too."""
+    return num_threads if compiled.num_shards(batch, num_threads) == 1 else 1
 
 
 def bind_steps(compiled, so_path: str, batch: int,
                num_threads: int) -> None:
     """Load a built program and swap its kernels into ``compiled``'s
-    step lists: every step in ``c_steps`` calls the function named by
-    ``c_symbols`` (its own name unless it shares a twin's kernel) with
-    its own buffers and ``_omp = compiled.c_omp``, the thread count the
-    kernels were emitted for."""
+    step lists: every step with a ``native`` binding calls that symbol
+    with its own buffers and ``_omp = compiled.c_omp``, the thread count
+    the kernels were emitted for."""
     omp = compiled.c_omp
     # kernels printed without parallel regions must never be bound where
     # the executor leaves the threading to them, nor the reverse; a
@@ -1462,48 +1449,47 @@ def bind_steps(compiled, so_path: str, batch: int,
             f"kernels emitted for _omp={omp}, but the executor leaves "
             f"{want} to them ({num_threads} threads over batch {batch})")
     dll = _load(so_path)
-    for step in compiled.forward + compiled.backward:
-        bufnames = compiled.c_steps.get(step.name)
-        if bufnames is None:
+    for step in compiled.steps:
+        if step.native is None:
             continue
-        cfn = dll[compiled.c_symbols.get(step.name, step.name)]
+        cfn = dll[step.native.symbol]
         cfn.restype = None
         cfn.argtypes = (
-            [ctypes.c_void_p] * len(bufnames) + [ctypes.c_longlong] * 3
+            [ctypes.c_void_p] * len(step.native.args)
+            + [ctypes.c_longlong] * 3
         )
-        step.fn = _make_step_fn(cfn, tuple(bufnames), batch, omp)
+        step.fn = _make_step_fn(cfn, step.native.args, batch, omp)
 
 
-def attach_native(compiled, fwd_items, bwd_items, plan, time_steps: int,
+def attach_native(compiled, plan, time_steps: int,
                   num_threads: int) -> Dict[str, float]:
     """Compile a program's lowerable steps to native code and swap their
     step functions in place (the tentpole entry point, called by
     ``compile_net`` when ``options.backend == 'c'``).
 
-    Extern-closure steps and anything the lowering rejects keep their
-    Python functions; ``compiled.c_exec_source``/``c_steps``/
-    ``c_symbols``/``c_omp`` record the native artifact + rebuild recipe
-    for the compile cache, and ``c_skipped`` the per-step fallback
-    reasons. Returns the ``codegen-c`` compile-report counters.
+    Each task step gets its ``native`` binding or, for an extern
+    closure or anything the lowering rejects, its ``fallback`` reason
+    and keeps its Python function; ``compiled.c_exec_source`` and
+    ``c_omp`` record the whole program for the compile cache. Returns
+    the ``codegen-c`` compile-report counters.
     """
     if not have_c_toolchain():
         raise CBackendUnavailable(
             f"backend='c' requested but {toolchain_error()}"
         )
     omp = omp_threads_for(compiled, plan.batch_size, num_threads)
-    source, steps, skipped, symbols, gemms = emit_native_program(
-        compiled, fwd_items, bwd_items, plan, time_steps, omp
-    )
+    source, bindings, gemms = emit_native_program(compiled, plan,
+                                                  time_steps, omp)
     compiled.c_exec_source = source
-    compiled.c_steps = steps
-    compiled.c_skipped = skipped
-    compiled.c_symbols = symbols
     compiled.c_omp = omp
-    stats = {"native_steps": len(steps),
-             "kernels_unique": len(steps) - len(symbols), **gemms,
+    for step in compiled.steps:
+        step.native, step.fallback = bindings.get(step.name, (None, ""))
+    natives = [s.native for s in compiled.steps if s.native]
+    stats = {"native_steps": len(natives),
+             "kernels_unique": len({n.symbol for n in natives}), **gemms,
              "omp_threads": omp,
              "parallel_regions": source.count(_PAR_PRAGMA)}
-    if steps:
+    if natives:
         so_path = compile_shared_object(source, stats)
         bind_steps(compiled, so_path, plan.batch_size, num_threads)
     return stats

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,15 @@ from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit
 SHARD_LO, SHARD_HI = "_b0", "_b1"
 
 
+class NativeCall(NamedTuple):
+    """The C kernel a step runs under ``backend='c'``: the exported
+    symbol (a twin's is the owning step's name) and the step's own
+    buffers in that kernel's parameter order."""
+
+    symbol: str
+    args: Tuple[str, ...]
+
+
 @dataclass
 class Step:
     """One executable step of the compiled program."""
@@ -74,6 +83,11 @@ class Step:
     #: buffer name -> 'add' | 'store': batch-invariant accumulation
     #: targets the executor must privatize per shard and tree-reduce
     private_accums: Dict[str, str] = field(default_factory=dict)
+    #: backend='c': the kernel this step's fn calls, or None while it
+    #: runs its Python function
+    native: Optional[NativeCall] = None
+    #: backend='c': why this task step kept its Python function
+    fallback: str = ""
 
     @property
     def reads(self) -> frozenset:
@@ -95,22 +109,41 @@ class CompiledProgram:
     source: str
     closures: Dict[str, Callable]
     #: the ``(forward, backward)`` schedule items the steps were
-    #: generated from — what ``CompiledNet.c_source`` emits the native
-    #: program from on the NumPy backend; None on a cache thaw, which
-    #: rebuilds steps but no schedule
+    #: generated from — what ``emit_native_program`` prints the native
+    #: program from; None on a cache thaw, which rebuilds steps but no
+    #: schedule
     schedule: Optional[Tuple[list, list]] = None
     #: executable C program (backend='c'): the source actually compiled
-    #: to a shared object, per-native-step buffer-argument order, for
-    #: each step that shares an earlier twin's kernel the name of that
-    #: kernel, and the in-kernel thread count the kernels were emitted
-    #: for (parallel regions only above 1) — together the rebuild
-    #: recipe the compile cache stores
+    #: to a shared object and the in-kernel thread count the kernels
+    #: were emitted for (parallel regions only above 1); with each
+    #: step's ``native`` binding, the rebuild recipe the compile cache
+    #: stores
     c_exec_source: str = ""
-    c_steps: Dict[str, List[str]] = field(default_factory=dict)
-    c_symbols: Dict[str, str] = field(default_factory=dict)
     c_omp: int = 1
-    #: step name -> reason it kept its Python fn under backend='c'
-    c_skipped: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def steps(self) -> List[Step]:
+        """Every step, forward then backward."""
+        return self.forward + self.backward
+
+    def num_shards(self, batch: int, num_threads: int) -> int:
+        """How many batch shards the executor splits shardable steps
+        into: ``min(num_threads, batch)`` if any step is, else 1."""
+        if any(s.shardable for s in self.steps):
+            return min(num_threads, batch)
+        return 1
+
+    @property
+    def c_steps(self) -> Dict[str, List[str]]:
+        """Native step -> buffer order, read from the steps, only for
+        ``benchmarks/ledger/cells.py`` — delete with Ledger v2."""
+        return {s.name: list(s.native.args) for s in self.steps if s.native}
+
+    @property
+    def c_skipped(self) -> Dict[str, str]:
+        """Step -> ``fallback`` reason, read from the steps, only for
+        ``benchmarks/ledger/cells.py`` — delete with Ledger v2."""
+        return {s.name: s.fallback for s in self.steps if s.fallback}
 
 
 def _scalar_expr(e: Expr) -> str:

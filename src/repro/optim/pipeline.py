@@ -473,9 +473,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
             "codegen-c",
             True,
             lambda: build_stats.update(c_backend.attach_native(
-                compiled, fwd_items, bwd_items, plan,
-                net.time_steps, num_threads,
-            )),
+                compiled, plan, net.time_steps, num_threads)),
             lambda: build_stats,
             before=lambda: counts["steps"],
             after=lambda: counts["steps"],

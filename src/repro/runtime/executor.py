@@ -99,14 +99,8 @@ class CompiledNet:
         #: min(num_threads, batch) contiguous batch shards; the pool is
         #: created lazily on the first sharded step
         self.num_threads = max(1, int(num_threads))
-        shardable = any(
-            getattr(s, "shardable", False)
-            for phase in (compiled.forward, compiled.backward)
-            for s in phase
-        )
-        self.num_shards = (
-            min(self.num_threads, self.batch_size) if shardable else 1
-        )
+        self.num_shards = compiled.num_shards(self.batch_size,
+                                              self.num_threads)
         self._pool: Optional[ShardPool] = None
         self._shard_bounds = (
             shard_bounds(self.batch_size, self.num_shards)
@@ -426,7 +420,7 @@ class CompiledNet:
 
     def summary(self) -> str:
         """Parameter counts, buffer table size, planned vs naive peak
-        bytes, and step counts per phase."""
+        bytes, step counts per phase and the C backend's Python steps."""
         n_params = sum(p.value.size for p in self._params)
         mstats = self.memory_stats()
         mem_line = (
@@ -489,6 +483,8 @@ class CompiledNet:
                          f" (slowest unit {c['cc_unit_max_seconds']:.2f}s)"
                          f" + link {c['link_seconds']:.2f}s")
             lines.append(line)
+            lines += [f"    python {s.name} {s.label}: {s.fallback}"
+                      for s in self.compiled.steps if s.fallback]
         if report is not None and report.cache_hit:
             lines.append(
                 f"  compile    : warm cache hit {report.cache_key[:12]} "
@@ -498,12 +494,7 @@ class CompiledNet:
 
     def __repr__(self) -> str:
         n_params = sum(p.value.size for p in self._params)
-        tasks = sum(
-            1
-            for phase in (self.compiled.forward, self.compiled.backward)
-            for s in phase
-            if s.kind == "task"
-        )
+        tasks = sum(1 for s in self.compiled.steps if s.kind == "task")
         return (
             f"<CompiledNet ensembles={len(self.net.ensembles)} "
             f"batch={self.batch_size} params={n_params:,} steps={tasks}>"
@@ -546,8 +537,7 @@ class CompiledNet:
         omp = c_backend.omp_threads_for(compiled, self.batch_size,
                                         self.num_threads)
         return c_backend.emit_native_program(
-            compiled, *compiled.schedule, self.plan, self.net.time_steps,
-            omp)[0]
+            compiled, self.plan, self.net.time_steps, omp)[0]
 
     def parameters(self) -> List[ParamView]:
         """Views of every trainable parameter: ``(name, ensemble, value,

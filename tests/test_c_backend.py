@@ -304,9 +304,12 @@ class TestCExecution:
             nets[name] = compile_net(ledger_net(name),
                                      CompilerOptions(backend="c"))
         for name, cnet in nets.items():
-            assert cnet.compiled.c_steps, f"{name}: no steps lowered to C"
-            for step, why in cnet.compiled.c_skipped.items():
-                assert "extern closure" in why, f"{name}: {step}: {why}"
+            steps = cnet.compiled.steps
+            assert any(s.native for s in steps), f"{name}: no native step"
+            for s in steps:
+                if s.kind == "task" and not s.native:
+                    assert "extern closure" in s.fallback, \
+                        f"{name}: {s.name}: {s.fallback!r}"
             cnet.close()
 
     def test_thread_equivalence(self):
@@ -392,20 +395,23 @@ class TestBuild:
     def test_twin_steps_share_kernels(self, build):
         cnet = _compile_c(ZOO["mlp6x16"])
         compiled = cnet.compiled
-        assert len(compiled.c_steps) >= 40
-        symbols = {compiled.c_symbols.get(s, s) for s in compiled.c_steps}
+        native = {s.name: s.native for s in compiled.steps if s.native}
+        assert len(native) >= 40
+        symbols = {n.symbol for n in native.values()}
         assert len(symbols) <= 15
         src = compiled.c_exec_source
         # one definition per distinct kernel, a comment per twin
         assert src.count("\nvoid _step_") == len(symbols)
-        twin, owner = next(iter(compiled.c_symbols.items()))
+        twin, owner = next((name, n.symbol) for name, n in native.items()
+                           if n.symbol != name)
+        assert native[owner].symbol == owner
         assert re.search(rf"/\* {twin} \S+: same kernel as {owner} ", src)
         assert f"void {twin}(" not in src and f"void {owner}(" in src
         # a twin passes its own buffers, in its owner's parameter order
-        assert compiled.c_steps[twin] != compiled.c_steps[owner]
-        assert len(compiled.c_steps[twin]) == len(compiled.c_steps[owner])
+        assert native[twin].args != native[owner].args
+        assert len(native[twin].args) == len(native[owner].args)
         rec = cnet.compile_report["codegen-c"]
-        assert rec.rewrites["native_steps"] == len(compiled.c_steps)
+        assert rec.rewrites["native_steps"] == len(native)
         assert rec.rewrites["kernels_unique"] == len(symbols)
         assert rec.rewrites["build_dir_hit"] == 0
         assert rec.rewrites["cc_jobs"] >= 1
@@ -413,7 +419,7 @@ class TestBuild:
         assert 0 < rec.rewrites["cc_unit_max_seconds"] \
             <= rec.rewrites["cc_seconds"]
         assert rec.rewrites["so_bytes"] > 0
-        assert f"{len(compiled.c_steps)} steps on {len(symbols)} kernels" \
+        assert f"{len(native)} steps on {len(symbols)} kernels" \
             in cnet.summary()
         cnet.close()
 
@@ -439,7 +445,7 @@ class TestBuild:
             "L0_conv.pad_fill", "L0_conv.pad", "L0_conv.regather"]
         for step, twin in zip(clones, ("L0_conv.pad_fill", "L0_conv.pad",
                                        "L0_conv.copy")):
-            assert compiled.c_symbols[step.name] == by_label[twin]
+            assert step.native.symbol == by_label[twin]
             assert f"void {step.name}(" not in compiled.c_exec_source
         with_re, without = (builds[mp].compile_report["codegen-c"].rewrites
                             for mp in (True, False))
@@ -468,7 +474,7 @@ class TestBuild:
         (step,) = [s for s in compiled.backward if "regather" in s.label]
         assert step.label == ("L0_conv.pad_fill+L0_conv.pad"
                               "+L0_conv.regather+L0_conv.compute")
-        assert step.name in compiled.c_steps
+        assert step.native is not None and not step.fallback
         assert {b for b, label in cnet.plan.contracted.items()
                 if label == step.label} == {"L0_conv_padsrc0_re",
                                             "L0_conv_inputs0_re"}

@@ -452,10 +452,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v14: its options
-        record carries one boolean per pass, options this library no
-        longer has) is dropped on get — a miss, never an error, never
-        thawed."""
+        """An entry written under the last layout (v15: its native
+        bindings sit in ``c_exec`` tables beside the steps, which this
+        library no longer reads) is dropped on get — a miss, never an
+        error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -465,8 +465,9 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 15
+        assert meta["version"] == FORMAT_VERSION == 16
         assert "contracted" in meta and "tile" in meta["buffers"][0]
+        assert {"native", "fallback"} <= set(meta["steps"]["forward"][0])
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)
@@ -808,7 +809,8 @@ class TestNativeSharedObject:
     def test_deduplicated_program_thaws_bitwise(self, tmp_path,
                                                 monkeypatch):
         # six identical hidden layers: most native steps call a twin's
-        # kernel, and the entry must carry that mapping to rebind them
+        # kernel, and each frozen step must carry its binding — and the
+        # loss steps their reason for staying Python — through the thaw
         deep = mlp_config(hidden=(16,) * 6 + (4,), classes=4, input_dim=16)
         store = CompileCache(tmp_path / "cache")
 
@@ -826,24 +828,56 @@ class TestNativeSharedObject:
             return cnet, float(loss), grads
 
         cold, cold_loss, cold_grads = run("build1")
-        symbols = dict(cold.compiled.c_symbols)
-        assert len(symbols) >= 20
+        records = [(s.name, s.native, s.fallback)
+                   for s in cold.compiled.steps]
+        twins = [n for n, native, _ in records
+                 if native and native.symbol != n]
+        assert len(twins) >= 20
+        assert any(fallback.startswith("extern closure")
+                   for _, _, fallback in records)
         (entry,) = store.entries()
         with np.load(entry.path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
-        assert meta["c_exec"]["symbols"] == symbols
-        assert set(symbols) <= set(meta["c_exec"]["steps"])
-        # a fresh build dir: the thaw installs the entry's bytes and
-        # binds every twin to its owner's symbol
+        assert set(meta["c_exec"]) == {"source", "omp", "toolchain"}
+        # a fresh build dir: the thaw installs the entry's bytes, binds
+        # every twin to its owner's symbol and keeps every reason
         warm, warm_loss, warm_grads = run("build2")
         assert warm.compile_report.cache_hit
-        assert warm.compiled.c_symbols == symbols
-        assert warm.compiled.c_steps == cold.compiled.c_steps
+        assert [(s.name, s.native, s.fallback)
+                for s in warm.compiled.steps] == records
         assert warm_loss == cold_loss
         for key, grad in cold_grads.items():
             np.testing.assert_array_equal(warm_grads[key], grad)
         cold.close()
         warm.close()
+
+    @needs_toolchain
+    def test_ledger_views_read_the_steps(self, tmp_path, monkeypatch):
+        """``c_steps`` / ``c_skipped``, the two views the perf ledger
+        reads, agree with the step records and the ``codegen-c``
+        counters, cold and after a warm thaw."""
+        monkeypatch.setenv("REPRO_CBUILD_DIR", str(tmp_path / "cbuild"))
+        store = CompileCache(tmp_path / "cache")
+        for hit in (False, True):
+            seed_all(2)
+            cnet = compile_cached(lenet_config(), 4, options=self._c_opts(),
+                                  cache=store)
+            assert cnet.compile_report.cache_hit == hit
+            compiled = cnet.compiled
+            rec = cnet.compile_report["codegen-c"].rewrites
+            natives = {s.name: s.native for s in compiled.steps if s.native}
+            assert len(compiled.c_steps) == rec["native_steps"]
+            assert compiled.c_steps == {name: list(n.args)
+                                        for name, n in natives.items()}
+            assert rec["kernels_unique"] == len(
+                {n.symbol for n in natives.values()})
+            skipped = {s.name: s.fallback for s in compiled.steps
+                       if s.fallback}
+            assert compiled.c_skipped == skipped
+            assert sorted(skipped.values()) == [
+                "extern closure 'loss.loss_backward'",
+                "extern closure 'loss.loss_forward'"]
+            cnet.close()
 
     @needs_toolchain
     def test_toolchain_is_part_of_the_c_key_only(self, monkeypatch):

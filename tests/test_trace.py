@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.cache import CompileCache, compile_cached
+from repro.codegen.c_backend import have_c_toolchain
 from repro.core import Ensemble, Net, one_to_one
 from repro.layers import (
     ConvolutionLayer,
@@ -17,7 +19,7 @@ from repro.layers import (
     SoftmaxLossLayer,
 )
 from repro.layers.neurons import AddNeuron
-from repro.models import CONFIGS, build_latte
+from repro.models import CONFIGS, build_latte, mlp_config
 from repro.optim import CompilerOptions, compile_net
 from repro.runtime import ClusterSimulator, ComputeProfile, CommPoint
 from repro.runtime.netsim import cori_aries
@@ -428,6 +430,29 @@ class TestSummary:
         assert f"{n_params:,}" in text
         assert "task steps" in text and "MB" in text
         assert "comm" in text  # backward comm step surfaced
+
+    @pytest.mark.skipif(not have_c_toolchain(), reason="no C toolchain")
+    def test_native_line_names_the_python_steps(self, tmp_path,
+                                                monkeypatch):
+        """On the C backend the summary lists each step that stayed in
+        Python with its reason, read from the steps — so a warm thaw
+        shows them as the cold compile does."""
+        monkeypatch.setenv("REPRO_CBUILD_DIR", str(tmp_path / "cbuild"))
+        store = CompileCache(tmp_path / "cache")
+        texts = []
+        for _ in range(2):
+            cn = compile_cached(mlp_config(hidden=(6,), classes=3,
+                                           input_dim=5), 4,
+                                options=CompilerOptions(backend="c"),
+                                cache=store)
+            texts.append(cn.summary())
+            cn.close()
+        assert cn.compile_report.cache_hit
+        cold, warm = ([r for r in text.splitlines()
+                       if r.startswith("    python ")] for text in texts)
+        assert cold == warm and len(cold) == 2, texts[0]
+        assert cold[0].endswith(": extern closure 'loss.loss_forward'")
+        assert cold[1].endswith(": extern closure 'loss.loss_backward'")
 
     def test_repr_uses_summary_counts(self):
         cn = _mlp()
