@@ -391,7 +391,7 @@ def _rebuild_closures(net, plan, meta, arrays) -> Dict:
     return closures
 
 
-def _rebuild_steps(meta, namespace) -> Tuple[List[Step], List[Step]]:
+def _rebuild_steps(meta, fns) -> Tuple[List[Step], List[Step]]:
     phases = []
     for phase in ("forward", "backward"):
         steps = []
@@ -400,7 +400,7 @@ def _rebuild_steps(meta, namespace) -> Tuple[List[Step], List[Step]]:
             comm = None
             native = d["native"]
             if d["kind"] == "task":
-                fn = namespace.get(d["name"])
+                fn = fns.get(d["name"])
                 if fn is None:
                     raise CacheError(
                         f"generated source defines no {d['name']!r}"
@@ -498,8 +498,8 @@ def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,
             )
         plan = _rebuild_plan(net, meta, arrays)
         closures = _rebuild_closures(net, plan, meta, arrays)
-        namespace = exec_program(meta["source"], closures)
-        fwd, bwd = _rebuild_steps(meta, namespace)
+        fwd, bwd = _rebuild_steps(meta, exec_program(meta["source"],
+                                                      closures))
         compiled = CompiledProgram(fwd, bwd, meta["source"], closures)
         if meta["options"].get("backend", "numpy") == "c":
             _rebind_native(compiled, meta, arrays)

@@ -9,10 +9,10 @@ their own keys — the same container discipline as
 
 Durability rules:
 
-* **Writes are atomic**: ``tempfile.mkstemp`` in the cache directory,
-  then ``os.replace``. Two processes warming the same key race benignly —
-  both write complete files, the last rename wins, and readers only ever
-  see a fully written entry.
+* **Writes are atomic** (:func:`repro.utils.npz.save_npz`): a temp file
+  in the cache directory, then ``os.replace``. Two processes warming the
+  same key race benignly — both write complete files, the last rename
+  wins, and readers only ever see a fully written entry.
 * **Reads are corruption-tolerant**: any failure to load/parse/validate
   an entry (truncated file, version skew, key mismatch) deletes the bad
   file and reports a miss; callers recompile cold. A cache can only cost
@@ -24,10 +24,8 @@ Durability rules:
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.key import FORMAT_VERSION
+from repro.utils.npz import load_npz, save_npz
 
 ENV_DIR = "REPRO_CACHE_DIR"
 ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
@@ -92,13 +91,8 @@ class CompileCache:
         if not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-                arrays = {
-                    name: data[name]
-                    for name in data.files
-                    if name != _META_KEY
-                }
+            arrays = load_npz(path)
+            meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
             if meta.get("format") != _FORMAT:
                 raise ValueError(f"not a {_FORMAT} file")
             if meta.get("version") != FORMAT_VERSION:
@@ -132,17 +126,7 @@ class CompileCache:
         payload[_META_KEY] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
-        self.root.mkdir(parents=True, exist_ok=True)
-        buf = io.BytesIO()
-        np.savez(buf, **payload)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(buf.getvalue())
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            self._discard(Path(tmp))
-            raise
+        save_npz(self.path_for(key), payload)
         self.evict()
         return self.path_for(key)
 
@@ -163,10 +147,8 @@ class CompileCache:
                 size_bytes=st.st_size, mtime=st.st_mtime,
             )
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(
-                        bytes(data[_META_KEY]).decode("utf-8")
-                    )
+                meta = json.loads(
+                    bytes(load_npz(path)[_META_KEY]).decode("utf-8"))
                 info.model = str(meta.get("model", "?"))
                 info.created = float(meta.get("created", 0.0))
                 opts = meta.get("options") or {}

@@ -130,8 +130,8 @@ _PROBE_SRC = (
 #: memoized toolchain probe: {'cc': path, 'flags': [...], 'why': str,
 #: 'target': digest of the target the flags resolve to}
 _toolchain: Optional[Dict] = None
-#: dlopen cache: .so path -> ctypes.CDLL
-_dll_cache: Dict[str, ctypes.CDLL] = {}
+#: dlopen cache: .so path -> (ctypes.CDLL, its typed kernels by symbol)
+_dll_cache: Dict[str, Tuple[ctypes.CDLL, Dict[str, object]]] = {}
 
 
 def build_dir() -> Path:
@@ -553,9 +553,9 @@ def _find_cblas() -> Optional[Tuple[int, int]]:
     return None
 
 
-def _load(so_path: str) -> ctypes.CDLL:
-    dll = _dll_cache.get(so_path)
-    if dll is None:
+def _load(so_path: str) -> Tuple[ctypes.CDLL, Dict[str, object]]:
+    loaded = _dll_cache.get(so_path)
+    if loaded is None:
         dll = ctypes.CDLL(so_path)
         setter = getattr(dll, "latte_set_sgemm", None)
         if setter is not None:
@@ -564,8 +564,8 @@ def _load(so_path: str) -> ctypes.CDLL:
                 setter.argtypes = [ctypes.c_void_p, ctypes.c_int]
                 setter.restype = None
                 setter(ctypes.c_void_p(info[0]), ctypes.c_int(info[1]))
-        _dll_cache[so_path] = dll
-    return dll
+        loaded = _dll_cache[so_path] = (dll, {})
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -1448,17 +1448,20 @@ def bind_steps(compiled, so_path: str, batch: int,
         raise ValueError(
             f"kernels emitted for _omp={omp}, but the executor leaves "
             f"{want} to them ({num_threads} threads over batch {batch})")
-    dll = _load(so_path)
+    dll, kernels = _load(so_path)
     for step in compiled.steps:
         if step.native is None:
             continue
-        cfn = dll[step.native.symbol]
-        cfn.restype = None
-        cfn.argtypes = (
-            [ctypes.c_void_p] * len(step.native.args)
-            + [ctypes.c_longlong] * 3
-        )
-        step.fn = _make_step_fn(cfn, step.native.args, batch, omp)
+        symbol, args = step.native
+        cfn = kernels.get(symbol)
+        if cfn is None:
+            # one typed pointer per symbol, kept with the library: ctypes
+            # makes each lookup a new self-referencing object
+            cfn = kernels[symbol] = dll[symbol]
+            cfn.restype = None
+            cfn.argtypes = ([ctypes.c_void_p] * len(args)
+                            + [ctypes.c_longlong] * 3)
+        step.fn = _make_step_fn(cfn, args, batch, omp)
 
 
 def attach_native(compiled, plan, time_steps: int,

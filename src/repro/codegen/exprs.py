@@ -99,40 +99,37 @@ def render(e: Expr, index_renderer, vector: bool) -> str:
     ``index_renderer(Index) -> str`` decides how buffer accesses print
     (scalar subscripts vs slice tuples).
     """
-
-    def r(x: Expr) -> str:
-        if isinstance(x, SliceExpr):
-            step = ""
-            if not (isinstance(x.step, Const) and x.step.value == 1):
-                step = f":{r(x.step)}"
-            return f"{r(x.start)}:{r(x.stop)}{step}"
-        if isinstance(x, NewAxis):
-            return "None"
-        if isinstance(x, Const):
-            v = x.value
-            if v == float("inf"):
-                return "_inf"
-            if v == float("-inf"):
-                return "(-_inf)"
-            return repr(v)
-        if isinstance(x, Var):
-            return x.name
-        if isinstance(x, Index):
-            return index_renderer(x)
-        if isinstance(x, BinOp):
-            return f"({r(x.left)} {x.op} {r(x.right)})"
-        if isinstance(x, UnaryOp):
-            return f"({x.op}{r(x.operand)})"
-        if isinstance(x, Compare):
-            return f"({r(x.left)} {x.op} {r(x.right)})"
-        if isinstance(x, Call):
-            table = _VEC_FUNCS if vector else _SCALAR_FUNCS
-            if x.func not in table:
-                raise ValueError(f"unknown intrinsic {x.func!r}")
-            return f"{table[x.func]}({', '.join(r(a) for a in x.args)})"
-        raise TypeError(f"cannot render {type(x).__name__}")
-
-    return r(e)
+    if isinstance(e, SliceExpr):
+        step = ""
+        if not (isinstance(e.step, Const) and e.step.value == 1):
+            step = f":{render(e.step, index_renderer, vector)}"
+        return (f"{render(e.start, index_renderer, vector)}:"
+                f"{render(e.stop, index_renderer, vector)}{step}")
+    if isinstance(e, NewAxis):
+        return "None"
+    if isinstance(e, Const):
+        v = e.value
+        if v == float("inf"):
+            return "_inf"
+        if v == float("-inf"):
+            return "(-_inf)"
+        return repr(v)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Index):
+        return index_renderer(e)
+    if isinstance(e, (BinOp, Compare)):
+        return (f"({render(e.left, index_renderer, vector)} {e.op} "
+                f"{render(e.right, index_renderer, vector)})")
+    if isinstance(e, UnaryOp):
+        return f"({e.op}{render(e.operand, index_renderer, vector)})"
+    if isinstance(e, Call):
+        table = _VEC_FUNCS if vector else _SCALAR_FUNCS
+        if e.func not in table:
+            raise ValueError(f"unknown intrinsic {e.func!r}")
+        args = ", ".join(render(a, index_renderer, vector) for a in e.args)
+        return f"{table[e.func]}({args})"
+    raise TypeError(f"cannot render {type(e).__name__}")
 
 
 def render_plain_index(ix: Index) -> str:

@@ -16,7 +16,8 @@ The generated source is retained on the compiled program
 
 from __future__ import annotations
 
-import math
+import functools
+import types
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -372,6 +373,15 @@ def _shard_unit(unit: LoopUnit) -> LoopUnit:
     return LoopUnit(loops, stmt, unit.tags)
 
 
+def _tile_local(e: Expr, first: Expr, fold: Dict[Expr, Expr]) -> Expr:
+    """A lead index ``e`` counted from the tile's first row ``first``
+    (``fold`` holds the spellings that simplify)."""
+    if isinstance(e, SliceExpr):
+        return SliceExpr(_tile_local(e.start, first, fold),
+                         _tile_local(e.stop, first, fold), e.step)
+    return fold.get(e) or BinOp("-", e, first)
+
+
 def _contract_unit(unit: LoopUnit, names, tile: LoopSpec) -> LoopUnit:
     """Respell a unit of a batch-tiled group for the contracted buffers
     ``names`` it touches: their lead index counts from the tile's first
@@ -385,10 +395,7 @@ def _contract_unit(unit: LoopUnit, names, tile: LoopSpec) -> LoopUnit:
     fold = {first: Const(0), add(n, first): n,
             mul(rows, add(Var(tile.var), 1)): Const(rows)}
 
-    def local(e: Expr) -> Expr:
-        if isinstance(e, SliceExpr):
-            return SliceExpr(local(e.start), local(e.stop), e.step)
-        return fold.get(e) or BinOp("-", e, first)
+    local = functools.partial(_tile_local, first=first, fold=fold)
 
     def respell(e):
         if isinstance(e, Index) and e.buffer in names:
@@ -477,18 +484,29 @@ def _where(c, a, b):
 '''
 
 
-def exec_program(source: str, closures: Dict[str, Callable]) -> Dict:
-    """Execute generated program source and return its namespace.
+#: the prelude run once, as a module of its own: every generated
+#: program reads its helpers from here
+_HELPERS = types.ModuleType("repro.codegen.prelude")
+exec(_PRELUDE, vars(_HELPERS))
 
-    The only free name the emitted code references is ``_CL`` (the
-    runtime-closure table). Shared by the cold compile below and by the
-    compile cache's thaw path (``repro.cache.freeze``), which re-binds
-    cached source to freshly rebuilt closures.
+
+def exec_program(source: str, closures: Dict[str, Callable]) -> Dict:
+    """Execute generated program source; return the functions it
+    defines, by name.
+
+    Their globals hold the prelude's helpers and ``_CL`` (the
+    runtime-closure table), never the functions themselves, so a
+    dropped program is freed by reference counting. Shared by the cold
+    compile below and by the compile cache's thaw path
+    (``repro.cache.freeze``), which re-binds cached source to freshly
+    rebuilt closures.
     """
-    namespace: Dict[str, object] = {"_CL": closures}
-    code = compile(source, "<latte-generated>", "exec")
-    exec(code, namespace)
-    return namespace
+    namespace = dict(vars(_HELPERS), _CL=closures)
+    # blank lines in place of the prelude keep the line numbers of source
+    body = "\n" * _PRELUDE.count("\n") + source[len(_PRELUDE):]
+    exec(compile(body, "<latte-generated>", "exec"), namespace)
+    return {name: namespace.pop(name) for name, fn in list(namespace.items())
+            if getattr(fn, "__globals__", None) is namespace}
 
 
 def compile_items(
@@ -538,10 +556,10 @@ def compile_items(
                 )
             )
     source = _PRELUDE + "\n".join(lines)
-    namespace = exec_program(source, closures)
+    fns = exec_program(source, closures)
     for tag in ("f", "b"):
         for step in steps[tag]:
             if step.kind == "task":
-                step.fn = namespace[step.name]
+                step.fn = fns[step.name]
     return CompiledProgram(steps["f"], steps["b"], source, closures,
                            schedule=(fwd_items, bwd_items))

@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.codegen.exprs import NonAffine, extract_affine, render
+from repro.codegen.exprs import (NonAffine, extract_affine, render,
+                                 render_plain_index)
 from repro.ir import (
     Assign,
     Const,
@@ -216,6 +217,17 @@ def render_target_index(
     return src, axis_vars
 
 
+def _scalar_render(e: Expr) -> str:
+    """A scalar subexpression of a vectorized statement: plain
+    subscripts, array intrinsics."""
+    return render(e, _plain_ix, vector=True)
+
+
+def _plain_ix(ref: Index) -> str:
+    inner = ", ".join(_scalar_render(i) for i in ref.indices)
+    return f"{ref.buffer}[{inner}]" if ref.indices else ref.buffer
+
+
 def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
     """Vectorize one unit; remaining loops stay scalar."""
     unit = _drop_unit_extent_loops(unit)
@@ -226,15 +238,8 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
     loops = {sp.var: sp for sp in unit.loops}
     scalar_loops = [sp for sp in unit.loops if sp.var not in chosen]
 
-    def scalar_render(e: Expr) -> str:
-        return render(e, _plain_ix, vector=True)
-
-    def _plain_ix(ref: Index) -> str:
-        inner = ", ".join(scalar_render(i) for i in ref.indices)
-        return f"{ref.buffer}[{inner}]" if ref.indices else ref.buffer
-
     def vec_ix(ref: Index) -> str:
-        return render_vector_index(ref, chosen, loops, scalar_render)
+        return render_vector_index(ref, chosen, loops, _scalar_render)
 
     rhs = render(stmt.value, vec_ix, vector=True)
     has_arrays = any(isinstance(e, Index) for e in walk_exprs(stmt.value))
@@ -243,7 +248,7 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
 
     if isinstance(stmt.target, Index):
         tgt, tgt_axis_vars = render_target_index(
-            stmt.target, chosen, loops, scalar_render
+            stmt.target, chosen, loops, _scalar_render
         )
     else:
         tgt, tgt_axis_vars = stmt.target.name, []
@@ -293,16 +298,9 @@ def lower_unit_scalar(unit: LoopUnit) -> LoweredUnit:
     stmt = unit.stmt
     if not isinstance(stmt, Assign):
         raise TypeError("lower_unit_scalar expects Assign units")
-
-    def plain(e: Expr) -> str:
-        return render(e, _ix, vector=False)
-
-    def _ix(ref: Index) -> str:
-        inner = ", ".join(plain(i) for i in ref.indices)
-        return f"{ref.buffer}[{inner}]" if ref.indices else ref.buffer
-
-    tgt = plain(stmt.target) if isinstance(stmt.target, Index) else stmt.target.name
-    rhs = plain(stmt.value)
+    tgt = (render_plain_index(stmt.target) if isinstance(stmt.target, Index)
+           else stmt.target.name)
+    rhs = render(stmt.value, render_plain_index, vector=False)
     if stmt.reduce is None:
         line = f"{tgt} = {rhs}"
     elif stmt.reduce == "add":

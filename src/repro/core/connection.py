@@ -23,29 +23,37 @@ gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from typing import Callable, Optional
 
 
-@dataclass
 class Connection:
-    """An edge in the ensemble-level data-flow graph."""
+    """An edge in the ensemble-level data-flow graph. Its sink holds it
+    (``sink.inputs``); it points only at its source, never back — and
+    weakly when it is recurrent, since a recurrent source is the sink
+    itself or downstream of it (the net holds every ensemble)."""
 
-    source: "Ensemble"  # noqa: F821 - forward ref, resolved in core.ensemble
-    sink: "Ensemble"  # noqa: F821
-    mapping: Callable
-    #: Recurrent connections read the source's value at the *previous*
-    #: time step (§4, Fig. 6) and so are not edges of the acyclic schedule.
-    recurrent: bool = False
-    #: Index of this connection within the sink's input list; assigned by
-    #: ``Net.add_connections`` in the order connections are added.
-    index: int = -1
-    #: Filled lazily by the compiler with the affine-window analysis.
-    analysis: Optional[object] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not callable(self.mapping):
+    def __init__(self, source: "Ensemble", mapping: Callable,  # noqa: F821
+                 recurrent: bool = False, index: int = -1):
+        if not callable(mapping):
             raise TypeError("connection mapping must be callable")
+        self._source = weakref.ref(source) if recurrent else source
+        self.mapping = mapping
+        #: Recurrent connections read the source's value at the
+        #: *previous* time step (§4, Fig. 6) and so are not edges of the
+        #: acyclic schedule.
+        self.recurrent = recurrent
+        #: Index of this connection within the sink's input list;
+        #: assigned by ``Net.add_connections`` in the order connections
+        #: are added.
+        self.index = index
+        #: Filled lazily by the compiler with the affine-window analysis.
+        self.analysis: Optional[object] = None
+
+    @property
+    def source(self) -> "Ensemble":  # noqa: F821
+        src = self._source
+        return src() if isinstance(src, weakref.ref) else src
 
 
 def one_to_one(ndim: int) -> Callable:

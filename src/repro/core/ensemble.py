@@ -111,7 +111,6 @@ class AbstractEnsemble:
     def __init__(self, net, name: str, shape: Sequence[int]):
         if not name.isidentifier():
             raise ValueError(f"ensemble name must be an identifier: {name!r}")
-        self.net = net
         self.name = name
         self.shape = tuple(int(d) for d in shape)
         if any(d <= 0 for d in self.shape):

@@ -61,7 +61,7 @@ class Net:
         for ens in (source, sink):
             if self.ensembles.get(ens.name) is not ens:
                 raise ValueError(f"ensemble {ens.name!r} is not part of this net")
-        conn = Connection(source, sink, mapping, recurrent=recurrent,
+        conn = Connection(source, mapping, recurrent=recurrent,
                           index=len(sink.inputs))
         sink.inputs.append(conn)
         self.connections.append(conn)
@@ -81,25 +81,8 @@ class Net:
         genuine cycle of non-recurrent connections is an error.
         """
         order, visiting, done = [], set(), set()
-
-        def visit(ens):
-            if ens.name in done:
-                return
-            if ens.name in visiting:
-                raise ValueError(
-                    f"cycle through ensemble {ens.name!r}; recurrent "
-                    f"connections must be marked recurrent=True"
-                )
-            visiting.add(ens.name)
-            for conn in ens.inputs:
-                if not conn.recurrent:
-                    visit(conn.source)
-            visiting.discard(ens.name)
-            done.add(ens.name)
-            order.append(ens)
-
         for ens in self.ensembles.values():
-            visit(ens)
+            _visit(ens, order, visiting, done)
         return order
 
     def __getitem__(self, name: str) -> AbstractEnsemble:
@@ -136,6 +119,24 @@ class Net:
         return compile_net(self, options, tracer=tracer,
                            num_threads=num_threads, keep_alive=keep_alive,
                            watchdog=watchdog, calibration=calibration)
+
+
+def _visit(ens, order: list, visiting: set, done: set) -> None:
+    """Append ``ens`` to ``order`` after its non-recurrent sources."""
+    if ens.name in done:
+        return
+    if ens.name in visiting:
+        raise ValueError(
+            f"cycle through ensemble {ens.name!r}; recurrent "
+            f"connections must be marked recurrent=True"
+        )
+    visiting.add(ens.name)
+    for conn in ens.inputs:
+        if not conn.recurrent:
+            _visit(conn.source, order, visiting, done)
+    visiting.discard(ens.name)
+    done.add(ens.name)
+    order.append(ens)
 
 
 def add_connections(net: Net, source, sink, mapping, recurrent: bool = False):

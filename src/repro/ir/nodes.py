@@ -370,52 +370,50 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
 
 def walk_exprs(node) -> list:
     """All expression nodes (recursively) inside an expression or statement."""
-    out = []
-
-    def visit_expr(e: Expr):
-        out.append(e)
-        if isinstance(e, Index):
-            for i in e.indices:
-                visit_expr(i)
-        elif isinstance(e, BinOp):
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, UnaryOp):
-            visit_expr(e.operand)
-        elif isinstance(e, Compare):
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, Call):
-            for a in e.args:
-                visit_expr(a)
-        elif isinstance(e, SliceExpr):
-            visit_expr(e.start)
-            visit_expr(e.stop)
-            visit_expr(e.step)
-
-    def visit_stmt(s: Stmt):
-        if isinstance(s, Assign):
-            visit_expr(s.target)
-            visit_expr(s.value)
-        elif isinstance(s, For):
-            visit_expr(s.start)
-            visit_expr(s.stop)
-            visit_expr(s.step)
-            for child in s.body:
-                visit_stmt(child)
-        elif isinstance(s, Gemm):
-            visit_expr(s.a)
-            visit_expr(s.b)
-            visit_expr(s.c)
-        elif isinstance(s, Block):
-            for child in s.stmts:
-                visit_stmt(child)
-
+    out: list = []
     if isinstance(node, Expr):
-        visit_expr(node)
+        _walk_expr(node, out)
     else:
-        visit_stmt(node)
+        _walk_stmt(node, out)
     return out
+
+
+def _walk_expr(e: Expr, out: list) -> None:
+    out.append(e)
+    if isinstance(e, Index):
+        for i in e.indices:
+            _walk_expr(i, out)
+    elif isinstance(e, (BinOp, Compare)):
+        _walk_expr(e.left, out)
+        _walk_expr(e.right, out)
+    elif isinstance(e, UnaryOp):
+        _walk_expr(e.operand, out)
+    elif isinstance(e, Call):
+        for a in e.args:
+            _walk_expr(a, out)
+    elif isinstance(e, SliceExpr):
+        _walk_expr(e.start, out)
+        _walk_expr(e.stop, out)
+        _walk_expr(e.step, out)
+
+
+def _walk_stmt(s: Stmt, out: list) -> None:
+    if isinstance(s, Assign):
+        _walk_expr(s.target, out)
+        _walk_expr(s.value, out)
+    elif isinstance(s, For):
+        _walk_expr(s.start, out)
+        _walk_expr(s.stop, out)
+        _walk_expr(s.step, out)
+        for child in s.body:
+            _walk_stmt(child, out)
+    elif isinstance(s, Gemm):
+        _walk_expr(s.a, out)
+        _walk_expr(s.b, out)
+        _walk_expr(s.c, out)
+    elif isinstance(s, Block):
+        for child in s.stmts:
+            _walk_stmt(child, out)
 
 
 def free_vars(node) -> set:

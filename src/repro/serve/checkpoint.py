@@ -25,14 +25,13 @@ keys are ignored, so additive changes do not need a bump.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.cache.key import BUILDER_KINDS, as_builder, build_from
+from repro.utils.npz import load_npz, save_npz
 
 FORMAT = "latte-checkpoint"
 VERSION = 1
@@ -114,18 +113,7 @@ def save_checkpoint(
         } if history is not None else None,
     }
     arrays[_META_KEY] = np.asarray(json.dumps(meta))
-
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    save_npz(path, arrays)
     return path
 
 
@@ -272,31 +260,31 @@ def load_checkpoint(path: str) -> Checkpoint:
     Refuses files with a foreign format tag or a version newer than this
     reader (see the module docstring's versioning policy).
     """
-    with np.load(path, allow_pickle=False) as z:
-        if _META_KEY not in z:
-            raise CheckpointError(
-                f"{path}: not a {FORMAT} artifact (missing {_META_KEY})"
-            )
-        meta = json.loads(str(z[_META_KEY]))
-        if meta.get("format") != FORMAT:
-            raise CheckpointError(
-                f"{path}: format {meta.get('format')!r}, expected {FORMAT!r}"
-            )
-        if int(meta.get("version", 0)) > VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint version {meta['version']} is newer "
-                f"than this reader (max {VERSION}); upgrade the library"
-            )
-        params = {
-            name[len(_PARAM_PREFIX):]: z[name]
-            for name in z.files
-            if name.startswith(_PARAM_PREFIX)
-        }
-        solver_state: Dict[str, Dict[str, np.ndarray]] = {}
-        info = meta.get("solver")
-        if info is not None:
-            for param_key, slots in info["slots"].items():
-                solver_state[param_key] = {
-                    slot: z[_solver_key(param_key, slot)] for slot in slots
-                }
+    z = load_npz(path)
+    if _META_KEY not in z:
+        raise CheckpointError(
+            f"{path}: not a {FORMAT} artifact (missing {_META_KEY})"
+        )
+    meta = json.loads(str(z[_META_KEY]))
+    if meta.get("format") != FORMAT:
+        raise CheckpointError(
+            f"{path}: format {meta.get('format')!r}, expected {FORMAT!r}"
+        )
+    if int(meta.get("version", 0)) > VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {meta['version']} is newer "
+            f"than this reader (max {VERSION}); upgrade the library"
+        )
+    params = {
+        name[len(_PARAM_PREFIX):]: arr
+        for name, arr in z.items()
+        if name.startswith(_PARAM_PREFIX)
+    }
+    solver_state: Dict[str, Dict[str, np.ndarray]] = {}
+    info = meta.get("solver")
+    if info is not None:
+        for param_key, slots in info["slots"].items():
+            solver_state[param_key] = {
+                slot: z[_solver_key(param_key, slot)] for slot in slots
+            }
     return Checkpoint(meta, params, solver_state)

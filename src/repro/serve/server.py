@@ -141,6 +141,13 @@ class ModelServer:
         """Register the serving metric families (idempotent per
         registry, so several servers may share one)."""
         r = self.registry
+        #: callback gauges, settled to their last values at close: a
+        #: shared registry must not keep a closed server alive
+        self._callbacks: list = []
+
+        def watch(name: str, help: str, fn) -> None:
+            self._callbacks.append((r.gauge(name, help, fn=fn), fn))
+
         self._m_requests = r.counter(
             "serve_requests_total",
             "Prediction requests by outcome (served|shed|error)",
@@ -167,9 +174,8 @@ class ModelServer:
             "Fraction of batch slots holding real requests",
             buckets=FILL_BUCKETS,
         )
-        r.gauge("serve_queue_depth",
-                "Requests waiting for batch assembly",
-                fn=self.batcher.depth)
+        watch("serve_queue_depth", "Requests waiting for batch assembly",
+              self.batcher.depth)
         self._m_restarts = r.counter(
             "serve_worker_restarts_total",
             "Replica workers found dead or hung and replaced by a fresh "
@@ -182,8 +188,8 @@ class ModelServer:
             self._m_batches.inc(0, replica=str(index))
             self._m_restarts.inc(0, worker=str(index))
         r.gauge("serve_replicas", "Replica workers").set(len(self.replicas))
-        r.gauge("serve_replicas_alive", "Replica workers able to serve",
-                fn=self._alive)
+        watch("serve_replicas_alive", "Replica workers able to serve",
+              self._alive)
         r.gauge("serve_batch_size", "Compiled batch size").set(
             self.batch_size)
         mstats = self.replicas[0].memory_stats()
@@ -194,9 +200,9 @@ class ModelServer:
                 "Per-replica shared arena bytes").set(mstats["arena_bytes"])
         if self.checkpoint_mtime is not None:
             mtime = float(self.checkpoint_mtime)
-            r.gauge("serve_checkpoint_age_seconds",
-                    "Age of the served checkpoint artifact",
-                    fn=lambda: max(0.0, time.time() - mtime))
+            watch("serve_checkpoint_age_seconds",
+                  "Age of the served checkpoint artifact",
+                  lambda: max(0.0, time.time() - mtime))
         # compile-cache provenance: how many replica compiles were warm
         # thaws vs cold compiles, and how stale the warm entry is (only
         # populated when the replicas went through repro.cache)
@@ -216,9 +222,9 @@ class ModelServer:
                        if hit and made is not None]
             if created:
                 oldest = min(created)
-                r.gauge("serve_compile_cache_age_seconds",
-                        "Age of the oldest thawed compile-cache entry",
-                        fn=lambda: max(0.0, time.time() - oldest))
+                watch("serve_compile_cache_age_seconds",
+                      "Age of the oldest thawed compile-cache entry",
+                      lambda: max(0.0, time.time() - oldest))
 
     def _alive(self) -> int:
         return sum(1 for replica in self.replicas if replica.alive())
@@ -370,13 +376,17 @@ class ModelServer:
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain and stop: refuse new work, serve everything queued,
-        join the workers, release the replicas. Idempotent."""
+        join the workers, settle the callback gauges to their last
+        values, release the replicas. Idempotent."""
         if self._closed:
             return
         self._closed = True
         self.batcher.shutdown()
         for w in self._workers:
             w.join(timeout)
+        for gauge, fn in self._callbacks:
+            gauge.settle(fn)
+        self._callbacks = []
         for replica in self.replicas:
             replica.close()
 

@@ -186,15 +186,6 @@ class BufferPlan:
         return name
 
 
-def _consumers(ens: AbstractEnsemble) -> list:
-    """Non-recurrent connections consuming ``ens``."""
-    return [
-        c
-        for c in ens.net.connections
-        if c.source is ens and not c.recurrent
-    ]
-
-
 def plan_buffers(net, options) -> BufferPlan:
     """Build the buffer plan for a whole network."""
     plan = BufferPlan(net.batch_size, net.time_steps)
@@ -264,7 +255,8 @@ def _inplace_source(ens, facts, options, net) -> Optional[AbstractEnsemble]:
     # the source must own mutable buffers and feed only this ensemble
     if not isinstance(src, Ensemble):
         return None
-    if len(_consumers(src)) != 1:
+    if sum(c.source is src and not c.recurrent
+           for c in net.connections) != 1:
         return None
     # the source's backward must not read its own output value: in-place
     # execution lets the sink's forward clobber src_value, so e.g. max

@@ -182,6 +182,15 @@ class Gauge(_Metric):
         with self._lock:
             self._functions[key] = fn
 
+    def settle(self, fn: Callable[[], float], **labels) -> None:
+        """Replace the callback ``fn``, if it is still the one set, by
+        the value it reads now, dropping the reference to ``fn``."""
+        key, value = self._key(labels), float(fn())
+        with self._lock:
+            if self._functions.get(key) is fn:
+                del self._functions[key]
+                self._children[key] = value
+
     def value(self, **labels) -> float:
         key = self._key(labels)
         with self._lock:
@@ -411,6 +420,8 @@ class _NullMetric:
 
     def set_function(self, fn, **labels) -> None:
         pass
+
+    settle = set_function
 
     def observe(self, value: float, **labels) -> None:
         pass

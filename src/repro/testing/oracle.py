@@ -97,23 +97,6 @@ TOLERANCES: Dict[str, Dict[str, float]] = {
         "quant_int8_range_frac": 0.2,
         "quant_int8_top1_margin_frac": 0.05,
     },
-    # float64 would shrink the reassociation noise; kept for the day the
-    # buffer dtype becomes configurable
-    "float64": {
-        "loss_rtol": 1e-8,
-        "level_rtol": 1e-7, "level_atol": 1e-10,
-        "level_param_rtol": 1e-7, "level_param_atol": 1e-9,
-        "thread_fwd_rtol": 1e-9, "thread_fwd_atol": 1e-11,
-        "thread_loss_rtol": 1e-10,
-        "thread_param_rtol": 1e-8, "thread_param_atol": 1e-11,
-        "fd_atol": 1e-6, "fd_rtol": 1e-5,
-        "baseline_rtol": 1e-7, "baseline_atol": 1e-9,
-        # quantization error is set by the int8/fp16 grids, not the
-        # accumulation dtype — same tiers as float32
-        "quant_fp16_rtol": 1e-2, "quant_fp16_atol": 2e-3,
-        "quant_int8_range_frac": 0.2,
-        "quant_int8_top1_margin_frac": 0.05,
-    },
 }
 
 #: layer kinds the baseline implementations cover (plus the implicit

@@ -8,10 +8,9 @@ from repro.utils.initializers import (
 )
 from repro.utils.rng import get_rng, seed_all
 from repro.utils.shapes import conv_output_dim, pool_output_dim
-from repro.utils.timing import Timer, TimingStats, measure_median
+from repro.utils.timing import TimingStats, measure_median
 
 __all__ = [
-    "Timer",
     "TimingStats",
     "constant_init",
     "conv_output_dim",

@@ -1,43 +1,11 @@
-"""Timing helpers used by the benchmark harness and the runtime."""
+"""Timing helpers used by the benchmark harness."""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Union
-
-
-@dataclass
-class Timer:
-    """Accumulating wall-clock timer usable as a (re-entrant) context
-    manager.
-
-    Nested ``with`` blocks on the same timer count the outermost interval
-    once — re-entering an in-flight timer used to restart ``_start`` and
-    silently corrupt ``elapsed``.
-    """
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-    _depth: int = field(default=0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        if self._depth == 0:
-            self._start = time.perf_counter()
-        self._depth += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self.elapsed += time.perf_counter() - self._start
-
-    def reset(self) -> None:
-        """Zero the accumulated time (and abandon any open interval)."""
-        self.elapsed = 0.0
-        self._depth = 0
-        self._start = 0.0
 
 
 @dataclass

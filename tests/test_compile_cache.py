@@ -55,7 +55,7 @@ from repro.testing.generator import (
     make_inputs,
     random_spec,
 )
-from repro.testing.oracle import batch_tiles
+from repro.testing.oracle import TOLERANCES, batch_tiles
 from repro.utils.rng import seed_all
 
 MLP = mlp_config(hidden=(16, 5), classes=5, input_dim=30)
@@ -364,6 +364,42 @@ class TestRoundTrip:
     def test_unkeyable_model_raises(self):
         with pytest.raises(CacheUnsupported):
             as_builder(Net(2))
+
+
+class TestInferenceThreadsThaw:
+    """Inference x two executor threads x warm thaw, on both backends:
+    the cold and the thawed program give bitwise-equal outputs, and both
+    match the one-thread compile within the oracle's level tier."""
+
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("c", marks=pytest.mark.skipif(
+            not have_c_toolchain(), reason="no C toolchain")),
+    ])
+    def test_two_threads_thaw_bitwise(self, tmp_path, backend):
+        opts = dataclasses.replace(CompilerOptions.inference(),
+                                   backend=backend)
+        store = CompileCache(tmp_path / "cache")
+        x = np.random.default_rng(0).standard_normal(
+            (8, 1, 28, 28)).astype(np.float32)
+        outs = []
+        for threads, warm in ((2, False), (2, True), (1, False)):
+            seed_all(3)
+            built = build_latte(lenet_config(), 8)
+            cnet = compile_cached(lenet_config(), 8, net=built.net,
+                                  options=opts, num_threads=threads,
+                                  cache=store)
+            assert cnet.compile_report.cache_hit == warm
+            assert cnet.num_shards == threads
+            cnet.forward(data=x, label=np.zeros((8, 1), np.float32))
+            outs.append(cnet.value(built.output.name).copy())
+            cnet.close()
+        cold, thawed, serial = outs
+        assert np.abs(cold).max() > 0
+        np.testing.assert_array_equal(thawed, cold)
+        tol = TOLERANCES["float32"]
+        np.testing.assert_allclose(cold, serial, rtol=tol["level_rtol"],
+                                   atol=tol["level_atol"])
 
 
 class TestKeying:

@@ -1,6 +1,7 @@
 """The planned-bytes golden table: the exact ``planned_bytes`` of every
-program the perf ledger compiles (``benchmarks/ledger/programs.py``),
-trained at the default ``keep_alive`` and compiled forward-only.
+program the perf ledger compiles (``benchmarks/ledger/programs.py``;
+the program table is :mod:`repro.testing.digest`'s), trained at the
+default ``keep_alive`` and compiled forward-only.
 
 These are what the ledger's ``planned_mb`` gate sums, so a compiler
 change that moves one moves the gate: re-pin the number on purpose (the
@@ -8,26 +9,10 @@ comment after each row says what it was before the last change that
 moved it), never into an inequality.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
-import repro.models as models
 from repro.optim import CompilerOptions
-from repro.testing.generator import NetSpec, build_net
-from repro.utils.rng import seed_all
-
-SPEC_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "specs"
-
-#: the ledger's config programs (copied, not imported): factory, channel
-#: scale, input size, classes, batch
-CONFIGS = {
-    "alexnet": ("alexnet_config", 0.25, 67, 100, 8),
-    "overfeat": ("overfeat_config", 0.125, 75, 100, 8),
-    "vgg": ("vgg_config", 0.25, 64, 100, 8),
-    "lenet": ("lenet_config", 0.5, 28, None, 8),
-}
+from repro.testing.digest import PROGRAMS, SPEC_DIR, ledger_net
 
 #: program -> (train, inference) ``planned_bytes``. Re-padding each
 #: re-gathered conv layer's input in backward, instead of holding the
@@ -57,24 +42,9 @@ PLANNED = {
 JOINED = {"vgg": 4}
 
 
-def ledger_net(name):
-    """A fresh uncompiled ledger program, seeded as the ledger seeds it."""
-    seed_all(1)
-    if name in CONFIGS:
-        factory, scale, size, classes, batch = CONFIGS[name]
-        cfg = getattr(models, factory)().scaled(
-            channel_scale=scale, input_size=size, classes=classes)
-        return models.build_latte(cfg, batch).net
-    if name == "mlp6x16":
-        cfg = models.mlp_config(hidden=(16,) * 6 + (4,), classes=4,
-                                input_dim=16)
-        return models.build_latte(cfg, 4).net
-    spec = NetSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
-    return build_net(spec)
-
-
 def test_the_table_covers_every_ledger_spec():
     assert {p.stem for p in SPEC_DIR.glob("*.json")} <= set(PLANNED)
+    assert set(PLANNED) == set(PROGRAMS)
 
 
 @pytest.mark.parametrize("name", sorted(PLANNED))

@@ -12,6 +12,7 @@ request."""
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -25,6 +26,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -51,6 +53,7 @@ from repro.serve import (
 )
 from repro.telemetry import (
     JsonLogFormatter,
+    MetricsRegistry,
     parse_prometheus_text,
     sample_value,
 )
@@ -495,6 +498,28 @@ class TestMetricsEndpoint:
             # a second server can reuse the same registry without
             # name-collision errors (get-or-create families)
             ModelServer(_replicas(1), OUT, registry=srv_a.registry).close()
+
+    def test_a_shared_registry_does_not_keep_a_closed_server(self):
+        registry = MetricsRegistry()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            srv = ModelServer(_replicas(2), OUT, registry=registry,
+                              checkpoint_mtime=time.time() - 100)
+            srv.predict(np.zeros(6, np.float32))
+            srv.close()
+            server = weakref.ref(srv)
+            param = weakref.ref(srv.replicas[0].net.parameters()[0].value)
+            del srv
+            assert server() is None
+            assert param() is None
+        finally:
+            if enabled:
+                gc.enable()
+        # the callback gauges keep the values they read at close
+        assert registry.get("serve_replicas_alive").value() == 2
+        assert registry.get("serve_queue_depth").value() == 0
+        assert registry.get("serve_checkpoint_age_seconds").value() >= 100
 
 
 @contextlib.contextmanager

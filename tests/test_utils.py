@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    Timer,
     TimingStats,
     constant_init,
     conv_output_dim,
@@ -75,32 +74,8 @@ class TestInitializers:
 
 
 class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.02
-
     def test_measure_median_positive(self):
         assert measure_median(lambda: sum(range(100)), repeats=3) >= 0
-
-    def test_timer_reset(self):
-        t = Timer()
-        with t:
-            time.sleep(0.005)
-        assert t.elapsed > 0
-        t.reset()
-        assert t.elapsed == 0.0
-
-    def test_timer_nested_reentry_counts_outer_span_once(self):
-        t = Timer()
-        with t:
-            with t:  # inner re-entry must not double-count
-                time.sleep(0.01)
-            time.sleep(0.01)
-        assert 0.02 <= t.elapsed < 0.04
 
     def test_measure_median_full_returns_stats(self):
         stats = measure_median(lambda: time.sleep(0.002), repeats=5,
