@@ -1,6 +1,7 @@
 """Tests for the utility modules."""
 
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.utils import (
     xavier_init,
     zeros_init,
 )
+from repro.utils.npz import load_npz, save_npz
 
 
 class TestShapes:
@@ -91,3 +93,39 @@ class TestTiming:
     def test_measure_median_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             measure_median(lambda: None, repeats=0)
+
+
+class TestNpz:
+    """``repro.utils.npz``: the archives it writes read back exactly as
+    ``np.load`` reads them, and it refuses what it cannot parse."""
+
+    ARRAYS = {
+        "weights": np.arange(12, dtype=np.float32).reshape(3, 4),
+        "meta": np.frombuffer(b'{"k": 1}', dtype=np.uint8),
+        "text": np.asarray('{"format": "x"}'),
+        "scalar": np.float32(2.5),
+        "empty": np.zeros((0, 4), np.float32),
+        "index": np.arange(5, dtype=np.int64),
+    }
+
+    def test_round_trip_matches_np_load(self, tmp_path):
+        path = tmp_path / "sub" / "a.npz"
+        save_npz(path, self.ARRAYS)
+        got = load_npz(path)
+        with np.load(path, allow_pickle=False) as ref:
+            assert set(got) == set(ref.files) == set(self.ARRAYS)
+            for name in ref.files:
+                assert got[name].dtype == ref[name].dtype
+                np.testing.assert_array_equal(got[name], ref[name])
+        assert got["weights"].flags.writeable
+        assert list(tmp_path.glob("sub/*.tmp")) == []
+
+    def test_object_arrays_and_foreign_members_are_refused(self, tmp_path):
+        path = tmp_path / "obj.npz"
+        np.savez(path, o=np.array([{"a": 1}], dtype=object))
+        with pytest.raises(ValueError, match="unsupported"):
+            load_npz(path)
+        with zipfile.ZipFile(path, "w") as z:
+            z.writestr("x.npy", b"not an array")
+        with pytest.raises(ValueError, match="not an .npy"):
+            load_npz(path)
