@@ -261,9 +261,8 @@ class FCLayer(Layer):
     def setup(self, bottom_shape):
         n_in = int(np.prod(bottom_shape))
         self.bottom_shape = bottom_shape
-        self.weights, self.grad_weights = xavier_init(
-            n_in, self.spec.outputs, rng=self.rng
-        )
+        self.weights = xavier_init(n_in, self.spec.outputs, rng=self.rng)
+        self.grad_weights = np.zeros_like(self.weights)
         self.bias = zeros_init((1, self.spec.outputs))
         self.grad_bias = np.zeros_like(self.bias)
         return (self.spec.outputs,)

@@ -304,10 +304,10 @@ def _rebuild_plan(net, meta, arrays) -> BufferPlan:
                     f"entry references field {ens_name}.{fname} the net "
                     f"does not define"
                 )
-            if tuple(binding.array.shape) != spec.shape:
+            if tuple(binding.shape) != spec.shape:
                 raise CacheError(
                     f"field {ens_name}.{fname}: entry shape {spec.shape} "
-                    f"vs net shape {tuple(binding.array.shape)}"
+                    f"vs net shape {tuple(binding.shape)}"
                 )
             spec.array = binding.array
         plan.buffers[spec.name] = spec

@@ -80,7 +80,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v15: the options record is the opt level plus ``memory_plan``,
 #:     ``backend``, ``mode`` and ``precision`` (no per-pass booleans)
 #: v16: each step carries its native binding and fallback reason
-FORMAT_VERSION = 16
+#: v17: a parameter's gradient is a role-``param_grad`` buffer with no
+#:     field reference (the training thaw allocates it), and a
+#:     forward-only entry records none
+FORMAT_VERSION = 17
 
 
 #: the kinds of builder record (:func:`as_builder`)

@@ -1169,7 +1169,7 @@ def env_shape(plan, spec, time_steps: int) -> Tuple[int, ...]:
     if spec.alias_reshape is not None:
         n_lead = max(len(fs) - len(spec.shape), 0)
         fs = fs[:n_lead] + tuple(spec.alias_reshape)
-    if time_steps > 1 and spec.batched and spec.array is None:
+    if time_steps > 1 and spec.batched:
         fs = fs[1:]
     return tuple(int(d) for d in fs)
 

@@ -64,18 +64,23 @@ class FieldBinding:
     ``pattern`` has one entry per axis of ``array``: :data:`VEC`, a
     :class:`Dim`, or an ``int`` constant. For batch fields the leading
     batch axis is implicit (allocated by the runtime) and must *not*
-    appear in the pattern.
+    appear in the pattern. A parameter's gradient is declared with a
+    ``shape`` and no array: a training compile allocates it.
     """
 
-    array: np.ndarray
+    array: Optional[np.ndarray]
     pattern: tuple
     batch: bool = False
+    #: the array's shape, given on its own by a declaration with no array
+    shape: Optional[tuple] = None
 
     def __post_init__(self):
-        if len(self.pattern) != self.array.ndim:
+        if self.array is not None:
+            self.shape = self.array.shape
+        if len(self.pattern) != len(self.shape):
             raise ValueError(
                 f"pattern rank {len(self.pattern)} does not match array "
-                f"rank {self.array.ndim}"
+                f"rank {len(self.shape)}"
             )
 
     @property
@@ -93,7 +98,9 @@ class FieldBinding:
 @dataclass
 class Param:
     """Marks a field as a learnable parameter (paper Fig. 4:
-    ``Param(:weights, 1.0)``). ``grad_name`` defaults to ``grad_<name>``;
+    ``Param(:weights, 1.0)``). ``grad_name`` defaults to ``grad_<name>``,
+    a field the neuron type declares and the layer leaves unbound: the
+    ensemble declares it with the value's shape and pattern, no array.
     ``lr_mult`` scales the solver's learning rate for this parameter."""
 
     name: str
@@ -150,6 +157,17 @@ class Ensemble(AbstractEnsemble):
         super().__init__(net, name, shape)
         self.neuron_type = neuron_type
         self.field_bindings: dict = dict(fields or {})
+        self.params: tuple = tuple(params)
+        for p in self.params:
+            if p.name not in self.field_bindings:
+                raise ValueError(f"Param refers to unknown field {p.name!r}")
+            if p.grad_name in self.field_bindings:
+                raise ValueError(
+                    f"Param {p.name!r}: gradient field {p.grad_name!r} is "
+                    f"allocated by the training compile, not bound")
+            value = self.field_bindings[p.name]
+            self.field_bindings[p.grad_name] = FieldBinding(
+                None, value.pattern, shape=value.shape)
         declared = set(neuron_type.fields)
         bound = set(self.field_bindings)
         if bound - declared:
@@ -168,18 +186,9 @@ class Ensemble(AbstractEnsemble):
                     f"field {fname!r}: batch flag of binding does not match "
                     f"declaration"
                 )
-        self.params: tuple = tuple(params)
         #: optional callable(bufs, rt) run before this ensemble's forward
         #: section each iteration (e.g. dropout mask sampling)
         self.pre_forward: Optional[Callable] = None
-        for p in self.params:
-            if p.name not in self.field_bindings:
-                raise ValueError(f"Param refers to unknown field {p.name!r}")
-            if p.grad_name not in self.field_bindings:
-                raise ValueError(
-                    f"Param {p.name!r}: gradient field {p.grad_name!r} is "
-                    f"not bound"
-                )
 
     # -- paper-faithful construction -------------------------------------
 
@@ -194,7 +203,9 @@ class Ensemble(AbstractEnsemble):
         shared base with the appropriate index pattern, so neurons that
         alias parameters genuinely share them. A field whose array is the
         *same object* for every neuron is fully shared. Otherwise the
-        per-neuron arrays are stacked into a new base (not shared).
+        per-neuron arrays are stacked into a new base (not shared). A
+        parameter's gradient field is never read off the neurons: the
+        ensemble declares it (see :class:`Param`).
 
         Alias detection currently supports rank-1 ensembles, the only
         place the standard library uses this path (fully-connected
@@ -209,8 +220,11 @@ class Ensemble(AbstractEnsemble):
             raise TypeError(
                 "all neurons in an ensemble must have the same type (§3.2)"
             )
+        grads = {p.grad_name for p in params}
         fields = {}
         for fname, fdecl in ntype.fields.items():
+            if fname in grads:
+                continue
             views = [np.asarray(getattr(n, fname), dtype=DTYPE) for n in flat]
             fields[fname] = _bind_views(fname, views, arr.shape, fdecl.batch)
         return cls(net, name, ntype, arr.shape, fields=fields, params=params)

@@ -49,11 +49,10 @@ def ConvolutionLayer(
     if weight_std is None:
         weight_std = float(np.sqrt(2.0 / k))  # He initialization
     weights = gaussian_init((k, n_filters), std=weight_std, rng=rng)
+    # the gradients are declared by the Params, not allocated here
     fields = {
         "weights": FieldBinding(weights, (VEC, Dim(0))),
-        "grad_weights": FieldBinding(zeros_init((k, n_filters)), (VEC, Dim(0))),
         "bias": FieldBinding(zeros_init((1, n_filters)), (VEC, Dim(0))),
-        "grad_bias": FieldBinding(zeros_init((1, n_filters)), (VEC, Dim(0))),
     }
     conv = Ensemble(
         net,

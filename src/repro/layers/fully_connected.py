@@ -40,15 +40,13 @@ def FullyConnectedEnsemble(
 ) -> Ensemble:
     """The unconnected variant used when the input does not exist yet —
     recurrent blocks connect it afterwards (Fig. 6 line 9)."""
-    # Initialize parameters
-    weights, grad_weights = xavier_init(n_inputs, n_outputs, rng=rng)
-    bias, grad_bias = zeros_init((1, n_outputs)), zeros_init((1, n_outputs))
+    # Initialize parameters (their gradients belong to the runtime)
+    weights = xavier_init(n_inputs, n_outputs, rng=rng)
+    bias = zeros_init((1, n_outputs))
     # Instantiate each neuron with unique parameters (column views)
     neurons = np.empty(n_outputs, dtype=object)
     for i in range(n_outputs):
-        neurons[i] = WeightedNeuron(
-            weights[:, i], grad_weights[:, i], bias[:, i], grad_bias[:, i]
-        )
+        neurons[i] = WeightedNeuron(weights=weights[:, i], bias=bias[:, i])
     # Construct the ensemble
     return Ensemble.from_neurons(
         net,

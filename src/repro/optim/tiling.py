@@ -203,7 +203,7 @@ def run(sections: List[Section], plan) -> None:
         name: spec.itemsize * math.prod(spec.shape)
         for name, spec in plan.buffers.items()
         if spec.role in ("input", "grad_input") and spec.batched
-        and spec.alias_of is None and spec.array is None}
+        and spec.alias_of is None}
     batch = plan.batch_size
     for at, sec in enumerate(sections):
         rw = {id(u): unit_rw(plan, u) for u in sec.units}

@@ -89,8 +89,7 @@ class QuantPlan:
 
 def _candidate_bases(plan):
     for spec in plan.buffers.values():
-        if (spec.alias_of is None and spec.array is None
-                and spec.role in _ELIGIBLE_ROLES):
+        if spec.alias_of is None and spec.role in _ELIGIBLE_ROLES:
             yield spec
 
 

@@ -48,20 +48,32 @@ _GRAD_ROLES = ("grad", "grad_input", "padded_grad")
 #: zero a buffer — runs unconditionally, untraced)
 _TASK, _COMM, _AUX = "task", "comm", "aux"
 
+#: why a forward-only program refuses gradient work
+_FORWARD_ONLY = ("this net was compiled with mode='inference': the backward "
+                 "program and its gradient buffers do not exist. Recompile "
+                 "with mode='train' to backpropagate.")
+
 
 @dataclass
 class ParamView:
-    """A solver-facing view of one learnable parameter."""
+    """A solver-facing view of one learnable parameter. A forward-only
+    program allocates no gradient: there ``grad`` raises."""
 
     ensemble: str
     name: str
     value: np.ndarray
-    grad: np.ndarray
+    _grad: Optional[np.ndarray]
     lr_mult: float
 
     @property
     def key(self) -> str:
         return f"{self.ensemble}.{self.name}"
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            raise RuntimeError(f"{self.key}.grad: {_FORWARD_ONLY}")
+        return self._grad
 
 
 class CompiledNet:
@@ -131,7 +143,7 @@ class CompiledNet:
                 p.ensemble,
                 p.name,
                 self.buffers[p.value_buf],
-                self.buffers[p.grad_buf],
+                self.buffers.get(p.grad_buf),
                 p.lr_mult,
             )
             for p in plan.params
@@ -154,7 +166,7 @@ class CompiledNet:
         env: Dict[str, np.ndarray] = {}
         for name, arr in self.buffers.items():
             spec = self.plan.buffers.get(name)
-            if spec is not None and (spec.array is not None or not spec.batched):
+            if spec is not None and not spec.batched:
                 env[name] = arr  # untimed parameter/shared field
             else:
                 env[name] = arr[t]
@@ -341,7 +353,9 @@ class CompiledNet:
         """Replace several buffer-table entries with one program
         re-bake. The multi-process backend binds every parameter value
         and gradient buffer onto shared memory in a single call —
-        re-baking the step programs once instead of once per tensor."""
+        re-baking the step programs once instead of once per tensor.
+        A rebound parameter value is re-pointed in the plan and the
+        net's field binding too, freeing the array it replaces."""
         for name, array in arrays.items():
             old = self.buffers[name]
             if array.shape != old.shape or array.dtype != old.dtype:
@@ -352,9 +366,14 @@ class CompiledNet:
                 )
         if not arrays:
             return
+        plan = self.plan
         for name, array in arrays.items():
             self.buffers[name] = array
-        plan = self.plan
+        for ens in self.net.ensembles.values():
+            for fname, binding in getattr(ens, "field_bindings", {}).items():
+                name = plan.field_buf(ens.name, fname)
+                if name in arrays and plan.buffers[name].array is not None:
+                    binding.array = plan.buffers[name].array = arrays[name]
         targets = {plan.resolve_alias(name) for name in arrays}
         for spec in plan.buffers.values():
             if spec.alias_of is None:
@@ -371,7 +390,7 @@ class CompiledNet:
                 self.buffers[spec.name] = base
         for p, info in zip(self._params, plan.params):
             p.value = self.buffers[info.value_buf]
-            p.grad = self.buffers[info.grad_buf]
+            p._grad = self.buffers.get(info.grad_buf)
         self._step_bytes.clear()
         self._build_programs()
 
@@ -398,16 +417,9 @@ class CompiledNet:
                 "planned_bytes": mem.planned_bytes,
                 "arena_bytes": mem.arena_bytes,
             }
-        seen, naive = set(), 0
-        for name, spec in self.plan.buffers.items():
-            base = self.plan.resolve_alias(name)
-            if base in seen or spec.array is not None:
-                continue
-            base_spec = self.plan.buffers[base]
-            if base_spec.array is not None:
-                continue
-            seen.add(base)
-            naive += self.buffers[base].nbytes
+        naive = sum(self.buffers[name].nbytes
+                    for name, spec in self.plan.buffers.items()
+                    if spec.alias_of is None and not spec.is_param)
         return {"naive_bytes": naive, "planned_bytes": naive,
                 "arena_bytes": 0}
 
@@ -629,12 +641,7 @@ class CompiledNet:
         the pre-backward zeroing — the entry point for nets without a
         loss layer (``cnet.backward(seed_grads={'out': g})``).
         """
-        if self.mode == "inference":
-            raise RuntimeError(
-                "this net was compiled with mode='inference': the "
-                "backward program and its gradient buffers do not "
-                "exist. Recompile with mode='train' to backpropagate."
-            )
+        self._training_only("backward()")
         self._zero_grads()
         if seed_grads:
             for ens_name, g in seed_grads.items():
@@ -670,8 +677,13 @@ class CompiledNet:
 
     def clear_param_grads(self) -> None:
         """Zero parameter gradients (called by solvers each iteration)."""
+        self._training_only("clear_param_grads()")
         for p in self._params:
             p.grad[...] = 0
+
+    def _training_only(self, what: str) -> None:
+        if self.mode == "inference":
+            raise RuntimeError(f"{what}: {_FORWARD_ONLY}")
 
 
 # -- pre-bound program auxiliaries (module-level so entries stay small) ----

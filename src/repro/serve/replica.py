@@ -72,9 +72,9 @@ class NetReplica:
     def share_params(self, primary: "NetReplica") -> None:
         """Rebind this net's parameter buffers onto ``primary``'s: one
         set of weight arrays serves every in-thread replica."""
-        for info in self.net.plan.params:
-            self.net.rebind_buffer(info.value_buf,
-                                   primary.net.buffers[info.value_buf])
+        self.net.rebind_buffers({
+            info.value_buf: primary.net.buffers[info.value_buf]
+            for info in self.net.plan.params})
 
     def memory_stats(self) -> Dict[str, int]:
         return self.net.memory_stats()

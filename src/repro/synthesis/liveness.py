@@ -10,7 +10,7 @@ preallocation: given the final scheduled forward/backward step lists it
    bwd item 0 .. bwd item B-1]`` from the program's def/use view
    (:class:`~repro.synthesis.access.ProgramView`),
 2. decides which buffers are **pool candidates** — excluded are
-   parameter fields (user-owned arrays), field buffers written by opaque
+   parameter storage (values and gradients), field buffers written by opaque
    ``pre_forward`` closures, privatized accumulators, recurrent-read
    sources (their previous-time-step slices outlive the linear model),
    and everything in the ``keep_alive`` set (user-inspectable
@@ -171,7 +171,7 @@ def full_shape(plan: BufferPlan, spec: BufferSpec) -> Tuple[int, ...]:
     """Allocated shape of a buffer including batch/time lead axes
     (mirrors ``repro.runtime.buffers.allocate``)."""
     lead: Tuple[int, ...] = ()
-    if spec.batched and spec.array is None:
+    if spec.batched:
         lead = (spec.tile or plan.batch_size,)
         if plan.time_steps > 1:
             lead = (plan.time_steps, plan.batch_size)
@@ -242,23 +242,19 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
 
     Kept regardless of references:
 
-    * parameter/field storage (``spec.array`` set, or ``role ==
-      'field'``) — user-owned arrays plus batch fields written by opaque
-      ``pre_forward`` closures that declare no buffer list (e.g. the
-      dropout mask);
-    * both buffers of every :class:`~repro.synthesis.plan.ParamInfo`, so
-      ``parameters()`` / ``clear_param_grads`` stay well-formed;
+    * role-``'field'`` storage — parameter values and other net-owned
+      arrays, plus batch fields written by opaque ``pre_forward``
+      closures that declare no buffer list (e.g. the dropout mask); a
+      parameter's gradient is not kept, so none is ever allocated;
     * the full alias chain beneath any surviving buffer, and every alias
       of a surviving base — still its ensemble's name for it when fusion
       respelled a contracted group to the base.
 
     Returns counters for the compile report (``buffers_pruned`` and the
-    allocated ``bytes_pruned`` they would have occupied).
+    ``bytes_pruned`` a training compile allocates for them).
     """
     dropped = unnamed_buffers(plan, fwd_items, bwd_items)
-    dropped -= {n for n, spec in plan.buffers.items()
-                if spec.array is not None or spec.role == "field"}
-    dropped -= {n for p in plan.params for n in (p.value_buf, p.grad_buf)}
+    dropped -= {n for n, spec in plan.buffers.items() if spec.role == "field"}
     dropped -= {n for n in dropped if plan.buffers[n].alias_of is not None
                 and plan.resolve_alias(n) not in dropped}
     # every surviving alias needs the whole chain beneath it allocated
@@ -268,7 +264,7 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
     pruned_bytes = 0
     for name in dropped:
         spec = plan.buffers.pop(name)
-        if spec.alias_of is None and spec.array is None:
+        if spec.alias_of is None:
             pruned_bytes += buffer_nbytes(plan, spec)
     return {"buffers_pruned": len(dropped), "bytes_pruned": pruned_bytes}
 
@@ -322,7 +318,7 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     nbytes = {
         b: buffer_nbytes(plan, plan.buffers[b])
         for b in touchers
-        if plan.buffers[b].array is None
+        if not plan.buffers[b].is_param
     }
 
     def score(i: int) -> int:
@@ -411,7 +407,7 @@ def regather_staging(
 
     def poolable(base: str) -> bool:
         spec = plan.buffers[base]
-        return (spec.array is None and spec.role != "field"
+        return (not spec.is_param and spec.role != "field"
                 and base not in keep_bufs)
 
     for point, unit in enumerate(fwd_units):
@@ -519,7 +515,7 @@ def plan_memory(
 
     def keep_reason(base: str, spec: BufferSpec) -> Optional[str]:
         iv = intervals[base]
-        if spec.array is not None:
+        if spec.is_param:
             return "parameter"
         if spec.role == "field":
             return "field"  # written by opaque pre_forward closures
@@ -610,7 +606,7 @@ def plan_memory(
     # -- accounting (non-parameter bytes) -----------------------------------
     naive = planned = 0
     for base, spec in plan.buffers.items():
-        if spec.alias_of is not None or spec.array is not None:
+        if spec.alias_of is not None or spec.is_param:
             continue
         nbytes = buffer_nbytes(plan, spec)
         naive += nbytes

@@ -46,10 +46,11 @@ class BufferSpec:
 
     name: str
     shape: Tuple[int, ...]  # without batch/time axes
-    role: str  # value|grad|input|grad_input|field|padded|padded_grad
+    #: value|grad|input|grad_input|field|param_grad|padded|padded_grad
+    role: str
     batched: bool = True
-    #: for role='field': the existing NumPy array to register (updates to
-    #: parameters must flow through the user's arrays)
+    #: for an unbatched role='field': the net's NumPy array to register
+    #: (updates to parameters must flow through the user's arrays)
     array: Optional[np.ndarray] = None
     #: alias: (base buffer name, per-item reshape or None for same-shape)
     alias_of: Optional[str] = None
@@ -64,6 +65,15 @@ class BufferSpec:
     #: fusion's contraction on a buffer that lives inside one
     #: batch-tiled group, which then indexes it tile-locally
     tile: Optional[int] = None
+
+    @property
+    def is_param(self) -> bool:
+        """Parameter storage, kept out of the arena and the byte
+        accounting: an unbatched field (a parameter's value, or another
+        array the net owns) or a parameter's gradient, which the
+        training compile allocates."""
+        return self.role == "param_grad" or (
+            self.role == "field" and not self.batched)
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -207,14 +217,13 @@ def plan_buffers(net, options) -> BufferPlan:
             else:
                 plan.add(BufferSpec(vname, ens.shape, "value"))
                 plan.add(BufferSpec(gname, ens.shape, "grad"))
+            grads = {p.grad_name for p in ens.params}
             for fname, binding in ens.field_bindings.items():
-                bname = plan.field_buf(ens.name, fname)
-                if binding.batch:
-                    plan.add(BufferSpec(bname, binding.array.shape, "field",
-                                        batched=True))
-                else:
-                    plan.add(BufferSpec(bname, binding.array.shape, "field",
-                                        batched=False, array=binding.array))
+                plan.add(BufferSpec(
+                    plan.field_buf(ens.name, fname), binding.shape,
+                    "param_grad" if fname in grads else "field",
+                    batched=binding.batch,
+                    array=None if binding.batch else binding.array))
             for p in ens.params:
                 plan.params.append(ParamInfo(
                     ens.name, p.name,

@@ -13,16 +13,15 @@ from repro.utils.rng import get_rng
 DTYPE = np.float32
 
 
-def xavier_init(n_inputs: int, n_outputs: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def xavier_init(n_inputs: int, n_outputs: int, rng=None) -> np.ndarray:
     """Xavier-initialized weights of shape ``(n_inputs, n_outputs)``.
 
-    Returns ``(weights, grad_weights)`` mirroring the paper's
-    ``weights, ∇weights = xavier_init(n_inputs, n_outputs)``.
+    The paper's ``weights, ∇weights = xavier_init(n_inputs, n_outputs)``
+    also returns the gradient; here a training compile allocates it.
     """
     rng = rng or get_rng()
     scale = np.sqrt(3.0 / n_inputs)
-    weights = rng.uniform(-scale, scale, size=(n_inputs, n_outputs)).astype(DTYPE)
-    return weights, np.zeros_like(weights)
+    return rng.uniform(-scale, scale, size=(n_inputs, n_outputs)).astype(DTYPE)
 
 
 def gaussian_init(shape, std: float = 0.01, rng=None) -> np.ndarray:

@@ -488,10 +488,10 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v15: its native
-        bindings sit in ``c_exec`` tables beside the steps, which this
-        library no longer reads) is dropped on get — a miss, never an
-        error, never thawed."""
+        """An entry written under the last layout (v16: it records each
+        parameter gradient as a field of the net, which no longer binds
+        one) is dropped on get — a miss, never an error, never
+        thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -501,9 +501,11 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 16
+        assert meta["version"] == FORMAT_VERSION == 17
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         assert {"native", "fallback"} <= set(meta["steps"]["forward"][0])
+        grads = [d for d in meta["buffers"] if d["role"] == "param_grad"]
+        assert grads and not any("field" in d for d in grads)
         meta["version"] = FORMAT_VERSION - 1
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)

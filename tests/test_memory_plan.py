@@ -223,7 +223,7 @@ class TestArenaLayout:
         kept = sum(
             cn.buffers[n].nbytes
             for n, s in cn.plan.buffers.items()
-            if s.alias_of is None and s.array is None and n not in mem.pooled
+            if s.alias_of is None and not s.is_param and n not in mem.pooled
         )
         assert mem.planned_bytes == kept + mem.arena_bytes
         assert mem.saved_bytes == mem.naive_bytes - mem.planned_bytes

@@ -264,6 +264,41 @@ class TestThreadReplicas:
                 assert secondary.buffers[info.value_buf] is \
                     primary.buffers[info.value_buf]
 
+    def test_extra_replicas_release_their_own_weights(self, checkpoint,
+                                                      monkeypatch):
+        """Booting three replicas leaves one set of weights: replicas
+        2 and 3 drop every array they were built with (each buffer and
+        the arrays under it), freed by reference counting alone."""
+        from repro.serve.replica import NetReplica
+
+        def arrays(a):
+            while a is not None:
+                yield weakref.ref(a)
+                a = a.base
+
+        built = []
+        boot = NetReplica.from_checkpoint.__func__
+
+        def recording(cls, *args, **kwargs):
+            replica = boot(cls, *args, **kwargs)
+            built.append([ref for p in replica.net.parameters()
+                          for ref in arrays(p.value)])
+            return replica
+
+        monkeypatch.setattr(NetReplica, "from_checkpoint",
+                            classmethod(recording))
+        gc.collect()
+        gc.disable()
+        try:
+            with _boot(checkpoint, "threads", n=3) as srv:
+                assert len(built) == 3
+                assert all(ref() is not None for ref in built[0])
+                for refs in built[1:]:
+                    assert [ref() for ref in refs] == [None] * len(refs)
+                assert srv.predict(_items(1)[0]).shape == (3,)
+        finally:
+            gc.enable()
+
     def test_rebound_params_change_replica_output(self):
         """Mutating the primary's weights must be visible through every
         replica — the single-parameter-set property."""

@@ -48,11 +48,13 @@ class TestShapes:
 
 class TestInitializers:
     def test_xavier_bounds_and_grad(self):
-        w, gw = xavier_init(100, 50)
+        # the weights alone: a training compile allocates the gradient
+        # (tests/test_param_grad_storage.py pins it zeroed)
+        w = xavier_init(100, 50)
+        assert isinstance(w, np.ndarray)
         assert w.shape == (100, 50) and w.dtype == np.float32
         scale = np.sqrt(3.0 / 100)
         assert abs(w).max() <= scale
-        assert (gw == 0).all()
 
     def test_gaussian_std(self):
         g = gaussian_init((200, 200), std=0.05)
