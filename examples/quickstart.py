@@ -43,7 +43,7 @@ def main():
     print(cnet.summary())
     print("\ncompiled steps (forward):")
     for step in cnet.compiled.forward:
-        print(f"  {step.kind:5s} {step.label}")
+        print(f"  {step.name:10s} {step.label}")
     print("\nwhat each compiler pass did:")
     print(cnet.compile_report)
 

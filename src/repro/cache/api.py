@@ -11,8 +11,8 @@ The cache is *correctness-neutral* by construction: a thawed program is
 the stored cold program re-bound to a fresh net, and the differential
 oracle's ``cache`` check (:mod:`repro.testing.oracle`) pins warm==cold
 bitwise over the fuzz corpus. Any failure in the cache path — corrupt
-entry, foreign version, un-freezable closure — degrades to an ordinary
-cold compile.
+entry, foreign version, un-freezable closure, unwritable store —
+degrades to an ordinary cold compile.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
     try:
         meta, arrays = freeze(cnet)
         store.put(key, meta, arrays, model=model_label(builder))
-    except CacheUnsupported:
-        pass  # not freezable: the compile itself is still good
+    except (CacheUnsupported, OSError):
+        # not freezable, or the store cannot be written: the compile
+        # itself is still good
+        pass
     return cnet

@@ -7,8 +7,7 @@ to rebuild an executor *without* re-running synthesis or any pass:
 * the generated Python source (re-``exec``'d at thaw) and the C
   rendering;
 * the scheduled step lists, minus the ``fn`` callables (re-bound from
-  the exec'd namespace) and with comm steps as ``(ensemble, params)``
-  pairs;
+  the exec'd namespace);
 * the buffer table (shapes/roles/aliases/zero flags), with live
   parameter arrays replaced by ``(ensemble, field)`` references that
   thaw re-binds against a freshly built net;
@@ -37,7 +36,6 @@ from repro.cache.key import CacheUnsupported
 from repro.codegen.python_backend import (CompiledProgram, NativeCall,
                                           Step, exec_program)
 from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
-from repro.ir import CommCall
 from repro.synthesis.access import StepAccess
 from repro.synthesis.liveness import Interval, MemoryPlan, Rematerialized, Slab
 from repro.synthesis.lower import (
@@ -108,9 +106,6 @@ def _buffer_dicts(net, plan) -> List[dict]:
 def _step_dict(step: Step) -> dict:
     return {
         "name": step.name,
-        "kind": step.kind,
-        "comm": ([step.comm.ensemble, [str(p) for p in step.comm.params]]
-                 if step.comm is not None else None),
         "recurrent_reads": sorted(step.recurrent_reads),
         "label": step.label,
         "access": {"accesses": [list(a) for a in step.access.accesses],
@@ -267,7 +262,7 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
                 {"name": r.name, "enabled": r.enabled,
                  "units_before": int(r.units_before),
                  "units_after": int(r.units_after),
-                 "rewrites": {k: int(v) for k, v in r.rewrites.items()}}
+                 "rewrites": dict(r.rewrites)}
                 for r in (report.records if report else [])
             ],
         },
@@ -396,22 +391,13 @@ def _rebuild_steps(meta, fns) -> Tuple[List[Step], List[Step]]:
     for phase in ("forward", "backward"):
         steps = []
         for d in meta["steps"][phase]:
-            fn = None
-            comm = None
             native = d["native"]
-            if d["kind"] == "task":
-                fn = fns.get(d["name"])
-                if fn is None:
-                    raise CacheError(
-                        f"generated source defines no {d['name']!r}"
-                    )
-            elif d["comm"] is not None:
-                comm = CommCall(d["comm"][0], tuple(d["comm"][1]))
+            fn = fns.get(d["name"])
+            if fn is None:
+                raise CacheError(f"generated source defines no {d['name']!r}")
             steps.append(Step(
                 name=d["name"],
-                kind=d["kind"],
                 fn=fn,
-                comm=comm,
                 recurrent_reads=frozenset(d["recurrent_reads"]),
                 label=d["label"],
                 access=StepAccess(

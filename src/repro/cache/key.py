@@ -83,7 +83,10 @@ BACKEND_ID = BACKEND_IDS["numpy"]
 #: v17: a parameter's gradient is a role-``param_grad`` buffer with no
 #:     field reference (the training thaw allocates it), and a
 #:     forward-only entry records none
-FORMAT_VERSION = 17
+#: v18: a step records no ``kind``/``comm`` (every step is a task), and
+#:     the report stores each pass's ``rewrites`` uncast, without the
+#:     build's environment facts
+FORMAT_VERSION = 18
 
 
 #: the kinds of builder record (:func:`as_builder`)

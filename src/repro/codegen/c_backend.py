@@ -405,7 +405,7 @@ def _build(so: Path, source: str, units: List[Tuple[str, str]]) -> Dict:
 
 
 def compile_shared_object(source: str,
-                          stats: Optional[Dict] = None) -> str:
+                          env: Optional[Dict] = None) -> str:
     """Compile generated C ``source`` to a shared object; returns its path.
 
     Builds are content-addressed on (source, compiler, flags, resolved
@@ -423,21 +423,19 @@ def compile_shared_object(source: str,
     :class:`CBackendUnavailable` naming the unit (its ``.c`` is kept)
     and leaves no object, shared object or scratch directory behind.
 
-    ``stats``, when given, receives the build's counters
-    (``translation_units``, ``cc_jobs``, ``cc_seconds`` — the pool's
-    wall time —, ``cc_unit_max_seconds`` — its slowest unit's —,
-    ``link_seconds``, ``so_bytes``, ``build_dir_hit``).
+    ``env``, when given, receives the build's environment facts
+    (``cc_jobs``, ``cc_seconds`` — the pool's wall time —,
+    ``cc_unit_max_seconds`` — its slowest unit's —, ``link_seconds``,
+    ``so_bytes``, ``build_dir_hit``).
     """
     so = _artifact(source)
-    units = _translation_units(source)
-    rec = {"translation_units": len(units), "cc_jobs": 0, "cc_seconds": 0.0,
-           "cc_unit_max_seconds": 0.0, "link_seconds": 0.0,
-           "build_dir_hit": int(so.exists())}
+    rec = {"cc_jobs": 0, "cc_seconds": 0.0, "cc_unit_max_seconds": 0.0,
+           "link_seconds": 0.0, "build_dir_hit": int(so.exists())}
     if not rec["build_dir_hit"]:
-        rec.update(_build(so, source, units))
+        rec.update(_build(so, source, _translation_units(source)))
     rec["so_bytes"] = so.stat().st_size
-    if stats is not None:
-        stats.update(rec)
+    if env is not None:
+        env.update(rec)
     return str(so)
 
 
@@ -1354,12 +1352,10 @@ def emit_native_program(
     gemms = {"gemm_inplace": 0, "gemm_nests": 0}
     #: renamed body -> (owning step, its label, its buffers' ranks)
     kernels: Dict[str, Tuple[str, str, List[int]]] = {}
-    for step_list, items in zip((compiled.forward, compiled.backward),
-                                compiled.schedule):
-        groups = [it for it in items if isinstance(it, FusedGroup)]
-        task_steps = [s for s in step_list if s.kind == "task"]
-        assert len(groups) == len(task_steps), "schedule/steps drifted"
-        for step, group in zip(task_steps, groups):
+    for step_list, groups in zip((compiled.forward, compiled.backward),
+                                 compiled.schedule):
+        assert len(groups) == len(step_list), "schedule/steps drifted"
+        for step, group in zip(step_list, groups):
             try:
                 buffers, body, fr = _emit_step(group, shapes, omp)
             except _Unlowerable as exc:
@@ -1464,8 +1460,8 @@ def bind_steps(compiled, so_path: str, batch: int,
         step.fn = _make_step_fn(cfn, args, batch, omp)
 
 
-def attach_native(compiled, plan, time_steps: int,
-                  num_threads: int) -> Dict[str, float]:
+def attach_native(compiled, plan, time_steps: int, num_threads: int,
+                  env: Dict[str, float]) -> Dict[str, int]:
     """Compile a program's lowerable steps to native code and swap their
     step functions in place (the tentpole entry point, called by
     ``compile_net`` when ``options.backend == 'c'``).
@@ -1474,7 +1470,8 @@ def attach_native(compiled, plan, time_steps: int,
     closure or anything the lowering rejects, its ``fallback`` reason
     and keeps its Python function; ``compiled.c_exec_source`` and
     ``c_omp`` record the whole program for the compile cache. Returns
-    the ``codegen-c`` compile-report counters.
+    the ``codegen-c`` compile-report counters; ``env`` receives the
+    build's environment facts (:func:`compile_shared_object`).
     """
     if not have_c_toolchain():
         raise CBackendUnavailable(
@@ -1493,6 +1490,7 @@ def attach_native(compiled, plan, time_steps: int,
              "omp_threads": omp,
              "parallel_regions": source.count(_PAR_PRAGMA)}
     if natives:
-        so_path = compile_shared_object(source, stats)
+        stats["translation_units"] = len(_translation_units(source))
+        so_path = compile_shared_object(source, env)
         bind_steps(compiled, so_path, plan.batch_size, num_threads)
     return stats

@@ -29,7 +29,6 @@ from repro.codegen.vectorize import lower_unit_scalar, lower_unit_vector
 from repro.ir import (
     BinOp,
     Call,
-    CommCall,
     Const,
     Expr,
     ExternOp,
@@ -65,9 +64,7 @@ class Step:
     """One executable step of the compiled program."""
 
     name: str
-    kind: str  # 'task' | 'comm'
     fn: Optional[Callable] = None
-    comm: Optional[CommCall] = None
     recurrent_reads: frozenset = frozenset()
     label: str = ""
     #: the step's def/use record — the same one the passes scheduled it
@@ -523,43 +520,28 @@ def compile_items(
     counter = 0
     for tag, items in (("f", fwd_items), ("b", bwd_items)):
         for item in items:
-            if isinstance(item, CommCall):
-                steps[tag].append(
-                    Step(
-                        name=f"comm_{item.ensemble}",
-                        kind="comm",
-                        comm=item,
-                        label=f"async_grad_reduce({item.ensemble})",
-                        access=record(plan, item),
-                    )
-                )
-                continue
             name = f"_step_{tag}{counter}"
             counter += 1
             lines.append(f"# --- {tag} {item.label}")
-            shard = item.shard if isinstance(item, FusedGroup) else None
             _emit_group(item, name, vectorize, lines, shapes)
             lines.append("")
             steps[tag].append(
                 Step(
                     name=name,
-                    kind="task",
                     recurrent_reads=item.recurrent_reads,
                     label=item.label,
                     access=record(plan, item),
                     flops=sum(_gemm_flops(u.stmt) for u in item.units
                               if isinstance(u.stmt, Gemm)),
-                    shardable=shard is not None,
+                    shardable=item.shard is not None,
                     private_accums=(
-                        dict(shard.private_accums) if shard else {}
+                        dict(item.shard.private_accums) if item.shard else {}
                     ),
                 )
             )
     source = _PRELUDE + "\n".join(lines)
     fns = exec_program(source, closures)
-    for tag in ("f", "b"):
-        for step in steps[tag]:
-            if step.kind == "task":
-                step.fn = fns[step.name]
+    for step in steps["f"] + steps["b"]:
+        step.fn = fns[step.name]
     return CompiledProgram(steps["f"], steps["b"], source, closures,
                            schedule=(fwd_items, bwd_items))

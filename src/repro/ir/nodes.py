@@ -208,19 +208,6 @@ class Gemm(Stmt):
 
 
 @dataclass
-class CommCall(Stmt):
-    """Runtime call initiating asynchronous gradient reduction for one
-    ensemble's parameters (§5.3 'Distributed Memory Communication').
-
-    Lowered to a call into the distributed runtime when training
-    data-parallel; a no-op in single-node execution.
-    """
-
-    ensemble: str
-    params: Tuple[str, ...]
-
-
-@dataclass
 class ExternOp(Stmt):
     """Call into a Python-level kernel (NormalizationEnsemble array ops,
     loss layers, gathers, fake-quant). ``fn_key`` names a callable in
@@ -363,7 +350,7 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
         )
     if isinstance(stmt, Block):
         return Block([transform_exprs(s, fn) for s in stmt.stmts], stmt.label)
-    if isinstance(stmt, (CommCall, ExternOp)):
+    if isinstance(stmt, ExternOp):
         return stmt
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")
 

@@ -13,7 +13,6 @@ from repro.ir.nodes import (
     BinOp,
     Block,
     Call,
-    CommCall,
     Compare,
     Const,
     Expr,
@@ -82,8 +81,6 @@ def to_pseudo(stmt: Stmt, indent: int = 0) -> str:
     if isinstance(stmt, Block):
         label = f"{pad}# block: {stmt.label}\n" if stmt.label else ""
         return label + "\n".join(to_pseudo(s, indent) for s in stmt.stmts)
-    if isinstance(stmt, CommCall):
-        return f"{pad}async_grad_reduce({stmt.ensemble!r}, {list(stmt.params)})"
     if isinstance(stmt, ExternOp):
         return f"{pad}{stmt.fn_key}({', '.join(_extern_args(stmt))})"
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")

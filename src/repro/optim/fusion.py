@@ -36,16 +36,15 @@ Three cooperating transformations:
    (:attr:`~repro.synthesis.access.Interval.units`), so a group of
    several layers needs no more arena than its largest layer.
 
-NormalizationEnsembles, losses, untiled paddings and communication
-calls are fusion barriers (§5.5).
+NormalizationEnsembles, losses and untiled paddings are fusion
+barriers (§5.5).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
-from repro.ir import (CommCall, Const, ExternOp, Index, Var, free_vars,
-                      walk_exprs)
+from repro.ir import Const, ExternOp, Index, Var, free_vars, walk_exprs
 from repro.synthesis.access import ProgramView, unit_rw
 from repro.synthesis.liveness import buffer_nbytes, respelled
 from repro.synthesis.lower import BATCH_VAR, _src_index
@@ -185,9 +184,6 @@ def _rewrite_inlined(unit, ens, j, info, cplan, sub_var) -> None:
 # 2. Tile-loop fusion / schedule construction
 # ---------------------------------------------------------------------------
 
-ScheduleItem = Union[FusedGroup, CommCall]
-
-
 def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit,
                       plan) -> bool:
     """May ``unit`` read ``buf`` (written earlier in the group) within the
@@ -218,8 +214,8 @@ def _fits(unit: LoopUnit, reads, writes, written: Dict[str, LoopUnit],
 
 
 def build_schedule(sections: List[Section], plan, fuse: bool,
-                   keep=frozenset(), later=()) -> List[ScheduleItem]:
-    """Group units into fused groups and interleave communication calls.
+                   keep=frozenset(), later=()) -> List[FusedGroup]:
+    """Group units into fused groups.
 
     With ``fuse`` off (below the fusion rung) every unit is its own
     step. ``keep`` are the bases :func:`contract` must leave whole and
@@ -228,7 +224,7 @@ def build_schedule(sections: List[Section], plan, fuse: bool,
     group hands on to the next item stays whole goes into
     ``plan.untiled``.
     """
-    items: List[ScheduleItem] = []
+    items: List[FusedGroup] = []
     group: Optional[FusedGroup] = None  # the open tiled group, if any
     written: Dict[str, LoopUnit] = {}  # base buffer -> its in-group writer
     units = [u for sec in sections for u in sec.units]
@@ -322,9 +318,6 @@ def build_schedule(sections: List[Section], plan, fuse: bool,
                 close()
                 group = FusedGroup([unit], unit.loops.pop(0), _label(unit))
             written.update((b, unit) for b in writes)
-        if sec.comm:
-            close()
-            items.extend(sec.comm)
     close()
     return items
 

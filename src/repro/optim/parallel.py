@@ -46,16 +46,12 @@ def run(items, plan, num_threads: int = 1) -> None:
     if num_threads <= 1 or plan.batch_size <= 1:
         return
     for item in items:
-        if isinstance(item, FusedGroup):
-            item.shard = _mark_group(item, plan)
+        item.shard = _mark_group(item, plan)
 
 
 def count_sharded(items) -> int:
     """Number of schedule items marked batch-shardable."""
-    return sum(
-        1 for it in items
-        if isinstance(it, FusedGroup) and it.shard is not None
-    )
+    return sum(1 for it in items if it.shard is not None)
 
 
 def _index_vars(expr) -> set:

@@ -469,15 +469,17 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         # lower lowerable steps to C, build one shared object, and swap
         # the native kernels in (extern steps keep their Python fns)
         build_stats: dict = {}
+        build_env: dict = {}
         run_pass(
             "codegen-c",
             True,
             lambda: build_stats.update(c_backend.attach_native(
-                compiled, plan, net.time_steps, num_threads)),
+                compiled, plan, net.time_steps, num_threads, build_env)),
             lambda: build_stats,
             before=lambda: counts["steps"],
             after=lambda: counts["steps"],
         )
+        report["codegen-c"].env = build_env
     # the end-to-end compile wall time (synthesis + passes + codegen) is
     # what the persistent compile cache's warm boot is measured against
     report.compile_seconds = time.perf_counter() - t_compile

@@ -14,6 +14,7 @@ from repro.runtime.distributed import (
     CommPoint,
     ComputeProfile,
     MultiThreadTrainer,
+    reduction_points,
     scaling_efficiency,
     strong_scaling,
     weak_scaling,
@@ -62,6 +63,7 @@ __all__ = [
     "cori_aries",
     "gigabit_ethernet",
     "infiniband_fdr",
+    "reduction_points",
     "scaling_efficiency",
     "strong_scaling",
     "weak_scaling",

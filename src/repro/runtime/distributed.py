@@ -2,9 +2,11 @@
 
 Two components: :class:`ComputeProfile` measures one node's compute on
 the real compiled network, and :class:`ClusterSimulator` is a
-discrete-event model of cluster-level data parallelism. The compiler
-inserts an asynchronous gradient reduction after each ensemble's backward
-section (§5.3); the simulator replays exactly that schedule: compute
+discrete-event model of cluster-level data parallelism. Each ensemble's
+asynchronous gradient reduction is issued as soon as its parameter
+gradients are final (§5.3): right after the last backward step that
+writes them, a point :func:`reduction_points` reads off the compiled
+backward schedule. The simulator replays exactly that schedule: compute
 advances along the profiled backward timeline, each comm point enqueues
 an allreduce on the NIC (serialized per node, overlapping subsequent
 compute), and the iteration ends when both compute and the last reduction
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.trace import NULL_TRACER, RecordingTracer
 
 @dataclass
 class CommPoint:
-    """One async-reduction insertion point on the backward timeline."""
+    """One async-reduction issue point on the backward timeline."""
 
     #: fraction of total backward compute completed when this reduction
     #: is issued (0..1, §5.3: issued as soon as the gradient is ready)
@@ -92,6 +94,26 @@ class ComputeProfile:
         return cls(f_base, f_per, b_base, b_per, tuple(points))
 
 
+def reduction_points(cnet) -> List[Tuple[int, str, Tuple[str, ...]]]:
+    """Where §5.3's asynchronous gradient reductions are issued, in
+    issue order: one ``(backward step index, ensemble, gradient
+    buffers)`` per parameterised ensemble, right after the last
+    backward step that writes one of its parameter gradients. A
+    time-unrolled net runs its backward steps once per time step; the
+    point is in the final (``t == 0``) iteration."""
+    plan = cnet.plan
+    grads: Dict[str, List[str]] = {}
+    for p in plan.params:
+        grads.setdefault(p.ensemble, []).append(p.grad_buf)
+    last: Dict[str, int] = {}
+    for idx, step in enumerate(cnet.compiled.backward):
+        for ens, bufs in grads.items():
+            if any(plan.resolve_alias(b) in step.writes for b in bufs):
+                last[ens] = idx
+    return sorted(((idx, ens, tuple(grads[ens]))
+                   for ens, idx in last.items()), key=lambda p: p[0])
+
+
 def _profile_once(cnet, inputs, repeats):
     for name, arr in inputs.items():
         cnet.set_input(name, arr)
@@ -106,28 +128,25 @@ def _profile_once(cnet, inputs, repeats):
         fwd += time.perf_counter() - t0
     fwd /= repeats
 
-    # one traced backward: task spans time the compute in timeline
-    # order, and each comm span (fired only while a hook is set) marks
-    # where that reduction is issued
-    tracer, hook, rec = cnet.tracer, cnet.comm_hook, RecordingTracer()
-    cnet.tracer, cnet.comm_hook = rec, lambda ensemble, grads: None
+    # one traced backward: the step spans time the compute in timeline
+    # order; ends[i] is the compute done when step i of the final
+    # (t == 0) iteration finishes
+    tracer, rec = cnet.tracer, RecordingTracer()
+    cnet.tracer = rec
     try:
         cnet.backward()
     finally:
-        cnet.tracer, cnet.comm_hook = tracer, hook
-    comms = {s.label: s.comm for s in cnet.compiled.backward
-             if s.kind == "comm"}
-    done, issued = 0.0, []
+        cnet.tracer = tracer
+    done, ends = 0.0, []
     for span in rec.spans:
-        if span.cat == "comm":
-            issued.append((done, comms[span.name]))
-        elif not span.args.get("shard"):  # shard 0 times a sharded step
+        if not span.args.get("shard"):  # shard 0 times a sharded step
             done += span.dur
+            if span.t == 0:
+                ends.append(done)
     total = done or 1e-9
-    points = [CommPoint(at / total,
-                        sum(cnet.buffers[g].nbytes for g in comm.params),
-                        comm.ensemble)
-              for at, comm in issued]
+    points = [CommPoint(ends[idx] / total,
+                        sum(cnet.buffers[g].nbytes for g in grads), ens)
+              for idx, ens, grads in reduction_points(cnet)]
     return fwd, total, points
 
 

@@ -7,8 +7,6 @@ forward/backward step lists. It
 * runs forward steps (per time step for recurrent nets), collecting loss
   values recorded by loss ensembles,
 * zeroes gradient buffers and runs backward steps in reverse time,
-* fires the per-ensemble asynchronous gradient-reduction hook at each
-  ``CommCall`` (a no-op unless a distributed runtime is attached, §6),
 * exposes parameter/gradient views to solvers.
 
 Execution is driven by one **phase program** per phase, baked at init:
@@ -23,15 +21,15 @@ program holds the compiled step functions themselves. Compiled with
 ``num_threads > 1``, a step the parallel pass marked batch-shardable is
 bound as a shard closure over a persistent thread pool (§5.4.3 realized
 at runtime; see :mod:`repro.runtime.threads`). A recording tracer wraps
-task steps and fired comm hooks in spans, and a numerics watchdog
-follows each task step with its check; assigning either re-binds.
+each step in a span, and a numerics watchdog follows each step with its
+check; assigning either re-binds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,11 +40,6 @@ from repro.trace import NULL_TRACER
 
 #: gradient-role buffers zeroed before every backward pass
 _GRAD_ROLES = ("grad", "grad_input", "padded_grad")
-
-#: pre-bound program entry kinds: 'task' (a compiled step), 'comm' (an
-#: async gradient-reduction insertion point), 'aux' (set current_t /
-#: zero a buffer — runs unconditionally, untraced)
-_TASK, _COMM, _AUX = "task", "comm", "aux"
 
 #: why a forward-only program refuses gradient work
 _FORWARD_ONLY = ("this net was compiled with mode='inference': the backward "
@@ -132,8 +125,6 @@ class CompiledNet:
         #: current time step, exposed to extern closures so loss and
         #: normalization layers can stash per-step state
         self.current_t = 0
-        #: set by the distributed runtime: fn(ensemble_name, [grad arrays])
-        self.comm_hook: Optional[Callable] = None
         self._losses: Dict[str, float] = {}
         self._data_names = [
             e.name for e in net.ensembles.values() if isinstance(e, DataEnsemble)
@@ -173,9 +164,10 @@ class CompiledNet:
         return env
 
     def _build_programs(self) -> None:
-        """Bake one argument table per (step, t) into ``(kind, fn, env,
-        step, t)`` records, then :meth:`_bind` them. Called once at init
-        and again by :meth:`rebind_buffers`."""
+        """Bake one argument table per (step, t) into ``(fn, env, step,
+        t)`` records, then :meth:`_bind` them; an auxiliary entry (set
+        ``current_t``, zero buffers) has no step. Called once at init and
+        again by :meth:`rebind_buffers`."""
         T = self.time_steps
         mem = self.plan.memory
         #: per-direction zero initial-state views — forward reads and
@@ -199,17 +191,11 @@ class CompiledNet:
             first_t = True
             for t in t_order:
                 env = base_envs[t]
-                entries.append((_AUX, _set_t_fn(t), env, None, t))
+                entries.append((_set_t_fn(t), env, None, t))
                 for idx, step in enumerate(steps):
-                    if step.kind == "comm":
-                        if t == 0:
-                            entries.append(
-                                (_COMM, _comm_fn(step), env, step, t))
-                        continue
                     if phase == "backward" and first_t and idx in zero_at:
                         arrs = tuple(self.buffers[b] for b in zero_at[idx])
-                        entries.append(
-                            (_AUX, _zero_fn(arrs), env, None, t))
+                        entries.append((_zero_fn(arrs), env, None, t))
                     step_env = env
                     if step.recurrent_reads:
                         step_env = dict(env)
@@ -228,11 +214,11 @@ class CompiledNet:
                             # an earlier scatter into the same view must
                             # not leak into this step's read
                             entries.append(
-                                (_AUX, _zero_fn(tuple(zviews)), env, None, t))
+                                (_zero_fn(tuple(zviews)), env, None, t))
                         else:
                             for name in step.recurrent_reads:
                                 step_env[name] = self.buffers[name][t - 1]
-                    entries.append((_TASK, step.fn, step_env, step, t))
+                    entries.append((step.fn, step_env, step, t))
                 first_t = False
             self._entries[phase] = entries
         self._bind()
@@ -240,31 +226,25 @@ class CompiledNet:
     def _bind(self) -> None:
         """Turn each record into the ``(fn, env)`` pair the phase loop
         runs: shard closures for shardable steps under ``num_shards >
-        1``, spans when a recording tracer is attached (around task
-        steps, and around comm hooks that fire), numerics checks when a
-        watchdog is. Aux entries and, with nothing attached, serial task
-        steps stay bare. Re-run whenever the tracer or watchdog
-        changes."""
+        1``, spans when a recording tracer is attached, numerics checks
+        when a watchdog is. Auxiliary entries and, with nothing
+        attached, serial steps stay bare. Re-run whenever the tracer or
+        watchdog changes."""
         tracer = self._tracer if self._tracer.enabled else None
         watchdog = self._watchdog
         self._program: Dict[str, list] = {}
         for phase, entries in self._entries.items():
             program = []
-            for kind, fn, env, step, t in entries:
-                if kind == _TASK:
+            for fn, env, step, t in entries:
+                if step is not None:
                     if self.num_shards > 1 and step.shardable:
                         fn = self._shard_fn(step, env, phase, t, tracer)
                     elif tracer is not None:
                         fn = _spanned(fn, tracer, step.label, phase, t, {
-                            "kind": step.kind,
                             "bytes": self.step_bytes(step),
                             "flops": step.flops})
                     if watchdog is not None:
                         fn = _watched(fn, watchdog, step, phase, t)
-                elif kind == _COMM and tracer is not None:
-                    fn = _when_hooked(_spanned(
-                        fn, tracer, step.label, "comm", t,
-                        {"kind": "comm", "bytes": self.step_bytes(step)}))
                 program.append((fn, env))
             self._program[phase] = program
 
@@ -287,7 +267,7 @@ class CompiledNet:
         reduced = [(name, mode == "add", privates[name])
                    for name, mode in accums.items() if mode != "tile"]
         if tracer is not None:
-            args = {"kind": step.kind, "bytes": self.step_bytes(step) // n,
+            args = {"bytes": self.step_bytes(step) // n,
                     "flops": step.flops // n}
 
         def sharded(env, rt):
@@ -471,29 +451,28 @@ class CompiledNet:
                 # forward-only programs have no backward phase at all —
                 # don't print an empty/zero row for it
                 continue
-            tasks = sum(1 for s in steps if s.kind == "task")
-            comms = sum(1 for s in steps if s.kind == "comm")
             fused = sum(1 for s in steps if "+" in s.label)
             lines.append(
-                f"  {phase:10s} : {tasks} task steps"
+                f"  {phase:10s} : {len(steps)} task steps"
                 + (f" ({fused} fused)" if fused else "")
-                + (f", {comms} comm" if comms else "")
             )
         report = self.compile_report
         if report is not None and "codegen-c" in report:
             c = report["codegen-c"].rewrites
+            env = report["codegen-c"].env
             line = (f"  native     : {c['native_steps']} steps on "
                     f"{c['kernels_unique']} kernels, ")
             line += (f"{c['parallel_regions']} parallel regions at "
                      f"{c['omp_threads']} threads" if c["omp_threads"] > 1
                      else "serial kernels (executor shards / one thread)")
-            if c.get("build_dir_hit"):
+            if env.get("build_dir_hit"):
                 line += ", build dir hit"
-            elif "cc_seconds" in c:
+            elif env:
                 line += (f", {c['translation_units']} units: "
-                         f"cc {c['cc_seconds']:.2f}s on {c['cc_jobs']} jobs"
-                         f" (slowest unit {c['cc_unit_max_seconds']:.2f}s)"
-                         f" + link {c['link_seconds']:.2f}s")
+                         f"cc {env['cc_seconds']:.2f}s on {env['cc_jobs']} "
+                         f"jobs (slowest unit "
+                         f"{env['cc_unit_max_seconds']:.2f}s)"
+                         f" + link {env['link_seconds']:.2f}s")
             lines.append(line)
             lines += [f"    python {s.name} {s.label}: {s.fallback}"
                       for s in self.compiled.steps if s.fallback]
@@ -506,10 +485,10 @@ class CompiledNet:
 
     def __repr__(self) -> str:
         n_params = sum(p.value.size for p in self._params)
-        tasks = sum(1 for s in self.compiled.steps if s.kind == "task")
         return (
             f"<CompiledNet ensembles={len(self.net.ensembles)} "
-            f"batch={self.batch_size} params={n_params:,} steps={tasks}>"
+            f"batch={self.batch_size} params={n_params:,} "
+            f"steps={len(self.compiled.steps)}>"
         )
 
     def profile(self):
@@ -709,15 +688,6 @@ def _zero_fn(arrays: tuple):
     return zero_many
 
 
-def _comm_fn(step):
-    def comm(env, rt, _step=step):
-        hook = rt.comm_hook
-        if hook is not None:
-            hook(_step.comm.ensemble,
-                 [rt.buffers[g] for g in _step.comm.params])
-    return comm
-
-
 # -- wrappers :meth:`CompiledNet._bind` puts around an entry ---------------
 
 
@@ -737,11 +707,3 @@ def _watched(fn, watchdog, step, phase: str, t: int):
         fn(env, rt)
         watchdog.after_step(rt, step, phase, t, env)
     return watched
-
-
-def _when_hooked(fn):
-    """A comm entry runs (and is traced) only while a hook is set."""
-    def comm(env, rt):
-        if rt.comm_hook is not None:
-            fn(env, rt)
-    return comm

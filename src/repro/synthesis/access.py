@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.ir import CommCall, ExternOp, buffers_read, buffers_written
+from repro.ir import ExternOp, buffers_read, buffers_written
 
 #: ``(buffer name, 'r' | 'w')``
 Access = Tuple[str, str]
@@ -48,10 +48,7 @@ def unit_accesses(unit) -> List[Access]:
 
 
 def item_accesses(item) -> Iterator[Access]:
-    """:func:`unit_accesses` over a schedule item's units; a comm call
-    reads the gradients it reduces."""
-    if isinstance(item, CommCall):
-        return ((b, "r") for b in item.params)
+    """:func:`unit_accesses` over a schedule item's units."""
     return (a for unit in item.units for a in unit_accesses(unit))
 
 
@@ -82,8 +79,8 @@ class StepAccess:
 
     #: ``(base buffer, kind)`` in execution order
     accesses: Tuple[Access, ...] = ()
-    #: an extern closure or a comm call: interpreter-visible state, so
-    #: two opaque steps never change their relative order
+    #: an extern closure: interpreter-visible state, so two opaque
+    #: steps never change their relative order
     opaque: bool = False
 
     @cached_property
@@ -103,8 +100,7 @@ def record(plan, item) -> StepAccess:
     """The :class:`StepAccess` of one schedule item."""
     return StepAccess(
         tuple(_fold(plan, item_accesses(item))),
-        isinstance(item, CommCall) or any(
-            isinstance(u.stmt, ExternOp) for u in item.units),
+        any(isinstance(u.stmt, ExternOp) for u in item.units),
     )
 
 
@@ -211,6 +207,6 @@ class ProgramView:
 
     @cached_property
     def opaque_touched(self) -> frozenset:
-        """Bases an extern closure (or comm call) reads or writes."""
+        """Bases an extern closure reads or writes."""
         return frozenset().union(
             *(r.touched for r in self.records if r.opaque))

@@ -289,8 +289,8 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     Only the relative order of provably independent items changes, and
     every step reads bit-identical operands in either order, so outputs
     are unchanged bitwise. Extern items (loss/norm closures with
-    interpreter-visible side effects) and comm items are additionally
-    kept in their original relative order. Time-unrolled schedules are
+    interpreter-visible side effects) are additionally kept in their
+    original relative order. Time-unrolled schedules are
     left untouched — the linear dependence model does not cover
     cross-iteration recurrent carries. Returns the number of items that
     moved.
@@ -303,8 +303,7 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     # is always ready and only births: it takes no part in the
     # scheduling and goes back in right before its reader
     late = {i for i, it in enumerate(bwd_items)
-            if getattr(it, "units", None) and all(
-                u.tags.kind in REMATERIALIZING for u in it.units)}
+            if all(u.tags.kind in REMATERIALIZING for u in it.units)}
     touched = [frozenset() if i in late else rec.touched
                for i, rec in enumerate(view.records)]
     succs = [[j for j in range(i + 1, n) if view.depends(i, j)]

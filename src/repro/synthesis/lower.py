@@ -15,10 +15,13 @@ produces a :class:`~repro.synthesis.units.Section` holding:
   references rewritten to concrete struct-of-arrays accesses (the AoS→SoA
   transformation of §5.3 / Fig. 8);
 * **scatter units** — the reverse copies accumulating input gradients
-  back into source gradient buffers during back-propagation;
-* **comm calls** — asynchronous gradient-reduction insertion points after
-  each ensemble's backward section (§5.3 'Distributed Memory
-  Communication').
+  back into source gradient buffers during back-propagation.
+
+No unit marks §5.3's asynchronous gradient reductions ('Distributed
+Memory Communication'): each is issued once the last backward step that
+writes an ensemble's parameter gradients has run, a point
+:func:`repro.runtime.distributed.reduction_points` reads off the
+compiled backward schedule.
 
 The loop-unit (fission) form is legal because neurons within an ensemble
 are independent by the DSL's semantics (§5.4.3).
@@ -41,7 +44,6 @@ from repro.core.ensemble import (
 from repro.core.ensemble import VEC, Dim
 from repro.ir import (
     Assign,
-    CommCall,
     Const,
     ExternOp,
     For,
@@ -142,7 +144,7 @@ def synthesize(net, plan: BufferPlan, options) -> Program:
     if options.mode == "inference":
         # forward-only program: backward sections survive as named
         # placeholders (passes index sections by ensemble) but carry no
-        # units, externs, or comm calls
+        # units or externs
         bwd = [Section(sec.ensemble, "backward") for sec in bwd]
     for sec in fwd + bwd:
         for unit in sec.units:
@@ -199,11 +201,6 @@ def _lower_ensemble(ens, plan, options, closures):
     if ens.neuron_type.has_backward():
         # backward compute precedes the scatters that consume its writes
         bwd.units = _compute_units(ens, facts, plan, "backward") + bwd.units
-
-    # 3. async gradient reduction for this ensemble's parameters (§5.3)
-    grad_bufs = tuple(p.grad_buf for p in plan.params if p.ensemble == ens.name)
-    if grad_bufs:
-        bwd.comm.append(CommCall(ens.name, grad_bufs))
 
     _check_recurrent_conflicts(ens, plan, fwd_recurrent)
     return fwd, bwd

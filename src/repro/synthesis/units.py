@@ -134,10 +134,8 @@ class FusedGroup:
 
 @dataclass
 class Section:
-    """All work for one ensemble in one direction, plus trailing
-    communication calls (async gradient reduction insertion points)."""
+    """All work for one ensemble in one direction."""
 
     ensemble: str
     direction: str
     units: List[LoopUnit] = field(default_factory=list)
-    comm: List = field(default_factory=list)  # CommCall statements

@@ -15,9 +15,9 @@ Each compile prints one line — program, configuration, then digests of
 the generated Python ``source``, of the pass records' program facts
 (``rewrites``), of the native program (``c_source``: what
 ``backend='c'`` built, or emitted from the schedule on NumPy) and the
-exact ``planned_bytes``. Environment facts are left out by name: pass
-seconds, ``build_dir_hit``, the ``cc_*``/``link_seconds`` build counters
-and ``so_bytes``, so a cold and a warm build directory digest alike.
+exact ``planned_bytes``. Pass seconds and each record's ``env`` (the
+build's timings, job count, ``so_bytes`` and ``build_dir_hit``) are
+left out, so a cold and a warm build directory digest alike.
 
 ``--against FILE`` reads a saved run (the printed lines) and exits 1
 naming the first compile and field that differs.
@@ -103,11 +103,6 @@ def configurations(backend: str = "all"
                     mode=mode, backend="c"), threads
 
 
-def _environment(key: str) -> bool:
-    return (key in ("build_dir_hit", "so_bytes") or key.startswith("cc_")
-            or key.endswith("seconds"))
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -116,7 +111,7 @@ def digest(cnet) -> Dict[str, str]:
     """The program facts of one compiled net, by :data:`FIELDS`."""
     records = [
         (r.name, r.enabled, r.units_before, r.units_after,
-         sorted((k, v) for k, v in r.rewrites.items() if not _environment(k)))
+         sorted(r.rewrites.items()))
         for r in cnet.compile_report.records
     ]
     return {"source": _sha(cnet.source),

@@ -3,7 +3,7 @@
 Writes the recorded spans in the Trace Event Format accepted by
 ``chrome://tracing`` and Perfetto: one complete ('X') event per span,
 timestamps in microseconds, one virtual thread per span category so
-forward/backward/comm/compile/simulator tracks render as separate rows.
+forward/backward/compile/simulator tracks render as separate rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.trace.tracer import Span
 _CAT_ORDER = (
     "forward",
     "backward",
-    "comm",
     "train",
     "compile",
     "sim.compute",

@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.ir import CommCall, Gemm
+from repro.ir import Gemm
 
 
 @dataclass
 class PassRecord:
-    """One optimization pass's instrumentation record."""
+    """One optimization pass's instrumentation record: ``rewrites`` are
+    program facts, which follow from the compiled program alone;
+    ``env`` are environment facts (build seconds, job counts, a warm
+    build directory), which the same program may read differently on
+    another run or machine."""
 
     name: str
     enabled: bool
@@ -31,6 +35,7 @@ class PassRecord:
     units_before: int = 0
     units_after: int = 0
     rewrites: Dict[str, int] = field(default_factory=dict)
+    env: Dict[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
         """Human summary, e.g. ``matched 6 GEMMs``."""
@@ -140,14 +145,11 @@ def count_schedule(items) -> Dict[str, int]:
     """Schedule-level counters: total steps, fused groups, member units,
     and the batch-tiled chains that joined the group of the chain before
     them."""
-    steps = fused = fused_units = joined = 0
+    fused = fused_units = joined = 0
     for item in items:
-        if isinstance(item, CommCall):
-            continue
-        steps += 1
         if len(item.units) > 1:
             fused += 1
             fused_units += len(item.units)
             joined += len({u.tags.chain for u in item.units}) - 1
-    return {"steps": steps, "fused_groups": fused,
+    return {"steps": len(items), "fused_groups": fused,
             "fused_units": fused_units, "chains_joined": joined}

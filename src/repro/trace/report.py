@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.trace.tracer import Span
 
 #: span categories considered runtime execution phases by default
-RUNTIME_PHASES = ("forward", "backward", "comm")
+RUNTIME_PHASES = ("forward", "backward")
 
 
 @dataclass

@@ -33,7 +33,7 @@ class Span:
     """One timed interval on the trace timeline."""
 
     name: str
-    #: track: 'forward' | 'backward' | 'comm' | 'compile' | 'train' |
+    #: track: 'forward' | 'backward' | 'compile' | 'train' |
     #: 'sim.compute' | 'sim.comm' | 'sim.transfer' | ...
     cat: str
     start: float  # seconds, timeline-relative (wall or virtual)

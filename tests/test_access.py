@@ -73,7 +73,7 @@ class _Recording(dict):
 def _check_closures_match_records(cnet, steps):
     kinds = set()
     for step in steps:
-        if step.kind != "task" or not step.access.opaque:
+        if not step.access.opaque:
             continue
         table = _Recording(cnet.buffers)
         step.fn(table, cnet)
@@ -96,7 +96,7 @@ class TestExternContract:
         assert kinds == {"copy", "scatter", "extern"}
         opaque = [s.label for s in train.compiled.forward
                   + train.compiled.backward
-                  if s.kind == "task" and s.access.opaque]
+                  if s.access.opaque]
         assert sorted(opaque) == sorted([
             "perm.copy", "bn.extern", "loss.extern",
             "loss.extern", "bn.extern", "perm.scatter"])

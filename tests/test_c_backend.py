@@ -307,7 +307,7 @@ class TestCExecution:
             steps = cnet.compiled.steps
             assert any(s.native for s in steps), f"{name}: no native step"
             for s in steps:
-                if s.kind == "task" and not s.native:
+                if not s.native:
                     assert "extern closure" in s.fallback, \
                         f"{name}: {s.name}: {s.fallback!r}"
             cnet.close()
@@ -413,12 +413,11 @@ class TestBuild:
         rec = cnet.compile_report["codegen-c"]
         assert rec.rewrites["native_steps"] == len(native)
         assert rec.rewrites["kernels_unique"] == len(symbols)
-        assert rec.rewrites["build_dir_hit"] == 0
-        assert rec.rewrites["cc_jobs"] >= 1
+        assert rec.env["build_dir_hit"] == 0
+        assert rec.env["cc_jobs"] >= 1
         # the slowest unit ran inside the pool's wall time
-        assert 0 < rec.rewrites["cc_unit_max_seconds"] \
-            <= rec.rewrites["cc_seconds"]
-        assert rec.rewrites["so_bytes"] > 0
+        assert 0 < rec.env["cc_unit_max_seconds"] <= rec.env["cc_seconds"]
+        assert rec.env["so_bytes"] > 0
         assert f"{len(native)} steps on {len(symbols)} kernels" \
             in cnet.summary()
         cnet.close()
@@ -447,11 +446,13 @@ class TestBuild:
                                        "L0_conv.copy")):
             assert step.native.symbol == by_label[twin]
             assert f"void {step.name}(" not in compiled.c_exec_source
-        with_re, without = (builds[mp].compile_report["codegen-c"].rewrites
+        with_re, without = (builds[mp].compile_report["codegen-c"]
                             for mp in (True, False))
-        assert with_re["native_steps"] == without["native_steps"] + 3
-        assert with_re["kernels_unique"] == without["kernels_unique"]
-        assert with_re["so_bytes"] == without["so_bytes"]
+        assert (with_re.rewrites["native_steps"]
+                == without.rewrites["native_steps"] + 3)
+        assert (with_re.rewrites["kernels_unique"]
+                == without.rewrites["kernels_unique"])
+        assert with_re.env["so_bytes"] == without.env["so_bytes"]
 
     def test_a_tiled_regather_lives_in_the_weight_gradient_kernel(
             self, build, monkeypatch):
@@ -609,9 +610,9 @@ class TestBuild:
 
         monkeypatch.setattr(c_backend.subprocess, "Popen", forbidden)
         cnet = _compile_c(ZOO["conv_pool_fc"])
-        rec = cnet.compile_report["codegen-c"].rewrites
-        assert rec["build_dir_hit"] == 1 and rec["cc_jobs"] == 0
-        assert rec["cc_unit_max_seconds"] == 0
+        env = cnet.compile_report["codegen-c"].env
+        assert env["build_dir_hit"] == 1 and env["cc_jobs"] == 0
+        assert env["cc_unit_max_seconds"] == 0
         assert "build dir hit" in cnet.summary()
         cnet.close()
 

@@ -17,6 +17,7 @@ from repro.layers import (
     ReLULayer,
 )
 from repro.optim import CompilerOptions
+from repro.runtime import reduction_points
 from repro.testing.oracle import batch_tiles
 
 
@@ -80,11 +81,10 @@ class TestEmittedModule:
     def test_step_functions_named_and_bound(self):
         cn = _cnn()
         for step in cn.compiled.forward:
-            if step.kind == "task":
-                assert callable(step.fn)
-                # shardable steps carry extra (_b0, _b1) batch-bound
-                # defaults under REPRO_NUM_THREADS > 1
-                assert f"def {step.name}(B, rt" in cn.source
+            assert callable(step.fn)
+            # shardable steps carry extra (_b0, _b1) batch-bound
+            # defaults under REPRO_NUM_THREADS > 1
+            assert f"def {step.name}(B, rt" in cn.source
 
     def test_buffer_prelude_binds_locals(self):
         cn = _cnn()
@@ -119,9 +119,8 @@ class TestCBackendGolden:
         # no poolinput buffer appears anywhere
         assert "pool1_inputs0" not in cn.c_source
         # §5.3/§6: async reductions follow the backward sections
-        comms = [s.comm.ensemble for s in cn.compiled.backward
-                 if s.kind == "comm"]
-        assert comms == ["fc1", "conv1"]
+        assert [ens for _, ens, _ in reduction_points(cn)] == ["fc1",
+                                                               "conv1"]
 
     def test_unfused_c_shows_fig9_shape(self):
         cn = _cnn(CompilerOptions.level(2))

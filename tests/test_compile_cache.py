@@ -268,12 +268,17 @@ class TestRoundTrip:
 
     def test_warm_report_skips_every_pass(self, tmp_path):
         store = CompileCache(tmp_path)
-        compile_cached(MLP, 4, cache=store)
+        cold = compile_cached(MLP, 4, cache=store)
         warm = compile_cached(MLP, 4, cache=store)
         report = warm.compile_report
         assert report.cache_hit
         names = [r.name for r in report.records]
         assert "cache_thaw" in names
+        # every program fact thaws as it was compiled, floats included
+        assert ([r.rewrites for r in report.records[:-1]]
+                == [r.rewrites for r in cold.compile_report.records])
+        assert isinstance(report["memory_plan"].rewrites["reuse_pct"],
+                          float)
         # the original pass ledger survives for attribution, but no
         # pass ran: every stored record reports zero wall time
         for rec in report.records:
@@ -488,10 +493,9 @@ class TestCorruption:
         assert not alias.exists()
 
     def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v16: it records each
-        parameter gradient as a field of the net, which no longer binds
-        one) is dropped on get — a miss, never an error, never
-        thawed."""
+        """An entry written under the last layout (v17: each step
+        records a ``kind``, which no longer exists) is dropped on get —
+        a miss, never an error, never thawed."""
         from repro.cache.key import FORMAT_VERSION
 
         store = CompileCache(tmp_path)
@@ -501,9 +505,10 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 17
+        assert meta["version"] == FORMAT_VERSION == 18
         assert "contracted" in meta and "tile" in meta["buffers"][0]
         assert {"native", "fallback"} <= set(meta["steps"]["forward"][0])
+        assert not {"kind", "comm"} & set(meta["steps"]["forward"][0])
         grads = [d for d in meta["buffers"] if d["role"] == "param_grad"]
         assert grads and not any("field" in d for d in grads)
         meta["version"] = FORMAT_VERSION - 1
@@ -515,6 +520,32 @@ class TestCorruption:
         assert not path.exists()
         again = compile_cached(MLP, 4, cache=store)  # recompiles cold
         assert not again.compile_report.cache_hit
+
+    def test_unwritable_store_still_returns_the_compile(self, tmp_path):
+        """A cache root that cannot be created (beneath a regular file:
+        refused to root too, unlike a chmod) costs the store, never the
+        compile."""
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        store = CompileCache(blocker / "sub")
+        config = lenet_config().scaled(channel_scale=0.5, input_size=28)
+        opts = CompilerOptions(mode="inference")
+        x = np.random.default_rng(0).standard_normal(
+            (4,) + config.input_shape).astype(np.float32)
+
+        def run(compile_fn):
+            seed_all(5)
+            built = build_latte(config, 4)
+            cnet = compile_fn(built.net)
+            cnet.forward(data=x)
+            return cnet.value(built.output.name).copy()
+
+        cold = run(lambda net: compile_net(net, opts))
+        got = run(lambda net: compile_cached(config, 4, net=net,
+                                             options=opts, cache=store))
+        np.testing.assert_array_equal(got, cold)
+        assert store.entries() == []
+        assert not (blocker / "sub").exists()
 
     def test_incompatible_meta_thaws_cold(self, tmp_path):
         """An entry that loads but references state the net lacks must

@@ -38,7 +38,7 @@ def test_a_native_compile_digests_alike_cold_and_warm(tmp_path,
         cnet = ledger_net("lenet").init(CompilerOptions(backend="c"),
                                         num_threads=1)
         facts.append(digest(cnet))
-        hits.append(cnet.compile_report["codegen-c"].rewrites["build_dir_hit"])
+        hits.append(cnet.compile_report["codegen-c"].env["build_dir_hit"])
         cnet.close()
     assert hits == [0, 1]
     assert facts[0] == facts[1]

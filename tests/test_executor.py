@@ -90,19 +90,6 @@ class TestLossAndGrads:
         cn.backward()
         np.testing.assert_allclose(cn.grad("data"), d1, rtol=1e-5)
 
-    def test_comm_hook_receives_param_grads(self):
-        cn = _mlp()
-        seen = []
-        cn.comm_hook = lambda ens, grads: seen.append(
-            (ens, [g.shape for g in grads])
-        )
-        rng = np.random.default_rng(0)
-        cn.forward(data=rng.standard_normal((4, 6)).astype(np.float32),
-                   label=np.zeros((4, 1), np.float32))
-        cn.backward()
-        assert [e for e, _ in seen] == ["ip2", "ip1"]
-        assert seen[0][1] == [(8, 3), (1, 3)]
-
 
 class TestIntrospection:
     def test_generated_source_is_compilable_text(self):

@@ -14,16 +14,20 @@ from repro.ir import Assign, BinOp, Const, Gemm, Index, Var
 from repro.layers import (
     ConvolutionLayer,
     FullyConnectedLayer,
+    LSTMLayer,
     MaxPoolingLayer,
     MemoryDataLayer,
     ReLULayer,
     SoftmaxLayer,
+    SoftmaxLossLayer,
 )
 from repro.optim import CompilerOptions
 from repro.optim.pipeline import PASS_LEVELS
 from repro.optim.pattern_match import match_gemm
+from repro.runtime import ComputeProfile, distributed, reduction_points
 from repro.synthesis.units import FusedGroup, LoopSpec, LoopUnit, UnitTags
 from repro.testing.oracle import batch_tiles
+from repro.trace import RecordingTracer
 
 
 def _unit(loops, stmt):
@@ -111,10 +115,22 @@ def _cnn(batch=2, opts=None):
     return _init(net, opts)
 
 
+def _assert_last_writers(cn, points):
+    """Each reduction point is the last backward step that writes one of
+    its ensemble's parameter gradients."""
+    steps = cn.compiled.backward
+    for idx, ens, grads in points:
+        assert grads == tuple(p.grad_buf for p in cn.plan.params
+                              if p.ensemble == ens)
+        bases = {cn.plan.resolve_alias(g) for g in grads}
+        assert steps[idx].writes & bases
+        assert not any(s.writes & bases for s in steps[idx + 1:])
+
+
 class TestPipelineStructure:
     def test_cross_layer_fusion_single_group(self):
         cn = _cnn()
-        labels = [s.label for s in cn.compiled.forward if s.kind == "task"]
+        labels = [s.label for s in cn.compiled.forward]
         fused = [l for l in labels if "conv1" in l and "pool1" in l]
         assert fused, f"conv/relu/pool not fused: {labels}"
 
@@ -192,9 +208,10 @@ class TestPipelineStructure:
         fc1 = FullyConnectedLayer("fc1", net, d, 5)
         fc2 = FullyConnectedLayer("fc2", net, fc1, 4)
         cn = net.init()
-        comms = [s.comm.ensemble for s in cn.compiled.backward
-                 if s.kind == "comm"]
-        assert comms == ["fc2", "fc1"]  # reverse topological order
+        points = reduction_points(cn)
+        # reverse topological order
+        assert [ens for _, ens, _ in points] == ["fc2", "fc1"]
+        _assert_last_writers(cn, points)
 
     def test_opt_levels_ladder(self):
         o0 = CompilerOptions.level(0)
@@ -207,6 +224,44 @@ class TestPipelineStructure:
             CompilerOptions.level(9)
 
 
+class TestReductionPoints:
+    def test_time_unrolled_points_are_in_the_final_iteration(
+            self, monkeypatch):
+        T, B = 3, 2
+        net = Net(B, time_steps=T)
+        x = MemoryDataLayer(net, "data", (5,))
+        lbl = MemoryDataLayer(net, "label", (1,))
+        blk = LSTMLayer("rnn", net, x, 4)
+        fc = FullyConnectedLayer("fc", net, blk.h, 3)
+        SoftmaxLossLayer("loss", net, fc, lbl)
+        # one thread: batch shards would read the ticking clock too
+        cn = net.init(num_threads=1)
+        points = reduction_points(cn)
+        ensembles = [ens for _, ens, _ in points]
+        # exactly one point per parameterised ensemble
+        assert sorted(ensembles) == sorted({p.ensemble
+                                            for p in cn.plan.params})
+        _assert_last_writers(cn, points)
+        # a clock that ticks once per read times every traced step at
+        # one unit, so each issue fraction names its place on the
+        # T x steps backward timeline: the final (t == 0) iteration
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            distributed, "RecordingTracer",
+            lambda: RecordingTracer(clock=lambda: next(ticks)))
+        rng = np.random.default_rng(0)
+        inputs = {
+            "data": rng.standard_normal((T, B, 5)).astype(np.float32),
+            "label": rng.integers(0, 3, (T, B, 1)).astype(np.float32),
+        }
+        prof = ComputeProfile.measure(cn, inputs, repeats=1)
+        n = len(cn.compiled.backward)
+        assert [p.ensemble for p in prof.comm_points] == ensembles
+        for p, (idx, _, _) in zip(prof.comm_points, points):
+            assert p.issue_fraction == pytest.approx(
+                ((T - 1) * n + idx + 1) / (T * n))
+
+
 class TestCBackend:
     def test_paper_shaped_output(self):
         cn = _cnn()
@@ -217,9 +272,10 @@ class TestCBackend:
         fused = c[at:c.index("\n}\n", at)]
         assert "for (long long _n_t = " in fused
         assert "_latte_gemm_rm(" in fused
-        # the reduction points are the backward program's comm steps
-        assert [s.comm.ensemble for s in cn.compiled.backward
-                if s.kind == "comm"] == ["conv1"]
+        # the reduction points are read off the backward program
+        points = reduction_points(cn)
+        assert [ens for _, ens, _ in points] == ["conv1"]
+        _assert_last_writers(cn, points)
 
     def test_c_source_has_both_directions(self):
         cn = _cnn()

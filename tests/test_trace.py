@@ -58,8 +58,6 @@ def _expected_labels(cn, phase):
     job) and the step is shardable."""
     labels = []
     for s in getattr(cn.compiled, phase):
-        if s.kind != "task":
-            continue
         labels.extend([s.label] * (cn.num_shards if s.shardable else 1))
     return labels
 
@@ -106,36 +104,10 @@ class TestStepSpans:
         assert gemm_spans, "no FLOPs attributed to the conv GEMM"
         assert all(s.args["bytes"] > 0 for s in tr.spans_by_cat("forward"))
 
-    def test_comm_span_emitted_when_hook_attached(self):
-        tr = RecordingTracer()
-        cn = _mlp(tracer=tr)
-        seen = []
-        cn.comm_hook = lambda ens, grads: seen.append(ens)
-        cn.forward(data=np.zeros((4, 12), np.float32),
-                   label=np.zeros((4, 1), np.float32))
-        cn.backward()
-        assert seen == ["fc1"]
-        comm = tr.spans_by_cat("comm")
-        assert [s.name for s in comm] == ["async_grad_reduce(fc1)"]
-
-    def test_comm_span_carries_trace_context(self):
-        tr = RecordingTracer()
-        cn = _mlp(tracer=tr)
-        cn.comm_hook = lambda ens, grads: None
-        cn.trace_context = {"request_ids": [3, 4]}
-        cn.forward(data=np.zeros((4, 12), np.float32),
-                   label=np.zeros((4, 1), np.float32))
-        cn.backward()
-        comm = tr.spans_by_cat("comm")
-        assert [s.name for s in comm] == ["async_grad_reduce(fc1)"]
-        assert comm[0].args["request_ids"] == [3, 4]
-        assert all(s.args["request_ids"] == [3, 4]
-                   for s in tr.spans_by_cat("backward"))
-
 
 def _task_fns(cn, phase):
     """The step functions a phase program calls bare, in order."""
-    fns = {s.fn for s in getattr(cn.compiled, phase) if s.kind == "task"}
+    fns = {s.fn for s in getattr(cn.compiled, phase)}
     return [fn for fn, _env in cn._program[phase] if fn in fns]
 
 
@@ -175,8 +147,7 @@ class TestAttachByAssignment:
         conv = ConvolutionLayer("conv1", net, d, 4, 3, pad=1)
         MaxPoolingLayer("pool1", net, conv, 2, 2)
         cn = net.init(CompilerOptions(), num_threads=1)
-        bare = {phase: [s.fn for s in getattr(cn.compiled, phase)
-                        if s.kind == "task"]
+        bare = {phase: [s.fn for s in getattr(cn.compiled, phase)]
                 for phase in ("forward", "backward")}
         for phase, fns in bare.items():
             assert fns and _task_fns(cn, phase) == fns
@@ -198,8 +169,8 @@ class TestNullTracerPath:
         seed_all(7)
         traced = _cnn(tracer=RecordingTracer())
         for phase in ("forward", "backward"):
-            p = [(s.kind, s.label) for s in getattr(plain.compiled, phase)]
-            q = [(s.kind, s.label) for s in getattr(traced.compiled, phase)]
+            p = [s.label for s in getattr(plain.compiled, phase)]
+            q = [s.label for s in getattr(traced.compiled, phase)]
             assert p == q
         x = np.random.default_rng(0).standard_normal(
             (2, 3, 8, 8)
@@ -298,7 +269,6 @@ class TestProfileReport:
             s.label: (cn.num_shards if s.shardable else 1)
             for phase in ("forward", "backward")
             for s in getattr(cn.compiled, phase)
-            if s.kind == "task"
         }
         assert all(r.count == 5 * shards[r.name] for r in prof.rows)
 
@@ -429,7 +399,6 @@ class TestSummary:
         n_params = sum(p.value.size for p in cn.parameters())
         assert f"{n_params:,}" in text
         assert "task steps" in text and "MB" in text
-        assert "comm" in text  # backward comm step surfaced
 
     @pytest.mark.skipif(not have_c_toolchain(), reason="no C toolchain")
     def test_native_line_names_the_python_steps(self, tmp_path,

@@ -188,7 +188,7 @@ class TestWithThreadsAndTracer:
         cn.backward()
         for phase in ("forward", "backward"):
             shardable = [s.label for s in getattr(cn.compiled, phase)
-                         if s.kind == "task" and s.shardable]
+                         if s.shardable]
             assert shardable, f"no shardable {phase} step"
             got = [(s.name, s.args["shard"])
                    for s in cn.tracer.spans_by_cat(phase) if "shard" in s.args]
