@@ -14,7 +14,6 @@ from repro.cache.api import compile_cached, model_label
 from repro.cache.freeze import CacheError, freeze, thaw
 from repro.cache.key import (
     BACKEND_ID,
-    FORMAT_VERSION,
     CacheUnsupported,
     as_builder,
     cache_key,
@@ -23,7 +22,6 @@ from repro.cache.store import CompileCache, default_cache_dir
 
 __all__ = [
     "BACKEND_ID",
-    "FORMAT_VERSION",
     "CacheError",
     "CacheUnsupported",
     "CompileCache",

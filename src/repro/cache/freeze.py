@@ -4,51 +4,51 @@
 JSON-able metadata dict plus a dict of NumPy arrays — everything needed
 to rebuild an executor *without* re-running synthesis or any pass:
 
-* the generated Python source (re-``exec``'d at thaw) and the C
-  rendering;
-* the scheduled step lists, minus the ``fn`` callables (re-bound from
-  the exec'd namespace);
-* the buffer table (shapes/roles/aliases/zero flags), with live
-  parameter arrays replaced by ``(ensemble, field)`` references that
-  thaw re-binds against a freshly built net;
-* the memory plan (arena offsets/slabs, pooled set, zero-defs,
-  intervals) and the parameter/in-place/private-accumulator tables;
+* the generated Python source (re-``exec``'d at thaw) and, for
+  ``backend="c"``, the native program with its built shared object;
+* the compiler's own records — the forward/backward ``Step`` lists, the
+  ``BufferPlan`` with its memory plan, the pass records — stored field
+  by field (``dataclasses.fields``) and rebuilt from the same classes'
+  type hints, so a record gains a field with no edit here;
 * **closure descriptors**: the four runtime-closure kinds the lowering
   creates (``pre_forward``, gather/scatter pairs with their materialized
   index arrays, normalization, loss) recorded as rebuild recipes against
   the module-level factories in :mod:`repro.synthesis.lower`.
 
-``thaw`` inverts all of that against a live net of the same
-architecture. It never re-derives anything the compiler computed — a
-thawed program is the cached program, byte for byte (the differential
-oracle's ``cache`` check pins this bitwise).
+The only record fields this module names are the few in
+:data:`_NOT_STORED`, which a thaw re-links (a step's function, a
+parameter's live array) or drops instead of reading. ``thaw`` never
+re-derives anything the compiler computed — a thawed program is the
+cached program, byte for byte (the differential oracle's ``cache``
+check pins this bitwise).
+
+A value the codec cannot store is a programming error, raised as
+``TypeError`` naming its dotted path; :class:`CacheUnsupported` is kept
+for the per-model cases (a closure kind with no recipe, a live array
+with no field provenance, a program that is not fp32).
 """
 
 from __future__ import annotations
 
-import re
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import asdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.key import CacheUnsupported
-from repro.codegen.python_backend import (CompiledProgram, NativeCall,
-                                          Step, exec_program)
+from repro.codegen.python_backend import CompiledProgram, Step, exec_program
 from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
-from repro.synthesis.access import StepAccess
-from repro.synthesis.liveness import Interval, MemoryPlan, Rematerialized, Slab
+from repro.synthesis.liveness import MemoryPlan
 from repro.synthesis.lower import (
     make_gather_closures,
     make_loss_closures,
     make_norm_closures,
 )
-from repro.synthesis.plan import (
-    BufferPlan,
-    BufferSpec,
-    ParamInfo,
-    PrivateAccum,
-)
+from repro.synthesis.plan import BufferPlan, BufferSpec
 from repro.trace.compile_report import CompileReport, PassRecord
 
 
@@ -57,7 +57,105 @@ class CacheError(RuntimeError):
     treat it as a miss and fall back to a cold compile."""
 
 
-_GATHER_KEY = re.compile(r"^(.+)\.gather(\d+)$")
+#: record fields an entry does not store; every other field of every
+#: record is stored, and thawed by its type hint
+_NOT_STORED = {
+    # re-bound from the exec'd source, or by the native binding
+    Step: ("fn",),
+    # re-linked through meta["fields"] ({buffer: [ensemble, field]})
+    BufferSpec: ("array",),
+    # no thaw reads them: gathers keep their closure descriptor, and
+    # only float32 programs are cached
+    BufferPlan: ("facts", "conn_plans", "quant"),
+    # a thaw runs no pass and no build: wall time zero, no env facts
+    PassRecord: ("wall_time", "env"),
+}
+
+#: stored fields whose declared hint does not name their record
+_HINTS = {(BufferPlan, "memory"): Optional[MemoryPlan]}
+
+
+# ---------------------------------------------------------------------------
+# the codec
+# ---------------------------------------------------------------------------
+
+
+def _is_record(cls) -> bool:
+    return dataclasses.is_dataclass(cls) or hasattr(cls, "_fields")
+
+
+@functools.lru_cache(maxsize=None)
+def _stored(cls) -> Tuple[Tuple[str, object], ...]:
+    """``(name, hint)`` of every stored field of a record class (a
+    dataclass or a NamedTuple), resolved once per process."""
+    hints = typing.get_type_hints(cls)
+    names = (cls._fields if hasattr(cls, "_fields")
+             else [f.name for f in dataclasses.fields(cls)])
+    skip = _NOT_STORED.get(cls, ())
+    return tuple((n, _HINTS.get((cls, n), hints[n]))
+                 for n in names if n not in skip)
+
+
+def _encode(value, path: str):
+    """The JSON form of ``value``: records as dicts of their stored
+    fields, tuples as lists, sets sorted."""
+    if value is None or isinstance(value, (str, bool, int, float)):
+        return value
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return [_encode(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind is dict and all(type(k) is str for k in value):
+        return {k: _encode(v, f"{path}.{k}") for k, v in value.items()}
+    if kind is set or kind is frozenset:
+        return sorted(_encode(v, f"{path}[]") for v in value)
+    if _is_record(kind):
+        return {name: _encode(getattr(value, name), f"{path}.{name}")
+                for name, _hint in _stored(kind)}
+    raise TypeError(f"cannot store {path}: a {kind.__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint):
+    """A function rebuilding a value of type ``hint`` from its JSON
+    form, or None where the JSON value is the value (scalars)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # Optional[X]
+        (inner,) = (a for a in args if a is not type(None))
+        dec = _decoder(inner)
+        return None if dec is None else (
+            lambda v: None if v is None else dec(v))
+    if origin is tuple and args[-1] is Ellipsis:
+        dec = _decoder(args[0])
+        return tuple if dec is None else (lambda v: tuple(map(dec, v)))
+    if origin is tuple:
+        decs = [_decoder(a) for a in args]
+        if not any(decs):
+            return tuple
+        decs = [d or (lambda x: x) for d in decs]
+        return lambda v: tuple(d(x) for d, x in zip(decs, v))
+    if origin in (list, set, frozenset) or hint in (set, frozenset):
+        make = origin or hint
+        dec = _decoder(args[0]) if args else None
+        return make if dec is None else (lambda v: make(map(dec, v)))
+    if origin is dict:
+        dec = _decoder(args[1])
+        return dict if dec is None else (
+            lambda v: {k: dec(x) for k, x in v.items()})
+    if _is_record(hint):
+        # one constructor call spelled out per class, the way dataclasses
+        # writes __init__: a loop over the fields thaws ~1.5x slower
+        scope, params = {"cls": hint}, []
+        for name, field_hint in _stored(hint):
+            dec = _decoder(field_hint)
+            if dec is None:
+                params.append(f"{name}=v[{name!r}]")
+            else:
+                scope[f"_{name}"] = dec
+                params.append(f"{name}=_{name}(v[{name!r}])")
+        return eval(f"lambda v: cls({', '.join(params)})", scope)
+    if hint in (str, int, float, bool):
+        return None
+    raise TypeError(f"the cache has no decoder for {hint!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,82 +163,25 @@ _GATHER_KEY = re.compile(r"^(.+)\.gather(\d+)$")
 # ---------------------------------------------------------------------------
 
 
-def _field_map(net, plan) -> Dict[str, Tuple[str, str]]:
-    """Buffer name -> (ensemble, field) for every bound field buffer."""
-    out: Dict[str, Tuple[str, str]] = {}
+def _field_refs(net, plan) -> Dict[str, List[str]]:
+    """``{buffer: [ensemble, field]}`` for every buffer holding a live
+    array, which a thaw re-links to the fresh net's."""
+    fields: Dict[str, List[str]] = {}
     for ens in net.ensembles.values():
-        if not isinstance(ens, Ensemble):
-            continue
-        for fname in ens.field_bindings:
-            out[plan.field_buf(ens.name, fname)] = (ens.name, fname)
-    return out
-
-
-def _buffer_dicts(net, plan) -> List[dict]:
-    fields = _field_map(net, plan)
-    out = []
+        if isinstance(ens, Ensemble):
+            for fname in ens.field_bindings:
+                fields[plan.field_buf(ens.name, fname)] = [ens.name, fname]
+    refs = {}
     for spec in plan.buffers.values():
-        d = {
-            "name": spec.name,
-            "shape": [int(x) for x in spec.shape],
-            "role": spec.role,
-            "batched": bool(spec.batched),
-            "alias_of": spec.alias_of,
-            "alias_reshape": ([int(x) for x in spec.alias_reshape]
-                              if spec.alias_reshape is not None else None),
-            "needs_zero": bool(spec.needs_zero),
-            "tile": spec.tile,
-        }
-        if spec.array is not None:
-            ref = fields.get(spec.name)
-            if ref is None:
-                raise CacheUnsupported(
-                    f"buffer {spec.name!r} holds a live array with no "
-                    f"(ensemble, field) provenance; cannot freeze"
-                )
-            d["field"] = list(ref)
-        out.append(d)
-    return out
-
-
-def _step_dict(step: Step) -> dict:
-    return {
-        "name": step.name,
-        "recurrent_reads": sorted(step.recurrent_reads),
-        "label": step.label,
-        "access": {"accesses": [list(a) for a in step.access.accesses],
-                   "opaque": step.access.opaque},
-        "flops": int(step.flops),
-        "shardable": bool(step.shardable),
-        "private_accums": dict(step.private_accums),
-        "native": step.native and [step.native.symbol,
-                                   list(step.native.args)],
-        "fallback": step.fallback,
-    }
-
-
-def _memory_dict(mem: MemoryPlan) -> dict:
-    return {
-        "offsets": {k: int(v) for k, v in mem.offsets.items()},
-        "arena_bytes": int(mem.arena_bytes),
-        "slabs": [{"offset": int(s.offset), "nbytes": int(s.nbytes),
-                   "members": list(s.members)} for s in mem.slabs],
-        "pooled": sorted(mem.pooled),
-        "zero_defs": {k: [v[0], int(v[1])]
-                      for k, v in mem.zero_defs.items()},
-        "intervals": {
-            k: {"first": int(iv.first), "last": int(iv.last),
-                "phases": sorted(iv.phases), "first_kind": iv.first_kind,
-                "units": list(iv.units) if iv.units else None}
-            for k, iv in mem.intervals.items()
-        },
-        "naive_bytes": int(mem.naive_bytes),
-        "planned_bytes": int(mem.planned_bytes),
-        "kept_reasons": dict(mem.kept_reasons),
-        "rematerialized": {k: asdict(r)
-                           for k, r in mem.rematerialized.items()},
-        "declined": dict(mem.declined),
-    }
+        if spec.array is None:
+            continue
+        if spec.name not in fields:
+            raise CacheUnsupported(
+                f"buffer {spec.name!r} holds a live array with no "
+                f"(ensemble, field) provenance; cannot freeze"
+            )
+        refs[spec.name] = fields[spec.name]
+    return refs
 
 
 def _closure_descriptors(net, plan, closures,
@@ -224,8 +265,6 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
     arrays: Dict[str, np.ndarray] = {}
     report = cnet.compile_report
     meta = {
-        "batch_size": int(cnet.batch_size),
-        "time_steps": int(cnet.time_steps),
         "num_threads": int(cnet.num_threads),
         "options": asdict(cnet.options),
         "source": compiled.source,
@@ -233,39 +272,14 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
         # freezes its own binding); the shared object's bytes ride in
         # arrays["__so__"], so a warm thaw never invokes the compiler
         "c_exec": _c_exec_dict(cnet, compiled, arrays),
-        "steps": {
-            "forward": [_step_dict(s) for s in compiled.forward],
-            "backward": [_step_dict(s) for s in compiled.backward],
-        },
-        "buffers": _buffer_dicts(cnet.net, plan),
-        "params": [
-            {"ensemble": p.ensemble, "name": p.name,
-             "value_buf": p.value_buf, "grad_buf": p.grad_buf,
-             "lr_mult": float(p.lr_mult)}
-            for p in plan.params
-        ],
-        "inplace": dict(plan.inplace),
-        "contracted": dict(plan.contracted),
-        "untiled": dict(plan.untiled),
-        "private_accums": {
-            name: [int(x) for x in acc.shape]
-            for name, acc in plan.private_accums.items()
-        },
-        "memory": (_memory_dict(plan.memory)
-                   if plan.memory is not None else None),
+        "forward": _encode(compiled.forward, "forward"),
+        "backward": _encode(compiled.backward, "backward"),
+        "plan": _encode(plan, "plan"),
+        "fields": _field_refs(cnet.net, plan),
         "closures": _closure_descriptors(
             cnet.net, plan, compiled.closures, arrays
         ),
-        "report": {
-            "total_time": float(report.total_time) if report else 0.0,
-            "records": [
-                {"name": r.name, "enabled": r.enabled,
-                 "units_before": int(r.units_before),
-                 "units_after": int(r.units_after),
-                 "rewrites": dict(r.rewrites)}
-                for r in (report.records if report else [])
-            ],
-        },
+        "report": _encode(report.records if report else [], "report"),
     }
     return meta, arrays
 
@@ -275,72 +289,24 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_plan(net, meta, arrays) -> BufferPlan:
-    plan = BufferPlan(int(meta["batch_size"]), int(meta["time_steps"]))
-    for d in meta["buffers"]:
-        spec = BufferSpec(
-            name=d["name"],
-            shape=tuple(d["shape"]),
-            role=d["role"],
-            batched=d["batched"],
-            alias_of=d["alias_of"],
-            alias_reshape=(tuple(d["alias_reshape"])
-                           if d["alias_reshape"] is not None else None),
-            needs_zero=d["needs_zero"],
-            tile=d["tile"],
-        )
-        if d.get("field") is not None:
-            ens_name, fname = d["field"]
-            ens = net.ensembles.get(ens_name)
-            binding = (ens.field_bindings.get(fname)
-                       if isinstance(ens, Ensemble) else None)
-            if binding is None:
-                raise CacheError(
-                    f"entry references field {ens_name}.{fname} the net "
-                    f"does not define"
-                )
-            if tuple(binding.shape) != spec.shape:
-                raise CacheError(
-                    f"field {ens_name}.{fname}: entry shape {spec.shape} "
-                    f"vs net shape {tuple(binding.shape)}"
-                )
-            spec.array = binding.array
-        plan.buffers[spec.name] = spec
-    plan.params = [
-        ParamInfo(d["ensemble"], d["name"], d["value_buf"], d["grad_buf"],
-                  d["lr_mult"])
-        for d in meta["params"]
-    ]
-    plan.inplace = dict(meta["inplace"])
-    plan.contracted = dict(meta["contracted"])
-    plan.untiled = dict(meta["untiled"])
-    plan.private_accums = {
-        name: PrivateAccum(name, tuple(shape))
-        for name, shape in meta["private_accums"].items()
-    }
-    md = meta["memory"]
-    if md is not None:
-        plan.memory = MemoryPlan(
-            offsets=dict(md["offsets"]),
-            arena_bytes=md["arena_bytes"],
-            slabs=[Slab(s["offset"], s["nbytes"], list(s["members"]))
-                   for s in md["slabs"]],
-            pooled=frozenset(md["pooled"]),
-            zero_defs={k: (v[0], v[1]) for k, v in md["zero_defs"].items()},
-            intervals={
-                k: Interval(k, iv["first"], iv["last"],
-                            set(iv["phases"]), iv["first_kind"],
-                            tuple(iv["units"]) if iv["units"] else None)
-                for k, iv in md["intervals"].items()
-            },
-            naive_bytes=md["naive_bytes"],
-            planned_bytes=md["planned_bytes"],
-            kept_reasons=dict(md["kept_reasons"]),
-            rematerialized={k: Rematerialized(**r)
-                            for k, r in md["rematerialized"].items()},
-            declined=dict(md["declined"]),
-        )
-    return plan
+def _link_fields(net, plan: BufferPlan, fields: dict) -> None:
+    """Point every field buffer at the fresh net's live array."""
+    for buf, (ens_name, fname) in fields.items():
+        spec = plan.buffers[buf]
+        ens = net.ensembles.get(ens_name)
+        binding = (ens.field_bindings.get(fname)
+                   if isinstance(ens, Ensemble) else None)
+        if binding is None:
+            raise CacheError(
+                f"entry references field {ens_name}.{fname} the net "
+                f"does not define"
+            )
+        if tuple(binding.shape) != spec.shape:
+            raise CacheError(
+                f"field {ens_name}.{fname}: entry shape {spec.shape} "
+                f"vs net shape {tuple(binding.shape)}"
+            )
+        spec.array = binding.array
 
 
 def _rebuild_closures(net, plan, meta, arrays) -> Dict:
@@ -386,36 +352,8 @@ def _rebuild_closures(net, plan, meta, arrays) -> Dict:
     return closures
 
 
-def _rebuild_steps(meta, fns) -> Tuple[List[Step], List[Step]]:
-    phases = []
-    for phase in ("forward", "backward"):
-        steps = []
-        for d in meta["steps"][phase]:
-            native = d["native"]
-            fn = fns.get(d["name"])
-            if fn is None:
-                raise CacheError(f"generated source defines no {d['name']!r}")
-            steps.append(Step(
-                name=d["name"],
-                fn=fn,
-                recurrent_reads=frozenset(d["recurrent_reads"]),
-                label=d["label"],
-                access=StepAccess(
-                    tuple((b, k) for b, k in d["access"]["accesses"]),
-                    d["access"]["opaque"],
-                ),
-                flops=d["flops"],
-                shardable=d["shardable"],
-                private_accums=dict(d["private_accums"]),
-                native=native and NativeCall(native[0], tuple(native[1])),
-                fallback=d["fallback"],
-            ))
-        phases.append(steps)
-    return phases[0], phases[1]
-
-
 def _rebind_native(compiled: CompiledProgram, meta: dict,
-                   arrays: Dict[str, np.ndarray]) -> None:
+                   arrays: Dict[str, np.ndarray], batch_size: int) -> None:
     """Re-arm a ``backend='c'`` entry's native program and swap the
     kernels into the step lists.
 
@@ -447,20 +385,8 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
         except c_backend.CBackendUnavailable as exc:
             raise CacheError(
                 f"cannot rebuild native program: {exc}") from exc
-    c_backend.bind_steps(compiled, so_path, int(meta["batch_size"]),
+    c_backend.bind_steps(compiled, so_path, batch_size,
                          int(meta["num_threads"]))
-
-
-def _rebuild_report(meta) -> CompileReport:
-    """The cold compile's pass record with every wall time zeroed: a
-    thaw runs no passes, but keeps the counters for attribution."""
-    report = CompileReport()
-    for r in meta["report"]["records"]:
-        report.add(PassRecord(
-            r["name"], r["enabled"], 0.0,
-            r["units_before"], r["units_after"], dict(r["rewrites"]),
-        ))
-    return report
 
 
 def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,
@@ -473,23 +399,32 @@ def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,
     from repro.runtime.executor import CompiledNet
 
     try:
-        if int(meta["batch_size"]) != int(net.batch_size):
+        plan = _decoder(BufferPlan)(meta["plan"])
+        if plan.batch_size != net.batch_size:
             raise CacheError(
-                f"entry batch {meta['batch_size']} vs net {net.batch_size}"
+                f"entry batch {plan.batch_size} vs net {net.batch_size}"
             )
-        if int(meta["time_steps"]) != int(net.time_steps):
+        if plan.time_steps != net.time_steps:
             raise CacheError(
-                f"entry time_steps {meta['time_steps']} vs net "
+                f"entry time_steps {plan.time_steps} vs net "
                 f"{net.time_steps}"
             )
-        plan = _rebuild_plan(net, meta, arrays)
+        _link_fields(net, plan, meta["fields"])
         closures = _rebuild_closures(net, plan, meta, arrays)
-        fwd, bwd = _rebuild_steps(meta, exec_program(meta["source"],
-                                                      closures))
+        fns = exec_program(meta["source"], closures)
+        fwd, bwd = (_decoder(List[Step])(meta[phase])
+                    for phase in ("forward", "backward"))
+        for step in fwd + bwd:
+            step.fn = fns.get(step.name)
+            if step.fn is None:
+                raise CacheError(
+                    f"generated source defines no {step.name!r}")
         compiled = CompiledProgram(fwd, bwd, meta["source"], closures)
         if meta["options"].get("backend", "numpy") == "c":
-            _rebind_native(compiled, meta, arrays)
-        report = _rebuild_report(meta)
+            _rebind_native(compiled, meta, arrays, plan.batch_size)
+        # the cold compile's pass records with every wall time zeroed: a
+        # thaw runs no passes, but keeps the counters for attribution
+        report = CompileReport(_decoder(List[PassRecord])(meta["report"]))
         return CompiledNet(
             net, plan, compiled, options, tracer=tracer,
             compile_report=report,

@@ -13,9 +13,10 @@ compiled program, rendered as canonical (sorted-keys) JSON:
   compile time), and the normalized ``keep_alive`` set (it shapes the
   memory plan);
 * the backend identifier, the library version, the NumPy version, the
-  batch-tile rule's constants (``repro.optim.tiling``) and the entry
-  :data:`FORMAT_VERSION` — bumping any of these invalidates every
-  existing entry rather than risking a stale thaw;
+  batch-tile rule's constants (``repro.optim.tiling``) and the
+  :func:`source_fingerprint` of the package's own code — any edit to
+  the library invalidates every existing entry rather than risking a
+  stale thaw, and no layout version is kept by hand;
 * for ``backend="c"``, the toolchain fingerprint (compiler version +
   flags + the target ``-march=native`` resolved to) — those entries
   embed the built shared object's bytes, which are only valid for the
@@ -27,9 +28,11 @@ never change the generated program.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,52 +44,23 @@ import numpy as np
 BACKEND_IDS = {"numpy": "python-numpy", "c": "c-openmp"}
 BACKEND_ID = BACKEND_IDS["numpy"]
 
-#: on-disk entry layout version: readers refuse newer entries and treat
-#: older ones as misses (see repro.cache.store); part of the key, so a
-#: bump simply stops matching old files instead of misreading them.
-#: v2: entries may carry a ``c_exec`` native-program rebuild recipe
-#: v3: C-backend entries embed the built ``.so`` bytes (keyed on the
-#:     toolchain fingerprint) so warm boots never invoke the compiler
-#: v4: the memory plan is byte-addressed (``arena_bytes``/slab
-#:     ``nbytes``)
-#: v5: ``c_exec`` carries ``symbols`` (steps sharing a twin's kernel)
-#:     and its source is split into translation units at markers
-#: v6: float32 programs only — buffers carry no storage dtype, and the
-#:     paper-style C listing is no longer stored
-#: v7: steps carry their ordered, alias-folded def/use record
-#:     (``access``) instead of unfolded ``reads``/``writes`` name sets;
-#:     norm/loss closures are rebuilt from the topology alone
-#: v8: train programs re-gather staging copies in backward (re-copy
-#:     steps, ``*_re`` buffers, a smaller arena); the memory plan
-#:     carries ``rematerialized``/``declined``
-#: v9: staging chains are batch-tiled and their buffers contracted
-#:     (buffers carry ``tile``; the plan carries ``contracted`` /
-#:     ``untiled``); native kernels return ``void``
-#: v10: one batch-tiled group per conv layer (pad → … → pool); values
-#:     and padded buffers carry ``tile`` too, and a pad is a zero-fill
-#:     step plus its interior copy
-#: v11: a re-gather from a padded buffer re-pads it first (backward
-#:     ``pad_fill``/``pad`` steps, ``*_padsrc*_re`` buffers); a
-#:     ``Rematerialized`` record names the re-padded buffer
-#: v12: native kernels print parallel regions only when they run with
-#:     more than one thread; ``c_exec`` records that count (``omp``)
-#: v13: with the parallel pass off a program runs on one thread — its
-#:     kernels print no parallel region and the entry records
-#:     ``num_threads`` 1
-#: v14: a conv layer's batch-tiled chain may join the group of the layer
-#:     before it (the value between them contracts), and a buffer
-#:     contracted to a group records the units it is live across
-#:     (interval ``units``)
-#: v15: the options record is the opt level plus ``memory_plan``,
-#:     ``backend``, ``mode`` and ``precision`` (no per-pass booleans)
-#: v16: each step carries its native binding and fallback reason
-#: v17: a parameter's gradient is a role-``param_grad`` buffer with no
-#:     field reference (the training thaw allocates it), and a
-#:     forward-only entry records none
-#: v18: a step records no ``kind``/``comm`` (every step is a task), and
-#:     the report stores each pass's ``rewrites`` uncast, without the
-#:     build's environment facts
-FORMAT_VERSION = 18
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """SHA-256 hex digest of every ``*.py`` file of the ``repro``
+    package: its path relative to the package (POSIX spelling) and its
+    bytes, in path order. The same code hashes alike wherever it is
+    installed; computed once per process, on first use.
+
+    An entry records the fingerprint of the code that wrote it, so an
+    entry written by any other code is a miss, never a thaw."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 #: the kinds of builder record (:func:`as_builder`)
@@ -94,8 +68,9 @@ BUILDER_KINDS = ("model_config", "net_spec")
 
 
 class CacheUnsupported(ValueError):
-    """The model cannot be cached (e.g. a closure kind the freezer does
-    not know how to rebuild). Callers fall back to uncached compiles."""
+    """This model's compile cannot be cached: a closure kind with no
+    rebuild recipe, a live array with no field provenance, or a program
+    that is not float32. Callers fall back to uncached compiles."""
 
 
 def as_builder(model) -> dict:
@@ -171,7 +146,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "backend": BACKEND_IDS[options.backend],
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,
-        "format_version": FORMAT_VERSION,
+        "source": source_fingerprint(),
         # module constants of the tile rules: they shape the schedule
         # and the buffer table like an option would
         "staging_tile": [tiling.STAGING_TILE_BYTES,

@@ -14,12 +14,15 @@ Durability rules:
   same key race benignly — both write complete files, the last rename
   wins, and readers only ever see a fully written entry.
 * **Reads are corruption-tolerant**: any failure to load/parse/validate
-  an entry (truncated file, version skew, key mismatch) deletes the bad
-  file and reports a miss; callers recompile cold. A cache can only cost
-  you a recompile, never a crash.
+  an entry (truncated file, key mismatch, an entry written by other
+  code: its ``version`` is not this package's source fingerprint)
+  deletes the bad file and reports a miss; callers recompile cold. A
+  cache can only cost you a recompile, never a crash.
 * **Eviction is size-bounded LRU**: ``put`` evicts oldest-by-mtime
   entries beyond ``max_bytes`` (``REPRO_CACHE_MAX_BYTES``, default
-  512 MB); ``get`` touches mtime so hot entries survive.
+  512 MB), ordering entries by ``stat`` alone — eviction reads no entry,
+  and a listing reads only each entry's ``__meta__``; ``get`` touches
+  mtime so hot entries survive.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.key import FORMAT_VERSION
+from repro.cache.key import source_fingerprint
 from repro.utils.npz import load_npz, save_npz
 
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -42,6 +45,10 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 _FORMAT = "latte-compile-cache"
 _META_KEY = "__meta__"
+
+
+def _parse_meta(raw: np.ndarray) -> dict:
+    return json.loads(bytes(raw).decode("utf-8"))
 
 
 def default_cache_dir() -> Path:
@@ -84,22 +91,19 @@ class CompileCache:
     def get(self, key: str) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
         """Load ``(meta, arrays)`` for ``key``, or ``None`` on miss.
 
-        Any malformed entry (truncated write, foreign file, version
-        skew) is deleted and reported as a miss.
+        Any malformed entry (truncated write, foreign file, an entry
+        written by other code) is deleted and reported as a miss.
         """
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
             arrays = load_npz(path)
-            meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
+            meta = _parse_meta(arrays.pop(_META_KEY))
             if meta.get("format") != _FORMAT:
                 raise ValueError(f"not a {_FORMAT} file")
-            if meta.get("version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"entry version {meta.get('version')} != "
-                    f"{FORMAT_VERSION}"
-                )
+            if meta.get("version") != source_fingerprint():
+                raise ValueError("entry written by other code")
             if meta.get("key") != key:
                 raise ValueError("entry key does not match its filename")
         except Exception:
@@ -118,7 +122,7 @@ class CompileCache:
         """Atomically persist an entry and evict beyond ``max_bytes``."""
         meta = dict(meta)
         meta["format"] = _FORMAT
-        meta["version"] = FORMAT_VERSION
+        meta["version"] = source_fingerprint()
         meta["key"] = key
         meta.setdefault("created", time.time())
         meta.setdefault("model", model)
@@ -132,23 +136,30 @@ class CompileCache:
 
     # -- maintenance ------------------------------------------------------
 
+    def _files(self) -> List[Tuple[Path, os.stat_result]]:
+        """Every entry file with its ``stat``, most-recently-used first;
+        reads no entry."""
+        out = []
+        if self.root.is_dir():
+            for path in self.root.glob("*.npz"):
+                try:
+                    out.append((path, path.stat()))
+                except OSError:
+                    continue
+        out.sort(key=lambda f: f[1].st_mtime, reverse=True)
+        return out
+
     def entries(self) -> List[CacheEntryInfo]:
-        """All entries, most-recently-used first."""
+        """All entries, most-recently-used first, each read for its
+        ``__meta__`` member alone."""
         out: List[CacheEntryInfo] = []
-        if not self.root.is_dir():
-            return out
-        for path in self.root.glob("*.npz"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
+        for path, st in self._files():
             info = CacheEntryInfo(
                 key=path.stem, path=path,
                 size_bytes=st.st_size, mtime=st.st_mtime,
             )
             try:
-                meta = json.loads(
-                    bytes(load_npz(path)[_META_KEY]).decode("utf-8"))
+                meta = _parse_meta(load_npz(path, [_META_KEY])[_META_KEY])
                 info.model = str(meta.get("model", "?"))
                 info.created = float(meta.get("created", 0.0))
                 opts = meta.get("options") or {}
@@ -156,41 +167,35 @@ class CompileCache:
             except Exception:
                 info.model = "<corrupt>"
             out.append(info)
-        out.sort(key=lambda e: e.mtime, reverse=True)
         return out
 
     def total_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.entries())
+        return sum(st.st_size for _, st in self._files())
 
     def evict(self, max_bytes: Optional[int] = None) -> List[str]:
-        """Drop least-recently-used entries until under the size bound.
-        Returns the evicted keys."""
+        """Drop least-recently-used entries until under the size bound,
+        by ``stat`` alone. Returns the evicted keys."""
         bound = self.max_bytes if max_bytes is None else max_bytes
         if bound is None or bound < 0:
             return []
-        entries = self.entries()
-        total = sum(e.size_bytes for e in entries)
+        files = self._files()
+        total = sum(st.st_size for _, st in files)
         evicted: List[str] = []
-        while entries and total > bound:
-            victim = entries.pop()  # oldest mtime is last
-            self._discard(victim.path)
-            total -= victim.size_bytes
-            evicted.append(victim.key)
+        while files and total > bound:
+            path, st = files.pop()  # oldest mtime is last
+            self._discard(path)
+            total -= st.st_size
+            evicted.append(path.stem)
         return evicted
 
     def prune(self, key: Optional[str] = None) -> int:
         """Delete one entry (by key or unique prefix) or, with no key,
         every entry. Returns the number removed."""
-        if key is None:
-            n = 0
-            for e in self.entries():
-                self._discard(e.path)
-                n += 1
-            return n
-        matches = [e for e in self.entries() if e.key.startswith(key)]
-        for e in matches:
-            self._discard(e.path)
-        return len(matches)
+        paths = [path for path, _ in self._files()
+                 if key is None or path.stem.startswith(key)]
+        for path in paths:
+            self._discard(path)
+        return len(paths)
 
     # also clean up stray .npz.tmp files from crashed writers
     def clean_tmp(self) -> int:

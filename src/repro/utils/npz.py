@@ -7,7 +7,7 @@ import os
 import re
 import tempfile
 import zipfile
-from typing import Dict
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -31,13 +31,17 @@ def save_npz(path, arrays: Dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_npz(path) -> Dict[str, np.ndarray]:
-    """Every array of an ``np.savez`` archive, by name, as an owned
-    writable copy. Raises ``ValueError`` on a member it cannot read,
-    object arrays included (as ``allow_pickle=False`` would)."""
+def load_npz(path, names: Optional[Iterable[str]] = None
+             ) -> Dict[str, np.ndarray]:
+    """Every array of an ``np.savez`` archive (or only the ``names``
+    given), by name, as an owned writable copy. Raises ``ValueError`` on
+    a member it cannot read, object arrays included (as
+    ``allow_pickle=False`` would), and ``KeyError`` on a missing name."""
     arrays = {}
     with zipfile.ZipFile(path) as archive:
-        for member in archive.namelist():
+        members = (archive.namelist() if names is None
+                   else [f"{name}.npy" for name in names])
+        for member in members:
             raw = archive.read(member)
             if raw[:6] != b"\x93NUMPY" or raw[6] not in (1, 2, 3):
                 raise ValueError(f"{member}: not an .npy array")

@@ -8,10 +8,15 @@ size-bounded LRU).
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -27,7 +32,10 @@ from repro.cache import (
     thaw,
 )
 from repro.cache.__main__ import main as cache_main
+from repro.cache.freeze import _decoder, _encode
+from repro.cache.key import source_fingerprint
 from repro.codegen.c_backend import have_c_toolchain
+from repro.codegen.python_backend import NativeCall, Step
 from repro.core import Dim, Ensemble, FieldBinding, Net
 from repro.layers import (
     BatchNormLayer,
@@ -55,6 +63,7 @@ from repro.testing.generator import (
     make_inputs,
     random_spec,
 )
+from repro.testing.digest import ledger_net
 from repro.testing.oracle import TOLERANCES, batch_tiles
 from repro.utils.rng import seed_all
 
@@ -300,7 +309,8 @@ class TestRoundTrip:
         key, = (e.key for e in store.entries())
         meta, _ = store.get(key)
         assert "c_source" not in meta and meta["c_exec"] is None
-        assert all("dtype" not in b for b in meta["buffers"])
+        buffers = meta["plan"]["buffers"].values()
+        assert all(b["dtype"] == "float32" for b in buffers)
         with pytest.raises(RuntimeError, match="thaw does not rebuild"):
             warm.c_source
         if not have_c_toolchain():
@@ -492,11 +502,10 @@ class TestCorruption:
         assert store.get("cd" * 32) is None
         assert not alias.exists()
 
-    def test_previous_format_version_is_a_miss(self, tmp_path):
-        """An entry written under the last layout (v17: each step
-        records a ``kind``, which no longer exists) is dropped on get —
-        a miss, never an error, never thawed."""
-        from repro.cache.key import FORMAT_VERSION
+    def test_entry_written_by_other_code_is_a_miss(self, tmp_path):
+        """An entry whose version is another code's source fingerprint
+        is dropped on get — a miss, never an error, never thawed."""
+        from repro.cache.key import source_fingerprint
 
         store = CompileCache(tmp_path)
         cold = compile_cached(MLP, 4, cache=store)
@@ -505,13 +514,17 @@ class TestCorruption:
         with np.load(path, allow_pickle=False) as data:
             arrays = {n: data[n] for n in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        assert meta["version"] == FORMAT_VERSION == 18
-        assert "contracted" in meta and "tile" in meta["buffers"][0]
-        assert {"native", "fallback"} <= set(meta["steps"]["forward"][0])
-        assert not {"kind", "comm"} & set(meta["steps"]["forward"][0])
-        grads = [d for d in meta["buffers"] if d["role"] == "param_grad"]
-        assert grads and not any("field" in d for d in grads)
-        meta["version"] = FORMAT_VERSION - 1
+        assert meta["version"] == source_fingerprint()
+        plan = meta["plan"]
+        assert "contracted" in plan
+        assert all("tile" in b for b in plan["buffers"].values())
+        assert {"native", "fallback"} <= set(meta["forward"][0])
+        assert not {"kind", "comm", "fn"} & set(meta["forward"][0])
+        grads = [n for n, b in plan["buffers"].items()
+                 if b["role"] == "param_grad"]
+        assert grads and not set(grads) & set(meta["fields"])
+        meta["version"] = hashlib.sha256(b"other code").hexdigest()
+        assert meta["version"] != source_fingerprint()
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                            dtype=np.uint8)
         with open(path, "wb") as fh:
@@ -554,7 +567,7 @@ class TestCorruption:
         cold = compile_cached(MLP, 4, cache=store)
         key = cold.compile_report.cache_key
         meta, arrays = store.get(key)
-        meta["buffers"][0]["shape"] = [9999]
+        next(iter(meta["plan"]["buffers"].values()))["shape"] = [9999]
         store.put(key, meta, arrays)
         again = compile_cached(MLP, 4, cache=store)
         assert not again.compile_report.cache_hit
@@ -592,6 +605,34 @@ class TestStore:
             self._fake_entry(store, ch * 64, 16)
         assert store.total_bytes() <= 40_000
         assert len(store.entries()) >= 1
+
+    def test_put_evicts_by_stat_reading_no_entry(self, tmp_path,
+                                                 monkeypatch):
+        """Eviction orders entries by ``stat`` alone, and a listing
+        reads each entry's ``__meta__`` member only."""
+        store = CompileCache(tmp_path, max_bytes=None)
+        keys = [ch * 64 for ch in "abc"]
+        for i, key in enumerate(keys):
+            self._fake_entry(store, key, 8)
+            os.utime(store.path_for(key), (1000 + i, 1000 + i))
+        store_module = sys.modules["repro.cache.store"]
+        load_npz = store_module.load_npz
+        read = []
+
+        def spy(path, names=None):
+            read.append(names)
+            return load_npz(path, names)
+
+        # a listing swallows a loader error as "<corrupt>": count calls
+        monkeypatch.setattr(store_module, "load_npz", spy)
+        store.max_bytes = store.total_bytes() - 1
+        store.put("d" * 64, {"note": "fake"},
+                  {"pad": np.zeros(16, np.float32)})
+        assert read == []
+        assert not store.path_for(keys[0]).exists()
+        listed = store.entries()
+        assert [e.key for e in listed] == ["d" * 64, keys[2], keys[1]]
+        assert read == [["__meta__"]] * 3
 
     def test_prune_by_prefix_and_all(self, tmp_path):
         store = CompileCache(tmp_path, max_bytes=None)
@@ -674,6 +715,34 @@ class TestServingIntegration:
             assert out.shape == (5,)
         finally:
             server.close()
+
+    @pytest.mark.skipif(not have_c_toolchain(), reason="no C toolchain")
+    def test_c_workers_thaw_an_unplanned_entry(self, tmp_path, checkpoint):
+        """C backend x process transport x ``memory_plan=False``, through
+        a pre-warmed cache: both forked workers thaw, and they serve the
+        in-process compile's outputs bitwise."""
+        opts = CompilerOptions(mode="inference", backend="c",
+                               memory_plan=False)
+        cache = str(tmp_path / "cache")
+        ck = load_checkpoint(checkpoint)
+        warmed = ck.compile(batch_size=4, options=opts, cache=cache)
+        assert not warmed.compile_report.cache_hit
+        warmed.close()
+        items = np.random.default_rng(3).standard_normal(
+            (4, 30)).astype(np.float32)
+        with ModelServer.from_checkpoint(checkpoint, batch_size=4,
+                                         workers=2, options=opts,
+                                         cache=cache) as server:
+            assert server.registry.get(
+                "serve_compile_cache_hits_total").total() == 2
+            got = np.stack([server.predict(x, timeout=30) for x in items])
+        # run after the fork: libgomp state entered in a parallel region
+        # does not survive one (repro.runtime.procpool)
+        cnet = compile_net(ck.build(4), opts)
+        ck.restore_params(cnet)
+        cnet.forward(data=items)
+        np.testing.assert_array_equal(got, cnet.value("ip2"))
+        cnet.close()
 
     def test_server_without_cache_has_no_cache_metrics(self, checkpoint):
         server = ModelServer.from_checkpoint(checkpoint, batch_size=4)
@@ -960,3 +1029,150 @@ class TestNativeSharedObject:
                          None) != base_c
         assert cache_key(as_builder(MLP), 4, CompilerOptions(), 1,
                          None) == base_np
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    name: str
+    span: Tuple[int, int]
+
+
+@dataclasses.dataclass
+class _EveryHint:
+    """One field per hint shape the compiler's records use."""
+
+    shape: Tuple[int, ...]
+    pair: Tuple[str, int]
+    leaves: List[_Leaf]
+    by_name: Dict[str, _Leaf]
+    counts: Dict[str, int]
+    phases: Set[str]
+    pooled: frozenset
+    call: Optional[NativeCall] = None
+    parent: Optional[_Leaf] = None
+    reshape: Optional[Tuple[int, ...]] = None
+
+
+class TestCodec:
+    """The cache stores records by their fields and thaws them from
+    their type hints."""
+
+    @staticmethod
+    def _round_trip(record):
+        data = json.loads(json.dumps(_encode(record, "record")))
+        return _decoder(type(record))(data)
+
+    def test_every_hint_shape_round_trips(self):
+        record = _EveryHint(
+            shape=(2, 3), pair=("w", 4), leaves=[_Leaf("a", (0, 1))],
+            by_name={"b": _Leaf("b", (2, 5))},
+            counts={"units": 3, "reuse_pct": 45.93},
+            phases={"forward", "backward"}, pooled=frozenset({"x", "y"}),
+            call=NativeCall("k", ("x", "y")), parent=_Leaf("p", (1, 1)))
+        back = self._round_trip(record)
+        assert back == record
+        assert type(back.shape) is tuple and type(back.pair) is tuple
+        assert type(back.leaves[0].span) is tuple
+        assert type(back.phases) is set and type(back.pooled) is frozenset
+        assert type(back.call) is NativeCall and back.reshape is None
+        # scalars come back as JSON read them, never cast to the hint
+        assert type(back.counts["reuse_pct"]) is float
+        assert self._round_trip(
+            dataclasses.replace(record, call=None)).call is None
+
+    def test_unstored_fields_are_not_written(self):
+        step = Step("s0", fn=print, native=NativeCall("s0", ("a",)))
+        data = _encode(step, "step")
+        assert "fn" not in data and data["native"] == {
+            "symbol": "s0", "args": ["a"]}
+        back = self._round_trip(step)
+        assert back.fn is None and back == dataclasses.replace(step,
+                                                               fn=None)
+
+    def test_a_value_it_cannot_store_names_its_path(self):
+        steps = [Step("s0"), Step("s1", private_accums={"w_grad": print})]
+        with pytest.raises(TypeError,
+                           match=r"forward\[1\]\.private_accums\.w_grad"):
+            _encode(steps, "forward")
+
+
+def _fields(record, skip=()):
+    return {f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record) if f.name not in skip}
+
+
+def _assert_same_records(cold, warm):
+    """Everything a thaw rebuilds equals the cold compile's."""
+    assert warm.source == cold.source
+    for phase in ("forward", "backward"):
+        assert ([_fields(s, ("fn",)) for s in getattr(warm.compiled, phase)]
+                == [_fields(s, ("fn",))
+                    for s in getattr(cold.compiled, phase)])
+    assert ({n: _fields(b, ("array",)) for n, b in warm.plan.buffers.items()}
+            == {n: _fields(b, ("array",))
+                for n, b in cold.plan.buffers.items()})
+    for name in ("params", "private_accums", "inplace", "contracted",
+                 "untiled", "memory"):
+        assert getattr(warm.plan, name) == getattr(cold.plan, name), name
+    assert ([(r.name, r.enabled, r.units_before, r.units_after, r.rewrites)
+             for r in warm.compile_report.records]
+            == [(r.name, r.enabled, r.units_before, r.units_after,
+                 r.rewrites) for r in cold.compile_report.records])
+    assert warm.memory_stats() == cold.memory_stats()
+    if cold.options.backend == "c":
+        assert warm.c_source == cold.c_source
+
+
+class TestByFields:
+    """A thaw reproduces the compiler's records by construction: cold
+    compile -> freeze -> JSON -> thaw, compared field by field."""
+
+    def _round_trip(self, name, options):
+        cold = ledger_net(name).init(options)
+        meta, arrays = freeze(cold)
+        meta = json.loads(json.dumps(meta))
+        warm = thaw(ledger_net(name), meta, arrays, options)
+        try:
+            _assert_same_records(cold, warm)
+        finally:
+            cold.close()
+            warm.close()
+
+    @pytest.mark.parametrize("name", ["lenet", "lstm", "inception_a", "vgg"])
+    @pytest.mark.parametrize("mode", ["train", "inference"])
+    def test_numpy_program(self, name, mode):
+        self._round_trip(name, CompilerOptions(mode=mode))
+
+    @pytest.mark.skipif(not have_c_toolchain(), reason="no C toolchain")
+    def test_c_program(self):
+        self._round_trip("lenet", CompilerOptions(backend="c"))
+
+
+class TestSourceFingerprint:
+    """An entry is keyed on the package source that wrote it."""
+
+    @staticmethod
+    def _fingerprint(root):
+        env = dict(os.environ, PYTHONPATH=str(root))
+        out = subprocess.run(
+            [sys.executable, "-c", "from repro.cache.key import "
+             "source_fingerprint; print(source_fingerprint())"],
+            env=env, cwd=root, capture_output=True, text=True,
+            timeout=120, check=True)
+        return out.stdout.strip()
+
+    def test_same_code_anywhere_one_fingerprint(self, tmp_path):
+        package = Path(repro.__file__).parent
+        roots = [tmp_path / "a", tmp_path / "b"]
+        for root in roots:
+            shutil.copytree(package, root / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        first, second = (self._fingerprint(root) for root in roots)
+        assert re.fullmatch("[0-9a-f]{64}", first)
+        assert first == second == source_fingerprint()
+        # one changed byte: the last newline of one module
+        key = roots[1] / "repro" / "cache" / "key.py"
+        data = key.read_bytes()
+        assert data.endswith(b"\n")
+        key.write_bytes(data[:-1] + b" ")
+        assert self._fingerprint(roots[1]) != first
