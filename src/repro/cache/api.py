@@ -66,8 +66,9 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
         may pin their own); must agree with ``net`` when both are given.
     net:
         An already-built :class:`~repro.core.Net` matching ``model``.
-        Pass it to control parameter initialization (e.g. seeding before
-        ``build_net``); otherwise the net is built from ``model``.
+        Pass it to choose its parameter values (a seeded draw, or a
+        checkpoint's arrays: ``Checkpoint.compile`` passes
+        ``ck.build()``); otherwise the net is built from ``model``.
     cache:
         A :class:`~repro.cache.store.CompileCache`, a directory path, or
         ``None`` for the default store (``REPRO_CACHE_DIR``).

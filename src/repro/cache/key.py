@@ -99,18 +99,19 @@ def as_builder(model) -> dict:
     )
 
 
-def build_from(builder: dict, batch: int):
+def build_from(builder: dict, batch: int, params=None):
     """The (uncompiled) :class:`~repro.core.Net` a builder record
-    describes, rebuilt at ``batch``."""
+    describes, rebuilt at ``batch`` with values from ``params``."""
     if builder["kind"] == "model_config":
         from repro.models import build_latte
         from repro.models.configs import config_from_dict
 
-        return build_latte(config_from_dict(builder["config"]), batch).net
+        return build_latte(config_from_dict(builder["config"]), batch,
+                           params=params).net
     from repro.testing.generator import NetSpec, build_net
 
     spec = NetSpec.from_dict(builder["spec"])
-    return build_net(replace(spec, batch=batch))
+    return build_net(replace(spec, batch=batch), params=params)
 
 
 def builder_batch(builder: dict) -> Optional[int]:

@@ -8,7 +8,7 @@ translation units through a pool of ``cc`` processes → one shared
 object) and loaded via :mod:`ctypes`. Buffers stay NumPy-owned — each
 step receives raw ``float*`` pointers into the executor's buffer table,
 so checkpoints, the memory planner's arena offsets, tracer spans, and
-``rebind_buffer`` keep working unchanged. ``CompiledNet.c_source`` is
+``rebind_buffers`` keep working unchanged. ``CompiledNet.c_source`` is
 this same text for any net: what a native program built, or, on the
 NumPy backend, what it would build, emitted when first read.
 
@@ -1398,7 +1398,7 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
     — ``fn(env, rt)`` plain, ``fn(env, rt, _b0, _b1)`` sharded — and
     fetches each buffer pointer from ``env`` *per call*, so per-``t``
     views, recurrent zero views, private-accumulator swaps, and
-    ``rebind_buffer`` all work with zero executor changes.
+    ``rebind_buffers`` all work with zero executor changes.
     """
     def step(env, rt, _b0=0, _b1=batch):
         args = []
@@ -1411,7 +1411,7 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
             if not a.flags["C_CONTIGUOUS"]:
                 raise TypeError(
                     f"C backend: buffer {n!r} must be C-contiguous "
-                    "(rebind_buffer with a contiguous array)"
+                    "(rebind_buffers with a contiguous array)"
                 )
             args.append(a.ctypes.data)
         cfn(*args, _b0, _b1, omp)

@@ -8,10 +8,20 @@ routine) to compile the network to an executable
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
+
+import numpy as np
 
 from repro.core.connection import Connection
 from repro.core.ensemble import AbstractEnsemble
+
+
+class ParamSourceError(ValueError):
+    """A ``Net(params=)`` source cannot supply ``key`` at ``shape``."""
+
+    def __init__(self, key: str, shape: tuple, message: str):
+        super().__init__(message)
+        self.key, self.shape = key, shape
 
 
 class Net:
@@ -26,15 +36,21 @@ class Net:
         Unrolled sequence length for recurrent networks; 1 for
         feed-forward networks. Recurrent connections read values from the
         previous time step.
+    params:
+        Parameter values by ``ParamView.key`` (``"<ensemble>.<field>"``):
+        layers bind these arrays themselves, so nets built from one
+        source share them. ``None`` draws each from its initializer.
     """
 
-    def __init__(self, batch_size: int = 1, time_steps: int = 1):
+    def __init__(self, batch_size: int = 1, time_steps: int = 1,
+                 params: Optional[Dict[str, np.ndarray]] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if time_steps < 1:
             raise ValueError("time_steps must be >= 1")
         self.batch_size = batch_size
         self.time_steps = time_steps
+        self.params = params
         self.ensembles: dict = {}  # name -> AbstractEnsemble, insertion order
         self.connections: list = []
 
@@ -70,6 +86,23 @@ class Net:
             # net makes the recurrent input permanently zero.
             pass
         return conn
+
+    def param_value(self, key: str, shape: tuple,
+                    draw: Callable[[], np.ndarray]) -> np.ndarray:
+        """The value array parameter ``key`` binds: the params source's
+        array, or ``draw()`` when the net has no source."""
+        if self.params is None:
+            return draw()
+        arr = self.params.get(key)
+        if (arr is None or arr.shape != shape or arr.dtype != np.float32
+                or not arr.flags.c_contiguous):
+            got = "nothing" if arr is None else (
+                f"{arr.shape} {arr.dtype}"
+                f"{'' if arr.flags.c_contiguous else ' non-contiguous'}")
+            raise ParamSourceError(key, shape, (
+                f"params source holds {got} for {key!r}; the net binds "
+                f"{shape} float32, C-contiguous"))
+        return arr
 
     # -- queries -------------------------------------------------------------
 

@@ -48,11 +48,15 @@ def ConvolutionLayer(
     rng = rng or get_rng()
     if weight_std is None:
         weight_std = float(np.sqrt(2.0 / k))  # He initialization
-    weights = gaussian_init((k, n_filters), std=weight_std, rng=rng)
+    weights = net.param_value(
+        f"{name}.weights", (k, n_filters),
+        lambda: gaussian_init((k, n_filters), std=weight_std, rng=rng))
+    bias = net.param_value(f"{name}.bias", (1, n_filters),
+                           lambda: zeros_init((1, n_filters)))
     # the gradients are declared by the Params, not allocated here
     fields = {
         "weights": FieldBinding(weights, (VEC, Dim(0))),
-        "bias": FieldBinding(zeros_init((1, n_filters)), (VEC, Dim(0))),
+        "bias": FieldBinding(bias, (VEC, Dim(0))),
     }
     conv = Ensemble(
         net,

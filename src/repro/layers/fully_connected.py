@@ -40,9 +40,16 @@ def FullyConnectedEnsemble(
 ) -> Ensemble:
     """The unconnected variant used when the input does not exist yet —
     recurrent blocks connect it afterwards (Fig. 6 line 9)."""
-    # Initialize parameters (their gradients belong to the runtime)
-    weights = xavier_init(n_inputs, n_outputs, rng=rng)
-    bias = zeros_init((1, n_outputs))
+    # Initialize parameters (their gradients belong to the runtime); a
+    # lone neuron binds its one column (``from_neurons``), keyed as such
+    lone = (n_outputs,) if n_outputs > 1 else ()
+    weights = net.param_value(
+        f"{name}.weights", (n_inputs,) + lone,
+        lambda: xavier_init(n_inputs, n_outputs, rng=rng),
+    ).reshape(n_inputs, n_outputs)
+    bias = net.param_value(f"{name}.bias", (1,) + lone,
+                           lambda: zeros_init((1, n_outputs))
+                           ).reshape(1, n_outputs)
     # Instantiate each neuron with unique parameters (column views)
     neurons = np.empty(n_outputs, dtype=object)
     for i in range(n_outputs):

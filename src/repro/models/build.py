@@ -52,9 +52,10 @@ class BuiltModel:
 
 
 def build_latte(config: ModelConfig, batch_size: int,
-                rng=None) -> BuiltModel:
-    """Instantiate ``config`` as a Latte network of DSL layers."""
-    net = Net(batch_size)
+                rng=None, params=None) -> BuiltModel:
+    """Instantiate ``config`` as a Latte network of DSL layers, binding
+    parameter values from ``params`` when given (see :class:`Net`)."""
+    net = Net(batch_size, params=params)
     needs_conv = any(isinstance(s, (ConvSpec, PoolSpec, LRNSpec))
                      for s in config.layers)
     if needs_conv:

@@ -96,9 +96,10 @@ def _candidate_bases(plan):
 def _weight_quant(weight_bufs) -> ExternFn:
     """Closure fake-quantizing the parameter arrays in place, symmetric
     per-tensor at ``max|w| / 127`` of their *current* contents — so
-    parameters restored or rebound after the compile are the ones
-    quantized. Runs once per forward (time step 0 of a recurrent net);
-    idempotent, so repeated forwards stay bitwise-stable."""
+    parameters written or rebound after the compile are the ones
+    quantized (a ``Checkpoint``-built net's are ``ck.params``). Runs
+    once per forward (time step 0 of a recurrent net); idempotent, so
+    repeated forwards stay bitwise-stable."""
 
     def quantize_weights(env, rt):
         if rt.current_t:

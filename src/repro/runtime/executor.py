@@ -322,53 +322,27 @@ class CompiledNet:
         self._watchdog = watchdog
         self._bind()
 
-    def rebind_buffer(self, name: str, array: np.ndarray) -> None:
-        """Replace one buffer-table entry (e.g. to share parameter
-        memory across replicas) and re-bake everything derived from it:
-        alias views, solver parameter views, and the pre-bound step
-        programs."""
-        self.rebind_buffers({name: array})
-
     def rebind_buffers(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Replace several buffer-table entries with one program
-        re-bake. The multi-process backend binds every parameter value
-        and gradient buffer onto shared memory in a single call —
-        re-baking the step programs once instead of once per tensor.
-        A rebound parameter value is re-pointed in the plan and the
-        net's field binding too, freeing the array it replaces."""
+        """Re-point parameter value and gradient buffers with one
+        program re-bake: the data-parallel trainer binds them onto its
+        shared block, and back onto owned arrays at close. A value is
+        re-pointed in the plan and the net's field binding too, freeing
+        the array it replaces. (No alias views a parameter buffer.)"""
+        plan = self.plan
+        params = {b for i in plan.params for b in (i.value_buf, i.grad_buf)}
         for name, array in arrays.items():
             old = self.buffers[name]
-            if array.shape != old.shape or array.dtype != old.dtype:
+            if (name not in params or array.shape != old.shape
+                    or array.dtype != old.dtype):
                 raise ValueError(
-                    f"rebind_buffer({name!r}): shape/dtype mismatch "
-                    f"({array.shape}/{array.dtype} vs "
-                    f"{old.shape}/{old.dtype})"
-                )
-        if not arrays:
-            return
-        plan = self.plan
-        for name, array in arrays.items():
-            self.buffers[name] = array
-        for ens in self.net.ensembles.values():
-            for fname, binding in getattr(ens, "field_bindings", {}).items():
-                name = plan.field_buf(ens.name, fname)
-                if name in arrays and plan.buffers[name].array is not None:
-                    binding.array = plan.buffers[name].array = arrays[name]
-        targets = {plan.resolve_alias(name) for name in arrays}
-        for spec in plan.buffers.values():
-            if spec.alias_of is None:
-                continue
-            if plan.resolve_alias(spec.name) not in targets:
-                continue
-            base = self.buffers[spec.alias_of]
-            if spec.alias_reshape is not None:
-                n_lead = base.ndim - len(spec.shape)
-                self.buffers[spec.name] = base.reshape(
-                    base.shape[: max(n_lead, 0)] + spec.alias_reshape
-                )
-            else:
-                self.buffers[spec.name] = base
+                    f"rebind_buffers({name!r}): not a parameter buffer of "
+                    f"{old.shape}/{old.dtype} ({array.shape}/{array.dtype})")
+        self.buffers.update(arrays)
         for p, info in zip(self._params, plan.params):
+            if info.value_buf in arrays:
+                binding = self.net[info.ensemble].field_bindings[info.name]
+                binding.array = plan.buffers[info.value_buf].array = \
+                    arrays[info.value_buf]
             p.value = self.buffers[info.value_buf]
             p._grad = self.buffers.get(info.grad_buf)
         self._step_bytes.clear()

@@ -37,7 +37,7 @@ code, phase); an exception inside a worker is shipped back and
 re-raised as :class:`~repro.runtime.worker.WorkerError` with the
 worker's traceback text attached. Either closes the trainer on the
 spot (the other workers are not waited for), which hands the parent net
-back its own arrays holding the values trained so far.
+owned arrays holding the values trained so far.
 """
 
 from __future__ import annotations
@@ -256,16 +256,17 @@ class DataParallelTrainer(AbstractContextManager):
     """Data-parallel training across workers sharing parameter memory.
 
     ``cnet`` is the parent's compiled net. Construction packs its
-    parameters into a :class:`SharedParamBlock`, rebinds the parent
-    onto it (gradient row 0) and starts the workers: with
+    parameters into a :class:`SharedParamBlock`, starts the workers and
+    then rebinds the parent onto the block (gradient row 0): with
     ``replicas=[...]`` one daemon thread per caller-compiled replica
     (identical programs; ``replicas[0]`` may be ``cnet`` itself; one
     interpreter, one GIL), otherwise ``n_workers`` forked children that
     each rebind their inherited copy of ``cnet`` (copy-on-write — no
     pickling, no recompilation). :meth:`train_epoch` then drives the
-    epoch under the chosen :class:`ReducePolicy`; :meth:`close` restores
-    the parent's original parameter arrays (values copied back) and
-    tears the workers down.
+    epoch under the chosen :class:`ReducePolicy`; :meth:`close` rebinds
+    the parent onto owned copies of its block arrays (the trained
+    values; its field bindings and parameter views follow) and tears the
+    workers down.
 
     Works as a context manager; ``solve(..., workers=N)`` wraps the
     process transport for the full training loop (eval, checkpoints,
@@ -292,7 +293,6 @@ class DataParallelTrainer(AbstractContextManager):
         self.policy = policy
         self.workers: List[ForkedWorker] = []
         self.block: Optional[SharedParamBlock] = None
-        self._orig: Dict[str, np.ndarray] = {}
         self._data_token = None
         self._async_solver_sent = False
         self._closed = False
@@ -303,13 +303,7 @@ class DataParallelTrainer(AbstractContextManager):
             n_rows = 1 if isinstance(policy, LossyAccumulate) else n
             self.block = block = SharedParamBlock(
                 cnet.plan, n_rows, shared=not threads)
-            # remember the original arrays so close() can restore them:
-            # the ensemble field bindings alias these, and they must hold
-            # the trained values after the shared block is unlinked
-            self._orig = {name: cnet.buffers[name]
-                          for name in block.bindings(0)}
             block.load_from(cnet)
-            cnet.rebind_buffers(block.bindings(0))
             if not threads:
                 cnet.close()  # shard threads do not survive a fork
             handle = ThreadWorker if threads else ForkedWorker
@@ -318,6 +312,8 @@ class DataParallelTrainer(AbstractContextManager):
                     k, _worker_main, (net, block, k), self.workers, None,
                     "repro-train"))
             self._gather(n, "binding the shared block")
+            # the parent binds last: a failed start leaves it on its own
+            cnet.rebind_buffers(block.bindings(0))
         except BaseException:
             self.close()
             raise
@@ -413,10 +409,9 @@ class DataParallelTrainer(AbstractContextManager):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers, restore the parent net's original
-        parameter arrays (trained values copied back in), and unlink
-        the shared blocks. Idempotent, and safe on a half-built
-        trainer."""
+        """Stop the workers, hand the parent net owned copies of its
+        block arrays (the trained values), and unlink the shared
+        blocks. Idempotent, and safe on a half-built trainer."""
         if self._closed:
             return
         self._closed = True
@@ -424,12 +419,13 @@ class DataParallelTrainer(AbstractContextManager):
             w.close(timeout)
         if self.block is None:
             return
-        # copy the trained values back into the original arrays (which
-        # the ensembles' field bindings still alias) and rebind the net
-        # off the shared block before unlinking it
-        for name, arr in self._orig.items():
-            arr[...] = self.cnet.buffers[name]
-        self.cnet.rebind_buffers(self._orig)
+        # move a net that is on the block (a failed start never bound
+        # it) onto owned copies of row 0, the trained values, before
+        # the block is unlinked
+        if any(np.may_share_memory(p.value, self.block.values)
+               for p in self.cnet.parameters()):
+            self.cnet.rebind_buffers({name: view.copy() for name, view
+                                      in self.block.bindings(0).items()})
         self.block.close(unlink=True)
 
     def __exit__(self, *exc) -> None:

@@ -31,6 +31,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.cache.key import BUILDER_KINDS, as_builder, build_from
+from repro.core.network import ParamSourceError
 from repro.utils.npz import load_npz, save_npz
 
 FORMAT = "latte-checkpoint"
@@ -43,6 +44,18 @@ _SOLVER_PREFIX = "solver/"
 
 class CheckpointError(RuntimeError):
     """Malformed, incompatible, or mismatched checkpoint artifact."""
+
+
+def _mismatch(missing=(), extra=()) -> CheckpointError:
+    clauses = [f"net wants {missing} the checkpoint lacks"] if missing else []
+    if extra:
+        clauses.append(f"checkpoint carries {extra} the net lacks")
+    return CheckpointError("parameter mismatch: " + "; ".join(clauses))
+
+
+def _shape_error(key, checkpoint_shape, net_shape) -> CheckpointError:
+    return CheckpointError(f"parameter {key!r}: checkpoint shape "
+                           f"{checkpoint_shape} vs net shape {net_shape}")
 
 
 def _solver_key(param_key: str, slot: str) -> str:
@@ -153,7 +166,8 @@ class Checkpoint:
 
     def build(self, batch_size: Optional[int] = None):
         """Reconstruct the (uncompiled) :class:`~repro.core.Net` from
-        the builder record, optionally at a different batch size."""
+        the builder record, optionally at a different batch size. Its
+        parameters are this checkpoint's arrays, bound, not copied."""
         builder = self.meta.get("builder")
         if builder is None:
             raise CheckpointError(
@@ -164,73 +178,77 @@ class Checkpoint:
         if builder["kind"] not in BUILDER_KINDS:
             raise CheckpointError(
                 f"unknown builder kind {builder['kind']!r}")
-        return build_from(
-            builder, batch_size if batch_size is not None else self.batch_size)
+        try:
+            net = build_from(
+                builder,
+                batch_size if batch_size is not None else self.batch_size,
+                params=self.params)
+        except ParamSourceError as exc:
+            have = self.params.get(exc.key)
+            if have is None:
+                raise _mismatch([exc.key]) from exc
+            if have.shape == exc.shape:
+                raise  # right shape, wrong dtype or layout: as the net says
+            raise _shape_error(exc.key, have.shape, exc.shape) from exc
+        extra = set(self.params) - {
+            f"{ens.name}.{p.name}" for ens in net.ensembles.values()
+            for p in getattr(ens, "params", ())}
+        if extra:
+            raise _mismatch(extra=sorted(extra))
+        return net
 
     def compile(self, batch_size: Optional[int] = None, options=None,
                 tracer=None, num_threads=None, keep_alive=None,
                 cache=None):
-        """Rebuild, compile, and restore parameters in one call — the
-        server cold-start path. Defaults to forward-only compilation
+        """Rebuild and compile in one call — the server cold-start
+        path. Defaults to forward-only compilation
         (``CompilerOptions.inference()``).
+
+        The net's parameters are this checkpoint's arrays (see
+        :meth:`build`): nothing is drawn or copied, every net compiled
+        from one checkpoint shares them, and whatever writes a
+        parameter — a training update, int8's in-place fake-quant —
+        writes through to :attr:`params`.
 
         Pass ``cache=`` (a ``repro.cache.CompileCache``, a directory
         path, or ``True`` for the default store) to route the compile
         through the persistent compilation cache: a warm entry skips
         synthesis and every pass, turning cold-start into a
-        millisecond thaw (see docs/COMPILE_CACHE.md). Parameters are
-        restored either way, so hit and miss produce bitwise-identical
-        servers.
+        millisecond thaw (see docs/COMPILE_CACHE.md). Hit and miss bind
+        the same arrays, so they produce bitwise-identical servers.
         """
         from repro.optim.pipeline import CompilerOptions
 
         options = options or CompilerOptions.inference()
-        builder = self.meta.get("builder")
-        if cache is not None and cache is not False and builder is not None:
+        net = self.build(batch_size)
+        if cache is not None and cache is not False:
             from repro.cache import compile_cached
 
-            cnet = compile_cached(
-                builder,
-                batch_size if batch_size is not None else self.batch_size,
-                options=options, tracer=tracer, num_threads=num_threads,
+            return compile_cached(
+                self.meta["builder"], net=net, options=options,
+                tracer=tracer, num_threads=num_threads,
                 keep_alive=keep_alive,
                 cache=None if cache is True else cache,
             )
-            self.restore_params(cnet)
-            return cnet
-        cnet = self.build(batch_size).init(
-            options, tracer=tracer, num_threads=num_threads,
-            keep_alive=keep_alive)
-        self.restore_params(cnet)
-        return cnet
+        return net.init(options, tracer=tracer, num_threads=num_threads,
+                        keep_alive=keep_alive)
 
     # -- state restoration --------------------------------------------------
 
-    def restore_params(self, cnet, strict: bool = True) -> None:
-        """Copy parameter arrays into ``cnet``'s parameter views.
-
-        With ``strict`` (default) the checkpoint and the net must carry
-        exactly the same parameter keys and shapes.
-        """
+    def restore_params(self, cnet) -> None:
+        """Copy parameter arrays into ``cnet``'s parameter views — for a
+        net compiled before the checkpoint was read (``solve(
+        resume_from=)``); :meth:`build` binds them instead. The
+        checkpoint and the net must carry the same keys and shapes."""
         views = {p.key: p for p in cnet.parameters()}
-        if strict:
-            missing = sorted(set(views) - set(self.params))
-            extra = sorted(set(self.params) - set(views))
-            if missing or extra:
-                raise CheckpointError(
-                    f"parameter mismatch: net wants {missing or '[]'} the "
-                    f"checkpoint lacks; checkpoint carries {extra or '[]'} "
-                    f"the net lacks"
-                )
-        for key, arr in self.params.items():
-            view = views.get(key)
-            if view is None:
-                continue
+        missing = sorted(set(views) - set(self.params))
+        extra = sorted(set(self.params) - set(views))
+        if missing or extra:
+            raise _mismatch(missing, extra)
+        for key, view in views.items():
+            arr = self.params[key]
             if view.value.shape != arr.shape:
-                raise CheckpointError(
-                    f"parameter {key!r}: checkpoint shape {arr.shape} vs "
-                    f"net shape {view.value.shape}"
-                )
+                raise _shape_error(key, arr.shape, view.value.shape)
             view.value[...] = arr
 
     def restore_solver(self, solver) -> None:

@@ -57,7 +57,7 @@ class NetReplica:
                         cache=None) -> "NetReplica":
         """Compile one forward-only replica of ``checkpoint`` (a path,
         or an already loaded :class:`~repro.serve.checkpoint.Checkpoint`)
-        at ``batch_size`` and restore its parameters."""
+        at ``batch_size``, bound to the checkpoint's parameter arrays."""
         ck = (load_checkpoint(checkpoint) if isinstance(checkpoint, str)
               else checkpoint)
         out = output or ck.output
@@ -68,13 +68,6 @@ class NetReplica:
         return cls(ck.compile(batch_size, options=options,
                               num_threads=num_threads, tracer=tracer,
                               cache=cache), out)
-
-    def share_params(self, primary: "NetReplica") -> None:
-        """Rebind this net's parameter buffers onto ``primary``'s: one
-        set of weight arrays serves every in-thread replica."""
-        self.net.rebind_buffers({
-            info.value_buf: primary.net.buffers[info.value_buf]
-            for info in self.net.plan.params})
 
     def memory_stats(self) -> Dict[str, int]:
         return self.net.memory_stats()

@@ -77,9 +77,9 @@ class ModelServer:
     replicas:
         Forward-only ``CompiledNet`` replicas of one network, all at the
         same batch size (each is wrapped in a
-        :class:`~repro.serve.replica.NetReplica`; replica 0 owns the
-        parameter storage, the rest are rebound onto it), or ready-made
-        replica handles.
+        :class:`~repro.serve.replica.NetReplica`), or ready-made replica
+        handles. Replicas built from one ``Net(params=)`` source (e.g.
+        one ``Checkpoint``) share its arrays.
     output:
         Ensemble whose value array is the prediction (sliced per row).
     max_latency:
@@ -115,9 +115,6 @@ class ModelServer:
         batches = {r.batch_size for r in self.replicas}
         if len(batches) != 1:
             raise ValueError(f"replicas disagree on batch size: {batches}")
-        nets = [r for r in self.replicas if isinstance(r, NetReplica)]
-        for replica in nets[1:]:
-            replica.share_params(nets[0])
         self.output = output
         self.batch_size = self.replicas[0].batch_size
         self.item_shape = self.replicas[0].item_shape
@@ -403,11 +400,10 @@ class ModelServer:
                         num_threads: Optional[int] = None,
                         tracer=None, cache=None,
                         **kwargs) -> "ModelServer":
-        """Boot a server from a checkpoint artifact: rebuild the
-        architecture, compile ``replicas`` forward-only copies at
-        ``batch_size``, restore parameters once, and share them. The
-        artifact's mtime feeds the ``serve_checkpoint_age_seconds``
-        gauge.
+        """Boot a server from a checkpoint artifact: load it once, then
+        compile ``replicas`` forward-only copies at ``batch_size``, all
+        bound to the checkpoint's parameter arrays. The artifact's
+        mtime feeds the ``serve_checkpoint_age_seconds`` gauge.
 
         ``workers=N`` selects the process transport instead: N forked
         workers each load the artifact and compile one replica (this

@@ -125,9 +125,10 @@ def solve(
     bitwise-identical to the serial loop) or
     :class:`~repro.runtime.AsyncLossy` (the paper's §7 lossy updates).
     Evaluation, monitors, and checkpoints all run on the parent's
-    replica, which shares the live parameter block; the original
-    parameter arrays are restored (with trained values) when training
-    finishes. See docs/DISTRIBUTED.md.
+    replica, which shares the live parameter block; when training
+    finishes the net holds owned copies of the trained values, not the
+    arrays it was built with (a ``Checkpoint`` it was built from keeps
+    the old values). See docs/DISTRIBUTED.md.
     """
     rng = rng or get_rng()
     epochs = epochs if epochs is not None else solver.params.max_epoch

@@ -281,13 +281,14 @@ def _build_layer(name: str, net: Net, cur, ld: LayerDict, rng):
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def build_net(spec: NetSpec, rng=None) -> Net:
+def build_net(spec: NetSpec, rng=None, params=None) -> Net:
     """Instantiate ``spec`` as a Latte :class:`Net` through the public
-    layer library. Ensembles are named ``L<i>_<kind>``; the classifier
-    is ``head`` and the loss layer ``loss``; inputs are the ``data`` and
-    ``label`` data ensembles."""
+    layer library, binding parameter values from ``params`` when given.
+    Ensembles are named ``L<i>_<kind>``; the classifier is ``head`` and
+    the loss layer ``loss``; inputs are the ``data`` and ``label`` data
+    ensembles."""
     infer_shapes(spec)  # fail fast with a geometry error, not a layer one
-    net = Net(spec.batch, time_steps=spec.time_steps)
+    net = Net(spec.batch, time_steps=spec.time_steps, params=params)
     data = MemoryDataLayer(net, "data", tuple(spec.input_shape))
     label = MemoryDataLayer(net, "label", (1,))
     cur = data

@@ -11,6 +11,10 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+#: a member is read in chunks of at most this many bytes, straight
+#: into the array it fills
+_CHUNK = 1 << 18
+
 _HEADER = re.compile(r"\{'descr': '([<>|=][a-zA-Z]\d*)', 'fortran_order': "
                      r"False, 'shape': \(((?:\d+, ?)*\d*)\), \}\s*")
 
@@ -34,24 +38,31 @@ def save_npz(path, arrays: Dict[str, np.ndarray]) -> None:
 def load_npz(path, names: Optional[Iterable[str]] = None
              ) -> Dict[str, np.ndarray]:
     """Every array of an ``np.savez`` archive (or only the ``names``
-    given), by name, as an owned writable copy. Raises ``ValueError`` on
-    a member it cannot read, object arrays included (as
+    given), by name, as an owned writable array. Raises ``ValueError``
+    on a member it cannot read, object arrays included (as
     ``allow_pickle=False`` would), and ``KeyError`` on a missing name."""
     arrays = {}
     with zipfile.ZipFile(path) as archive:
         members = (archive.namelist() if names is None
                    else [f"{name}.npy" for name in names])
         for member in members:
-            raw = archive.read(member)
-            if raw[:6] != b"\x93NUMPY" or raw[6] not in (1, 2, 3):
-                raise ValueError(f"{member}: not an .npy array")
-            start = 10 if raw[6] == 1 else 12
-            end = start + int.from_bytes(raw[8:start], "little")
-            header = _HEADER.fullmatch(raw[start:end].decode("utf-8"))
-            if header is None or np.dtype(header[1]).hasobject:
-                raise ValueError(f"{member}: unsupported .npy header")
-            shape = tuple(int(d) for d in header[2].split(",") if d.strip())
-            arrays[member[:-len(".npy")]] = np.frombuffer(
-                raw, header[1], count=int(np.prod(shape)), offset=end,
-            ).reshape(shape).copy()
+            with archive.open(member) as f:
+                magic = f.read(8)
+                if magic[:6] != b"\x93NUMPY" or magic[6] not in (1, 2, 3):
+                    raise ValueError(f"{member}: not an .npy array")
+                size = f.read(2 if magic[6] == 1 else 4)
+                header = _HEADER.fullmatch(
+                    f.read(int.from_bytes(size, "little")).decode("utf-8"))
+                if header is None or np.dtype(header[1]).hasobject:
+                    raise ValueError(f"{member}: unsupported .npy header")
+                shape = tuple(int(d) for d in header[2].split(",")
+                              if d.strip())
+                arr = np.empty(shape, header[1])
+                flat = memoryview(arr.reshape(-1).view(np.uint8))
+                for start in range(0, len(flat), _CHUNK):
+                    chunk = flat[start:start + _CHUNK]
+                    if f.readinto(chunk) != len(chunk):
+                        raise ValueError(f"{member}: truncated .npy data")
+                f.read()  # to EOF, where zipfile checks the member's CRC
+            arrays[member[:-len(".npy")]] = arr
     return arrays

@@ -196,19 +196,25 @@ class TestSerialParity:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_original_arrays_restored_after_close(self, transport):
-        """close() must hand the net back its pre-fork arrays (the
-        ensembles' field bindings alias them) holding trained values."""
+        """close() hands the net owned arrays — heap copies, not views
+        of the shared block or /dev/shm — holding the trained values,
+        and its field bindings and parameter views point at them."""
         data, labels = _task(64)
         cnet = _build()
-        before = _own_arrays(cnet)
         replicas = [cnet, _build()] if transport == "thread" else None
         with DataParallelTrainer(cnet, 2, replicas=replicas) as tr:
             tr.train_epoch(_solver(), data, labels,
                            rng=np.random.default_rng(1))
             trained = _params(cnet)
-        for name, arr in before.items():
-            assert cnet.buffers[name] is arr, name
-            assert np.array_equal(arr, trained[name]), name
+        views = {(p.ensemble, p.name): p for p in cnet.parameters()}
+        for info in cnet.plan.params:
+            arr = cnet.buffers[info.value_buf]
+            assert arr.flags.owndata, info.value_buf
+            assert np.array_equal(arr, trained[info.value_buf])
+            binding = cnet.net[info.ensemble].field_bindings[info.name]
+            assert binding.array is arr
+            assert cnet.plan.buffers[info.value_buf].array is arr
+            assert views[info.ensemble, info.name].value is arr
         cnet.close()
 
 
@@ -386,7 +392,7 @@ class TestFailureSurfacing:
             killed_at.append(time.monotonic())
 
         try:
-            own, before = _own_arrays(cnet), _leftovers()
+            before = _leftovers()
             initial = _params(cnet)
             tr = DataParallelTrainer(cnet, 2, policy)
             solver = _solver()
@@ -408,8 +414,9 @@ class TestFailureSurfacing:
                 1, -signal.SIGKILL, phase)
             tr.close()
             assert _leftovers() == before
-            for name, arr in own.items():
-                assert cnet.buffers[name] is arr, name
+            for name in initial:
+                arr = cnet.buffers[name]
+                assert arr.flags.owndata, name  # off the unlinked block
                 assert np.all(np.isfinite(arr))
                 assert not np.array_equal(arr, initial[name]), name
                 if when == "idle":

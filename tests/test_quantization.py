@@ -340,8 +340,8 @@ class TestPrecisionPass:
         cnet.forward(data=x, label=y)
         name = cnet.plan.quant.weight_bufs[-1]
         rng = np.random.default_rng(5)
-        # restored after the compile (Checkpoint.restore_params writes
-        # through the parameter views) ...
+        # written in place after the compile (as restore_params or a
+        # solver update writes through the parameter views) ...
         restored = rng.standard_normal(
             cnet.buffers[name].shape).astype(np.float32)
         cnet.buffers[name][...] = restored
@@ -353,7 +353,7 @@ class TestPrecisionPass:
         # arrays up at call time, so the new array is the one rewritten
         rebound = rng.standard_normal(restored.shape).astype(np.float32)
         want = fake_quant(rebound, weight_qparams(rebound))
-        cnet.rebind_buffer(name, rebound)
+        cnet.rebind_buffers({name: rebound})
         cnet.forward(data=x, label=y)
         np.testing.assert_array_equal(rebound, want)
         assert cnet.buffers[name] is rebound

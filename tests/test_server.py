@@ -71,13 +71,19 @@ OUT = "ip2"
 
 
 def _replicas(n, batch=BATCH, seed=42):
-    """n forward-only replicas with identical parameters."""
-    nets = []
-    for _ in range(n):
-        seed_all(seed)
-        nets.append(build_latte(CONFIG, batch).init(
-            CompilerOptions.inference()))
+    """n forward-only replicas bound to one set of parameter arrays:
+    the first draws them, the rest take them as their ``params=``."""
+    seed_all(seed)
+    nets = [build_latte(CONFIG, batch).init(CompilerOptions.inference())]
+    params = {p.key: p.value for p in nets[0].parameters()}
+    nets += [build_latte(CONFIG, batch, params=params).init(
+        CompilerOptions.inference()) for _ in range(n - 1)]
     return nets
+
+
+def _same_storage(a, b):
+    """The same memory seen the same way (dtype, shape and strides)."""
+    return a.__array_interface__ == b.__array_interface__
 
 
 @pytest.fixture(scope="module")
@@ -261,55 +267,47 @@ class TestThreadReplicas:
         with ModelServer(_replicas(2), OUT) as srv:
             primary, secondary = (r.net for r in srv.replicas)
             for info in primary.plan.params:
-                assert secondary.buffers[info.value_buf] is \
-                    primary.buffers[info.value_buf]
+                assert _same_storage(secondary.buffers[info.value_buf],
+                                     primary.buffers[info.value_buf])
 
     def test_extra_replicas_release_their_own_weights(self, checkpoint,
                                                       monkeypatch):
-        """Booting three replicas leaves one set of weights: replicas
-        2 and 3 drop every array they were built with (each buffer and
-        the arrays under it), freed by reference counting alone."""
-        from repro.serve.replica import NetReplica
+        """Booting three replicas holds one set of weights, the
+        checkpoint's: every replica's parameters are views of its
+        arrays."""
+        from repro.serve.checkpoint import Checkpoint
 
-        def arrays(a):
-            while a is not None:
-                yield weakref.ref(a)
-                a = a.base
+        loaded = []
+        load = server_module.load_checkpoint
 
-        built = []
-        boot = NetReplica.from_checkpoint.__func__
+        def recording(path):
+            loaded.append(load(path))
+            return loaded[-1]
 
-        def recording(cls, *args, **kwargs):
-            replica = boot(cls, *args, **kwargs)
-            built.append([ref for p in replica.net.parameters()
-                          for ref in arrays(p.value)])
-            return replica
-
-        monkeypatch.setattr(NetReplica, "from_checkpoint",
-                            classmethod(recording))
-        gc.collect()
-        gc.disable()
-        try:
-            with _boot(checkpoint, "threads", n=3) as srv:
-                assert len(built) == 3
-                assert all(ref() is not None for ref in built[0])
-                for refs in built[1:]:
-                    assert [ref() for ref in refs] == [None] * len(refs)
-                assert srv.predict(_items(1)[0]).shape == (3,)
-        finally:
-            gc.enable()
+        monkeypatch.setattr(server_module, "load_checkpoint", recording)
+        with _boot(checkpoint, "threads", n=3) as srv:
+            (ck,) = loaded
+            assert isinstance(ck, Checkpoint)
+            for replica in srv.replicas:
+                for p in replica.net.parameters():
+                    assert np.shares_memory(p.value, ck.params[p.key])
+            assert srv.predict(_items(1)[0]).shape == (3,)
 
     def test_rebound_params_change_replica_output(self):
-        """Mutating the primary's weights must be visible through every
-        replica — the single-parameter-set property."""
+        """Replicas built from one ``params=`` source see one set of
+        weights: zeroing them through replica 0 changes the output of
+        every replica."""
         items = _items(1)
         with ModelServer(_replicas(2), OUT, max_latency=0.002) as srv:
-            before = srv.predict(items[0]).copy()
+            before = [r.run(np.stack([items[0]] * BATCH), 1)
+                      for r in srv.replicas]
             for p in srv.replicas[0].net.parameters():
                 p.value[...] = 0.0
-            after = srv.predict(items[0])
-            # zeroed weights: logits collapse to the bias-only row
-            assert not np.array_equal(after, before)
+            for replica, row in zip(srv.replicas, before):
+                after = replica.run(np.stack([items[0]] * BATCH), 1)
+                # zeroed weights: logits collapse to the bias-only row
+                assert not np.array_equal(after, row)
+                np.testing.assert_array_equal(after, np.zeros_like(row))
 
     def test_mismatched_batch_sizes_rejected(self):
         a = _replicas(1, batch=4)
