@@ -111,24 +111,25 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 
 
 #: train ``planned_bytes`` at this geometry with every over-budget
-#: staging chain batch-tiled and contracted and each re-gathered conv
-#: layer's input re-padded in backward (21 115 584 / 5 556 608 /
-#: 5 169 280 with whole-batch staging re-gathered in backward;
-#: 16 986 816 / 4 249 792 / 3 490 752 with the padded inputs kept out
-#: of the arena; 16 208 576 / 4 156 864 / 3 425 216 with them pooled but
-#: held across the phases)
-PLANNED_BYTES = {"vgg": 14_072_128, "alexnet": 3_952_064,
-                 "overfeat": 3_376_064}
+#: staging chain batch-tiled and contracted, each re-gathered conv
+#: layer's input re-padded in backward and only the program contract
+#: kept out of the arena (14 072 128 / 3 952 064 / 3 376 064 with every
+#: ensemble kept inspectable; 21 115 584 / 5 556 608 / 5 169 280 with
+#: whole-batch staging re-gathered in backward; 16 986 816 / 4 249 792 /
+#: 3 490 752 with the padded inputs kept out of the arena; 16 208 576 /
+#: 4 156 864 / 3 425 216 with them pooled but held across the phases)
+PLANNED_BYTES = {"vgg": 9_525_568, "alexnet": 3_189_952,
+                 "overfeat": 3_154_880}
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
 def test_fig14_memory_plan_reuse(name):
     """Peak non-parameter buffer bytes at the *default* keep-alive
-    policy (every ensemble still inspectable), as an absolute count:
-    contraction shrinks the naive footprint too (a contracted buffer is
-    small pooled or not), so the reuse *fraction* falls while the
-    program needs less — 64 % of 58.8 MB was 21.1 MB on vgg, 46 % of
-    26.0 MB is 14.1 MB."""
+    policy (only data, sinks and loss feeders kept), as an absolute
+    count: contraction shrinks the naive footprint too (a contracted
+    buffer is small pooled or not), so the reuse *fraction* can fall
+    while the program needs less — 64 % of 58.8 MB was 21.1 MB on vgg,
+    46 % of 26.0 MB was 14.1 MB keeping every ensemble inspectable."""
     cfg, batch = _config(name)
     m = measure_memory(cfg, batch)
     assert m["planned_bytes"] == PLANNED_BYTES[name], m

@@ -130,8 +130,8 @@ def canonical_json(obj) -> str:
 def cache_key(builder: dict, batch_size: int, options, num_threads: int,
               keep_alive) -> str:
     """SHA-256 hex key over the canonical compile identity (see module
-    docstring). ``keep_alive=None`` means the mode-dependent default and
-    hashes as a sentinel distinct from any explicit set."""
+    docstring). ``keep_alive`` hashes as its sorted names: ``None`` and
+    ``()`` compile the same program, so they share a key."""
     import repro
     from repro.optim import tiling
 
@@ -142,8 +142,7 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "batch_size": int(batch_size),
         "options": asdict(options),
         "num_threads": int(num_threads),
-        "keep_alive": (sorted(str(k) for k in keep_alive)
-                       if keep_alive is not None else "default"),
+        "keep_alive": sorted({str(k) for k in keep_alive or ()}),
         "backend": BACKEND_IDS[options.backend],
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,

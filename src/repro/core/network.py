@@ -140,8 +140,8 @@ class Net:
         :mod:`repro.trace`) enables runtime and compile-time tracing.
         ``num_threads`` enables batch-sharded thread-parallel execution
         of parallel-annotated steps (default: the ``REPRO_NUM_THREADS``
-        environment variable, else serial). ``keep_alive`` restricts
-        which ensembles stay inspectable under the memory planner, and
+        environment variable, else serial). ``keep_alive`` adds ensembles
+        to the data, sinks and loss feeders kept inspectable, and
         ``watchdog`` attaches a numerics watchdog to the executor, and
         ``calibration`` supplies the activation-range profile required
         for ``options.precision='int8'`` (see

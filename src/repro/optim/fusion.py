@@ -23,8 +23,8 @@ Three cooperating transformations:
    that is neither kept nor read by anything outside the two chains.
    That is the paper's VGG grouping (§7.1.2) — whose group 4 it refuses
    for 3×3 windows overlapping along a tiled ``y``; the batch is the one
-   tile axis here, and batch tiles are independent images. Training
-   keeps every value by default (and its backward pass reads them), so
+   tile axis here, and batch tiles are independent images. A training
+   program's backward pass reads the values its forward pass wrote, so
    forward-only programs are the ones that merge layers.
 
 3. **Contraction** — a staging, value or padded buffer whose whole
@@ -214,15 +214,15 @@ def _fits(unit: LoopUnit, reads, writes, written: Dict[str, LoopUnit],
 
 
 def build_schedule(sections: List[Section], plan, fuse: bool,
-                   keep=frozenset(), later=()) -> List[FusedGroup]:
+                   keep: Dict[str, str], later=()) -> List[FusedGroup]:
     """Group units into fused groups.
 
     With ``fuse`` off (below the fusion rung) every unit is its own
-    step. ``keep`` are the bases :func:`contract` must leave whole and
-    ``later`` the sections that run after these (the backward program,
-    for the forward schedule). Why a value or padded buffer a tiled
-    group hands on to the next item stays whole goes into
-    ``plan.untiled``.
+    step. ``keep`` maps the bases :func:`contract` must leave whole to
+    why, and ``later`` are the sections that run after these (the
+    backward program, for the forward schedule). Why a value or padded
+    buffer a tiled group hands on to the next item stays whole goes
+    into ``plan.untiled``.
     """
     items: List[FusedGroup] = []
     group: Optional[FusedGroup] = None  # the open tiled group, if any
@@ -250,8 +250,8 @@ def build_schedule(sections: List[Section], plan, fuse: bool,
         inside = {id(u) for u in group.units + chain}
         rows = plan.batch_size // group.tile_loop.extent
         its = plan.batch_size // chain[0].loops[0].extent
-        if bridge & keep:
-            reason = "keep_alive"
+        if bridge & keep.keys():
+            reason = keep[min(bridge & keep.keys())]
         elif any(readers[b] - inside for b in bridge):
             reason = "read-later"
         elif rows != its:
@@ -322,7 +322,7 @@ def build_schedule(sections: List[Section], plan, fuse: bool,
     return items
 
 
-def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
+def contract(plan, fwd_items, bwd_items, keep: Dict[str, str]) -> int:
     """Shrink to one tile every staging, value or padded buffer that
     lives inside one tiled group; returns the bytes no longer
     allocated.
@@ -335,9 +335,9 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
     then spell its lead index relative to the tile's first row
     (``python_backend.lowered_units``). A value or padded buffer of a
     batch-tiled group stays whole — with the reason in
-    ``plan.untiled`` — when it is in ``keep`` (``keep_alive``: the
-    bases kept inspectable, :func:`~repro.synthesis.liveness.
-    kept_buffers`), has a reshaped alias (``reshaped-alias``: not
+    ``plan.untiled`` — when ``keep`` has it (with the reason there:
+    :func:`~repro.synthesis.liveness.kept_buffers`' or ``int8``), has
+    a reshaped alias (``reshaped-alias``: not
     tile-decomposable), or is read by another item: the reason
     :func:`build_schedule` refused the next chain for
     (``tile-mismatch (R vs S rows)``, ``read-later``, …), else
@@ -362,7 +362,7 @@ def contract(plan, fwd_items, bwd_items, keep=frozenset()) -> int:
         if group.tile_loop is None:
             continue
         reason = (
-            "keep_alive" if base in keep
+            keep[base] if base in keep
             else "reshaped-alias" if any(a.alias_reshape is not None
                                          for a in aliases.get(base, ()))
             else plan.untiled.get(base) or _handed_on(view, items, base)

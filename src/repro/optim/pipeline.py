@@ -81,9 +81,9 @@ class CompilerOptions:
     #: ``'inference'`` synthesizes a forward-only program — backward
     #: sections are empty, gradient/staging buffers are pruned from the
     #: buffer table, the executor starts with ``training = False``
-    #: (dropout masks pinned to 1, normalization in running-stats mode),
-    #: and the memory planner defaults to an empty ``keep_alive`` set
-    #: for maximum activation-slab reuse. See docs/SERVING.md.
+    #: (dropout masks pinned to 1, normalization in running-stats mode);
+    #: the memory planner keeps the same buffers whole as in training.
+    #: See docs/SERVING.md.
     mode: str = "train"
     #: inference numeric precision — an offline accuracy/footprint
     #: study knob (docs/QUANTIZATION.md; both reduced precisions run
@@ -208,16 +208,13 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     keep_alive:
         With the arena planner on (O3+, ``memory_plan``): ensembles
         whose value/grad arrays must stay individually allocated for
-        post-run ``value()``/``grad()`` inspection. ``None`` (default) keeps
-        every ensemble inspectable — the planner then pools only the
-        staging buffers (im2col inputs, gradient inputs, padded
-        gradients). Pass an explicit collection (data ensembles,
-        sinks, and loss feeders are always kept) to opt the rest into
-        the arena for maximum reuse. Under ``options.mode ==
-        'inference'`` the default flips to the *empty* set — serving
-        wants throughput, not inspection — and ``None`` must be
-        spelled ``keep_alive=list(net.ensembles)`` to keep everything.
-        See docs/ARCHITECTURE.md §Buffers and docs/SERVING.md.
+        post-run ``value()``/``grad()`` inspection, beyond the program
+        contract — data ensembles, sinks and loss feeders, which are
+        always kept. ``None`` (default) or ``()`` keeps the contract
+        only, in both modes: every other value and gradient shares the
+        arena with the staging buffers. ``keep_alive=list(
+        net.ensembles)`` keeps every ensemble inspectable. See
+        docs/ARCHITECTURE.md §Buffers.
     watchdog:
         A :class:`repro.telemetry.NumericsWatchdog` attached to the
         executor (checked after every sampled task step), or ``None``.
@@ -234,8 +231,6 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
 
     options = options or CompilerOptions()
     inference = options.mode == "inference"
-    if inference and keep_alive is None:
-        keep_alive = ()
     tracer = tracer if tracer is not None else NULL_TRACER
     # the parallel pass owns threading: with it off the program runs on
     # one thread, native kernels included
@@ -346,13 +341,13 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     schedule = {}
 
     def build():
-        # values keep_alive keeps inspectable stay whole — and under int8
-        # every activation does: the precision pass fake-quantizes whole
-        # values and padded copies of them between steps
+        # values kept inspectable stay whole — and under int8 every
+        # activation does: the precision pass fake-quantizes whole values
+        # and padded copies of them between steps
         keep = liveness.kept_buffers(net, plan, keep_alive)
         if options.precision == "int8":
-            keep |= {name for name, spec in plan.buffers.items()
-                     if spec.role in ("value", "padded")}
+            keep = {**{name: "int8" for name, spec in plan.buffers.items()
+                       if spec.role in ("value", "padded")}, **keep}
         schedule["fwd"] = fusion.build_schedule(
             program.forward, plan, fuse, keep, later=program.backward)
         schedule["bwd"] = fusion.build_schedule(

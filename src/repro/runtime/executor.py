@@ -526,10 +526,10 @@ class CompiledNet:
             )
         if self._pooled and base in self._pooled:
             raise KeyError(
-                f"{ens_name!r} was opted out of inspection: its buffers "
-                f"share arena storage under the memory planner and do "
-                f"not survive the run. Add it to keep_alive= (or compile "
-                f"with CompilerOptions(memory_plan=False)) to inspect it."
+                f"{ens_name!r} is not data, a sink or a loss feeder, so its "
+                f"buffers share arena storage and do not survive the run. "
+                f"Add it to keep_alive= (or compile with "
+                f"CompilerOptions(memory_plan=False)) to inspect it."
             )
         return self.buffers[name]
 

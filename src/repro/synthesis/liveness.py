@@ -13,8 +13,8 @@ preallocation: given the final scheduled forward/backward step lists it
    parameter storage (values and gradients), field buffers written by opaque
    ``pre_forward`` closures, privatized accumulators, recurrent-read
    sources (their previous-time-step slices outlive the linear model),
-   and everything in the ``keep_alive`` set (user-inspectable
-   ``value()``/``grad()`` arrays), and
+   and what is kept for inspection: the contract (data, sinks, loss
+   feeders) and the ``keep_alive`` set, and
 3. assigns the candidates to shared **slabs** of a single arena by
    first-fit interval-graph coloring (largest first), so buffers whose
    intervals never overlap occupy the same bytes — and dissolves any
@@ -190,39 +190,42 @@ def buffer_nbytes(plan: BufferPlan, spec: BufferSpec) -> int:
     return buffer_elems(plan, spec) * spec.itemsize
 
 
-def _mandatory_keep_ensembles(net) -> Set[str]:
-    """Ensembles whose value/grad arrays outlive the program contract:
-    data inputs (fed/inspected outside the step lists), network sinks
-    (the user reads outputs / seeds output gradients), and ensembles
-    feeding a loss (inspected as ``value('head')`` by convention)."""
-    keep: Set[str] = set()
+def _contract_ensembles(net) -> Dict[str, str]:
+    """Ensembles the program contract keeps inspectable after a run,
+    by why: ``'data'`` (fed/inspected outside the step lists),
+    ``'sink'`` (the user reads outputs / seeds output gradients) and
+    ``'loss feeder'`` (inspected as ``value('head')`` by convention)."""
+    keep: Dict[str, str] = {}
     has_consumer = {c.source.name for c in net.connections}
     for ens in net.ensembles.values():
         if isinstance(ens, DataEnsemble):
-            keep.add(ens.name)
+            keep[ens.name] = "data"
         elif isinstance(ens, LossEnsemble):
             for c in ens.inputs:
-                keep.add(c.source.name)
+                keep.setdefault(c.source.name, "loss feeder")
         elif ens.name not in has_consumer:
-            keep.add(ens.name)
+            keep[ens.name] = "sink"
     return keep
 
 
 def kept_buffers(net, plan: BufferPlan,
-                 keep_alive: Optional[Iterable[str]] = None) -> Set[str]:
-    """Value/grad base buffers ``keep_alive`` (plus the mandatory
-    ensembles) keeps individually allocated; see :func:`plan_memory`."""
-    keep_ens = _mandatory_keep_ensembles(net)
-    if keep_alive is None:
-        keep_ens |= set(net.ensembles)
-    else:
-        keep_ens |= {str(e) for e in keep_alive}
-    unknown = keep_ens - set(net.ensembles)
+                 keep_alive: Optional[Iterable[str]] = ()) -> Dict[str, str]:
+    """Value/grad base buffers kept individually allocated, by why:
+    ``'contract (<data|sink|loss feeder>)'`` for the program contract's
+    ensembles (also where another ensemble shares the base),
+    ``'keep_alive'`` for the others ``keep_alive`` names; see
+    :func:`plan_memory`."""
+    why = {e: f"contract ({kind})"
+           for e, kind in _contract_ensembles(net).items()}
+    for e in keep_alive or ():
+        why.setdefault(str(e), "keep_alive")
+    unknown = why.keys() - net.ensembles.keys()
     if unknown:
         raise KeyError(
             f"keep_alive names unknown ensembles: {sorted(unknown)}"
         )
-    return {plan.resolve_alias(name) for e in keep_ens
+    return {plan.resolve_alias(name): reason
+            for e, reason in reversed(why.items())  # the contract last
             for name in (plan.value_buf(e), plan.grad_buf(e))
             if name in plan.buffers}
 
@@ -485,18 +488,16 @@ def plan_memory(
     plan: BufferPlan,
     fwd_items,
     bwd_items,
-    keep_alive: Optional[Iterable[str]] = None,
+    keep_alive: Optional[Iterable[str]] = (),
 ) -> MemoryPlan:
     """Compute the arena layout for one compiled schedule.
 
     ``keep_alive`` lists ensembles whose value/grad buffers must stay
-    individually allocated for post-run inspection. ``None`` (the
-    default) keeps *every* ensemble inspectable — reuse then comes from
-    the input/grad-input/padded staging buffers, which dominate
-    footprint for convolutional nets (the im2col copies). Passing an
-    explicit collection opts the remaining ensembles out of inspection
-    and into the pool; data ensembles, network sinks, and loss feeders
-    are always kept regardless.
+    individually allocated for post-run inspection, beyond the program
+    contract — data ensembles, network sinks and loss feeders, which
+    are always kept. Every other value and gradient is a pool candidate
+    like any staging buffer; ``keep_alive=list(net.ensembles)`` keeps
+    every ensemble inspectable.
     """
     mem = MemoryPlan()
     view = ProgramView(plan, fwd_items, bwd_items)
@@ -523,7 +524,7 @@ def plan_memory(
         if base in view.recurrent:
             return "recurrent"
         if base in keep_bufs:
-            return "keep_alive"
+            return keep_bufs[base]
         if iv.dead:
             return None  # dead buffers pool freely
         if iv.first_kind == "w":

@@ -180,8 +180,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     every (level, threads) configuration of the same spec.
     ``memory_plan=False`` turns the arena planner off (at its rung and
     above) for the planned-vs-unplanned bitwise checks;
-    ``keep_alive=()`` opts every ensemble the planner may pool into the
-    arena (``head`` and ``data`` are always kept: loss feeder, input).
+    ``keep_alive`` names ensembles kept inspectable beyond the contract
+    (``head`` and ``data`` are always kept: loss feeder, input).
     ``backend="c"`` compiles the fused steps to an OpenMP shared object
     (requires a C toolchain; see :mod:`repro.codegen.c_backend`).
     ``tiled`` compiles under :func:`batch_tiles`.
@@ -616,6 +616,7 @@ def check_spec(
     memplan_level = max(levels) if levels else 4
     top = CompilerOptions.level(memplan_level)
     tiles = top.runs("tiling") and spec.batch > 1
+    everything = list(build_net(spec).ensembles)  # keep_alive: keep all
     if top.runs("memory_plan"):
         check = "memplan"
         report.checks.append(check)
@@ -626,15 +627,14 @@ def check_spec(
         _compare_bitwise(check, planned, unplanned, report.mismatches)
         _check_plan_size(check, planned.memory, report.mismatches)
 
-        # the default keep_alive pools only staging buffers; opt every
-        # ensemble the planner is allowed to pool into the arena so
-        # LRN / batchnorm / concat / gather / recurrent values and
-        # gradients share slabs too — still the unplanned run's bits
-        check = "memplan-pooled"
+        # the default pools LRN / batchnorm / concat / gather / recurrent
+        # values and gradients too; keeping every ensemble inspectable
+        # pools only staging buffers — still the unplanned run's bits
+        check = "memplan-kept"
         report.checks.append(check)
-        pooled = run_spec(spec, level=memplan_level, keep_alive=())
-        _compare_bitwise(check, pooled, unplanned, report.mismatches)
-        _check_plan_size(check, pooled.memory, report.mismatches)
+        kept = run_spec(spec, level=memplan_level, keep_alive=everything)
+        _compare_bitwise(check, kept, unplanned, report.mismatches)
+        _check_plan_size(check, kept.memory, report.mismatches)
 
     # staging chains tiled along the batch, fused and contracted: the
     # same values as the interpreter's (weight-gradient sums reassociate
@@ -654,13 +654,13 @@ def check_spec(
         report.checks.append(check)
         unplanned = run_spec(spec, level=4, tiled=True, memory_plan=False)
         _compare_bitwise(check, tiled, unplanned, report.mismatches)
-        # every ensemble opted into the arena: a backward re-pad reads a
-        # value the planner may pool, and still computes the same bits
-        check = "batchtile-pooled"
+        # every ensemble kept inspectable: values stay whole where the
+        # default contracts or pools them, and the same bits come out
+        check = "batchtile-kept"
         report.checks.append(check)
-        pooled = run_spec(spec, level=4, tiled=True, keep_alive=())
-        _compare_bitwise(check, pooled, unplanned, report.mismatches)
-        _check_plan_size(check, pooled.memory, report.mismatches)
+        kept = run_spec(spec, level=4, tiled=True, keep_alive=everything)
+        _compare_bitwise(check, kept, unplanned, report.mismatches)
+        _check_plan_size(check, kept.memory, report.mismatches)
         if threads:
             check = f"batchtile-threads:{max(threads)}"
             report.checks.append(check)
@@ -673,9 +673,9 @@ def check_spec(
                 tol["thread_param_atol"])
 
     # forward-only under batch tiles: a layer's values and padded input
-    # contracted to its group's tile (keep_alive is empty), still the
-    # eval-mode train graph's bits — and sharded, each shard on private
-    # tiles of them
+    # contracted to its group's tile (only the contract is kept), still
+    # the eval-mode train graph's bits — and sharded, each shard on
+    # private tiles of them
     if tiles:
         report.checks.append("batchtile-inference")
         inf_loss, inf_out = _check_inference(

@@ -80,11 +80,24 @@ def _traced(fn):
 
 
 def test_load_reads_each_array_once(vgg):
-    """``load_checkpoint`` fills each array in place from ≤1 MiB reads
-    (the parent held every member's bytes next to its copy)."""
+    """``load_checkpoint`` fills each array in place from the archive
+    file (an earlier reader held every member's bytes next to its
+    copy)."""
     ck, peak = _traced(lambda: load_checkpoint(vgg[0]))
     arrays = sum(a.nbytes for a in ck.params.values())
     assert peak <= arrays + 2 * MiB, (peak, arrays)
+
+
+def test_load_holds_no_chunk_beside_the_arrays(tmp_path):
+    """Each member is read straight into its array, with no chunk-sized
+    temporary beside it: lenet's load peaks 25 KB over its 0.44 MB of
+    arrays (a chunked reader peaked 0.53 MB over them, 0.97 MB in all);
+    the bound leaves 128 KiB for the headers, names and dict."""
+    path = _save(tmp_path, "lenet")[0]
+    load_checkpoint(path)
+    ck, peak = _traced(lambda: load_checkpoint(path))
+    arrays = sum(a.nbytes for a in ck.params.values())
+    assert peak <= arrays + 128 * 1024, (peak, arrays)
 
 
 @pytest.mark.parametrize("name", ["lenet", "vgg"])

@@ -147,8 +147,10 @@ class TestRoundTrip:
 
         def run():
             seed_all(spec.seed)
-            cnet = compile_cached(spec, net=build_net(spec), cache=store,
-                                  options=CompilerOptions(backend=backend))
+            net = build_net(spec)
+            cnet = compile_cached(spec, net=net, cache=store,
+                                  options=CompilerOptions(backend=backend),
+                                  keep_alive=list(net.ensembles))
             loss = cnet.forward(data=x, label=y)
             cnet.clear_param_grads()
             cnet.backward()
@@ -182,7 +184,7 @@ class TestRoundTrip:
             "L0_conv_padsrc0", "L0_conv_padsrc0_re",
             "L3_conv_grad_inputs0", "L3_conv_inputs0", "L3_conv_inputs0_re"]
         assert warm_net.plan.contracted == cold_net.plan.contracted
-        # training keeps every value inspectable; the padded input is
+        # keep_alive keeps every value inspectable; the padded input is
         # re-padded in backward, so both copies of it contract
         assert warm_net.plan.untiled == cold_net.plan.untiled == {
             "L0_conv_value": "keep_alive", "L2_pool_value": "keep_alive",
@@ -440,6 +442,17 @@ class TestKeying:
         assert self._key(keep_alive={"L0_fc"}) != base
         other = mlp_config(hidden=(16, 13), classes=5, input_dim=30)
         assert self._key(model=other) != base
+
+    def test_default_and_empty_keep_alive_share_an_entry(self, tmp_path):
+        """``keep_alive=None`` and ``keep_alive=()`` keep the contract
+        only, in both modes: one program, one key — a miss, then a hit."""
+        assert self._key(keep_alive=None) == self._key(keep_alive=())
+        store = CompileCache(tmp_path)
+        cold = compile_cached(MLP, 4, cache=store, keep_alive=None)
+        warm = compile_cached(MLP, 4, cache=store, keep_alive=())
+        assert not cold.compile_report.cache_hit
+        assert warm.compile_report.cache_hit
+        assert len(store.entries()) == 1
 
     def test_options_mismatch_forces_recompile(self, tmp_path):
         store = CompileCache(tmp_path)

@@ -71,7 +71,7 @@ class TestInceptionBlock:
     """A 3-branch Inception-style module: 1x1 conv, 3x3 conv, pooled
     branch, concatenated and classified — built entirely from the DSL."""
 
-    def _build(self, lvl=4):
+    def _build(self, lvl=4, keep_alive=None):
         seed_all(41)
         net = Net(B)
         data, label = DataAndLabelLayer(net, (3, 8, 8))
@@ -85,10 +85,11 @@ class TestInceptionBlock:
         fc = FullyConnectedLayer("fc", net, cat, 5)
         SoftmaxLossLayer("loss", net, fc, label)
         with batch_tiles():  # tiny geometry: tile the conv chains anyway
-            return net.init(CompilerOptions.level(lvl))
+            return net.init(CompilerOptions.level(lvl),
+                            keep_alive=keep_alive)
 
     def test_forward_shape(self):
-        cn = self._build()
+        cn = self._build(keep_alive=["cat"])
         x = np.random.default_rng(3).standard_normal((B, 3, 8, 8)).astype(
             np.float32
         )

@@ -266,15 +266,18 @@ class TestOracleReporting:
                             gradcheck_indices=0, baselines=False,
                             quant=False)
         assert report.ok, report.summary()
-        expected = {"batchtile", "batchtile-memplan", "batchtile-pooled",
+        expected = {"batchtile", "batchtile-memplan", "batchtile-kept",
                     "batchtile-threads:2", "batchtile-inference",
                     "batchtile-inference-threads:2"}
         if have_c_toolchain():
             expected.add("cbackend-batchtile")
         assert expected <= set(report.checks), report.checks
+        # every ensemble kept inspectable (``batchtile-kept``)
         seed_all(spec.seed)
         with batch_tiles():
-            cnet = build_net(spec).init(CompilerOptions.level(4))
+            net = build_net(spec)
+            cnet = net.init(CompilerOptions.level(4),
+                            keep_alive=list(net.ensembles))
         # per conv layer: both padded inputs, both im2col copies and the
         # gradient input
         assert len(cnet.plan.contracted) == 10
@@ -284,12 +287,11 @@ class TestOracleReporting:
         assert cnet.compile_report["tiling"].rewrites["units_tiled"] == 24
         assert all(cnet.buffers[b].shape[0] == cnet.plan.buffers[b].tile < 4
                    for b in cnet.plan.contracted)
-        # every ensemble pooled: the second layer re-pads from a value
-        # the arena holds (``batchtile-pooled``)
+        # at the default only the contract is kept: the second layer
+        # re-pads from a value the arena holds (``batchtile``)
         seed_all(spec.seed)
         with batch_tiles():
-            pooled = build_net(spec).init(CompilerOptions.level(4),
-                                          keep_alive=())
+            pooled = build_net(spec).init(CompilerOptions.level(4))
         remat = pooled.plan.memory.rematerialized["L3_conv_inputs0"]
         assert remat.padded == "L3_conv_padsrc0_re"
         assert remat.source in pooled.plan.memory.pooled

@@ -16,7 +16,7 @@ from repro.optim import CompilerOptions
 from repro.utils.rng import seed_all
 
 
-def _mlp(batch=4, lvl=4):
+def _mlp(batch=4, lvl=4, keep_alive=None):
     seed_all(1)
     net = Net(batch)
     data, label = DataAndLabelLayer(net, (6,))
@@ -24,7 +24,7 @@ def _mlp(batch=4, lvl=4):
     r = ReLULayer("r1", net, ip1)
     ip2 = FullyConnectedLayer("ip2", net, r, 3)
     SoftmaxLossLayer("loss", net, ip2, label)
-    return net.init(CompilerOptions.level(lvl))
+    return net.init(CompilerOptions.level(lvl), keep_alive=keep_alive)
 
 
 class TestInputs:
@@ -103,7 +103,7 @@ class TestIntrospection:
         assert (cn.buffers[f"{p.ensemble}_{p.name}"] == 7.0).all()
 
     def test_value_and_grad_accessors(self):
-        cn = _mlp()
+        cn = _mlp(keep_alive=["ip1"])
         assert cn.value("ip1").shape == (4, 8)
         assert cn.grad("ip1").shape == (4, 8)
 

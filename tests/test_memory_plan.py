@@ -35,6 +35,17 @@ from tests.test_access import _corpus
 from tests.test_planned_bytes import PLANNED, ledger_net
 
 
+#: ``keep_alive`` spelling every ensemble of the net a helper builds:
+#: the inspectable layout, which pools staging buffers only
+EVERY_ENSEMBLE = object()
+
+
+def _init(net, opts, num_threads=1, keep_alive=None):
+    if keep_alive is EVERY_ENSEMBLE:
+        keep_alive = list(net.ensembles)
+    return net.init(opts, num_threads=num_threads, keep_alive=keep_alive)
+
+
 def _conv_net(keep_alive=None, memory_plan=None, num_threads=1, batch=4):
     """Two conv blocks + fc head: padded staging, im2col copies, pooled
     grads — every buffer class the planner reasons about."""
@@ -51,7 +62,7 @@ def _conv_net(keep_alive=None, memory_plan=None, num_threads=1, batch=4):
     opts = CompilerOptions.level(4)
     if memory_plan is not None:
         opts.memory_plan = memory_plan
-    return net.init(opts, num_threads=num_threads, keep_alive=keep_alive)
+    return _init(net, opts, num_threads, keep_alive)
 
 
 def _conv_io(batch=4, seed=0):
@@ -113,8 +124,8 @@ class TestEligibility:
         for p in cn.parameters():
             assert f"{p.ensemble}_{p.name}" not in mem.pooled
 
-    def test_default_keeps_every_ensemble_inspectable(self):
-        cn = _conv_net()
+    def test_keep_all_keeps_every_ensemble_inspectable(self):
+        cn = _conv_net(keep_alive=EVERY_ENSEMBLE)
         x, y = _conv_io()
         cn.forward(data=x, label=y)
         for ens in cn.net.ensembles:
@@ -125,7 +136,7 @@ class TestEligibility:
         assert cn.plan.memory.reuse_fraction >= 0.30
 
     def test_explicit_keep_alive_pools_more(self):
-        full = _conv_net()
+        full = _conv_net(keep_alive=EVERY_ENSEMBLE)
         minimal = _conv_net(keep_alive=["fc"])
         assert set(full.plan.memory.pooled) < set(minimal.plan.memory.pooled)
         assert (minimal.plan.memory.planned_bytes
@@ -419,7 +430,7 @@ class TestBitwiseNeutrality:
         report = check_spec(spec, levels=(4,), threads=(2,),
                             gradcheck_indices=0, baselines=False)
         assert "memplan" in report.checks
-        assert "memplan-pooled" in report.checks
+        assert "memplan-kept" in report.checks
         assert "memplan-threads:2" in report.checks
         assert report.ok, report.summary()
 
@@ -520,8 +531,8 @@ class TestExternDeclarations:
         from repro.synthesis import liveness
 
         monkeypatch.setattr(
-            liveness, "_mandatory_keep_ensembles",
-            lambda net: {e.name for e in net.ensembles.values()
+            liveness, "_contract_ensembles",
+            lambda net: {e.name: "data" for e in net.ensembles.values()
                          if isinstance(e, DataEnsemble)})
         cn, loss_p, grads_p = _extern_net(custom_loss=True, keep_alive=[])
         assert "ip_value" in cn.plan.memory.pooled
@@ -588,7 +599,7 @@ def _staged_net(padded, memory_plan=True, num_threads=1, backend="numpy",
     SoftmaxLossLayer("loss", net, fc, label)
     opts = dataclasses.replace(CompilerOptions.level(level),
                                memory_plan=memory_plan, backend=backend)
-    return net.init(opts, num_threads=num_threads, keep_alive=keep_alive)
+    return _init(net, opts, num_threads, keep_alive)
 
 
 def _staged_run(cn):
@@ -606,15 +617,15 @@ def _staged_run(cn):
 
 
 def _ledger_net(name, options=None, keep_alive=None):
-    return ledger_net(name).init(options or CompilerOptions(),
-                                 keep_alive=keep_alive)
+    return _init(ledger_net(name), options or CompilerOptions(),
+                 keep_alive=keep_alive)
 
 
 class TestRematerialization:
     def test_ledger_geometry_planned_bytes(self):
         for name in ("vgg", "alexnet", "overfeat", "lenet"):
-            cn = _ledger_net(name)
-            assert cn.memory_stats()["planned_bytes"] == PLANNED[name][0]
+            cn = _ledger_net(name, keep_alive=EVERY_ENSEMBLE)
+            assert cn.memory_stats()["planned_bytes"] == PLANNED[name][1]
             assert not cn.plan.memory.declined, name
             # every staging chain is tiled; what stays whole is a value
             # keep_alive keeps
@@ -655,8 +666,9 @@ class TestRematerialization:
         to 3 389 824 B. Re-padded in backward, each padded input — the
         forward one and its ``_re`` twin — lives inside one group and is
         contracted to its tile, so the arena is again the largest
-        padded gradient plus one data-gradient tile."""
-        cn = _ledger_net("vgg")
+        padded gradient plus one data-gradient tile (every ensemble kept
+        inspectable, so that no value shares it)."""
+        cn = _ledger_net("vgg", keep_alive=EVERY_ENSEMBLE)
         mem = cn.plan.memory
         assert len(mem.rematerialized) == 8
         assert all(r.padded == f"{b[:-len('_inputs0')]}_padsrc0_re"
@@ -732,15 +744,15 @@ class TestRematerialization:
                              ids=[n for n, _ in _corpus()])
     def test_no_staging_copy_spans_the_phase_boundary_undeclared(
             self, name, spec):
-        """Train, default and fully pooled: a pooled buffer some
-        ``*.copy`` step defines is live in one phase only, or its
-        decline is on record. Inference: nothing to re-gather."""
+        """Train, at the default and with every ensemble kept: a pooled
+        buffer some ``*.copy`` step defines is live in one phase only,
+        or its decline is on record. Inference: nothing to re-gather."""
         from repro.testing.generator import build_net
 
-        for keep_alive in (None, ()):
+        for keep_alive in (None, EVERY_ENSEMBLE):
             seed_all(spec.seed)
-            cn = build_net(spec).init(CompilerOptions(),
-                                      keep_alive=keep_alive)
+            cn = _init(build_net(spec), CompilerOptions(),
+                       keep_alive=keep_alive)
             mem = cn.plan.memory
             staged = {b for s in cn.compiled.forward
                       if s.label.endswith(".copy") for b in s.writes
@@ -847,7 +859,7 @@ class TestRematerialization:
 
     def test_report_and_summary_explain_the_decisions(self):
         with batch_tiles():
-            cn = _staged_net(False)
+            cn = _staged_net(False, keep_alive=EVERY_ENSEMBLE)
         tile = cn.buffers["c2_inputs0"].shape[0]
         assert tile == 1  # two 864 B images overflow batch_tiles()' 1 KB
         kb = cn.buffers["c2_inputs0"].nbytes / 1024
@@ -895,8 +907,9 @@ class TestRematerialization:
         """``np.zeros`` alone lands mmap-sized arenas at 16 or 48 mod
         64; the planner pays for 64-byte slabs, so the runtime must
         deliver them."""
-        for cn in (_ledger_net("lenet"), _staged_net(True),
-                   _staged_net(False, keep_alive=())):
+        for cn in (_ledger_net("lenet"),
+                   _staged_net(True, keep_alive=EVERY_ENSEMBLE),
+                   _staged_net(False)):
             mem = cn.plan.memory
             assert mem.pooled
             for name in mem.pooled:
@@ -912,7 +925,7 @@ class TestBatchTiles:
                              ids=["padded", "strided"])
     def test_groups_and_contracted_shapes(self, padded):
         with batch_tiles():
-            cn = _staged_net(padded)
+            cn = _staged_net(padded, keep_alive=EVERY_ENSEMBLE)
         fwd = [s.label for s in cn.compiled.forward]
         bwd = [s.label for s in cn.compiled.backward]
         pad = "c1.pad_fill+c1.pad+" if padded else ""

@@ -134,9 +134,11 @@ ZOO = {
 
 
 def _run(build, level, num_threads):
-    """Compile at num_threads, run forward+backward, snapshot results."""
+    """Compile at num_threads with every ensemble kept inspectable, run
+    forward+backward, snapshot results."""
     net, feed = build()
-    cn = net.init(CompilerOptions.level(level), num_threads=num_threads)
+    cn = net.init(CompilerOptions.level(level), num_threads=num_threads,
+                  keep_alive=list(net.ensembles))
     loss = cn.forward(**feed)
     cn.clear_param_grads()
     cn.backward()
