@@ -6,7 +6,7 @@ graphical model, the compiler produces the optimized implementation.
 This example defines a leaky rectifier neuron and a parametric "squash"
 neuron from scratch, builds layers from them, and shows the code the
 compiler synthesizes (both the executable NumPy program and the
-native C/OpenMP program ``backend="c"`` builds, the code of the paper's
+native C program ``backend="c"`` builds, the code of the paper's
 Figs. 9-12)::
 
     python examples/custom_neuron.py
@@ -66,7 +66,7 @@ def main():
 
     print("\n--- synthesized NumPy program ---")
     print(cnet.source)
-    print("--- native C/OpenMP program (paper Figs. 9-12) ---")
+    print("--- native C program (paper Figs. 9-12) ---")
     print(cnet.c_source)
 
 

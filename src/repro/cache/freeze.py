@@ -236,12 +236,11 @@ _SO_KEY = "__so__"
 
 def _c_exec_dict(cnet, compiled, arrays: Dict[str, np.ndarray]):
     """The ``meta["c_exec"]`` record of a ``backend='c'`` compile —
-    source, kernel thread count, toolchain fingerprint — stashing the
+    source and toolchain fingerprint — stashing the
     built ``.so`` bytes in ``arrays``. ``None`` for the numpy backend."""
     if cnet.options.backend != "c":
         return None
-    ce = {"source": compiled.c_exec_source, "omp": compiled.c_omp,
-          "toolchain": None}
+    ce = {"source": compiled.c_exec_source, "toolchain": None}
     if any(s.native for s in compiled.steps):
         from repro.codegen import c_backend
 
@@ -367,7 +366,6 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
 
     ce = meta["c_exec"]
     compiled.c_exec_source = source = ce["source"]
-    compiled.c_omp = int(ce["omp"])
     if not any(s.native for s in compiled.steps):
         return
     so_path = None
@@ -385,8 +383,7 @@ def _rebind_native(compiled: CompiledProgram, meta: dict,
         except c_backend.CBackendUnavailable as exc:
             raise CacheError(
                 f"cannot rebuild native program: {exc}") from exc
-    c_backend.bind_steps(compiled, so_path, batch_size,
-                         int(meta["num_threads"]))
+    c_backend.bind_steps(compiled, so_path, batch_size)
 
 
 def thaw(net, meta: dict, arrays: Dict[str, np.ndarray], options, *,

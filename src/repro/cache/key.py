@@ -41,7 +41,7 @@ import numpy as np
 #: id is part of the key, so programs compiled for different backends
 #: never collide even though the options dict alone would distinguish
 #: them too
-BACKEND_IDS = {"numpy": "python-numpy", "c": "c-openmp"}
+BACKEND_IDS = {"numpy": "python-numpy", "c": "c-native"}
 BACKEND_ID = BACKEND_IDS["numpy"]
 
 

@@ -1,4 +1,4 @@
-"""C/OpenMP backend: the native program Latte synthesizes (Figs. 9-12).
+"""C backend: the native program Latte synthesizes (Figs. 9-12).
 
 :func:`emit_native_program` is the one C printer. With
 ``CompilerOptions(backend="c")`` every fused step is lowered to a C
@@ -17,12 +17,12 @@ The native lowering contract:
 * one exported C function per *distinct* kernel, named like the Python
   step function of the first step that needs it (``_step_f0``,
   ``_step_b3``, ...), with the signature ``void step(float* <buf>, ...,
-  long long _b0, long long _b1, long long _omp)`` where the buffer
-  pointers are that step's touched buffers in sorted-name order and
-  ``_b0/_b1`` are the same batch-shard bounds the threaded Python
-  backend's step functions take; a later step whose body is identical
-  up to buffer and loop-variable names calls the same function with
-  its own buffers (its ``Step.native`` names the owner's symbol);
+  long long _b0, long long _b1)`` where the buffer pointers are that
+  step's touched buffers in sorted-name order and ``_b0/_b1`` are the
+  same batch-shard bounds the threaded Python backend's step functions
+  take; a later step whose body is identical up to buffer and
+  loop-variable names calls the same function with its own buffers
+  (its ``Step.native`` names the owner's symbol);
 * scalar :class:`~repro.ir.Assign` units become plain loop nests over
   flat row-major offsets (strides baked in at compile time from the
   buffer plan), with value arithmetic performed in ``double`` and
@@ -35,13 +35,11 @@ The native lowering contract:
   over the matched einsum letters — free (output) letters outer,
   contraction letters inner — accumulating into a local ``double`` with
   ``#pragma omp simd reduction`` on the innermost contraction loop;
-* the kernels' thread count is decided once, at emit time
-  (:func:`omp_threads_for`: 1 whenever the executor shards batches
-  across threads itself, runs on one thread, or the parallel pass is
-  off) and recorded as ``CompiledProgram.c_omp``, which the binder
-  passes as ``_omp``. Only above 1 do batch-disjoint outer loops carry
-  ``#pragma omp parallel for``: a region ``_omp`` never opens is an
-  outlined function ``cc`` optimises for nothing;
+* kernels never thread themselves: the executor's batch shards are
+  the one unit of parallelism on both backends, so a program it runs
+  unsharded (batch 1, or the parallel pass off) runs its kernels on
+  the calling thread. ``-fopenmp-simd`` honours the ``simd`` pragmas
+  without linking an OpenMP runtime;
 * any step the lowering cannot express (extern closures such as
   softmax-loss, or exotic index forms) keeps its Python step function,
   with the reason in its ``Step.fallback`` — programs are hybrid by
@@ -79,7 +77,6 @@ from repro.ir import (
     UnaryOp,
     Var,
     free_vars,
-    write_target_vars,
 )
 from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, LoopUnit
@@ -105,7 +102,7 @@ _C_RESERVED = frozenset("""
 auto break case char const continue default do double else enum extern
 float for goto if inline int long register restrict return short signed
 sizeof static struct switch typedef union unsigned void volatile while
-_b0 _b1 _omp _acc _M _N _K _v _t
+_b0 _b1 _acc _M _N _K _v _t
 """.split())
 
 #: the build recipe. The loop vectorizer is what makes kernels fast
@@ -116,12 +113,12 @@ _b0 _b1 _omp _acc _M _N _K _v _t
 #: (EXPERIMENTS.md, "cold native build", with the recipes measured and
 #: rejected).
 _BASE_FLAGS = ["-O2", "-ftree-vectorize", "-fpeel-loops", "-fPIC", "-shared"]
-_EXTRA_FLAGS = ["-march=native", "-fopenmp"]
+_EXTRA_FLAGS = ["-march=native", "-fopenmp-simd"]
 
 _PROBE_SRC = (
     "int latte_probe(int x) {\n"
     "  double s = 0;\n"
-    "  #pragma omp parallel for reduction(+:s)\n"
+    "  #pragma omp simd reduction(+:s)\n"
     "  for (int i = 0; i < x; i++) s += i;\n"
     "  return (int)s;\n"
     "}\n"
@@ -625,13 +622,11 @@ def _strides(shape: Tuple[int, ...]) -> List[int]:
 
 
 class _Frame:
-    """Per-step lowering context: buffer shapes, the threads the kernel
-    will run with and the touched-buffer set."""
+    """Per-step lowering context: buffer shapes and the touched-buffer
+    set."""
 
-    def __init__(self, shapes: Dict[str, Tuple[int, ...]], omp: int):
+    def __init__(self, shapes: Dict[str, Tuple[int, ...]]):
         self.shapes = shapes
-        #: parallel regions are printed only when this is above 1
-        self.omp = omp
         self.used: set = set()
         #: Gemms lowered to an in-place sgemm call / a strided loop nest
         self.gemm_inplace = self.gemm_nests = 0
@@ -720,10 +715,8 @@ def _rv(e, fr: _Frame) -> str:
 # Native backend: statement and step lowering
 # ---------------------------------------------------------------------------
 
-def _open_loop(sp, lines: List[str], depth: int, pragma: str = "") -> int:
+def _open_loop(sp, lines: List[str], depth: int) -> int:
     pad = "  " * depth
-    if pragma:
-        lines.append(f"{pad}{pragma}")
     lines.append(
         f"{pad}for (long long {sp.var} = {_ri(sp.start)}; "
         f"{sp.var} < {_ri(sp.stop)}; {sp.var}++) {{"
@@ -736,40 +729,6 @@ def _close_loops(lines: List[str], depth: int, down_to: int) -> None:
         lines.append("  " * d + "}")
 
 
-_PAR_PRAGMA = (
-    "#pragma omp parallel for schedule(static) "
-    "num_threads((int)_omp) if (_omp > 1)"
-)
-
-
-def _disjoint_vars(unit: LoopUnit) -> set:
-    """Loop variables whose iterations write disjoint elements, so
-    that their loop may run in parallel: on some target axis the index
-    is affine in the loops and the variable's stride exceeds all that
-    the others can add — alone on the axis, or a leading digit of a
-    mixed-radix index such as the flattened window offset. ``y + w``
-    lets two iterations of ``w`` meet; an indirect target (rows may
-    collide) has none."""
-    from repro.codegen.exprs import NonAffine, extract_affine
-
-    out: set = set()
-    if write_target_vars(unit.stmt) is None:
-        return out
-    reach = {sp.var: sp.extent - 1 for sp in unit.loops}
-    for ix in unit.stmt.target.indices:
-        try:
-            stride = {}
-            for v in free_vars(ix) & reach.keys():  # others: outer, fixed
-                stride[v], ix = extract_affine(ix, v)
-        except NonAffine:
-            continue
-        for v in stride:
-            if abs(stride[v]) > sum(abs(stride[u]) * reach[u]
-                                    for u in stride if u != v):
-                out.add(v)
-    return out
-
-
 def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
                  depth: int) -> None:
     stmt = unit.stmt
@@ -778,14 +737,9 @@ def _emit_assign(unit: LoopUnit, fr: _Frame, lines: List[str],
         raise _Unlowerable("non-buffer assignment target")
     if any(isinstance(ix, (SliceExpr,)) for ix in tgt.indices):
         raise _Unlowerable("sliced assignment target")
-    disjoint = _disjoint_vars(unit) if fr.omp > 1 else set()
     top = depth
-    # the outermost loop that iterates at all: a one-image batch loop
-    # has one trip, and a pragma there would run the nest serially
-    outer = next((sp for sp in unit.loops if sp.extent > 1), None)
     for sp in unit.loops:
-        pragma = _PAR_PRAGMA if (sp is outer and sp.var in disjoint) else ""
-        depth = _open_loop(sp, lines, depth, pragma)
+        depth = _open_loop(sp, lines, depth)
     pad = "  " * depth
     idx = [_ri(ix) for ix in tgt.indices]
     ref = f"{tgt.buffer}[{fr.flat(tgt.buffer, idx)}]"
@@ -1066,7 +1020,7 @@ def _emit_gemm_inplace(unit: LoopUnit, fr: _Frame, lines: List[str],
     operands = ", ".join(f"({base}), {ld}" + (f", {trans}" if i < 2 else "")
                          for i, (base, ld, trans) in enumerate(args))
     lines.append(
-        f"{pad}_latte_gemm_rm(_M, _N, _K, {operands}, {accumulate}, _omp);")
+        f"{pad}_latte_gemm_rm(_M, _N, _K, {operands}, {accumulate});")
     lines.append("  " * depth + "}")
     _close_loops(lines, depth, top)
     return True
@@ -1106,10 +1060,8 @@ def _emit_gemm_loop_body(unit: LoopUnit, fr: _Frame, lines: List[str],
         return _gemm_flat(refs, owner, slices, fr, rk)
 
     top = depth
-    for i, var in enumerate(free):
+    for var in free:
         lo, hi = ranges[var]
-        if i == 0 and fr.omp > 1:
-            lines.append("  " * depth + _PAR_PRAGMA)
         lines.append(
             f"{'  ' * depth}for (long long {var} = {lo}; "
             f"{var} < {hi}; {var}++) {{"
@@ -1172,18 +1124,17 @@ def env_shape(plan, spec, time_steps: int) -> Tuple[int, ...]:
     return tuple(int(d) for d in fs)
 
 
-def _emit_step(group: FusedGroup, shapes: Dict[str, Tuple[int, ...]],
-               omp: int) -> Tuple[List[str], List[str], "_Frame"]:
-    """Lower one fused step to C statements for a kernel run with
-    ``omp`` threads; returns its touched buffers in sorted-name order,
-    the function-body lines and the lowering frame (for its GEMM
-    counters).
+def _emit_step(group: FusedGroup, shapes: Dict[str, Tuple[int, ...]]
+               ) -> Tuple[List[str], List[str], "_Frame"]:
+    """Lower one fused step to C statements; returns its touched
+    buffers in sorted-name order, the function-body lines and the
+    lowering frame (for its GEMM counters).
 
     Raises :class:`_Unlowerable` when any member unit cannot be
     expressed.
     """
     tile, units = lowered_units(group)
-    fr = _Frame(shapes, omp)
+    fr = _Frame(shapes)
     body: List[str] = []
     depth = 1
     if tile is not None:
@@ -1206,7 +1157,7 @@ def _alpha_rename(buffers: List[str], body: str) -> Tuple[str, List[int]]:
     Two steps whose renamed bodies are equal run the same kernel on
     different buffers: shapes, strides and bounds are literals in the
     text, and names outside the renamed set (intrinsics, the
-    ``_b0/_b1/_omp`` parameters) must match verbatim. The buffer
+    ``_b0/_b1`` parameters) must match verbatim. The buffer
     count leads the text, so equal texts always pair buffers one to one
     (a buffer the body never mentions ranks after those it does).
     """
@@ -1240,7 +1191,7 @@ void _latte_gemm_rm(long long M, long long N, long long K,
                     const float *A, long long lda, int ta,
                     const float *B, long long ldb, int tb,
                     float *C, long long ldc,
-                    int accumulate, long long nthreads);
+                    int accumulate);
 
 static inline double _sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
 static inline double _d_max(double a, double b) { return a >= b ? a : b; }
@@ -1293,7 +1244,7 @@ void _latte_gemm_rm(long long M, long long N, long long K,
                     const float *A, long long lda, int ta,
                     const float *B, long long ldb, int tb,
                     float *C, long long ldc,
-                    int accumulate, long long nthreads) {
+                    int accumulate) {
   float beta = accumulate ? 1.0f : 0.0f;
   if (_latte_sgemm_ptr) {
     if (_latte_sgemm_ilp64)
@@ -1306,8 +1257,6 @@ void _latte_gemm_rm(long long M, long long N, long long K,
           1.0f, A, (int)lda, B, (int)ldb, beta, C, (int)ldc);
     return;
   }
-  #pragma omp parallel for schedule(static) \\
-      num_threads((int)nthreads) if (nthreads > 1)
   for (long long i = 0; i < M; i++) {
     for (long long j = 0; j < N; j++) {
       double acc = accumulate ? (double)C[i * ldc + j] : 0.0;
@@ -1324,13 +1273,11 @@ void _latte_gemm_rm(long long M, long long N, long long K,
 
 
 def emit_native_program(
-    compiled, plan, time_steps: int, omp: int
+    compiled, plan, time_steps: int
 ) -> Tuple[str, Dict[str, Tuple[Optional[NativeCall], str]],
            Dict[str, int]]:
     """Lower every lowerable task step of a compiled program to C from
-    its kept schedule, for kernels that will run with ``omp`` in-kernel
-    threads (parallel regions are printed only when it is above 1).
-    Reads the steps, never writes them.
+    its kept schedule. Reads the steps, never writes them.
 
     Returns ``(source, bindings, gemms)``: ``bindings`` maps each task
     step name to its ``(native, fallback)`` pair — a :class:`NativeCall`
@@ -1357,7 +1304,7 @@ def emit_native_program(
         assert len(groups) == len(step_list), "schedule/steps drifted"
         for step, group in zip(step_list, groups):
             try:
-                buffers, body, fr = _emit_step(group, shapes, omp)
+                buffers, body, fr = _emit_step(group, shapes)
             except _Unlowerable as exc:
                 bindings[step.name] = (None, str(exc))
                 continue
@@ -1376,12 +1323,11 @@ def emit_native_program(
                              f"as {owner} {label} */\n\n")
                 continue
             params = ", ".join([f"float* {b}" for b in buffers]
-                               + ["long long _b0", "long long _b1",
-                                  "long long _omp"])
+                               + ["long long _b0", "long long _b1"])
             parts.append(
                 f"{_KERNEL_MARK}/* {group.label} */\n"
                 f"void {step.name}({params}) {{\n"
-                f"  (void)_b0; (void)_b1; (void)_omp;\n"
+                f"  (void)_b0; (void)_b1;\n"
                 f"{text}\n}}\n\n"
             )
     return "".join(parts), bindings, gemms
@@ -1391,7 +1337,7 @@ def emit_native_program(
 # Native backend: ctypes binding
 # ---------------------------------------------------------------------------
 
-def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
+def _make_step_fn(cfn, names: Tuple[str, ...], batch: int):
     """Wrap one exported kernel as an executor-compatible step function.
 
     The wrapper has the exact calling convention of a Python-backend step
@@ -1414,36 +1360,15 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, omp: int):
                     "(rebind_buffers with a contiguous array)"
                 )
             args.append(a.ctypes.data)
-        cfn(*args, _b0, _b1, omp)
+        cfn(*args, _b0, _b1)
 
     return step
 
 
-def omp_threads_for(compiled, batch: int, num_threads: int) -> int:
-    """In-kernel OpenMP thread count: ``num_threads`` when the executor
-    runs steps whole, 1 when it splits batches into thread shards itself
-    (avoids oversubscription and keeps sharded runs comparable with the
-    Python backend). Below the parallel pass's rung of the ladder,
-    ``compile_net`` resolves ``num_threads`` to 1, so the kernels run
-    serially too."""
-    return num_threads if compiled.num_shards(batch, num_threads) == 1 else 1
-
-
-def bind_steps(compiled, so_path: str, batch: int,
-               num_threads: int) -> None:
+def bind_steps(compiled, so_path: str, batch: int) -> None:
     """Load a built program and swap its kernels into ``compiled``'s
     step lists: every step with a ``native`` binding calls that symbol
-    with its own buffers and ``_omp = compiled.c_omp``, the thread count
-    the kernels were emitted for."""
-    omp = compiled.c_omp
-    # kernels printed without parallel regions must never be bound where
-    # the executor leaves the threading to them, nor the reverse; a
-    # thawed count comes from disk, so this is a check, not an assert
-    want = omp_threads_for(compiled, batch, num_threads)
-    if omp != want:
-        raise ValueError(
-            f"kernels emitted for _omp={omp}, but the executor leaves "
-            f"{want} to them ({num_threads} threads over batch {batch})")
+    with its own buffers."""
     dll, kernels = _load(so_path)
     for step in compiled.steps:
         if step.native is None:
@@ -1456,11 +1381,11 @@ def bind_steps(compiled, so_path: str, batch: int,
             cfn = kernels[symbol] = dll[symbol]
             cfn.restype = None
             cfn.argtypes = ([ctypes.c_void_p] * len(args)
-                            + [ctypes.c_longlong] * 3)
-        step.fn = _make_step_fn(cfn, args, batch, omp)
+                            + [ctypes.c_longlong] * 2)
+        step.fn = _make_step_fn(cfn, args, batch)
 
 
-def attach_native(compiled, plan, time_steps: int, num_threads: int,
+def attach_native(compiled, plan, time_steps: int,
                   env: Dict[str, float]) -> Dict[str, int]:
     """Compile a program's lowerable steps to native code and swap their
     step functions in place (the tentpole entry point, called by
@@ -1468,8 +1393,8 @@ def attach_native(compiled, plan, time_steps: int, num_threads: int,
 
     Each task step gets its ``native`` binding or, for an extern
     closure or anything the lowering rejects, its ``fallback`` reason
-    and keeps its Python function; ``compiled.c_exec_source`` and
-    ``c_omp`` record the whole program for the compile cache. Returns
+    and keeps its Python function; ``compiled.c_exec_source`` records
+    the whole program for the compile cache. Returns
     the ``codegen-c`` compile-report counters; ``env`` receives the
     build's environment facts (:func:`compile_shared_object`).
     """
@@ -1477,20 +1402,16 @@ def attach_native(compiled, plan, time_steps: int, num_threads: int,
         raise CBackendUnavailable(
             f"backend='c' requested but {toolchain_error()}"
         )
-    omp = omp_threads_for(compiled, plan.batch_size, num_threads)
     source, bindings, gemms = emit_native_program(compiled, plan,
-                                                  time_steps, omp)
+                                                  time_steps)
     compiled.c_exec_source = source
-    compiled.c_omp = omp
     for step in compiled.steps:
         step.native, step.fallback = bindings.get(step.name, (None, ""))
     natives = [s.native for s in compiled.steps if s.native]
     stats = {"native_steps": len(natives),
-             "kernels_unique": len({n.symbol for n in natives}), **gemms,
-             "omp_threads": omp,
-             "parallel_regions": source.count(_PAR_PRAGMA)}
+             "kernels_unique": len({n.symbol for n in natives}), **gemms}
     if natives:
         stats["translation_units"] = len(_translation_units(source))
         so_path = compile_shared_object(source, env)
-        bind_steps(compiled, so_path, plan.batch_size, num_threads)
+        bind_steps(compiled, so_path, plan.batch_size)
     return stats

@@ -112,12 +112,9 @@ class CompiledProgram:
     #: schedule
     schedule: Optional[Tuple[list, list]] = None
     #: executable C program (backend='c'): the source actually compiled
-    #: to a shared object and the in-kernel thread count the kernels
-    #: were emitted for (parallel regions only above 1); with each
-    #: step's ``native`` binding, the rebuild recipe the compile cache
-    #: stores
+    #: to a shared object; with each step's ``native`` binding, the
+    #: rebuild recipe the compile cache stores
     c_exec_source: str = ""
-    c_omp: int = 1
 
     @property
     def steps(self) -> List[Step]:

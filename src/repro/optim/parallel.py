@@ -8,9 +8,9 @@ splits the batch across threads in the executor: when compiled with
 :class:`~repro.synthesis.units.ShardInfo`, and the executor splits the
 corresponding step into contiguous batch shards run concurrently
 (NumPy's BLAS/ufunc kernels release the GIL; native kernels run their
-shard's rows). Where it marks nothing (batch 1), the C backend's
-kernels thread inside instead
-(:func:`repro.codegen.c_backend.omp_threads_for`).
+shard's rows). The shard is the one unit of parallelism on both
+backends: a program this pass marks nothing in (batch 1) runs every
+step whole on the calling thread, native kernels included.
 
 Sharding is sound only under the paper's shared-variable treatment: a
 statement whose writes land at its own batch row touches disjoint memory

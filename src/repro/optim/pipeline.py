@@ -469,7 +469,7 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
             "codegen-c",
             True,
             lambda: build_stats.update(c_backend.attach_native(
-                compiled, plan, net.time_steps, num_threads, build_env)),
+                compiled, plan, net.time_steps, build_env)),
             lambda: build_stats,
             before=lambda: counts["steps"],
             after=lambda: counts["steps"],

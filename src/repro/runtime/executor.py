@@ -141,7 +141,7 @@ class CompiledNet:
         ]
         #: arena-pooled base buffers (empty without a memory plan):
         #: excluded from the blanket pre-backward zeroing (the planner
-        #: schedules their zero-defs in-program) and from inspection
+        #: schedules their zero-defs in-program)
         mem = plan.memory
         self._pooled = frozenset(mem.pooled) if mem is not None else frozenset()
         self._step_bytes: Dict[str, int] = {}
@@ -435,10 +435,7 @@ class CompiledNet:
             c = report["codegen-c"].rewrites
             env = report["codegen-c"].env
             line = (f"  native     : {c['native_steps']} steps on "
-                    f"{c['kernels_unique']} kernels, ")
-            line += (f"{c['parallel_regions']} parallel regions at "
-                     f"{c['omp_threads']} threads" if c["omp_threads"] > 1
-                     else "serial kernels (executor shards / one thread)")
+                    f"{c['kernels_unique']} kernels")
             if env.get("build_dir_hit"):
                 line += ", build dir hit"
             elif env:
@@ -499,10 +496,8 @@ class CompiledNet:
         replace(self.options, backend="c")
         from repro.codegen import c_backend
 
-        omp = c_backend.omp_threads_for(compiled, self.batch_size,
-                                        self.num_threads)
         return c_backend.emit_native_program(
-            compiled, self.plan, self.net.time_steps, omp)[0]
+            compiled, self.plan, self.net.time_steps)[0]
 
     def parameters(self) -> List[ParamView]:
         """Views of every trainable parameter: ``(name, ensemble, value,
@@ -524,10 +519,14 @@ class CompiledNet:
                 f"one batch-tiled group, which holds one tile of it at a "
                 f"time. Add it to keep_alive= to inspect it."
             )
-        if self._pooled and base in self._pooled:
+        # inspectable by rule, not by where the planner put the buffer: a
+        # buffer it declined to pool (no saving, a recurrent carry) is
+        # no more part of the contract than its pooled neighbours
+        mem = self.plan.memory
+        if mem is not None and base not in mem.inspectable:
             raise KeyError(
-                f"{ens_name!r} is not data, a sink or a loss feeder, so its "
-                f"buffers share arena storage and do not survive the run. "
+                f"{ens_name!r} is not data, a sink or a loss feeder, so the "
+                f"memory planner may reuse its buffers' storage mid-run. "
                 f"Add it to keep_alive= (or compile with "
                 f"CompilerOptions(memory_plan=False)) to inspect it."
             )

@@ -25,11 +25,7 @@ How the pieces fit:
 
 Fork is the only process start method: ``spawn`` would have to pickle
 the compiled program (closures and all) and recompile in every worker.
-On platforms without ``fork`` the constructor raises. One caveat
-inherited from fork: the C/OpenMP backend's libgomp state does not
-survive a fork that happens *after* the parent entered a parallel
-region — fork the trainer before running the parent net, or use the
-NumPy backend for multi-process training (see docs/DISTRIBUTED.md).
+On platforms without ``fork`` the constructor raises.
 
 Worker failures never hang the parent: a dead process is pipe EOF and
 raises :class:`~repro.runtime.worker.WorkerDiedError` (index, exit

@@ -135,6 +135,10 @@ class MemoryPlan:
     planned_bytes: int = 0
     #: why each non-candidate buffer was kept (reporting/tests)
     kept_reasons: Dict[str, str] = field(default_factory=dict)
+    #: base buffers ``value()``/``grad()`` answer for: the contract's
+    #: and ``keep_alive``'s (:func:`kept_buffers`), whatever else the
+    #: planner keeps or pools
+    inspectable: frozenset = frozenset()
     #: forward staging buffer -> its backward re-gather
     #: (:func:`regather_staging`), and the staging buffers still
     #: live across the phase boundary -> why they were declined
@@ -504,6 +508,7 @@ def plan_memory(
     intervals = mem.intervals = view.intervals
 
     keep_bufs = kept_buffers(net, plan, keep_alive)
+    mem.inspectable = frozenset(keep_bufs)
 
     # (a contracted staging buffer's per-shard copies are scratch, not
     # partial sums of it: the buffer itself pools like any other)

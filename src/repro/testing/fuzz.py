@@ -4,9 +4,8 @@ Generates ``budget`` random networks from the seeded generator, runs the
 full differential oracle on each (opt levels vs the O0 scalar
 interpreter, thread counts vs serial, finite-difference gradient probes,
 baseline parity, and — when a C toolchain is present — compiled
-C/OpenMP backend parity), and on the first failure shrinks the spec to
-a minimal
-reproducer, saves it under ``tests/regressions/`` (override with
+C backend parity), and on the first failure shrinks the spec to a
+minimal reproducer, saves it under ``tests/regressions/`` (override with
 ``--out-dir``), prints the reproduction command, and exits non-zero.
 
 ``--inject-bug NAME`` deliberately breaks a runtime invariant first
@@ -57,7 +56,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-baselines", action="store_true",
                         help="skip caffe/mocha parity checks")
     parser.add_argument("--no-cbackend", action="store_true",
-                        help="skip compiled C/OpenMP backend checks "
+                        help="skip compiled C backend checks "
                              "(default: run when a C toolchain is found)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report the raw failing spec without "

@@ -23,17 +23,19 @@ Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
   run-to-run reproducibility at a fixed thread count (deterministic
   shard bounds + fixed-order reduction): the oracle re-runs one thread
   configuration and requires identical bits — the check that catches
-  races.
-* **C/OpenMP backend** — an independent native lowering of the same
+  races. A threaded run the executor does not shard (batch 1, or the
+  parallel pass off at O1/O2: one shard) *is* the serial program, on
+  either backend, and is compared with the serial run **bitwise**.
+* **C backend** — an independent native lowering of the same
   fused schedule: kernels accumulate in double precision and order
   GEMM contractions differently from BLAS, so comparisons against both
   the O0 interpreter and the same-level NumPy backend use the
   float-reassociation (``level_*``) tier. Run-to-run at one thread is
   **bitwise** (fixed loop order, content-addressed shared object), as
   is a freeze/thaw through the compile cache (the thaw recompiles the
-  stored C source). Threaded (in-kernel OpenMP at batch 1, executor
-  shards above it) it sits in the thread tiers against serial C and is
-  bitwise run to run. Enabled automatically when a C toolchain is
+  stored C source). Threaded, its kernels run the executor's shard
+  bounds: the thread tiers against serial C (bitwise at one shard),
+  and bitwise run to run. Enabled automatically when a C toolchain is
   present; skipped cleanly otherwise.
 * **Finite differences** — central differences with a non-smoothness
   guard (:mod:`repro.testing.gradcheck`).
@@ -117,6 +119,8 @@ class RunResult:
     memory: Dict[str, int] = field(default_factory=dict)
     #: how many staging buffers that compile contracted to a batch tile
     contracted: int = 0
+    #: how many batch shards the executor split shardable steps into
+    shards: int = 1
 
 
 @dataclass
@@ -182,7 +186,7 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     above) for the planned-vs-unplanned bitwise checks;
     ``keep_alive`` names ensembles kept inspectable beyond the contract
     (``head`` and ``data`` are always kept: loss feeder, input).
-    ``backend="c"`` compiles the fused steps to an OpenMP shared object
+    ``backend="c"`` compiles the fused steps to a native shared object
     (requires a C toolchain; see :mod:`repro.codegen.c_backend`).
     ``tiled`` compiles under :func:`batch_tiles`.
     """
@@ -210,6 +214,7 @@ def run_compiled(cnet, spec: NetSpec) -> RunResult:
         param_grads={p.key: p.grad.copy() for p in cnet.parameters()},
         memory=cnet.memory_stats(),
         contracted=len(cnet.plan.contracted),
+        shards=cnet.num_shards,
     )
 
 
@@ -335,6 +340,19 @@ def _compare_bitwise(check: str, got: RunResult, want: RunResult,
     for key in sorted(want.param_grads):
         _compare_arrays(check, f"d({key})", got.param_grads[key],
                         want.param_grads[key], 0, 0, out, bitwise=True)
+
+
+def _compare_threaded(check: str, got: RunResult, serial: RunResult,
+                      out: List[Mismatch], tol: dict) -> None:
+    """A threaded run against the serial run at the same level: the
+    thread tiers when the executor sharded it, bitwise when it ran one
+    shard — then it is the serial program."""
+    if got.shards == 1:
+        _compare_bitwise(check, got, serial, out)
+    else:
+        _compare_runs(check, got, serial, out, tol["thread_loss_rtol"],
+                      tol["thread_fwd_rtol"], tol["thread_fwd_atol"],
+                      tol["thread_param_rtol"], tol["thread_param_atol"])
 
 
 def _check_plan_size(check: str, memory: Dict[str, int],
@@ -584,7 +602,7 @@ def check_spec(
     ``gradcheck_indices`` finite-difference probes validate the O0
     input gradient itself; ``baselines`` enables caffe/mocha parity
     when the spec stays within their layer vocabulary; ``cbackend``
-    pins the compiled C/OpenMP backend against both the O0 interpreter
+    pins the compiled C backend against both the O0 interpreter
     and the same-level NumPy backend, and at ``max(threads)`` against
     itself at one thread (``None`` = run exactly when a
     working C toolchain is present, so corpus runs cover it wherever
@@ -664,13 +682,10 @@ def check_spec(
         if threads:
             check = f"batchtile-threads:{max(threads)}"
             report.checks.append(check)
-            _compare_runs(
+            _compare_threaded(
                 check, run_spec(spec, level=4, tiled=True,
                                 num_threads=max(threads)),
-                tiled, report.mismatches,
-                tol["thread_loss_rtol"], tol["thread_fwd_rtol"],
-                tol["thread_fwd_atol"], tol["thread_param_rtol"],
-                tol["thread_param_atol"])
+                tiled, report.mismatches, tol)
 
     # forward-only under batch tiles: a layer's values and padded input
     # contracted to its group's tile (only the contract is kept), still
@@ -722,7 +737,7 @@ def check_spec(
         _check_quant(spec, max(levels) if levels else 4, tol,
                      report.checks, report.mismatches)
 
-    # the C/OpenMP backend is an independent lowering of the same fused
+    # the C backend is an independent lowering of the same fused
     # schedule: its kernels accumulate in double and order contractions
     # differently from BLAS, so values land inside the reassociation
     # tier, never outside it — and a second compile of the same spec
@@ -783,25 +798,22 @@ def check_spec(
         else:
             _compare_bitwise(check, warm, cold, report.mismatches)
 
-        # threaded native runs: at batch 1 the kernels thread themselves
-        # (the one configuration printed with parallel regions), above it
-        # the executor shards — thread tiers against serial C, and
-        # bitwise run to run, where a race inside a region shows
+        # threaded native runs: the kernels run the executor's shards —
+        # thread tiers against serial C (bitwise at one shard: batch 1
+        # runs the serial program), and bitwise run to run
         nt = max(threads, default=1)
         if nt > 1:
             check = f"cbackend-threads:{nt}"
             report.checks.append(check)
             threaded = run_spec(spec, level=c_level, backend="c",
                                 num_threads=nt)
-            _compare_runs(check, threaded, native, report.mismatches,
-                          tol["thread_loss_rtol"], tol["thread_fwd_rtol"],
-                          tol["thread_fwd_atol"], tol["thread_param_rtol"],
-                          tol["thread_param_atol"])
+            _compare_threaded(check, threaded, native, report.mismatches,
+                              tol)
             _compare_bitwise(check, run_spec(spec, level=c_level,
                                              backend="c", num_threads=nt),
                              threaded, report.mismatches)
 
-    if threads and spec.batch > 1:
+    if threads:
         thread_level = max(levels) if levels else 4
         serial = by_level.get(thread_level)
         if serial is None:
@@ -814,10 +826,8 @@ def check_spec(
             check = f"threads:{nt}"
             report.checks.append(check)
             parallel = run_spec(spec, level=thread_level, num_threads=nt)
-            _compare_runs(check, parallel, serial, report.mismatches,
-                          tol["thread_loss_rtol"], tol["thread_fwd_rtol"],
-                          tol["thread_fwd_atol"], tol["thread_param_rtol"],
-                          tol["thread_param_atol"])
+            _compare_threaded(check, parallel, serial, report.mismatches,
+                              tol)
             if not reproducibility_checked:
                 # run-to-run determinism at a fixed shard count is
                 # bitwise (fixed bounds + fixed-order reduction); any

@@ -1,4 +1,4 @@
-"""Tests for the C/OpenMP backend: the native program and its execution.
+"""Tests for the C backend: the native program and its execution.
 
 ``repro.codegen.c_backend.emit_native_program`` is the one C printer.
 ``TestCSource`` pins what it prints — ``CompiledNet.c_source``, which on
@@ -12,17 +12,17 @@ executes them through ctypes; the execution classes pin that path
 against the NumPy backend and the O0 interpreter over a small model zoo
 (conv/pool/fc/norm/concat/LSTM), check that every non-extern step of
 the Fig 14 training programs lowers to C, finite-difference-check a
-C-compiled net, and verify OpenMP thread equivalence plus bitwise
-run-to-run determinism. ``TestBuild`` pins the build itself: twin steps
-share kernels, the ``.so`` does not depend on the worker count, failed
-and hung compiler processes leave a structured error and a clean build
+C-compiled net, and verify thread equivalence plus bitwise run-to-run
+determinism. ``TestBuild`` pins the build itself: twin steps share
+kernels, the ``.so`` does not depend on the worker count, failed and
+hung compiler processes leave a structured error and a clean build
 directory, racing builders converge, the sgemm hook is defined once
 across translation units, no kernel ever allocates (every GEMM runs on
-its operands where they lie), parallel regions are printed only where
-the kernels run with more than one thread and change no bit where they
-do not, the build recipe changes build time but not one bit of a
-training step, and the CPU ``-march=native`` resolves to keys both the
-build directory and the compile cache. Without a working C compiler the
+its operands where they lie), no program opens a parallel region (at
+batch 1 two threads run the one-thread kernels and compute their bits,
+cold and thawed), the build recipe changes build time but not one bit
+of a training step, and the CPU ``-march=native`` resolves to keys
+both the build directory and the compile cache. Without a working C compiler the
 execution tests skip with the probe's reason and the ``backend="c"``
 knob raises ``CBackendUnavailable``.
 """
@@ -57,10 +57,10 @@ from repro.testing.oracle import (
     _compare_bitwise,
     _compare_runs,
     batch_tiles,
-    run_compiled,
     run_spec,
 )
 from repro.utils.rng import seed_all
+from tests.test_keep_alive import _step as _train_step
 from tests.test_planned_bytes import ledger_net
 
 
@@ -111,8 +111,8 @@ class TestCSource:
         # one marked section per distinct kernel, each a void function
         assert kernels.count(c_backend._KERNEL_MARK) == len(
             re.findall(r"^void _step_[fb]\d+\(", kernels, re.M))
-        # one thread: no kernel opens a parallel region
-        assert "#pragma omp parallel" not in kernels
+        # kernels never thread themselves: the executor shards
+        assert "#pragma omp parallel" not in src
 
     def test_conv_lowering_structure(self):
         src = _conv_net().c_source
@@ -138,8 +138,6 @@ class TestCSource:
             # pragmas sit directly on a for loop
             for m in re.finditer(r"#pragma omp[^\n]*\n(\s*)(\S+)", kernels):
                 assert m.group(2).startswith("for"), m.group(0)
-        # batch 1 on two threads: the kernels thread themselves
-        assert "#pragma omp parallel for" in _kernels(threaded)
 
     def test_deterministic_across_rebuilds(self):
         assert _conv_net().c_source == _conv_net().c_source
@@ -313,8 +311,8 @@ class TestCExecution:
             cnet.close()
 
     def test_thread_equivalence(self):
-        # OpenMP sharding follows the executor's shard bounds, so the
-        # same thread tiers as the Python backend apply
+        # native kernels run the executor's shard bounds, so the same
+        # thread tiers as the Python backend apply
         spec = ZOO["conv_pool_fc"]
         serial = run_spec(spec, level=4, backend="c")
         for nt in (2, 4):
@@ -489,96 +487,52 @@ class TestBuild:
         # the weight gradient sums over the hoisted batch letter
         assert re.search(r"for \(long long _n = _lo__n;.*\n\s*_latte_gemm_rm\(",
                          body)
-        assert ", 1, _omp);" in body  # accumulating into grad_weights
-        cnet.close()
-
-    def test_one_image_tiles_parallelise_the_loop_that_iterates(
-            self, build):
-        """At batch 1 on two threads — the one configuration whose
-        kernels carry parallel regions — the batch loop has one trip:
-        the pragma goes on the next loop in, or ``_omp > 1`` would run
-        the nest on one thread."""
-        cnet = _compile_c(dataclasses.replace(ZOO["conv_pool_fc"], batch=1),
-                          num_threads=2)
-        assert cnet.compiled.c_omp == 2
-        (step,) = [s for s in cnet.compiled.forward
-                   if s.label == "L0_conv.copy"]
-        src = cnet.compiled.c_exec_source
-        lines = src[src.index(f"void {step.name}("):].splitlines()
-        at = next(i for i, ln in enumerate(lines)
-                  if "for (long long L0_conv_c0w0 = 0LL;" in ln)
-        assert "#pragma omp" in lines[at - 1]
-        assert "for (long long _n = 0LL; _n < 1LL;" in lines[at - 2]
-        cnet.close()
-
-    def test_window_loops_are_never_parallelised(self, build):
-        """Batch 1 and one input channel leave a scatter's window loop
-        outermost: ``y + w`` lets two of its iterations meet on one
-        gradient element, so it gets no pragma (a race under
-        ``_omp > 1``: cold and thawed runs differed in the last bit)."""
-        spec = _spec(113, 1, (1, 11, 11), 2, [
-            {"kind": "conv", "filters": 1, "kernel": 5, "stride": 1,
-             "pad": 0}])
-        seed_all(spec.seed)
-        cnet = compile_net(build_net(spec), CompilerOptions(backend="c"),
-                           num_threads=4)
-        assert cnet.compiled.c_omp == 4  # regions are printed here
-        src = cnet.compiled.c_exec_source
-        (step,) = [s for s in cnet.compiled.backward
-                   if s.label == "L0_conv.scatter"]
-        body = src[src.index(f"void {step.name}("):]
-        body = body[:body.index("\n}\n")]
-        assert "for (long long L0_conv_c0w1" in body
-        assert "#pragma omp" not in body
+        assert ", 1);" in body  # accumulating into grad_weights
         cnet.close()
 
     def test_parallel_regions_only_where_they_run(self, build):
-        """Kernels are printed with parallel regions only when the
-        executor leaves the threading to them: never on one thread, never
-        under executor shards, and at batch 1 on two threads."""
-        for batch, threads, omp in ((4, 1, 1), (4, 2, 1), (1, 2, 2)):
+        """The executor's batch shards are the only parallelism: no
+        kernel and no runtime text opens a parallel region, sharded,
+        on one thread, or at batch 1 on two threads."""
+        for batch, threads in ((4, 1), (4, 2), (1, 2)):
             cnet = _compile_c(dataclasses.replace(ZOO["conv_pool_fc"],
                                                   batch=batch),
                               num_threads=threads)
-            rec = cnet.compile_report["codegen-c"].rewrites
-            src = cnet.compiled.c_exec_source
-            regions = src.count("#pragma omp parallel for")
-            assert (cnet.compiled.c_omp, rec["omp_threads"]) == (omp, omp)
-            # the runtime's portable GEMM threads at run time: one region
-            assert rec["parallel_regions"] == regions - 1
-            if omp == 1:
-                assert regions == 1
-                assert "serial kernels (executor shards / one thread)" \
-                    in cnet.summary()
-            else:
-                assert regions > 1
-                assert f"{regions - 1} parallel regions at 2 threads" \
-                    in cnet.summary()
+            assert "#pragma omp parallel" not in cnet.compiled.c_exec_source
             cnet.close()
 
-    def test_regions_at_one_thread_compute_the_region_free_bits(
-            self, build, monkeypatch):
-        """At ``_omp == 1`` a region's ``if (_omp > 1)`` clause is false
-        and it runs serially, in order, on the calling thread: printing
-        it or not cannot change one bit of a training step."""
-        spec = ZOO["conv_pool_fc"]
-        plain = run_spec(spec, level=4, backend="c")
-        with monkeypatch.context() as patch:
-            patch.setattr(c_backend, "omp_threads_for", lambda *a: 2)
-            cnet = _compile_c(spec)
-        compiled = cnet.compiled
-        assert cnet.compile_report["codegen-c"].rewrites[
-            "parallel_regions"] > 0
-        compiled.c_omp = 1
-        c_backend.bind_steps(
-            compiled,
-            c_backend.compile_shared_object(compiled.c_exec_source),
-            spec.batch, 1)
-        mismatches = []
-        _compare_bitwise("regions", run_compiled(cnet, spec), plain,
-                         mismatches)
-        assert not mismatches, "\n".join(str(m) for m in mismatches)
-        cnet.close()
+    @pytest.mark.parametrize("name", ["vgg", "alexnet"])
+    def test_one_image_on_two_threads_is_the_serial_program(
+            self, build, tmp_path, name):
+        """At batch 1 the executor has nothing to shard, so two threads
+        run the one-thread kernels: loss, output, data gradient and
+        parameter gradients are bitwise those of one thread, cold and
+        thawed from the compile cache."""
+        from repro.cache import CompileCache, compile_cached
+        from repro.models import build_latte
+        from repro.testing.digest import ledger_model
+
+        model, _ = ledger_model(name)
+        store = CompileCache(tmp_path / "cache")
+        runs = {}
+        for threads in (1, 2):
+            for warm in (False, True):
+                seed_all(1)
+                net = build_latte(model, 1).net
+                cnet = compile_cached(model, 1, net=net,
+                                      options=CompilerOptions(backend="c"),
+                                      num_threads=threads, cache=store)
+                assert cnet.compile_report.cache_hit == warm
+                assert cnet.num_shards == 1
+                runs[threads, warm] = _train_step(cnet)
+                cnet.close()
+        want_loss, want = runs[1, False]
+        for (threads, warm), (loss, got) in runs.items():
+            assert loss == want_loss, (threads, warm)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(
+                    got[key], want[key], err_msg=f"{key} {threads} {warm}")
 
     def test_kernels_never_allocate(self, build):
         """Every GEMM of the zoo and of a Fig-14 vgg is one sgemm call

@@ -5,7 +5,7 @@ exercises the generator/oracle/shrinker stack deterministically:
 
 * a seeded corpus of random networks, each run through the full oracle
   (opt levels vs O0, thread counts vs serial, finite-difference
-  gradients, baseline parity, compiled C/OpenMP backend parity when a
+  gradients, baseline parity, compiled C backend parity when a
   toolchain is present);
 * generator invariants: determinism, JSON round-trips, validity over a
   wide seed range, family coverage;
@@ -222,6 +222,26 @@ class TestOracleReporting:
         assert {"level:1", "level:3", "threads:2", "gradcheck",
                 "inference"} <= names
 
+    def test_one_shard_is_compared_bitwise(self):
+        """A threaded run the executor split into one shard is the
+        serial program: a last-ulp difference the thread tiers accept
+        is a mismatch there."""
+        from repro.testing.oracle import (
+            TOLERANCES,
+            RunResult,
+            _compare_threaded,
+        )
+
+        out = np.ones(3, np.float32)
+        serial = RunResult(1.0, out, out, {})
+        nudged = np.nextafter(out, np.float32(2))
+        for shards, caught in ((1, True), (2, False)):
+            found = []
+            _compare_threaded("threads:2",
+                              RunResult(1.0, nudged, out, {}, shards=shards),
+                              serial, found, TOLERANCES["float32"])
+            assert bool(found) == caught, (shards, found)
+
     def test_cbackend_checks_run_when_toolchain_present(self):
         # the corpus run above must actually pin the C backend wherever
         # a toolchain exists — guard against the auto-detection silently
@@ -229,7 +249,7 @@ class TestOracleReporting:
         from repro.codegen.c_backend import have_c_toolchain
 
         # batch 1: ``cbackend-threads:2`` cannot shard, so it runs the
-        # kernels compiled with parallel regions (the corpus's other
+        # serial program and is compared bitwise (the corpus's other
         # batches run it on executor shards)
         spec = dataclasses.replace(random_spec(0, families=("mlp",)),
                                    batch=1)

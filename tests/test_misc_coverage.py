@@ -25,11 +25,11 @@ from tests.conftest import run_backward_seeded
 B = 2
 
 
-def _net_with(layer_builder, n_inputs=1, dim=5):
+def _net_with(layer_builder, n_inputs=1, dim=5, keep_alive=()):
     net = Net(B)
     srcs = [MemoryDataLayer(net, f"d{i}", (dim,)) for i in range(n_inputs)]
     ens = layer_builder(net, srcs)
-    return net.init(), srcs, ens
+    return net.init(keep_alive=keep_alive), srcs, ens
 
 
 class TestMathNeurons:
@@ -60,7 +60,8 @@ class TestMathNeurons:
     def test_standalone_sigmoid_and_tanh_not_inplace(self):
         cn, *_ = _net_with(
             lambda net, s: TanhEnsemble("t", net,
-                                        SigmoidEnsemble("s", net, s[0]))
+                                        SigmoidEnsemble("s", net, s[0])),
+            keep_alive=["s"],
         )
         x = np.random.default_rng(1).standard_normal((B, 5)).astype(
             np.float32

@@ -251,9 +251,8 @@ def test_sync_reduce_is_bitwise_across_transports(n_workers, backend):
     the same numbers, per-epoch losses and final parameters — on 13
     micro-batches, so 2 and 4 workers end on a short round — and one
     worker on either gives the serial loop's. On the C backend the
-    parent runs a step before its workers fork: its kernels were
-    printed without parallel regions, so the child inherits no OpenMP
-    state."""
+    parent runs a step before its workers fork: the children inherit a
+    loaded native program and run it as the parent does."""
     data, labels = _task(13 * BATCH + 3)
     runs = {t: _sync_run(t, n_workers, data, labels, backend=backend,
                          parent_step=backend == "c")

@@ -28,7 +28,8 @@ class TestAccumulator:
         h = Ensemble(net, "h", AddNeuron, (3,))
         net.add_connections(x, h, one_to_one(1))
         net.add_connections(h, h, one_to_one(1), recurrent=True)
-        return net.init(CompilerOptions.level(lvl))
+        # every test reads h, which has a consumer (itself)
+        return net.init(CompilerOptions.level(lvl), keep_alive=["h"])
 
     @pytest.mark.parametrize("lvl", [0, 4])
     def test_forward_is_prefix_sum(self, lvl):
@@ -67,7 +68,7 @@ class TestAccumulator:
 class TestRecurrentGate:
     """h_t = W_x x_t + W_h h_{t-1} — the minimal gate pattern."""
 
-    def _build(self, lvl=4):
+    def _build(self, lvl=4, keep_alive=()):
         seed_all(11)
         net = Net(B, time_steps=T)
         x = MemoryDataLayer(net, "data", (D,))
@@ -78,7 +79,7 @@ class TestRecurrentGate:
         net.add_connections(h, hh, all_to_all((N,)), recurrent=True)
         fc = FullyConnectedLayer("fc", net, h, 3)
         SoftmaxLossLayer("loss", net, fc, label)
-        return net.init(CompilerOptions.level(lvl))
+        return net.init(CompilerOptions.level(lvl), keep_alive=keep_alive)
 
     def _io(self):
         rng = np.random.default_rng(2)
@@ -87,7 +88,7 @@ class TestRecurrentGate:
         return xs, ys
 
     def test_forward_matches_manual_unroll(self):
-        cn = self._build()
+        cn = self._build(keep_alive=["h"])
         xs, ys = self._io()
         cn.forward(data=xs, label=ys)
         Wx, bx = cn.buffers["hx_weights"], cn.buffers["hx_bias"]
@@ -133,7 +134,7 @@ class TestRecurrentGate:
 
 
 class TestRNNBlocks:
-    def _build(self, block_fn, lvl=4):
+    def _build(self, block_fn, lvl=4, keep_alive=()):
         seed_all(11)
         net = Net(B, time_steps=T)
         x = MemoryDataLayer(net, "data", (D,))
@@ -141,7 +142,7 @@ class TestRNNBlocks:
         blk = block_fn("rnn", net, x, N)
         fc = FullyConnectedLayer("fc", net, blk.h, 3)
         SoftmaxLossLayer("loss", net, fc, label)
-        return net.init(CompilerOptions.level(lvl))
+        return net.init(CompilerOptions.level(lvl), keep_alive=keep_alive)
 
     def _io(self):
         rng = np.random.default_rng(2)
@@ -172,9 +173,9 @@ class TestRNNBlocks:
                              ids=["lstm", "gru"])
     def test_gates_bounded(self, block_fn):
         xs, ys = self._io()
-        cn = self._build(block_fn)
-        cn.forward(data=xs, label=ys)
         gate = "rnn_i" if block_fn is LSTMLayer else "rnn_z"
+        cn = self._build(block_fn, keep_alive=[gate])
+        cn.forward(data=xs, label=ys)
         vals = cn.value(gate)
         assert (vals >= 0).all() and (vals <= 1).all()
 

@@ -4,7 +4,7 @@ Every ``tests/regressions/repro_*.json`` (written by
 ``repro.testing.minimize.save_reproducer``, usually via the fuzz CLI) is
 re-checked here with the full oracle: once a bug is shrunk and committed
 it can never silently regress. See ``tests/regressions/README.md``.
-The pinned corpus is also replayed through the compiled C/OpenMP
+The pinned corpus is also replayed through the compiled C
 backend: schedules that once broke an optimizer pass are exactly the
 ones most likely to stress the native lowering.
 """
