@@ -127,7 +127,7 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
             report.cache_key = key
             report.cache_created = meta.get("created")
             report.compile_seconds = dt
-            report.add(PassRecord(
+            report.records.append(PassRecord(
                 "cache_thaw", True, dt, 0, 0,
                 {"passes_skipped": len(report.records)},
             ))

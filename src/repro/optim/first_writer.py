@@ -22,7 +22,7 @@ interfaces) cannot match the synthesized code.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.ir import Const, Gemm, Index, SliceExpr
 from repro.synthesis.access import unit_rw
@@ -51,9 +51,11 @@ def _covers_buffer(ref: Index, plan) -> bool:
     return True
 
 
-def run(sections: List[Section], plan) -> None:
-    """Apply first-writer forwarding to one direction's sections."""
+def run(sections: List[Section], plan) -> Dict[str, int]:
+    """Apply first-writer forwarding to one direction's sections;
+    returns the fills dropped and the GEMMs turned into stores."""
     touched = set()
+    dropped = forwarded = 0
     for sec in sections:
         new_units: List[LoopUnit] = []
         i = 0
@@ -77,6 +79,8 @@ def run(sections: List[Section], plan) -> None:
                 ):
                     gemm.accumulate = False
                     touched.add(tgt)
+                    dropped += 1
+                    forwarded += 1
                     i += 1  # skip the fill; the gemm is appended below
                     continue
             if isinstance(unit.stmt, Gemm) and unit.stmt.accumulate:
@@ -91,6 +95,7 @@ def run(sections: List[Section], plan) -> None:
                     and _covers_buffer(gemm.c, plan)
                 ):
                     gemm.accumulate = False
+                    forwarded += 1
                     resolved_spec = plan.buffers.get(tgt)
                     if resolved_spec is not None and resolved_spec.role in (
                         "grad",
@@ -101,3 +106,4 @@ def run(sections: List[Section], plan) -> None:
             new_units.append(unit)
             i += 1
         sec.units = new_units
+    return {"fills_dropped": dropped, "gemm_stores_forwarded": forwarded}

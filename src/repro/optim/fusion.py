@@ -42,6 +42,7 @@ barriers (§5.5).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Set
 
 from repro.ir import Const, ExternOp, Index, Var, free_vars, walk_exprs
@@ -58,8 +59,11 @@ from repro.optim.tiling import at_batch_rows, is_tiled
 # ---------------------------------------------------------------------------
 
 
-def inline_copies(fwd: List[Section], bwd: List[Section], plan) -> None:
-    """Fold eligible gather/scatter copies into their consumers."""
+def inline_copies(fwd: List[Section], bwd: List[Section],
+                  plan) -> Dict[str, int]:
+    """Fold eligible gather/scatter copies into their consumers; returns
+    how many were folded."""
+    inlined = 0
     by_name_f = {s.ensemble: s for s in fwd}
     by_name_b = {s.ensemble: s for s in bwd}
     for (ens_name, j), cplan in list(plan.conn_plans.items()):
@@ -95,6 +99,8 @@ def inline_copies(fwd: List[Section], bwd: List[Section], plan) -> None:
         plan.buffers.pop(cplan.in_buf, None)
         plan.buffers.pop(cplan.grad_in_buf, None)
         cplan.mode = "inlined"
+        inlined += 1
+    return {"copies_inlined": inlined}
 
 
 def _inline_probe(computes, cplan) -> Optional[Union[str, bool]]:
@@ -322,10 +328,12 @@ def build_schedule(sections: List[Section], plan, fuse: bool,
     return items
 
 
-def contract(plan, fwd_items, bwd_items, keep: Dict[str, str]) -> int:
+def contract(plan, fwd_items, bwd_items,
+             keep: Dict[str, str]) -> Dict[str, int]:
     """Shrink to one tile every staging, value or padded buffer that
-    lives inside one tiled group; returns the bytes no longer
-    allocated.
+    lives inside one tiled group; returns the fusion pass's counters:
+    the groups of the schedule, the buffers contracted by role, and the
+    bytes no longer allocated.
 
     A buffer whose every access in the program is in a single group —
     defined there before it is read, row by row of the batch — holds
@@ -353,6 +361,7 @@ def contract(plan, fwd_items, bwd_items, keep: Dict[str, str]) -> int:
         if spec.alias_of is not None:
             aliases.setdefault(plan.resolve_alias(spec.name), []).append(spec)
     saved = 0
+    roles: Counter = Counter()
     for base, iv in view.intervals.items():
         spec = plan.buffers[base]
         if (spec.role not in CONTRACTIBLE or not spec.batched
@@ -383,8 +392,17 @@ def contract(plan, fwd_items, bwd_items, keep: Dict[str, str]) -> int:
                 unit.stmt = respelled(unit.stmt, names)
         group.contracted += (base,)
         plan.contracted[base] = group.label
+        roles[spec.role] += 1
         saved += whole - buffer_nbytes(plan, spec)
-    return saved
+    fused = [item for item in items if len(item.units) > 1]
+    return {"fused_groups": len(fused),
+            "fused_units": sum(len(g.units) for g in fused),
+            "chains_joined": sum(len({u.tags.chain for u in g.units}) - 1
+                                 for g in fused),
+            "staging_contracted": roles["input"] + roles["grad_input"],
+            "values_contracted": roles["value"],
+            "padded_contracted": roles["padded"],
+            "bytes_contracted": saved}
 
 
 def _label(unit: LoopUnit) -> str:

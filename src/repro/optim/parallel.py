@@ -26,7 +26,7 @@ serial.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.ir import (
     Assign,
@@ -40,18 +40,16 @@ from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, ShardInfo
 
 
-def run(items, plan, num_threads: int = 1) -> None:
+def run(items, plan, num_threads: int = 1) -> Dict[str, int]:
     """Mark the batch-shardable groups of a schedule (see module
-    docstring) for an executor running ``num_threads`` threads."""
-    if num_threads <= 1 or plan.batch_size <= 1:
-        return
-    for item in items:
-        item.shard = _mark_group(item, plan)
-
-
-def count_sharded(items) -> int:
-    """Number of schedule items marked batch-shardable."""
-    return sum(1 for it in items if it.shard is not None)
+    docstring) for an executor running ``num_threads`` threads;
+    returns how many were marked."""
+    marked = 0
+    if num_threads > 1 and plan.batch_size > 1:
+        for item in items:
+            item.shard = _mark_group(item, plan)
+            marked += item.shard is not None
+    return {"steps_sharded": marked}
 
 
 def _index_vars(expr) -> set:

@@ -23,7 +23,7 @@ n_inputs, ...)`` call of §5.4.1 over the same data.
 from __future__ import annotations
 
 import string
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.ir import Assign, BinOp, Const, Gemm, Index, SliceExpr, Var
 from repro.synthesis.units import LoopUnit, Section
@@ -132,10 +132,15 @@ def match_gemm(unit: LoopUnit) -> Optional[LoopUnit]:
     return LoopUnit([], gemm, unit.tags)
 
 
-def run(sections: List[Section]) -> None:
-    """Apply GEMM pattern matching to every unit of every section."""
+def run(sections: List[Section]) -> Dict[str, int]:
+    """Apply GEMM pattern matching to every unit of every section;
+    returns how many units became GEMMs."""
+    matched = 0
     for sec in sections:
-        sec.units = [
-            (match_gemm(u) or u) if isinstance(u.stmt, Assign) else u
-            for u in sec.units
-        ]
+        units = []
+        for u in sec.units:
+            gemm = match_gemm(u) if isinstance(u.stmt, Assign) else None
+            matched += gemm is not None
+            units.append(gemm or u)
+        sec.units = units
+    return {"gemms_matched": matched}

@@ -1,15 +1,21 @@
-"""Compiler driver: options, pass ordering, and ``compile_net``.
+"""Compiler driver: options, the pass table, and ``compile_net``.
 
 The paper's compiler has four phases — analysis, synthesis, optimization,
-code generation (§5). This module wires them together:
+code generation (§5). :data:`PASSES` lists them in the order they run:
 
 1. buffer planning + shared-variable analysis (`repro.synthesis.plan`)
 2. synthesis of loop units (`repro.synthesis.lower`)
 3. optimization passes, each turned on at its rung of the opt level
    ladder (:data:`PASS_LEVELS`): copy inlining, GEMM pattern matching,
-   tiling, cross-layer fusion, parallel shard marking, arena planning
+   store forwarding, backward re-gathers, tiling, cross-layer fusion,
+   parallel shard marking, inference pruning, reduced precision, arena
+   planning
 4. code generation (`repro.codegen.python_backend`; with
    ``backend='c'`` the native program from `repro.codegen.c_backend`)
+
+Every pass takes the one :class:`CompileState`, rewrites it in place and
+returns its counters; ``compile_net`` runs the table in one loop, which
+times each pass, opens its tracer span and records it.
 
 ``CompilerOptions.opt_level`` is the one pass switch; the ladder is the
 ablation the Fig. 13 microbenchmark decomposes: O0 scalar oracle → O1
@@ -21,26 +27,16 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional
 
 from repro.codegen import c_backend, python_backend
-from repro.ir import Gemm
 from repro.optim import first_writer, fusion, parallel, pattern_match, tiling
 from repro.synthesis import liveness
 from repro.synthesis.lower import synthesize
 from repro.synthesis.plan import plan_buffers
 from repro.trace import NULL_TRACER
-from repro.trace.compile_report import (
-    CompileReport,
-    PassRecord,
-    count_gemms,
-    count_inlined,
-    count_kind,
-    count_schedule,
-    count_tiled,
-    count_units,
-)
+from repro.trace.compile_report import CompileReport, PassRecord
 
 
 #: The optimization ladder (§5, the Fig. 13 breakdown): the opt level
@@ -156,16 +152,6 @@ class CompilerOptions:
         return cls(opt_level=n, mode="inference", precision=precision)
 
 
-def _count_gemm_stores(sections) -> int:
-    """Non-accumulating GEMMs (first-writer's store-forwarding result)."""
-    return sum(
-        1
-        for sec in sections
-        for u in sec.units
-        if isinstance(u.stmt, Gemm) and not u.stmt.accumulate
-    )
-
-
 def resolve_num_threads(num_threads=None) -> int:
     """Executor thread count: explicit argument, else the
     ``REPRO_NUM_THREADS`` environment variable, else 1 (serial)."""
@@ -173,6 +159,188 @@ def resolve_num_threads(num_threads=None) -> int:
         env = os.environ.get("REPRO_NUM_THREADS", "").strip()
         num_threads = int(env) if env else 1
     return max(1, int(num_threads))
+
+
+@dataclass
+class CompileState:
+    """What one compile's phases and passes read, and rewrite in place."""
+
+    net: object
+    options: CompilerOptions
+    keep_alive: object
+    num_threads: int
+    calibration: object
+    #: the buffer table and the synthesized sections (``plan+synthesize``)
+    plan: object = None
+    program: object = None
+    #: value/grad bases kept individually allocated, by why
+    #: (:func:`~repro.synthesis.liveness.kept_buffers`)
+    keep: Dict[str, str] = field(default_factory=dict)
+    #: the forward staging copies ``regather`` re-gathered in backward,
+    #: and those it declined, for the memory plan's report
+    regathered: dict = field(default_factory=dict)
+    declined: dict = field(default_factory=dict)
+    #: the schedule (``fusion``) and the generated program (``codegen``)
+    fwd: Optional[list] = None
+    bwd: Optional[list] = None
+    compiled: object = None
+    #: the running pass's environment facts (``PassRecord.env``)
+    env: dict = field(default_factory=dict)
+
+    @property
+    def inference(self) -> bool:
+        return self.options.mode == "inference"
+
+    def units(self) -> int:
+        """Loop units of the sections until fusion builds the schedule,
+        its steps after."""
+        if self.fwd is None:
+            return sum(len(sec.units) for sec in
+                       self.program.forward + self.program.backward)
+        return len(self.fwd) + len(self.bwd)
+
+
+def _each(run: Callable, fwd, bwd, *args) -> Dict[str, int]:
+    """Run a one-phase pass over the forward, then the backward program;
+    its counters summed."""
+    a, b = run(fwd, *args), run(bwd, *args)
+    return {k: a[k] + b[k] for k in a}
+
+
+def _plan_synthesize(s: CompileState) -> None:
+    s.plan = plan_buffers(s.net, s.options)
+    s.program = synthesize(s.net, s.plan, s.options)
+    s.keep = liveness.kept_buffers(s.net, s.plan, s.keep_alive)
+
+
+def _copy_inline(s: CompileState):
+    return fusion.inline_copies(s.program.forward, s.program.backward,
+                                s.plan)
+
+
+def _pattern_match(s: CompileState):
+    return _each(pattern_match.run, s.program.forward, s.program.backward)
+
+
+def _first_writer(s: CompileState):
+    return _each(first_writer.run, s.program.forward, s.program.backward,
+                 s.plan)
+
+
+def _regather(s: CompileState):
+    # staging copies read again in backward are re-gathered there (and
+    # re-padded first, if they gather from a padded buffer): units
+    # cloned ahead of tiling, so that fusion sees both gathers inside
+    # their layers and can contract what they stage
+    s.regathered, s.declined = liveness.regather_staging(
+        s.plan, s.program.forward, s.program.backward, s.keep)
+    return {"copies_regathered": len(s.regathered),
+            "pads_regathered": sum(
+                1 for r in s.regathered.values() if r.padded),
+            "copies_declined": len(s.declined)}
+
+
+def _tiling(s: CompileState):
+    return _each(tiling.run, s.program.forward, s.program.backward, s.plan)
+
+
+def _fusion(s: CompileState):
+    # values kept inspectable stay whole — and under int8 every
+    # activation does: the precision pass fake-quantizes whole values
+    # and padded copies of them between steps
+    keep = s.keep
+    if s.options.precision == "int8":
+        keep = {**{name: "int8" for name, spec in s.plan.buffers.items()
+                   if spec.role in ("value", "padded")}, **keep}
+    fuse = s.options.runs("fusion")
+    s.fwd = fusion.build_schedule(s.program.forward, s.plan, fuse, keep,
+                                  later=s.program.backward)
+    s.bwd = fusion.build_schedule(s.program.backward, s.plan, fuse, keep)
+    return fusion.contract(s.plan, s.fwd, s.bwd, keep)
+
+
+def _parallel(s: CompileState):
+    return _each(parallel.run, s.fwd, s.bwd, s.plan, s.num_threads)
+
+
+def _prune_buffers(s: CompileState):
+    # with the backward program empty, the gradient/staging half of the
+    # buffer table is unreferenced — drop it before the planner runs so
+    # naive/planned accounting and the arena itself reflect the
+    # forward-only footprint
+    return liveness.prune_unused_buffers(s.plan, s.fwd, s.bwd)
+
+
+def _precision(s: CompileState):
+    # retype inference buffers to fp16, or insert int8 fake-quant steps
+    # with scales/zero points from the calibration ranges — before the
+    # memory planner, so slab sizes and live intervals see the final
+    # dtypes and schedule
+    from repro.quant.precision import apply_precision
+
+    return apply_precision(s.plan, s.fwd, s.program.closures,
+                           s.options.precision, s.calibration)
+
+
+def _memory_plan(s: CompileState):
+    # runs last so intervals see the final schedule (fusion order,
+    # contracted shapes, parallel privatization marks). The backward
+    # list is first re-scheduled to shrink live intervals (hoist last
+    # readers above buffer births) — dependency-exact, so outputs are
+    # unchanged bitwise.
+    moved = liveness.reorder_backward(s.plan, s.bwd)
+    mem = s.plan.memory = liveness.plan_memory(s.plan, s.fwd, s.bwd, s.keep)
+    mem.rematerialized, mem.declined = s.regathered, s.declined
+    return dict(mem.stats(), steps_moved=moved)
+
+
+def _codegen(s: CompileState) -> None:
+    s.compiled = python_backend.compile_items(
+        s.fwd, s.bwd, s.program.closures, s.options.runs("vectorize"), s.plan)
+
+
+def _codegen_c(s: CompileState):
+    # lower lowerable steps to C, build one shared object, and swap the
+    # native kernels in (extern steps keep their Python fns)
+    return c_backend.attach_native(s.compiled, s.plan, s.net.time_steps,
+                                   s.env)
+
+
+def _rung(name: str) -> Callable[[CompileState], bool]:
+    return lambda s: s.options.runs(name)
+
+
+#: The compile, in the order it runs: ``(name, gate, run)``. A row with
+#: a gate is a pass: ``gate(state)`` says whether it is on — ``None``
+#: leaves it out of this compile's records — and ``run(state)`` rewrites
+#: the state and returns the pass's counters. A row without a gate is a
+#: phase, which always runs and records nothing. Each row that runs
+#: gets its ``compile`` tracer span. A new pass is one row here plus
+#: its rung in :data:`PASS_LEVELS`.
+PASSES = (
+    ("plan+synthesize", None, _plan_synthesize),
+    ("copy_inline", _rung("copy_inline"), _copy_inline),
+    ("pattern_match", _rung("pattern_match"), _pattern_match),
+    # first-writer forwarding assumes each buffer is produced once per
+    # pass; time-unrolled nets re-execute the program per step and carry
+    # recurrent scatters across iterations
+    ("first_writer",
+     lambda s: s.options.runs("first_writer") and s.net.time_steps == 1,
+     _first_writer),
+    ("regather", lambda s: s.options.runs("regather") and not s.inference,
+     _regather),
+    ("tiling", _rung("tiling"), _tiling),
+    # the schedule is always built; cross-layer merging inside it is
+    # what the fusion rung gates
+    ("fusion", _rung("fusion"), _fusion),
+    ("parallel", _rung("parallel"), _parallel),
+    ("prune_buffers", lambda s: s.inference, _prune_buffers),
+    ("precision", lambda s: s.options.precision != "fp32" or None,
+     _precision),
+    ("memory_plan", _rung("memory_plan"), _memory_plan),
+    ("codegen", None, _codegen),
+    ("codegen-c", lambda s: s.options.backend == "c" or None, _codegen_c),
+)
 
 
 def compile_net(net, options: CompilerOptions | None = None, tracer=None,
@@ -230,254 +398,36 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
     from repro.runtime.executor import CompiledNet
 
     options = options or CompilerOptions()
-    inference = options.mode == "inference"
     tracer = tracer if tracer is not None else NULL_TRACER
     # the parallel pass owns threading: with it off the program runs on
     # one thread, native kernels included
     num_threads = (resolve_num_threads(num_threads)
                    if options.runs("parallel") else 1)
+    state = CompileState(net, options, keep_alive, num_threads, calibration)
     report = CompileReport()
     t_compile = time.perf_counter()
-
-    def run_pass(name, enabled, fn, rewrites, before=None, after=None):
-        """Run one (possibly disabled) pass under instrumentation.
-
-        ``before``/``after`` are unit-count callables; ``rewrites``
-        computes the pass's counter dict from its observed effects.
-        """
-        sections = (program.forward, program.backward)
-        n_before = (before or (lambda: sum(map(count_units, sections))))()
-        t0 = time.perf_counter()
-        result = None
-        if enabled:
+    for name, gate, run in PASSES:
+        if gate is None:
             with tracer.span(name, "compile"):
-                result = fn()
-        dt = time.perf_counter() - t0
-        n_after = (after or (lambda: sum(map(count_units, sections))))()
-        report.add(PassRecord(
-            name, enabled, dt if enabled else 0.0, n_before, n_after,
-            rewrites() if enabled else {},
-        ))
-        return result
-
-    with tracer.span("plan+synthesize", "compile"):
-        plan = plan_buffers(net, options)
-        program = synthesize(net, plan, options)
-
-    run_pass(
-        "copy_inline",
-        options.runs("copy_inline"),
-        lambda: fusion.inline_copies(program.forward, program.backward, plan),
-        lambda: {"copies_inlined": count_inlined(plan)},
-    )
-
-    gemms_before = count_gemms(program.forward) + count_gemms(program.backward)
-    run_pass(
-        "pattern_match",
-        options.runs("pattern_match"),
-        lambda: (pattern_match.run(program.forward),
-                 pattern_match.run(program.backward)),
-        lambda: {"gemms_matched":
-                 count_gemms(program.forward)
-                 + count_gemms(program.backward) - gemms_before},
-    )
-
-    # first-writer forwarding assumes each buffer is produced once per
-    # pass; time-unrolled nets re-execute the program per step and carry
-    # recurrent scatters across iterations
-    fw_enabled = options.runs("first_writer") and net.time_steps == 1
-    fills_before = (count_kind(program.forward, "fill")
-                    + count_kind(program.backward, "fill"))
-    stores_before = (_count_gemm_stores(program.forward)
-                     + _count_gemm_stores(program.backward))
-    run_pass(
-        "first_writer",
-        fw_enabled,
-        lambda: (first_writer.run(program.forward, plan),
-                 first_writer.run(program.backward, plan)),
-        lambda: {
-            "fills_dropped": fills_before
-            - count_kind(program.forward, "fill")
-            - count_kind(program.backward, "fill"),
-            "gemm_stores_forwarded": _count_gemm_stores(program.forward)
-            + _count_gemm_stores(program.backward) - stores_before,
-        },
-    )
-
-    # staging copies read again in backward are re-gathered there (and
-    # re-padded first, if they gather from a padded buffer): units
-    # cloned ahead of tiling, so that fusion sees both gathers inside
-    # their layers and can contract what they stage
-    staging = {"regathered": {}, "declined": {}}
-
-    def regather():
-        staging["regathered"], staging["declined"] = (
-            liveness.regather_staging(
-                plan, program.forward, program.backward,
-                liveness.kept_buffers(net, plan, keep_alive)))
-
-    run_pass(
-        "regather",
-        options.runs("regather") and not inference,
-        regather,
-        lambda: {"copies_regathered": len(staging["regathered"]),
-                 "pads_regathered": sum(
-                     1 for r in staging["regathered"].values() if r.padded),
-                 "copies_declined": len(staging["declined"])},
-    )
-
-    run_pass(
-        "tiling",
-        options.runs("tiling"),
-        lambda: (tiling.run(program.forward, plan),
-                 tiling.run(program.backward, plan)),
-        lambda: {"units_tiled": count_tiled(program.forward)
-                 + count_tiled(program.backward)},
-    )
-
-    # the schedule is always built; cross-layer merging inside it is what
-    # the fusion rung gates, so the pass record reflects the merge effect
-    fuse = options.runs("fusion")
-    schedule = {}
-
-    def build():
-        # values kept inspectable stay whole — and under int8 every
-        # activation does: the precision pass fake-quantizes whole values
-        # and padded copies of them between steps
-        keep = liveness.kept_buffers(net, plan, keep_alive)
-        if options.precision == "int8":
-            keep = {**{name: "int8" for name, spec in plan.buffers.items()
-                       if spec.role in ("value", "padded")}, **keep}
-        schedule["fwd"] = fusion.build_schedule(
-            program.forward, plan, fuse, keep, later=program.backward)
-        schedule["bwd"] = fusion.build_schedule(
-            program.backward, plan, fuse, keep)
-        schedule["bytes_contracted"] = fusion.contract(
-            plan, schedule["fwd"], schedule["bwd"], keep)
-
-    units_total = count_units(program.forward) + count_units(program.backward)
-    t0 = time.perf_counter()
-    with tracer.span("fusion", "compile"):
-        build()
-    dt = time.perf_counter() - t0
-    roles = Counter(plan.buffers[b].role for b in plan.contracted)
-    counts = {
-        k: count_schedule(schedule["fwd"])[k]
-        + count_schedule(schedule["bwd"])[k]
-        for k in ("steps", "fused_groups", "fused_units", "chains_joined")
-    }
-    report.add(PassRecord(
-        "fusion", fuse, dt, units_total, counts["steps"],
-        {"fused_groups": counts["fused_groups"],
-         "fused_units": counts["fused_units"],
-         "chains_joined": counts["chains_joined"],
-         "staging_contracted": roles["input"] + roles["grad_input"],
-         "values_contracted": roles["value"],
-         "padded_contracted": roles["padded"],
-         "bytes_contracted": schedule["bytes_contracted"]}
-        if fuse else {},
-    ))
-    fwd_items, bwd_items = schedule["fwd"], schedule["bwd"]
-
-    run_pass(
-        "parallel",
-        options.runs("parallel"),
-        lambda: (parallel.run(fwd_items, plan, num_threads),
-                 parallel.run(bwd_items, plan, num_threads)),
-        lambda: {"steps_sharded": parallel.count_sharded(fwd_items)
-                 + parallel.count_sharded(bwd_items)},
-        before=lambda: counts["steps"],
-        after=lambda: counts["steps"],
-    )
-
-    # inference compilation: with the backward program empty, the
-    # gradient/staging half of the buffer table is unreferenced — drop
-    # it before the planner runs so naive/planned accounting and the
-    # arena itself reflect the forward-only footprint
-    prune_stats: dict = {}
-    run_pass(
-        "prune_buffers",
-        inference,
-        lambda: prune_stats.update(
-            liveness.prune_unused_buffers(plan, fwd_items, bwd_items)
-        ),
-        lambda: dict(prune_stats),
-        before=lambda: counts["steps"],
-        after=lambda: counts["steps"],
-    )
-
-    # reduced-precision rewrite (repro.quant): retype inference buffers
-    # to fp16, or insert int8 fake-quant steps with scales/zero points
-    # from the calibration ranges — before the memory planner, so slab
-    # sizes and live intervals see the final dtypes and schedule
-    if options.precision != "fp32":
-        from repro.quant.precision import apply_precision
-
-        def precision():
-            n_fwd = len(fwd_items)
-            apply_precision(plan, fwd_items, program.closures,
-                            options.precision, calibration)
-            counts["steps"] += len(fwd_items) - n_fwd
-
-        run_pass(
-            "precision",
-            True,
-            precision,
-            lambda: plan.quant.stats(),
-            before=lambda: counts["steps"],
-            after=lambda: counts["steps"],
-        )
-
-    # whole-program liveness + arena reuse: runs last so intervals see
-    # the final schedule (fusion order, contracted shapes, parallel
-    # privatization marks). The backward list is first re-scheduled to
-    # shrink live intervals (hoist last readers above buffer births) —
-    # dependency-exact, so outputs are unchanged bitwise.
-    reorder_stats = {"steps_moved": 0}
-
-    def plan_mem():
-        reorder_stats["steps_moved"] = liveness.reorder_backward(
-            plan, bwd_items
-        )
-        mem = liveness.plan_memory(
-            net, plan, fwd_items, bwd_items, keep_alive=keep_alive
-        )
-        mem.rematerialized = staging["regathered"]
-        mem.declined = staging["declined"]
-        plan.memory = mem
-
-    run_pass(
-        "memory_plan",
-        options.runs("memory_plan"),
-        plan_mem,
-        lambda: dict(plan.memory.stats(), **reorder_stats),
-        before=lambda: counts["steps"],
-        after=lambda: counts["steps"],
-    )
-
-    with tracer.span("codegen", "compile"):
-        compiled = python_backend.compile_items(
-            fwd_items, bwd_items, program.closures,
-            options.runs("vectorize"), plan
-        )
-    if options.backend == "c":
-        # lower lowerable steps to C, build one shared object, and swap
-        # the native kernels in (extern steps keep their Python fns)
-        build_stats: dict = {}
-        build_env: dict = {}
-        run_pass(
-            "codegen-c",
-            True,
-            lambda: build_stats.update(c_backend.attach_native(
-                compiled, plan, net.time_steps, build_env)),
-            lambda: build_stats,
-            before=lambda: counts["steps"],
-            after=lambda: counts["steps"],
-        )
-        report["codegen-c"].env = build_env
+                run(state)
+            continue
+        on = gate(state)
+        if on is None:
+            continue
+        before, state.env, rewrites = state.units(), {}, {}
+        t0 = time.perf_counter()
+        # a pass that is off does not run, but fusion off still builds
+        # the (unfused) schedule every later pass reads
+        ran = on or name == "fusion"
+        if ran:
+            with tracer.span(name, "compile"):
+                rewrites = run(state)
+        report.records.append(PassRecord(
+            name, on, time.perf_counter() - t0 if ran else 0.0, before,
+            state.units(), rewrites if on else {}, state.env))
     # the end-to-end compile wall time (synthesis + passes + codegen) is
     # what the persistent compile cache's warm boot is measured against
     report.compile_seconds = time.perf_counter() - t_compile
-    return CompiledNet(net, plan, compiled, options, tracer=tracer,
-                       compile_report=report, num_threads=num_threads,
-                       watchdog=watchdog)
+    return CompiledNet(net, state.plan, state.compiled, options,
+                       tracer=tracer, compile_report=report,
+                       num_threads=num_threads, watchdog=watchdog)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import List
+from typing import Dict, List
 
 from repro.ir import (Assign, Const, ExternOp, Gemm, Index, SliceExpr, Var,
                       add, mul, walk_exprs)
@@ -190,7 +190,7 @@ def _consumers(sections: List[Section], at: int, chain: List[LoopUnit],
     return out
 
 
-def run(sections: List[Section], plan) -> None:
+def run(sections: List[Section], plan) -> Dict[str, int]:
     """Batch-tile the chain of every staging buffer too large to stay
     whole: its layer's pad, the units that read or write it, and the
     row-wise units consuming what they wrote (:func:`_consumers`), made
@@ -198,7 +198,8 @@ def run(sections: List[Section], plan) -> None:
     group per layer, or per run of layers whose chains fusion joins. A
     chain that cannot be tiled (its units are not all loop nests over
     one time step's batch) runs whole-batch, with the reason in
-    ``plan.untiled``."""
+    ``plan.untiled``. Returns how many units were tiled."""
+    tiled = 0
     staging = {
         name: spec.itemsize * math.prod(spec.shape)
         for name, spec in plan.buffers.items()
@@ -230,8 +231,10 @@ def run(sections: List[Section], plan) -> None:
                 chain = _pads(sec.units, chain, rw) + chain
                 _adjoin(sec.units, chain, rw)
                 for u in chain + _consumers(sections, at, chain, rw, plan):
-                    tile_unit(u, batch // rows)
+                    if not is_tiled(u):
+                        tiled += is_tiled(tile_unit(u, batch // rows))
                     u.tags.chain = name
+    return {"units_tiled": tiled}
 
 
 def _adjoin(units: List[LoopUnit], chain: List[LoopUnit], rw) -> None:

@@ -149,14 +149,15 @@ def _insert_fake_quant(view, fwd_items, closures, qp: QuantPlan) -> None:
 
 
 def apply_precision(plan, fwd_items, closures, precision: str,
-                    calibration=None) -> QuantPlan:
+                    calibration=None) -> Dict[str, int]:
     """Rewrite the program for reduced-precision inference (see module
     doc).
 
     Mutates buffer dtypes in place (fp16), or decides quantization
     parameters and inserts the fake-quant steps into ``fwd_items`` with
-    their closures registered in ``closures`` (int8); attaches and
-    returns the :class:`QuantPlan`.
+    their closures registered in ``closures`` (int8); attaches the
+    :class:`QuantPlan` as ``plan.quant`` and returns its
+    :meth:`~QuantPlan.stats`.
     """
     # extern closures are compiled against float32 arrays and may read
     # or write their buffers outside the generated-kernel discipline, so
@@ -208,4 +209,4 @@ def apply_precision(plan, fwd_items, closures, precision: str,
         raise ValueError(f"unknown precision {precision!r}")
 
     plan.quant = qp
-    return qp
+    return qp.stats()

@@ -523,7 +523,8 @@ class CompiledNet:
         # buffer it declined to pool (no saving, a recurrent carry) is
         # no more part of the contract than its pooled neighbours
         mem = self.plan.memory
-        if mem is not None and base not in mem.inspectable:
+        if mem is not None and not mem.kept_reasons.get(base, "").startswith(
+                ("contract", "keep_alive")):
             raise KeyError(
                 f"{ens_name!r} is not data, a sink or a loss feeder, so the "
                 f"memory planner may reuse its buffers' storage mid-run. "

@@ -133,12 +133,11 @@ class MemoryPlan:
     #: bytes of non-parameter buffers without pooling / with pooling
     naive_bytes: int = 0
     planned_bytes: int = 0
-    #: why each non-candidate buffer was kept (reporting/tests)
+    #: why each non-candidate buffer was kept. ``value()``/``grad()``
+    #: answer for a buffer kept by the inspection rule
+    #: (:func:`kept_buffers`: ``contract (…)`` or ``keep_alive``),
+    #: whatever else would also keep it
     kept_reasons: Dict[str, str] = field(default_factory=dict)
-    #: base buffers ``value()``/``grad()`` answer for: the contract's
-    #: and ``keep_alive``'s (:func:`kept_buffers`), whatever else the
-    #: planner keeps or pools
-    inspectable: frozenset = frozenset()
     #: forward staging buffer -> its backward re-gather
     #: (:func:`regather_staging`), and the staging buffers still
     #: live across the phase boundary -> why they were declined
@@ -487,28 +486,19 @@ def respelled(stmt, renames: Dict[str, str]):
 # ---------------------------------------------------------------------------
 
 
-def plan_memory(
-    net,
-    plan: BufferPlan,
-    fwd_items,
-    bwd_items,
-    keep_alive: Optional[Iterable[str]] = (),
-) -> MemoryPlan:
+def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
+                keep_bufs: Dict[str, str]) -> MemoryPlan:
     """Compute the arena layout for one compiled schedule.
 
-    ``keep_alive`` lists ensembles whose value/grad buffers must stay
-    individually allocated for post-run inspection, beyond the program
-    contract — data ensembles, network sinks and loss feeders, which
-    are always kept. Every other value and gradient is a pool candidate
-    like any staging buffer; ``keep_alive=list(net.ensembles)`` keeps
-    every ensemble inspectable.
+    ``keep_bufs`` are the value/grad buffers kept individually
+    allocated for post-run inspection (:func:`kept_buffers`): the
+    program contract's — data ensembles, network sinks and loss
+    feeders — and ``keep_alive``'s. Every other value and gradient is a
+    pool candidate like any staging buffer.
     """
     mem = MemoryPlan()
     view = ProgramView(plan, fwd_items, bwd_items)
     intervals = mem.intervals = view.intervals
-
-    keep_bufs = kept_buffers(net, plan, keep_alive)
-    mem.inspectable = frozenset(keep_bufs)
 
     # (a contracted staging buffer's per-shard copies are scratch, not
     # partial sums of it: the buffer itself pools like any other)
@@ -520,6 +510,8 @@ def plan_memory(
 
     def keep_reason(base: str, spec: BufferSpec) -> Optional[str]:
         iv = intervals[base]
+        if base in keep_bufs:  # the inspection rule, ahead of any other
+            return keep_bufs[base]
         if spec.is_param:
             return "parameter"
         if spec.role == "field":
@@ -528,8 +520,6 @@ def plan_memory(
             return "privatized"
         if base in view.recurrent:
             return "recurrent"
-        if base in keep_bufs:
-            return keep_bufs[base]
         if iv.dead:
             return None  # dead buffers pool freely
         if iv.first_kind == "w":

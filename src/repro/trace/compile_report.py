@@ -1,24 +1,19 @@
 """Compiler-pass instrumentation records.
 
-``optim.pipeline.compile_net`` wraps each optimization pass and records
-what it did: wall time, loop-unit counts before/after, and pass-specific
-rewrite counters ("matched 6 GEMMs", "fused 3 tile groups"). The result
-is attached to the compiled network as ``CompiledNet.compile_report`` so
+``optim.pipeline.compile_net`` runs its passes in one loop and records
+what each did: wall time, the units (loop units, or schedule steps once
+fusion has built the schedule) before and after, and the counters the
+pass returns ("matched 6 GEMMs", "fused 3 tile groups"). The result is
+attached to the compiled network as ``CompiledNet.compile_report`` so
 the rewrites that produced the program (``source``, and the native
-program ``c_source``) are inspectable next to it —
-the attribution DeepDSL/LazyTensor argue compiler-based DL stacks need.
-
-Counting helpers here operate on the middle-end's ``Section``/unit lists
-and the final schedule; they are read-only and cheap, so the report is
-built unconditionally (compilation happens once, execution many times).
+program ``c_source``) are inspectable next to it — the attribution
+DeepDSL/LazyTensor argue compiler-based DL stacks need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-from repro.ir import Gemm
 
 
 @dataclass
@@ -53,7 +48,6 @@ class CompileReport:
     """Ordered pass records for one ``compile_net`` invocation."""
 
     records: List[PassRecord] = field(default_factory=list)
-    total_time: float = 0.0
     #: wall-clock seconds of the whole ``compile_net`` call (passes plus
     #: synthesis and codegen), or of the cache thaw that replaced it —
     #: the number cold-vs-warm boot benchmarks compare
@@ -64,11 +58,6 @@ class CompileReport:
     cache_key: Optional[str] = None
     cache_hit: bool = False
     cache_created: Optional[float] = None
-
-    def add(self, record: PassRecord) -> PassRecord:
-        self.records.append(record)
-        self.total_time += record.wall_time
-        return record
 
     def __getitem__(self, name: str) -> PassRecord:
         for r in self.records:
@@ -97,7 +86,7 @@ class CompileReport:
                 f"{r.name:14s} {'yes' if r.enabled else 'no':>3s} "
                 f"{r.wall_time * 1e3:8.2f} {units:>11s}  {r.describe()}"
             )
-        total = f"compile total {self.total_time * 1e3:.2f}ms"
+        total = f"compile total {self.compile_seconds * 1e3:.2f}ms"
         if self.cache_hit:
             total += f" (warm cache hit {self.cache_key[:12]})"
         lines.append(total)
@@ -106,50 +95,3 @@ class CompileReport:
     def __str__(self) -> str:
         return self.table()
 
-
-# ---------------------------------------------------------------------------
-# Counting helpers over sections / schedules
-# ---------------------------------------------------------------------------
-
-
-def count_units(sections) -> int:
-    return sum(len(sec.units) for sec in sections)
-
-
-def count_gemms(sections) -> int:
-    return sum(
-        1 for sec in sections for u in sec.units if isinstance(u.stmt, Gemm)
-    )
-
-
-def count_kind(sections, kind: str) -> int:
-    return sum(
-        1 for sec in sections for u in sec.units if u.tags.kind == kind
-    )
-
-
-def count_tiled(sections) -> int:
-    return sum(
-        1
-        for sec in sections
-        for u in sec.units
-        if u.loops and u.loops[0].role == "tile"
-    )
-
-
-def count_inlined(plan) -> int:
-    return sum(1 for c in plan.conn_plans.values() if c.mode == "inlined")
-
-
-def count_schedule(items) -> Dict[str, int]:
-    """Schedule-level counters: total steps, fused groups, member units,
-    and the batch-tiled chains that joined the group of the chain before
-    them."""
-    fused = fused_units = joined = 0
-    for item in items:
-        if len(item.units) > 1:
-            fused += 1
-            fused_units += len(item.units)
-            joined += len({u.tags.chain for u in item.units}) - 1
-    return {"steps": len(items), "fused_groups": fused,
-            "fused_units": fused_units, "chains_joined": joined}

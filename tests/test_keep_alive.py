@@ -84,3 +84,24 @@ def test_default_and_keep_all_compute_the_same_bits(name):
     assert got.keys() == want.keys()
     for key in want:
         np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_inspection_rule_is_the_recorded_keep_reason():
+    """A buffer ``keep_alive`` names is recorded as kept for it, ahead of
+    any reason of the planner's own: the ledger lstm's recurrent carries
+    read ``keep_alive`` when kept, answer ``value()``/``grad()``, and the
+    default compile still raises on them."""
+    carries = [(e, kind) for e in ("L0_lstm_h", "L0_lstm_c")
+               for kind in ("value", "grad")]
+    kept = _compile("lstm", keep_all=True)
+    reasons = kept.memory_report().kept_reasons
+    for e, kind in carries:
+        assert reasons[f"{e}_{kind}"] == "keep_alive", (e, kind)
+        getattr(kept, kind)(e)  # must not raise
+    default = _compile("lstm")
+    reasons = default.memory_report().kept_reasons
+    for e, kind in carries:
+        assert reasons[f"{e}_{kind}"] == "recurrent", (e, kind)
+        with pytest.raises(KeyError, match="not data, a sink or a loss "
+                           "feeder"):
+            getattr(default, kind)(e)

@@ -21,8 +21,10 @@ from repro.layers import (
 from repro.layers.neurons import AddNeuron
 from repro.models import CONFIGS, build_latte, mlp_config
 from repro.optim import CompilerOptions, compile_net
+from repro.optim.pipeline import PASSES
 from repro.runtime import ClusterSimulator, ComputeProfile, CommPoint
 from repro.runtime.netsim import cori_aries
+from repro.testing.digest import configurations, ledger_net
 from repro.testing.oracle import batch_tiles
 from repro.trace import (
     NULL_TRACER,
@@ -232,12 +234,48 @@ class TestCompileReport:
             s.label for s in cn.compiled.forward
         )
 
+    def test_compile_total_is_the_whole_compile(self):
+        """The table's last line is ``compile_seconds`` — synthesis and
+        codegen included — not the sum of the passes' wall times."""
+        rep = _cnn().compile_report
+        assert rep.table().splitlines()[-1] == (
+            f"compile total {rep.compile_seconds * 1e3:.2f}ms")
+        assert rep.compile_seconds > sum(r.wall_time for r in rep.records)
+
     def test_every_pass_recorded_in_pipeline_order(self):
         cn = _cnn()
         names = [r.name for r in cn.compile_report.records]
         assert names == ["copy_inline", "pattern_match", "first_writer",
                          "regather", "tiling", "fusion", "parallel",
                          "prune_buffers", "memory_plan"]
+        # the driver's invariants over every digest configuration of a
+        # small ledger program (C ones where a toolchain is present),
+        # plus a reduced-precision compile
+        table = [name for name, gate, _ in PASSES if gate is not None]
+        configs = list(configurations(
+            "all" if have_c_toolchain() else "numpy"))
+        configs.append(("fp16", CompilerOptions.inference(precision="fp16"),
+                        1))
+        for label, opts, threads in configs:
+            tr = RecordingTracer()
+            cn = ledger_net("lenet").init(opts, num_threads=threads,
+                                          tracer=tr)
+            recs = cn.compile_report.records
+            cn.close()
+            assert [r.name for r in recs] == [
+                n for n in table
+                if (n != "precision" or opts.precision != "fp32")
+                and (n != "codegen-c" or opts.backend == "c")], label
+            for prev, rec in zip(recs, recs[1:]):
+                assert rec.units_before == prev.units_after, (label, rec)
+            assert all(not r.rewrites for r in recs if not r.enabled), label
+            # a span per pass that ran (fusion off still builds the
+            # schedule), between synthesis and codegen
+            ran = [r.name for r in recs if r.enabled or r.name == "fusion"]
+            native = ["codegen-c"] if opts.backend == "c" else []
+            assert [s.name for s in tr.spans_by_cat("compile")] == [
+                "plan+synthesize", *(n for n in ran if n not in native),
+                "codegen", *native], label
 
     def test_compile_spans_on_tracer(self):
         tr = RecordingTracer()
