@@ -127,8 +127,9 @@ def compile_cached(model, batch_size: Optional[int] = None, *, net=None,
             report.cache_key = key
             report.cache_created = meta.get("created")
             report.compile_seconds = dt
+            units = report.records[-1].units_after if report.records else 0
             report.records.append(PassRecord(
-                "cache_thaw", True, dt, 0, 0,
+                "cache_thaw", True, dt, units, units,
                 {"passes_skipped": len(report.records)},
             ))
             return cnet

@@ -496,9 +496,15 @@ def exec_program(source: str, closures: Dict[str, Callable]) -> Dict:
     rebuilt closures.
     """
     namespace = dict(vars(_HELPERS), _CL=closures)
-    # blank lines in place of the prelude keep the line numbers of source
-    body = "\n" * _PRELUDE.count("\n") + source[len(_PRELUDE):]
-    exec(compile(body, "<latte-generated>", "exec"), namespace)
+    # one step function at a time: a compile of the whole module holds
+    # the syntax tree of every step at once, the peak of a cold compile
+    # or a thaw. Blank lines ahead of each keep the line numbers of source
+    lines = source.splitlines(keepends=True)
+    starts = [i for i in range(_PRELUDE.count("\n"), len(lines))
+              if lines[i].startswith("def ")]
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        chunk = "\n" * start + "".join(lines[start:end])
+        exec(compile(chunk, "<latte-generated>", "exec"), namespace)
     return {name: namespace.pop(name) for name, fn in list(namespace.items())
             if getattr(fn, "__globals__", None) is namespace}
 

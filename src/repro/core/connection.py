@@ -26,6 +26,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Optional
 
+from repro.core.ensemble import Ensemble
+
 
 class Connection:
     """An edge in the ensemble-level data-flow graph. Its sink holds it
@@ -33,7 +35,7 @@ class Connection:
     weakly when it is recurrent, since a recurrent source is the sink
     itself or downstream of it (the net holds every ensemble)."""
 
-    def __init__(self, source: "Ensemble", mapping: Callable,  # noqa: F821
+    def __init__(self, source: Ensemble, mapping: Callable,
                  recurrent: bool = False, index: int = -1):
         if not callable(mapping):
             raise TypeError("connection mapping must be callable")
@@ -51,7 +53,7 @@ class Connection:
         self.analysis: Optional[object] = None
 
     @property
-    def source(self) -> "Ensemble":  # noqa: F821
+    def source(self) -> Ensemble:
         src = self._source
         return src() if isinstance(src, weakref.ref) else src
 

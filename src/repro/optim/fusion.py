@@ -43,7 +43,7 @@ barriers (§5.5).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.ir import Const, ExternOp, Index, Var, free_vars, walk_exprs
 from repro.synthesis.access import ProgramView, unit_rw

@@ -274,7 +274,7 @@ def _prune_buffers(s: CompileState):
 def _precision(s: CompileState):
     # retype inference buffers to fp16, or insert int8 fake-quant steps
     # with scales/zero points from the calibration ranges — before the
-    # memory planner, so slab sizes and live intervals see the final
+    # memory planner, so buffer sizes and live intervals see the final
     # dtypes and schedule
     from repro.quant.precision import apply_precision
 

@@ -44,7 +44,7 @@ def allocate(plan: BufferPlan) -> Dict[str, np.ndarray]:
     if mem is not None and mem.arena_bytes:
         # a byte arena: buffers of any dtype carve typed views out of
         # it. NumPy promises 16-byte alignment only, so over-allocate and
-        # start at the first slab-aligned byte — slab offsets are
+        # start at the first aligned byte — the planner's offsets are
         # multiples of ALIGN_BYTES, which puts every pooled buffer on a
         # cache line (the views keep the allocation alive)
         raw = np.zeros(mem.arena_bytes + ALIGN_BYTES - 1, np.uint8)

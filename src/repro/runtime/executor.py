@@ -378,7 +378,7 @@ class CompiledNet:
                 "arena_bytes": 0}
 
     def memory_report(self):
-        """Slab-level view of the arena layout and peak-bytes accounting
+        """Per-buffer view of the arena layout and peak-bytes accounting
         (:class:`~repro.trace.report.MemoryReport`)."""
         from repro.trace.report import MemoryReport
 
@@ -617,8 +617,8 @@ class CompiledNet:
 
     def _zero_grads(self) -> None:
         # arena-pooled gradients are zeroed in-program by the planner's
-        # zero-defs (zeroing them here would clobber forward-phase slab
-        # tenants that backward still reads)
+        # zero-defs (zeroing them here would clobber forward-phase
+        # tenants of the same bytes that backward still reads)
         for name, spec in self.plan.buffers.items():
             if (
                 spec.role in _GRAD_ROLES

@@ -15,11 +15,15 @@ preallocation: given the final scheduled forward/backward step lists it
    sources (their previous-time-step slices outlive the linear model),
    and what is kept for inspection: the contract (data, sinks, loss
    feeders) and the ``keep_alive`` set, and
-3. assigns the candidates to shared **slabs** of a single arena by
-   first-fit interval-graph coloring (largest first), so buffers whose
-   intervals never overlap occupy the same bytes — and dissolves any
-   slab that, after alignment, is larger than its members would be on
-   their own, so a plan is never larger than no plan.
+3. places every candidate at a 64-byte-aligned **byte offset** of its
+   own in a single arena (:func:`place_offsets`: greedy by size, the
+   largest first, each into the best-fitting gap among the buffers it
+   is live together with), so buffers whose intervals never overlap
+   occupy the same bytes, and a small buffer uses the free tail of a
+   big one's bytes while the big one is dead — and takes out of the
+   pool every run of buffers whose bytes chain together that, after
+   alignment, is larger than its members would be on their own, so a
+   plan is never larger than no plan.
 
 A candidate is admitted only when its contents are fully (re)defined
 before every read of an iteration:
@@ -32,7 +36,7 @@ before every read of an iteration:
   each backward pass; the planner instead schedules a **zero def**
   immediately before the buffer's first touching backward step (recorded
   in :attr:`MemoryPlan.zero_defs`, materialized by the executor's
-  pre-bound step programs). Deferring the zero is what frees the slab
+  pre-bound step programs). Deferring the zero is what frees its bytes
   for forward-phase tenants and lets disjoint backward gradients chain
   through the same bytes.
 
@@ -59,7 +63,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from repro.core.ensemble import DataEnsemble, LossEnsemble
 from repro.ir import Index, map_expr, transform_exprs
@@ -72,10 +77,10 @@ from repro.synthesis.access import (
 from repro.synthesis.plan import BufferPlan, BufferSpec
 from repro.synthesis.units import FusedGroup, LoopUnit
 
-#: arena slab alignment in bytes — 64 bytes, one cache line; the
+#: arena offset alignment in bytes — 64 bytes, one cache line; the
 #: runtime aligns the arena's base to it (``np.zeros`` alone gives 16),
-#: so every pooled buffer starts on a line. Also guarantees every slab
-#: offset is a multiple of any member's itemsize, so typed views
+#: so every pooled buffer starts on a line. Also guarantees every
+#: offset is a multiple of any buffer's itemsize, so typed views
 #: (``arena[off:off+n].view(dtype)``) are always legal
 ALIGN_BYTES = 64
 
@@ -84,15 +89,6 @@ GRAD_ROLES = ("grad", "grad_input", "padded_grad")
 
 #: unit kinds :func:`regather_staging` clones into the backward section
 REMATERIALIZING = ("pad_fill", "pad", "regather")
-
-
-@dataclass
-class Slab:
-    """One shared region of the arena."""
-
-    offset: int  # bytes from arena start (64-byte aligned)
-    nbytes: int  # size in bytes (max over members, any dtype)
-    members: List[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,6 @@ class MemoryPlan:
     offsets: Dict[str, int] = field(default_factory=dict)
     #: total arena size in bytes
     arena_bytes: int = 0
-    slabs: List[Slab] = field(default_factory=list)
     #: base buffers sharing arena storage (not individually allocated)
     pooled: frozenset = frozenset()
     #: buffer -> (phase, item_index): zero the full array right before
@@ -158,7 +153,6 @@ class MemoryPlan:
     def stats(self) -> Dict[str, object]:
         return {
             "buffers_pooled": len(self.pooled),
-            "slabs": len(self.slabs),
             "arena_bytes": self.arena_bytes,
             "naive_bytes": self.naive_bytes,
             "planned_bytes": self.planned_bytes,
@@ -389,13 +383,13 @@ def regather_staging(
     into a fresh ``<padded>_re`` ahead of the re-gather rather than held
     across the phases too. All of these buffers then live inside one
     layer's units, so tiling and fusion treat the clones like any other
-    units and the planner overlays all of them in one slab.
+    units and the planner overlays all of them on the same bytes.
 
     Runs on the synthesized sections, before tiling. ``keep_bufs`` are
     the value/grad bases the planner will keep out of the arena
     (:func:`kept_buffers`): gathering (or padding) again from a source
     it may pool extends that source's life, and a copy whose staging
-    bytes exceed the bytes so extended by less than slab alignment can
+    bytes exceed the bytes so extended by less than arena alignment can
     cost is declined. Returns ``(rematerialized, declined)`` keyed by
     forward staging buffer; reasons are ``'time-unrolled'``,
     ``'opaque'`` (a gather closure or extern reader looks the buffer up
@@ -540,7 +534,6 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
         else:
             mem.kept_reasons[base] = reason
 
-    # -- interval-graph coloring: first fit, largest first ------------------
     sizes = {b: buffer_nbytes(plan, plan.buffers[b]) for b in candidates}
     multiphase = plan.time_steps > 1
 
@@ -553,37 +546,25 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
             return bool(ia.phases & ib.phases)
         return ia.overlaps(ib)
 
-    slabs: List[Slab] = []
-    for b in sorted(candidates, key=lambda b: (-sizes[b], b)):
-        placed = None
-        for slab in slabs:
-            if all(not conflicts(b, m) for m in slab.members):
-                placed = slab
-                break
-        if placed is None:
-            placed = Slab(offset=0, nbytes=0)
-            slabs.append(placed)
-        placed.members.append(b)
-        placed.nbytes = max(placed.nbytes, sizes[b])
-
-    def aligned(nbytes: int) -> int:
-        return -(-nbytes // ALIGN_BYTES) * ALIGN_BYTES
-
-    # a slab that, once aligned, is larger than its members would be on
-    # their own is dissolved: a lone small tenant (or, under the
-    # phase-disjoint rule, a few of them) only pays the alignment, and
-    # enough of those make the plan *larger* than no plan
-    offset = 0
-    for slab in slabs:
-        if aligned(slab.nbytes) > sum(sizes[m] for m in slab.members):
-            mem.kept_reasons.update((m, "no-saving") for m in slab.members)
-            continue
-        slab.offset = offset
-        mem.slabs.append(slab)
-        mem.offsets.update((m, offset) for m in slab.members)
-        offset += aligned(slab.nbytes)
-    mem.arena_bytes = offset
-    mem.pooled = frozenset(mem.offsets)
+    # a run of pooled buffers whose byte ranges chain together that,
+    # once aligned, is larger than its members would be on their own is
+    # taken out of the pool and the rest placed again: a lone small
+    # tenant (or, under the phase-disjoint rule, a few of them) only
+    # pays the alignment, and enough of those make the plan *larger*
+    # than no plan
+    while True:
+        offsets = place_offsets(candidates, sizes, conflicts)
+        wasteful = [run for run, span in _byte_runs(offsets, sizes)
+                    if span > sum(sizes[b] for b in run)]
+        if not wasteful:
+            break
+        for run in wasteful:
+            mem.kept_reasons.update((b, "no-saving") for b in run)
+        candidates = [b for b in candidates if b not in mem.kept_reasons]
+    mem.offsets = offsets
+    mem.arena_bytes = max((offsets[b] + sizes[b] for b in offsets),
+                          default=0)
+    mem.pooled = frozenset(offsets)
 
     # schedule zero defs for pooled gradient buffers that used to rely
     # on the executor's blanket pre-backward zeroing
@@ -610,3 +591,48 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
     mem.naive_bytes = naive
     mem.planned_bytes = planned + mem.arena_bytes
     return mem
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // ALIGN_BYTES) * ALIGN_BYTES
+
+
+def place_offsets(buffers: Iterable[str], sizes: Dict[str, int],
+                  conflicts: Callable[[str, str], bool]) -> Dict[str, int]:
+    """Byte offset of every buffer in one arena: greedy by size for
+    offset calculation (Pisarchyk & Lee 2020, arXiv:2001.03288).
+
+    The largest buffer is placed first; each one goes into the smallest
+    gap, at ``ALIGN_BYTES``, that fits it among the byte ranges of the
+    already-placed buffers it ``conflicts`` with, or above the highest
+    of them when none does. Buffers that never conflict share bytes.
+    """
+    offsets: Dict[str, int] = {}
+    for b in sorted(buffers, key=lambda b: (-sizes[b], b)):
+        best, best_gap, end = None, None, 0
+        for off, top in sorted((offsets[p], offsets[p] + sizes[p])
+                               for p in offsets if conflicts(b, p)):
+            gap = off - end
+            if gap >= sizes[b] and (best_gap is None or gap < best_gap):
+                best, best_gap = end, gap
+            end = max(end, _aligned(top))
+        offsets[b] = end if best is None else best
+    return offsets
+
+
+def _byte_runs(offsets: Dict[str, int], sizes: Dict[str, int]
+               ) -> Iterator[Tuple[List[str], int]]:
+    """The arena split where no buffer's byte range crosses: each run
+    of buffers whose ``[offset, offset + nbytes)`` ranges chain together,
+    with the bytes it spans up to the next run's start (the arena's end
+    for the last run)."""
+    run: List[str] = []
+    start = end = 0
+    for b in sorted(offsets, key=lambda b: (offsets[b], b)):
+        if run and offsets[b] >= end:
+            yield run, offsets[b] - start
+            run, start = [], offsets[b]
+        run.append(b)
+        end = max(end, offsets[b] + sizes[b])
+    if run:
+        yield run, end - start

@@ -19,6 +19,12 @@ exact ``planned_bytes``. Pass seconds and each record's ``env`` (the
 build's timings, job count, ``so_bytes`` and ``build_dir_hit``) are
 left out, so a cold and a warm build directory digest alike.
 
+Every compile is also put through the oracle's static arena check
+(:func:`repro.testing.oracle.arena_fault`: aligned offsets inside the
+arena, and no two buffers live at once on the same bytes); the first
+layout it rejects ends the run with exit 1, naming the compile and the
+buffers.
+
 ``--against FILE`` reads a saved run (the printed lines) and exits 1
 naming the first compile and field that differs.
 """
@@ -35,6 +41,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import repro.models as models
 from repro.optim import CompilerOptions
 from repro.testing.generator import NetSpec, build_net
+from repro.testing.oracle import ArenaFault, arena_fault
 from repro.utils.rng import seed_all
 
 #: the ledger's frozen ``NetSpec`` programs
@@ -122,9 +129,14 @@ def digest(cnet) -> Dict[str, str]:
 
 def digest_line(name: str, label: str, options: CompilerOptions,
                 num_threads: int) -> str:
-    """Compile one ledger program and return its digest line."""
+    """Compile one ledger program and return its digest line; raises
+    :class:`~repro.testing.oracle.ArenaFault` naming the compile when
+    its arena layout fails the static check."""
     cnet = ledger_net(name).init(options, num_threads=num_threads)
     try:
+        fault = arena_fault(cnet.plan)
+        if fault is not None:
+            raise ArenaFault(f"{name} {label}: {fault}")
         facts = digest(cnet)
     finally:
         cnet.close()
@@ -167,7 +179,11 @@ def main(argv=None) -> int:
     lines = []
     for name in PROGRAMS:
         for label, options, threads in configurations(args.backend):
-            lines.append(digest_line(name, label, options, threads))
+            try:
+                lines.append(digest_line(name, label, options, threads))
+            except ArenaFault as fault:
+                print(f"ARENA {fault}", file=sys.stderr)
+                return 1
             print(lines[-1], flush=True)
     if args.against is None:
         return 0

@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.optim import CompilerOptions, compile_net
+from repro.synthesis.liveness import ALIGN_BYTES, buffer_nbytes
 from repro.testing.generator import (
     NetSpec,
     build_net,
@@ -195,8 +196,8 @@ def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,
     opts = CompilerOptions(opt_level=level, memory_plan=memory_plan,
                            backend=backend)
     with batch_tiles(tiled):
-        cnet = compile_net(net, opts, num_threads=num_threads,
-                           keep_alive=keep_alive)
+        cnet = _compile(net, opts, num_threads=num_threads,
+                        keep_alive=keep_alive)
     return run_compiled(cnet, spec)
 
 
@@ -236,7 +237,7 @@ def run_eval_forward(spec: NetSpec, level: int, mode: str = "train",
     net = build_net(spec)
     opts = CompilerOptions(opt_level=level, mode=mode)
     with batch_tiles(tiled):
-        cnet = compile_net(net, opts, num_threads=num_threads)
+        cnet = _compile(net, opts, num_threads=num_threads)
     cnet.training = False
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
@@ -256,7 +257,7 @@ def run_quant_forward(spec: NetSpec, level: int, precision: str,
     seed_all(spec.seed)
     net = build_net(spec)
     opts = CompilerOptions.inference(level, precision=precision)
-    cnet = compile_net(net, opts, calibration=calibration)
+    cnet = _compile(net, opts, calibration=calibration)
     x, y = make_inputs(spec)
     loss = cnet.forward(data=x, label=y)
     return float(loss), cnet.value("head").copy()
@@ -355,6 +356,59 @@ def _compare_threaded(check: str, got: RunResult, serial: RunResult,
                       tol["thread_param_rtol"], tol["thread_param_atol"])
 
 
+class ArenaFault(AssertionError):
+    """A compile's arena layout breaks :func:`arena_fault`'s rules."""
+
+
+def arena_fault(plan) -> Optional[str]:
+    """The static arena check of one compiled plan, with no run and no
+    numeric comparison: every pooled buffer starts on a multiple of
+    ``ALIGN_BYTES`` and ends inside ``arena_bytes``, and any two whose
+    ``[offset, offset + nbytes)`` ranges intersect are never live at
+    once (their intervals do not overlap; time-unrolled, they are
+    touched in no common phase). Returns the first offence, naming its
+    buffers, or ``None`` when the layout holds (or nothing is pooled).
+    """
+    mem = plan.memory
+    if mem is None:
+        return None
+    spans = sorted((off, off + buffer_nbytes(plan, plan.buffers[name]), name)
+                   for name, off in mem.offsets.items())
+    for off, end, name in spans:
+        if off % ALIGN_BYTES:
+            return f"{name} at offset {off}, not a multiple of {ALIGN_BYTES}"
+        if end > mem.arena_bytes:
+            return (f"{name} ends at byte {end}, past the "
+                    f"{mem.arena_bytes}-byte arena")
+    for i, (off, end, a) in enumerate(spans):
+        for other, other_end, b in spans[i + 1:]:
+            if other >= end:
+                break
+            ia, ib = mem.intervals[a], mem.intervals[b]
+            if plan.time_steps > 1:
+                live = not (ia.dead or ib.dead) and bool(ia.phases & ib.phases)
+            else:
+                live = ia.overlaps(ib)
+            if live:
+                return (f"{a} [{off}, {end}) and {b} [{other}, {other_end}) "
+                        f"share bytes while both are live")
+    return None
+
+
+def check_arena(cnet):
+    """``cnet``, once :func:`arena_fault` passes its plan; raises
+    :class:`ArenaFault` otherwise."""
+    fault = arena_fault(cnet.plan)
+    if fault is not None:
+        raise ArenaFault(fault)
+    return cnet
+
+
+def _compile(net, options: CompilerOptions, **kwargs):
+    """``compile_net``, arena-checked: every compile the oracle makes."""
+    return check_arena(compile_net(net, options, **kwargs))
+
+
 def _check_plan_size(check: str, memory: Dict[str, int],
                      out: List[Mismatch]) -> None:
     """A memory plan is never larger than no plan (DESIGN.md §5.2)."""
@@ -401,7 +455,8 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
         seed_all(spec.seed)
         net = build_net(spec)
         opts = CompilerOptions(opt_level=level, backend=backend)
-        cnet = compile_cached(spec, net=net, options=opts, cache=store)
+        cnet = check_arena(compile_cached(spec, net=net, options=opts,
+                                          cache=store))
         return run_compiled(cnet, spec), cnet.compile_report.cache_hit
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -528,7 +583,7 @@ def _check_baselines(spec: NetSpec, tol: dict, checks: List[str],
         return
     seed_all(spec.seed)
     net = build_net(spec)
-    cnet = compile_net(net, CompilerOptions.level(4))
+    cnet = _compile(net, CompilerOptions.level(4))
     x, y = make_inputs(spec)
     for cls, label in ((CaffeNet, "caffe"), (MochaNet, "mocha")):
         check = f"baseline:{label}"
@@ -573,7 +628,7 @@ def _check_gradients(spec: NetSpec, tol: dict, n_indices: int,
                      out: List[Mismatch]) -> None:
     def build_fn():
         seed_all(spec.seed)
-        return compile_net(build_net(spec), CompilerOptions.level(0))
+        return _compile(build_net(spec), CompilerOptions.level(0))
 
     x, y = make_inputs(spec)
     failures = check_input_gradient(
@@ -608,16 +663,30 @@ def check_spec(
     working C toolchain is present, so corpus runs cover it wherever
     they can and skip cleanly where they cannot); ``quant`` runs the
     reduced-precision gates (fp16 tier, calibrated int8 accuracy,
-    bitwise determinism — see :func:`_check_quant`).
+    bitwise determinism — see :func:`_check_quant`). Every compile is
+    first put through the static ``arena`` check (:func:`arena_fault`);
+    the first layout it rejects ends the report there.
     """
-    tol = TOLERANCES[dtype]
-    report = OracleReport(spec)
+    report = OracleReport(spec, checks=["arena"])
+    try:
+        _run_checks(report, levels, threads, gradcheck_indices, baselines,
+                    TOLERANCES[dtype], cbackend, quant)
+    except ArenaFault as fault:
+        report.mismatches.append(Mismatch("arena", str(fault)))
+    return report
+
+
+def _run_checks(report: OracleReport, levels: Sequence[int],
+                threads: Sequence[int], gradcheck_indices: int,
+                baselines: bool, tol: dict, cbackend: Optional[bool],
+                quant: bool) -> None:
+    spec = report.spec
     reference = run_spec(spec, level=0)
     report.checks.append("level:0")
     if not np.isfinite(reference.loss):
         report.mismatches.append(
             Mismatch("level:0", f"oracle loss is {reference.loss}"))
-        return report
+        return
 
     by_level = {0: reference}
     for lvl in levels:
@@ -842,7 +911,7 @@ def check_spec(
             if not memplan_threads_checked and CompilerOptions.level(
                     thread_level).runs("memory_plan"):
                 # planner neutrality must also hold under sharding
-                # (shared slabs + per-shard privates interact)
+                # (shared arena bytes + per-shard privates interact)
                 memplan_threads_checked = True
                 check = f"memplan-threads:{nt}"
                 report.checks.append(check)
@@ -858,7 +927,6 @@ def check_spec(
 
     if baselines:
         _check_baselines(spec, tol, report.checks, report.mismatches)
-    return report
 
 
 def assert_spec_ok(spec: NetSpec, shrink_on_failure: bool = True,
@@ -896,9 +964,14 @@ def inject_bug(name: str):
       its own slice, double-counting privatized gradient contributions.
     * ``group-slab-overlap`` — the memory planner takes any two buffers
       contracted to one batch-tiled group for disjoint, whatever units
-      touch them, so a group's tiles may overwrite one another.
+      touch them, so a group's tiles may share bytes and overwrite one
+      another.
+    * ``arena-overlap`` — the memory planner places the first two pooled
+      buffers that are live together at one offset; the static
+      ``arena`` check rejects the layout before anything runs.
     """
     from repro.runtime import executor
+    from repro.synthesis import liveness
     from repro.synthesis.access import Interval
 
     if name == "drop-private-reduce":
@@ -925,6 +998,23 @@ def inject_bug(name: str):
             yield
         finally:
             Interval.overlaps = orig
+    elif name == "arena-overlap":
+        orig = liveness.place_offsets
+
+        def overlapping(buffers, sizes, conflicts):
+            offsets = orig(buffers, sizes, conflicts)
+            placed = sorted(offsets, key=lambda b: (offsets[b], b))
+            pair = next(((a, b) for i, a in enumerate(placed)
+                         for b in placed[i + 1:] if conflicts(a, b)), None)
+            if pair is not None:
+                offsets[pair[1]] = offsets[pair[0]]
+            return offsets
+
+        liveness.place_offsets = overlapping
+        try:
+            yield
+        finally:
+            liveness.place_offsets = orig
     else:
         raise KeyError(
             f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
@@ -932,4 +1022,4 @@ def inject_bug(name: str):
 
 #: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
 INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
-                   "group-slab-overlap")
+                   "group-slab-overlap", "arena-overlap")

@@ -128,15 +128,18 @@ class ProfileReport:
 @dataclass
 class MemoryReport:
     """Printed view of a compiled net's buffer-memory footprint: the
-    arena planner's slab layout and peak-bytes accounting (naive =
+    arena planner's byte offsets and peak-bytes accounting (naive =
     every non-parameter buffer individually allocated, planned = after
     interval-based reuse)."""
 
     naive_bytes: int
     planned_bytes: int
     arena_bytes: int
-    #: (offset_bytes, size_bytes, member buffer names) per shared slab
-    slabs: List[Tuple[int, int, List[str]]] = field(default_factory=list)
+    #: (offset_bytes, size_bytes, buffer name, (first, last) live
+    #: point) per pooled buffer, by offset; a dead buffer lives at
+    #: ``(-1, -1)``
+    placements: List[Tuple[int, int, str, Tuple[int, int]]] = field(
+        default_factory=list)
     #: buffer -> reason it was excluded from pooling
     kept_reasons: Dict[str, str] = field(default_factory=dict)
     #: staging buffer -> its backward re-gather (a ``liveness.
@@ -157,8 +160,10 @@ class MemoryReport:
         report = cls(stats["naive_bytes"], stats["planned_bytes"],
                      stats["arena_bytes"])
         if mem is not None:
-            report.slabs = [(s.offset, s.nbytes, list(s.members))
-                            for s in mem.slabs]
+            report.placements = sorted(
+                (off, cnet.buffers[name].nbytes, name,
+                 (mem.intervals[name].first, mem.intervals[name].last))
+                for name, off in mem.offsets.items())
             report.kept_reasons = dict(mem.kept_reasons)
             report.rematerialized = dict(mem.rematerialized)
             report.declined = dict(mem.declined)
@@ -200,28 +205,26 @@ class MemoryReport:
                  for name, reason in self.untiled.items()]
         return rows
 
-    def table(self, max_members: int = 4) -> str:
+    def table(self) -> str:
         lines = [
             f"peak buffer bytes: {self.planned_bytes / 1e6:.2f} MB planned"
             f" vs {self.naive_bytes / 1e6:.2f} MB naive"
             f" ({100 * self.reuse_fraction:.1f}% reuse)",
         ]
         lines += self.decisions()
-        if not self.slabs:
+        if not self.placements:
             lines.append("no arena (memory planner off or nothing pooled)")
             return "\n".join(lines)
         lines.append(
-            f"arena: {self.arena_bytes / 1e6:.2f} MB in "
-            f"{len(self.slabs)} slabs"
+            f"arena: {self.arena_bytes / 1e6:.2f} MB holding "
+            f"{len(self.placements)} buffers"
         )
-        header = f"{'offset':>10s} {'KB':>9s}  members"
+        header = f"{'offset':>10s} {'KB':>9s} {'live':>11s}  buffer"
         lines.append(header)
         lines.append("-" * len(header))
-        for off, size, members in self.slabs:
-            shown = ", ".join(members[:max_members])
-            if len(members) > max_members:
-                shown += f", … (+{len(members) - max_members})"
-            lines.append(f"{off:10d} {size / 1024:9.1f}  {shown}")
+        for off, size, name, (first, last) in self.placements:
+            live = "dead" if first < 0 else f"{first}..{last}"
+            lines.append(f"{off:10d} {size / 1024:9.1f} {live:>11s}  {name}")
         if self.kept_reasons:
             counts: Dict[str, int] = {}
             for reason in self.kept_reasons.values():

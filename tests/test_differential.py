@@ -146,6 +146,31 @@ class TestInjectedBugs:
             report = check_spec(spec, **kwargs)
         assert "batchtile-inference" in {m.check for m in report.mismatches}
 
+    def test_arena_overlap_is_caught_by_the_static_check(self):
+        """Two buffers live at once, placed at one offset: the static
+        ``arena`` check rejects the first compile that pools them and
+        names both, before any numeric comparison runs."""
+        from repro.optim import CompilerOptions
+        from repro.testing.generator import build_net
+        from repro.testing.oracle import arena_fault
+        from repro.utils.rng import seed_all
+
+        spec = self._failing_spec()
+        kwargs = dict(levels=(), threads=(), gradcheck_indices=0,
+                      baselines=False, cbackend=False, quant=False)
+        assert check_spec(spec, **kwargs).ok
+        with inject_bug("arena-overlap"):
+            report = check_spec(spec, **kwargs)
+            seed_all(spec.seed)
+            cnet = build_net(spec).init(CompilerOptions())
+        assert [m.check for m in report.mismatches] == ["arena"]
+        fault = arena_fault(cnet.plan)
+        assert fault.endswith("share bytes while both are live")
+        a, b = fault.split()[0], fault.split(" and ")[1].split()[0]
+        mem = cnet.plan.memory
+        assert mem.offsets[a] == mem.offsets[b]
+        assert mem.intervals[a].overlaps(mem.intervals[b])
+
     def test_unknown_bug_name_rejected(self):
         with pytest.raises(KeyError):
             with inject_bug("no-such-bug"):

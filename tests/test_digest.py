@@ -67,3 +67,19 @@ def test_the_command_checks_a_saved_run(tmp_path, capsys, monkeypatch):
     assert main(["--backend", "numpy", "--against", str(saved)]) == 1
     assert f"DIFFERS {' '.join(lines[1].split()[:2])}: source differs" in (
         capsys.readouterr().err)
+
+
+def test_the_command_rejects_an_arena_layout(capsys, monkeypatch):
+    """Every digested compile goes through the static arena check: two
+    buffers live at once on the same bytes end the run, naming the
+    compile and the pair."""
+    from repro.testing.oracle import inject_bug
+
+    monkeypatch.setattr(digest_module, "PROGRAMS", ("cnn_b",))
+    with inject_bug("arena-overlap"):
+        assert main(["--backend", "numpy"]) == 1
+    out = capsys.readouterr()
+    # O0..O2 plan no arena: their lines print, the first planned one fails
+    assert len(out.out.splitlines()) == 6
+    assert out.err.startswith("ARENA cnn_b O3-train: ")
+    assert "share bytes while both are live" in out.err

@@ -101,7 +101,7 @@ class TestGatherStagingPools:
         extern's buffers were an undifferentiated touch, first access
         "live-in", never pooled. Results stay those of the unplanned
         program, bit for bit."""
-        n = 16  # 4 x 16 x float32 = 256 B: a slab needs no padding
+        n = 16  # 4 x 16 x float32 = 256 B: no alignment padding
         perm = [(7 * i + 3) % n for i in range(n)]
 
         def run(memory_plan):

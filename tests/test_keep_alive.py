@@ -53,7 +53,7 @@ def test_default_training_compile_keeps_the_contract_only(name):
     """Data, sinks and loss feeders stay inspectable, with the contract
     as their reason; every other ensemble raises, also where the
     planner keeps its buffer for a reason of its own (a recurrent
-    carry, a slab that saves nothing): inspection follows the rule,
+    carry, a buffer that saves nothing): inspection follows the rule,
     not the layout."""
     cnet = _compile(name)
     contract = _contract_ensembles(cnet.net)

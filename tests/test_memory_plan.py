@@ -26,10 +26,10 @@ from repro.layers import (
 )
 from repro.layers.neurons import AddNeuron
 from repro.optim import CompilerOptions
-from repro.synthesis.liveness import Interval
+from repro.synthesis.liveness import ALIGN_BYTES, Interval
 from repro.testing import check_spec
 from repro.testing.generator import NetSpec
-from repro.testing.oracle import batch_tiles
+from repro.testing.oracle import arena_fault, batch_tiles
 from repro.utils.rng import seed_all
 from tests.test_access import _corpus
 from tests.test_planned_bytes import PLANNED, ledger_net
@@ -38,6 +38,16 @@ from tests.test_planned_bytes import PLANNED, ledger_net
 #: ``keep_alive`` spelling every ensemble of the net a helper builds:
 #: the inspectable layout, which pools staging buffers only
 EVERY_ENSEMBLE = object()
+
+
+def _sharing_bytes(cn):
+    """Pairs of pooled buffers whose arena bytes intersect."""
+    mem = cn.plan.memory
+    names = sorted(mem.pooled, key=lambda n: (mem.offsets[n], n))
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if np.may_share_memory(cn.buffers[a], cn.buffers[b]):
+                yield a, b
 
 
 def _init(net, opts, num_threads=1, keep_alive=None):
@@ -174,9 +184,9 @@ class TestEligibility:
         assert "h_value" not in mem.pooled
         assert mem.kept_reasons["h_value"] == "recurrent"
 
-    def test_time_unrolled_slabs_are_phase_disjoint(self):
+    def test_time_unrolled_buffers_sharing_bytes_are_phase_disjoint(self):
         """With T > 1 the linear point model is unsound within a phase:
-        only forward-only/backward-only pairs may share a slab."""
+        only forward-only/backward-only pairs may share arena bytes."""
         from repro.core import all_to_all
         from repro.layers import FullyConnectedEnsemble
         from repro.layers.mathops import AddLayer
@@ -193,13 +203,13 @@ class TestEligibility:
         SoftmaxLossLayer("loss", net, fc, label)
         cn = net.init(CompilerOptions.level(4), keep_alive=[])
         mem = cn.plan.memory
-        for slab in mem.slabs:
-            for i, a in enumerate(slab.members):
-                for b in slab.members[i + 1:]:
-                    ia, ib = mem.intervals[a], mem.intervals[b]
-                    if ia.dead or ib.dead:
-                        continue
-                    assert not (ia.phases & ib.phases), (a, b, slab)
+        pairs = list(_sharing_bytes(cn))
+        assert pairs
+        for a, b in pairs:
+            ia, ib = mem.intervals[a], mem.intervals[b]
+            if ia.dead or ib.dead:
+                continue
+            assert not (ia.phases & ib.phases), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +218,13 @@ class TestEligibility:
 
 
 class TestArenaLayout:
-    def test_slab_members_never_overlap_in_time(self):
+    def test_buffers_sharing_bytes_never_overlap_in_time(self):
         cn = _conv_net(keep_alive=["fc"])
         mem = cn.plan.memory
-        assert mem.pooled
-        for slab in mem.slabs:
-            for i, a in enumerate(slab.members):
-                for b in slab.members[i + 1:]:
-                    assert not mem.intervals[a].overlaps(mem.intervals[b])
+        pairs = list(_sharing_bytes(cn))
+        assert pairs
+        for a, b in pairs:
+            assert not mem.intervals[a].overlaps(mem.intervals[b]), (a, b)
 
     def test_pooled_buffers_are_arena_views(self):
         cn = _conv_net(keep_alive=["fc"])
@@ -223,10 +232,27 @@ class TestArenaLayout:
         for name in mem.pooled:
             arr = cn.buffers[name]
             assert not arr.flags.owndata  # a view into the arena
-        # distinct slabs occupy distinct byte ranges
-        spans = sorted((s.offset, s.offset + s.nbytes) for s in mem.slabs)
-        for (lo1, hi1), (lo2, _hi2) in zip(spans, spans[1:]):
-            assert hi1 <= lo2
+            assert mem.offsets[name] % ALIGN_BYTES == 0, name
+        # the arena ends where the highest buffer does
+        assert mem.arena_bytes == max(
+            mem.offsets[n] + cn.buffers[n].nbytes for n in mem.pooled)
+
+    def test_static_check_names_what_breaks_the_layout(self):
+        """``arena_fault`` holds on the planner's layout and names the
+        buffer of a misaligned offset or of an end past the arena."""
+        cn = _conv_net(keep_alive=["fc"])
+        mem = cn.plan.memory
+        assert arena_fault(cn.plan) is None
+        top = max(mem.pooled,
+                  key=lambda n: (mem.offsets[n] + cn.buffers[n].nbytes, n))
+        mem.offsets[top] += 8
+        assert arena_fault(cn.plan) == (
+            f"{top} at offset {mem.offsets[top]}, not a multiple of 64")
+        mem.offsets[top] -= 8
+        end = mem.offsets[top] + cn.buffers[top].nbytes
+        mem.arena_bytes = end - 1
+        assert arena_fault(cn.plan) == (
+            f"{top} ends at byte {end}, past the {end - 1}-byte arena")
 
     def test_accounting_identity(self):
         cn = _conv_net(keep_alive=["fc"])
@@ -252,8 +278,16 @@ class TestArenaLayout:
         assert "planned" in cn.summary() and "reuse" in cn.summary()
         rep = cn.memory_report()
         assert rep.saved_bytes == cn.plan.memory.saved_bytes
-        text = rep.table()
-        assert "slab" in text.lower()
+        # one row per pooled buffer, by offset
+        mem = cn.plan.memory
+        rows = rep.table().splitlines()
+        start = next(i for i, r in enumerate(rows) if r.startswith("-")) + 1
+        rows = rows[start:start + len(mem.pooled)]
+        assert sorted(r.split()[-1] for r in rows) == sorted(mem.pooled)
+        offsets = [int(r.split()[0]) for r in rows]
+        assert offsets == sorted(offsets)
+        assert all(mem.offsets[r.split()[-1]] == int(r.split()[0])
+                   for r in rows)
 
     def test_pipeline_records_planner_stats(self):
         rec = _conv_net().compile_report["memory_plan"]
@@ -282,7 +316,7 @@ class TestZeroing:
         x, y = _conv_io()
         cn.forward(data=x, label=y)
         # poison the arena, then check _zero_grads leaves it alone
-        # (zeroing a shared slab here would clobber forward tenants)
+        # (zeroing shared arena bytes here would clobber forward tenants)
         arena_names = sorted(mem.pooled)
         cn.buffers[arena_names[0]][...] = 7.0
         cn._zero_grads()
@@ -338,20 +372,19 @@ class TestReorderBackward:
         """The scheduler's signature effect on conv layers: the im2col
         staging buffer's last reader (the weight-grad GEMM) runs before
         the data-grad GEMM births ``grad_inputs0``, so the two
-        equally-large intervals are disjoint and share one slab."""
+        equally-large intervals are disjoint and share their bytes."""
         mem = _conv_net().plan.memory
         iv_in = mem.intervals["c2_inputs0"]
         iv_gin = mem.intervals["c2_grad_inputs0"]
         assert not iv_in.overlaps(iv_gin)
-        slab_of = {m: s.offset for s in mem.slabs for m in s.members}
-        assert slab_of["c2_inputs0"] == slab_of["c2_grad_inputs0"]
+        assert mem.offsets["c2_inputs0"] == mem.offsets["c2_grad_inputs0"]
 
     def test_zero_def_indices_align_with_executed_order(self):
         """The planner's zero-def step indices are computed on the
         *reordered* item list and consumed by the executor against the
         compiled step list — the two must agree: no earlier backward
         step may touch a zero-def'd buffer (reading it would see stale
-        slab bytes the scheduled zero has not yet cleared)."""
+        arena bytes the scheduled zero has not yet cleared)."""
         cn = _conv_net()
         steps = cn.compiled.backward
         for buf, (phase, idx) in cn.plan.memory.zero_defs.items():
@@ -782,13 +815,15 @@ class TestRematerialization:
         when both run one tile and what bridges them is read nowhere
         else: conv1 … conv3_2 are one 30-unit group and conv5_1+conv5_2
         another, so the values between them are contracted too, and
-        per-unit liveness inside a group lets its tiles share slabs.
+        per-unit liveness inside a group lets its tiles share bytes.
         One group per layer, the served program planned 6 063 648 ->
-        2 043 296 B (arena 1 581 312 B); merged it plans 1 526 944 B."""
+        2 043 296 B (arena 1 581 312 B); merged it planned 1 526 944 B
+        (arena 1 064 960 B) in slabs, and plans 1 313 952 B with each
+        buffer at a byte offset of its own."""
         cn = _ledger_net("vgg", CompilerOptions.inference())
         assert cn.memory_stats() == {
-            "naive_bytes": 5_386_192, "planned_bytes": 1_526_944,
-            "arena_bytes": 1_064_960}  # 6 565 840, 2 043 296, 1 581 312
+            "naive_bytes": 5_386_192, "planned_bytes": 1_313_952,
+            "arena_bytes": 851_968}  # =, 1 526 944, 1 064 960
         groups = [s.label for s in cn.compiled.forward
                   if "pad_fill" in s.label]
         assert [g.count(".pad_fill") for g in groups] == [4, 1, 1, 2]
@@ -811,13 +846,14 @@ class TestRematerialization:
             "conv4_1_value": "tile-mismatch (2 vs 1 rows)",
             "pool_conv4_value": "tile-mismatch (1 vs 4 rows)",
             "pool_conv5_value": "reshaped-alias"}
-        # two layers' buffers in one group share a slab where the units
+        # two layers' buffers in one group share bytes where the units
         # touching them do not overlap
         mem = cn.plan.memory
         assert mem.intervals["conv1_inputs0"].units == (2, 3)
         assert mem.intervals["pool_conv1_value"].units == (6, 9)
-        assert mem.offsets["conv1_inputs0"] == mem.offsets["pool_conv1_value"]
-        assert mem.offsets["conv1_value"] == mem.offsets["conv2_value"]
+        for a, b in (("conv1_inputs0", "pool_conv1_value"),
+                     ("conv1_value", "conv2_value")):
+            assert np.may_share_memory(cn.buffers[a], cn.buffers[b]), (a, b)
         table = cn.memory_report().table().splitlines()
         assert "whole-batch pool_conv5_value: reshaped-alias" in table
         assert ("whole-batch pool_conv3_value: tile-mismatch (1 vs 2 rows)"
@@ -906,8 +942,8 @@ class TestRematerialization:
 
     def test_pooled_buffers_start_on_a_cache_line(self):
         """``np.zeros`` alone lands mmap-sized arenas at 16 or 48 mod
-        64; the planner pays for 64-byte slabs, so the runtime must
-        deliver them."""
+        64; the planner places every buffer on a 64-byte offset, so the
+        runtime must deliver them."""
         for cn in (_ledger_net("lenet"),
                    _staged_net(True, keep_alive=EVERY_ENSEMBLE),
                    _staged_net(False)):

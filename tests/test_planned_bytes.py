@@ -16,24 +16,32 @@ from repro.optim import CompilerOptions
 from repro.testing.digest import PROGRAMS, SPEC_DIR, ledger_net
 
 #: program -> (train, train keeping every ensemble, inference)
-#: ``planned_bytes``. Training at the default used to keep every
-#: ensemble inspectable; keeping only the program contract (data, sinks,
-#: loss feeders) pooled the other values and gradients and moved every
-#: training program — the train numbers before that follow each row,
-#: and are what the keep-everything column still pins
+#: ``planned_bytes``. Placing each pooled buffer at a byte offset of its
+#: own, instead of packing buffers into slabs as wide as their largest
+#: member, moved the programs with a comment above their row: it gives
+#: the numbers before that change (``=`` where a column did not move)
 PLANNED = {
-    "alexnet": (3_189_952, 3_952_064, 2_063_424),       # 3 952 064
-    "overfeat": (3_154_880, 3_376_064, 2_340_544),      # 3 376 064
-    "vgg": (9_525_568, 14_072_128, 1_526_944),          # 14 072 128
-    "lenet": (1_041_600, 1_167_680, 767_840),           # 1 167 680
-    "mlp6x16": (2_464, 3_744, 848),                     # 3 744
-    "cnn_a": (16_256, 23_664, 10_312),                  # 23 664
-    "cnn_b": (7_752, 9_536, 4_040),                     # 9 536
-    "mlp": (944, 1_184, 480),                           # 1 184
-    "recurrent": (4_848, 5_112, 2_556),                 # 5 112
-    "inception_a": (50_432, 65_536, 25_664),            # 65 536
-    "inception_b": (48_160, 66_080, 36_064),            # 66 080
-    "lstm": (8_544, 11_424, 5_712),                     # 11 424
+    # was 3 189 952, 3 952 064, 2 063 424
+    "alexnet": (2_586_304, 3_859_120, 1_979_328),
+    # was 3 154 880, 3 376 064, 2 340 544
+    "overfeat": (3_040_192, 3_310_512, 2_330_496),
+    # was 9 525 568, =, 1 526 944
+    "vgg": (7_543_104, 14_072_128, 1_313_952),
+    # was 1 041 600, =, 767 840
+    "lenet": (972_480, 1_167_680, 716_640),
+    "mlp6x16": (2_464, 3_744, 848),
+    # was =, 23 664, 10 312
+    "cnn_a": (16_256, 23_632, 9_992),
+    # was 7 752, 9 536, 4 040
+    "cnn_b": (7_280, 9_496, 4_000),
+    "mlp": (944, 1_184, 480),
+    # was 4 848, =, =
+    "recurrent": (4_792, 5_112, 2_556),
+    # was 50 432, =, 25 664
+    "inception_a": (45_632, 65_536, 22_464),
+    # was 48 160, =, 36 064
+    "inception_b": (41_984, 66_080, 34_720),
+    "lstm": (8_544, 11_424, 5_712),
 }
 
 

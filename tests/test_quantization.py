@@ -250,7 +250,7 @@ class TestPrecisionPass:
     def test_int8_schedules_fake_quant_steps(self):
         spec = random_spec(CONV_SEED)
         calibration = calibrate_spec(spec, 3)
-        # disable the arena planner: slab reuse overwrites pooled
+        # disable the arena planner: arena reuse overwrites pooled
         # activations after their consumers run, which would invalidate
         # the on-grid check of the buffers below
         seed_all(spec.seed)

@@ -24,7 +24,7 @@ from repro.optim import CompilerOptions, compile_net
 from repro.optim.pipeline import PASSES
 from repro.runtime import ClusterSimulator, ComputeProfile, CommPoint
 from repro.runtime.netsim import cori_aries
-from repro.testing.digest import configurations, ledger_net
+from repro.testing.digest import configurations, ledger_model, ledger_net
 from repro.testing.oracle import batch_tiles
 from repro.trace import (
     NULL_TRACER,
@@ -242,7 +242,7 @@ class TestCompileReport:
             f"compile total {rep.compile_seconds * 1e3:.2f}ms")
         assert rep.compile_seconds > sum(r.wall_time for r in rep.records)
 
-    def test_every_pass_recorded_in_pipeline_order(self):
+    def test_every_pass_recorded_in_pipeline_order(self, tmp_path):
         cn = _cnn()
         names = [r.name for r in cn.compile_report.records]
         assert names == ["copy_inline", "pattern_match", "first_writer",
@@ -276,6 +276,22 @@ class TestCompileReport:
             assert [s.name for s in tr.spans_by_cat("compile")] == [
                 "plan+synthesize", *(n for n in ran if n not in native),
                 "codegen", *native], label
+        # a compile_cached hit: the stored records, then one cache_thaw
+        # that carries the chain on (the thaw adds and drops no step)
+        model, batch = ledger_model("lenet")
+        store = CompileCache(tmp_path / "cache")
+        for _ in range(2):
+            cn = compile_cached(model, batch, cache=store)
+            recs = cn.compile_report.records
+            cn.close()
+        assert cn.compile_report.cache_hit
+        assert [r.name for r in recs] == [
+            *(n for n in table if n not in ("precision", "codegen-c")),
+            "cache_thaw"]
+        for prev, rec in zip(recs, recs[1:]):
+            assert rec.units_before == prev.units_after, rec
+        assert recs[-1].units_after == len(cn.compiled.forward) + len(
+            cn.compiled.backward)
 
     def test_compile_spans_on_tracer(self):
         tr = RecordingTracer()
