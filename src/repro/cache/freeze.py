@@ -10,10 +10,10 @@ to rebuild an executor *without* re-running synthesis or any pass:
   ``BufferPlan`` with its memory plan, the pass records — stored field
   by field (``dataclasses.fields``) and rebuilt from the same classes'
   type hints, so a record gains a field with no edit here;
-* **closure descriptors**: the four runtime-closure kinds the lowering
-  creates (``pre_forward``, gather/scatter pairs with their materialized
-  index arrays, normalization, loss) recorded as rebuild recipes against
-  the module-level factories in :mod:`repro.synthesis.lower`.
+* **closure descriptors**: the three runtime-closure kinds the lowering
+  creates (gather/scatter pairs with their materialized index arrays,
+  normalization, loss) recorded as rebuild recipes against the
+  module-level factories in :mod:`repro.synthesis.lower`.
 
 The only record fields this module names are the few in
 :data:`_NOT_STORED`, which a thaw re-links (a step's function, a
@@ -184,6 +184,13 @@ def _field_refs(net, plan) -> Dict[str, List[str]]:
     return refs
 
 
+#: extern-ensemble closure kinds: the ensemble class and the factory
+#: that rebuilds its (forward, backward) pair
+_EXTERN_KINDS = {"norm": (NormalizationEnsemble, make_norm_closures),
+                 "loss": (LossEnsemble, make_loss_closures)}
+_DIRECTIONS = ("forward", "backward")
+
+
 def _closure_descriptors(net, plan, closures,
                          arrays: Dict[str, np.ndarray]) -> List[dict]:
     """Rebuild recipes covering every runtime closure, or raise
@@ -205,23 +212,12 @@ def _closure_descriptors(net, plan, closures,
         })
         covered.update((fkey, f"{ens_name}.scatter{j}"))
     for ens in net.ensembles.values():
-        name = ens.name
-        if f"{name}.pre_forward" in closures:
-            descs.append({"kind": "pre_forward", "ensemble": name})
-            covered.add(f"{name}.pre_forward")
-        if isinstance(ens, NormalizationEnsemble):
-            fkey, bkey = f"{name}.norm_forward", f"{name}.norm_backward"
-            if fkey in closures:
-                descs.append({"kind": "norm", "ensemble": name,
+        for kind, (cls, _make) in _EXTERN_KINDS.items():
+            fkey, bkey = (f"{ens.name}.{kind}_{d}" for d in _DIRECTIONS)
+            if isinstance(ens, cls) and fkey in closures:
+                descs.append({"kind": kind, "ensemble": ens.name,
                               "has_backward": bkey in closures})
-                covered.add(fkey)
-                if bkey in closures:
-                    covered.add(bkey)
-        elif isinstance(ens, LossEnsemble):
-            fkey, bkey = f"{name}.loss_forward", f"{name}.loss_backward"
-            if fkey in closures:
-                descs.append({"kind": "loss", "ensemble": name})
-                covered.update((fkey, bkey))
+                covered.update(k for k in (fkey, bkey) if k in closures)
     unknown = sorted(set(closures) - covered)
     if unknown:
         raise CacheUnsupported(
@@ -316,11 +312,7 @@ def _rebuild_closures(net, plan, meta, arrays) -> Dict:
         if ens is None:
             raise CacheError(f"entry references unknown ensemble {name!r}")
         kind = d["kind"]
-        if kind == "pre_forward":
-            if getattr(ens, "pre_forward", None) is None:
-                raise CacheError(f"{name} lost its pre_forward closure")
-            closures[f"{name}.pre_forward"] = ens.pre_forward
-        elif kind == "gather":
+        if kind == "gather":
             idx = arrays.get(d["array"])
             if idx is None:
                 raise CacheError(f"entry is missing array {d['array']!r}")
@@ -331,21 +323,15 @@ def _rebuild_closures(net, plan, meta, arrays) -> Dict:
             j = d["conn"]
             closures[f"{name}.gather{j}"] = fwd.fn
             closures[f"{name}.scatter{j}"] = bwd.fn
-        elif kind == "norm":
-            if not isinstance(ens, NormalizationEnsemble):
-                raise CacheError(f"{name} is not a NormalizationEnsemble")
-            fwd, bwd = make_norm_closures(ens, plan)
-            closures[f"{name}.norm_forward"] = fwd.fn
-            if d["has_backward"]:
-                if bwd is None:
-                    raise CacheError(f"{name} lost its backward_fn")
-                closures[f"{name}.norm_backward"] = bwd.fn
-        elif kind == "loss":
-            if not isinstance(ens, LossEnsemble):
-                raise CacheError(f"{name} is not a LossEnsemble")
-            fwd, bwd = make_loss_closures(ens, plan)
-            closures[f"{name}.loss_forward"] = fwd.fn
-            closures[f"{name}.loss_backward"] = bwd.fn
+        elif kind in _EXTERN_KINDS:
+            cls, make = _EXTERN_KINDS[kind]
+            if not isinstance(ens, cls):
+                raise CacheError(f"{name} is not a {cls.__name__}")
+            externs = make(ens, plan)[:1 + d["has_backward"]]
+            if None in externs:
+                raise CacheError(f"{name} lost its backward_fn")
+            for direction, ext in zip(_DIRECTIONS, externs):
+                closures[f"{name}.{kind}_{direction}"] = ext.fn
         else:
             raise CacheError(f"unknown closure descriptor kind {kind!r}")
     return closures

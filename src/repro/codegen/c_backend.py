@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.codegen.exprs import DROPOUT_HASH
 from repro.codegen.python_backend import NativeCall, lowered_units
 from repro.ir import (
     Assign,
@@ -628,6 +629,9 @@ class _Frame:
     def __init__(self, shapes: Dict[str, Tuple[int, ...]]):
         self.shapes = shapes
         self.used: set = set()
+        #: the step evaluates the dropout intrinsic: its kernel takes
+        #: the forward's key and time step
+        self.keyed = False
         #: Gemms lowered to an in-place sgemm call / a strided loop nest
         self.gemm_inplace = self.gemm_nests = 0
 
@@ -695,6 +699,11 @@ def _rv(e, fr: _Frame) -> str:
             raise _Unlowerable(f"comparison {e.op!r}")
         return f"({_rv(e.left, fr)} {op} {_rv(e.right, fr)})"
     if isinstance(e, Call):
+        if e.func == "dropout":
+            x, index, keep, salt = e.args
+            fr.keyed = True
+            return (f"_latte_dropout(_key, _t, {_rv(x, fr)}, {_ri(index)}, "
+                    f"{_rv(keep, fr)}, {_int_const(salt)}ULL)")
         if e.func == "where" and len(e.args) == 3:
             c, a, b = (_rv(x, fr) for x in e.args)
             return f"(({c}) ? ({a}) : ({b}))"
@@ -1217,6 +1226,21 @@ static inline long long _ll_fmod(long long a, long long b) {
 
 """
 
+#: the ``dropout`` intrinsic, in the header of a program that evaluates
+#: it: ``x`` where the hash keeps the neuron, scaled by ``1/keep``,
+#: else 0; ``x`` itself after an eval forward (key 0)
+_C_DROPOUT = f"""\
+typedef unsigned long long _u64;
+static inline double _latte_dropout(_u64 key, _u64 t, double x, _u64 index,
+                                    double keep, _u64 salt) {{
+  _u64 z;
+  if (!key) return x;
+{"".join(f"  {line};{chr(10)}" for line in DROPOUT_HASH)}\
+  return (double)(z >> 11) * 0x1.0p-53 < keep ? x * (1.0 / keep) : 0.0;
+}}
+
+"""
+
 #: compiled exactly once per program, whatever the number of kernel units
 _C_RUNTIME = """\
 /* Optional BLAS hook: the runtime injects a cblas_sgemm address (from
@@ -1294,7 +1318,7 @@ def emit_native_program(
         name: env_shape(plan, spec, time_steps)
         for name, spec in plan.buffers.items()
     }
-    parts: List[str] = [_C_HEADER, _RUNTIME_MARK, _C_RUNTIME]
+    parts: List[str] = [_RUNTIME_MARK, _C_RUNTIME]
     bindings: Dict[str, Tuple[Optional[NativeCall], str]] = {}
     gemms = {"gemm_inplace": 0, "gemm_nests": 0}
     #: renamed body -> (owning step, its label, its buffers' ranks)
@@ -1316,13 +1340,14 @@ def emit_native_program(
                 canon, (step.name, group.label, ranks))
             # this step's buffers in its owner's parameter order
             by_rank = dict(zip(ranks, buffers))
-            bindings[step.name] = (
-                NativeCall(owner, tuple(by_rank[r] for r in owner_ranks)), "")
+            bindings[step.name] = (NativeCall(
+                owner, tuple(by_rank[r] for r in owner_ranks), fr.keyed), "")
             if owner != step.name:
                 parts.append(f"/* {step.name} {group.label}: same kernel "
                              f"as {owner} {label} */\n\n")
                 continue
             params = ", ".join([f"float* {b}" for b in buffers]
+                               + ["_u64 _key", "_u64 _t"] * fr.keyed
                                + ["long long _b0", "long long _b1"])
             parts.append(
                 f"{_KERNEL_MARK}/* {group.label} */\n"
@@ -1330,21 +1355,24 @@ def emit_native_program(
                 f"  (void)_b0; (void)_b1;\n"
                 f"{text}\n}}\n\n"
             )
-    return "".join(parts), bindings, gemms
+    header = _C_HEADER + _C_DROPOUT * any(
+        call.keyed for call, _why in bindings.values() if call)
+    return header + "".join(parts), bindings, gemms
 
 
 # ---------------------------------------------------------------------------
 # Native backend: ctypes binding
 # ---------------------------------------------------------------------------
 
-def _make_step_fn(cfn, names: Tuple[str, ...], batch: int):
+def _make_step_fn(cfn, names: Tuple[str, ...], batch: int, keyed: bool):
     """Wrap one exported kernel as an executor-compatible step function.
 
     The wrapper has the exact calling convention of a Python-backend step
     — ``fn(env, rt)`` plain, ``fn(env, rt, _b0, _b1)`` sharded — and
     fetches each buffer pointer from ``env`` *per call*, so per-``t``
     views, recurrent zero views, private-accumulator swaps, and
-    ``rebind_buffers`` all work with zero executor changes.
+    ``rebind_buffers`` all work with zero executor changes. A ``keyed``
+    kernel also gets the runtime's dropout key and time step.
     """
     def step(env, rt, _b0=0, _b1=batch):
         args = []
@@ -1360,6 +1388,8 @@ def _make_step_fn(cfn, names: Tuple[str, ...], batch: int):
                     "(rebind_buffers with a contiguous array)"
                 )
             args.append(a.ctypes.data)
+        if keyed:
+            args += (rt.dropout_key, rt.current_t)
         cfn(*args, _b0, _b1)
 
     return step
@@ -1373,7 +1403,7 @@ def bind_steps(compiled, so_path: str, batch: int) -> None:
     for step in compiled.steps:
         if step.native is None:
             continue
-        symbol, args = step.native
+        symbol, args, keyed = step.native
         cfn = kernels.get(symbol)
         if cfn is None:
             # one typed pointer per symbol, kept with the library: ctypes
@@ -1381,8 +1411,9 @@ def bind_steps(compiled, so_path: str, batch: int) -> None:
             cfn = kernels[symbol] = dll[symbol]
             cfn.restype = None
             cfn.argtypes = ([ctypes.c_void_p] * len(args)
+                            + [ctypes.c_ulonglong] * 2 * keyed
                             + [ctypes.c_longlong] * 2)
-        step.fn = _make_step_fn(cfn, args, batch)
+        step.fn = _make_step_fn(cfn, args, batch, keyed)
 
 
 def attach_native(compiled, plan, time_steps: int,

@@ -68,6 +68,22 @@ def extract_affine(e: Expr, var: str) -> Tuple[int, Expr]:
     return 0, e
 
 
+#: splitmix64's output mix (Steele, Lea & Flood, OOPSLA 2014)
+_MIX = ("z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9",
+        "z = (z ^ (z >> 27)) * 0x94D049BB133111EB",
+        "z = z ^ (z >> 31)")
+
+#: the hash behind the ``dropout`` intrinsic's keep test: splitmix64
+#: over the ensemble's constant ``salt``, the time step ``t``, the
+#: forward's ``key`` and the neuron's flat ``index``, one statement a
+#: line in unsigned 64-bit arithmetic. The lines are valid Python over
+#: NumPy ``uint64`` arrays and valid C over ``unsigned long long``; the
+#: NumPy prelude and the C header both print them, so the two backends
+#: keep the same neurons
+DROPOUT_HASH = ("z = salt * 0x9E3779B97F4A7C15 + t", *_MIX,
+                "z = z ^ key", *_MIX,
+                "z = z + (index + 1) * 0x9E3779B97F4A7C15", *_MIX)
+
 _VEC_FUNCS = {
     "max": "_np.maximum",
     "min": "_np.minimum",
@@ -78,6 +94,7 @@ _VEC_FUNCS = {
     "abs": "_np.abs",
     "where": "_np.where",
     "sigmoid": "_sigmoid",
+    "dropout": "_dropout",
 }
 
 _SCALAR_FUNCS = {
@@ -90,6 +107,7 @@ _SCALAR_FUNCS = {
     "abs": "abs",
     "where": "_where",
     "sigmoid": "_scalar_sigmoid",
+    "dropout": "_dropout",
 }
 
 
@@ -127,8 +145,10 @@ def render(e: Expr, index_renderer, vector: bool) -> str:
         table = _VEC_FUNCS if vector else _SCALAR_FUNCS
         if e.func not in table:
             raise ValueError(f"unknown intrinsic {e.func!r}")
-        args = ", ".join(render(a, index_renderer, vector) for a in e.args)
-        return f"{table[e.func]}({args})"
+        # dropout also reads the forward's key and time step off ``rt``
+        args = ["rt"] * (e.func == "dropout") + [
+            render(a, index_renderer, vector) for a in e.args]
+        return f"{table[e.func]}({', '.join(args)})"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.exprs import render, render_plain_index
+from repro.codegen.exprs import DROPOUT_HASH, render, render_plain_index
 from repro.codegen.vectorize import lower_unit_scalar, lower_unit_vector
 from repro.ir import (
     BinOp,
@@ -52,11 +52,14 @@ SHARD_LO, SHARD_HI = "_b0", "_b1"
 
 class NativeCall(NamedTuple):
     """The C kernel a step runs under ``backend='c'``: the exported
-    symbol (a twin's is the owning step's name) and the step's own
-    buffers in that kernel's parameter order."""
+    symbol (a twin's is the owning step's name), the step's own
+    buffers in that kernel's parameter order, and whether the kernel
+    evaluates the dropout intrinsic (then it takes the key and time
+    step after the buffers)."""
 
     symbol: str
     args: Tuple[str, ...]
+    keyed: bool = False
 
 
 @dataclass
@@ -478,10 +481,26 @@ def _where(c, a, b):
 '''
 
 
+#: the ``dropout`` intrinsic: ``x`` where the hash at ``index`` keeps
+#: the neuron, scaled by ``1/keep`` in double precision as the C kernel
+#: computes it, else 0; ``x`` itself after an eval forward (key 0)
+_DROPOUT = f'''
+def _dropout(rt, x, index, keep, salt):
+    if not rt.dropout_key:
+        return x
+    key, t, salt, index = (_np.asarray(v, _np.uint64) for v in (
+        rt.dropout_key, rt.current_t, salt, index))
+    with _np.errstate(over="ignore"):
+{"".join(f"        {line}{chr(10)}" for line in DROPOUT_HASH)}\
+    return _np.where((z >> 11) * 2.0 ** -53 < keep,
+                     x * _np.float64(1.0 / keep), 0.0)
+'''
+
 #: the prelude run once, as a module of its own: every generated
-#: program reads its helpers from here
+#: program reads its helpers from here (and the dropout helper, which a
+#: program's own text does not repeat)
 _HELPERS = types.ModuleType("repro.codegen.prelude")
-exec(_PRELUDE, vars(_HELPERS))
+exec(_PRELUDE + _DROPOUT, vars(_HELPERS))
 
 
 def exec_program(source: str, closures: Dict[str, Callable]) -> Dict:

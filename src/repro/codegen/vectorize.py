@@ -37,12 +37,14 @@ from repro.codegen.exprs import (NonAffine, extract_affine, render,
                                  render_plain_index)
 from repro.ir import (
     Assign,
+    Call,
     Const,
     Expr,
     Index,
     Var,
     add,
     free_vars,
+    map_expr,
     mul,
     substitute,
     substitute_stmt,
@@ -241,7 +243,20 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
     def vec_ix(ref: Index) -> str:
         return render_vector_index(ref, chosen, loops, _scalar_render)
 
-    rhs = render(stmt.value, vec_ix, vector=True)
+    # a dropout mask's neuron index reads chosen loop variables as
+    # values: they are spelled as broadcast aranges
+    aranges = {v: Var(
+        f"_np.arange({_scalar_render(loops[v].start)}, "
+        f"{_scalar_render(loops[v].stop)})"
+        f"[{', '.join(':' if u == v else 'None' for u in chosen)}]")
+        for v in chosen}
+
+    def spell(e):
+        if isinstance(e, Call) and e.func == "dropout":
+            x, index, *consts = e.args
+            return Call(e.func, (x, substitute(index, aranges), *consts))
+
+    rhs = render(map_expr(spell, stmt.value), vec_ix, vector=True)
     has_arrays = any(isinstance(e, Index) for e in walk_exprs(stmt.value))
     red_axes = tuple(chosen.index(v) for v in reduction)
     kept = [v for v in chosen if v not in reduction]

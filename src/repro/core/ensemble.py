@@ -186,9 +186,6 @@ class Ensemble(AbstractEnsemble):
                     f"field {fname!r}: batch flag of binding does not match "
                     f"declaration"
                 )
-        #: optional callable(bufs, rt) run before this ensemble's forward
-        #: section each iteration (e.g. dropout mask sampling)
-        self.pre_forward: Optional[Callable] = None
 
     # -- paper-faithful construction -------------------------------------
 

@@ -43,8 +43,8 @@ class Field:
     ----------
     batch:
         If true, the field holds a distinct value for each item in the
-        input batch (the paper's *Batch* fields, §3.1) — e.g. a dropout
-        mask or a stored pooling argmax. Batch fields get a leading batch
+        input batch (the paper's *Batch* fields, §3.1) — e.g. a stored
+        pooling argmax. Batch fields get a leading batch
         axis in their backing array.
     doc:
         Optional human-readable description.

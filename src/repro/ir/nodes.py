@@ -116,9 +116,13 @@ class Compare(Expr):
 class Call(Expr):
     """Intrinsic call.
 
-    Supported intrinsics: ``max min exp log sqrt tanh sigmoid abs where``.
-    ``max``/``min`` are binary elementwise; reductions over loop variables
-    are expressed via ``Assign.reduce`` instead.
+    Supported intrinsics: ``max min exp log sqrt tanh sigmoid abs where
+    dropout``. ``max``/``min`` are binary elementwise; reductions over
+    loop variables are expressed via ``Assign.reduce`` instead.
+    ``dropout(x)`` is ``x`` under the ensemble's dropout mask; synthesis
+    spells it ``dropout(x, index, keep, salt)`` with the neuron's flat
+    index (see :data:`repro.codegen.exprs.DROPOUT_HASH`), or folds it to
+    ``x`` in a forward-only program.
     """
 
     func: str
@@ -126,7 +130,8 @@ class Call(Expr):
 
 
 INTRINSICS = frozenset(
-    {"max", "min", "exp", "log", "sqrt", "tanh", "sigmoid", "abs", "where"}
+    {"max", "min", "exp", "log", "sqrt", "tanh", "sigmoid", "abs", "where",
+     "dropout"}
 )
 
 

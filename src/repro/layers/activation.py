@@ -3,9 +3,7 @@ compiler may run them in place on the source's buffers (§3.2)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import ActivationEnsemble, Dim, FieldBinding, Net
+from repro.core import ActivationEnsemble, Net
 from repro.layers.neurons import (
     DropoutNeuron,
     ReLUNeuron,
@@ -35,34 +33,15 @@ def DropoutLayer(
 ) -> ActivationEnsemble:
     """Inverted dropout with drop probability ``ratio``.
 
-    The mask is a *Batch* field (§3.1) resampled before every training
-    forward pass by the ensemble's pre-forward hook; at test time the
-    mask is all ones, so no rescaling is needed at inference.
+    The mask is the ``dropout`` intrinsic: a hash of each neuron's
+    index, this layer's name, the time step and a key the executor
+    draws from ``rng`` (the library RNG by default) once per training
+    forward. Backward re-evaluates it; an eval forward draws nothing
+    and masks nothing, and a forward-only compile has no dropout step.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError("dropout ratio must be in [0, 1)")
-    mask_proto = np.ones(input_ens.shape, dtype=np.float32)
-    fields = {
-        "mask": FieldBinding(
-            mask_proto,
-            tuple(Dim(i) for i in range(len(input_ens.shape))),
-            batch=True,
-        )
-    }
-    ens = ActivationEnsemble(net, name, DropoutNeuron, input_ens,
-                             fields=fields)
-    rng = rng or get_rng()
-    mask_buf = f"{name}_mask"
-    keep = 1.0 - ratio
-
-    def sample_mask(bufs, rt, mask_buf=mask_buf, keep=keep, rng=rng):
-        mask = bufs[mask_buf]
-        if rt.training:
-            mask[...] = (
-                rng.random(mask.shape) < keep
-            ).astype(np.float32) / keep
-        else:
-            mask[...] = 1.0
-
-    ens.pre_forward = sample_mask
+    ens = ActivationEnsemble(net, name, DropoutNeuron, input_ens)
+    ens.keep = 1.0 - ratio
+    ens.rng = rng or get_rng()
     return ens

@@ -146,16 +146,17 @@ class OneMinusNeuron(Neuron):
 
 
 class DropoutNeuron(Neuron):
-    """Multiplies the input by a per-batch-item mask sampled each
-    iteration (inverted dropout: mask ∈ {0, 1/(1-p)})."""
-
-    mask = Field(batch=True)
+    """Inverted dropout: ``dropout(x)`` is ``x / keep`` where the
+    ensemble's mask keeps this neuron, else 0. The mask is a hash of
+    the neuron's index and the forward's key (see
+    :func:`~repro.layers.DropoutLayer`), so backward re-evaluates the
+    same mask instead of storing it."""
 
     def forward(self):
-        self.value = self.inputs[0][0] * self.mask
+        self.value = dropout(self.inputs[0][0])  # noqa: F821
 
     def backward(self):
-        self.grad_inputs[0][0] += self.grad * self.mask
+        self.grad_inputs[0][0] += dropout(self.grad)  # noqa: F821
 
 
 class ScaleNeuron(Neuron):

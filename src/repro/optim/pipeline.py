@@ -77,7 +77,7 @@ class CompilerOptions:
     #: ``'inference'`` synthesizes a forward-only program — backward
     #: sections are empty, gradient/staging buffers are pruned from the
     #: buffer table, the executor starts with ``training = False``
-    #: (dropout masks pinned to 1, normalization in running-stats mode);
+    #: (dropout folded to the identity, normalization in running-stats mode);
     #: the memory planner keeps the same buffers whole as in training.
     #: See docs/SERVING.md.
     mode: str = "train"

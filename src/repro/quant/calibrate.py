@@ -160,6 +160,16 @@ def calibrate(net, batches: Iterable[dict], *, options=None,
     # every value whole: a contracted one would hold a tile, not a range
     cnet = compile_net(net, options, num_threads=num_threads,
                        keep_alive=list(net.ensembles))
+    return observe_ranges(cnet, batches, percentile=percentile)
+
+
+def observe_ranges(cnet, batches: Iterable[dict], *,
+                   percentile: Optional[float] = None) -> CalibrationResult:
+    """The observing half of :func:`calibrate`: run ``batches`` through
+    an already compiled float32 net in eval semantics and return the
+    ranges its steps wrote. Compile it with ``keep_alive=
+    list(net.ensembles)``, as :func:`calibrate` does, so every value is
+    whole; ``cnet`` is left in eval semantics with no watchdog."""
     cnet.training = False
     observer = RangeObserver(percentile=percentile)
     cnet.watchdog = observer
@@ -169,6 +179,7 @@ def calibrate(net, batches: Iterable[dict], *, options=None,
             observer.observe_input(f"{ens_name}_value", arr)
         cnet.forward(**batch)
         n += 1
+    cnet.watchdog = None
     if n == 0:
         raise CalibrationError("calibrate() needs at least one batch")
     observer.result.batches = n

@@ -118,10 +118,16 @@ class CompiledNet:
         #: compilation mode: 'train' (full program) or 'inference'
         #: (forward-only; :meth:`backward` refuses to run)
         self.mode = options.mode
-        #: read by stochastic/normalization closures (dropout mask
-        #: sampling, batch-norm batch-vs-running statistics); inference
-        #: programs start — and should stay — in eval semantics
+        #: eval semantics when False: the dropout mask is the identity,
+        #: batch norm uses running statistics; inference programs start
+        #: — and should stay — in eval semantics
         self.training = self.mode != "inference"
+        #: the key of the ``dropout`` intrinsic's mask, read by the
+        #: backward too: each training forward draws one from the
+        #: dropout layers' RNGs, an eval forward sets 0 (no mask)
+        self.dropout_key = 0
+        self._key_rngs = {id(e.rng): e.rng for e in net.ensembles.values()
+                          if hasattr(e, "keep") and self.mode == "train"}
         #: current time step, exposed to extern closures so loss and
         #: normalization layers can stash per-step state
         self.current_t = 0
@@ -581,6 +587,9 @@ class CompiledNet:
         """
         for name, arr in inputs.items():
             self.set_input(name, arr)
+        self.dropout_key = 0
+        for rng in self._key_rngs.values() if self.training else ():
+            self.dropout_key ^= int(rng.integers(1, 1 << 64, dtype=np.uint64))
         self._losses.clear()
         for fn, env in self._program["forward"]:
             fn(env, self)

@@ -264,7 +264,7 @@ class Checkpoint:
 
     def restore_rng(self, rng) -> None:
         """Restore a ``numpy.random.Generator``'s state *in place*, so
-        every closure holding a reference to it (dropout mask sampling,
+        every holder of a reference to it (the dropout key draws,
         the training loop's shuffle) resumes the saved stream."""
         state = self.meta.get("rng_state")
         if state is None:

@@ -89,10 +89,10 @@ def solve(
     evaluating top-1 accuracy on ``test`` after each epoch when
     ``output_ens`` names the score-producing ensemble.
 
-    ``tracer`` records per-epoch loss/accuracy/iteration-time metrics
-    plus one ``train``-category span per epoch; it defaults to the
-    network's attached tracer so step spans and training metrics land on
-    the same timeline.
+    ``tracer`` records one ``train``-category ``epoch`` span per epoch,
+    with the mean ``iteration_time`` among its args (loss and accuracies
+    are in the returned history); it defaults to the network's attached
+    tracer so step spans and epoch spans land on the same timeline.
 
     ``monitor`` optionally attaches a
     :class:`repro.telemetry.TrainingMonitor`: after every epoch it
@@ -165,57 +165,46 @@ def solve(
         trainer = DataParallelTrainer(cnet, workers, reduce_policy)
     try:
         for _epoch in range(start_epoch, epochs):
-            token = tracer.begin("epoch", "train", epoch=_epoch)
+            span_t0 = tracer.now()
             epoch_t0 = time.perf_counter() if monitor is not None else 0.0
             if trainer is not None:
-                epoch_w0 = time.perf_counter() if tracer.enabled else 0.0
                 mean_loss = trainer.train_epoch(
                     solver, train.data, train.labels, data_name,
                     label_name, rng=rng, shuffle=shuffle,
                 )
                 n_batches = trainer.last_batches
-                iter_time = ((time.perf_counter() - epoch_w0)
-                             if tracer.enabled else 0.0)
             else:
-                epoch_loss, n_batches, iter_time = 0.0, 0, 0.0
+                epoch_loss, n_batches = 0.0, 0
                 for sel in _batches(len(train), cnet.batch_size, rng,
                                     shuffle):
-                    t0 = time.perf_counter() if tracer.enabled else 0.0
                     loss = cnet.forward(**{data_name: train.data[sel],
                                            label_name: train.labels[sel]})
                     cnet.clear_param_grads()
                     cnet.backward()
                     solver.update(cnet)
-                    if tracer.enabled:
-                        iter_time += time.perf_counter() - t0
                     epoch_loss += loss
                     n_batches += 1
                 mean_loss = epoch_loss / max(n_batches, 1)
+            iteration_time = (tracer.now() - span_t0) / max(n_batches, 1)
             hist.losses.append(mean_loss)
-            tracer.metric("epoch_loss", mean_loss, epoch=_epoch)
             if monitor is not None:
                 monitor.on_epoch(
                     _epoch, mean_loss, rows=n_batches * cnet.batch_size,
                     seconds=time.perf_counter() - epoch_t0, cnet=cnet,
                 )
-            if tracer.enabled:
-                tracer.metric("iteration_time",
-                              iter_time / max(n_batches, 1), epoch=_epoch)
             if output_ens is not None:
                 hist.train_accuracy.append(
                     evaluate(cnet, train, output_ens, data_name,
                              label_name)
                 )
-                tracer.metric("train_accuracy", hist.train_accuracy[-1],
-                              epoch=_epoch)
                 if test is not None:
                     hist.test_accuracy.append(
                         evaluate(cnet, test, output_ens, data_name,
                                  label_name)
                     )
-                    tracer.metric("test_accuracy", hist.test_accuracy[-1],
-                                  epoch=_epoch)
-            tracer.end(token)
+            tracer.add_span("epoch", "train", span_t0,
+                            tracer.now() - span_t0, epoch=_epoch,
+                            iteration_time=iteration_time)
             if (checkpoint_every is not None
                     and (_epoch + 1) % checkpoint_every == 0):
                 from repro.serve.checkpoint import save_checkpoint

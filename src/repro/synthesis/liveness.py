@@ -10,8 +10,8 @@ preallocation: given the final scheduled forward/backward step lists it
    bwd item 0 .. bwd item B-1]`` from the program's def/use view
    (:class:`~repro.synthesis.access.ProgramView`),
 2. decides which buffers are **pool candidates** — excluded are
-   parameter storage (values and gradients), field buffers written by opaque
-   ``pre_forward`` closures, privatized accumulators, recurrent-read
+   parameter storage (values and gradients), the other field buffers
+   (net-owned arrays and batch fields), privatized accumulators, recurrent-read
    sources (their previous-time-step slices outlive the linear model),
    and what is kept for inspection: the contract (data, sinks, loss
    feeders) and the ``keep_alive`` set, and
@@ -242,10 +242,9 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
 
     Kept regardless of references:
 
-    * role-``'field'`` storage — parameter values and other net-owned
-      arrays, plus batch fields written by opaque ``pre_forward``
-      closures that declare no buffer list (e.g. the dropout mask); a
-      parameter's gradient is not kept, so none is ever allocated;
+    * role-``'field'`` storage — parameter values, other net-owned
+      arrays and batch fields; a parameter's gradient is not kept, so
+      none is ever allocated;
     * the full alias chain beneath any surviving buffer, and every alias
       of a surviving base — still its ensemble's name for it when fusion
       respelled a contracted group to the base.
@@ -509,7 +508,7 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
         if spec.is_param:
             return "parameter"
         if spec.role == "field":
-            return "field"  # written by opaque pre_forward closures
+            return "field"  # net-owned arrays and batch fields
         if base in privatized:
             return "privatized"
         if base in view.recurrent:

@@ -29,6 +29,7 @@ are independent by the DSL's semantics (§5.4.3).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
@@ -44,6 +45,7 @@ from repro.core.ensemble import (
 from repro.core.ensemble import VEC, Dim
 from repro.ir import (
     Assign,
+    Call,
     Const,
     ExternOp,
     For,
@@ -165,14 +167,6 @@ def _lower_ensemble(ens, plan, options, closures):
     fwd = Section(ens.name, "forward")
     bwd = Section(ens.name, "backward")
 
-    if ens.pre_forward is not None:
-        # declares nothing: it only fills role-'field' buffers, which
-        # the planner never pools and the pruner never drops
-        fwd.units.append(extern_unit(
-            f"{ens.name}.pre_forward", ExternFn(ens.pre_forward), closures,
-            UnitTags(ensemble=ens.name, kind="extern", direction="forward"),
-        ))
-
     fwd_recurrent = set()  # buffers this section reads at t-1
     # 1. pads + copies (forward), scatters + unpads (backward)
     for j, cf in enumerate(facts.connections):
@@ -197,10 +191,11 @@ def _lower_ensemble(ens, plan, options, closures):
             fwd_recurrent.add(cplan.padded_value or cplan.src_value)
 
     # 2. compute units
-    fwd.units.extend(_compute_units(ens, facts, plan, "forward"))
+    mode = options.mode
+    fwd.units.extend(_compute_units(ens, facts, plan, "forward", mode))
     if ens.neuron_type.has_backward():
         # backward compute precedes the scatters that consume its writes
-        bwd.units = _compute_units(ens, facts, plan, "backward") + bwd.units
+        bwd.units[:0] = _compute_units(ens, facts, plan, "backward", mode)
 
     _check_recurrent_conflicts(ens, plan, fwd_recurrent)
     return fwd, bwd
@@ -397,9 +392,9 @@ def _make_gather(ens, j, cf, cplan, closures, fwd, bwd):
 # -- compute ------------------------------------------------------------------
 
 
-def _compute_units(ens, facts, plan, direction) -> List[LoopUnit]:
+def _compute_units(ens, facts, plan, direction, mode) -> List[LoopUnit]:
     fn_ir = parse_neuron_function(ens.neuron_type, direction)
-    rewriter = _RefRewriter(ens, facts, plan, direction)
+    rewriter = _RefRewriter(ens, facts, plan, direction, mode)
     base_loops = [LoopSpec.simple(BATCH_VAR, -1, role="batch")] + [
         LoopSpec.simple(dim_var(ens.name, k), ens.shape[k], role="dim", dim_index=k)
         for k in range(ens.ndim)
@@ -445,13 +440,15 @@ def _flatten(stmts, loops, ens, rewriter, out, direction):
                     f"{ens.name}: loop bounds must be compile-time constants"
                 )
             var = f"{ens.name}__{s.var}"
-            rewriter.push_loop(s.var, var)
+            rewriter.renames[s.var] = var
             spec = LoopSpec(var, start, stop, int(stop.value - start.value),
                             role="user")
             _flatten(s.body, loops + [spec], ens, rewriter, out, direction)
-            rewriter.pop_loop(s.var)
+            del rewriter.renames[s.var]
         elif isinstance(s, Assign):
             stmt = rewriter.assign(s)
+            if stmt.reduce is None and stmt.target == stmt.value:
+                continue  # in place and folded: dropout at inference
             out.append(
                 LoopUnit(
                     list(loops),
@@ -467,21 +464,16 @@ def _flatten(stmts, loops, ens, rewriter, out, direction):
 class _RefRewriter:
     """Rewrites abstract ``$``-references into concrete buffer indices."""
 
-    def __init__(self, ens, facts, plan, direction):
+    def __init__(self, ens, facts, plan, direction, mode):
         self.ens = ens
         self.facts = facts
         self.plan = plan
         self.direction = direction
+        self.mode = mode
         self.renames: Dict[str, str] = {}
         self.self_coords = (Var(BATCH_VAR),) + tuple(
             Var(dim_var(ens.name, k)) for k in range(ens.ndim)
         )
-
-    def push_loop(self, orig, renamed):
-        self.renames[orig] = renamed
-
-    def pop_loop(self, orig):
-        del self.renames[orig]
 
     # expression rewriting ------------------------------------------------
 
@@ -514,9 +506,24 @@ class _RefRewriter:
                     return Const(self._conn_info(j).window_size)
             if isinstance(node, Index) and node.buffer.startswith("$"):
                 return self._ref(node)
+            if isinstance(node, Call) and node.func == "dropout":
+                return self._dropout(*node.args)
             return None
 
         return map_expr(rewrite, e)
+
+    def _dropout(self, x):
+        """``dropout(x)`` with the neuron's batch-leading flat index and
+        the ensemble's keep ratio (``DropoutLayer`` sets it) and salt (a
+        hash of its name); ``x`` itself in a forward-only program, which
+        runs in eval semantics."""
+        if self.mode == "inference":
+            return x
+        index = Const(0)
+        for var, extent in zip(self.self_coords, (1,) + self.ens.shape):
+            index = add(mul(index, extent), var)
+        return Call("dropout", (x, index, Const(self.ens.keep),
+                                Const(zlib.crc32(self.ens.name.encode()))))
 
     def _conn_info(self, j):
         if j >= len(self.facts.connections):

@@ -270,8 +270,8 @@ def _inplace_source(ens, facts, options, net) -> Optional[AbstractEnsemble]:
     # the source's backward must not read its own output value: in-place
     # execution lets the sink's forward clobber src_value, so e.g. max
     # pooling (whose backward compares inputs against self.value to route
-    # the gradient) can never host an in-place activation
-    if _backward_reads_value(src.neuron_type):
+    # the gradient) hosts no in-place activation in a training program
+    if options.mode == "train" and _backward_reads_value(src.neuron_type):
         return None
     return src
 

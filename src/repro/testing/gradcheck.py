@@ -2,7 +2,7 @@
 
 Central differences against the analytic gradient of the compiled net's
 scalar loss. Because a forward pass can mutate state (batch-norm running
-statistics consume their inputs, dropout resamples masks), every loss
+statistics consume their inputs, dropout draws a new key), every loss
 evaluation rebuilds the network through a caller-supplied ``build_fn``
 that must be deterministic (e.g. it calls ``seed_all`` first) — both
 perturbed evaluations then see identical parameters and masks.

@@ -268,13 +268,14 @@ def calibrate_spec(spec: NetSpec, level: int):
     deterministic inputs (the fuzz corpus has exactly one batch, so the
     calibration set *is* the eval set — the best case for int8, which
     is what an accuracy gate should measure)."""
-    from repro.quant import calibrate
+    from repro.quant.calibrate import observe_ranges
 
     seed_all(spec.seed)
     net = build_net(spec)
-    opts = CompilerOptions.inference(level)
+    cnet = _compile(net, CompilerOptions.inference(level),
+                    keep_alive=list(net.ensembles))
     x, y = make_inputs(spec)
-    return calibrate(net, [{"data": x, "label": y}], options=opts)
+    return observe_ranges(cnet, [{"data": x, "label": y}])
 
 
 def _compare_arrays(check: str, name: str, got: np.ndarray,

@@ -1,4 +1,4 @@
-"""Tracing, metrics, and compiler-pass instrumentation.
+"""Tracing and compiler-pass instrumentation.
 
 Zero-overhead-when-disabled observability for the whole stack: attach a
 :class:`RecordingTracer` via ``compile_net(..., tracer=...)`` (or
@@ -12,7 +12,6 @@ from repro.trace.chrome import export_chrome_trace, to_trace_events
 from repro.trace.compile_report import CompileReport, PassRecord
 from repro.trace.report import MemoryReport, ProfileReport, ProfileRow
 from repro.trace.tracer import (
-    Metric,
     NULL_TRACER,
     NullTracer,
     RecordingTracer,
@@ -23,7 +22,6 @@ from repro.trace.tracer import (
 __all__ = [
     "CompileReport",
     "MemoryReport",
-    "Metric",
     "NULL_TRACER",
     "NullTracer",
     "PassRecord",

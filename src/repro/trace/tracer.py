@@ -47,23 +47,13 @@ class Span:
         return self.start + self.dur
 
 
-@dataclass
-class Metric:
-    """A named scalar sample (per-epoch loss, accuracy, ...)."""
-
-    name: str
-    value: float
-    tags: Dict[str, Any] = field(default_factory=dict)
-
-
 class Tracer:
     """No-op base tracer; also the protocol instrumented code targets.
 
     Instrumentation sites call :meth:`begin`/:meth:`end` (or the
-    :meth:`span` context manager) around timed work, :meth:`add_span` for
-    pre-measured/virtual intervals, and :meth:`metric` for scalars. All
-    are no-ops here, and ``enabled`` is False so hot paths can skip
-    instrumentation entirely.
+    :meth:`span` context manager) around timed work and :meth:`add_span`
+    for pre-measured/virtual intervals. Both are no-ops here, and
+    ``enabled`` is False so hot paths can skip instrumentation entirely.
     """
 
     enabled: bool = False
@@ -92,9 +82,6 @@ class Tracer:
         the executor's per-shard spans)."""
         return 0.0
 
-    def metric(self, name: str, value: float, **tags) -> None:
-        pass
-
 
 class NullTracer(Tracer):
     """The default tracer: records nothing, costs nothing."""
@@ -105,7 +92,7 @@ NULL_TRACER = NullTracer()
 
 
 class RecordingTracer(Tracer):
-    """Records spans and metrics for profiling and Chrome-trace export.
+    """Records spans for profiling and Chrome-trace export.
 
     Timestamps are normalized so the first recorded event starts at 0;
     this keeps wall-clock spans and export output small and stable.
@@ -115,11 +102,14 @@ class RecordingTracer(Tracer):
 
     def __init__(self, clock=time.perf_counter):
         self.spans: List[Span] = []
-        self.metrics: List[Metric] = []
         self._clock = clock
         self._origin: Optional[float] = None
 
-    def _now(self) -> float:
+    def now(self) -> float:
+        """Timeline-relative timestamp. Thread-safe once the origin is
+        established (the executor pins it from the main thread before
+        dispatching shards); only :meth:`add_span` from the owning thread
+        may record the measured intervals."""
         now = self._clock()
         if self._origin is None:
             self._origin = now
@@ -128,46 +118,20 @@ class RecordingTracer(Tracer):
     # -- recording ----------------------------------------------------------
 
     def begin(self, name: str, cat: str, t: int = 0, **args) -> Tuple:
-        return (name, cat, t, args, self._now())
+        return (name, cat, t, args, self.now())
 
     def end(self, token) -> None:
         name, cat, t, args, start = token
-        self.spans.append(Span(name, cat, start, self._now() - start, t, args))
+        self.spans.append(Span(name, cat, start, self.now() - start, t, args))
 
     def add_span(self, name: str, cat: str, start: float, dur: float,
                  t: int = 0, **args) -> None:
         self.spans.append(Span(name, cat, start, dur, t, args))
 
-    def now(self) -> float:
-        """Timeline-relative timestamp. Thread-safe once the origin is
-        established (the executor pins it from the main thread before
-        dispatching shards); only :meth:`add_span` from the owning thread
-        may record the measured intervals."""
-        return self._now()
-
-    def metric(self, name: str, value: float, **tags) -> None:
-        self.metrics.append(Metric(name, float(value), tags))
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.metrics.clear()
-        self._origin = None
-
     # -- queries ------------------------------------------------------------
 
     def spans_by_cat(self, cat: str) -> List[Span]:
         return [s for s in self.spans if s.cat == cat]
-
-    def metric_series(self, name: str, **tags) -> List[float]:
-        """Values of every metric named ``name`` whose tags match all of
-        ``tags`` (e.g. ``metric_series('lat', replica=0)`` isolates one
-        replica's series instead of interleaving all of them). No tags
-        selects the whole series, as before."""
-        return [
-            m.value for m in self.metrics
-            if m.name == name
-            and all(m.tags.get(k) == v for k, v in tags.items())
-        ]
 
     def profile(self, phases: Optional[Tuple[str, ...]] = None):
         """Aggregate recorded spans into a :class:`~repro.trace.report.

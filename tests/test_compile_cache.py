@@ -101,7 +101,7 @@ def _assert_same_run(warm, cold):
 
 
 class TestRoundTrip:
-    # seed 3: conv/tanh/pool/dropout (pre_forward closure); seed 11:
+    # seed 3: conv/tanh/pool/dropout (hashed mask, no closure); seed 11:
     # batchnorm (norm closures) between batch-tiled conv chains;
     # seed 42: fc+gru, T=3 (recurrent)
     @pytest.mark.parametrize("seed", [3, 11, 42])
@@ -1062,7 +1062,7 @@ class TestCodec:
         step = Step("s0", fn=print, native=NativeCall("s0", ("a",)))
         data = _encode(step, "step")
         assert "fn" not in data and data["native"] == {
-            "symbol": "s0", "args": ["a"]}
+            "symbol": "s0", "args": ["a"], "keyed": False}
         back = self._round_trip(step)
         assert back.fn is None and back == dataclasses.replace(step,
                                                                fn=None)

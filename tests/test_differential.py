@@ -171,6 +171,17 @@ class TestInjectedBugs:
         assert mem.offsets[a] == mem.offsets[b]
         assert mem.intervals[a].overlaps(mem.intervals[b])
 
+    def test_calibration_compile_is_arena_checked(self):
+        """The int8 tier's calibration compile goes through the same
+        arena check as every other compile the oracle makes."""
+        from repro.testing.oracle import ArenaFault, calibrate_spec
+
+        spec = random_spec(5)  # an LSTM: pooled buffers live together
+        assert calibrate_spec(spec, 4).batches == 1
+        with inject_bug("arena-overlap"):
+            with pytest.raises(ArenaFault):
+                calibrate_spec(spec, 4)
+
     def test_unknown_bug_name_rejected(self):
         with pytest.raises(KeyError):
             with inject_bug("no-such-bug"):

@@ -11,6 +11,7 @@ from repro.layers.neurons import (
     DropoutNeuron,
     MaxNeuron,
     ReLUNeuron,
+    ScaleNeuron,
     SigmoidNeuron,
     WeightedNeuron,
 )
@@ -73,11 +74,17 @@ class TestIntrinsics:
         )
 
     def test_scalar_field_access(self):
-        ir = parse_neuron_function(DropoutNeuron, "forward")
-        assert Index("$field:mask", ()) in [
+        ir = parse_neuron_function(ScaleNeuron, "forward")
+        assert Index("$field:scale", ()) in [
             ir.body[0].value.left,
             ir.body[0].value.right,
         ]
+
+    def test_dropout_intrinsic_wraps_the_masked_value(self):
+        ir = parse_neuron_function(DropoutNeuron, "forward")
+        assert ir.body[0].value == Call(
+            "dropout", (Index("$inputs:0", (Const(0),)),))
+        assert not ir.field_refs
 
 
 class TestMultipleConnections:

@@ -157,13 +157,17 @@ class TestDropoutEvalSemantics:
         assert not np.array_equal(cnet.value(out), first)
 
     def test_eval_mode_is_identity_and_deterministic(self):
-        cnet, bt = _compiled(DROP_CONFIG, 4, CompilerOptions.level(4))
+        seed_all(20_26)
+        bt = build_latte(DROP_CONFIG, 4)
+        cnet = compile_net(bt.net, CompilerOptions.level(4),
+                           keep_alive=["relu1", "drop"])
         x, y = _inputs(cnet, 4, 4)
         out = bt.output.name
         cnet.training = False
         cnet.forward(data=x, label=y)
         first = cnet.value(out).copy()
-        np.testing.assert_array_equal(cnet.buffers["drop_mask"], 1.0)
+        np.testing.assert_array_equal(cnet.value("drop"),
+                                      cnet.value("relu1"))
         cnet.forward(data=x, label=y)
         np.testing.assert_array_equal(cnet.value(out), first)
 

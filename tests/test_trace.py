@@ -191,7 +191,6 @@ class TestNullTracerPath:
         tr = NullTracer()
         with tr.span("x", "forward"):
             pass
-        tr.metric("loss", 1.0)
         tr.add_span("y", "forward", 0.0, 1.0)
         assert not hasattr(tr, "spans")
 
@@ -373,28 +372,8 @@ class TestChromeTrace:
         assert any(e["args"]["name"] == "forward" for e in meta)
 
 
-class TestMetricSeries:
-    def test_tags_filter_the_series(self):
-        tr = RecordingTracer()
-        tr.metric("lat", 1.0, replica=0)
-        tr.metric("lat", 2.0, replica=1)
-        tr.metric("lat", 3.0, replica=0)
-        tr.metric("other", 9.0, replica=0)
-        assert tr.metric_series("lat") == [1.0, 2.0, 3.0]
-        assert tr.metric_series("lat", replica=0) == [1.0, 3.0]
-        assert tr.metric_series("lat", replica=1) == [2.0]
-        assert tr.metric_series("lat", replica=2) == []
-
-    def test_multiple_tags_must_all_match(self):
-        tr = RecordingTracer()
-        tr.metric("m", 1.0, a=1, b=2)
-        tr.metric("m", 2.0, a=1, b=3)
-        assert tr.metric_series("m", a=1, b=2) == [1.0]
-        assert tr.metric_series("m", a=1) == [1.0, 2.0]
-
-
 class TestTrainAndSimSpans:
-    def test_solve_records_epoch_metrics(self):
+    def test_solve_records_epoch_spans(self):
         from repro import LRPolicy, MomPolicy, SGD, SolverParameters, solve
         from repro.solvers import Dataset
 
@@ -408,12 +387,12 @@ class TestTrainAndSimSpans:
                                   max_epoch=2)
         hist = solve(SGD(params), cn, Dataset(data, labels),
                      output_ens="fc1")
-        assert tr.metric_series("epoch_loss") == pytest.approx(hist.losses)
-        assert tr.metric_series("train_accuracy") == pytest.approx(
-            hist.train_accuracy
-        )
-        assert len(tr.metric_series("iteration_time")) == 2
-        assert len(tr.spans_by_cat("train")) == 2
+        assert len(hist.losses) == len(hist.train_accuracy) == 2
+        epochs = tr.spans_by_cat("train")
+        assert [s.args["epoch"] for s in epochs] == [0, 1]
+        for span in epochs:
+            assert 0 < span.args["iteration_time"] < span.dur
+        assert not hasattr(tr, "metrics")
 
     def test_cluster_simulator_emits_overlap_spans(self):
         profile = ComputeProfile(
