@@ -147,10 +147,9 @@ def cache_key(builder: dict, batch_size: int, options, num_threads: int,
         "repro_version": repro.__version__,
         "numpy_version": np.__version__,
         "source": source_fingerprint(),
-        # module constants of the tile rules: they shape the schedule
-        # and the buffer table like an option would
-        "staging_tile": [tiling.STAGING_TILE_BYTES,
-                         tiling.TILE_GRANULE_BYTES],
+        # the tile rule's module constant: it shapes the schedule and
+        # the buffer table like an option would
+        "staging_tile": tiling.STAGING_TILE_BYTES,
     }
     if options.backend == "c":
         # C-backend entries embed built .so bytes, so the key must

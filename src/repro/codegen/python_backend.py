@@ -17,6 +17,7 @@ The generated source is retained on the compiled program
 from __future__ import annotations
 
 import functools
+import math
 import types
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
@@ -24,8 +25,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.exprs import DROPOUT_HASH, render, render_plain_index
-from repro.codegen.vectorize import lower_unit_scalar, lower_unit_vector
+from repro.codegen.exprs import DROPOUT_HASH, render_plain_index
+from repro.codegen.vectorize import (_scalar_expr, lower_unit_scalar,
+                                     lower_unit_vector)
 from repro.ir import (
     BinOp,
     Call,
@@ -89,6 +91,10 @@ class Step:
     native: Optional[NativeCall] = None
     #: backend='c': why this task step kept its Python function
     fallback: str = ""
+    #: NumPy array operations one call of the Python function makes:
+    #: per unit, the trips of the Python loops around its one line (the
+    #: tile loop included) — a GEMM or an extern call counts as one
+    ops: int = 0
 
     @property
     def reads(self) -> frozenset:
@@ -142,10 +148,6 @@ class CompiledProgram:
         """Step -> ``fallback`` reason, read from the steps, only for
         ``benchmarks/ledger/cells.py`` — delete with Ledger v2."""
         return {s.name: s.fallback for s in self.steps if s.fallback}
-
-
-def _scalar_expr(e: Expr) -> str:
-    return render(e, render_plain_index, vector=False)
 
 
 def _gemm_flops(gemm: Gemm) -> int:
@@ -285,12 +287,13 @@ def _block_view(ref: Index, axis_of, pinned, lead, pair, extent,
 
 
 def _emit_unit(unit: LoopUnit, vectorize: bool, indent: int,
-               lines: List[str], shapes):
+               lines: List[str], shapes) -> int:
+    """Emit one unit; returns how many times its line runs."""
     pad = "    " * indent
     stmt = unit.stmt
     if isinstance(stmt, ExternOp):
         lines.append(f"{pad}_CL[{stmt.fn_key!r}](B, rt)")
-        return
+        return 1
     if isinstance(stmt, Gemm):
         for sp in unit.loops:
             lines.append(
@@ -307,7 +310,7 @@ def _emit_unit(unit: LoopUnit, vectorize: bool, indent: int,
             op = "+=" if stmt.accumulate else "="
             line = f"{c} {op} {_gemm_rhs(stmt.subscripts, a, b)}"
         lines.append(f"{pad}{line}{note}")
-        return
+        return math.prod(sp.extent for sp in unit.loops)
     lowered = (lower_unit_vector if vectorize else lower_unit_scalar)(unit)
     for sp in lowered.scalar_loops:
         lines.append(
@@ -316,6 +319,7 @@ def _emit_unit(unit: LoopUnit, vectorize: bool, indent: int,
         )
         pad += "    "
     lines.append(f"{pad}{lowered.line}")
+    return math.prod(sp.extent for sp in lowered.scalar_loops)
 
 
 def _shard_range(start: Expr, stop: Expr):
@@ -426,7 +430,9 @@ def lowered_units(group: FusedGroup):
 def _emit_group(
     group: FusedGroup, name: str, vectorize: bool, lines: List[str],
     shapes,
-) -> None:
+) -> int:
+    """Emit one group's step function; returns its array operations
+    (:attr:`Step.ops`)."""
     shard = group.shard
     if shard is not None:
         lines.append(
@@ -453,18 +459,38 @@ def _emit_group(
         )
         indent = 2
     body_start = len(lines)
-    for u in units:
-        _emit_unit(u, vectorize, indent, lines, shapes)
+    ops = sum(_emit_unit(u, vectorize, indent, lines, shapes) for u in units)
     if len(lines) == body_start and indent == 1 and not buffers:
         lines.append("    pass")
+    return ops * (tile.extent if tile is not None else 1)
 
 
 _PRELUDE = '''\
 """Latte-generated program. Machine-written; see repro.codegen."""
 import math as _math
 import numpy as _np
+from numpy.lib.stride_tricks import as_strided as _as_strided
 
 _inf = float("inf")
+
+
+def _window(a, first, shape, steps):
+    """The view of ``a`` from element ``first`` whose dimension ``d``
+    holds ``shape[d]`` elements ``k`` apart along axis ``ax``, for
+    ``(ax, k) = steps[d]``. Its last element is indexed first: a window
+    that would leave ``a`` raises IndexError instead of reading past it.
+    A contiguous ``a`` (every arena buffer) is viewed directly, at half
+    ``as_strided``'s cost."""
+    last = list(first)
+    for n, (ax, k) in zip(shape, steps):
+        last[ax] += k * (n - 1)
+    a[tuple(last)]
+    strides = [k * a.strides[ax] for ax, k in steps]
+    if a.flags.c_contiguous:
+        offset = sum(i * s for i, s in zip(first, a.strides))
+        return _np.ndarray(shape, a.dtype, a, offset, strides)
+    return _as_strided(a[tuple(slice(i, None) for i in first)], shape,
+                       strides)
 
 
 def _sigmoid(x):
@@ -545,7 +571,7 @@ def compile_items(
             name = f"_step_{tag}{counter}"
             counter += 1
             lines.append(f"# --- {tag} {item.label}")
-            _emit_group(item, name, vectorize, lines, shapes)
+            ops = _emit_group(item, name, vectorize, lines, shapes)
             lines.append("")
             steps[tag].append(
                 Step(
@@ -559,6 +585,7 @@ def compile_items(
                     private_accums=(
                         dict(item.shard.private_accums) if item.shard else {}
                     ),
+                    ops=ops,
                 )
             )
     source = _PRELUDE + "\n".join(lines)

@@ -37,13 +37,6 @@ from repro.synthesis.units import LoopSpec, LoopUnit, Section
 #: costs more than it saves on small layers
 STAGING_TILE_BYTES = 512 * 1024
 
-#: ... and a tile is not cut so fine that a window offset's strided copy
-#: (one NumPy array operation, one C loop nest) moves less than this: an
-#: 11x11 stride-4 window gathered one 320 KB image at a time is 121
-#: copies of 2.7 KB each, and that layer's NumPy step was half again as
-#: slow as whole-batch (EXPERIMENTS.md)
-TILE_GRANULE_BYTES = 8 * 1024
-
 
 def is_tiled(unit: LoopUnit) -> bool:
     return bool(unit.loops) and unit.loops[0].role == "tile"
@@ -104,19 +97,13 @@ def _tile_gemm(unit: LoopUnit, count: int) -> LoopUnit:
     return unit
 
 
-def batch_rows(batch: int, row_bytes: int, positions: int = 1) -> int:
+def batch_rows(batch: int, row_bytes: int) -> int:
     """Images per batch tile of a staging buffer that takes
-    ``row_bytes`` per image, gathered at ``positions`` window offsets:
-    the largest divisor of the batch that fits
-    :data:`STAGING_TILE_BYTES` — but no fewer than leave every window
-    offset :data:`TILE_GRANULE_BYTES` to move. The whole batch (no
-    tiling) when that fits, or when nothing smaller has the grain."""
-    divisors = [d for d in range(1, batch + 1) if batch % d == 0]
-    fit = max(d for d in divisors
-              if d == 1 or d * row_bytes <= STAGING_TILE_BYTES)
-    grain = next(d for d in divisors if d == batch
-                 or d * row_bytes >= positions * TILE_GRANULE_BYTES)
-    return max(fit, grain)
+    ``row_bytes`` per image: the largest divisor of the batch that fits
+    :data:`STAGING_TILE_BYTES` (the whole batch — no tiling — when that
+    fits; one image when none does)."""
+    return max(d for d in range(1, batch + 1) if batch % d == 0
+               and (d == 1 or d * row_bytes <= STAGING_TILE_BYTES))
 
 
 def at_batch_rows(unit: LoopUnit, buf: str, plan) -> bool:
@@ -213,12 +200,7 @@ def run(sections: List[Section], plan) -> Dict[str, int]:
                      if name in rw[id(u)][0] | rw[id(u)][1]]
             if not chain:
                 continue
-            # one strided copy per window offset that moves with the
-            # sink position (the channel window is sliced whole)
-            conn = next((u.tags.conn for u in chain if u.tags.conn), None)
-            positions = math.prod(wd.length for wd in getattr(conn, "dims", ())
-                                  if any(wd.coeffs))
-            rows = batch_rows(batch, staging[name], positions)
+            rows = batch_rows(batch, staging[name])
             if rows == batch:
                 continue
             if plan.time_steps > 1:

@@ -260,10 +260,6 @@ class Histogram(_Metric):
             state = self._children.get(key)
             return float(state.sum) if state else 0.0
 
-    def total_count(self) -> int:
-        with self._lock:
-            return sum(sum(s.counts) for s in self._children.values())
-
     def quantile(self, q: float, **labels) -> float:
         """Approximate the ``q`` quantile (0..1) from bucket counts.
 
@@ -433,9 +429,6 @@ class _NullMetric:
         return 0.0
 
     def count(self, **labels) -> int:
-        return 0
-
-    def total_count(self) -> int:
         return 0
 
     def sum(self, **labels) -> float:

@@ -17,7 +17,10 @@ the generated Python ``source``, of the pass records' program facts
 ``backend='c'`` built, or emitted from the schedule on NumPy) and the
 exact ``planned_bytes``. Pass seconds and each record's ``env`` (the
 build's timings, job count, ``so_bytes`` and ``build_dir_hit``) are
-left out, so a cold and a warm build directory digest alike.
+left out, so a cold and a warm build directory digest alike. A NumPy
+line ends with a clockless work counter, ``ops``: the NumPy array
+operations of one forward plus backward (:attr:`Step.ops
+<repro.codegen.python_backend.Step.ops>` summed, times the time steps).
 
 Every compile is also put through the oracle's static arena check
 (:func:`repro.testing.oracle.arena_fault`: aligned offsets inside the
@@ -26,7 +29,8 @@ layout it rejects ends the run with exit 1, naming the compile and the
 buffers.
 
 ``--against FILE`` reads a saved run (the printed lines) and exits 1
-naming the first compile and field that differs.
+naming the first compile and field that differs (``ops`` only where
+the saved line has it).
 """
 
 from __future__ import annotations
@@ -121,10 +125,14 @@ def digest(cnet) -> Dict[str, str]:
          sorted(r.rewrites.items()))
         for r in cnet.compile_report.records
     ]
-    return {"source": _sha(cnet.source),
-            "rewrites": _sha(json.dumps(records)),
-            "c": _sha(cnet.c_source),
-            "planned": str(cnet.memory_stats()["planned_bytes"])}
+    facts = {"source": _sha(cnet.source),
+             "rewrites": _sha(json.dumps(records)),
+             "c": _sha(cnet.c_source),
+             "planned": str(cnet.memory_stats()["planned_bytes"])}
+    if cnet.options.backend == "numpy":
+        facts["ops"] = str(cnet.plan.time_steps * sum(
+            step.ops for step in cnet.compiled.steps))
+    return facts
 
 
 def digest_line(name: str, label: str, options: CompilerOptions,
@@ -140,14 +148,14 @@ def digest_line(name: str, label: str, options: CompilerOptions,
         facts = digest(cnet)
     finally:
         cnet.close()
-    return " ".join([name, label] + [f"{f}={facts[f]}" for f in FIELDS])
+    return " ".join([name, label] + [f"{f}={v}" for f, v in facts.items()])
 
 
 def _parse(lines) -> Dict[Tuple[str, str], Dict[str, str]]:
     out = {}
     for line in lines:
         parts = line.split()
-        if len(parts) == 2 + len(FIELDS):
+        if len(parts) > 2 and all("=" in p for p in parts[2:]):
             out[parts[0], parts[1]] = dict(p.split("=", 1) for p in parts[2:])
     return out
 
@@ -161,8 +169,8 @@ def first_difference(ours: List[str], theirs: List[str]) -> Optional[str]:
         other = saved.get(key)
         if other is None:
             return f"{' '.join(key)}: not in the saved run"
-        for f in FIELDS:
-            if facts[f] != other.get(f):
+        for f in facts:
+            if facts[f] != other.get(f) and (f in FIELDS or f in other):
                 return f"{' '.join(key)}: {f} differs"
     return None
 

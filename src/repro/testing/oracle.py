@@ -158,19 +158,19 @@ class OracleReport:
 @contextlib.contextmanager
 def batch_tiles(engaged: bool = True):
     """Engage batch tiling at fuzz geometry while compiling: stage no
-    more than 1 KB of a window copy at a time, however little each
-    window offset then moves. The rule has no option to set — its
-    constants (``repro.optim.tiling``) are patched; outside this block
-    the tiny nets of the fuzz corpus and the tests compile untiled."""
+    more than 1 KB of a window copy at a time. The rule has no option
+    to set — its constant (``repro.optim.tiling.STAGING_TILE_BYTES``)
+    is patched; outside this block the tiny nets of the fuzz corpus and
+    the tests compile untiled."""
     from repro.optim import tiling
 
-    saved = tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES
+    saved = tiling.STAGING_TILE_BYTES
     if engaged:
-        tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES = 1024, 1
+        tiling.STAGING_TILE_BYTES = 1024
     try:
         yield
     finally:
-        tiling.STAGING_TILE_BYTES, tiling.TILE_GRANULE_BYTES = saved
+        tiling.STAGING_TILE_BYTES = saved
 
 
 def run_spec(spec: NetSpec, level: int = 0, num_threads: int = 1,

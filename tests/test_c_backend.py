@@ -470,7 +470,6 @@ class TestBuild:
         # room for two images of the staging buffer: two tiles of two
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES",
                             2 * 4 * int(np.prod(image)))
-        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         cnet = _compile_c(ZOO["conv_pool_fc"])
         compiled = cnet.compiled
         (step,) = [s for s in compiled.backward if "regather" in s.label]

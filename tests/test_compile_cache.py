@@ -127,9 +127,8 @@ class TestRoundTrip:
         if backend == "c" and not have_c_toolchain():
             pytest.skip("no usable C toolchain")
         # patched here, not by batch_tiles(): the test moves the budget
-        # again to show the rule's constants key the cache
+        # again to show the rule's constant keys the cache
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
-        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         spec = NetSpec(
             seed=7, batch=4, input_shape=(3, 10, 10), classes=3,
             layers=(
@@ -217,7 +216,6 @@ class TestRoundTrip:
         if backend == "c" and not have_c_toolchain():
             pytest.skip("no usable C toolchain")
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 2048)
-        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         spec = NetSpec(
             seed=7, batch=4, input_shape=(3, 10, 10), classes=3,
             layers=(

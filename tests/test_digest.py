@@ -51,6 +51,11 @@ def test_against_names_the_first_field_that_differs():
     assert first_difference([moved], [line]) == "vgg O4-train: c differs"
     assert first_difference([line], []) == (
         "vgg O4-train: not in the saved run")
+    # a NumPy line's work counter: checked where the saved line has one
+    counted = line + " ops=7"
+    assert first_difference([counted], [line]) is None
+    assert first_difference([counted], [line + " ops=8"]) == (
+        "vgg O4-train: ops differs")
 
 
 def test_the_command_checks_a_saved_run(tmp_path, capsys, monkeypatch):

@@ -739,15 +739,11 @@ class TestRematerialization:
                 if spec.role == "padded":
                     continue  # its group's tile, sized by the im2col copy
                 # the largest divisor of the batch that fits the budget
-                # (one image when none does) ...
+                # (one image when none does: the 11x11 conv1 layers)
                 row = cn.buffers[buf].nbytes // spec.tile
-                fits = 2 * spec.tile * row <= STAGING_TILE_BYTES
-                # ... unless a window offset would then move under 8 KB
-                # (the 11x11 conv1 layers: 121 offsets, 4 images)
-                coarse = name != "vgg" and buf.startswith("conv1_")
-                assert not fits or coarse, (name, buf)
-                assert coarse == (spec.tile == 4 and 2 * row
-                                  > STAGING_TILE_BYTES), (name, buf)
+                assert spec.tile == 1 or spec.tile * row <= \
+                    STAGING_TILE_BYTES, (name, buf)
+                assert 2 * spec.tile * row > STAGING_TILE_BYTES, (name, buf)
                 assert buf in label.replace("regather", "copy") or \
                     "compute" in label
 
@@ -1018,7 +1014,6 @@ class TestBatchTiles:
         # not batch_tiles(): its one-image tiles would put no shard
         # bound inside a tile — 6000 B keeps several images per tile
         monkeypatch.setattr(tiling, "STAGING_TILE_BYTES", 6000)
-        monkeypatch.setattr(tiling, "TILE_GRANULE_BYTES", 1)
         cn = _staged_net(padded, **kw)
         assert bool(cn.plan.contracted) == (batch > 1)
         tiled = _staged_run(cn)

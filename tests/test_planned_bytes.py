@@ -17,16 +17,18 @@ from repro.testing.digest import PROGRAMS, SPEC_DIR, ledger_net
 
 #: program -> (train, train keeping every ensemble, inference)
 #: ``planned_bytes``. A comment above a row gives its numbers before the
-#: last change that moved it (``=`` where a column did not move): the
-#: dropout programs lost their ``drop*_mask`` buffers when the mask
+#: last change that moved it (``=`` where a column did not move): alexnet
+#: and overfeat tile their 11x11 conv1 chains one image at a time since
+#: a window copy is one NumPy operation (four images a tile before); the
+#: other dropout programs lost their ``drop*_mask`` buffers when the mask
 #: became a hash (exactly the mask bytes, in every column); the others
 #: moved when each pooled buffer got a byte offset of its own instead of
 #: a slab as wide as its largest member
 PLANNED = {
-    # was 2 586 304, 3 859 120, 1 979 328 (dropout masks)
-    "alexnet": (2_520_768, 3_793_584, 1_913_792),
-    # was 3 040 192, 3 310 512, 2 330 496 (dropout masks)
-    "overfeat": (3_011_520, 3_281_840, 2_301_824),
+    # was 2 520 768, 3 793 584, 1 913 792 (four-image conv1 tiles)
+    "alexnet": (1_970_240, 3_050_112, 1_089_024),
+    # was 3 011 520, 3 281 840, 2 301 824 (four-image conv1 tiles)
+    "overfeat": (1_752_640, 2_022_956, 1_001_328),
     # was 7 543 104, 14 072 128, 1 313 952 (dropout masks)
     "vgg": (7_477_568, 14_006_592, 1_248_416),
     # was 1 041 600, =, 767 840

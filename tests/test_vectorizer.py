@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.exprs import NonAffine, extract_affine
+from repro.codegen.python_backend import _HELPERS
 from repro.codegen.vectorize import lower_unit_scalar, lower_unit_vector
 from repro.ir import Assign, BinOp, Call, Const, Index, Var, add, mul
 from repro.synthesis.units import LoopSpec, LoopUnit, UnitTags
@@ -33,10 +34,8 @@ def _exec(lowered, bufs):
         pad += "    "
     lines.append(pad + lowered.line)
     src = "\n".join(lines)
-    env = {"_np": np, "_inf": float("inf"), "_math": __import__("math"),
-           "_where": lambda c, a, b: a if c else b,
-           "_scalar_sigmoid": lambda x: 1 / (1 + np.exp(-x)),
-           "_sigmoid": lambda x: 1 / (1 + np.exp(-x))}
+    # the generated program's prelude helpers (``_np``, ``_window``, ...)
+    env = dict(vars(_HELPERS))
     env.update(bufs)
     exec(compile(src, "<test>", "exec"), env)
 
