@@ -113,17 +113,19 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 #: train ``planned_bytes`` at this geometry with every over-budget
 #: staging chain batch-tiled and contracted, each re-gathered conv
 #: layer's input re-padded in backward, only the program contract kept
-#: out of the arena, each pooled buffer at a byte offset of its own,
-#: no dropout mask buffer and the 11x11 conv1 chains tiled one image at
-#: a time (2 520 768 / 3 011 520 for alexnet / overfeat at four images
+#: out of the arena (a loss feeder's gradient pools), each pooled
+#: buffer at a byte offset of its own, no dropout mask buffer and the
+#: 11x11 conv1 chains tiled one image at a time (7 477 568 / 1 970 240 /
+#: 1 752 640 with the loss an extern and its feeder's gradient kept
+#: whole; 2 520 768 / 3 011 520 for alexnet / overfeat at four images
 #: a tile; 7 543 104 / 2 586 304 / 3 040 192 with the masks; 9 525 568 / 3 189 952 / 3 154 880 packed into slabs; 14 072 128 /
 #: 3 952 064 / 3 376 064 with every ensemble kept inspectable, in
 #: slabs; 21 115 584 / 5 556 608 / 5 169 280 with
 #: whole-batch staging re-gathered in backward; 16 986 816 / 4 249 792 /
 #: 3 490 752 with the padded inputs kept out of the arena; 16 208 576 /
 #: 4 156 864 / 3 425 216 with them pooled but held across the phases)
-PLANNED_BYTES = {"vgg": 7_477_568, "alexnet": 1_970_240,
-                 "overfeat": 1_752_640}
+PLANNED_BYTES = {"vgg": 7_474_432, "alexnet": 1_967_104,
+                 "overfeat": 1_749_504}
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))

@@ -10,10 +10,10 @@ to rebuild an executor *without* re-running synthesis or any pass:
   ``BufferPlan`` with its memory plan, the pass records — stored field
   by field (``dataclasses.fields``) and rebuilt from the same classes'
   type hints, so a record gains a field with no edit here;
-* **closure descriptors**: the three runtime-closure kinds the lowering
+* **closure descriptors**: the two runtime-closure kinds the lowering
   creates (gather/scatter pairs with their materialized index arrays,
-  normalization, loss) recorded as rebuild recipes against the
-  module-level factories in :mod:`repro.synthesis.lower`.
+  normalization) recorded as rebuild recipes against the module-level
+  factories in :mod:`repro.synthesis.lower`.
 
 The only record fields this module names are the few in
 :data:`_NOT_STORED`, which a thaw re-links (a step's function, a
@@ -41,13 +41,9 @@ import numpy as np
 
 from repro.cache.key import CacheUnsupported
 from repro.codegen.python_backend import CompiledProgram, Step, exec_program
-from repro.core.ensemble import Ensemble, LossEnsemble, NormalizationEnsemble
+from repro.core.ensemble import Ensemble, NormalizationEnsemble
 from repro.synthesis.liveness import MemoryPlan
-from repro.synthesis.lower import (
-    make_gather_closures,
-    make_loss_closures,
-    make_norm_closures,
-)
+from repro.synthesis.lower import make_gather_closures, make_norm_closures
 from repro.synthesis.plan import BufferPlan, BufferSpec
 from repro.trace.compile_report import CompileReport, PassRecord
 
@@ -184,10 +180,6 @@ def _field_refs(net, plan) -> Dict[str, List[str]]:
     return refs
 
 
-#: extern-ensemble closure kinds: the ensemble class and the factory
-#: that rebuilds its (forward, backward) pair
-_EXTERN_KINDS = {"norm": (NormalizationEnsemble, make_norm_closures),
-                 "loss": (LossEnsemble, make_loss_closures)}
 _DIRECTIONS = ("forward", "backward")
 
 
@@ -212,12 +204,11 @@ def _closure_descriptors(net, plan, closures,
         })
         covered.update((fkey, f"{ens_name}.scatter{j}"))
     for ens in net.ensembles.values():
-        for kind, (cls, _make) in _EXTERN_KINDS.items():
-            fkey, bkey = (f"{ens.name}.{kind}_{d}" for d in _DIRECTIONS)
-            if isinstance(ens, cls) and fkey in closures:
-                descs.append({"kind": kind, "ensemble": ens.name,
-                              "has_backward": bkey in closures})
-                covered.update(k for k in (fkey, bkey) if k in closures)
+        fkey, bkey = (f"{ens.name}.norm_{d}" for d in _DIRECTIONS)
+        if isinstance(ens, NormalizationEnsemble) and fkey in closures:
+            descs.append({"kind": "norm", "ensemble": ens.name,
+                          "has_backward": bkey in closures})
+            covered.update(k for k in (fkey, bkey) if k in closures)
     unknown = sorted(set(closures) - covered)
     if unknown:
         raise CacheUnsupported(
@@ -323,15 +314,14 @@ def _rebuild_closures(net, plan, meta, arrays) -> Dict:
             j = d["conn"]
             closures[f"{name}.gather{j}"] = fwd.fn
             closures[f"{name}.scatter{j}"] = bwd.fn
-        elif kind in _EXTERN_KINDS:
-            cls, make = _EXTERN_KINDS[kind]
-            if not isinstance(ens, cls):
-                raise CacheError(f"{name} is not a {cls.__name__}")
-            externs = make(ens, plan)[:1 + d["has_backward"]]
+        elif kind == "norm":
+            if not isinstance(ens, NormalizationEnsemble):
+                raise CacheError(f"{name} is not a NormalizationEnsemble")
+            externs = make_norm_closures(ens, plan)[:1 + d["has_backward"]]
             if None in externs:
                 raise CacheError(f"{name} lost its backward_fn")
             for direction, ext in zip(_DIRECTIONS, externs):
-                closures[f"{name}.{kind}_{direction}"] = ext.fn
+                closures[f"{name}.norm_{direction}"] = ext.fn
         else:
             raise CacheError(f"unknown closure descriptor kind {kind!r}")
     return closures

@@ -111,18 +111,20 @@ _SCALAR_FUNCS = {
 }
 
 
-def render(e: Expr, index_renderer, vector: bool) -> str:
+def render(e: Expr, index_renderer, vector: bool,
+           names: Optional[Dict[str, str]] = None) -> str:
     """Render an expression to Python source.
 
     ``index_renderer(Index) -> str`` decides how buffer accesses print
-    (scalar subscripts vs slice tuples).
+    (scalar subscripts vs slice tuples); ``names`` respells variables
+    read as values, outside any buffer access.
     """
     if isinstance(e, SliceExpr):
         step = ""
         if not (isinstance(e.step, Const) and e.step.value == 1):
-            step = f":{render(e.step, index_renderer, vector)}"
-        return (f"{render(e.start, index_renderer, vector)}:"
-                f"{render(e.stop, index_renderer, vector)}{step}")
+            step = f":{render(e.step, index_renderer, vector, names)}"
+        return (f"{render(e.start, index_renderer, vector, names)}:"
+                f"{render(e.stop, index_renderer, vector, names)}{step}")
     if isinstance(e, NewAxis):
         return "None"
     if isinstance(e, Const):
@@ -133,21 +135,21 @@ def render(e: Expr, index_renderer, vector: bool) -> str:
             return "(-_inf)"
         return repr(v)
     if isinstance(e, Var):
-        return e.name
+        return (names or {}).get(e.name, e.name)
     if isinstance(e, Index):
         return index_renderer(e)
     if isinstance(e, (BinOp, Compare)):
-        return (f"({render(e.left, index_renderer, vector)} {e.op} "
-                f"{render(e.right, index_renderer, vector)})")
+        return (f"({render(e.left, index_renderer, vector, names)} {e.op} "
+                f"{render(e.right, index_renderer, vector, names)})")
     if isinstance(e, UnaryOp):
-        return f"({e.op}{render(e.operand, index_renderer, vector)})"
+        return f"({e.op}{render(e.operand, index_renderer, vector, names)})"
     if isinstance(e, Call):
         table = _VEC_FUNCS if vector else _SCALAR_FUNCS
         if e.func not in table:
             raise ValueError(f"unknown intrinsic {e.func!r}")
         # dropout also reads the forward's key and time step off ``rt``
         args = ["rt"] * (e.func == "dropout") + [
-            render(a, index_renderer, vector) for a in e.args]
+            render(a, index_renderer, vector, names) for a in e.args]
         return f"{table[e.func]}({', '.join(args)})"
     raise TypeError(f"cannot render {type(e).__name__}")
 

@@ -337,29 +337,36 @@ def _tile_rows(unit: LoopUnit) -> int:
     return (sp or unit.find_loop(BATCH_VAR)).extent
 
 
-def _shard_tiles(sp: LoopSpec, rows: int) -> LoopSpec:
-    """The batch tile loop over the tiles that meet ``[_b0, _b1)``."""
+def _shard_tiles(sp: LoopSpec, rows: int, shard) -> LoopSpec:
+    """The batch tile loop over the tiles that meet ``[_b0, _b1)``; its
+    extent counts those of the largest shard ``shard.rows``."""
+    lo, hi = shard.rows
     return dc_replace(
         sp, start=BinOp("//", Var(SHARD_LO), Const(rows)),
-        stop=BinOp("//", add(Var(SHARD_HI), rows - 1), Const(rows)))
+        stop=BinOp("//", add(Var(SHARD_HI), rows - 1), Const(rows)),
+        extent=(hi + rows - 1) // rows - lo // rows)
 
 
-def _shard_unit(unit: LoopUnit) -> LoopUnit:
+def _shard_unit(unit: LoopUnit, shard) -> LoopUnit:
     """Rebuild a unit with its batch extent parameterized by
-    ``(_b0, _b1)`` — batch loops get the shard bounds, and Gemm axes the
-    pattern matcher consumed from the batch loop become partial slices
-    (the same re-splitting mechanism the tiling pass uses); a
-    batch-tiled unit runs the tiles that meet the shard, each clipped to
-    it. Originals are left untouched: the native C emitter reads the
-    same schedule.
+    ``(_b0, _b1)`` — batch loops get the shard bounds (and the largest
+    shard's rows as their extent; a tile's keeps its tile rows), and
+    Gemm axes the pattern matcher consumed from the batch loop become
+    partial slices (the same re-splitting mechanism the tiling pass
+    uses); a batch-tiled unit runs the tiles that meet the shard, each
+    clipped to it. Originals are left untouched: the native C emitter
+    reads the same schedule.
     """
     loops = []
     for sp in unit.loops:
         if sp.role == "batch":
             lo, hi = _shard_range(sp.start, sp.stop)
-            sp = dc_replace(sp, start=lo, stop=hi)
+            extent = sp.extent
+            if isinstance(sp.start, Const):
+                extent = shard.rows[1] - shard.rows[0]
+            sp = dc_replace(sp, start=lo, stop=hi, extent=extent)
         elif sp.role == "tile":
-            sp = _shard_tiles(sp, _tile_rows(unit))
+            sp = _shard_tiles(sp, _tile_rows(unit), shard)
         loops.append(sp)
     stmt = unit.stmt
     if isinstance(stmt, Gemm) and BATCH_VAR in stmt.var_axes:
@@ -418,9 +425,9 @@ def lowered_units(group: FusedGroup):
     sharded, contracted buffers indexed tile-locally."""
     tile, units = group.tile_loop, group.units
     if group.shard is not None:
-        units = [_shard_unit(u) for u in units]
+        units = [_shard_unit(u, group.shard) for u in units]
         if tile is not None:
-            tile = _shard_tiles(tile, _tile_rows(units[0]))
+            tile = _shard_tiles(tile, _tile_rows(units[0]), group.shard)
     if group.contracted:
         names = set(group.contracted)
         units = [_contract_unit(u, names, tile) for u in units]

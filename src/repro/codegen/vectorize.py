@@ -53,10 +53,8 @@ from repro.ir import (
     Var,
     add,
     free_vars,
-    map_expr,
     mul,
     sub,
-    substitute,
     substitute_stmt,
     walk_exprs,
 )
@@ -447,20 +445,13 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
     def vec_ix(ref: Index) -> str:
         return render_vector_index(ref, order, loops, _scalar_render)
 
-    # a dropout mask's neuron index reads chosen loop variables as
-    # values: they are spelled as broadcast aranges
-    aranges = {v: Var(
-        f"_np.arange({_scalar_render(loops[v].start)}, "
-        f"{_scalar_render(loops[v].stop)})"
-        f"[{', '.join(':' if u == v else 'None' for u in order)}]")
-        for v in chosen}
-
-    def spell(e):
-        if isinstance(e, Call) and e.func == "dropout":
-            x, index, *consts = e.args
-            return Call(e.func, (x, substitute(index, aranges), *consts))
-
-    rhs = render(map_expr(spell, stmt.value), vec_ix, vector=True)
+    # a chosen loop variable read as a value (a label test, a dropout
+    # mask's neuron index) is spelled as a broadcast arange
+    aranges = {v: f"_np.arange({_scalar_render(loops[v].start)}, "
+                  f"{_scalar_render(loops[v].stop)})"
+                  f"[{', '.join(':' if u == v else 'None' for u in order)}]"
+               for v in chosen}
+    rhs = render(stmt.value, vec_ix, vector=True, names=aranges)
     has_arrays = any(isinstance(e, Index) for e in walk_exprs(stmt.value))
     red_axes = tuple(order.index(v) for v in reduction)
 

@@ -333,20 +333,10 @@ class NormalizationEnsemble(AbstractEnsemble):
         self.state = state if state is not None else {}
 
 
-class LossEnsemble(AbstractEnsemble):
-    """A terminal ensemble producing a scalar training loss.
-
-    ``forward_fn(ins, ctx) -> float`` and
-    ``backward_fn(in_grads, ins, ctx)`` seed back-propagation. The loss
-    value for the last forward pass is exposed as ``CompiledNet.loss``.
-    """
-
-    def __init__(self, net, name, forward_fn, backward_fn,
-                 state: Optional[dict] = None):
-        super().__init__(net, name, (1,))
-        self.forward_fn = forward_fn
-        self.backward_fn = backward_fn
-        self.state = state if state is not None else {}
+class LossEnsemble(Ensemble):
+    """A neuron ensemble whose values, summed, are the training loss
+    (``CompiledNet.loss``). Its backward seeds back-propagation, so it
+    has no gradient of its own; a forward-only compile leaves it out."""
 
 
 class DataEnsemble(AbstractEnsemble):

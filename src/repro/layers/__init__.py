@@ -37,6 +37,7 @@ from repro.layers.neurons import (
     ReLUNeuron,
     ScaleNeuron,
     SigmoidNeuron,
+    SoftmaxLossNeuron,
     TanhNeuron,
     WeightedNeuron,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "SigmoidNeuron",
     "SoftmaxLayer",
     "SoftmaxLossLayer",
+    "SoftmaxLossNeuron",
     "TanhEnsemble",
     "TanhLayer",
     "TanhNeuron",

@@ -170,3 +170,37 @@ class ScaleNeuron(Neuron):
 
     def backward(self):
         self.grad_inputs[0][0] += self.grad * self.scale
+
+
+class SoftmaxLossNeuron(Neuron):
+    """Softmax cross-entropy of the scores ``inputs[0]`` against the
+    class index ``inputs[1][0]``, times ``scale`` (1/batch, so an
+    ensemble's values sum to the batch mean). ``lse`` holds each item's
+    log-sum-exp for the backward, which reads no ``self.grad``: a loss
+    seeds back-propagation."""
+
+    lse = Field(batch=True)
+    scale = Field()
+
+    def forward(self):
+        # the log-sum-exp, shifted by the largest score
+        self.lse = self.inputs[0][0]
+        for i in range(len(self.inputs[0])):
+            self.lse = max(self.lse, self.inputs[0][i])
+        self.value = 0.0
+        for i in range(len(self.inputs[0])):
+            self.value += exp(self.inputs[0][i] - self.lse)  # noqa: F821
+        self.lse += log(self.value)  # noqa: F821
+        # minus the labelled score
+        self.value = 0.0
+        for i in range(len(self.inputs[0])):
+            self.value += where(  # noqa: F821
+                i == self.inputs[1][0],
+                self.scale * (self.lse - self.inputs[0][i]), 0.0)
+
+    def backward(self):
+        # softmax minus the one-hot label
+        for i in range(len(self.inputs[0])):
+            self.grad_inputs[0][i] += self.scale * (
+                exp(self.inputs[0][i] - self.lse)  # noqa: F821
+                - where(i == self.inputs[1][0], 1.0, 0.0))  # noqa: F821

@@ -1,16 +1,18 @@
 """Softmax, loss, and softmax-loss layers.
 
-``SoftmaxLossLayer`` is a :class:`~repro.core.ensemble.LossEnsemble`:
-a whole-array operation better suited to the array style (like
-NormalizationEnsembles, §3.2), computing mean cross-entropy over the
-batch and seeding back-propagation.
+``SoftmaxLossLayer`` is a :class:`~repro.core.ensemble.LossEnsemble`
+of one :class:`~repro.layers.neurons.SoftmaxLossNeuron`, compiled like
+any other ensemble; its values are the loss and its backward seeds
+back-propagation. ``SoftmaxLayer`` is a NormalizationEnsemble (§3.2).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import LossEnsemble, Net, NormalizationEnsemble, one_to_one
+from repro.core import (Dim, FieldBinding, LossEnsemble, Net,
+                        NormalizationEnsemble, all_to_all, one_to_one)
+from repro.layers.neurons import SoftmaxLossNeuron
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -21,34 +23,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def SoftmaxLossLayer(name: str, net: Net, input_ens, label_ens) -> LossEnsemble:
-    """Mean cross-entropy of softmax(input) against integer labels.
+    """Mean cross-entropy of softmax(input) against integer labels: one
+    :class:`~repro.layers.neurons.SoftmaxLossNeuron`, connected to every
+    score and to the label.
 
     ``label_ens`` is a DataEnsemble of shape ``(1,)`` holding the class
-    index per batch item. The softmax probabilities of the last forward
-    pass are stashed in ``state['probs']``.
+    index per batch item.
     """
-
-    def forward_fn(ins, state):
-        logits = ins[0].reshape(ins[0].shape[0], -1)
-        labels = ins[1].reshape(ins[1].shape[0]).astype(np.int64)
-        probs = softmax(logits.astype(np.float64))
-        # keyed by time step so BPTT sees each step's own probabilities
-        state[("probs", state.get("t", 0))] = probs
-        state[("labels", state.get("t", 0))] = labels
-        picked = probs[np.arange(len(labels)), labels]
-        return -np.log(np.maximum(picked, 1e-30)).mean()
-
-    def backward_fn(in_grads, ins, state):
-        t = state.get("t", 0)
-        probs, labels = state[("probs", t)], state[("labels", t)]
-        g = probs.copy()
-        g[np.arange(len(labels)), labels] -= 1.0
-        g /= len(labels)
-        in_grads[0] += g.reshape(in_grads[0].shape).astype(in_grads[0].dtype)
-        # labels receive no gradient
-
-    loss = LossEnsemble(net, name, forward_fn, backward_fn)
-    net.add_connections(input_ens, loss, one_to_one(len(input_ens.shape)))
+    fields = {
+        "lse": FieldBinding(None, (Dim(0),), batch=True, shape=(1,)),
+        "scale": FieldBinding(np.full(1, 1.0 / net.batch_size, np.float32),
+                              (Dim(0),)),
+    }
+    loss = LossEnsemble(net, name, SoftmaxLossNeuron, (1,), fields=fields)
+    net.add_connections(input_ens, loss, all_to_all(input_ens.shape))
     net.add_connections(label_ens, loss, one_to_one(len(label_ens.shape)))
     return loss
 

@@ -36,8 +36,8 @@ Three cooperating transformations:
    (:attr:`~repro.synthesis.access.Interval.units`), so a group of
    several layers needs no more arena than its largest layer.
 
-NormalizationEnsembles, losses and untiled paddings are fusion
-barriers (§5.5).
+NormalizationEnsembles and untiled paddings are fusion barriers
+(§5.5).
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.ir import (
     walk_exprs,
     write_target_vars,
 )
+from repro.runtime.threads import shard_bounds
 from repro.synthesis.lower import BATCH_VAR
 from repro.synthesis.units import FusedGroup, ShardInfo
 
@@ -46,8 +47,11 @@ def run(items, plan, num_threads: int = 1) -> Dict[str, int]:
     returns how many were marked."""
     marked = 0
     if num_threads > 1 and plan.batch_size > 1:
+        bounds = shard_bounds(plan.batch_size,
+                              min(num_threads, plan.batch_size))
+        rows = max(bounds, key=lambda b: b[1] - b[0])
         for item in items:
-            item.shard = _mark_group(item, plan)
+            item.shard = _mark_group(item, plan, rows)
             marked += item.shard is not None
     return {"steps_sharded": marked}
 
@@ -61,7 +65,7 @@ def _index_vars(expr) -> set:
     return out
 
 
-def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
+def _mark_group(group: FusedGroup, plan, rows) -> Optional[ShardInfo]:
     """Decide shardability of one group; returns its ShardInfo or None.
 
     Every unit must either write at its own batch row (disjoint across
@@ -130,4 +134,4 @@ def _mark_group(group: FusedGroup, plan) -> Optional[ShardInfo]:
     priv.update((name, "tile") for name in group.contracted)
     for name in priv:
         plan.mark_private(name)
-    return ShardInfo(batch=plan.batch_size, private_accums=priv)
+    return ShardInfo(plan.batch_size, rows, priv)

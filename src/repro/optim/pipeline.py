@@ -67,8 +67,8 @@ class CompilerOptions:
     #: Python/NumPy program; ``'c'`` additionally lowers every fused
     #: step to C, compiles the program with the system toolchain
     #: (``cc`` -> shared object, loaded via ctypes), and swaps the
-    #: native kernels in — extern-closure steps (softmax loss,
-    #: normalization statistics, gathers) keep their Python functions.
+    #: native kernels in — extern-closure steps (normalization
+    #: statistics, concatenation, gathers) keep their Python functions.
     #: Requires a working C compiler
     #: (:func:`repro.codegen.c_backend.have_c_toolchain`); raises
     #: :class:`repro.codegen.c_backend.CBackendUnavailable` otherwise.
@@ -268,7 +268,7 @@ def _prune_buffers(s: CompileState):
     # buffer table is unreferenced — drop it before the planner runs so
     # naive/planned accounting and the arena itself reflect the
     # forward-only footprint
-    return liveness.prune_unused_buffers(s.plan, s.fwd, s.bwd)
+    return liveness.prune_unused_buffers(s.plan, s.fwd, s.bwd, s.keep)
 
 
 def _precision(s: CompileState):

@@ -189,8 +189,8 @@ def apply_precision(plan, fwd_items, closures, precision: str,
         for spec in _candidate_bases(plan):
             if spec.tile:  # never whole, so never observed: no range
                 qp.fallbacks[spec.name] = "contracted"
-            if spec.role != "value":
-                continue
+            if spec.role != "value" or view.intervals[spec.name].dead:
+                continue  # (a label no forward-only step reads)
             if spec.name in extern:
                 qp.fallbacks[spec.name] = "extern-step"
                 continue

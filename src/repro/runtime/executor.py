@@ -4,8 +4,8 @@
 forward/backward step lists. It
 
 * feeds input data into DataEnsemble value buffers,
-* runs forward steps (per time step for recurrent nets), collecting loss
-  values recorded by loss ensembles,
+* runs forward steps (per time step for recurrent nets); the loss is
+  the summed values of the loss ensembles,
 * zeroes gradient buffers and runs backward steps in reverse time,
 * exposes parameter/gradient views to solvers.
 
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ensemble import DataEnsemble
+from repro.core.ensemble import DataEnsemble, LossEnsemble
 from repro.runtime.buffers import allocate, allocate_private
 from repro.runtime.threads import ShardPool, shard_bounds, tree_reduce
 from repro.trace import NULL_TRACER
@@ -128,10 +128,15 @@ class CompiledNet:
         self.dropout_key = 0
         self._key_rngs = {id(e.rng): e.rng for e in net.ensembles.values()
                           if hasattr(e, "keep") and self.mode == "train"}
-        #: current time step, exposed to extern closures so loss and
+        #: current time step, exposed to extern closures so
         #: normalization layers can stash per-step state
         self.current_t = 0
-        self._losses: Dict[str, float] = {}
+        #: the value buffers :attr:`loss` sums (none forward-only)
+        self._loss_bufs = [
+            self.buffers[name] for name in (
+                plan.value_buf(e.name) for e in net.ensembles.values()
+                if isinstance(e, LossEnsemble))
+            if name in plan.buffers]
         self._data_names = [
             e.name for e in net.ensembles.values() if isinstance(e, DataEnsemble)
         ]
@@ -547,17 +552,19 @@ class CompiledNet:
     def grad(self, ens_name: str) -> np.ndarray:
         """The gradient array of an ensemble (layout mirrors
         :meth:`value`)."""
+        if isinstance(self.net.ensembles.get(ens_name), LossEnsemble):
+            raise KeyError(
+                f"{ens_name!r} is a loss ensemble: it has no gradient "
+                f"buffer, because its backward seeds back-propagation "
+                f"and nothing reads its gradient")
         return self._inspectable(f"{ens_name}_grad", ens_name)
 
     @property
     def loss(self) -> float:
-        """Sum of all loss ensembles' values from the last forward."""
-        return sum(self._losses.values())
-
-    def record_loss(self, name: str, value: float) -> None:
-        """Accumulate a loss ensemble's contribution for this forward
-        pass (called from generated loss-layer closures)."""
-        self._losses[name] = self._losses.get(name, 0.0) + value
+        """The loss ensembles' values from the last forward, summed in
+        float64 over time steps and batch; 0.0 without any (a
+        forward-only compile has none)."""
+        return float(sum(v.sum(dtype=np.float64) for v in self._loss_bufs))
 
     # -- data feeding --------------------------------------------------------
 
@@ -580,7 +587,8 @@ class CompiledNet:
     # -- execution ------------------------------------------------------------
 
     def forward(self, **inputs) -> float:
-        """Run forward propagation; returns the loss (0 if no loss layer).
+        """Run forward propagation; returns the loss (0.0 with no loss
+        ensemble in the program, as in a forward-only compile).
 
         Keyword arguments feed DataEnsembles by name, e.g.
         ``cnet.forward(data=x, label=y)``.
@@ -590,7 +598,6 @@ class CompiledNet:
         self.dropout_key = 0
         for rng in self._key_rngs.values() if self.training else ():
             self.dropout_key ^= int(rng.integers(1, 1 << 64, dtype=np.uint64))
-        self._losses.clear()
         for fn, env in self._program["forward"]:
             fn(env, self)
         return self.loss

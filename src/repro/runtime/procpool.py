@@ -396,9 +396,9 @@ class DataParallelTrainer(AbstractContextManager):
                     self.policy.max_staleness))
         self._async_solver_sent = True
         losses: List[float] = []
-        for _done, worker_losses, spread in self._gather(
+        for _done, worker, spread in self._gather(
                 self.n_workers, "running an async epoch"):
-            losses += worker_losses
+            losses += worker
             self.last_max_spread = max(self.last_max_spread, spread)
         return losses
 

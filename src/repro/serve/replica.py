@@ -28,20 +28,14 @@ class NetReplica:
     """One forward-only ``CompiledNet`` behind the replica interface.
 
     ``output`` is the ensemble whose value array is the prediction;
-    ``data_name`` / ``label_name`` are the DataEnsembles fed with
-    request items / zero-filled dummy labels (loss-bearing training
-    graphs still expect a label input at forward time; ``None`` if the
-    net has no label ensemble — detected automatically by default).
+    ``data_name`` is the DataEnsemble fed with request items (a
+    forward-only compile has no loss, so nothing reads a label).
     """
 
-    def __init__(self, net, output: str, *, data_name: str = "data",
-                 label_name: Optional[str] = "auto"):
+    def __init__(self, net, output: str, *, data_name: str = "data"):
         self.net = net
         self.output = output
         self.data_name = data_name
-        if label_name == "auto":
-            label_name = "label" if "label" in net._data_names else None
-        self.label_name = label_name
         self.batch_size = net.batch_size
         self.item_shape = tuple(net.value(data_name).shape[1:])
         #: compile-cache provenance, ``None`` unless the compile went
@@ -80,13 +74,9 @@ class NetReplica:
         rows. ``request_ids`` flows into the executor's own step spans
         for this forward when the net has a tracer attached."""
         net = self.net
-        inputs = {self.data_name: x}
-        if self.label_name is not None:
-            inputs[self.label_name] = np.zeros(
-                net.value(self.label_name).shape, np.float32)
         net.trace_context = {"request_ids": request_ids}
         try:
-            net.forward(**inputs)
+            net.forward(**{self.data_name: x})
         finally:
             net.trace_context = None
         return net.value(self.output)[:n].copy()

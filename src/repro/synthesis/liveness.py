@@ -190,18 +190,19 @@ def buffer_nbytes(plan: BufferPlan, spec: BufferSpec) -> int:
 def _contract_ensembles(net) -> Dict[str, str]:
     """Ensembles the program contract keeps inspectable after a run,
     by why: ``'data'`` (fed/inspected outside the step lists),
-    ``'sink'`` (the user reads outputs / seeds output gradients) and
-    ``'loss feeder'`` (inspected as ``value('head')`` by convention)."""
+    ``'sink'`` (the user reads outputs / seeds output gradients; a loss
+    is one, read as ``CompiledNet.loss``) and ``'loss feeder'``
+    (inspected as ``value('head')`` by convention: its value only)."""
     keep: Dict[str, str] = {}
     has_consumer = {c.source.name for c in net.connections}
     for ens in net.ensembles.values():
         if isinstance(ens, DataEnsemble):
             keep[ens.name] = "data"
-        elif isinstance(ens, LossEnsemble):
-            for c in ens.inputs:
-                keep.setdefault(c.source.name, "loss feeder")
         elif ens.name not in has_consumer:
             keep[ens.name] = "sink"
+        if isinstance(ens, LossEnsemble):
+            for c in ens.inputs:
+                keep.setdefault(c.source.name, "loss feeder")
     return keep
 
 
@@ -209,21 +210,22 @@ def kept_buffers(net, plan: BufferPlan,
                  keep_alive: Optional[Iterable[str]] = ()) -> Dict[str, str]:
     """Value/grad base buffers kept individually allocated, by why:
     ``'contract (<data|sink|loss feeder>)'`` for the program contract's
-    ensembles (also where another ensemble shares the base),
-    ``'keep_alive'`` for the others ``keep_alive`` names; see
-    :func:`plan_memory`."""
-    why = {e: f"contract ({kind})"
-           for e, kind in _contract_ensembles(net).items()}
-    for e in keep_alive or ():
-        why.setdefault(str(e), "keep_alive")
-    unknown = why.keys() - net.ensembles.keys()
+    ensembles (also where another ensemble shares the base; a loss
+    feeder's gradient pools), ``'keep_alive'`` for the others
+    ``keep_alive`` names; see :func:`plan_memory`."""
+    alive = [str(e) for e in keep_alive or ()]
+    unknown = set(alive) - net.ensembles.keys()
     if unknown:
         raise KeyError(
             f"keep_alive names unknown ensembles: {sorted(unknown)}"
         )
+    why = [(e, "keep_alive", True) for e in reversed(alive)]
+    why += [(e, f"contract ({kind})", kind != "loss feeder")
+            for e, kind in reversed(_contract_ensembles(net).items())]
+    # the contract last, and its first ensemble last of all
     return {plan.resolve_alias(name): reason
-            for e, reason in reversed(why.items())  # the contract last
-            for name in (plan.value_buf(e), plan.grad_buf(e))
+            for e, reason, grad in why
+            for name in (plan.value_buf(e), plan.grad_buf(e))[:1 + grad]
             if name in plan.buffers}
 
 
@@ -232,7 +234,8 @@ def kept_buffers(net, plan: BufferPlan,
 # ---------------------------------------------------------------------------
 
 
-def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, int]:
+def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items,
+                         keep_bufs: Iterable[str]) -> Dict[str, int]:
     """Drop buffer-table entries no scheduled item names.
 
     Used by inference compilation: with the backward program empty, the
@@ -245,6 +248,9 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
     * role-``'field'`` storage — parameter values, other net-owned
       arrays and batch fields; a parameter's gradient is not kept, so
       none is ever allocated;
+    * the values among ``keep_bufs`` (:func:`kept_buffers`): a data
+      ensemble is fed even where the program no longer reads it, as
+      the label of a loss a forward-only compile leaves out;
     * the full alias chain beneath any surviving buffer, and every alias
       of a surviving base — still its ensemble's name for it when fusion
       respelled a contracted group to the base.
@@ -253,7 +259,8 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items) -> Dict[str, in
     ``bytes_pruned`` a training compile allocates for them).
     """
     dropped = unnamed_buffers(plan, fwd_items, bwd_items)
-    dropped -= {n for n, spec in plan.buffers.items() if spec.role == "field"}
+    dropped -= {n for n, spec in plan.buffers.items() if spec.role == "field"
+                or spec.role == "value" and n in keep_bufs}
     dropped -= {n for n in dropped if plan.buffers[n].alias_of is not None
                 and plan.resolve_alias(n) not in dropped}
     # every surviving alias needs the whole chain beneath it allocated
@@ -287,7 +294,7 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
 
     Only the relative order of provably independent items changes, and
     every step reads bit-identical operands in either order, so outputs
-    are unchanged bitwise. Extern items (loss/norm closures with
+    are unchanged bitwise. Extern items (norm/gather closures with
     interpreter-visible side effects) are additionally kept in their
     original relative order. Time-unrolled schedules are
     left untouched — the linear dependence model does not cover

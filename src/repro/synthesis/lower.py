@@ -38,7 +38,6 @@ import numpy as np
 from repro.analysis.frontend import parse_neuron_function
 from repro.core.ensemble import (
     DataEnsemble,
-    Ensemble,
     LossEnsemble,
     NormalizationEnsemble,
 )
@@ -127,15 +126,13 @@ def synthesize(net, plan: BufferPlan, options) -> Program:
     bwd: List[Section] = []
     batch = net.batch_size
     for ens in order:
-        if isinstance(ens, Ensemble):
+        if ens.name in plan.facts:
             f_sec, b_sec = _lower_ensemble(ens, plan, options, closures)
         elif isinstance(ens, NormalizationEnsemble):
             f_sec, b_sec = _extern_sections(
                 ens, "norm", make_norm_closures(ens, plan), closures)
-        elif isinstance(ens, LossEnsemble):
-            f_sec, b_sec = _extern_sections(
-                ens, "loss", make_loss_closures(ens, plan), closures)
-        elif isinstance(ens, DataEnsemble):
+        elif isinstance(ens, (DataEnsemble, LossEnsemble)):
+            # a data ensemble is fed, a loss is not planned forward-only
             f_sec = Section(ens.name, "forward")
             b_sec = Section(ens.name, "backward")
         else:  # pragma: no cover
@@ -540,6 +537,10 @@ class _RefRewriter:
         if name == "$value":
             return Index(plan.value_buf(ens.name), self.self_coords)
         if name == "$grad":
+            if isinstance(ens, LossEnsemble):
+                raise SynthesisError(
+                    f"{ens.name}: a loss ensemble has no gradient to read; "
+                    f"its backward seeds back-propagation")
             return Index(plan.grad_buf(ens.name), self.self_coords)
         if name.startswith("$inputs:") or name.startswith("$grad_inputs:"):
             is_grad = name.startswith("$grad_inputs:")
@@ -596,14 +597,8 @@ class _RefRewriter:
 
 
 # ---------------------------------------------------------------------------
-# Extern ensembles (normalization / loss)
+# Extern ensembles (normalization)
 # ---------------------------------------------------------------------------
-
-
-def _source_bufs(ens, plan) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(value, grad) buffer names of ``ens``'s sources, in input order."""
-    return (tuple(plan.value_buf(c.source.name) for c in ens.inputs),
-            tuple(plan.grad_buf(c.source.name) for c in ens.inputs))
 
 
 def make_norm_closures(ens, plan):
@@ -618,7 +613,8 @@ def make_norm_closures(ens, plan):
     constructed net.
     """
     vbuf, gbuf = plan.value_buf(ens.name), plan.grad_buf(ens.name)
-    src_vals, src_grads = _source_bufs(ens, plan)
+    src_vals = tuple(plan.value_buf(c.source.name) for c in ens.inputs)
+    src_grads = tuple(plan.grad_buf(c.source.name) for c in ens.inputs)
 
     def fwd_fn(bufs, rt):
         ens.state["training"] = rt.training
@@ -640,27 +636,3 @@ def make_norm_closures(ens, plan):
         bwd = ExternFn(bwd_fn, reads=(gbuf,) + src_vals + (vbuf,) + src_grads,
                        writes=src_grads)
     return ExternFn(fwd_fn, reads=src_vals, writes=(vbuf,)), bwd
-
-
-def make_loss_closures(ens, plan):
-    """(forward, backward) :class:`ExternFn` pair for a LossEnsemble:
-    forward reads ``ins``; backward reads ``ins`` and accumulates into
-    ``in_grads``. Module-level for the same cache-thaw reason as
-    :func:`make_norm_closures`."""
-    src_vals, src_grads = _source_bufs(ens, plan)
-
-    def fwd_fn(bufs, rt):
-        ens.state["t"] = rt.current_t
-        loss = ens.forward_fn([bufs[s] for s in src_vals], ens.state)
-        rt.record_loss(ens.name, float(loss))
-
-    def bwd_fn(bufs, rt):
-        ens.state["t"] = rt.current_t
-        ens.backward_fn(
-            [bufs[s] for s in src_grads],
-            [bufs[s] for s in src_vals],
-            ens.state,
-        )
-
-    return (ExternFn(fwd_fn, reads=src_vals),
-            ExternFn(bwd_fn, reads=src_vals + src_grads, writes=src_grads))

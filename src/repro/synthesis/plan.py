@@ -204,6 +204,8 @@ def plan_buffers(net, options) -> BufferPlan:
     # First pass: per-ensemble value/grad/field buffers and facts.
     for ens in order:
         vname, gname = plan.value_buf(ens.name), plan.grad_buf(ens.name)
+        if isinstance(ens, LossEnsemble) and options.mode == "inference":
+            continue  # a forward-only program computes no loss
         if isinstance(ens, Ensemble):
             facts = analyze_ensemble(ens)
             plan.facts[ens.name] = facts
@@ -216,7 +218,10 @@ def plan_buffers(net, options) -> BufferPlan:
                                     alias_of=plan.grad_buf(inplace_src.name)))
             else:
                 plan.add(BufferSpec(vname, ens.shape, "value"))
-                plan.add(BufferSpec(gname, ens.shape, "grad"))
+                if not isinstance(ens, LossEnsemble):
+                    # nothing reads a loss's gradient: its backward
+                    # seeds back-propagation
+                    plan.add(BufferSpec(gname, ens.shape, "grad"))
             grads = {p.grad_name for p in ens.params}
             for fname, binding in ens.field_bindings.items():
                 plan.add(BufferSpec(
@@ -234,16 +239,14 @@ def plan_buffers(net, options) -> BufferPlan:
         elif isinstance(ens, (DataEnsemble, NormalizationEnsemble)):
             plan.add(BufferSpec(vname, ens.shape, "value"))
             plan.add(BufferSpec(gname, ens.shape, "grad"))
-        elif isinstance(ens, LossEnsemble):
-            pass  # loss ensembles own no array buffers
         else:  # pragma: no cover - future ensemble kinds
             raise TypeError(f"unknown ensemble kind {type(ens).__name__}")
 
     # Second pass: connection plans (needs all value buffers present).
     for ens in order:
-        if not isinstance(ens, Ensemble):
+        facts = plan.facts.get(ens.name)
+        if facts is None:
             continue
-        facts = plan.facts[ens.name]
         for j, cf in enumerate(facts.connections):
             plan.conn_plans[(ens.name, j)] = _plan_connection(
                 plan, ens, j, cf

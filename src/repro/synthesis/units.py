@@ -106,6 +106,9 @@ class ShardInfo:
 
     #: full batch extent — the default ``_b1`` of the emitted function
     batch: int
+    #: the largest shard's ``[lo, hi)`` rows: a sharded loop's extent is
+    #: its trips in one call on this shard
+    rows: Tuple[int, int]
     #: buffer name -> 'add' | 'store' | 'tile'
     private_accums: Dict[str, str] = field(default_factory=dict)
 

@@ -15,12 +15,15 @@ Each compile prints one line — program, configuration, then digests of
 the generated Python ``source``, of the pass records' program facts
 (``rewrites``), of the native program (``c_source``: what
 ``backend='c'`` built, or emitted from the schedule on NumPy) and the
-exact ``planned_bytes``. Pass seconds and each record's ``env`` (the
-build's timings, job count, ``so_bytes`` and ``build_dir_hit``) are
-left out, so a cold and a warm build directory digest alike. A NumPy
-line ends with a clockless work counter, ``ops``: the NumPy array
-operations of one forward plus backward (:attr:`Step.ops
-<repro.codegen.python_backend.Step.ops>` summed, times the time steps).
+exact ``planned_bytes``, then ``py``: the task steps the native
+program leaves in Python (on C the steps with a ``fallback``; on NumPy
+the steps the same emission of ``c`` binds to no kernel). Pass seconds
+and each record's ``env`` (the build's timings, job count, ``so_bytes``
+and ``build_dir_hit``) are left out, so a cold and a warm build
+directory digest alike. A NumPy line ends with a clockless work
+counter, ``ops``: the NumPy array operations of one forward plus
+backward (:attr:`Step.ops <repro.codegen.python_backend.Step.ops>`
+summed, times the time steps).
 
 Every compile is also put through the oracle's static arena check
 (:func:`repro.testing.oracle.arena_fault`: aligned offsets inside the
@@ -29,8 +32,8 @@ layout it rejects ends the run with exit 1, naming the compile and the
 buffers.
 
 ``--against FILE`` reads a saved run (the printed lines) and exits 1
-naming the first compile and field that differs (``ops`` only where
-the saved line has it).
+naming the first compile and field that differs (``py`` and ``ops``
+only where the saved line has it).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import repro.models as models
+from repro.codegen import c_backend
 from repro.optim import CompilerOptions
 from repro.testing.generator import NetSpec, build_net
 from repro.testing.oracle import ArenaFault, arena_fault
@@ -125,13 +129,22 @@ def digest(cnet) -> Dict[str, str]:
          sorted(r.rewrites.items()))
         for r in cnet.compile_report.records
     ]
+    steps = cnet.compiled.steps
+    if cnet.options.backend == "c":
+        c_source = cnet.c_source
+        python = sum(1 for step in steps if step.fallback)
+    else:
+        c_source, bindings, _ = c_backend.emit_native_program(
+            cnet.compiled, cnet.plan, cnet.plan.time_steps)
+        python = sum(1 for call, _why in bindings.values() if call is None)
     facts = {"source": _sha(cnet.source),
              "rewrites": _sha(json.dumps(records)),
-             "c": _sha(cnet.c_source),
-             "planned": str(cnet.memory_stats()["planned_bytes"])}
+             "c": _sha(c_source),
+             "planned": str(cnet.memory_stats()["planned_bytes"]),
+             "py": str(python)}
     if cnet.options.backend == "numpy":
         facts["ops"] = str(cnet.plan.time_steps * sum(
-            step.ops for step in cnet.compiled.steps))
+            step.ops for step in steps))
     return facts
 
 

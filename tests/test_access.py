@@ -92,14 +92,13 @@ class TestExternContract:
         train.backward()
         kinds = _check_closures_match_records(
             train, train.compiled.forward + train.compiled.backward)
-        # gather + scatter, norm fwd + bwd, loss fwd + bwd
+        # gather + scatter, norm fwd + bwd (the loss is no extern)
         assert kinds == {"copy", "scatter", "extern"}
         opaque = [s.label for s in train.compiled.forward
                   + train.compiled.backward
                   if s.access.opaque]
         assert sorted(opaque) == sorted([
-            "perm.copy", "bn.extern", "loss.extern",
-            "loss.extern", "bn.extern", "perm.scatter"])
+            "perm.copy", "bn.extern", "bn.extern", "perm.scatter"])
 
         profile = calibrate(_extern_net(), [feeds])
         int8 = _extern_net().init(
@@ -124,10 +123,12 @@ class TestExternContract:
 
 
 class TestProgramView:
-    def _conv(self, **kw):
+    def _conv(self, side_norm=False, **kw):
         seed_all(0)
         net = Net(8)
         data = MemoryDataLayer(net, "data", (3, 8, 8))
+        if side_norm:  # an extern no other step reads or writes
+            LRNLayer("norm0", net, data, local_size=3)
         label = MemoryDataLayer(net, "label", (1,))
         conv = ConvolutionLayer("conv1", net, data, 4, 3, pad=1)
         norm = LRNLayer("norm1", net, conv, local_size=3)
@@ -175,16 +176,18 @@ class TestProgramView:
         assert "conv1_grad_weights" in steps[wgrad].writes
 
     def test_depends_orders_conflicts_and_opaque_pairs(self):
-        cnet = self._conv(options=CompilerOptions())
+        cnet = self._conv(side_norm=True, options=CompilerOptions())
         view = ProgramView(cnet.plan, cnet.compiled.forward,
                            cnet.compiled.backward)
         labels = [s.label for s in
                   cnet.compiled.forward + cnet.compiled.backward]
         copy, gemm = labels.index("conv1.copy"), labels.index("conv1.compute")
         assert view.depends(copy, gemm)      # read-after-write
+        side_f = labels.index("norm0.extern")
         norm_f = labels.index("norm1.extern")
-        loss_f = labels.index("loss.extern")
-        assert view.depends(norm_f, loss_f)  # two externs keep their order
+        assert side_f < norm_f and not (
+            view.records[side_f].touched & view.records[norm_f].touched)
+        assert view.depends(side_f, norm_f)  # two externs keep their order
         assert view.records[norm_f].opaque and not view.records[gemm].opaque
 
     def test_extern_output_is_defined_not_live_in(self):

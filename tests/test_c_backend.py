@@ -399,7 +399,9 @@ class TestBuild:
         native = {s.name: s.native for s in compiled.steps if s.native}
         assert len(native) >= 40
         symbols = {n.symbol for n in native.values()}
-        assert len(symbols) <= 15
+        # 12 of 47 steps while the loss was an extern; its seven
+        # forward units and its backward are native now: 19 of 55
+        assert len(symbols) <= 19
         src = compiled.c_exec_source
         # one definition per distinct kernel, a comment per twin
         assert src.count("\nvoid _step_") == len(symbols)

@@ -48,6 +48,7 @@ from repro.models.build import build_latte
 from repro.models.configs import (
     DropoutSpec,
     FCSpec,
+    LRNSpec,
     ModelConfig,
     ReLUSpec,
     SoftmaxLossSpec,
@@ -800,6 +801,14 @@ class TestCLI:
         assert "--level" in capsys.readouterr().err
 
 
+def _lrn_first(config: ModelConfig) -> ModelConfig:
+    """``config`` behind an LRN over its input: an extern step, which
+    stays in Python on ``backend='c'``."""
+    return ModelConfig(config.name, config.input_shape,
+                       (LRNSpec("norm0", 3),) + config.layers,
+                       config.classes)
+
+
 class TestNativeSharedObject:
     """``backend="c"`` entries embed the built ``.so`` bytes so warm
     boots skip the compiler entirely (keyed on toolchain fingerprint)."""
@@ -924,8 +933,9 @@ class TestNativeSharedObject:
                                                 monkeypatch):
         # six identical hidden layers: most native steps call a twin's
         # kernel, and each frozen step must carry its binding — and the
-        # loss steps their reason for staying Python — through the thaw
-        deep = mlp_config(hidden=(16,) * 6 + (4,), classes=4, input_dim=16)
+        # LRN steps their reason for staying Python — through the thaw
+        deep = _lrn_first(mlp_config(hidden=(16,) * 6 + (4,), classes=4,
+                                     input_dim=16))
         store = CompileCache(tmp_path / "cache")
 
         def run(build):
@@ -934,7 +944,7 @@ class TestNativeSharedObject:
             cnet = compile_cached(deep, 4, options=self._c_opts(),
                                   cache=store)
             x = np.random.default_rng(4).standard_normal(
-                (4, 16)).astype(np.float32)
+                (4, 16, 1, 1)).astype(np.float32)
             loss = cnet.forward(data=x, label=np.zeros((4, 1), np.float32))
             cnet.clear_param_grads()
             cnet.backward()
@@ -974,8 +984,8 @@ class TestNativeSharedObject:
         store = CompileCache(tmp_path / "cache")
         for hit in (False, True):
             seed_all(2)
-            cnet = compile_cached(lenet_config(), 4, options=self._c_opts(),
-                                  cache=store)
+            cnet = compile_cached(_lrn_first(lenet_config()), 4,
+                                  options=self._c_opts(), cache=store)
             assert cnet.compile_report.cache_hit == hit
             compiled = cnet.compiled
             rec = cnet.compile_report["codegen-c"].rewrites
@@ -989,8 +999,8 @@ class TestNativeSharedObject:
                        if s.fallback}
             assert compiled.c_skipped == skipped
             assert sorted(skipped.values()) == [
-                "extern closure 'loss.loss_backward'",
-                "extern closure 'loss.loss_forward'"]
+                "extern closure 'norm0.norm_backward'",
+                "extern closure 'norm0.norm_forward'"]
             cnet.close()
 
     @needs_toolchain

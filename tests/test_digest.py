@@ -42,6 +42,17 @@ def test_a_native_compile_digests_alike_cold_and_warm(tmp_path,
         cnet.close()
     assert hits == [0, 1]
     assert facts[0] == facts[1]
+    assert facts[0]["py"] == "0"  # the loss is native too
+
+
+def test_py_counts_the_steps_the_native_program_leaves_in_python():
+    """On NumPy ``py`` counts the steps that the emission behind ``c``
+    binds to no kernel: inception_b's concat, forward and backward."""
+    cnet = ledger_net("inception_b").init(CompilerOptions())
+    facts = digest(cnet)
+    python = [s.label for s in cnet.compiled.steps if ".extern" in s.label]
+    assert python and facts["py"] == str(len(python))
+    assert digest(ledger_net("mlp").init(CompilerOptions()))["py"] == "0"
 
 
 def test_against_names_the_first_field_that_differs():
@@ -56,6 +67,10 @@ def test_against_names_the_first_field_that_differs():
     assert first_difference([counted], [line]) is None
     assert first_difference([counted], [line + " ops=8"]) == (
         "vgg O4-train: ops differs")
+    # and its Python-step counter, the same way
+    assert first_difference([line + " py=1"], [line]) is None
+    assert first_difference([line + " py=1"], [line + " py=0"]) == (
+        "vgg O4-train: py differs")
 
 
 def test_the_command_checks_a_saved_run(tmp_path, capsys, monkeypatch):

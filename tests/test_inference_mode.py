@@ -78,7 +78,9 @@ class TestForwardParity:
         train.training = False
         loss_t = train.forward(data=x, label=y)
         loss_i = infer.forward(data=x, label=y)
-        assert loss_i == loss_t
+        # was ``loss_i == loss_t``, bitwise: a forward-only compile has
+        # no loss step now, and returns 0.0
+        assert loss_i == 0.0 < loss_t
         np.testing.assert_array_equal(infer.value(out), train.value(out))
 
     def test_planned_bytes_shrink(self, config, batch):

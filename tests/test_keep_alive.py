@@ -1,8 +1,9 @@
 """One ``keep_alive`` default for both modes: the program contract.
 
 A compile keeps individually allocated — and so inspectable — the
-values and gradients of data ensembles, sinks and loss feeders, plus
-those of the ensembles ``keep_alive=`` names. Every other value and
+values and gradients of data ensembles and sinks (a loss is one; it
+has no gradient), the values of loss feeders, plus the values and
+gradients of the ensembles ``keep_alive=`` names. Every other value and
 gradient may share the arena, in training as in inference. Keeping every
 ensemble (``keep_alive=list(net.ensembles)``) changes where buffers
 live, never what the program computes.
@@ -30,6 +31,13 @@ def _buffers(cnet):
             if f"{e}_{kind}" in cnet.plan.buffers]
 
 
+def _in_contract(contract, e, kind) -> bool:
+    """Is ``kind`` of ensemble ``e`` in the contract? A loss feeder's
+    value is, its gradient is not."""
+    return e in contract and (kind == "value"
+                              or contract[e] != "loss feeder")
+
+
 def _step(cnet):
     """One forward/backward on seeded inputs (class 0 labels, a seeded
     gradient on every sink); what the contract promises to keep."""
@@ -41,17 +49,18 @@ def _step(cnet):
     cnet.clear_param_grads()
     cnet.backward(seed_grads={
         e: rng.standard_normal(cnet.grad(e).shape).astype(np.float32)
-        for e, kind in contract.items() if kind == "sink"})
+        for e, kind in _buffers(cnet)
+        if kind == "grad" and contract.get(e) == "sink"})
     kept = {f"{kind}({e})": getattr(cnet, kind)(e).copy()
-            for e, kind in _buffers(cnet) if e in contract}
+            for e, kind in _buffers(cnet) if _in_contract(contract, e, kind)}
     kept.update((f"d({p.key})", p.grad.copy()) for p in cnet.parameters())
     return loss, kept
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_default_training_compile_keeps_the_contract_only(name):
-    """Data, sinks and loss feeders stay inspectable, with the contract
-    as their reason; every other ensemble raises, also where the
+    """Data, sinks and loss feeders' values stay inspectable, with the
+    contract as their reason; every other buffer raises, also where the
     planner keeps its buffer for a reason of its own (a recurrent
     carry, a buffer that saves nothing): inspection follows the rule,
     not the layout."""
@@ -61,7 +70,7 @@ def test_default_training_compile_keeps_the_contract_only(name):
     raised = 0
     for e, kind in _buffers(cnet):
         base = cnet.plan.resolve_alias(f"{e}_{kind}")
-        if e in contract:
+        if _in_contract(contract, e, kind):
             getattr(cnet, kind)(e)  # must not raise
             assert reasons[base] == f"contract ({contract[e]})", (e, kind)
             continue

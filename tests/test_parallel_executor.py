@@ -19,6 +19,7 @@ repro.optim.parallel shard marking) must be semantically invisible:
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,10 @@ from repro.layers import (
 )
 from repro.core import all_to_all
 from repro.optim import CompilerOptions, compile_net
+from repro.runtime.threads import shard_bounds
 from repro.solvers import SGD, Dataset, LRPolicy, MomPolicy, SolverParameters, solve
+from repro.testing.digest import ledger_net
+from repro.testing.oracle import batch_tiles
 from repro.trace import NullTracer, RecordingTracer
 from repro.utils.rng import seed_all
 
@@ -259,6 +263,41 @@ class TestShardCompilation:
         assert bwd, "no backward step privatizes an accumulator"
         for step in bwd:
             assert set(step.private_accums) <= set(cn.plan.private_accums)
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_a_sharded_step_counts_one_largest_shard_call(self, tiled):
+        """``Step.ops`` of a sharded step is the array operations one
+        call on the largest shard makes: here the operation lines its
+        function runs there (loop headers and buffer bindings aside).
+        Tiled one image a tile, a shard runs half the tiles."""
+        with batch_tiles(tiled):
+            cn = ledger_net("lenet").init(CompilerOptions(), num_threads=2)
+        assert bool(cn.plan.contracted) == tiled
+        lines = cn.source.splitlines()
+        lo, hi = max(shard_bounds(cn.batch_size, cn.num_shards),
+                     key=lambda b: b[1] - b[0])
+        sharded = [s for s in cn.compiled.steps if s.shardable]
+        assert sharded
+        for step in sharded:
+            ran = []
+
+            def trace(frame, event, arg, code=step.fn.__code__):
+                if frame.f_code is not code:
+                    return None
+                text = lines[frame.f_lineno - 1].strip()
+                if event == "line" and not (
+                        text.startswith("for ") or " = B[" in text):
+                    ran.append(text)
+                return trace
+
+            sys.settrace(trace)
+            try:
+                with np.errstate(all="ignore"):
+                    step.fn(cn.buffers, cn, lo, hi)
+            finally:
+                sys.settrace(None)
+            assert len(ran) == step.ops, step.label
+        cn.close()
 
     def test_env_var_enables_threads(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")

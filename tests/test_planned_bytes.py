@@ -17,35 +17,36 @@ from repro.testing.digest import PROGRAMS, SPEC_DIR, ledger_net
 
 #: program -> (train, train keeping every ensemble, inference)
 #: ``planned_bytes``. A comment above a row gives its numbers before the
-#: last change that moved it (``=`` where a column did not move): alexnet
-#: and overfeat tile their 11x11 conv1 chains one image at a time since
-#: a window copy is one NumPy operation (four images a tile before); the
-#: other dropout programs lost their ``drop*_mask`` buffers when the mask
-#: became a hash (exactly the mask bytes, in every column); the others
-#: moved when each pooled buffer got a byte offset of its own instead of
-#: a slab as wide as its largest member
+#: last change that moved it (``=`` where a column did not move): every
+#: training program moved when the softmax loss became a neuron ensemble
+#: (its value and ``lse`` are buffers now; a loss feeder's gradient
+#: pools, so the Fig 14 trio fell by their 3 136-byte ``fc8_grad``), and
+#: no forward-only program moved
 PLANNED = {
-    # was 2 520 768, 3 793 584, 1 913 792 (four-image conv1 tiles)
-    "alexnet": (1_970_240, 3_050_112, 1_089_024),
-    # was 3 011 520, 3 281 840, 2 301 824 (four-image conv1 tiles)
-    "overfeat": (1_752_640, 2_022_956, 1_001_328),
-    # was 7 543 104, 14 072 128, 1 313 952 (dropout masks)
-    "vgg": (7_477_568, 14_006_592, 1_248_416),
-    # was 1 041 600, =, 767 840
-    "lenet": (972_480, 1_167_680, 716_640),
-    "mlp6x16": (2_464, 3_744, 848),
-    # was =, 23 664, 10 312
-    "cnn_a": (16_256, 23_632, 9_992),
-    # was 7 752, 9 536, 4 040
-    "cnn_b": (7_280, 9_496, 4_000),
-    "mlp": (944, 1_184, 480),
-    # was 4 848, =, =
-    "recurrent": (4_792, 5_112, 2_556),
-    # was 50 432, =, 25 664
-    "inception_a": (45_632, 65_536, 22_464),
-    # was 41 984, 66 080, 34 720 (dropout masks)
-    "inception_b": (37_184, 61_280, 29_920),
-    "lstm": (8_544, 11_424, 5_712),
+    # was 1 970 240, 3 050 112, =
+    "alexnet": (1_967_104, 3_050_176, 1_089_024),
+    # was 1 752 640, 2 022 956, =
+    "overfeat": (1_749_504, 2_023_020, 1_001_328),
+    # was 7 477 568, 14 006 592, =
+    "vgg": (7_474_432, 14_006_656, 1_248_416),
+    # was 972 480, 1 167 680, =
+    "lenet": (972_224, 1_167_744, 716_640),
+    # was 2 464, 3 744, =
+    "mlp6x16": (2_496, 3_776, 848),
+    # was 16 256, 23 632, =
+    "cnn_a": (16_240, 23_648, 9_992),
+    # was 7 280, 9 496, =
+    "cnn_b": (7_256, 9_512, 4_000),
+    # was 944, 1 184, =
+    "mlp": (976, 1_216, 480),
+    # was 4 792, 5 112, =
+    "recurrent": (4_864, 5_184, 2_556),
+    # was 45 632, 65 536, =
+    "inception_a": (45_616, 65_568, 22_464),
+    # was 37 184, 61 280, =
+    "inception_b": (37_176, 61_296, 29_920),
+    # was 8 544, 11 424, =
+    "lstm": (8_640, 11_520, 5_712),
 }
 
 

@@ -237,11 +237,13 @@ class TestPrecisionPass:
 
     def test_fp16_close_to_fp32(self):
         spec = random_spec(CONV_SEED)
-        loss32, out32 = run_quant_forward(spec, 3, "fp32")
-        loss16, out16 = run_quant_forward(spec, 3, "fp16")
-        assert out16.dtype == np.float32  # head feeds the extern loss
+        out32 = run_quant_forward(spec, 3, "fp32")
+        out16 = run_quant_forward(spec, 3, "fp16")
+        # float32 while an extern loss read the head; a forward-only
+        # compile has no loss now (nor a loss to compare), so the head
+        # is retyped like any activation
+        assert out16.dtype == np.float16
         np.testing.assert_allclose(out16, out32, rtol=1e-2, atol=2e-3)
-        assert loss16 == pytest.approx(loss32, rel=1e-2)
 
     def test_int8_requires_calibration(self):
         with pytest.raises(CalibrationError, match="calibration"):
@@ -407,14 +409,14 @@ class TestBoundary:
         spec = random_spec(FC_SEED)
         store = CompileCache(str(tmp_path))
         x, y = make_inputs(spec)
-        want_loss, want = run_quant_forward(spec, 3, "fp16")
+        want = run_quant_forward(spec, 3, "fp16")
         for _ in range(2):
             seed_all(spec.seed)
             cnet = compile_cached(spec, net=build_net(spec),
                                   options=_options("fp16"), cache=store)
             assert not cnet.compile_report.cache_hit
             assert cnet.compile_report.cache_key is None
-            assert float(cnet.forward(data=x, label=y)) == want_loss
+            assert cnet.forward(data=x, label=y) == 0.0  # no loss step
             np.testing.assert_array_equal(cnet.value("head"), want)
         assert store.entries() == []
         assert list(tmp_path.iterdir()) == []
@@ -454,7 +456,7 @@ class TestBoundary:
 
         spec, replica = _compile_spec(FC_SEED, "fp16")
         x, y = make_inputs(spec)
-        _, want = run_quant_forward(spec, 3, "fp16")
+        want = run_quant_forward(spec, 3, "fp16")
         with ModelServer([replica], "head", max_latency=0.002) as server:
             out = server.predict(x[0])
             assert "precision" not in server.stats()

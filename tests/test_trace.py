@@ -20,6 +20,7 @@ from repro.layers import (
 )
 from repro.layers.neurons import AddNeuron
 from repro.models import CONFIGS, build_latte, mlp_config
+from repro.models.configs import LRNSpec, ModelConfig
 from repro.optim import CompilerOptions, compile_net
 from repro.optim.pipeline import PASSES
 from repro.runtime import ClusterSimulator, ComputeProfile, CommPoint
@@ -442,9 +443,12 @@ class TestSummary:
         monkeypatch.setenv("REPRO_CBUILD_DIR", str(tmp_path / "cbuild"))
         store = CompileCache(tmp_path / "cache")
         texts = []
+        mlp = mlp_config(hidden=(6,), classes=3, input_dim=5)
+        # an LRN over the input: the extern that stays in Python
+        config = ModelConfig(mlp.name, mlp.input_shape,
+                             (LRNSpec("norm0", 3),) + mlp.layers, 3)
         for _ in range(2):
-            cn = compile_cached(mlp_config(hidden=(6,), classes=3,
-                                           input_dim=5), 4,
+            cn = compile_cached(config, 4,
                                 options=CompilerOptions(backend="c"),
                                 cache=store)
             texts.append(cn.summary())
@@ -453,8 +457,8 @@ class TestSummary:
         cold, warm = ([r for r in text.splitlines()
                        if r.startswith("    python ")] for text in texts)
         assert cold == warm and len(cold) == 2, texts[0]
-        assert cold[0].endswith(": extern closure 'loss.loss_forward'")
-        assert cold[1].endswith(": extern closure 'loss.loss_backward'")
+        assert cold[0].endswith(": extern closure 'norm0.norm_forward'")
+        assert cold[1].endswith(": extern closure 'norm0.norm_backward'")
 
     def test_repr_uses_summary_counts(self):
         cn = _mlp()

@@ -74,7 +74,8 @@ def _gathers(cnet):
     """Gathers, re-gathers and max-pool forwards."""
     return [(tile, u) for phase, tile, u in _units(cnet)
             if u.tags.kind in ("copy", "regather")
-            or (phase == "forward" and u.stmt.reduce == "max")]
+            or (phase == "forward" and u.stmt.reduce == "max"
+                and "pool" in u.tags.ensemble)]
 
 
 def _run(tile, unit, lower, bufs):
