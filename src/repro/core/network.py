@@ -141,7 +141,9 @@ class Net:
         ``num_threads`` enables batch-sharded thread-parallel execution
         of parallel-annotated steps (default: the ``REPRO_NUM_THREADS``
         environment variable, else serial). ``keep_alive`` adds ensembles
-        to the data, sinks and loss feeders kept inspectable, and
+        to the data, sinks and loss feeders kept inspectable — each
+        readable after the call that writes it until the next
+        ``forward()`` (what the caller feeds stays whole) — and
         ``watchdog`` attaches a numerics watchdog to the executor, and
         ``calibration`` supplies the activation-range profile required
         for ``options.precision='int8'`` (see

@@ -210,6 +210,8 @@ def _each(run: Callable, fwd, bwd, *args) -> Dict[str, int]:
 def _plan_synthesize(s: CompileState) -> None:
     s.plan = plan_buffers(s.net, s.options)
     s.program = synthesize(s.net, s.plan, s.options)
+    liveness.drop_unwritten_data_grads(s.net, s.plan, s.program.forward,
+                                       s.program.backward)
     s.keep = liveness.kept_buffers(s.net, s.plan, s.keep_alive)
 
 
@@ -375,12 +377,16 @@ def compile_net(net, options: CompilerOptions | None = None, tracer=None,
         compiler. See DESIGN.md "Parallel execution".
     keep_alive:
         With the arena planner on (O3+, ``memory_plan``): ensembles
-        whose value/grad arrays must stay individually allocated for
-        post-run ``value()``/``grad()`` inspection, beyond the program
-        contract — data ensembles, sinks and loss feeders, which are
-        always kept. ``None`` (default) or ``()`` keeps the contract
-        only, in both modes: every other value and gradient shares the
-        arena with the staging buffers. ``keep_alive=list(
+        whose value/grad arrays ``value()``/``grad()`` read back after
+        a run, beyond the program contract — data ensembles, sinks and
+        loss feeders, which are always inspectable. Each is readable
+        after the call that writes it until the next ``forward()``: a
+        buffer a step writes may share the arena, live to the
+        program's last point, and what the caller defines (fed data,
+        seeded sink gradients) stays whole. ``None`` (default) or
+        ``()`` keeps the contract only, in both modes: every other
+        value and gradient shares the arena with the staging buffers
+        and may be overwritten mid-run. ``keep_alive=list(
         net.ensembles)`` keeps every ensemble inspectable. See
         docs/ARCHITECTURE.md §Buffers.
     watchdog:

@@ -518,11 +518,14 @@ class CompiledNet:
     def _inspectable(self, name: str, ens_name: str) -> np.ndarray:
         if name not in self.plan.buffers:
             kind = name.rsplit("_", 1)[-1]
+            why = ""
+            if self.mode == "inference":
+                why = " (pruned by mode='inference' compilation)"
+            elif isinstance(self.net.ensembles.get(ens_name), DataEnsemble):
+                why = (" (no step back-propagates into this data ensemble, "
+                       "so it gets no gradient buffer)")
             raise KeyError(
-                f"{ens_name!r} has no {kind} buffer in this program"
-                + (" (pruned by mode='inference' compilation)"
-                   if self.mode == "inference" else "")
-            )
+                f"{ens_name!r} has no {kind} buffer in this program{why}")
         base = self.plan.resolve_alias(name)
         if self.plan.buffers[base].tile:
             raise KeyError(
@@ -534,8 +537,7 @@ class CompiledNet:
         # buffer it declined to pool (no saving, a recurrent carry) is
         # no more part of the contract than its pooled neighbours
         mem = self.plan.memory
-        if mem is not None and not mem.kept_reasons.get(base, "").startswith(
-                ("contract", "keep_alive")):
+        if mem is not None and base not in mem.inspected:
             raise KeyError(
                 f"{ens_name!r} is not data, a sink or a loss feeder, so the "
                 f"memory planner may reuse its buffers' storage mid-run. "
@@ -546,12 +548,18 @@ class CompiledNet:
 
     def value(self, ens_name: str) -> np.ndarray:
         """The value array of an ensemble (batch-leading; time-leading
-        for recurrent nets)."""
+        for recurrent nets). With the memory planner on, only an
+        inspected ensemble's (data, a sink, a loss feeder or
+        ``keep_alive``): readable after the call that writes it until
+        the next ``forward()``, which may reuse its arena bytes; a fed
+        value stays whole."""
         return self._inspectable(f"{ens_name}_value", ens_name)
 
     def grad(self, ens_name: str) -> np.ndarray:
         """The gradient array of an ensemble (layout mirrors
-        :meth:`value`)."""
+        :meth:`value`, and so does the read window: after the
+        ``backward()`` that writes it, until the next ``forward()``; a
+        sink's seeded gradient stays whole)."""
         if isinstance(self.net.ensembles.get(ens_name), LossEnsemble):
             raise KeyError(
                 f"{ens_name!r} is a loss ensemble: it has no gradient "

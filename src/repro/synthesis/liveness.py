@@ -12,9 +12,13 @@ preallocation: given the final scheduled forward/backward step lists it
 2. decides which buffers are **pool candidates** — excluded are
    parameter storage (values and gradients), the other field buffers
    (net-owned arrays and batch fields), privatized accumulators, recurrent-read
-   sources (their previous-time-step slices outlive the linear model),
-   and what is kept for inspection: the contract (data, sinks, loss
-   feeders) and the ``keep_alive`` set, and
+   sources (their previous-time-step slices outlive the linear model)
+   and what the caller defines (data values, sinks' seeded gradients).
+   What is kept for inspection — the contract (data, sinks, loss
+   feeders) and the ``keep_alive`` set — is a rule about liveness: one
+   a step defines is a candidate live to the program's last point,
+   readable after the call that writes it until the next ``forward()``,
+   placed after the others only where it saves bytes, and
 3. places every candidate at a 64-byte-aligned **byte offset** of its
    own in a single arena (:func:`place_offsets`: greedy by size, the
    largest first, each into the best-fitting gap among the buffers it
@@ -128,11 +132,17 @@ class MemoryPlan:
     #: bytes of non-parameter buffers without pooling / with pooling
     naive_bytes: int = 0
     planned_bytes: int = 0
-    #: why each non-candidate buffer was kept. ``value()``/``grad()``
-    #: answer for a buffer kept by the inspection rule
-    #: (:func:`kept_buffers`: ``contract (…)`` or ``keep_alive``),
-    #: whatever else would also keep it
+    #: the bases ``value()``/``grad()`` answer for, by why
+    #: (:func:`kept_buffers`: ``contract (…)`` or ``keep_alive``). One a
+    #: step defines may pool: its interval runs to the program's last
+    #: point, so it is readable after the call that writes it until the
+    #: next ``forward()``
+    inspected: Dict[str, str] = field(default_factory=dict)
+    #: why each non-candidate buffer stays out of the arena: a layout
+    #: reason (``caller-defined``, ``recurrent``, ``no-saving``, …)
     kept_reasons: Dict[str, str] = field(default_factory=dict)
+    #: the program's forward and backward point counts
+    points: Tuple[int, int] = (0, 0)
     #: forward staging buffer -> its backward re-gather
     #: (:func:`regather_staging`), and the staging buffers still
     #: live across the phase boundary -> why they were declined
@@ -208,11 +218,11 @@ def _contract_ensembles(net) -> Dict[str, str]:
 
 def kept_buffers(net, plan: BufferPlan,
                  keep_alive: Optional[Iterable[str]] = ()) -> Dict[str, str]:
-    """Value/grad base buffers kept individually allocated, by why:
+    """Value/grad base buffers kept inspectable, by why:
     ``'contract (<data|sink|loss feeder>)'`` for the program contract's
     ensembles (also where another ensemble shares the base; a loss
-    feeder's gradient pools), ``'keep_alive'`` for the others
-    ``keep_alive`` names; see :func:`plan_memory`."""
+    feeder's gradient is not inspectable), ``'keep_alive'`` for the
+    others ``keep_alive`` names; see :func:`plan_memory`."""
     alive = [str(e) for e in keep_alive or ()]
     unknown = set(alive) - net.ensembles.keys()
     if unknown:
@@ -273,6 +283,22 @@ def prune_unused_buffers(plan: BufferPlan, fwd_items, bwd_items,
         if spec.alias_of is None:
             pruned_bytes += buffer_nbytes(plan, spec)
     return {"buffers_pruned": len(dropped), "bytes_pruned": pruned_bytes}
+
+
+def drop_unwritten_data_grads(net, plan: BufferPlan, fwd, bwd) -> None:
+    """Drop the gradient of every data ensemble no step back-propagates
+    into (a softmax loss's label), with every alias spelling it: it
+    would only be zeroed before each backward and read back as zeros.
+    ``grad()`` of such an ensemble raises."""
+    unnamed = unnamed_buffers(plan, fwd, bwd)
+    for ens in net.ensembles.values():
+        base = plan.grad_buf(ens.name)
+        if not isinstance(ens, DataEnsemble) or base not in plan.buffers:
+            continue
+        names = [n for n in plan.buffers if plan.resolve_alias(n) == base]
+        if unnamed.issuperset(names):
+            for name in names:
+                del plan.buffers[name]
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +418,9 @@ def regather_staging(
     units and the planner overlays all of them on the same bytes.
 
     Runs on the synthesized sections, before tiling. ``keep_bufs`` are
-    the value/grad bases the planner will keep out of the arena
-    (:func:`kept_buffers`): gathering (or padding) again from a source
-    it may pool extends that source's life, and a copy whose staging
+    the inspected value/grad bases (:func:`kept_buffers`), live to the
+    program's end pooled or not: gathering (or padding) again from any
+    other source extends that source's life, and a copy whose staging
     bytes exceed the bytes so extended by less than arena alignment can
     cost is declined. Returns ``(rematerialized, declined)`` keyed by
     forward staging buffer; reasons are ``'time-unrolled'``,
@@ -487,18 +513,26 @@ def respelled(stmt, renames: Dict[str, str]):
 
 
 def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
-                keep_bufs: Dict[str, str]) -> MemoryPlan:
+                inspected: Dict[str, str]) -> MemoryPlan:
     """Compute the arena layout for one compiled schedule.
 
-    ``keep_bufs`` are the value/grad buffers kept individually
-    allocated for post-run inspection (:func:`kept_buffers`): the
-    program contract's — data ensembles, network sinks and loss
-    feeders — and ``keep_alive``'s. Every other value and gradient is a
-    pool candidate like any staging buffer.
+    ``inspected`` are the value/grad bases ``value()``/``grad()`` answer
+    for (:func:`kept_buffers`): the program contract's — data
+    ensembles, network sinks and loss feeders — and ``keep_alive``'s.
+    One that a step of the program defines pools like any other
+    candidate, with its interval extended to the program's last point
+    (time-unrolled: into every later phase), so no later step reuses its
+    bytes before the next ``forward()``. The ones the caller defines —
+    data values (fed) and sinks' gradients (seeded through
+    ``backward(seed_grads=)``), and any no step touches — stay whole.
     """
     mem = MemoryPlan()
+    mem.inspected = {b: why for b, why in inspected.items()
+                     if b in plan.buffers}
     view = ProgramView(plan, fwd_items, bwd_items)
     intervals = mem.intervals = view.intervals
+    mem.points = (view.n_forward, len(view.records) - view.n_forward)
+    caller = _caller_defined(plan, mem.inspected)
 
     # (a contracted staging buffer's per-shard copies are scratch, not
     # partial sums of it: the buffer itself pools like any other)
@@ -510,8 +544,6 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
 
     def keep_reason(base: str, spec: BufferSpec) -> Optional[str]:
         iv = intervals[base]
-        if base in keep_bufs:  # the inspection rule, ahead of any other
-            return keep_bufs[base]
         if spec.is_param:
             return "parameter"
         if spec.role == "field":
@@ -520,6 +552,8 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
             return "privatized"
         if base in view.recurrent:
             return "recurrent"
+        if base in caller or (iv.dead and base in mem.inspected):
+            return "caller-defined"
         if iv.dead:
             return None  # dead buffers pool freely
         if iv.first_kind == "w":
@@ -539,8 +573,11 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
             candidates.append(base)
         else:
             mem.kept_reasons[base] = reason
-
     sizes = {b: buffer_nbytes(plan, plan.buffers[b]) for b in candidates}
+    late = [b for b in candidates if b in mem.inspected]
+    candidates = [b for b in candidates if b not in mem.inspected]
+    for base in late:
+        live_to_end(intervals[base], view)
     multiphase = plan.time_steps > 1
 
     def conflicts(a: str, b: str) -> bool:
@@ -567,9 +604,21 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
         for run in wasteful:
             mem.kept_reasons.update((b, "no-saving") for b in run)
         candidates = [b for b in candidates if b not in mem.kept_reasons]
+    # the inspected candidates go in last, the largest first, each only
+    # where it grows the arena by less than its own bytes: live to the
+    # end, one placed among the others can push their tenants up, and
+    # the plan grow by more than keeping it whole (cnn_b keeping every
+    # ensemble: +64 B), so no plan is larger than with them kept whole
+    top = max((offsets[b] + sizes[b] for b in offsets), default=0)
+    for b in sorted(late, key=lambda b: (-sizes[b], b)):
+        trial = place_offsets([b], sizes, conflicts, offsets)
+        grown = max(top, trial[b] + sizes[b]) - top
+        if grown < sizes[b]:
+            offsets, top = trial, top + grown
+        else:
+            mem.kept_reasons[b] = "no-saving"
     mem.offsets = offsets
-    mem.arena_bytes = max((offsets[b] + sizes[b] for b in offsets),
-                          default=0)
+    mem.arena_bytes = top
     mem.pooled = frozenset(offsets)
 
     # schedule zero defs for pooled gradient buffers that used to rely
@@ -599,21 +648,43 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
     return mem
 
 
+def _caller_defined(plan: BufferPlan, inspected: Dict[str, str]) -> Set[str]:
+    """The inspected bases the caller defines, not a step: data values
+    (fed by ``forward()``) and sinks' gradients (seeded by
+    ``backward(seed_grads=)`` after the pre-backward zeroing, which a
+    scheduled zero def would clobber)."""
+    return {b for b, why in inspected.items()
+            if (why, plan.buffers[b].role) in (("contract (data)", "value"),
+                                               ("contract (sink)", "grad"))}
+
+
+def live_to_end(iv: Interval, view: ProgramView) -> None:
+    """Extend an inspected buffer's interval to the program's last point
+    and, time-unrolled, into its last phase: no step after the one that
+    writes it reuses its bytes, so it reads back after the call returns
+    (:func:`repro.testing.oracle.arena_fault` checks this)."""
+    last = len(view.records) - 1
+    iv.last = last
+    iv.phases.add(view.phase(last))
+
+
 def _aligned(nbytes: int) -> int:
     return -(-nbytes // ALIGN_BYTES) * ALIGN_BYTES
 
 
 def place_offsets(buffers: Iterable[str], sizes: Dict[str, int],
-                  conflicts: Callable[[str, str], bool]) -> Dict[str, int]:
+                  conflicts: Callable[[str, str], bool],
+                  placed: Optional[Dict[str, int]] = None) -> Dict[str, int]:
     """Byte offset of every buffer in one arena: greedy by size for
     offset calculation (Pisarchyk & Lee 2020, arXiv:2001.03288).
 
     The largest buffer is placed first; each one goes into the smallest
     gap, at ``ALIGN_BYTES``, that fits it among the byte ranges of the
-    already-placed buffers it ``conflicts`` with, or above the highest
-    of them when none does. Buffers that never conflict share bytes.
+    already-placed buffers it ``conflicts`` with (``placed`` ones
+    first), or above the highest of them when none does. Buffers that
+    never conflict share bytes.
     """
-    offsets: Dict[str, int] = {}
+    offsets: Dict[str, int] = dict(placed or {})
     for b in sorted(buffers, key=lambda b: (-sizes[b], b)):
         best, best_gap, end = None, None, 0
         for off, top in sorted((offsets[p], offsets[p] + sizes[p])

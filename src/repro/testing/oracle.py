@@ -367,8 +367,11 @@ def arena_fault(plan) -> Optional[str]:
     ``ALIGN_BYTES`` and ends inside ``arena_bytes``, and any two whose
     ``[offset, offset + nbytes)`` ranges intersect are never live at
     once (their intervals do not overlap; time-unrolled, they are
-    touched in no common phase). Returns the first offence, naming its
-    buffers, or ``None`` when the layout holds (or nothing is pooled).
+    touched in no common phase), and every pooled inspected buffer is
+    live to the program's last point and in its last phase, so no step
+    reuses its bytes before the caller reads them. Returns the first
+    offence, naming its buffers, or ``None`` when the layout holds (or
+    nothing is pooled).
     """
     mem = plan.memory
     if mem is None:
@@ -381,6 +384,15 @@ def arena_fault(plan) -> Optional[str]:
         if end > mem.arena_bytes:
             return (f"{name} ends at byte {end}, past the "
                     f"{mem.arena_bytes}-byte arena")
+    last = sum(mem.points) - 1
+    phase = "backward" if mem.points[1] else "forward"
+    for name in sorted(mem.inspected.keys() & mem.offsets.keys()):
+        iv = mem.intervals[name]
+        if iv.last < last:
+            return (f"inspected {name} is live to point {iv.last}, not to "
+                    f"the program's last point {last}")
+        if phase not in iv.phases:
+            return f"inspected {name} is not live in {phase}"
     for i, (off, end, a) in enumerate(spans):
         for other, other_end, b in spans[i + 1:]:
             if other >= end:
@@ -963,6 +975,10 @@ def inject_bug(name: str):
     * ``arena-overlap`` — the memory planner places the first two pooled
       buffers that are live together at one offset; the static
       ``arena`` check rejects the layout before anything runs.
+    * ``inspected-early-end`` — the memory planner ends a pooled
+      inspected buffer's interval at its last access, so a later step
+      may reuse its bytes before the caller reads them; the static
+      ``arena`` check rejects the plan before anything runs.
     """
     from repro.runtime import executor
     from repro.synthesis import liveness
@@ -995,11 +1011,11 @@ def inject_bug(name: str):
     elif name == "arena-overlap":
         orig = liveness.place_offsets
 
-        def overlapping(buffers, sizes, conflicts):
-            offsets = orig(buffers, sizes, conflicts)
-            placed = sorted(offsets, key=lambda b: (offsets[b], b))
-            pair = next(((a, b) for i, a in enumerate(placed)
-                         for b in placed[i + 1:] if conflicts(a, b)), None)
+        def overlapping(buffers, sizes, conflicts, placed=None):
+            offsets = orig(buffers, sizes, conflicts, placed)
+            order = sorted(offsets, key=lambda b: (offsets[b], b))
+            pair = next(((a, b) for i, a in enumerate(order)
+                         for b in order[i + 1:] if conflicts(a, b)), None)
             if pair is not None:
                 offsets[pair[1]] = offsets[pair[0]]
             return offsets
@@ -1009,6 +1025,13 @@ def inject_bug(name: str):
             yield
         finally:
             liveness.place_offsets = orig
+    elif name == "inspected-early-end":
+        orig = liveness.live_to_end
+        liveness.live_to_end = lambda iv, view: None
+        try:
+            yield
+        finally:
+            liveness.live_to_end = orig
     else:
         raise KeyError(
             f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
@@ -1016,4 +1039,5 @@ def inject_bug(name: str):
 
 #: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
 INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
-                   "group-slab-overlap", "arena-overlap")
+                   "group-slab-overlap", "arena-overlap",
+                   "inspected-early-end")

@@ -140,8 +140,11 @@ class MemoryReport:
     #: ``(-1, -1)``
     placements: List[Tuple[int, int, str, Tuple[int, int]]] = field(
         default_factory=list)
-    #: buffer -> reason it was excluded from pooling
+    #: buffer -> reason it was excluded from pooling (a layout reason)
     kept_reasons: Dict[str, str] = field(default_factory=dict)
+    #: buffer ``value()``/``grad()`` answer for -> why (``contract
+    #: (…)`` or ``keep_alive``), pooled or kept
+    inspected: Dict[str, str] = field(default_factory=dict)
     #: staging buffer -> its backward re-gather (a ``liveness.
     #: Rematerialized``) / why it is retained across the phases instead
     rematerialized: Dict[str, object] = field(default_factory=dict)
@@ -165,6 +168,7 @@ class MemoryReport:
                  (mem.intervals[name].first, mem.intervals[name].last))
                 for name, off in mem.offsets.items())
             report.kept_reasons = dict(mem.kept_reasons)
+            report.inspected = dict(mem.inspected)
             report.rematerialized = dict(mem.rematerialized)
             report.declined = dict(mem.declined)
         plan = cnet.plan
@@ -187,7 +191,9 @@ class MemoryReport:
         """One row per staging copy read again in backward: re-gathered
         there (bytes no longer retained, source, re-gather unit) or
         retained, with the reason; one per staging buffer contracted to
-        its group's batch tile, and one per chain left whole-batch."""
+        its group's batch tile, one per chain left whole-batch, and one
+        per inspected buffer in the arena, with its offset."""
+        offsets = {name: off for off, _size, name, _live in self.placements}
         rows = [
             f"re-gathered {name}: {r.nbytes / 1024:.1f} KB from {r.source}"
             + (f" (re-padded into {r.padded})" if r.padded else "")
@@ -203,6 +209,9 @@ class MemoryReport:
         ]
         rows += [f"whole-batch {name}: {reason}"
                  for name, reason in self.untiled.items()]
+        rows += [f"inspected {name} at offset {offsets[name]}: readable "
+                 f"until the next forward ({why})"
+                 for name, why in self.inspected.items() if name in offsets]
         return rows
 
     def table(self) -> str:

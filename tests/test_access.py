@@ -141,10 +141,20 @@ class TestProgramView:
         view = ProgramView(cnet.plan, cnet.compiled.forward,
                            cnet.compiled.backward)
         assert view.n_forward == len(cnet.compiled.forward)
-        for base, iv in cnet.plan.memory.intervals.items():
+        mem = cnet.plan.memory
+        end = len(view.records) - 1
+        extended = 0
+        for base, iv in mem.intervals.items():
             mine = view.intervals[base]
-            assert (mine.first, mine.last, mine.first_kind, mine.phases) == (
-                iv.first, iv.last, iv.first_kind, iv.phases), base
+            want = (mine.first, mine.last, mine.first_kind, mine.phases)
+            if base in mem.inspected and (base in mem.pooled or
+                                          mem.kept_reasons[base] == "no-saving"):
+                # an inspected arena candidate lives to the last point
+                want = (mine.first, end, mine.first_kind,
+                        mine.phases | {view.phase(end)})
+                extended += 1
+            assert want == (iv.first, iv.last, iv.first_kind, iv.phases), base
+        assert extended
 
     def test_who_reads_the_im2col_buffer_last(self):
         """The forward GEMM: the weight-gradient GEMM reads a re-gather

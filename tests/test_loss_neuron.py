@@ -86,8 +86,9 @@ def test_a_forward_only_compile_computes_no_loss():
     x, y = _inputs(cnet, 10)
     assert cnet.forward(data=x, label=y) == 0.0
     np.testing.assert_array_equal(cnet.value("label"), y)
-    assert cnet.memory_report().kept_reasons["label_value"] == (
-        "contract (data)")
+    report = cnet.memory_report()
+    assert report.inspected["label_value"] == "contract (data)"
+    assert report.kept_reasons["label_value"] == "caller-defined"
 
 
 def test_a_loss_has_no_gradient():
@@ -95,10 +96,12 @@ def test_a_loss_has_no_gradient():
     with pytest.raises(KeyError, match="loss ensemble: it has no gradient"):
         cnet.grad("loss")
     assert "loss_grad" not in cnet.plan.buffers
-    # its feeder keeps its value for value('head'); its gradient pools
-    reasons = cnet.memory_report().kept_reasons
-    assert reasons["head_value"] == "contract (loss feeder)"
-    assert "head_grad" not in reasons
+    # its feeder's value is inspected as value('head'); its gradient
+    # is not, and pools
+    report = cnet.memory_report()
+    assert report.inspected["head_value"] == "contract (loss feeder)"
+    assert "head_grad" not in report.inspected
+    assert "head_grad" not in report.kept_reasons
     assert "head_grad" in cnet.plan.memory.pooled
     with pytest.raises(KeyError, match="not data, a sink or a loss feeder"):
         cnet.grad("head")

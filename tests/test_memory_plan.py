@@ -686,8 +686,9 @@ class TestRematerialization:
                 ("value", "keep_alive")}
         # lenet's largest staging buffer is 512 000 B: under the budget,
         # so nothing of it is tiled and its plan is the parent's (1 167
-        # 680 B before the loss's value and lse became buffers)
-        assert cn.memory_stats()["planned_bytes"] == 1_167_744
+        # 680 B before the loss's value and lse became buffers, 1 167
+        # 744 B before inspected buffers joined the arena)
+        assert cn.memory_stats()["planned_bytes"] == 1_116_512
         assert not cn.plan.contracted
 
     @pytest.mark.parametrize("name", sorted(PLANNED))
@@ -718,9 +719,11 @@ class TestRematerialization:
         forward group to their backward re-gather, nested, and grew it
         to 3 389 824 B. Re-padded in backward, each padded input — the
         forward one and its ``_re`` twin — lives inside one group and is
-        contracted to its tile, so the arena is again the largest
-        padded gradient plus one data-gradient tile (every ensemble kept
-        inspectable, so that no value shares it)."""
+        contracted to its tile, so the arena's staging tenants are
+        again the largest padded gradient plus one data-gradient tile
+        (every ensemble kept inspectable, so that no value shares it).
+        The inspected buffers go in after them, where they save bytes,
+        and take the arena to 2 957 696 B."""
         cn = _ledger_net("vgg", keep_alive=EVERY_ENSEMBLE)
         mem = cn.plan.memory
         assert len(mem.rematerialized) == 8
@@ -732,10 +735,15 @@ class TestRematerialization:
                   if spec.role == "padded"}
         assert len(padded) == 16 and padded <= set(cn.plan.contracted)
         assert sum(cn.buffers[b].nbytes for b in padded) == 1_001_056
-        assert mem.arena_bytes == 1_253_376 == 663_552 + 589_824
+        staging = mem.pooled - mem.inspected.keys()
+        assert max(mem.offsets[b] + cn.buffers[b].nbytes
+                   for b in staging) == 1_253_376 == 663_552 + 589_824
+        assert mem.arena_bytes == 2_957_696
         # less the two dropout masks (65 536 B) since dropout is a hash,
-        # plus the loss's value and lse (64 B) since it is an ensemble
-        assert mem.planned_bytes == 16_208_576 - 2_136_448 - 65_536 + 64
+        # plus the loss's value and lse (64 B) since it is an ensemble,
+        # less what the inspected buffers save in the arena (786 080 B)
+        assert mem.planned_bytes == (16_208_576 - 2_136_448 - 65_536 + 64
+                                     - 786_080)
         assert (cn.buffers["conv3_2_grad_inputs0"].nbytes,
                 cn.buffers["conv3_2_padsrc0_grad"].nbytes) == (
             589_824, 663_552)
@@ -839,11 +847,12 @@ class TestRematerialization:
         at a byte offset of its own. The dropout masks' 65 536 B went
         when dropout became a hash, and the dropout values' (now in
         place on their ReLUs, a forward-only program reading no value
-        backward) from the naive bytes."""
+        backward) from the naive bytes, and the output's 3 200 B when
+        inspected buffers joined the arena."""
         cn = _ledger_net("vgg", CompilerOptions.inference())
         assert cn.memory_stats() == {
-            "naive_bytes": 5_255_120, "planned_bytes": 1_248_416,
-            "arena_bytes": 851_968}  # 5 386 192, 1 313 952, =
+            "naive_bytes": 5_255_120, "planned_bytes": 1_245_216,
+            "arena_bytes": 851_968}  # =, 1 248 416, =
         groups = [s.label for s in cn.compiled.forward
                   if "pad_fill" in s.label]
         assert [g.count(".pad_fill") for g in groups] == [4, 1, 1, 2]
