@@ -112,11 +112,13 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 
 #: train ``planned_bytes`` at this geometry with every over-budget
 #: staging chain batch-tiled and contracted, each re-gathered conv
-#: layer's input re-padded in backward, only the program contract
+#: layer's input re-padded in backward, each pooled value backward
+#: reads again recomputed there, only the program contract
 #: inspectable (a loss feeder's gradient pools, and so does the data
 #: gradient, live to the program's end), each pooled buffer at a byte
 #: offset of its own, no dropout mask buffer and the 11x11 conv1 chains
-#: tiled one image at a time (7 474 432 / 1 967 104 / 1 749 504 with
+#: tiled one image at a time (7 081 184 / 1 536 128 / = with the pooled
+#: values held across the phases; 7 474 432 / 1 967 104 / 1 749 504 with
 #: the data gradient kept whole; 7 477 568 / 1 970 240 /
 #: 1 752 640 with the loss an extern and its feeder's gradient kept
 #: whole; 2 520 768 / 3 011 520 for alexnet / overfeat at four images
@@ -126,7 +128,7 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 #: whole-batch staging re-gathered in backward; 16 986 816 / 4 249 792 /
 #: 3 490 752 with the padded inputs kept out of the arena; 16 208 576 /
 #: 4 156 864 / 3 425 216 with them pooled but held across the phases)
-PLANNED_BYTES = {"vgg": 7_081_184, "alexnet": 1_536_128,
+PLANNED_BYTES = {"vgg": 6_360_288, "alexnet": 1_510_272,
                  "overfeat": 1_613_920}
 
 

@@ -176,8 +176,8 @@ class CompileState:
     #: value/grad bases kept individually allocated, by why
     #: (:func:`~repro.synthesis.liveness.kept_buffers`)
     keep: Dict[str, str] = field(default_factory=dict)
-    #: the forward staging copies ``regather`` re-gathered in backward,
-    #: and those it declined, for the memory plan's report
+    #: the forward staging copies and values ``regather`` re-ran in
+    #: backward, and those it declined, for the memory plan's report
     regathered: dict = field(default_factory=dict)
     declined: dict = field(default_factory=dict)
     #: the schedule (``fusion``) and the generated program (``codegen``)
@@ -231,15 +231,24 @@ def _first_writer(s: CompileState):
 
 def _regather(s: CompileState):
     # staging copies read again in backward are re-gathered there (and
-    # re-padded first, if they gather from a padded buffer): units
-    # cloned ahead of tiling, so that fusion sees both gathers inside
-    # their layers and can contract what they stage
+    # re-padded first, if they gather from a padded buffer), and cheap
+    # values recomputed: units cloned ahead of tiling, so that fusion
+    # sees both gathers inside their layers and can contract what they
+    # stage
     s.regathered, s.declined = liveness.regather_staging(
         s.plan, s.program.forward, s.program.backward, s.keep)
-    return {"copies_regathered": len(s.regathered),
-            "pads_regathered": sum(
-                1 for r in s.regathered.values() if r.padded),
-            "copies_declined": len(s.declined)}
+    recomputed = sum(1 for r in s.regathered.values() if r.recomputed)
+    counters = {"copies_regathered": len(s.regathered) - recomputed,
+                "pads_regathered": sum(
+                    1 for r in s.regathered.values() if r.padded),
+                "copies_declined": sum(
+                    1 for b in s.declined
+                    if s.plan.buffers[b].role == "input")}
+    # only where there are some, so that a program recomputing nothing
+    # keeps its pass records
+    if recomputed:
+        counters["values_recomputed"] = recomputed
+    return counters
 
 
 def _tiling(s: CompileState):

@@ -56,7 +56,10 @@ units so that no staging copy (im2col) is held from its forward GEMM to
 its backward one: the copy is run again right before its backward
 reader, into a buffer of its own, and the arena is the largest such
 buffer — one batch tile of it, once fusion has contracted it — instead
-of the sum of all of them.
+of the sum of all of them. A value that backward reads again and that
+cheap loop nests define (a pooling layer's max of a conv value that is
+live anyway) is recomputed the same way instead of held across the
+phases.
 
 The result is a :class:`MemoryPlan` stored on the
 :class:`~repro.synthesis.plan.BufferPlan`; ``repro.runtime.buffers``
@@ -67,14 +70,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from repro.core.ensemble import DataEnsemble, LossEnsemble
-from repro.ir import Index, map_expr, transform_exprs
+from repro.ir import Gemm, Index, map_expr, transform_exprs
 from repro.synthesis.access import (
     Interval,
     ProgramView,
+    StepAccess,
+    record,
+    unit_accesses,
     unit_rw,
     unnamed_buffers,
 )
@@ -92,20 +98,28 @@ ALIGN_BYTES = 64
 GRAD_ROLES = ("grad", "grad_input", "padded_grad")
 
 #: unit kinds :func:`regather_staging` clones into the backward section
-REMATERIALIZING = ("pad_fill", "pad", "regather")
+REMATERIALIZING = ("pad_fill", "pad", "regather", "recompute")
 
 
 @dataclass(frozen=True)
 class Rematerialized:
-    """One staging copy re-gathered in backward instead of retained."""
+    """One forward buffer defined again in backward instead of retained
+    across the phases: a staging copy re-gathered, or a value
+    recomputed (:func:`regather_staging`)."""
 
-    buffer: str  # the backward staging buffer the re-copy defines
-    source: str  # base buffer it is gathered (or padded) from, both times
-    label: str  # the re-gather unit, ``<ensemble>.regather``
+    buffer: str  # the backward buffer the re-run defines
+    source: str  # base buffers it is computed from, both times
+    #: the re-running units: ``<ensemble>.regather`` for a copy,
+    #: ``<ensemble>.recompute`` (``+``-joined) for a value
+    label: str
     nbytes: int
     #: the padded buffer re-padded ahead of the re-gather ('' if the
-    #: copy gathers from an unpadded source)
+    #: copy gathers from an unpadded source, and for a value)
     padded: str = ""
+
+    @property
+    def recomputed(self) -> bool:
+        return self.label.endswith(".recompute")
 
 
 @dataclass
@@ -143,9 +157,9 @@ class MemoryPlan:
     kept_reasons: Dict[str, str] = field(default_factory=dict)
     #: the program's forward and backward point counts
     points: Tuple[int, int] = (0, 0)
-    #: forward staging buffer -> its backward re-gather
-    #: (:func:`regather_staging`), and the staging buffers still
-    #: live across the phase boundary -> why they were declined
+    #: forward staging buffer or value -> its backward re-gather or
+    #: recompute (:func:`regather_staging`), and the ones still live
+    #: across the phase boundary -> why they were declined
     rematerialized: Dict[str, Rematerialized] = field(default_factory=dict)
     declined: Dict[str, str] = field(default_factory=dict)
 
@@ -161,6 +175,9 @@ class MemoryPlan:
         return self.saved_bytes / self.naive_bytes
 
     def stats(self) -> Dict[str, object]:
+        """The pass counters; ``copies_rematerialized`` and
+        ``bytes_rematerialized`` count every buffer no longer held
+        across the phases, re-gathered copies and recomputed values."""
         return {
             "buffers_pooled": len(self.pooled),
             "arena_bytes": self.arena_bytes,
@@ -400,7 +417,8 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
 def regather_staging(
     plan: BufferPlan, fwd: list, bwd: list, keep_bufs=frozenset()
 ) -> Tuple[Dict[str, Rematerialized], Dict[str, str]]:
-    """Re-gather in backward every staging copy that is read again there.
+    """Re-run in backward the cheap forward work backward reads again,
+    instead of holding what it defined across the phases.
 
     A conv layer's im2col buffer is written before its forward GEMM and
     read again by its weight-gradient GEMM, so a training step would
@@ -417,83 +435,175 @@ def regather_staging(
     layer's units, so tiling and fusion treat the clones like any other
     units and the planner overlays all of them on the same bytes.
 
+    A batched value that backward reads again is recomputed the same
+    way when the units defining it are cheap loop nests — no GEMM, no
+    extern, nothing recurrent: a pooling layer's init and max. They are
+    cloned (kind ``recompute``) right before the value's first backward
+    reader, into a fresh ``<value>_re`` that every backward reader is
+    respelled to. Values go after the copies, so that a re-pad reads
+    the recomputed value, and the latest defined first, so that a value
+    recomputed from another one is itself a backward reader of it.
+
     Runs on the synthesized sections, before tiling. ``keep_bufs`` are
     the inspected value/grad bases (:func:`kept_buffers`), live to the
-    program's end pooled or not: gathering (or padding) again from any
-    other source extends that source's life, and a copy whose staging
-    bytes exceed the bytes so extended by less than arena alignment can
-    cost is declined. Returns ``(rematerialized, declined)`` keyed by
-    forward staging buffer; reasons are ``'time-unrolled'``,
-    ``'opaque'`` (a gather closure or extern reader looks the buffer up
-    by name), ``'target-rewritten'``, ``'source-rewritten'`` and
-    ``'no-saving'``.
+    program's end pooled or not, and never recomputed: re-running work
+    from any other source extends that source's life, and a buffer
+    whose bytes exceed the bytes so extended by less than arena
+    alignment can cost is declined. Returns ``(rematerialized,
+    declined)`` keyed by forward buffer; reasons are
+    ``'time-unrolled'``, ``'opaque'`` (a gather closure or extern reader
+    looks the buffer up by name), ``'aliased'`` (a unit spells it
+    through an alias), ``'target-rewritten'``, ``'source-rewritten'``
+    and ``'no-saving'``.
     """
     done: Dict[str, Rematerialized] = {}
     declined: Dict[str, str] = {}
     fwd_units = [u for sec in fwd for u in sec.units]
-    bwd_units = [u for sec in bwd for u in sec.units]
-    view = ProgramView(plan, [FusedGroup([u]) for u in fwd_units],
-                       [FusedGroup([u]) for u in bwd_units])
-    n_fwd, records = view.n_forward, view.records
+    seen: Dict[int, tuple] = {}
+    units, view = _unit_view(plan, fwd_units, bwd, seen)
+    n_fwd = view.n_forward
 
     def poolable(base: str) -> bool:
         spec = plan.buffers[base]
         return (not spec.is_param and spec.role != "field"
                 and base not in keep_bufs)
 
+    def spellings(q: int, base: str) -> Set[str]:
+        return {name for name, _kind in unit_accesses(units[q])
+                if name in plan.buffers and plan.resolve_alias(name) == base}
+
+    def why_not(target: str, sources: Set[str], definers: List[int],
+                readers: List[int]) -> Optional[str]:
+        """Why re-running the forward points ``definers`` ahead of the
+        backward points ``readers`` may not replace holding ``target``
+        (``None`` when it may)."""
+        records, first = view.records, readers[0]
+        if plan.time_steps > 1:
+            return "time-unrolled"
+        if any(records[q].opaque for q in definers + readers):
+            return "opaque"
+        if any(spellings(q, target) - {target} for q in definers + readers):
+            return "aliased"
+        if (view.intervals[target].first_kind != "w"
+                or any(target in rec.writes for q, rec in enumerate(records)
+                       if q not in definers)):
+            return "target-rewritten"
+        if any(rec.writes & sources
+               for rec in records[definers[0] + 1:first]):
+            return "source-rewritten"
+        extended = sum(
+            buffer_nbytes(plan, plan.buffers[b]) for b in sources
+            if poolable(b) and view.intervals[b].last < first)
+        if buffer_nbytes(plan, plan.buffers[target]) - extended < ALIGN_BYTES:
+            return "no-saving"
+        return None
+
+    def backward_readers(point: int, base: str) -> List[int]:
+        return [q for q in view.readers_after(point, base) if q >= n_fwd]
+
     for point, unit in enumerate(fwd_units):
         if unit.tags.kind != "copy":
             continue
         reads, (target,) = unit_rw(plan, unit)
-        spec = plan.buffers[target]
-        readers = [q for q in view.readers_after(point, target) if q >= n_fwd]
-        if spec.role != "input" or not readers:
+        readers = backward_readers(point, target)
+        if plan.buffers[target].role != "input" or not readers:
             continue
-        first = readers[0]
-        size = buffer_nbytes(plan, spec)
         # the layer's pad (fill + interior copy) is re-run too, so what
         # backward reads again is the pad's source, not the padded buffer
-        pads = [p for p in range(point) if records[p].writes & reads
+        pads = [p for p in range(point) if view.records[p].writes & reads
                 and fwd_units[p].tags.kind in ("pad_fill", "pad")]
-        padded = frozenset().union(*(records[p].writes for p in pads))
-        sources = (reads - padded).union(*(records[p].reads for p in pads))
-        extended = sum(
-            buffer_nbytes(plan, plan.buffers[b]) for b in sources
-            if poolable(b) and view.intervals[b].last < first)
-        if plan.time_steps > 1:
-            declined[target] = "time-unrolled"
-        elif records[point].opaque or any(records[q].opaque for q in readers):
-            declined[target] = "opaque"
-        elif any(target in rec.writes
-                 for q, rec in enumerate(records) if q != point):
-            declined[target] = "target-rewritten"
-        elif any(rec.writes & sources
-                 for rec in records[min(pads, default=point) + 1:first]):
-            declined[target] = "source-rewritten"
-        elif size - extended < ALIGN_BYTES:
-            declined[target] = "no-saving"
-        else:
-            renames = {b: plan.add(replace(plan.buffers[b], name=b + "_re"))
-                       for b in [target, *sorted(padded)]}
-            fresh = renames[target]
-            for q in readers:
-                reader = bwd_units[q - n_fwd]
-                reader.stmt = respelled(reader.stmt, {target: fresh})
-            originals = [(fwd_units[p], fwd_units[p].tags.kind) for p in pads]
-            clones = [
-                LoopUnit([replace(sp) for sp in u.loops],
-                         respelled(u.stmt, renames),
-                         replace(u.tags, kind=kind, direction="backward"))
-                for u, kind in originals + [(unit, "regather")]]
-            before = bwd_units[first - n_fwd]
-            at = next((sec.units, i) for sec in bwd
-                      for i, u in enumerate(sec.units) if u is before)
-            at[0][at[1]:at[1]] = clones
-            done[target] = Rematerialized(
-                fresh, ", ".join(sorted(sources)),
-                f"{unit.tags.ensemble}.regather", size,
-                ", ".join(sorted(renames[b] for b in padded)))
+        padded = frozenset().union(*(view.records[p].writes for p in pads))
+        sources = (reads - padded).union(
+            *(view.records[p].reads for p in pads))
+        reason = why_not(target, sources, pads + [point], readers)
+        if reason is not None:
+            declined[target] = reason
+            continue
+        renames = {b: b + "_re" for b in [target, *sorted(padded)]}
+        _clone_backward(plan, bwd, [(fwd_units[p], fwd_units[p].tags.kind)
+                                    for p in pads] + [(unit, "regather")],
+                        renames, [units[q] for q in readers])
+        done[target] = Rematerialized(
+            renames[target], ", ".join(sorted(sources)),
+            f"{unit.tags.ensemble}.regather",
+            buffer_nbytes(plan, plan.buffers[target]),
+            ", ".join(sorted(renames[b] for b in padded)))
+
+    # a view that sees the clones: a re-pad, and each recompute, is a
+    # backward reader of what it reads
+    units, view = _unit_view(plan, fwd_units, bwd, seen)
+    definers: Dict[str, List[int]] = {}
+    for point, rec in enumerate(view.records[:n_fwd]):
+        for base in rec.writes:
+            definers.setdefault(base, []).append(point)
+    for value in sorted(definers, key=lambda b: -definers[b][0]):
+        spec, points = plan.buffers[value], definers[value]
+        readers = backward_readers(points[0], value)
+        if (spec.role != "value" or not spec.batched or value in keep_bufs
+                or not readers
+                or any(isinstance(fwd_units[p].stmt, Gemm) for p in points)):
+            continue
+        sources = set().union(
+            *(view.records[p].reads for p in points)) - {value}
+        reason = why_not(value, sources, points, readers)
+        if reason is not None:
+            declined[value] = reason
+            continue
+        renames = {value: value + "_re"}
+        _clone_backward(plan, bwd,
+                        [(fwd_units[p], "recompute") for p in points],
+                        renames, [units[q] for q in readers])
+        done[value] = Rematerialized(
+            renames[value], ", ".join(sorted(sources)),
+            "+".join(dict.fromkeys(f"{fwd_units[p].tags.ensemble}.recompute"
+                                   for p in points)),
+            buffer_nbytes(plan, spec))
+        units, view = _unit_view(plan, fwd_units, bwd, seen)
     return done, declined
+
+
+class _Point(NamedTuple):
+    """One unit as a point of a :class:`ProgramView`."""
+
+    units: List[LoopUnit]
+    access: StepAccess
+
+
+def _unit_view(plan: BufferPlan, fwd_units: List[LoopUnit], bwd: list,
+               seen: Dict[int, tuple]) -> Tuple[List[LoopUnit], ProgramView]:
+    """The program's units in point order, and its view with one point
+    per unit. ``seen`` keeps each unit's record by the statement it was
+    taken of, so only new and respelled units are walked again."""
+    def point(unit: LoopUnit) -> _Point:
+        stmt, rec = seen.get(id(unit), (None, None))
+        if stmt is not unit.stmt:
+            rec = record(plan, FusedGroup([unit]))
+            seen[id(unit)] = (unit.stmt, rec)
+        return _Point([unit], rec)
+
+    bwd_units = [u for sec in bwd for u in sec.units]
+    return fwd_units + bwd_units, ProgramView(
+        plan, [point(u) for u in fwd_units], [point(u) for u in bwd_units])
+
+
+def _clone_backward(plan: BufferPlan, bwd: list, originals,
+                    renames: Dict[str, str], readers: List[LoopUnit]) -> None:
+    """Clone the forward ``(unit, kind)`` pairs ``originals``, tagged
+    ``kind``, into the backward section right before ``readers[0]``,
+    each spelling the fresh buffer ``renames[b]`` (``b``'s spec under a
+    new name) for every ``b`` it spells that ``renames`` maps; the
+    backward ``readers`` are respelled to read them."""
+    for b, fresh in renames.items():
+        plan.add(replace(plan.buffers[b], name=fresh))
+    for reader in readers:
+        reader.stmt = respelled(reader.stmt, renames)
+    clones = [
+        LoopUnit([replace(sp) for sp in u.loops], respelled(u.stmt, renames),
+                 replace(u.tags, kind=kind, direction="backward"))
+        for u, kind in originals]
+    at, i = next((sec.units, i) for sec in bwd
+                 for i, u in enumerate(sec.units) if u is readers[0])
+    at[i:i] = clones
 
 
 def respelled(stmt, renames: Dict[str, str]):

@@ -10,9 +10,11 @@ minimal reproducer, saves it under ``tests/regressions/`` (override with
 
 ``--inject-bug NAME`` deliberately breaks a runtime invariant first
 (see ``repro.testing.oracle.inject_bug``) — a self-test that the oracle
-catches and shrinks real optimizer bugs. CI runs a date-derived seed
-nightly and uploads any reproducer as an artifact (see
-``.github/workflows/ci.yml``).
+catches and shrinks real optimizer bugs. A failure it causes is no
+regression case: without ``--out-dir`` its reproducer goes to a fresh
+temporary directory, never ``tests/regressions/``. CI runs a
+date-derived seed nightly and uploads any reproducer as an artifact
+(see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -65,7 +68,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="oracle evaluations the shrinker may spend")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="directory for reproducer JSON (default "
-                             "tests/regressions/)")
+                             "tests/regressions/, or a fresh temporary "
+                             "directory under --inject-bug)")
     parser.add_argument("--inject-bug", choices=INJECTABLE_BUGS,
                         default=None,
                         help="break an invariant on purpose (oracle "
@@ -121,13 +125,16 @@ def run_fuzz(args) -> int:
                 report = oracle(final_spec)
                 print(f"minimized to {len(final_spec.layers)} layers: "
                       f"{final_spec.describe()}", flush=True)
+            out_dir = args.out_dir
+            if out_dir is None and args.inject_bug:
+                out_dir = Path(tempfile.mkdtemp(prefix="repro-fuzz-"))
             path = save_reproducer(
                 final_spec,
                 note=(f"fuzz --seed {args.seed} case {i}"
                       + (f" --inject-bug {args.inject_bug}"
                          if args.inject_bug else "")),
                 failures=[str(m) for m in report.mismatches],
-                directory=args.out_dir,
+                directory=out_dir,
             )
             print(f"reproducer written to {path}")
             print(f"reproduce with: python -m repro.testing.fuzz "

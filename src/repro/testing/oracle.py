@@ -979,6 +979,10 @@ def inject_bug(name: str):
       inspected buffer's interval at its last access, so a later step
       may reuse its bytes before the caller reads them; the static
       ``arena`` check rejects the plan before anything runs.
+    * ``recompute-skipped`` — a value recomputed in backward has its
+      backward readers respelled to the recomputed buffer, but the
+      clones that would define it are dropped, so they read a buffer
+      nothing writes.
     """
     from repro.runtime import executor
     from repro.synthesis import liveness
@@ -1032,6 +1036,18 @@ def inject_bug(name: str):
             yield
         finally:
             liveness.live_to_end = orig
+    elif name == "recompute-skipped":
+        orig = liveness._clone_backward
+
+        def skipping(plan, bwd, originals, renames, readers):
+            orig(plan, bwd, [(u, kind) for u, kind in originals
+                             if kind != "recompute"], renames, readers)
+
+        liveness._clone_backward = skipping
+        try:
+            yield
+        finally:
+            liveness._clone_backward = orig
     else:
         raise KeyError(
             f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
@@ -1040,4 +1056,4 @@ def inject_bug(name: str):
 #: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
 INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
                    "group-slab-overlap", "arena-overlap",
-                   "inspected-early-end")
+                   "inspected-early-end", "recompute-skipped")

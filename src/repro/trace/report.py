@@ -145,8 +145,9 @@ class MemoryReport:
     #: buffer ``value()``/``grad()`` answer for -> why (``contract
     #: (…)`` or ``keep_alive``), pooled or kept
     inspected: Dict[str, str] = field(default_factory=dict)
-    #: staging buffer -> its backward re-gather (a ``liveness.
-    #: Rematerialized``) / why it is retained across the phases instead
+    #: staging buffer or value -> its backward re-gather or recompute
+    #: (a ``liveness.Rematerialized``) / why it is retained across the
+    #: phases instead
     rematerialized: Dict[str, object] = field(default_factory=dict)
     declined: Dict[str, str] = field(default_factory=dict)
     #: contracted staging buffer -> (allocated bytes, batch rows it
@@ -188,14 +189,16 @@ class MemoryReport:
         return self.saved_bytes / self.naive_bytes if self.naive_bytes else 0.0
 
     def decisions(self) -> List[str]:
-        """One row per staging copy read again in backward: re-gathered
-        there (bytes no longer retained, source, re-gather unit) or
-        retained, with the reason; one per staging buffer contracted to
-        its group's batch tile, one per chain left whole-batch, and one
-        per inspected buffer in the arena, with its offset."""
+        """One row per staging copy or value read again in backward:
+        re-gathered or recomputed there (bytes no longer retained,
+        source, re-running units) or retained, with the reason; one per
+        staging buffer contracted to its group's batch tile, one per
+        chain left whole-batch, and one per inspected buffer in the
+        arena, with its offset."""
         offsets = {name: off for off, _size, name, _live in self.placements}
         rows = [
-            f"re-gathered {name}: {r.nbytes / 1024:.1f} KB from {r.source}"
+            f"{'recomputed' if r.recomputed else 're-gathered'} {name}: "
+            f"{r.nbytes / 1024:.1f} KB from {r.source}"
             + (f" (re-padded into {r.padded})" if r.padded else "")
             + f" by {r.label}"
             for name, r in self.rematerialized.items()

@@ -15,6 +15,7 @@ exercises the generator/oracle/shrinker stack deterministically:
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,53 @@ class TestInjectedBugs:
         with inject_bug("arena-overlap"):
             with pytest.raises(ArenaFault):
                 calibrate_spec(spec, 4)
+
+    def test_recompute_skipped_is_caught_on_a_max_pool_spec(self):
+        """The backward readers of a recomputed pooled value read a
+        buffer nothing defines once its clones are dropped: the
+        planned programs' gradients move against the O0 interpreter."""
+        from repro.optim import CompilerOptions
+        from repro.testing.generator import build_net
+        from repro.utils.rng import seed_all
+
+        spec = random_spec(2_200_001)  # conv -> maxpool -> conv -> ...
+        assert "maxpool" in spec.describe()
+        seed_all(spec.seed)
+        cnet = build_net(spec).init(CompilerOptions())
+        assert cnet.plan.memory.rematerialized["L1_pool_value"].recomputed
+        kwargs = dict(levels=(3, 4), threads=(), gradcheck_indices=0,
+                      baselines=False, cbackend=False, quant=False)
+        assert check_spec(spec, **kwargs).ok
+        with inject_bug("recompute-skipped"):
+            report = check_spec(spec, **kwargs)
+        assert {"level:3", "level:4", "memplan"} <= {
+            m.check for m in report.mismatches}
+
+    def test_an_injected_failure_is_no_regression_case(self, capsys):
+        """Without ``--out-dir``, the fuzz CLI writes the reproducer of a
+        failure it caused on purpose to a fresh temporary directory and
+        prints it; ``tests/regressions/`` is left as it was."""
+        import shutil
+
+        from repro.testing.fuzz import make_parser, run_fuzz
+        from repro.testing.minimize import REGRESSION_DIR
+
+        before = sorted(REGRESSION_DIR.iterdir())
+        args = make_parser().parse_args([
+            "--seed", "22", "--budget", "2", "--no-shrink", "-q",
+            "--inject-bug", "recompute-skipped", "--levels", "4",
+            "--threads", "", "--grad-indices", "0", "--no-baselines",
+            "--no-cbackend"])
+        assert run_fuzz(args) == 1
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("reproducer written to ")]
+        path = Path(line.removeprefix("reproducer written to "))
+        try:
+            assert path.is_file()
+            assert path.parent != REGRESSION_DIR.resolve()
+            assert sorted(REGRESSION_DIR.iterdir()) == before
+        finally:
+            shutil.rmtree(path.parent)
 
     def test_unknown_bug_name_rejected(self):
         with pytest.raises(KeyError):

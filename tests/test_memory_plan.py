@@ -751,6 +751,60 @@ class TestRematerialization:
             "copies_regathered": 8, "pads_regathered": 8,
             "copies_declined": 0}
 
+    def test_vgg_recomputes_its_pooled_values(self):
+        """Each of vgg's first four pools is read again in backward by
+        its own pool backward and the next layer's re-pad: it is
+        recomputed there from its conv value, which backward keeps
+        anyway, instead of held across the phases; the forward value
+        then contracts into its group. The dropout values and the last
+        pool reach backward through the next FC layer's reshaped input
+        alias, which cannot be respelled."""
+        cn = _ledger_net("vgg")
+        mem = cn.plan.memory
+        recomputed = {b: r for b, r in mem.rematerialized.items()
+                      if r.recomputed}
+        assert sorted(recomputed) == [f"pool_conv{i}_value"
+                                      for i in range(1, 5)]
+        rows = cn.memory_report().table().splitlines()
+        summary = cn.summary().splitlines()
+        for row in ("recomputed pool_conv1_value: 512.0 KB from "
+                    "conv1_value by pool_conv1.recompute",
+                    "recomputed pool_conv4_value: 64.0 KB from "
+                    "conv4_2_value by pool_conv4.recompute",
+                    "retained drop6_value: aliased",
+                    "retained drop7_value: aliased"):
+            assert row in rows and f"    {row}" in summary
+        assert mem.declined == {"drop6_value": "aliased",
+                                "drop7_value": "aliased",
+                                "pool_conv5_value": "aliased"}
+        for b, r in recomputed.items():
+            assert r.buffer == b + "_re" and not r.padded
+            assert mem.intervals[b].phases == {"forward"}
+            assert mem.intervals[r.buffer].phases == {"backward"}
+            assert r.nbytes == cn.buffers[r.buffer].nbytes
+        assert {"pool_conv1_value", "pool_conv2_value"} <= set(
+            cn.plan.contracted)
+        assert cn.compile_report["regather"].rewrites == {
+            "copies_regathered": 8, "pads_regathered": 8,
+            "copies_declined": 0, "values_recomputed": 4}
+        stats = cn.compile_report["memory_plan"].rewrites
+        assert stats["copies_rematerialized"] == 12
+        assert stats["bytes_rematerialized"] == sum(
+            r.nbytes for r in mem.rematerialized.values())
+        steps = [s.label for s in cn.compiled.backward]
+        assert steps.count("pool_conv1.recompute") == 2  # init and max
+        # an inspected value is held, not recomputed
+        kept = _ledger_net("vgg", keep_alive=["pool_conv1"])
+        assert "pool_conv1_value" not in kept.plan.memory.rematerialized
+        assert "pool_conv1_value" not in kept.plan.memory.declined
+        assert "pool_conv2_value" in kept.plan.memory.rematerialized
+
+    def test_a_dropout_value_read_through_an_alias_is_retained(self):
+        cn = _ledger_net("inception_b")
+        assert cn.plan.memory.declined["L1_dropout_value"] == "aliased"
+        assert "    retained L1_dropout_value: aliased" in (
+            cn.summary().splitlines())
+
     def test_every_contracted_buffer_is_allocated_at_its_tile(self):
         from repro.optim.tiling import STAGING_TILE_BYTES
 
@@ -764,7 +818,7 @@ class TestRematerialization:
                 assert cn.buffers[buf].shape == (spec.tile,) + spec.shape
                 assert 8 % spec.tile == 0 and spec.tile < 8
                 assert spec.tile == tiles[label]
-                if spec.role == "padded":
+                if spec.role in ("padded", "value"):
                     continue  # its group's tile, sized by the im2col copy
                 # the largest divisor of the batch that fits the budget
                 # (one image when none does: the 11x11 conv1 layers)
@@ -777,26 +831,30 @@ class TestRematerialization:
 
     def test_naive_bytes_is_what_the_program_allocates_unpooled(self):
         """``naive_bytes`` counts the buffers the compiled program has —
-        re-gather and re-pad targets included, contracted ones at their
-        tile — so it equals the unplanned compile's allocation only
-        where the planner's own rewrites (the re-gathers) add nothing."""
+        re-gather, re-pad and recompute targets included, contracted
+        ones at their tile — so it equals the unplanned compile's
+        allocation only where the planner's own rewrites (the re-gathers
+        and recomputes) add nothing."""
         planned = _staged_net(True)
         unplanned = _staged_net(True, memory_plan=False)
         remat = planned.plan.memory.rematerialized
-        assert sorted(remat) == ["c1_inputs0", "c2_inputs0"]
-        staging = sum(planned.buffers[r.buffer].nbytes
-                      for r in remat.values())
-        padded = sum(planned.buffers[r.padded].nbytes for r in remat.values())
+        assert sorted(remat) == ["c1_inputs0", "c2_inputs0", "p1_value"]
+        assert remat["p1_value"].label == "p1.recompute"
+        again = sum(planned.buffers[r.buffer].nbytes
+                    for r in remat.values())
+        padded = sum(planned.buffers[r.padded].nbytes
+                     for r in remat.values() if r.padded)
         assert (planned.memory_stats()["naive_bytes"]
-                == unplanned.memory_stats()["naive_bytes"] + staging + padded)
+                == unplanned.memory_stats()["naive_bytes"] + again + padded)
         rec = planned.compile_report["regather"]
         assert rec.rewrites == {"copies_regathered": 2, "pads_regathered": 2,
-                                "copies_declined": 0}
-        # per layer: the pad's fill, its interior copy and the re-gather
-        assert rec.units_after == rec.units_before + 6
+                                "copies_declined": 0, "values_recomputed": 1}
+        # per layer: the pad's fill, its interior copy and the re-gather;
+        # the pool's init and max
+        assert rec.units_after == rec.units_before + 8
         mem = planned.compile_report["memory_plan"].rewrites
-        assert mem["copies_rematerialized"] == 2
-        assert mem["bytes_rematerialized"] == staging
+        assert mem["copies_rematerialized"] == 3
+        assert mem["bytes_rematerialized"] == again
         assert not unplanned.compile_report["regather"].enabled
 
     @pytest.mark.parametrize("name,spec", list(_corpus()),
@@ -911,7 +969,7 @@ class TestRematerialization:
                 pytest.skip("no usable C toolchain")
         cn = _staged_net(padded, num_threads=num_threads, backend=backend)
         assert sorted(cn.plan.memory.rematerialized) == [
-            "c1_inputs0", "c2_inputs0"]
+            "c1_inputs0", "c2_inputs0", "p1_value"]
         if num_threads > 1:  # a re-gather shards like its original
             assert all(s.shardable for s in cn.compiled.backward
                        if s.label.endswith(".regather"))
@@ -1112,10 +1170,10 @@ class TestBatchTiles:
 
 
 def _hand_sections(time_steps=1, src_shape=(8,), rewrite_source=False,
-                   rewrite_target=False):
+                   rewrite_target=False, read_out=False):
     """copy ``stage <- src``; compute ``out <- stage``; backward
-    ``gw += stage``: the shape of a conv layer's staging traffic, small
-    enough to build by hand."""
+    ``gw += stage`` (and ``gw += out`` with ``read_out``): the shape of
+    a conv layer's staging traffic, small enough to build by hand."""
     from repro.ir import Assign, Index, Var
     from repro.synthesis.plan import BufferPlan, BufferSpec
     from repro.synthesis.units import (
@@ -1150,7 +1208,11 @@ def _hand_sections(time_steps=1, src_shape=(8,), rewrite_source=False,
     bwd = Section("c", "backward", [
         unit("compute", Index("gw", (i,)), stage, reduce="add")])
     if rewrite_target:
-        bwd.units.append(unit("fill", stage, Index("out", (n, i))))
+        bwd.units.append(unit("fill", stage, Index("src", (n, i))))
+    if read_out:
+        bwd.units.append(unit("compute", Index("gw", (i,)),
+                              Index("out", (n, i)), reduce="add",
+                              loops="ni"))
     return plan, fwd, bwd
 
 
@@ -1214,6 +1276,19 @@ class TestRegatherStagingUnit:
         *_, done, declined = self._run(keep=keep, **kw)
         assert declined == {"stage": reason} and not done
 
+    def test_a_value_that_would_hold_a_larger_source_is_retained(self):
+        """``out`` is cheap (no GEMM) and read again in backward, but
+        recomputing it there would hold the 192 B ``stage`` — dead in
+        forward once its reader is re-gathered — to save 64 B."""
+        from repro.synthesis.liveness import regather_staging
+
+        plan, fwd, bwd = _hand_sections(read_out=True)
+        done, declined = regather_staging(plan, [fwd], [bwd],
+                                          frozenset({"src"}))
+        assert list(done) == ["stage"] and declined == {"out": "no-saving"}
+        assert [u.tags.kind for u in bwd.units] == [
+            "regather", "compute", "compute"]
+
     def test_extern_gather_staging_is_opaque(self):
         """A gather's closures look their buffers up by name, so its
         staging buffer cannot be respelled: retained, on record."""
@@ -1229,8 +1304,10 @@ class TestRegatherStagingUnit:
         fc = FullyConnectedLayer("fc", net, mul, 3)
         SoftmaxLossLayer("loss", net, fc, label)
         mem = net.init(CompilerOptions()).plan.memory
+        # (and fc reads mul's value through its reshaped alias)
         assert mem.declined == {"mul_inputs0": "opaque",
-                                "mul_inputs1": "opaque"}
+                                "mul_inputs1": "opaque",
+                                "mul_value": "aliased"}
 
     def test_time_unrolled_net_declines_every_recurrent_copy(self):
         net = Net(2, time_steps=3)

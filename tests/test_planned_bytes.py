@@ -22,28 +22,34 @@ from repro.testing.digest import PROGRAMS, SPEC_DIR, ledger_net
 #: ``keep_alive`` buffer a step defines is placed after the others,
 #: live to the program's last point, wherever it grows the arena by
 #: less than its own bytes; the data gradients were most of it) and a
-#: softmax loss's label lost the gradient buffer no step writes
+#: softmax loss's label lost the gradient buffer no step writes. A
+#: program whose backward reads a pooled value again moved when it was
+#: recomputed there instead of held across the phases. cnn_a rose by
+#: 32 B: its 288 B ``L6_pool_value`` had been kept whole (no-saving);
+#: now it pools in forward, but its recomputed ``L6_pool_value_re`` is
+#: placed above the values live across its backward and grows the
+#: arena by 320 B
 PLANNED = {
-    # was 1 967 104, 3 050 176, 1 089 024
-    "alexnet": (1_536_128, 2_813_536, 1_085_824),
+    # was 1 536 128, =, =
+    "alexnet": (1_510_272, 2_813_536, 1_085_824),
     # was 1 749 504, 2 023 020, 1 001 328
     "overfeat": (1_613_920, 2_022_988, 998_128),
-    # was 7 474 432, 14 006 656, 1 248 416
-    "vgg": (7_081_184, 13_220_576, 1_245_216),
+    # was 7 081 184, =, =
+    "vgg": (6_360_288, 13_220_576, 1_245_216),
     # was 972 224, 1 167 744, 716 640
     "lenet": (947_104, 1_116_512, 716_320),
     # was 2 496, 3 776, 848
     "mlp6x16": (2_224, 3_760, 784),
-    # was 16 240, 23 648, 9 992
-    "cnn_a": (15_080, 16_728, 9_960),
+    # was 15 080, =, =
+    "cnn_a": (15_112, 16_728, 9_960),
     # was 7 256, 9 512, 4 000
     "cnn_b": (6_072, 9_504, 3_960),
     # was 976, 1 216, 480
     "mlp": (896, 1_200, 432),
     # was 4 864, 5 184, =
     "recurrent": (4_828, 5_148, 2_556),
-    # was 45 616, 65 568, 22 464
-    "inception_a": (44_000, 63_952, 22_416),
+    # was 44 000, =, =
+    "inception_a": (42_400, 63_952, 22_416),
     # was 37 176, 61 296, 29 920
     "inception_b": (34_768, 58_888, 29_896),
     # was 8 640, 11 520, =
@@ -51,11 +57,12 @@ PLANNED = {
 }
 
 
-#: forward-only programs in which a conv layer's batch-tiled chain joins
-#: the group of the layer before it (``chains_joined``); a training
-#: program's backward pass reads the values its forward pass wrote, so
-#: no chain joins there, at either ``keep_alive``
-JOINED = {"vgg": 4}
+#: programs in which a conv layer's batch-tiled chain joins the group
+#: of the layer before it (``chains_joined``), trained and forward-only.
+#: A training program's backward pass reads the values its forward pass
+#: wrote, so a chain joins there only across a value recomputed in
+#: backward (vgg's first two pools), and none with every ensemble kept
+JOINED = {"vgg": (2, 4)}
 
 
 def test_the_table_covers_every_ledger_spec():
@@ -78,5 +85,6 @@ def test_planned_bytes(name):
                                                    keep_all)
         assert stats["planned_bytes"] <= stats["naive_bytes"]
         joined = cnet.compile_report["fusion"].rewrites["chains_joined"]
-        assert joined == (JOINED.get(name, 0)
-                          if options.mode == "inference" else 0), name
+        train_joined, inference_joined = JOINED.get(name, (0, 0))
+        assert joined == (inference_joined if options.mode == "inference"
+                          else 0 if keep_all else train_joined), name

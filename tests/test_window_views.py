@@ -71,11 +71,12 @@ def _units(cnet):
 
 
 def _gathers(cnet):
-    """Gathers, re-gathers and max-pool forwards."""
+    """Gathers, re-gathers and max-pool forwards, and the backward
+    recompute of a max pool's value."""
     return [(tile, u) for phase, tile, u in _units(cnet)
             if u.tags.kind in ("copy", "regather")
-            or (phase == "forward" and u.stmt.reduce == "max"
-                and "pool" in u.tags.ensemble)]
+            or (u.stmt.reduce == "max" and "pool" in u.tags.ensemble
+                and (phase == "forward" or u.tags.kind == "recompute"))]
 
 
 def _run(tile, unit, lower, bufs):
@@ -155,11 +156,13 @@ def test_a_scatter_loops_over_its_stride_phases(name):
 def test_a_max_pool_backward_keeps_its_offset_loops():
     """Every operand of a max pool's backward holds the window offset on
     its output position's axis, so NumPy would iterate the offset
-    innermost: it keeps one operation per window offset."""
+    innermost: it keeps one operation per window offset. (The backward
+    recompute of the pool's value reduces too, as its forward does.)"""
     cnet = _compiled("maxpool3s2")
     try:
         (unit,) = [u for phase, _, u in _units(cnet) if phase == "backward"
-                   and u.tags.ensemble == "L0_pool" and u.stmt.reduce]
+                   and u.tags.ensemble == "L0_pool"
+                   and u.tags.kind == "compute" and u.stmt.reduce]
         loops = lower_unit_vector(unit).scalar_loops
         assert [sp.role for sp in loops] == ["window", "window"]
         assert [sp.extent for sp in loops] == [3, 3]
