@@ -164,9 +164,8 @@ def _field_refs(net, plan) -> Dict[str, List[str]]:
     array, which a thaw re-links to the fresh net's."""
     fields: Dict[str, List[str]] = {}
     for ens in net.ensembles.values():
-        if isinstance(ens, Ensemble):
-            for fname in ens.field_bindings:
-                fields[plan.field_buf(ens.name, fname)] = [ens.name, fname]
+        for fname in _live_arrays(ens):
+            fields[plan.field_buf(ens.name, fname)] = [ens.name, fname]
     refs = {}
     for spec in plan.buffers.values():
         if spec.array is None:
@@ -275,24 +274,32 @@ def freeze(cnet) -> Tuple[dict, Dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+def _live_arrays(ens) -> Dict[str, Optional[np.ndarray]]:
+    """Field name → the array an ensemble binds: a neuron ensemble's
+    field bindings (``None`` where a compile allocates the array), a
+    normalization ensemble's statistics."""
+    if isinstance(ens, Ensemble):
+        return {f: b.array for f, b in ens.field_bindings.items()}
+    return dict(getattr(ens, "stats", {}))
+
+
 def _link_fields(net, plan: BufferPlan, fields: dict) -> None:
     """Point every field buffer at the fresh net's live array."""
     for buf, (ens_name, fname) in fields.items():
         spec = plan.buffers[buf]
         ens = net.ensembles.get(ens_name)
-        binding = (ens.field_bindings.get(fname)
-                   if isinstance(ens, Ensemble) else None)
-        if binding is None:
+        array = _live_arrays(ens).get(fname) if ens is not None else None
+        if array is None:
             raise CacheError(
                 f"entry references field {ens_name}.{fname} the net "
                 f"does not define"
             )
-        if tuple(binding.shape) != spec.shape:
+        if array.shape != spec.shape:
             raise CacheError(
                 f"field {ens_name}.{fname}: entry shape {spec.shape} "
-                f"vs net shape {tuple(binding.shape)}"
+                f"vs net shape {array.shape}"
             )
-        spec.array = binding.array
+        spec.array = array
 
 
 def _rebuild_closures(net, plan, meta, arrays) -> Dict:

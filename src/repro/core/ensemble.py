@@ -310,12 +310,15 @@ class ActivationEnsemble(Ensemble):
 class NormalizationEnsemble(AbstractEnsemble):
     """Whole-array operations on an ensemble's output (§3.2).
 
-    ``forward_fn(out, ins, ctx)`` writes the output array given the list
-    of input value arrays; ``backward_fn(in_grads, out_grad, ins, out,
-    ctx)`` accumulates into the input gradient arrays. ``ctx`` is a dict
-    for stashing per-iteration state (e.g. batch statistics). These
-    ensembles are fusion barriers (§5.5) and are executed as-is rather
-    than synthesized.
+    ``forward_fn(out, ins, stats, training)`` writes the output array
+    given the list of input value arrays; ``backward_fn(in_grads,
+    out_grad, ins, out, stats, training)`` accumulates into the input
+    gradient arrays. ``stats`` maps each name of ``stats`` (model
+    arrays the ensemble owns, e.g. batch norm's running statistics:
+    float32, unbatched) to its program buffer; ``training`` is the
+    executor's mode. Nothing else survives a call: a backward
+    recomputes what it needs from ``ins``. These ensembles are fusion
+    barriers (§5.5) and are executed as-is rather than synthesized.
     """
 
     def __init__(
@@ -325,12 +328,12 @@ class NormalizationEnsemble(AbstractEnsemble):
         shape: Sequence[int],
         forward_fn: Callable,
         backward_fn: Optional[Callable] = None,
-        state: Optional[dict] = None,
+        stats: Optional[dict] = None,
     ):
         super().__init__(net, name, shape)
         self.forward_fn = forward_fn
         self.backward_fn = backward_fn
-        self.state = state if state is not None else {}
+        self.stats = dict(stats or {})
 
 
 class LossEnsemble(Ensemble):

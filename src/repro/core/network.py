@@ -37,9 +37,11 @@ class Net:
         feed-forward networks. Recurrent connections read values from the
         previous time step.
     params:
-        Parameter values by ``ParamView.key`` (``"<ensemble>.<field>"``):
-        layers bind these arrays themselves, so nets built from one
-        source share them. ``None`` draws each from its initializer.
+        Model arrays — parameter values and statistics such as batch
+        norm's running mean — by key (``"<ensemble>.<field>"``, as
+        ``CompiledNet.model_arrays`` names them): layers bind these
+        arrays themselves, so nets built from one source share them.
+        ``None`` draws each from its initializer.
     """
 
     def __init__(self, batch_size: int = 1, time_steps: int = 1,
@@ -89,8 +91,9 @@ class Net:
 
     def param_value(self, key: str, shape: tuple,
                     draw: Callable[[], np.ndarray]) -> np.ndarray:
-        """The value array parameter ``key`` binds: the params source's
-        array, or ``draw()`` when the net has no source."""
+        """The array model array ``key`` (a parameter or a statistic)
+        binds: the params source's array, or ``draw()`` when the net has
+        no source."""
         if self.params is None:
             return draw()
         arr = self.params.get(key)

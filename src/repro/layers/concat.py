@@ -42,11 +42,11 @@ def ConcatLayer(name: str, net: Net, inputs: Sequence) -> NormalizationEnsemble:
     for s in sizes:
         offsets.append(offsets[-1] + s)
 
-    def forward_fn(out, ins, state):
+    def forward_fn(out, ins, stats, training):
         for k, arr in enumerate(ins):
             out[:, offsets[k] : offsets[k + 1]] = arr
 
-    def backward_fn(in_grads, out_grad, ins, out, state):
+    def backward_fn(in_grads, out_grad, ins, out, stats, training):
         for k, g in enumerate(in_grads):
             g += out_grad[:, offsets[k] : offsets[k + 1]]
 

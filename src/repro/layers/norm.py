@@ -1,7 +1,8 @@
 """Normalization layers, built on :class:`NormalizationEnsemble` (§3.2):
 "specifying normalization operations is often better suited for array- or
 vector-style operations", so these are whole-array kernels and act as
-fusion barriers.
+fusion barriers. Nothing is kept from forward to backward: a backward
+recomputes what it needs from the input it declares.
 """
 
 from __future__ import annotations
@@ -19,25 +20,24 @@ def BatchNormLayer(
     """Batch normalization (Ioffe & Szegedy, cited as [31]).
 
     Normalizes per channel over batch (and spatial dims for rank-3
-    inputs), tracking running statistics for inference. Affine scale and
-    shift, when wanted, compose from Scale ensembles.
+    inputs), tracking running statistics for inference. The statistics
+    ``<name>.running_mean`` and ``<name>.running_var`` are net arrays,
+    bound like parameters (``Net(params=)``), but no solver updates
+    them. Affine scale and shift, when wanted, compose from Scale
+    ensembles.
     """
     rank = len(input_ens.shape)
     if rank == 3:
         axes = (0, 2, 3)  # batch, h, w — per channel
-        c = input_ens.shape[0]
     elif rank == 1:
         axes = (0,)
-        c = input_ens.shape[0]
     else:
         raise ValueError(f"BatchNorm supports rank 1 or 3, got {rank}")
-
-    state = {
-        "running_mean": np.zeros(c, np.float64),
-        "running_var": np.ones(c, np.float64),
-        "momentum": momentum,
-        "eps": eps,
-        "axes": axes,
+    c = input_ens.shape[0]
+    stats = {
+        key: net.param_value(f"{name}.{key}", (c,),
+                             lambda v=v: np.full(c, v, np.float32))
+        for key, v in (("running_mean", 0.0), ("running_var", 1.0))
     }
 
     def _bshape(x):
@@ -45,43 +45,42 @@ def BatchNormLayer(
         shape[1] = c
         return shape
 
-    def forward_fn(out, ins, state):
-        x = ins[0].astype(np.float64)
-        axes, eps = state["axes"], state["eps"]
-        if state.get("training", True):
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            m = state["momentum"]
-            state["running_mean"] = m * state["running_mean"] + (1 - m) * mean
-            state["running_var"] = m * state["running_var"] + (1 - m) * var
+    def _normalize(x, stats, training):
+        # x̂ and the per-channel mean and variance behind it, in float64:
+        # the batch's moments in training, the running statistics
+        # otherwise
+        if training:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
         else:
-            mean, var = state["running_mean"], state["running_var"]
+            mean, var = (stats[key].astype(np.float64)
+                         for key in ("running_mean", "running_var"))
         shape = _bshape(x)
         xhat = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + eps)
-        t = state.get("t", 0)
-        state[("xhat", t)] = xhat
-        state[("inv_std", t)] = 1.0 / np.sqrt(var + eps)
-        state[("batch_mode", t)] = state.get("training", True)
+        return xhat, mean, var
+
+    def forward_fn(out, ins, stats, training):
+        xhat, mean, var = _normalize(ins[0].astype(np.float64), stats,
+                                     training)
+        if training:
+            for key, batch in (("running_mean", mean), ("running_var", var)):
+                stats[key][...] = (momentum * stats[key].astype(np.float64)
+                                   + (1 - momentum) * batch)
         out[...] = xhat.astype(out.dtype)
 
-    def backward_fn(in_grads, out_grad, ins, out, state):
+    def backward_fn(in_grads, out_grad, ins, out, stats, training):
+        xhat, _, var = _normalize(ins[0].astype(np.float64), stats,
+                                  training)
         g = out_grad.astype(np.float64)
-        shape = _bshape(g)
-        t = state.get("t", 0)
-        inv_std = state[("inv_std", t)].reshape(shape)
-        if not state.get(("batch_mode", t), True):
-            in_grads[0] += (g * inv_std).astype(in_grads[0].dtype)
-            return
-        axes = state["axes"]
-        xhat = state[("xhat", t)]
-        m = float(np.prod([g.shape[a] for a in axes]))
-        gsum = g.sum(axis=axes, keepdims=True)
-        gx_sum = (g * xhat).sum(axis=axes, keepdims=True)
-        dx = inv_std * (g - gsum / m - xhat * gx_sum / m)
-        in_grads[0] += dx.astype(in_grads[0].dtype)
+        inv_std = (1.0 / np.sqrt(var + eps)).reshape(_bshape(g))
+        if training:
+            m = float(np.prod([g.shape[a] for a in axes]))
+            gsum = g.sum(axis=axes, keepdims=True)
+            gx_sum = (g * xhat).sum(axis=axes, keepdims=True)
+            g = g - gsum / m - xhat * gx_sum / m
+        in_grads[0] += (inv_std * g).astype(in_grads[0].dtype)
 
     bn = NormalizationEnsemble(
-        net, name, input_ens.shape, forward_fn, backward_fn, state=state
+        net, name, input_ens.shape, forward_fn, backward_fn, stats=stats
     )
     net.add_connections(input_ens, bn, one_to_one(rank))
     return bn
@@ -114,23 +113,20 @@ def LRNLayer(
         hi = np.minimum(np.arange(c) + half + 1, c)
         return cs[:, hi] - cs[:, lo]
 
-    def forward_fn(out, ins, state):
-        x = ins[0].astype(np.float64)
-        scale = k + (alpha / n) * _window_sum(x * x)
-        t = state.get("t", 0)
-        state[("scale", t)] = scale
-        state[("x", t)] = x
-        out[...] = (x * scale ** (-beta)).astype(out.dtype)
+    def _scale(x):
+        return k + (alpha / n) * _window_sum(x * x)
 
-    def backward_fn(in_grads, out_grad, ins, out, state):
+    def forward_fn(out, ins, stats, training):
+        x = ins[0].astype(np.float64)
+        out[...] = (x * _scale(x) ** (-beta)).astype(out.dtype)
+
+    def backward_fn(in_grads, out_grad, ins, out, stats, training):
         g = out_grad.astype(np.float64)
-        t = state.get("t", 0)
-        scale, x = state[("scale", t)], state[("x", t)]
-        y = x * scale ** (-beta)
-        ratio = g * y / scale
-        dx = g * scale ** (-beta) - (2.0 * alpha * beta / n) * x * _window_sum(
-            ratio
-        )
+        x = ins[0].astype(np.float64)
+        scale = _scale(x)
+        p = scale ** (-beta)
+        ratio = g * (x * p) / scale
+        dx = g * p - (2.0 * alpha * beta / n) * x * _window_sum(ratio)
         in_grads[0] += dx.astype(in_grads[0].dtype)
 
     lrn = NormalizationEnsemble(

@@ -44,11 +44,11 @@ def SoftmaxLossLayer(name: str, net: Net, input_ens, label_ens) -> LossEnsemble:
 def SoftmaxLayer(name: str, net: Net, input_ens) -> NormalizationEnsemble:
     """Standalone softmax over the flattened ensemble (inference heads)."""
 
-    def forward_fn(out, ins, state):
+    def forward_fn(out, ins, stats, training):
         flat = ins[0].reshape(ins[0].shape[0], -1)
         out[...] = softmax(flat).reshape(out.shape).astype(out.dtype)
 
-    def backward_fn(in_grads, out_grad, ins, out, state):
+    def backward_fn(in_grads, out_grad, ins, out, stats, training):
         p = out.reshape(out.shape[0], -1).astype(np.float64)
         g = out_grad.reshape(out.shape[0], -1).astype(np.float64)
         dot = (g * p).sum(axis=1, keepdims=True)

@@ -98,12 +98,14 @@ def allocate(plan: BufferPlan) -> Dict[str, np.ndarray]:
 
 
 def param_layout(plan: BufferPlan):
-    """Flat packing of every learnable parameter: ``([(info, offset,
-    shape, elems), ...], total_elems)`` in ``plan.params`` order.
+    """Flat packing of every model array (parameters and statistics):
+    ``([(info, offset, shape, elems), ...], total_elems)`` in
+    ``plan.params`` order.
 
     The multi-process backend carves one shared-memory block per role
     (values; a ``(n_workers, total)`` gradient grid) with this layout,
-    so a parameter's bytes live at the same offset in every process.
+    so an array's bytes live at the same offset in every process. A
+    statistic's gradient slot is never read.
     """
     out, off = [], 0
     for info in plan.params:
@@ -116,14 +118,16 @@ def param_layout(plan: BufferPlan):
 
 def carve_param_views(layout, flat: np.ndarray, *,
                       grads: bool = False) -> Dict[str, np.ndarray]:
-    """Buffer name → reshaped view into ``flat`` for every parameter in
-    a :func:`param_layout` (value buffers by default, gradient buffers
-    with ``grads=True``) — the dict :meth:`CompiledNet.rebind_buffers`
-    takes to map a replica onto a shared block."""
+    """Buffer name → reshaped view into ``flat`` for every model array
+    in a :func:`param_layout` (value buffers by default, parameter
+    gradient buffers with ``grads=True``) — the dict
+    :meth:`CompiledNet.rebind_buffers` takes to map a replica onto a
+    shared block."""
     return {
         (info.grad_buf if grads else info.value_buf):
             flat[off:off + n].reshape(shape)
         for info, off, shape, n in layout
+        if not grads or info.grad_buf is not None
     }
 
 

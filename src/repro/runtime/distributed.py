@@ -104,7 +104,8 @@ def reduction_points(cnet) -> List[Tuple[int, str, Tuple[str, ...]]]:
     plan = cnet.plan
     grads: Dict[str, List[str]] = {}
     for p in plan.params:
-        grads.setdefault(p.ensemble, []).append(p.grad_buf)
+        if p.grad_buf is not None:
+            grads.setdefault(p.ensemble, []).append(p.grad_buf)
     last: Dict[str, int] = {}
     for idx, step in enumerate(cnet.compiled.backward):
         for ens, bufs in grads.items():

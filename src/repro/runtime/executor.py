@@ -128,8 +128,8 @@ class CompiledNet:
         self.dropout_key = 0
         self._key_rngs = {id(e.rng): e.rng for e in net.ensembles.values()
                           if hasattr(e, "keep") and self.mode == "train"}
-        #: current time step, exposed to extern closures so
-        #: normalization layers can stash per-step state
+        #: current time step (dropout masks and int8 weight
+        #: quantization read it)
         self.current_t = 0
         #: the value buffers :attr:`loss` sums (none forward-only)
         self._loss_bufs = [
@@ -140,16 +140,7 @@ class CompiledNet:
         self._data_names = [
             e.name for e in net.ensembles.values() if isinstance(e, DataEnsemble)
         ]
-        self._params = [
-            ParamView(
-                p.ensemble,
-                p.name,
-                self.buffers[p.value_buf],
-                self.buffers.get(p.grad_buf),
-                p.lr_mult,
-            )
-            for p in plan.params
-        ]
+        self._params = self._param_views()
         #: arena-pooled base buffers (empty without a memory plan):
         #: excluded from the blanket pre-backward zeroing (the planner
         #: schedules their zero-defs in-program)
@@ -157,6 +148,11 @@ class CompiledNet:
         self._pooled = frozenset(mem.pooled) if mem is not None else frozenset()
         self._step_bytes: Dict[str, int] = {}
         self._build_programs()
+
+    def _param_views(self) -> List[ParamView]:
+        return [ParamView(p.ensemble, p.name, self.buffers[p.value_buf],
+                          self.buffers.get(p.grad_buf), p.lr_mult)
+                for p in self.plan.params if p.grad_buf is not None]
 
     # -- pre-bound step programs --------------------------------------------
 
@@ -334,11 +330,12 @@ class CompiledNet:
         self._bind()
 
     def rebind_buffers(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Re-point parameter value and gradient buffers with one
-        program re-bake: the data-parallel trainer binds them onto its
-        shared block, and back onto owned arrays at close. A value is
-        re-pointed in the plan and the net's field binding too, freeing
-        the array it replaces. (No alias views a parameter buffer.)"""
+        """Re-point model array buffers (parameter values and gradients,
+        statistics) with one program re-bake: the data-parallel trainer
+        binds them onto its shared block, and back onto owned arrays at
+        close. A value is re-pointed in the plan and the net's field
+        binding (or statistic) too, freeing the array it replaces. (No
+        alias views a model array.)"""
         plan = self.plan
         params = {b for i in plan.params for b in (i.value_buf, i.grad_buf)}
         for name, array in arrays.items():
@@ -346,16 +343,19 @@ class CompiledNet:
             if (name not in params or array.shape != old.shape
                     or array.dtype != old.dtype):
                 raise ValueError(
-                    f"rebind_buffers({name!r}): not a parameter buffer of "
+                    f"rebind_buffers({name!r}): not a model array of "
                     f"{old.shape}/{old.dtype} ({array.shape}/{array.dtype})")
         self.buffers.update(arrays)
-        for p, info in zip(self._params, plan.params):
-            if info.value_buf in arrays:
-                binding = self.net[info.ensemble].field_bindings[info.name]
-                binding.array = plan.buffers[info.value_buf].array = \
-                    arrays[info.value_buf]
-            p.value = self.buffers[info.value_buf]
-            p._grad = self.buffers.get(info.grad_buf)
+        for info in plan.params:
+            array = arrays.get(info.value_buf)
+            if array is not None:
+                plan.buffers[info.value_buf].array = array
+                ens = self.net[info.ensemble]
+                if info.grad_buf is None:
+                    ens.stats[info.name] = array
+                else:
+                    ens.field_bindings[info.name].array = array
+        self._params = self._param_views()
         self._step_bytes.clear()
         self._build_programs()
 
@@ -514,6 +514,14 @@ class CompiledNet:
         """Views of every trainable parameter: ``(name, ensemble, value,
         grad, lr_mult)`` tuples solvers iterate to apply updates."""
         return list(self._params)
+
+    def model_arrays(self) -> Dict[str, np.ndarray]:
+        """Every model array by key (``"<ensemble>.<name>"``): parameter
+        values and statistics (batch norm's running mean and variance),
+        the state a checkpoint holds. Solvers see only
+        :meth:`parameters`."""
+        return {f"{p.ensemble}.{p.name}": self.buffers[p.value_buf]
+                for p in self.plan.params}
 
     def _inspectable(self, name: str, ens_name: str) -> np.ndarray:
         if name not in self.plan.buffers:

@@ -8,9 +8,10 @@ block every replica is rebound onto.
 
 How the pieces fit:
 
-* :class:`SharedParamBlock` packs every learnable parameter into one
-  flat float32 *values* block plus an ``(n_rows, total)`` *gradient
-  grid*, carved back into per-tensor views with
+* :class:`SharedParamBlock` packs every model array — learnable
+  parameters and batch-norm statistics — into one flat float32
+  *values* block plus an ``(n_rows, total)`` *gradient grid*, carved
+  back into per-tensor views with
   :func:`~repro.runtime.buffers.param_layout`. Each worker rebinds its
   replica onto the block through the existing
   :meth:`~repro.runtime.executor.CompiledNet.rebind_buffers` seam — the
@@ -109,13 +110,14 @@ ReducePolicy = Union[SyncReduce, LossyAccumulate, AsyncLossy]
 
 
 class SharedParamBlock:
-    """Parameter values, gradient rows and per-worker step counters in
+    """Model arrays, gradient rows and per-worker step counters in
     one place every replica binds to — POSIX shared memory
     (``shared=True``, for forked workers) or heap arrays of the same
     layout (threads).
 
-    ``values`` is a flat float32 array holding every parameter tensor
-    at :func:`~repro.runtime.buffers.param_layout` offsets; ``grads``
+    ``values`` is a flat float32 array holding every model array (the
+    parameters and the statistics) at
+    :func:`~repro.runtime.buffers.param_layout` offsets; ``grads``
     is an ``(n_rows, total)`` grid — worker ``k`` accumulates into row
     ``k % n_rows``, and a sync round tree-reduces the rows into row 0
     (which is exactly what the parent replica's gradient views alias);
@@ -145,18 +147,25 @@ class SharedParamBlock:
             shared_memory.SharedMemory(create=True, size=max(nbytes, 1)))
         return np.ndarray(shape, dtype, buffer=self._shms[-1].buf)
 
-    def bindings(self, grad_row: int) -> Dict[str, np.ndarray]:
+    def bindings(self, grad_row: int, worker: int = 0
+                 ) -> Dict[str, np.ndarray]:
         """The buffer name → shared view dict that maps one replica
         onto this block (values shared by all, gradients private to
-        ``grad_row``) through ``rebind_buffers`` — one program re-bake."""
+        ``grad_row``) through ``rebind_buffers`` — one program re-bake.
+        Worker 0 is the only writer of the statistics: any other
+        ``worker`` gets private copies, which its training forwards
+        update and nothing reads."""
         out = carve_param_views(self.layout, self.values)
+        if worker:
+            out.update({info.value_buf: out[info.value_buf].copy()
+                        for info, *_ in self.layout if info.grad_buf is None})
         out.update(carve_param_views(
             self.layout, self.grads[grad_row], grads=True))
         return out
 
     def load_from(self, cnet) -> None:
-        """Copy ``cnet``'s current parameter values into the shared
-        values block (call before rebinding it)."""
+        """Copy ``cnet``'s current model arrays into the shared values
+        block (call before rebinding it)."""
         for info, off, shape, n in self.layout:
             self.values[off:off + n] = cnet.buffers[info.value_buf].ravel()
 
@@ -202,7 +211,7 @@ def _worker_main(conn, replica, block: SharedParamBlock, k: int) -> None:
         kind, *args = msg
         try:
             if kind == "bind":
-                replica.rebind_buffers(block.bindings(k % block.n_rows))
+                replica.rebind_buffers(block.bindings(k % block.n_rows, k))
                 reply = ("ready",)
             elif kind == "data":
                 data, labels, *names = args

@@ -3,8 +3,9 @@
 A checkpoint bundles everything needed to reconstruct a trained network
 in a fresh process:
 
-* every parameter array, keyed by the solver-facing ``ensemble.field``
-  names of :meth:`CompiledNet.parameters`;
+* every model array — the parameters *and* the running statistics
+  (batch norm's ``<bn>.running_mean`` / ``running_var``) — keyed by the
+  ``ensemble.field`` names of :meth:`CompiledNet.model_arrays`;
 * a JSON metadata record — format tag, version, batch size, output
   ensemble, completed-epoch counter, and a *builder* description of the
   architecture (a type-tagged :class:`~repro.models.ModelConfig`
@@ -19,7 +20,9 @@ Versioning policy: ``VERSION`` is bumped when the layout changes in a
 way old readers cannot handle. Readers accept any file whose major
 format tag matches and whose version is ≤ theirs; newer files are
 refused with an actionable error rather than misread. Unknown metadata
-keys are ignored, so additive changes do not need a bump.
+keys are ignored, so additive changes do not need a bump. Version 2
+added the running statistics: a version-1 file of a net that has them
+is refused naming the keys it lacks, never started from (0, 1).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.core.network import ParamSourceError
 from repro.utils.npz import load_npz, save_npz
 
 FORMAT = "latte-checkpoint"
-VERSION = 1
+VERSION = 2
 
 _META_KEY = "__meta__"
 _PARAM_PREFIX = "param/"
@@ -46,11 +49,21 @@ class CheckpointError(RuntimeError):
     """Malformed, incompatible, or mismatched checkpoint artifact."""
 
 
-def _mismatch(missing=(), extra=()) -> CheckpointError:
+def _mismatch(missing=(), extra=(), version=VERSION) -> CheckpointError:
     clauses = [f"net wants {missing} the checkpoint lacks"] if missing else []
+    if missing and version < 2:
+        clauses[0] += (f" (a version-{version} checkpoint holds no running "
+                       f"statistics)")
     if extra:
         clauses.append(f"checkpoint carries {extra} the net lacks")
     return CheckpointError("parameter mismatch: " + "; ".join(clauses))
+
+
+def _keys(net) -> set:
+    """The model-array keys ``net`` binds: parameters and statistics."""
+    return {f"{ens.name}.{key}" for ens in net.ensembles.values()
+            for key in [p.name for p in getattr(ens, "params", ())]
+            + list(getattr(ens, "stats", ()))}
 
 
 def _shape_error(key, checkpoint_shape, net_shape) -> CheckpointError:
@@ -92,9 +105,9 @@ def save_checkpoint(
 
     arrays: Dict[str, np.ndarray] = {}
     param_meta = []
-    for p in cnet.parameters():
-        arrays[_PARAM_PREFIX + p.key] = p.value
-        param_meta.append({"key": p.key, "shape": list(p.value.shape)})
+    for key, value in cnet.model_arrays().items():
+        arrays[_PARAM_PREFIX + key] = value
+        param_meta.append({"key": key, "shape": list(value.shape)})
 
     solver_meta = None
     if solver is not None:
@@ -167,7 +180,8 @@ class Checkpoint:
     def build(self, batch_size: Optional[int] = None):
         """Reconstruct the (uncompiled) :class:`~repro.core.Net` from
         the builder record, optionally at a different batch size. Its
-        parameters are this checkpoint's arrays, bound, not copied."""
+        parameters and statistics are this checkpoint's arrays, bound,
+        not copied."""
         builder = self.meta.get("builder")
         if builder is None:
             raise CheckpointError(
@@ -178,21 +192,18 @@ class Checkpoint:
         if builder["kind"] not in BUILDER_KINDS:
             raise CheckpointError(
                 f"unknown builder kind {builder['kind']!r}")
+        batch = batch_size if batch_size is not None else self.batch_size
         try:
-            net = build_from(
-                builder,
-                batch_size if batch_size is not None else self.batch_size,
-                params=self.params)
+            net = build_from(builder, batch, params=self.params)
         except ParamSourceError as exc:
             have = self.params.get(exc.key)
-            if have is None:
-                raise _mismatch([exc.key]) from exc
+            if have is None:  # name every key the net wants and lacks
+                missing = _keys(build_from(builder, batch)) - set(self.params)
+                raise _mismatch(sorted(missing), version=self.version) from exc
             if have.shape == exc.shape:
                 raise  # right shape, wrong dtype or layout: as the net says
             raise _shape_error(exc.key, have.shape, exc.shape) from exc
-        extra = set(self.params) - {
-            f"{ens.name}.{p.name}" for ens in net.ensembles.values()
-            for p in getattr(ens, "params", ())}
+        extra = set(self.params) - _keys(net)
         if extra:
             raise _mismatch(extra=sorted(extra))
         return net
@@ -236,20 +247,21 @@ class Checkpoint:
     # -- state restoration --------------------------------------------------
 
     def restore_params(self, cnet) -> None:
-        """Copy parameter arrays into ``cnet``'s parameter views — for a
-        net compiled before the checkpoint was read (``solve(
-        resume_from=)``); :meth:`build` binds them instead. The
-        checkpoint and the net must carry the same keys and shapes."""
-        views = {p.key: p for p in cnet.parameters()}
+        """Copy the model arrays (parameters and statistics) into
+        ``cnet``'s — for a net compiled before the checkpoint was read
+        (``solve(resume_from=)``); :meth:`build` binds them instead.
+        The checkpoint and the net must carry the same keys and
+        shapes."""
+        views = cnet.model_arrays()
         missing = sorted(set(views) - set(self.params))
         extra = sorted(set(self.params) - set(views))
         if missing or extra:
-            raise _mismatch(missing, extra)
+            raise _mismatch(missing, extra, self.version)
         for key, view in views.items():
             arr = self.params[key]
-            if view.value.shape != arr.shape:
-                raise _shape_error(key, arr.shape, view.value.shape)
-            view.value[...] = arr
+            if view.shape != arr.shape:
+                raise _shape_error(key, arr.shape, view.shape)
+            view[...] = arr
 
     def restore_solver(self, solver) -> None:
         """Restore iteration counter and per-parameter state arrays."""

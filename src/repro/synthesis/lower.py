@@ -603,36 +603,41 @@ class _RefRewriter:
 
 def make_norm_closures(ens, plan):
     """(forward, backward-or-None) :class:`ExternFn` pair for a
-    NormalizationEnsemble: forward defines the output from ``ins``;
-    backward reads ``out_grad``, ``ins`` and ``out`` and accumulates
-    into ``in_grads`` (the contract table in docs/DSL.md).
+    NormalizationEnsemble: forward defines the output from ``ins`` and
+    may update the ensemble's statistics; backward reads ``out_grad``,
+    ``ins``, ``out`` and the statistics and accumulates into
+    ``in_grads`` (the contract table in docs/DSL.md). Both get the
+    executor's ``training`` flag and nothing else: no state survives a
+    call.
 
     Bound to the *live* ensemble object (its ``forward_fn``/
-    ``backward_fn``/``state``) and to names that are pure functions of
-    the topology, so the compile cache rebuilds them from a freshly
+    ``backward_fn``) and to names that are pure functions of the
+    topology, so the compile cache rebuilds them from a freshly
     constructed net.
     """
     vbuf, gbuf = plan.value_buf(ens.name), plan.grad_buf(ens.name)
     src_vals = tuple(plan.value_buf(c.source.name) for c in ens.inputs)
     src_grads = tuple(plan.grad_buf(c.source.name) for c in ens.inputs)
+    stats = {key: plan.field_buf(ens.name, key) for key in ens.stats}
+    stat_bufs = tuple(stats.values())
 
     def fwd_fn(bufs, rt):
-        ens.state["training"] = rt.training
-        ens.state["t"] = rt.current_t
-        ens.forward_fn(bufs[vbuf], [bufs[s] for s in src_vals], ens.state)
+        ens.forward_fn(bufs[vbuf], [bufs[s] for s in src_vals],
+                       {k: bufs[b] for k, b in stats.items()}, rt.training)
 
     bwd = None
     if ens.backward_fn is not None:
         def bwd_fn(bufs, rt):
-            ens.state["t"] = rt.current_t
             ens.backward_fn(
                 [bufs[s] for s in src_grads],
                 bufs[gbuf],
                 [bufs[s] for s in src_vals],
                 bufs[vbuf],
-                ens.state,
+                {k: bufs[b] for k, b in stats.items()},
+                rt.training,
             )
 
-        bwd = ExternFn(bwd_fn, reads=(gbuf,) + src_vals + (vbuf,) + src_grads,
-                       writes=src_grads)
-    return ExternFn(fwd_fn, reads=src_vals, writes=(vbuf,)), bwd
+        bwd = ExternFn(bwd_fn, reads=(gbuf,) + src_vals + (vbuf,)
+                       + stat_bufs + src_grads, writes=src_grads)
+    return ExternFn(fwd_fn, reads=src_vals + stat_bufs,
+                    writes=(vbuf,) + stat_bufs), bwd

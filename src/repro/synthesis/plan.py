@@ -106,12 +106,15 @@ class ConnPlan:
 
 @dataclass
 class ParamInfo:
-    """A learnable parameter exposed to solvers."""
+    """A model array: a learnable parameter, or a statistic (a
+    normalization ensemble's running mean, say) with no gradient, which
+    solvers never see."""
 
     ensemble: str
     name: str
     value_buf: str
-    grad_buf: str
+    #: None for a statistic
+    grad_buf: Optional[str]
     lr_mult: float
 
 
@@ -140,6 +143,7 @@ class BufferPlan:
     buffers: Dict[str, BufferSpec] = field(default_factory=dict)
     facts: Dict[str, EnsembleFacts] = field(default_factory=dict)
     conn_plans: Dict[Tuple[str, int], ConnPlan] = field(default_factory=dict)
+    #: every model array, learnable parameters and statistics
     params: List[ParamInfo] = field(default_factory=list)
     #: ensembles executed in place (value/grad alias their source's)
     inplace: Dict[str, str] = field(default_factory=dict)  # ens -> source
@@ -239,6 +243,11 @@ def plan_buffers(net, options) -> BufferPlan:
         elif isinstance(ens, (DataEnsemble, NormalizationEnsemble)):
             plan.add(BufferSpec(vname, ens.shape, "value"))
             plan.add(BufferSpec(gname, ens.shape, "grad"))
+            for key, arr in getattr(ens, "stats", {}).items():
+                buf = plan.add(BufferSpec(plan.field_buf(ens.name, key),
+                                          arr.shape, "field", batched=False,
+                                          array=arr))
+                plan.params.append(ParamInfo(ens.name, key, buf, None, 0.0))
         else:  # pragma: no cover - future ensemble kinds
             raise TypeError(f"unknown ensemble kind {type(ens).__name__}")
 

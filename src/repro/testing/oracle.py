@@ -46,6 +46,10 @@ Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
   the forward computes: its output is compared **bitwise** against the
   train graph run in eval mode at the same level, and it has no loss
   step and returns a loss of 0.0.
+* **Checkpoints** — a net trained two steps, saved and rebuilt
+  forward-only from the file computes the trained net's eval output
+  **bitwise**: a checkpoint carries every model array, running
+  statistics included.
 * **Reduced precision** (docs/QUANTIZATION.md) — fp16 retypes the
   activation buffers, so its output sits inside the dedicated
   ``quant_fp16`` tier against the fp32 inference reference; int8
@@ -482,6 +486,37 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
     return cold, warm, hit
 
 
+def _check_checkpoint(check: str, spec: NetSpec, level: int,
+                      out: List[Mismatch]) -> None:
+    """Train ``spec`` two steps, save a checkpoint, rebuild it
+    forward-only: its eval output must be the trained net's, bitwise."""
+    import tempfile
+
+    from repro.serve.checkpoint import (CheckpointError, load_checkpoint,
+                                        save_checkpoint)
+
+    seed_all(spec.seed)
+    cnet = _compile(build_net(spec), CompilerOptions.level(level))
+    for _ in range(2):
+        run_compiled(cnet, spec)
+        for p in cnet.parameters():
+            p.value -= np.float32(0.1) * p.grad
+    cnet.training = False
+    x, y = make_inputs(spec)
+    cnet.forward(data=x, label=y)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_checkpoint(os.path.join(tmp, "ck.npz"), cnet, spec=spec)
+        try:
+            served = check_arena(load_checkpoint(path).compile(
+                options=CompilerOptions.inference(level)))
+        except CheckpointError as exc:
+            out.append(Mismatch(check, f"rebuild refused: {exc}"))
+            return
+    served.forward(data=x, label=y)
+    _compare_arrays(check, "output", served.value("head"),
+                    cnet.value("head"), 0, 0, out, bitwise=True)
+
+
 def _check_quant(spec: NetSpec, level: int, tol: dict,
                  checks: List[str], out: List[Mismatch]) -> None:
     """Reduced-precision inference gates (docs/QUANTIZATION.md).
@@ -805,6 +840,13 @@ def _run_checks(report: OracleReport, levels: Sequence[int],
     else:
         _compare_bitwise(check, warm, cold, report.mismatches)
 
+    # a checkpoint carries every model array, running statistics too:
+    # the net rebuilt from it computes the trained net's eval output
+    check = "checkpoint"
+    report.checks.append(check)
+    _check_checkpoint(check, spec, max(levels) if levels else 4,
+                      report.mismatches)
+
     # reduced-precision inference rides the same fuzz corpus: fp16 and
     # calibrated int8 against the fp32 inference reference, each
     # bitwise run-to-run
@@ -983,6 +1025,9 @@ def inject_bug(name: str):
       backward readers respelled to the recomputed buffer, but the
       clones that would define it are dropped, so they read a buffer
       nothing writes.
+    * ``stats-dropped`` — a checkpoint saves the parameters but not the
+      running statistics, so the net rebuilt from it cannot start
+      where the trained one stands.
     """
     from repro.runtime import executor
     from repro.synthesis import liveness
@@ -1048,6 +1093,14 @@ def inject_bug(name: str):
             yield
         finally:
             liveness._clone_backward = orig
+    elif name == "stats-dropped":
+        orig = executor.CompiledNet.model_arrays
+        executor.CompiledNet.model_arrays = lambda net: {
+            p.key: p.value for p in net.parameters()}
+        try:
+            yield
+        finally:
+            executor.CompiledNet.model_arrays = orig
     else:
         raise KeyError(
             f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
@@ -1056,4 +1109,5 @@ def inject_bug(name: str):
 #: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
 INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
                    "group-slab-overlap", "arena-overlap",
-                   "inspected-early-end", "recompute-skipped")
+                   "inspected-early-end", "recompute-skipped",
+                   "stats-dropped")

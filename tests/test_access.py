@@ -112,13 +112,17 @@ class TestExternContract:
         cnet = _extern_net().init(CompilerOptions())
         bwd = next(s for s in cnet.compiled.backward
                    if s.label == "bn.extern")
-        # out_grad, ins and out are read; in_grads is read-modify-write
+        # out_grad, ins, out and the statistics are read; in_grads is
+        # read-modify-write
+        stats = {"bn_running_mean", "bn_running_var"}
         assert bwd.reads == {"bn_grad", "perm_value", "bn_value",
-                             "perm_grad"}
+                             "perm_grad"} | stats
         assert bwd.writes == {"perm_grad"}
+        # forward defines out and updates the statistics in place
         fwd = next(s for s in cnet.compiled.forward
                    if s.label == "bn.extern")
-        assert (fwd.reads, fwd.writes) == ({"perm_value"}, {"bn_value"})
+        assert (fwd.reads, fwd.writes) == ({"perm_value"} | stats,
+                                           {"bn_value"} | stats)
         assert fwd.access.accesses[-1] == ("bn_value", "w")
 
 

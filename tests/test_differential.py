@@ -204,6 +204,19 @@ class TestInjectedBugs:
         assert {"level:3", "level:4", "memplan"} <= {
             m.check for m in report.mismatches}
 
+    def test_stats_dropped_is_caught_on_a_batchnorm_spec(self):
+        """A checkpoint that leaves the running statistics behind cannot
+        rebuild the trained net: the ``checkpoint`` tier, and only it,
+        fails."""
+        spec = random_spec(2_200_000)  # the first spec of seed 22
+        assert "batchnorm" in spec.describe()
+        kwargs = dict(levels=(4,), threads=(), gradcheck_indices=0,
+                      baselines=False, cbackend=False, quant=False)
+        assert check_spec(spec, **kwargs).ok
+        with inject_bug("stats-dropped"):
+            report = check_spec(spec, **kwargs)
+        assert {m.check for m in report.mismatches} == {"checkpoint"}
+
     def test_an_injected_failure_is_no_regression_case(self, capsys):
         """Without ``--out-dir``, the fuzz CLI writes the reproducer of a
         failure it caused on purpose to a fresh temporary directory and
@@ -304,7 +317,7 @@ class TestOracleReporting:
         assert report.ok, report.summary()
         names = set(report.checks)
         assert {"level:1", "level:3", "threads:2", "gradcheck",
-                "inference"} <= names
+                "inference", "checkpoint"} <= names
 
     def test_one_shard_is_compared_bitwise(self):
         """A threaded run the executor split into one shard is the

@@ -478,19 +478,20 @@ class TestBitwiseNeutrality:
 # ---------------------------------------------------------------------------
 
 
-def _sq_forward(out, ins, ctx):
+def _sq_forward(out, ins, stats, training):
     out[...] = ins[0] ** 2
 
 
-def _sq_backward_reads_ins(in_grads, out_grad, ins, out, ctx):
+def _sq_backward_reads_ins(in_grads, out_grad, ins, out, stats, training):
     in_grads[0] += 2.0 * ins[0] * out_grad
 
 
-def _exp_forward(out, ins, ctx):
+def _exp_forward(out, ins, stats, training):
     out[...] = np.exp(0.1 * ins[0])
 
 
-def _exp_backward_reads_out(in_grads, out_grad, ins, out, ctx):
+def _exp_backward_reads_out(in_grads, out_grad, ins, out, stats,
+                            training):
     in_grads[0] += 0.1 * out * out_grad
 
 

@@ -24,6 +24,7 @@ import pytest
 from repro.codegen.c_backend import have_c_toolchain
 from repro.core import Net
 from repro.layers import (
+    BatchNormLayer,
     DataAndLabelLayer,
     FullyConnectedLayer,
     ReLULayer,
@@ -58,12 +59,12 @@ POLICIES = {"sync": SyncReduce(), "lossy": LossyAccumulate(),
             "async": AsyncLossy(max_staleness=2)}
 
 
-def _build(backend="numpy"):
+def _build(backend="numpy", bn=False):
     seed_all(17)
     net = Net(BATCH)
     data, label = DataAndLabelLayer(net, (32,))
     ip1 = FullyConnectedLayer("ip1", net, data, 24)
-    r = ReLULayer("r", net, ip1)
+    r = ReLULayer("r", net, BatchNormLayer("bn", net, ip1) if bn else ip1)
     ip2 = FullyConnectedLayer("ip2", net, r, 4)
     SoftmaxLossLayer("loss", net, ip2, label)
     return net.init(CompilerOptions(backend=backend))
@@ -95,12 +96,12 @@ def _own_arrays(cnet):
 
 @contextlib.contextmanager
 def _trainer(transport, n_workers, policy=None, backend="numpy",
-             parent_step=False):
+             parent_step=False, bn=False):
     """``(trainer, parent net)`` on ``transport``: forked workers of one
     net, or threads on ``n_workers`` identically built ones;
     ``parent_step`` runs one training step on the parent net before the
     trainer starts its workers."""
-    nets = [_build(backend)
+    nets = [_build(backend, bn)
             for _ in range(n_workers if transport == "thread" else 1)]
     if parent_step:
         x, y = _task(BATCH, seed=5)
@@ -151,6 +152,20 @@ class TestSharedParamBlock:
             block.close(unlink=True)
             cnet.close()
 
+    def test_statistics_are_private_to_workers_but_the_first(self):
+        cnet = _build(bn=True)
+        block = SharedParamBlock(cnet.plan, 2, shared=False)
+        try:
+            for worker in (0, 1):
+                views = block.bindings(grad_row=worker, worker=worker)
+                for name in ("bn_running_mean", "bn_running_var"):
+                    assert np.shares_memory(views[name], block.values) == (
+                        worker == 0), (worker, name)
+                assert np.shares_memory(views["ip1_weights"], block.values)
+        finally:
+            block.close(unlink=True)
+            cnet.close()
+
     def test_thread_replicas_share_values_and_lossy_shares_the_row(self):
         sync = MultiThreadTrainer(_build, 3, lossy=False)
         lossy = MultiThreadTrainer(_build, 2, lossy=True)
@@ -175,16 +190,25 @@ class TestSerialParity:
     def test_workers1_sync_is_bitwise_serial(self):
         """The acceptance bar: one process worker = the serial loop,
         loss trajectory and parameters bitwise."""
+        self._check_workers1(bn=False)
+
+    def test_workers1_sync_statistics_are_bitwise_serial(self):
+        """Worker 0 writes the batch-norm statistics into the block the
+        parent reads: they end on the serial loop's bits."""
+        self._check_workers1(bn=True)
+
+    def _check_workers1(self, bn):
         data, labels = _task(128)
         ds = Dataset(data, labels)
 
-        serial = _build()
+        serial = _build(bn=bn)
         h_serial = solve(_solver(), serial, ds,
                          rng=np.random.default_rng(7))
         w_serial = _params(serial)
         serial.close()
+        assert not bn or np.any(w_serial["bn_running_mean"] != 0)
 
-        proc = _build()
+        proc = _build(bn=bn)
         h_proc = solve(_solver(), proc, ds, workers=1,
                        rng=np.random.default_rng(7))
         w_proc = _params(proc)
@@ -235,6 +259,17 @@ def test_sync_reduce_is_deterministic(n_workers):
     data, labels = _task(96)
     (_, a), (_, b) = (_sync_run("process", n_workers, data, labels)
                       for _ in range(2))
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
+def test_sync_reduce_statistics_are_deterministic():
+    """Worker 0 alone writes the batch-norm statistics into the block:
+    two identical runs end on the same bits, and the parent holds them."""
+    data, labels = _task(96)
+    (_, a), (_, b) = (_sync_run("process", 2, data, labels, bn=True)
+                      for _ in range(2))
+    assert np.any(a["bn_running_mean"] != 0)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
 
