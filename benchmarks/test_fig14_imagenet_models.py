@@ -116,8 +116,10 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 #: reads again recomputed there, only the program contract
 #: inspectable (a loss feeder's gradient pools, and so does the data
 #: gradient, live to the program's end), each pooled buffer at a byte
-#: offset of its own, no dropout mask buffer and the 11x11 conv1 chains
-#: tiled one image at a time (7 081 184 / 1 536 128 / = with the pooled
+#: offset of its own in the best of three greedy orders, no dropout mask
+#: buffer and the 11x11 conv1 chains tiled one image at a time
+#: (6 360 288 / 1 510 272 / = placed greedy by size alone;
+#: 7 081 184 / 1 536 128 / = with the pooled
 #: values held across the phases; 7 474 432 / 1 967 104 / 1 749 504 with
 #: the data gradient kept whole; 7 477 568 / 1 970 240 /
 #: 1 752 640 with the loss an extern and its feeder's gradient kept
@@ -128,7 +130,7 @@ def test_fig14_latte_faster(benchmark, speedups, name):
 #: whole-batch staging re-gathered in backward; 16 986 816 / 4 249 792 /
 #: 3 490 752 with the padded inputs kept out of the arena; 16 208 576 /
 #: 4 156 864 / 3 425 216 with them pooled but held across the phases)
-PLANNED_BYTES = {"vgg": 6_360_288, "alexnet": 1_510_272,
+PLANNED_BYTES = {"vgg": 5_909_728, "alexnet": 1_481_152,
                  "overfeat": 1_613_920}
 
 

@@ -20,14 +20,16 @@ preallocation: given the final scheduled forward/backward step lists it
    readable after the call that writes it until the next ``forward()``,
    placed after the others only where it saves bytes, and
 3. places every candidate at a 64-byte-aligned **byte offset** of its
-   own in a single arena (:func:`place_offsets`: greedy by size, the
-   largest first, each into the best-fitting gap among the buffers it
-   is live together with), so buffers whose intervals never overlap
-   occupy the same bytes, and a small buffer uses the free tail of a
-   big one's bytes while the big one is dead — and takes out of the
-   pool every run of buffers whose bytes chain together that, after
-   alignment, is larger than its members would be on their own, so a
-   plan is never larger than no plan.
+   own in a single arena, the best of three greedy orders by the plan's
+   total (:data:`ORDERS`: by size, by breadth, by interval length; in
+   each, :func:`place_offsets` puts every buffer in turn into the
+   best-fitting gap among the buffers it is live together with), so
+   buffers whose intervals never overlap occupy the same bytes, and a
+   small buffer uses the free tail of a big one's bytes while the big
+   one is dead — and takes out of the pool every run of buffers whose
+   bytes chain together that, after alignment, is larger than its
+   members would be on their own, so a plan is never larger than no
+   plan.
 
 A candidate is admitted only when its contents are fully (re)defined
 before every read of an iteration:
@@ -100,6 +102,11 @@ GRAD_ROLES = ("grad", "grad_input", "padded_grad")
 #: unit kinds :func:`regather_staging` clones into the backward section
 REMATERIALIZING = ("pad_fill", "pad", "regather", "recompute")
 
+#: the greedy orders :func:`plan_memory` lays the arena out in, keeping
+#: the layout with the smallest plan (the earliest on a tie); ``size``
+#: first, so no plan is larger than greedy by size alone
+ORDERS = ("size", "breadth", "length")
+
 
 @dataclass(frozen=True)
 class Rematerialized:
@@ -162,6 +169,11 @@ class MemoryPlan:
     #: across the phase boundary -> why they were declined
     rematerialized: Dict[str, Rematerialized] = field(default_factory=dict)
     declined: Dict[str, str] = field(default_factory=dict)
+    #: the greedy order (one of :data:`ORDERS`) whose layout was kept
+    order: str = ""
+    #: the most pooled bytes live at one point (time-unrolled: in one
+    #: phase), which no layout can go below
+    live_bytes: int = 0
 
     @property
     def saved_bytes(self) -> int:
@@ -177,10 +189,13 @@ class MemoryPlan:
     def stats(self) -> Dict[str, object]:
         """The pass counters; ``copies_rematerialized`` and
         ``bytes_rematerialized`` count every buffer no longer held
-        across the phases, re-gathered copies and recomputed values."""
+        across the phases, re-gathered copies and recomputed values;
+        ``placement_slack`` is the arena's bytes above ``live_bytes``."""
         return {
             "buffers_pooled": len(self.pooled),
             "arena_bytes": self.arena_bytes,
+            "live_bytes": self.live_bytes,
+            "placement_slack": self.arena_bytes - self.live_bytes,
             "naive_bytes": self.naive_bytes,
             "planned_bytes": self.planned_bytes,
             "saved_bytes": self.saved_bytes,
@@ -635,6 +650,10 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
     bytes before the next ``forward()``. The ones the caller defines —
     data values (fed) and sinks' gradients (seeded through
     ``backward(seed_grads=)``), and any no step touches — stay whole.
+
+    The arena is laid out once per greedy order of :data:`ORDERS`
+    (:func:`_lay_out`), and the layout with the smallest
+    ``planned_bytes`` is kept (``MemoryPlan.order``).
     """
     mem = MemoryPlan()
     mem.inspected = {b: why for b, why in inspected.items()
@@ -686,6 +705,9 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
     sizes = {b: buffer_nbytes(plan, plan.buffers[b]) for b in candidates}
     late = [b for b in candidates if b in mem.inspected]
     candidates = [b for b in candidates if b not in mem.inspected]
+    # breadth is taken over the intervals the steps give, before the
+    # inspected ones are held to the program's end
+    keys = _greedy_orders(sizes, intervals, len(view.records))
     for base in late:
         live_to_end(intervals[base], view)
     multiphase = plan.time_steps > 1
@@ -699,37 +721,27 @@ def plan_memory(plan: BufferPlan, fwd_items, bwd_items,
             return bool(ia.phases & ib.phases)
         return ia.overlaps(ib)
 
-    # a run of pooled buffers whose byte ranges chain together that,
-    # once aligned, is larger than its members would be on their own is
-    # taken out of the pool and the rest placed again: a lone small
-    # tenant (or, under the phase-disjoint rule, a few of them) only
-    # pays the alignment, and enough of those make the plan *larger*
-    # than no plan
-    while True:
-        offsets = place_offsets(candidates, sizes, conflicts)
-        wasteful = [run for run, span in _byte_runs(offsets, sizes)
-                    if span > sum(sizes[b] for b in run)]
-        if not wasteful:
-            break
-        for run in wasteful:
-            mem.kept_reasons.update((b, "no-saving") for b in run)
-        candidates = [b for b in candidates if b not in mem.kept_reasons]
-    # the inspected candidates go in last, the largest first, each only
-    # where it grows the arena by less than its own bytes: live to the
-    # end, one placed among the others can push their tenants up, and
-    # the plan grow by more than keeping it whole (cnn_b keeping every
-    # ensemble: +64 B), so no plan is larger than with them kept whole
-    top = max((offsets[b] + sizes[b] for b in offsets), default=0)
-    for b in sorted(late, key=lambda b: (-sizes[b], b)):
-        trial = place_offsets([b], sizes, conflicts, offsets)
-        grown = max(top, trial[b] + sizes[b]) - top
-        if grown < sizes[b]:
-            offsets, top = trial, top + grown
-        else:
-            mem.kept_reasons[b] = "no-saving"
+    layouts = [(order, *_lay_out(candidates, late, sizes, conflicts,
+                                 keys[order]))
+               for order in ORDERS]
+    # by the plan's total less the bytes no layout moves: the arena less
+    # what it holds; ``min`` keeps the earliest order on a tie
+    mem.order, offsets, top, kept = min(
+        layouts, key=lambda l: l[2] - sum(sizes[b] for b in l[1]))
+    mem.kept_reasons.update(kept)
     mem.offsets = offsets
     mem.arena_bytes = top
     mem.pooled = frozenset(offsets)
+    # the floor any layout of them has: the most pooled bytes live
+    # together (time-unrolled: touched in one phase)
+    pooled = {b: sizes[b] for b in offsets}
+    if multiphase:
+        mem.live_bytes = max(
+            sum(n for b, n in pooled.items() if phase in intervals[b].phases)
+            for phase in ("forward", "backward"))
+    else:
+        mem.live_bytes = max(
+            _live_at_points(pooled, intervals, len(view.records)), default=0)
 
     # schedule zero defs for pooled gradient buffers that used to rely
     # on the executor's blanket pre-backward zeroing
@@ -784,18 +796,20 @@ def _aligned(nbytes: int) -> int:
 
 def place_offsets(buffers: Iterable[str], sizes: Dict[str, int],
                   conflicts: Callable[[str, str], bool],
+                  key: Callable[[str], tuple],
                   placed: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    """Byte offset of every buffer in one arena: greedy by size for
+    """Byte offset of every buffer in one arena: a greedy placement for
     offset calculation (Pisarchyk & Lee 2020, arXiv:2001.03288).
 
-    The largest buffer is placed first; each one goes into the smallest
-    gap, at ``ALIGN_BYTES``, that fits it among the byte ranges of the
+    The buffers are placed in ``key`` order (a sort key of
+    :func:`_greedy_orders`); each one goes into the smallest gap, at
+    ``ALIGN_BYTES``, that fits it among the byte ranges of the
     already-placed buffers it ``conflicts`` with (``placed`` ones
     first), or above the highest of them when none does. Buffers that
     never conflict share bytes.
     """
     offsets: Dict[str, int] = dict(placed or {})
-    for b in sorted(buffers, key=lambda b: (-sizes[b], b)):
+    for b in sorted(buffers, key=key):
         best, best_gap, end = None, None, 0
         for off, top in sorted((offsets[p], offsets[p] + sizes[p])
                                for p in offsets if conflicts(b, p)):
@@ -805,6 +819,89 @@ def place_offsets(buffers: Iterable[str], sizes: Dict[str, int],
             end = max(end, _aligned(top))
         offsets[b] = end if best is None else best
     return offsets
+
+
+def _lay_out(candidates: List[str], late: List[str], sizes: Dict[str, int],
+             conflicts: Callable[[str, str], bool],
+             key: Callable[[str], tuple]
+             ) -> Tuple[Dict[str, int], int, Dict[str, str]]:
+    """One arena layout in the greedy order ``key``: ``(offsets, arena
+    top, kept_reasons)``, the buffers it leaves out as ``no-saving``.
+
+    A run of pooled buffers whose byte ranges chain together that, once
+    aligned, is larger than its members would be on their own is taken
+    out of the pool and the rest placed again: a lone small tenant (or,
+    under the phase-disjoint rule, a few of them) only pays the
+    alignment, and enough of those make the plan *larger* than no plan.
+    The inspected ``late`` buffers go in last, each only where it grows
+    the arena by less than its own bytes: live to the end, one placed
+    among the others can push their tenants up, and the plan grow by
+    more than keeping it whole (cnn_b keeping every ensemble: +64 B).
+    """
+    kept: Dict[str, str] = {}
+    while True:
+        offsets = place_offsets(candidates, sizes, conflicts, key)
+        wasteful = [run for run, span in _byte_runs(offsets, sizes)
+                    if span > sum(sizes[b] for b in run)]
+        if not wasteful:
+            break
+        for run in wasteful:
+            kept.update((b, "no-saving") for b in run)
+        candidates = [b for b in candidates if b not in kept]
+    top = max((offsets[b] + sizes[b] for b in offsets), default=0)
+    for b in sorted(late, key=lambda b: (-sizes[b], b)):
+        trial = place_offsets([b], sizes, conflicts, key, offsets)
+        grown = max(top, trial[b] + sizes[b]) - top
+        if grown < sizes[b]:
+            offsets, top = trial, top + grown
+        else:
+            kept[b] = "no-saving"
+    return offsets, top, kept
+
+
+def _greedy_orders(sizes: Dict[str, int], intervals: Dict[str, Interval],
+                   n_points: int) -> Dict[str, Callable[[str], tuple]]:
+    """The sort key of each of :data:`ORDERS` over the ``sizes``
+    buffers, each the largest first, ties by size and then by name:
+    ``size`` alone, ``breadth`` (the most bytes of them live at any
+    point of the buffer's interval; Pisarchyk & Lee's greedy by
+    breadth) and ``length`` (the longest interval)."""
+    live = _live_at_points(sizes, intervals, n_points)
+    breadths = {b: max(live[intervals[b].first:intervals[b].last + 1],
+                       default=0)  # a dead buffer's slice is empty
+                for b in sizes}
+    return {
+        "size": lambda b: (-sizes[b], b),
+        "breadth": lambda b: (-breadths[b], -sizes[b], b),
+        "length": lambda b: (intervals[b].first - intervals[b].last,
+                             -sizes[b], b),
+    }
+
+
+def _live_at_points(sizes: Dict[str, int], intervals: Dict[str, Interval],
+                    n_points: int) -> List[int]:
+    """Bytes of the ``sizes`` buffers live at each program point, in one
+    sweep; at a batch-tiled group's point the buffers contracted to it
+    count by their unit ranges, as :meth:`Interval.overlaps` does (the
+    most bytes at any one unit)."""
+    change = [0] * (n_points + 1)
+    tiled: Dict[int, Counter] = {}
+    for b, nbytes in sizes.items():
+        iv = intervals[b]
+        if iv.dead:
+            continue
+        if iv.units:
+            at_unit = tiled.setdefault(iv.first, Counter())
+            for u in range(iv.units[0], iv.units[1] + 1):
+                at_unit[u] += nbytes
+        else:
+            change[iv.first] += nbytes
+            change[iv.last + 1] -= nbytes
+    live, total = [], 0
+    for point in range(n_points):
+        total += change[point]
+        live.append(total + max(tiled.get(point, {}).values(), default=0))
+    return live
 
 
 def _byte_runs(offsets: Dict[str, int], sizes: Dict[str, int]

@@ -1015,7 +1015,8 @@ def inject_bug(name: str):
       touch them, so a group's tiles may share bytes and overwrite one
       another.
     * ``arena-overlap`` — the memory planner places the first two pooled
-      buffers that are live together at one offset; the static
+      buffers that are live together at one offset, in every greedy
+      order it tries, so whichever layout it keeps is wrong; the static
       ``arena`` check rejects the layout before anything runs.
     * ``inspected-early-end`` — the memory planner ends a pooled
       inspected buffer's interval at its last access, so a later step
@@ -1060,8 +1061,8 @@ def inject_bug(name: str):
     elif name == "arena-overlap":
         orig = liveness.place_offsets
 
-        def overlapping(buffers, sizes, conflicts, placed=None):
-            offsets = orig(buffers, sizes, conflicts, placed)
+        def overlapping(buffers, sizes, conflicts, key, placed=None):
+            offsets = orig(buffers, sizes, conflicts, key, placed)
             order = sorted(offsets, key=lambda b: (offsets[b], b))
             pair = next(((a, b) for i, a in enumerate(order)
                          for b in order[i + 1:] if conflicts(a, b)), None)

@@ -156,6 +156,10 @@ class MemoryReport:
     contracted: Dict[str, Tuple[int, int, int, str]] = field(
         default_factory=dict)
     untiled: Dict[str, str] = field(default_factory=dict)
+    #: the greedy order whose layout the planner kept, and the most
+    #: pooled bytes live at once (the floor of any layout)
+    order: str = ""
+    live_bytes: int = 0
 
     @classmethod
     def from_compiled(cls, cnet) -> "MemoryReport":
@@ -172,6 +176,7 @@ class MemoryReport:
             report.inspected = dict(mem.inspected)
             report.rematerialized = dict(mem.rematerialized)
             report.declined = dict(mem.declined)
+            report.order, report.live_bytes = mem.order, mem.live_bytes
         plan = cnet.plan
         report.contracted = {
             name: (cnet.buffers[name].nbytes, plan.buffers[name].tile,
@@ -231,6 +236,10 @@ class MemoryReport:
             f"arena: {self.arena_bytes / 1e6:.2f} MB holding "
             f"{len(self.placements)} buffers"
         )
+        lines.append(
+            f"placement: greedy by {self.order}, the smallest plan of the "
+            f"greedy orders; {self.arena_bytes - self.live_bytes} B above "
+            f"the {self.live_bytes} B live at once")
         header = f"{'offset':>10s} {'KB':>9s} {'live':>11s}  buffer"
         lines.append(header)
         lines.append("-" * len(header))
