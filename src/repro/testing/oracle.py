@@ -1,63 +1,20 @@
 """The differential oracle: one spec, every compiler configuration.
 
 ``check_spec`` runs a generated network forward + backward under every
-optimization level and executor thread count and compares against the
-O0 scalar interpreter (the semantic reference), finite-difference-checks
-the input gradient, and — where the layer vocabulary overlaps — checks
-parity against the independent ``caffe_like`` and ``mocha_like``
-baseline implementations.
+optimization level, thread count, memory-plan and batch-tile setting
+and backend, and compares each run with its reference in one tier:
+``level`` (float reassociation, against the O0 scalar interpreter),
+``thread`` (sharded against serial), ``bitwise``, or ``threaded``
+(bitwise when the executor ran one shard, the thread tier otherwise).
+It also checks forward-only compiles, the compile cache, checkpoints,
+reduced precision, finite-difference input gradients and, where the
+layer vocabulary overlaps, the independent ``caffe_like`` and
+``mocha_like`` baselines.
 
-Tolerance policy (see docs/TESTING.md and DESIGN.md §4b):
-
-* **Optimization levels O1..O4 vs O0** — the passes reassociate float32
-  reductions (GEMM contraction vs scalar loops, fused accumulators), so
-  comparisons use the float-reassociation tier: per-dtype ``rtol`` /
-  ``atol`` in :data:`TOLERANCES`.
-* **Thread counts vs serial at the same level** — batch sharding never
-  splits a contraction axis, but BLAS selects different kernels for
-  different shard heights (a one-row shard takes a GEMV path), so
-  forward values can differ at the last-ulp level; forward and input
-  gradients use the tight ``thread_fwd`` tier, privatized weight/bias
-  gradients the ``thread_param`` tier (shard partials + tree reduction
-  round differently from one full-batch GEMM). What *is* bitwise is
-  run-to-run reproducibility at a fixed thread count (deterministic
-  shard bounds + fixed-order reduction): the oracle re-runs one thread
-  configuration and requires identical bits — the check that catches
-  races. A threaded run the executor does not shard (batch 1, or the
-  parallel pass off at O1/O2: one shard) *is* the serial program, on
-  either backend, and is compared with the serial run **bitwise**.
-* **C backend** — an independent native lowering of the same
-  fused schedule: kernels accumulate in double precision and order
-  GEMM contractions differently from BLAS, so comparisons against both
-  the O0 interpreter and the same-level NumPy backend use the
-  float-reassociation (``level_*``) tier. Run-to-run at one thread is
-  **bitwise** (fixed loop order, content-addressed shared object), as
-  is a freeze/thaw through the compile cache (the thaw recompiles the
-  stored C source). Threaded, its kernels run the executor's shard
-  bounds: the thread tiers against serial C (bitwise at one shard),
-  and bitwise run to run. Enabled automatically when a C toolchain is
-  present; skipped cleanly otherwise.
-* **Finite differences** — central differences with a non-smoothness
-  guard (:mod:`repro.testing.gradcheck`).
-* **Baselines** — independent implementations with different summation
-  orders: the float-reassociation tier again.
-* **Inference compilation** — ``mode="inference"`` drops backward
-  sections, the loss and gradient buffers but must never change what
-  the forward computes: its output is compared **bitwise** against the
-  train graph run in eval mode at the same level, and it has no loss
-  step and returns a loss of 0.0.
-* **Checkpoints** — a net trained two steps, saved and rebuilt
-  forward-only from the file computes the trained net's eval output
-  **bitwise**: a checkpoint carries every model array, running
-  statistics included.
-* **Reduced precision** (docs/QUANTIZATION.md) — fp16 retypes the
-  activation buffers, so its output sits inside the dedicated
-  ``quant_fp16`` tier against the fp32 inference reference; int8
-  fake-quantizes through a calibrated int8 grid and is gated on
-  max-abs-error as a fraction of the fp32 output's value range plus
-  top-1 agreement on confidently-classified items. Both quantized
-  paths are **bitwise** run-to-run deterministic (``np.rint`` plus a
-  fixed schedule leave no rounding nondeterminism).
+docs/TESTING.md "The oracle and its tolerance policy" has the table of
+every check in the order the report lists it: its name, the
+configuration it runs, its reference and its tier, and why each tier
+is as tight as it is (see also DESIGN.md §4b).
 """
 
 from __future__ import annotations
@@ -66,7 +23,7 @@ import contextlib
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -106,6 +63,18 @@ TOLERANCES: Dict[str, Dict[str, float]] = {
         "quant_int8_range_frac": 0.2,
         "quant_int8_top1_margin_frac": 0.05,
     },
+}
+_TOL = TOLERANCES["float32"]
+
+#: the :data:`TOLERANCES` keys of each tier :func:`_compare_runs` takes:
+#: loss rtol, forward (output and input gradient) rtol and atol, and
+#: parameter-gradient rtol and atol; ``bitwise`` has none
+_TIERS = {
+    "level": ("loss_rtol", "level_rtol", "level_atol", "level_param_rtol",
+              "level_param_atol"),
+    "thread": ("thread_loss_rtol", "thread_fwd_rtol", "thread_fwd_atol",
+               "thread_param_rtol", "thread_param_atol"),
+    "bitwise": (),
 }
 
 #: layer kinds the baseline implementations cover (plus the implicit
@@ -283,8 +252,10 @@ def calibrate_spec(spec: NetSpec, level: int):
 
 
 def _compare_arrays(check: str, name: str, got: np.ndarray,
-                    want: np.ndarray, rtol: float, atol: float,
-                    out: List[Mismatch], bitwise: bool = False) -> None:
+                    want: np.ndarray, out: List[Mismatch],
+                    rtol: float = 0.0, atol: float = 0.0) -> None:
+    """``got`` against ``want`` within ``rtol`` / ``atol``; bitwise when
+    both are 0."""
     if got.shape != want.shape:
         out.append(Mismatch(check, f"{name}: shape {got.shape} != "
                                    f"{want.shape}"))
@@ -292,7 +263,7 @@ def _compare_arrays(check: str, name: str, got: np.ndarray,
     if not np.isfinite(got).all():
         out.append(Mismatch(check, f"{name}: non-finite values"))
         return
-    if bitwise:
+    if not (rtol or atol):
         if not np.array_equal(got, want):
             n_diff = int((got != want).sum())
             out.append(Mismatch(
@@ -313,52 +284,36 @@ def _compare_arrays(check: str, name: str, got: np.ndarray,
 
 
 def _compare_runs(check: str, got: RunResult, want: RunResult,
-                  out: List[Mismatch], loss_rtol: float, fwd_rtol: float,
-                  fwd_atol: float, param_rtol: float,
-                  param_atol: float) -> None:
-    if not np.isfinite(got.loss):
+                  out: List[Mismatch], tier: str) -> None:
+    """``got`` against ``want`` in one tier of :data:`_TIERS`, or in
+    ``"threaded"``: a threaded run against the serial one, bitwise when
+    the executor ran it as one shard (then it is the serial program),
+    the thread tier otherwise."""
+    if tier == "threaded":
+        tier = "bitwise" if got.shards == 1 else "thread"
+    loss_rtol, fwd_rtol, fwd_atol, param_rtol, param_atol = (
+        [_TOL[key] for key in _TIERS[tier]] or [0.0] * 5)
+    scale = max(1e-12, abs(want.loss))
+    if tier == "bitwise":
+        if got.loss != want.loss:
+            out.append(Mismatch(check, f"loss not reproducible: "
+                                       f"{got.loss!r} != {want.loss!r}"))
+    elif not np.isfinite(got.loss):
         out.append(Mismatch(check, f"loss is {got.loss}"))
-    elif abs(got.loss - want.loss) > loss_rtol * max(1e-12, abs(want.loss)):
+    elif abs(got.loss - want.loss) > loss_rtol * scale:
         out.append(Mismatch(
             check, f"loss {got.loss:.6g} vs reference {want.loss:.6g} "
-                   f"(rel {abs(got.loss - want.loss) / max(1e-12, abs(want.loss)):.3g})"))
-    _compare_arrays(check, "output", got.output, want.output,
-                    fwd_rtol, fwd_atol, out)
-    _compare_arrays(check, "d(data)", got.dx, want.dx, fwd_rtol, fwd_atol,
-                    out)
+                   f"(rel {abs(got.loss - want.loss) / scale:.3g})"))
+    _compare_arrays(check, "output", got.output, want.output, out,
+                    fwd_rtol, fwd_atol)
+    _compare_arrays(check, "d(data)", got.dx, want.dx, out, fwd_rtol,
+                    fwd_atol)
     if set(got.param_grads) != set(want.param_grads):
         out.append(Mismatch(check, "parameter sets differ"))
         return
     for key in sorted(want.param_grads):
         _compare_arrays(check, f"d({key})", got.param_grads[key],
-                        want.param_grads[key], param_rtol, param_atol, out)
-
-
-def _compare_bitwise(check: str, got: RunResult, want: RunResult,
-                     out: List[Mismatch]) -> None:
-    if got.loss != want.loss:
-        out.append(Mismatch(check, f"loss not reproducible: "
-                                   f"{got.loss!r} != {want.loss!r}"))
-    _compare_arrays(check, "output", got.output, want.output, 0, 0, out,
-                    bitwise=True)
-    _compare_arrays(check, "d(data)", got.dx, want.dx, 0, 0, out,
-                    bitwise=True)
-    for key in sorted(want.param_grads):
-        _compare_arrays(check, f"d({key})", got.param_grads[key],
-                        want.param_grads[key], 0, 0, out, bitwise=True)
-
-
-def _compare_threaded(check: str, got: RunResult, serial: RunResult,
-                      out: List[Mismatch], tol: dict) -> None:
-    """A threaded run against the serial run at the same level: the
-    thread tiers when the executor sharded it, bitwise when it ran one
-    shard — then it is the serial program."""
-    if got.shards == 1:
-        _compare_bitwise(check, got, serial, out)
-    else:
-        _compare_runs(check, got, serial, out, tol["thread_loss_rtol"],
-                      tol["thread_fwd_rtol"], tol["thread_fwd_atol"],
-                      tol["thread_param_rtol"], tol["thread_param_atol"])
+                        want.param_grads[key], out, param_rtol, param_atol)
 
 
 class ArenaFault(AssertionError):
@@ -453,15 +408,17 @@ def _check_inference(check: str, spec: NetSpec, level: int,
         out.append(Mismatch(
             check, f"a forward-only compile computes a loss: {inf_loss!r} "
                    f"from steps {stepped}"))
-    _compare_arrays(check, "output", inf_out, train_out, 0, 0, out,
-                    bitwise=True)
+    _compare_arrays(check, "output", inf_out, train_out, out)
     return inf_out
 
 
-def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
+def _run_cache_roundtrip(check: str, spec: NetSpec, level: int,
+                         out: List[Mismatch], backend: str = "numpy"
+                         ) -> None:
     """Run ``spec`` twice through ``compile_cached`` against a throwaway
     store — a cold compile that populates it, then a warm thaw — and
-    return ``(cold_result, warm_result, warm_was_hit)``.
+    compare the warm run with the cold one bitwise; a warm compile that
+    misses the cache is a mismatch.
 
     ``backend="c"`` exercises the native-program recipe: the warm thaw
     rebuilds the shared object from the stored C source and rebinds the
@@ -483,7 +440,11 @@ def _run_cache_roundtrip(spec: NetSpec, level: int, backend: str = "numpy"):
         store = CompileCache(tmp)
         cold, _ = one(store)
         warm, hit = one(store)
-    return cold, warm, hit
+    if not hit:
+        out.append(Mismatch(check,
+                            "second compile_cached did not hit the cache"))
+    else:
+        _compare_runs(check, warm, cold, out, "bitwise")
 
 
 def _check_checkpoint(check: str, spec: NetSpec, level: int,
@@ -514,12 +475,13 @@ def _check_checkpoint(check: str, spec: NetSpec, level: int,
             return
     served.forward(data=x, label=y)
     _compare_arrays(check, "output", served.value("head"),
-                    cnet.value("head"), 0, 0, out, bitwise=True)
+                    cnet.value("head"), out)
 
 
-def _check_quant(spec: NetSpec, level: int, tol: dict,
+def _check_quant(spec: NetSpec, level: int, ref_out: np.ndarray,
                  checks: List[str], out: List[Mismatch]) -> None:
-    """Reduced-precision inference gates (docs/QUANTIZATION.md).
+    """Reduced-precision inference gates (docs/QUANTIZATION.md) against
+    ``ref_out``, the fp32 forward-only output at ``level``.
 
     fp16 must land inside its dedicated numeric tier against the fp32
     inference reference; int8 (calibrated on the spec's own inputs) is
@@ -530,7 +492,6 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
     with a loose agreement fraction. Each quantized path is rebuilt
     and rerun once to pin run-to-run bitwise determinism.
     """
-    _, ref_out, _ = run_eval_forward(spec, level, "inference")
     ref64 = ref_out.astype(np.float64)
     ref_range = float(ref64.max() - ref64.min())
     scale = max(ref_range, 1e-3)
@@ -540,12 +501,11 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
     checks.append(check)
     out16 = run_quant_forward(spec, level, "fp16")
     _compare_arrays(check, "output", out16.astype(np.float32), ref_out,
-                    tol["quant_fp16_rtol"], tol["quant_fp16_atol"], out)
+                    out, _TOL["quant_fp16_rtol"], _TOL["quant_fp16_atol"])
     check = "quant:fp16-repro"
     checks.append(check)
     out16b = run_quant_forward(spec, level, "fp16")
-    _compare_arrays(check, "output", out16b, out16, 0, 0, out,
-                    bitwise=True)
+    _compare_arrays(check, "output", out16b, out16, out)
 
     # -- int8: calibrated accuracy gates + bitwise run-to-run ------------
     calibration = calibrate_spec(spec, level)
@@ -557,19 +517,19 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
         out.append(Mismatch(check, "output: non-finite values"))
         return
     err = float(np.abs(got64 - ref64).max())
-    bound = tol["quant_int8_range_frac"] * scale
+    bound = _TOL["quant_int8_range_frac"] * scale
     if err > bound:
         out.append(Mismatch(
             check,
             f"output: max|Δ|={err:.3g} > {bound:.3g} "
-            f"({tol['quant_int8_range_frac']:g} × fp32 output range "
+            f"({_TOL['quant_int8_range_frac']:g} × fp32 output range "
             f"{ref_range:.3g})"))
     flat_ref = ref64.reshape(-1, ref64.shape[-1])
     flat_got = got64.reshape(-1, got64.shape[-1])
     if flat_ref.shape[-1] > 1:
         top = np.sort(flat_ref, axis=1)
         margin = top[:, -1] - top[:, -2]
-        confident = margin > tol["quant_int8_top1_margin_frac"] * scale
+        confident = margin > _TOL["quant_int8_top1_margin_frac"] * scale
         agree = np.argmax(flat_got, axis=1) == np.argmax(flat_ref, axis=1)
         flipped = int((confident & ~agree).sum())
         if flipped:
@@ -577,11 +537,11 @@ def _check_quant(spec: NetSpec, level: int, tol: dict,
                 check,
                 f"top-1 disagrees on {flipped}/{int(confident.sum())} "
                 f"confident rows (fp32 margin > "
-                f"{tol['quant_int8_top1_margin_frac']:g} × range)"))
+                f"{_TOL['quant_int8_top1_margin_frac']:g} × range)"))
     check = "quant:int8-repro"
     checks.append(check)
     out8b = run_quant_forward(spec, level, "int8", calibration)
-    _compare_arrays(check, "output", out8b, out8, 0, 0, out, bitwise=True)
+    _compare_arrays(check, "output", out8b, out8, out)
 
 
 def _baseline_config(spec: NetSpec):
@@ -619,7 +579,7 @@ def _baseline_config(spec: NetSpec):
                        tuple(specs), spec.classes)
 
 
-def _check_baselines(spec: NetSpec, tol: dict, checks: List[str],
+def _check_baselines(spec: NetSpec, checks: List[str],
                      out: List[Mismatch]) -> None:
     from repro.baselines import CaffeNet, MochaNet
 
@@ -637,7 +597,7 @@ def _check_baselines(spec: NetSpec, tol: dict, checks: List[str],
         # fuzz CLI shrinks the spec and writes a reproducer
         try:
             _compare_baseline(check, cls(config, spec.batch), cnet, x, y,
-                              tol, out)
+                              out)
         except Exception as exc:  # noqa: BLE001 - recorded as a mismatch
             where = traceback.extract_tb(exc.__traceback__)[-1]
             out.append(Mismatch(
@@ -645,31 +605,30 @@ def _check_baselines(spec: NetSpec, tol: dict, checks: List[str],
                 f"{os.path.basename(where.filename)}:{where.lineno}: {exc}"))
 
 
-def _compare_baseline(check: str, base, cnet, x, y, tol: dict,
+def _compare_baseline(check: str, base, cnet, x, y,
                       out: List[Mismatch]) -> None:
     base.load_params_from(cnet)
     loss = cnet.forward(data=x, label=y)
     cnet.clear_param_grads()
     cnet.backward()
     base.forward(x, y)
-    if abs(base.loss - loss) > tol["loss_rtol"] * max(1e-12, abs(loss)):
+    if abs(base.loss - loss) > _TOL["loss_rtol"] * max(1e-12, abs(loss)):
         out.append(Mismatch(
             check, f"loss {loss:.6g} vs baseline {base.loss:.6g}"))
     base.clear_grads()
     dx_base = base.backward()
-    _compare_arrays(check, "d(data)", cnet.grad("data"), dx_base,
-                    tol["baseline_rtol"], tol["baseline_atol"], out)
+    tol = _TOL["baseline_rtol"], _TOL["baseline_atol"]
+    _compare_arrays(check, "d(data)", cnet.grad("data"), dx_base, out, *tol)
     base_params = base.params()
     latte_params = cnet.parameters()
     if len(base_params) != len(latte_params):
         out.append(Mismatch(check, "parameter count differs"))
         return
     for (bv, bg), p in zip(base_params, latte_params):
-        _compare_arrays(check, f"d({p.key})", p.grad, bg,
-                        tol["baseline_rtol"], tol["baseline_atol"], out)
+        _compare_arrays(check, f"d({p.key})", p.grad, bg, out, *tol)
 
 
-def _check_gradients(spec: NetSpec, tol: dict, n_indices: int,
+def _check_gradients(check: str, spec: NetSpec, n_indices: int,
                      out: List[Mismatch]) -> None:
     def build_fn():
         seed_all(spec.seed)
@@ -677,11 +636,11 @@ def _check_gradients(spec: NetSpec, tol: dict, n_indices: int,
 
     x, y = make_inputs(spec)
     failures = check_input_gradient(
-        build_fn, x, y, n_indices=n_indices, atol=tol["fd_atol"],
-        rtol=tol["fd_rtol"], index_seed=spec.seed,
+        build_fn, x, y, n_indices=n_indices, atol=_TOL["fd_atol"],
+        rtol=_TOL["fd_rtol"], index_seed=spec.seed,
     )
     for f in failures:
-        out.append(Mismatch("gradcheck", str(f)))
+        out.append(Mismatch(check, str(f)))
 
 
 def check_spec(
@@ -690,7 +649,6 @@ def check_spec(
     threads: Sequence[int] = (2, 4),
     gradcheck_indices: int = 3,
     baselines: bool = True,
-    dtype: str = "float32",
     cbackend: Optional[bool] = None,
     quant: bool = True,
 ) -> OracleReport:
@@ -715,7 +673,7 @@ def check_spec(
     report = OracleReport(spec, checks=["arena"])
     try:
         _run_checks(report, levels, threads, gradcheck_indices, baselines,
-                    TOLERANCES[dtype], cbackend, quant)
+                    cbackend, quant)
     except ArenaFault as fault:
         report.mismatches.append(Mismatch("arena", str(fault)))
     return report
@@ -723,258 +681,149 @@ def check_spec(
 
 def _run_checks(report: OracleReport, levels: Sequence[int],
                 threads: Sequence[int], gradcheck_indices: int,
-                baselines: bool, tol: dict, cbackend: Optional[bool],
+                baselines: bool, cbackend: Optional[bool],
                 quant: bool) -> None:
-    spec = report.spec
-    reference = run_spec(spec, level=0)
-    report.checks.append("level:0")
+    """The checks of docs/TESTING.md's table, in its order: each
+    ``check`` row names its configuration, its reference and its tier."""
+    spec, out = report.spec, report.mismatches
+    memo: Dict[tuple, RunResult] = {}
+
+    def run(fresh: bool = False, **config) -> RunResult:
+        # one compile per configuration; ``fresh`` compiles it again,
+        # for the rows that compare two runs of one configuration
+        if fresh:
+            return run_spec(spec, **config)
+        key = tuple(sorted(config.items()))
+        if key not in memo:
+            memo[key] = run_spec(spec, **config)
+        return memo[key]
+
+    def named(name: str) -> str:
+        report.checks.append(name)
+        return name
+
+    def check(name: str, got: RunResult, want: RunResult,
+              tier: str) -> RunResult:
+        _compare_runs(named(name), got, want, out, tier)
+        return got
+
+    reference = run(level=0)
+    named("level:0")
     if not np.isfinite(reference.loss):
-        report.mismatches.append(
-            Mismatch("level:0", f"oracle loss is {reference.loss}"))
+        out.append(Mismatch("level:0", f"oracle loss is {reference.loss}"))
         return
-
-    by_level = {0: reference}
     for lvl in levels:
-        check = f"level:{lvl}"
-        report.checks.append(check)
-        by_level[lvl] = run_spec(spec, level=lvl)
-        _compare_runs(check, by_level[lvl], reference, report.mismatches,
-                      tol["loss_rtol"], tol["level_rtol"],
-                      tol["level_atol"], tol["level_param_rtol"],
-                      tol["level_param_atol"])
+        check(f"level:{lvl}", run(level=lvl), reference, "level")
 
+    top = max(levels, default=4)
+    most = max(threads, default=1)
+    plans = CompilerOptions.level(top).runs("memory_plan")
+    tiles = CompilerOptions.level(top).runs("tiling") and spec.batch > 1
+    everything = tuple(build_net(spec).ensembles)  # keep_alive: keep all
     # the arena planner must be bitwise-neutral: reuse changes where
-    # buffers live, never what the steps compute (DESIGN.md §5.2)
-    memplan_level = max(levels) if levels else 4
-    top = CompilerOptions.level(memplan_level)
-    tiles = top.runs("tiling") and spec.batch > 1
-    everything = list(build_net(spec).ensembles)  # keep_alive: keep all
-    if top.runs("memory_plan"):
-        check = "memplan"
-        report.checks.append(check)
-        planned = by_level.get(memplan_level)
-        if planned is None:
-            planned = run_spec(spec, level=memplan_level)
-        unplanned = run_spec(spec, level=memplan_level, memory_plan=False)
-        _compare_bitwise(check, planned, unplanned, report.mismatches)
-        _check_plan_size(check, planned.memory, report.mismatches)
-
-        # the default pools LRN / batchnorm / concat / gather / recurrent
-        # values and gradients too; keeping every ensemble inspectable
-        # pools only staging buffers — still the unplanned run's bits
-        check = "memplan-kept"
-        report.checks.append(check)
-        kept = run_spec(spec, level=memplan_level, keep_alive=everything)
-        _compare_bitwise(check, kept, unplanned, report.mismatches)
-        _check_plan_size(check, kept.memory, report.mismatches)
+    # buffers live, never what the steps compute (DESIGN.md §5.2); the
+    # default pools LRN / batchnorm / concat / gather / recurrent values
+    # and gradients too, keeping every ensemble pools staging buffers only
+    if plans:
+        got = check("memplan", run(level=top),
+                    run(level=top, memory_plan=False), "bitwise")
+        _check_plan_size("memplan", got.memory, out)
+        got = check("memplan-kept", run(level=top, keep_alive=everything),
+                    run(level=top, memory_plan=False), "bitwise")
+        _check_plan_size("memplan-kept", got.memory, out)
 
     # staging chains tiled along the batch, fused and contracted: the
     # same values as the interpreter's (weight-gradient sums reassociate
-    # per tile), planned or not, sharded or not, on either backend
+    # per tile), planned or not, sharded or not, on either backend; a
+    # spec with nothing to tile compiles the level:4 program again
     if tiles:
-        check = "batchtile"
-        report.checks.append(check)
-        tiled = run_spec(spec, level=4, tiled=True)
-        _compare_runs(check, tiled, reference, report.mismatches,
-                      tol["loss_rtol"], tol["level_rtol"],
-                      tol["level_atol"], tol["level_param_rtol"],
-                      tol["level_param_atol"])
-        _check_plan_size(check, tiled.memory, report.mismatches)
-    # (a spec with nothing to tile compiled the level:4 program again)
-    if tiles and tiled.contracted:
-        check = "batchtile-memplan"
-        report.checks.append(check)
-        unplanned = run_spec(spec, level=4, tiled=True, memory_plan=False)
-        _compare_bitwise(check, tiled, unplanned, report.mismatches)
-        # every ensemble kept inspectable: values stay whole where the
-        # default contracts or pools them, and the same bits come out
-        check = "batchtile-kept"
-        report.checks.append(check)
-        kept = run_spec(spec, level=4, tiled=True, keep_alive=everything)
-        _compare_bitwise(check, kept, unplanned, report.mismatches)
-        _check_plan_size(check, kept.memory, report.mismatches)
+        tiled = check("batchtile", run(level=4, tiled=True), reference,
+                      "level")
+        _check_plan_size("batchtile", tiled.memory, out)
+    contracted = tiles and tiled.contracted
+    if contracted:
+        check("batchtile-memplan", tiled,
+              run(level=4, tiled=True, memory_plan=False), "bitwise")
+        got = check("batchtile-kept",
+                    run(level=4, tiled=True, keep_alive=everything),
+                    run(level=4, tiled=True, memory_plan=False), "bitwise")
+        _check_plan_size("batchtile-kept", got.memory, out)
         if threads:
-            check = f"batchtile-threads:{max(threads)}"
-            report.checks.append(check)
-            _compare_threaded(
-                check, run_spec(spec, level=4, tiled=True,
-                                num_threads=max(threads)),
-                tiled, report.mismatches, tol)
+            check(f"batchtile-threads:{most}",
+                  run(level=4, tiled=True, num_threads=most), tiled,
+                  "threaded")
 
     # forward-only under batch tiles: a layer's values and padded input
-    # contracted to its group's tile (only the contract is kept), still
-    # the eval-mode train graph's bits — and sharded, each shard on
-    # private tiles of them
+    # contracted to its group's tile, still the eval-mode train graph's
+    # bits — and sharded, each shard on private tiles of them
     if tiles:
-        report.checks.append("batchtile-inference")
-        inf_out = _check_inference(
-            "batchtile-inference", spec, 4, report.mismatches, tiled=True)
+        inf_out = _check_inference(named("batchtile-inference"), spec, 4,
+                                   out, tiled=True)
         if threads:
-            check = f"batchtile-inference-threads:{max(threads)}"
-            report.checks.append(check)
+            name = named(f"batchtile-inference-threads:{most}")
             _, thr_out, _ = run_eval_forward(
-                spec, 4, "inference", tiled=True, num_threads=max(threads))
-            _compare_arrays(check, "output", thr_out, inf_out,
-                            tol["thread_fwd_rtol"], tol["thread_fwd_atol"],
-                            report.mismatches)
+                spec, 4, "inference", tiled=True, num_threads=most)
+            _compare_arrays(name, "output", thr_out, inf_out, out,
+                            _TOL["thread_fwd_rtol"], _TOL["thread_fwd_atol"])
 
-    # forward-only compilation must be a pure subtraction: dropping the
-    # backward program and pruning gradient buffers cannot perturb the
-    # forward schedule, so inference output == eval-mode train output
-    # down to the bit
-    report.checks.append("inference")
-    _check_inference("inference", spec, max(levels) if levels else 4,
-                     report.mismatches)
-
-    # a thawed compile-cache entry is the stored cold program re-bound
-    # to a freshly built net: no synthesis, no passes, no codegen — so
-    # it must compute bit-for-bit what the cold compile computes
-    check = "cache"
-    report.checks.append(check)
-    cold, warm, warm_hit = _run_cache_roundtrip(
-        spec, max(levels) if levels else 4
-    )
-    if not warm_hit:
-        report.mismatches.append(Mismatch(
-            check, "second compile_cached did not hit the cache"))
-    else:
-        _compare_bitwise(check, warm, cold, report.mismatches)
-
-    # a checkpoint carries every model array, running statistics too:
-    # the net rebuilt from it computes the trained net's eval output
-    check = "checkpoint"
-    report.checks.append(check)
-    _check_checkpoint(check, spec, max(levels) if levels else 4,
-                      report.mismatches)
-
-    # reduced-precision inference rides the same fuzz corpus: fp16 and
-    # calibrated int8 against the fp32 inference reference, each
-    # bitwise run-to-run
+    # forward-only compilation is a pure subtraction: inference output
+    # is the eval-mode train output down to the bit; it is the fp32
+    # reference of reduced precision too
+    inf_out = _check_inference(named("inference"), spec, top, out)
+    _run_cache_roundtrip(named("cache"), spec, top, out)
+    _check_checkpoint(named("checkpoint"), spec, top, out)
     if quant:
-        _check_quant(spec, max(levels) if levels else 4, tol,
-                     report.checks, report.mismatches)
+        _check_quant(spec, top, inf_out, report.checks, out)
 
     # the C backend is an independent lowering of the same fused
     # schedule: its kernels accumulate in double and order contractions
     # differently from BLAS, so values land inside the reassociation
-    # tier, never outside it — and a second compile of the same spec
-    # (content-addressed .so, fixed shard bounds) is bitwise identical
+    # tier — and a second compile (content-addressed .so, fixed shard
+    # bounds) is bitwise identical
     if cbackend is None:
         from repro.codegen.c_backend import have_c_toolchain
 
         cbackend = have_c_toolchain()
     if cbackend:
-        c_level = max(levels) if levels else 4
-        check = "cbackend"
-        report.checks.append(check)
-        native = run_spec(spec, level=c_level, backend="c")
-        _compare_runs(check, native, reference, report.mismatches,
-                      tol["loss_rtol"], tol["level_rtol"],
-                      tol["level_atol"], tol["level_param_rtol"],
-                      tol["level_param_atol"])
+        native = check("cbackend", run(level=top, backend="c"), reference,
+                       "level")
+        check("cbackend-vs-numpy", native, run(level=top), "level")
+        if contracted:
+            check("cbackend-batchtile", run(level=4, backend="c", tiled=True),
+                  reference, "level")
+        check("cbackend-repro", run(fresh=True, level=top, backend="c"),
+              native, "bitwise")
+        _run_cache_roundtrip(named("cbackend-cache"), spec, top, out,
+                             backend="c")
+        if most > 1:
+            config = dict(level=top, backend="c", num_threads=most)
+            threaded = check(f"cbackend-threads:{most}", run(**config),
+                             native, "threaded")
+            _compare_runs(f"cbackend-threads:{most}",
+                          run(fresh=True, **config), threaded, out,
+                          "bitwise")
 
-        check = "cbackend-vs-numpy"
-        report.checks.append(check)
-        numpy_same = by_level.get(c_level)
-        if numpy_same is None:
-            numpy_same = run_spec(spec, level=c_level)
-        _compare_runs(check, native, numpy_same, report.mismatches,
-                      tol["loss_rtol"], tol["level_rtol"],
-                      tol["level_atol"], tol["level_param_rtol"],
-                      tol["level_param_atol"])
-
-        if tiles and tiled.contracted:
-            check = "cbackend-batchtile"
-            report.checks.append(check)
-            _compare_runs(check,
-                          run_spec(spec, level=4, backend="c", tiled=True),
-                          reference, report.mismatches,
-                          tol["loss_rtol"], tol["level_rtol"],
-                          tol["level_atol"], tol["level_param_rtol"],
-                          tol["level_param_atol"])
-
-        # run-to-run determinism at one thread: a full rebuild (fresh
-        # net, fresh .so load) must reproduce every bit — any drift is
-        # nondeterministic codegen or an uninitialized buffer, not
-        # rounding
-        check = "cbackend-repro"
-        report.checks.append(check)
-        _compare_bitwise(check, run_spec(spec, level=c_level, backend="c"),
-                         native, report.mismatches)
-
-        # freeze/thaw of a native program recompiles the stored C source
-        # and rebinds the steps; the thawed program must compute the
-        # cold compile's exact bits
-        check = "cbackend-cache"
-        report.checks.append(check)
-        cold, warm, warm_hit = _run_cache_roundtrip(spec, c_level,
-                                                    backend="c")
-        if not warm_hit:
-            report.mismatches.append(Mismatch(
-                check, "second compile_cached did not hit the cache"))
-        else:
-            _compare_bitwise(check, warm, cold, report.mismatches)
-
-        # threaded native runs: the kernels run the executor's shards —
-        # thread tiers against serial C (bitwise at one shard: batch 1
-        # runs the serial program), and bitwise run to run
-        nt = max(threads, default=1)
-        if nt > 1:
-            check = f"cbackend-threads:{nt}"
-            report.checks.append(check)
-            threaded = run_spec(spec, level=c_level, backend="c",
-                                num_threads=nt)
-            _compare_threaded(check, threaded, native, report.mismatches,
-                              tol)
-            _compare_bitwise(check, run_spec(spec, level=c_level,
-                                             backend="c", num_threads=nt),
-                             threaded, report.mismatches)
-
+    # threaded against serial at the same level; run to run at the first
+    # thread count, where any drift is a race, not rounding; and the
+    # planner's neutrality under sharding
     if threads:
-        thread_level = max(levels) if levels else 4
-        serial = by_level.get(thread_level)
-        if serial is None:
-            serial = run_spec(spec, level=thread_level)
-        reproducibility_checked = False
-        memplan_threads_checked = False
-        for nt in threads:
-            if nt <= 1:
-                continue
-            check = f"threads:{nt}"
-            report.checks.append(check)
-            parallel = run_spec(spec, level=thread_level, num_threads=nt)
-            _compare_threaded(check, parallel, serial, report.mismatches,
-                              tol)
-            if not reproducibility_checked:
-                # run-to-run determinism at a fixed shard count is
-                # bitwise (fixed bounds + fixed-order reduction); any
-                # drift here is a race, not rounding
-                reproducibility_checked = True
-                check = f"repro-threads:{nt}"
-                report.checks.append(check)
-                _compare_bitwise(
-                    check, run_spec(spec, level=thread_level,
-                                    num_threads=nt),
-                    parallel, report.mismatches)
-            if not memplan_threads_checked and CompilerOptions.level(
-                    thread_level).runs("memory_plan"):
-                # planner neutrality must also hold under sharding
-                # (shared arena bytes + per-shard privates interact)
-                memplan_threads_checked = True
-                check = f"memplan-threads:{nt}"
-                report.checks.append(check)
-                _compare_bitwise(
-                    check, parallel,
-                    run_spec(spec, level=thread_level, num_threads=nt,
-                             memory_plan=False),
-                    report.mismatches)
+        serial = run(level=top)
+        for i, nt in enumerate(n for n in threads if n > 1):
+            parallel = check(f"threads:{nt}", run(level=top, num_threads=nt),
+                             serial, "threaded")
+            if i == 0:
+                check(f"repro-threads:{nt}",
+                      run(fresh=True, level=top, num_threads=nt), parallel,
+                      "bitwise")
+                if plans:
+                    check(f"memplan-threads:{nt}", parallel,
+                          run(level=top, num_threads=nt, memory_plan=False),
+                          "bitwise")
 
     if gradcheck_indices:
-        report.checks.append("gradcheck")
-        _check_gradients(spec, tol, gradcheck_indices, report.mismatches)
-
+        _check_gradients(named("gradcheck"), spec, gradcheck_indices, out)
     if baselines:
-        _check_baselines(spec, tol, report.checks, report.mismatches)
+        _check_baselines(spec, report.checks, out)
 
 
 def assert_spec_ok(spec: NetSpec, shrink_on_failure: bool = True,
@@ -1000,115 +849,94 @@ def assert_spec_ok(spec: NetSpec, shrink_on_failure: bool = True,
     raise AssertionError("\n".join(message))
 
 
+def _overlapping(place_offsets):
+    """``place_offsets`` that puts the first two buffers live together at
+    one offset."""
+    def overlapping(buffers, sizes, conflicts, key, placed=None):
+        offsets = place_offsets(buffers, sizes, conflicts, key, placed)
+        order = sorted(offsets, key=lambda b: (offsets[b], b))
+        pair = next(((a, b) for i, a in enumerate(order)
+                     for b in order[i + 1:] if conflicts(a, b)), None)
+        if pair is not None:
+            offsets[pair[1]] = offsets[pair[0]]
+        return offsets
+    return overlapping
+
+
+def _skipping(clone_backward):
+    """``_clone_backward`` that drops the clones of recomputed values."""
+    def skipping(plan, bwd, originals, renames, readers):
+        clone_backward(plan, bwd, [(u, kind) for u, kind in originals
+                                   if kind != "recompute"], renames, readers)
+    return skipping
+
+
+#: the bugs :func:`inject_bug` can inject: name -> (owner module,
+#: attribute path in it, replacement factory taking the original)
+_BUGS = {
+    # the privatized-accumulator tree reduction returns only the first
+    # shard's partial, losing every other shard's weight/bias-gradient
+    # contribution
+    "drop-private-reduce": ("repro.runtime.executor", "tree_reduce",
+                            lambda orig: lambda parts: parts[0]),
+    # every shard covers [0, hi) instead of its own slice,
+    # double-counting privatized gradient contributions
+    "overlapping-shards": (
+        "repro.runtime.executor", "shard_bounds",
+        lambda orig: lambda batch, n: [(0, hi) for _lo, hi in orig(batch, n)]),
+    # the memory planner takes any two buffers contracted to one
+    # batch-tiled group for disjoint, whatever units touch them, so a
+    # group's tiles may share bytes and overwrite one another
+    "group-slab-overlap": (
+        "repro.synthesis.access", "Interval.overlaps",
+        lambda orig: lambda a, b: orig(a, b) and not (
+            a.units and b.units and a.first == b.first)),
+    # the memory planner places the first two pooled buffers that are
+    # live together at one offset, in every greedy order it tries, so
+    # whichever layout it keeps is wrong; the static ``arena`` check
+    # rejects the layout before anything runs
+    "arena-overlap": ("repro.synthesis.liveness", "place_offsets",
+                      _overlapping),
+    # the memory planner ends a pooled inspected buffer's interval at its
+    # last access, so a later step may reuse its bytes before the caller
+    # reads them; the static ``arena`` check rejects the plan
+    "inspected-early-end": ("repro.synthesis.liveness", "live_to_end",
+                            lambda orig: lambda iv, view: None),
+    # a value recomputed in backward has its backward readers respelled
+    # to the recomputed buffer, but the clones that would define it are
+    # dropped, so they read a buffer nothing writes
+    "recompute-skipped": ("repro.synthesis.liveness", "_clone_backward",
+                          _skipping),
+    # a checkpoint saves the parameters but not the running statistics,
+    # so the net rebuilt from it cannot start where the trained one stands
+    "stats-dropped": (
+        "repro.runtime.executor", "CompiledNet.model_arrays",
+        lambda orig: lambda net: {p.key: p.value for p in net.parameters()}),
+}
+
+#: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
+INJECTABLE_BUGS = tuple(_BUGS)
+
+
 @contextlib.contextmanager
 def inject_bug(name: str):
     """Deliberately break an optimizer/runtime invariant (self-test of
-    the oracle: a fuzz run under an injected bug must fail).
-
-    * ``drop-private-reduce`` — the privatized-accumulator tree
-      reduction returns only the first shard's partial, losing every
-      other shard's weight/bias-gradient contribution.
-    * ``overlapping-shards`` — every shard covers ``[0, hi)`` instead of
-      its own slice, double-counting privatized gradient contributions.
-    * ``group-slab-overlap`` — the memory planner takes any two buffers
-      contracted to one batch-tiled group for disjoint, whatever units
-      touch them, so a group's tiles may share bytes and overwrite one
-      another.
-    * ``arena-overlap`` — the memory planner places the first two pooled
-      buffers that are live together at one offset, in every greedy
-      order it tries, so whichever layout it keeps is wrong; the static
-      ``arena`` check rejects the layout before anything runs.
-    * ``inspected-early-end`` — the memory planner ends a pooled
-      inspected buffer's interval at its last access, so a later step
-      may reuse its bytes before the caller reads them; the static
-      ``arena`` check rejects the plan before anything runs.
-    * ``recompute-skipped`` — a value recomputed in backward has its
-      backward readers respelled to the recomputed buffer, but the
-      clones that would define it are dropped, so they read a buffer
-      nothing writes.
-    * ``stats-dropped`` — a checkpoint saves the parameters but not the
-      running statistics, so the net rebuilt from it cannot start
-      where the trained one stands.
+    the oracle: a fuzz run under an injected bug must fail). ``name`` is
+    one of :data:`INJECTABLE_BUGS`; :data:`_BUGS` says what each breaks.
     """
-    from repro.runtime import executor
-    from repro.synthesis import liveness
-    from repro.synthesis.access import Interval
+    import importlib
 
-    if name == "drop-private-reduce":
-        orig = executor.tree_reduce
-        executor.tree_reduce = lambda parts: parts[0]
-        try:
-            yield
-        finally:
-            executor.tree_reduce = orig
-    elif name == "overlapping-shards":
-        orig = executor.shard_bounds
-        executor.shard_bounds = lambda batch, n: [
-            (0, hi) for _lo, hi in orig(batch, n)
-        ]
-        try:
-            yield
-        finally:
-            executor.shard_bounds = orig
-    elif name == "group-slab-overlap":
-        orig = Interval.overlaps
-        Interval.overlaps = lambda a, b: orig(a, b) and not (
-            a.units and b.units and a.first == b.first)
-        try:
-            yield
-        finally:
-            Interval.overlaps = orig
-    elif name == "arena-overlap":
-        orig = liveness.place_offsets
-
-        def overlapping(buffers, sizes, conflicts, key, placed=None):
-            offsets = orig(buffers, sizes, conflicts, key, placed)
-            order = sorted(offsets, key=lambda b: (offsets[b], b))
-            pair = next(((a, b) for i, a in enumerate(order)
-                         for b in order[i + 1:] if conflicts(a, b)), None)
-            if pair is not None:
-                offsets[pair[1]] = offsets[pair[0]]
-            return offsets
-
-        liveness.place_offsets = overlapping
-        try:
-            yield
-        finally:
-            liveness.place_offsets = orig
-    elif name == "inspected-early-end":
-        orig = liveness.live_to_end
-        liveness.live_to_end = lambda iv, view: None
-        try:
-            yield
-        finally:
-            liveness.live_to_end = orig
-    elif name == "recompute-skipped":
-        orig = liveness._clone_backward
-
-        def skipping(plan, bwd, originals, renames, readers):
-            orig(plan, bwd, [(u, kind) for u, kind in originals
-                             if kind != "recompute"], renames, readers)
-
-        liveness._clone_backward = skipping
-        try:
-            yield
-        finally:
-            liveness._clone_backward = orig
-    elif name == "stats-dropped":
-        orig = executor.CompiledNet.model_arrays
-        executor.CompiledNet.model_arrays = lambda net: {
-            p.key: p.value for p in net.parameters()}
-        try:
-            yield
-        finally:
-            executor.CompiledNet.model_arrays = orig
-    else:
+    if name not in _BUGS:
         raise KeyError(
             f"unknown bug {name!r}; have: {', '.join(INJECTABLE_BUGS)}")
-
-
-#: names accepted by :func:`inject_bug` (for the CLI's --inject-bug)
-INJECTABLE_BUGS = ("drop-private-reduce", "overlapping-shards",
-                   "group-slab-overlap", "arena-overlap",
-                   "inspected-early-end", "recompute-skipped",
-                   "stats-dropped")
+    module, path, broken = _BUGS[name]
+    *owners, attr = path.split(".")
+    owner = importlib.import_module(module)
+    for part in owners:
+        owner = getattr(owner, part)
+    orig = getattr(owner, attr)
+    setattr(owner, attr, broken(orig))
+    try:
+        yield
+    finally:
+        setattr(owner, attr, orig)

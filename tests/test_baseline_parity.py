@@ -128,11 +128,10 @@ def test_padded_pool_matches_latte(mode):
     """Both baselines pool a padded layout and crop its gradient: loss,
     input gradient and every parameter gradient agree with Latte's
     (whose padded buffer has a zero border, under a max window too)."""
-    from repro.testing.oracle import TOLERANCES, _check_baselines
+    from repro.testing.oracle import _check_baselines
 
     checks, out = [], []
-    _check_baselines(_padded_pool_spec(mode), TOLERANCES["float32"],
-                     checks, out)
+    _check_baselines(_padded_pool_spec(mode), checks, out)
     assert checks == ["baseline:caffe", "baseline:mocha"]
     assert not out, [str(m) for m in out]
 
@@ -141,7 +140,7 @@ def test_a_raising_baseline_is_a_mismatch(monkeypatch):
     """The oracle records the exception under the baseline's check, so
     the fuzz CLI shrinks the spec instead of exiting with a traceback —
     and the other baseline is still compared."""
-    from repro.testing.oracle import TOLERANCES, _check_baselines
+    from repro.testing.oracle import _check_baselines
 
     backward = CaffeNet.backward
 
@@ -152,8 +151,7 @@ def test_a_raising_baseline_is_a_mismatch(monkeypatch):
 
     monkeypatch.setattr(CaffeNet, "backward", boom)
     checks, out = [], []
-    _check_baselines(_padded_pool_spec("max"), TOLERANCES["float32"],
-                     checks, out)
+    _check_baselines(_padded_pool_spec("max"), checks, out)
     assert checks == ["baseline:caffe", "baseline:mocha"]
     (mismatch,) = out
     assert mismatch.check == "baseline:caffe"

@@ -54,7 +54,6 @@ from repro.testing.generator import NetSpec, build_net, make_inputs
 from repro.testing.gradcheck import check_input_gradient
 from repro.testing.oracle import (
     TOLERANCES,
-    _compare_bitwise,
     _compare_runs,
     batch_tiles,
     run_spec,
@@ -278,14 +277,10 @@ class TestCExecution:
         native = run_spec(spec, level=4, backend="c", tiled=True)
         mismatches = []
         _compare_runs("c-vs-numpy", native,
-                      run_spec(spec, level=4, tiled=True),
-                      mismatches, TOL["loss_rtol"], TOL["level_rtol"],
-                      TOL["level_atol"], TOL["level_param_rtol"],
-                      TOL["level_param_atol"])
+                      run_spec(spec, level=4, tiled=True), mismatches,
+                      "level")
         _compare_runs("c-vs-O0", native, run_spec(spec, level=0),
-                      mismatches, TOL["loss_rtol"], TOL["level_rtol"],
-                      TOL["level_atol"], TOL["level_param_rtol"],
-                      TOL["level_param_atol"])
+                      mismatches, "level")
         assert not mismatches, "\n".join(str(m) for m in mismatches)
 
     def test_native_coverage(self):
@@ -323,9 +318,7 @@ class TestCExecution:
             _compare_runs(
                 f"threads:{nt}",
                 run_spec(spec, level=4, num_threads=nt, backend="c"),
-                serial, mismatches, TOL["thread_loss_rtol"],
-                TOL["thread_fwd_rtol"], TOL["thread_fwd_atol"],
-                TOL["thread_param_rtol"], TOL["thread_param_atol"])
+                serial, mismatches, "thread")
             assert not mismatches, "\n".join(str(m) for m in mismatches)
 
     def test_bitwise_determinism_serial(self):
@@ -333,9 +326,9 @@ class TestCExecution:
         # is nondeterministic / reading uninitialized memory
         spec = ZOO["norms"]
         mismatches = []
-        _compare_bitwise("repro",
-                         run_spec(spec, level=4, backend="c"),
-                         run_spec(spec, level=4, backend="c"), mismatches)
+        _compare_runs("repro", run_spec(spec, level=4, backend="c"),
+                      run_spec(spec, level=4, backend="c"), mismatches,
+                      "bitwise")
         assert not mismatches, "\n".join(str(m) for m in mismatches)
 
     @pytest.mark.parametrize("name", ["conv_pool_fc", "mlp6x16"])
@@ -588,7 +581,7 @@ class TestBuild:
         assert prints[0] != prints[1]
         assert len([p for p in build.iterdir() if p.suffix == ".so"]) == 2
         mismatches = []
-        _compare_bitwise("recipe", runs[0], runs[1], mismatches)
+        _compare_runs("recipe", runs[0], runs[1], mismatches, "bitwise")
         assert not mismatches, "\n".join(str(m) for m in mismatches)
 
     def test_resolved_target_keys_the_c_cache_and_the_build(self, build,
@@ -692,7 +685,7 @@ class TestBuild:
         # runtime unit defines: with BLAS injected they agree with the
         # NumPy backend, without it the portable kernel runs
         script = """
-            from test_c_backend import ZOO, TOL, _compile_c
+            from test_c_backend import ZOO, _compile_c
             from repro.codegen import c_backend
             from repro.testing.generator import make_inputs
             from repro.testing.oracle import _compare_runs, run_spec
@@ -706,9 +699,7 @@ class TestBuild:
             assert (c_backend._find_cblas() is None) == bool(sys.argv[2])
             bad = []
             _compare_runs("c-vs-numpy", run_spec(spec, level=4, backend="c"),
-                          run_spec(spec, level=4), bad, TOL["loss_rtol"],
-                          TOL["level_rtol"], TOL["level_atol"],
-                          TOL["level_param_rtol"], TOL["level_param_atol"])
+                          run_spec(spec, level=4), bad, "level")
             assert not bad, bad
         """
         proc = _run_script(script, no_blas, REPRO_C_NO_BLAS=no_blas)

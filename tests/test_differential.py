@@ -311,33 +311,83 @@ class TestReproducerIO:
 
 class TestOracleReporting:
     def test_report_lists_every_check(self):
-        spec = random_spec(0, families=("mlp",))
-        report = check_spec(spec, levels=(1, 3), threads=(2,),
-                            gradcheck_indices=2, baselines=False)
+        """Every check, in the order of docs/TESTING.md's table: a row
+        dropped or moved fails here. The ``cbackend*`` rows run only
+        where a C toolchain does."""
+        from repro.codegen.c_backend import have_c_toolchain
+
+        report = check_spec(random_spec(11), levels=(1, 2, 3, 4),
+                            threads=(2, 4))
         assert report.ok, report.summary()
-        names = set(report.checks)
-        assert {"level:1", "level:3", "threads:2", "gradcheck",
-                "inference", "checkpoint"} <= names
+        expected = [
+            "arena", "level:0", "level:1", "level:2", "level:3", "level:4",
+            "memplan", "memplan-kept", "batchtile", "batchtile-memplan",
+            "batchtile-kept", "batchtile-threads:4", "batchtile-inference",
+            "batchtile-inference-threads:4", "inference", "cache",
+            "checkpoint", "quant:fp16", "quant:fp16-repro", "quant:int8",
+            "quant:int8-repro", "cbackend", "cbackend-vs-numpy",
+            "cbackend-batchtile", "cbackend-repro", "cbackend-cache",
+            "cbackend-threads:4", "threads:2", "repro-threads:2",
+            "memplan-threads:2", "threads:4", "gradcheck"]
+        if not have_c_toolchain():
+            expected = [c for c in expected if not c.startswith("cbackend")]
+        assert report.checks == expected
+
+    def test_run_to_run_rows_compare_two_compiles(self, monkeypatch):
+        """``repro-threads:N``, ``cbackend-repro`` and the second half of
+        ``cbackend-threads:N`` compile their configuration again: no row
+        compares a run with itself."""
+        from repro.codegen.c_backend import have_c_toolchain
+        from repro.testing import oracle
+
+        compared, compare = [], oracle._compare_runs
+
+        def recording(check, got, want, out, tier):
+            compared.append((check, got is want))
+            compare(check, got, want, out, tier)
+
+        monkeypatch.setattr(oracle, "_compare_runs", recording)
+        report = check_spec(random_spec(0, families=("mlp",)), levels=(4,),
+                            threads=(2,), gradcheck_indices=0,
+                            baselines=False, quant=False)
+        assert report.ok, report.summary()
+        assert not [c for c, same in compared if same], compared
+        rows = [c for c, _ in compared]
+        assert "repro-threads:2" in rows
+        if have_c_toolchain():
+            assert "cbackend-repro" in rows
+            assert rows.count("cbackend-threads:2") == 2
 
     def test_one_shard_is_compared_bitwise(self):
         """A threaded run the executor split into one shard is the
         serial program: a last-ulp difference the thread tiers accept
         is a mismatch there."""
-        from repro.testing.oracle import (
-            TOLERANCES,
-            RunResult,
-            _compare_threaded,
-        )
+        from repro.testing.oracle import RunResult, _compare_runs
 
         out = np.ones(3, np.float32)
         serial = RunResult(1.0, out, out, {})
         nudged = np.nextafter(out, np.float32(2))
         for shards, caught in ((1, True), (2, False)):
             found = []
-            _compare_threaded("threads:2",
-                              RunResult(1.0, nudged, out, {}, shards=shards),
-                              serial, found, TOLERANCES["float32"])
+            _compare_runs("threads:2",
+                          RunResult(1.0, nudged, out, {}, shards=shards),
+                          serial, found, "threaded")
             assert bool(found) == caught, (shards, found)
+
+    def test_differing_parameter_sets_are_one_mismatch(self):
+        """A bitwise compare of runs with different parameter gradients
+        is a ``Mismatch`` the fuzz CLI can shrink, not a ``KeyError`` out
+        of ``check_spec``, whichever run lacks the gradient."""
+        from repro.testing.oracle import RunResult, _compare_runs
+
+        out = np.ones(3, np.float32)
+        grads = ({"fc.weights": out}, {"fc.weights": out, "fc.bias": out})
+        for got, want in (grads, grads[::-1]):
+            found = []
+            _compare_runs("cbackend-repro", RunResult(1.0, out, out, got),
+                          RunResult(1.0, out, out, want), found, "bitwise")
+            assert [str(m) for m in found] == [
+                "[cbackend-repro] parameter sets differ"]
 
     def test_cbackend_checks_run_when_toolchain_present(self):
         # the corpus run above must actually pin the C backend wherever

@@ -81,3 +81,16 @@ def test_readme_links_docs_tree():
     text = (ROOT / "README.md").read_text()
     missing = [p.name for p in DOC_FILES if f"docs/{p.name}" not in text]
     assert not missing, f"README does not link: {missing}"
+
+
+def test_oracle_table_has_a_row_per_check():
+    """docs/TESTING.md's oracle table has a row for every check the
+    oracle reports on a conv spec that tiles (a thread count and an
+    optimization level above 0 written ``N``)."""
+    from repro.testing import check_spec, random_spec
+
+    text = (ROOT / "docs" / "TESTING.md").read_text()
+    rows = set(re.findall(r"^\| `([^`]+)` \|", text, re.M))
+    checks = check_spec(random_spec(11)).checks
+    named = {re.sub(r"(threads|level):[1-9]\d*$", r"\1:N", c) for c in checks}
+    assert named <= rows, sorted(named - rows)

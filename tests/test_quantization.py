@@ -41,9 +41,9 @@ from repro.testing.generator import (
     random_spec,
 )
 from repro.testing.oracle import (
-    TOLERANCES,
     _check_quant,
     calibrate_spec,
+    run_eval_forward,
     run_quant_forward,
 )
 from repro.trace import RecordingTracer
@@ -374,7 +374,8 @@ class TestPrecisionPass:
         assert sum(s.label.startswith("fake_quant(")
                    for s in cnet.compiled.forward) > 1
         checks, mismatches = [], []
-        _check_quant(spec, 4, TOLERANCES["float32"], checks, mismatches)
+        _, ref_out, _ = run_eval_forward(spec, 4, "inference")
+        _check_quant(spec, 4, ref_out, checks, mismatches)
         assert "quant:int8" in checks and "quant:int8-repro" in checks
         assert not mismatches, [str(m) for m in mismatches]
 

@@ -11,12 +11,11 @@ ones most likely to stress the native lowering.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.codegen import c_backend
 from repro.testing import check_spec, load_reproducer
-from repro.testing.oracle import TOLERANCES, run_spec
+from repro.testing.oracle import _compare_runs, run_spec
 
 REGRESSION_DIR = Path(__file__).parent / "regressions"
 CASES = sorted(REGRESSION_DIR.glob("repro_*.json"))
@@ -41,24 +40,10 @@ def test_regression_case_c_backend(path):
     # replay under backend="c": the native program must agree with the
     # O0 interpreter within the float-reassociation tier
     spec, _payload = load_reproducer(path)
-    tol = TOLERANCES["float32"]
-    native = run_spec(spec, level=4, backend="c")
-    reference = run_spec(spec, level=0)
-    assert np.isfinite(native.loss)
-    assert abs(native.loss - reference.loss) <= (
-        tol["loss_rtol"] * max(1e-12, abs(reference.loss)))
-    np.testing.assert_allclose(native.output, reference.output,
-                               rtol=tol["level_rtol"],
-                               atol=tol["level_atol"])
-    np.testing.assert_allclose(native.dx, reference.dx,
-                               rtol=tol["level_rtol"],
-                               atol=tol["level_atol"])
-    for key in sorted(reference.param_grads):
-        np.testing.assert_allclose(native.param_grads[key],
-                                   reference.param_grads[key],
-                                   rtol=tol["level_param_rtol"],
-                                   atol=tol["level_param_atol"],
-                                   err_msg=f"d({key})")
+    mismatches = []
+    _compare_runs("c-vs-O0", run_spec(spec, level=4, backend="c"),
+                  run_spec(spec, level=0), mismatches, "level")
+    assert not mismatches, "\n".join(str(m) for m in mismatches)
 
 
 def test_corpus_not_empty():
