@@ -474,7 +474,14 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
             expr = f"_np.transpose({expr}, {perm})"
         return expr
 
-    if stmt.reduce is None:
+    masked = _masked_in_place(stmt)
+    if stmt.reduce is None and masked is not None and not red_axes and (
+            tgt_axis_vars and tgt_axis_vars == kept):
+        # zeroing the masked-off elements of its own source in place is
+        # bitwise the select, with no whole-array result or mask to hold
+        cond = render(masked, vec_ix, vector=True, names=aranges)
+        line = f"_np.copyto({tgt}, 0.0, where=~({cond}))"
+    elif stmt.reduce is None:
         line = f"{tgt} = {reduce_and_align(rhs, 'sum')}"
     elif stmt.reduce == "add":
         if red_axes and not has_arrays:
@@ -501,6 +508,18 @@ def lower_unit_vector(unit: LoopUnit) -> LoweredUnit:
     else:  # pragma: no cover
         raise ValueError(f"unknown reduce {stmt.reduce!r}")
     return LoweredUnit(scalar_loops, line)
+
+
+def _masked_in_place(stmt: Assign) -> Optional[Expr]:
+    """The condition ``c`` of a store ``x = where(c, x, 0.0)`` into its
+    own source (a ReLU's in-place backward mask), else ``None``."""
+    value = stmt.value
+    if (isinstance(value, Call) and value.func == "where"
+            and value.args[1] == stmt.target
+            and value.args[2] == Const(0.0)
+            and any(isinstance(e, Index) for e in walk_exprs(value.args[0]))):
+        return value.args[0]
+    return None
 
 
 def lower_unit_scalar(unit: LoopUnit) -> LoweredUnit:

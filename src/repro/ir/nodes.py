@@ -341,7 +341,8 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
     if isinstance(stmt, Gemm):
         # var_axes/var_loops key on matched loop-variable names, which no
         # expression rewrite renames, so the match metadata survives
-        # structural copies
+        # structural copies; each copy has its own, which tiling
+        # re-splits
         return Gemm(
             fn(stmt.a),
             fn(stmt.b),
@@ -350,8 +351,8 @@ def transform_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
             stmt.accumulate,
             stmt.note,
             stmt.mnk,
-            var_axes=stmt.var_axes,
-            var_loops=stmt.var_loops,
+            var_axes=dict(stmt.var_axes),
+            var_loops=dict(stmt.var_loops),
         )
     if isinstance(stmt, Block):
         return Block([transform_exprs(s, fn) for s in stmt.stmts], stmt.label)

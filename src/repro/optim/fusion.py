@@ -30,7 +30,9 @@ Three cooperating transformations:
 3. **Contraction** — a staging, value or padded buffer whose whole
    life is inside one tiled group (pad → im2col → GEMM → bias → ReLU →
    pool, for one conv layer or several) holds one tile at a time, so it
-   is allocated for one tile only (:func:`contract`). The memory
+   is allocated for one tile only (:func:`contract`); so does a
+   gradient the group zeroes tile by tile before accumulating into it
+   (``tiling._join_above``). The memory
    planner then overlays two buffers contracted to one group wherever
    the units touching them do not overlap
    (:attr:`~repro.synthesis.access.Interval.units`), so a group of
@@ -201,8 +203,10 @@ def _reads_tile_local(unit: LoopUnit, buf: str, writer: LoopUnit,
             and at_batch_rows(writer, buf, plan))
 
 
-#: buffer roles :func:`contract` may shrink to one batch tile
-CONTRACTIBLE = ("input", "grad_input", "value", "padded")
+#: buffer roles :func:`contract` may shrink to one batch tile (a
+#: gradient once a fill defines it tile by tile: ``tiling._join_above``)
+CONTRACTIBLE = ("input", "grad_input", "value", "padded", "grad",
+                "padded_grad")
 
 
 def _fits(unit: LoopUnit, reads, writes, written: Dict[str, LoopUnit],
@@ -395,14 +399,19 @@ def contract(plan, fwd_items, bwd_items,
         roles[spec.role] += 1
         saved += whole - buffer_nbytes(plan, spec)
     fused = [item for item in items if len(item.units) > 1]
-    return {"fused_groups": len(fused),
-            "fused_units": sum(len(g.units) for g in fused),
-            "chains_joined": sum(len({u.tags.chain for u in g.units}) - 1
-                                 for g in fused),
-            "staging_contracted": roles["input"] + roles["grad_input"],
-            "values_contracted": roles["value"],
-            "padded_contracted": roles["padded"],
-            "bytes_contracted": saved}
+    counters = {"fused_groups": len(fused),
+                "fused_units": sum(len(g.units) for g in fused),
+                "chains_joined": sum(len({u.tags.chain for u in g.units}) - 1
+                                     for g in fused),
+                "staging_contracted": roles["input"] + roles["grad_input"],
+                "values_contracted": roles["value"],
+                "padded_contracted": roles["padded"],
+                "bytes_contracted": saved}
+    # only where there are some, so that a program contracting no
+    # gradient keeps its pass records
+    if roles["grad"] + roles["padded_grad"]:
+        counters["grads_contracted"] = roles["grad"] + roles["padded_grad"]
+    return counters
 
 
 def _label(unit: LoopUnit) -> str:

@@ -236,7 +236,8 @@ def _regather(s: CompileState):
     # sees both gathers inside their layers and can contract what they
     # stage
     s.regathered, s.declined = liveness.regather_staging(
-        s.plan, s.program.forward, s.program.backward, s.keep)
+        s.plan, s.program.forward, s.program.backward, s.keep,
+        tiling.batch_rows if s.options.runs("tiling") else None)
     recomputed = sum(1 for r in s.regathered.values() if r.recomputed)
     counters = {"copies_regathered": len(s.regathered) - recomputed,
                 "pads_regathered": sum(

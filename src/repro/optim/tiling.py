@@ -15,19 +15,31 @@ contractible). Forced y tiles measured slower on NumPy and flat on C
 Pattern-matched :class:`~repro.ir.Gemm` units are tiled by re-splitting
 the full slice their batch variable became (the per-tile ``gemm`` calls
 of Fig. 10).
+
+In backward, a value recomputed from its forward chain
+(:func:`~repro.synthesis.liveness.regather_staging`: kind
+``recompute``) is tiled like that chain, and the row-wise gradients
+that read what it recomputes — a pool's ``==`` routing, a ReLU's mask —
+are moved up to follow it and run under its tile loop
+(:func:`_readers`), so the recomputed values hold one tile, not the
+whole batch: vgg's ``conv1_value_re`` holds one image. The units those
+gradients need first (the next layer's data gradient, scatter and
+unpad) join the loop ahead of the clone where they can
+(:func:`_join_above`), and a gradient only that loop touches is zeroed
+tile by tile by a ``fill`` unit there, so it holds one tile too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.ir import (Assign, Const, ExternOp, Gemm, Index, SliceExpr, Var,
                       add, mul, walk_exprs)
 from repro.synthesis.access import unit_rw
 from repro.synthesis.lower import BATCH_TILE_VAR, BATCH_VAR
-from repro.synthesis.units import LoopSpec, LoopUnit, Section
+from repro.synthesis.units import LoopSpec, LoopUnit, Section, UnitTags
 
 #: a staging (im2col / gradient-input) buffer larger than this is not
 #: materialized for the whole batch: its chain is tiled along the batch
@@ -120,14 +132,16 @@ def at_batch_rows(unit: LoopUnit, buf: str, plan) -> bool:
                and plan.resolve_alias(e.buffer) == buf)
 
 
-def _row_wise(unit: LoopUnit, plan) -> bool:
+def _row_wise(unit: LoopUnit, plan, roles=("value",)) -> bool:
     """May ``unit`` follow a batch-tiled chain tile by tile? A loop nest
-    over the batch computing each image's rows of batched values from
-    the same image's rows — a bias, an activation, a pooling layer's
-    init and max. Copies, pads and GEMMs start (or are) another layer's
-    chain, so they end this one."""
-    if (unit.tags.kind not in ("compute", "fill") or is_tiled(unit)
-            or not isinstance(unit.stmt, Assign)
+    over the batch computing each image's rows of batched ``roles``
+    buffers from the same image's rows — a bias, an activation, a
+    pooling layer's init and max, or their clones recomputing a value
+    in backward; with ``roles=("grad",)``, a gradient that reads one (a
+    pool's routing, a ReLU's mask). Copies, pads and GEMMs start (or
+    are) another layer's chain, so they end this one."""
+    if (unit.tags.kind not in ("compute", "fill", "recompute", "unpad")
+            or is_tiled(unit) or not isinstance(unit.stmt, Assign)
             or unit.tags.recurrent_src is not None
             or unit.find_loop(BATCH_VAR) is None):
         return False
@@ -138,7 +152,7 @@ def _row_wise(unit: LoopUnit, plan) -> bool:
         if plan.buffers[e.buffer].alias_reshape is not None or (
                 base.batched and e.indices[:1] != (Var(BATCH_VAR),)):
             return False
-    return all(plan.buffers[b].batched and plan.buffers[b].role == "value"
+    return all(plan.buffers[b].batched and plan.buffers[b].role in roles
                for b in unit_rw(plan, unit)[1])
 
 
@@ -177,6 +191,116 @@ def _consumers(sections: List[Section], at: int, chain: List[LoopUnit],
     return out
 
 
+def _conflict(a, b) -> bool:
+    """Must units with read/write sets ``a`` and ``b`` keep their
+    order?"""
+    (ra, wa), (rb, wb) = a, b
+    return bool(wa & (rb | wb) or ra & wb)
+
+
+def _readers(sections: List[Section], at: int, block: List[LoopUnit],
+             rw, plan) -> Tuple[List[LoopUnit], List[LoopUnit]]:
+    """``(above, readers)``: the row-wise gradient units after a
+    recompute chain's ``block`` (its pads, chain and consumers) that
+    read the values it recomputes, moved up to follow it, so that the
+    values live inside one tile loop; the units between go above the
+    block where a reader needs them (``above``), below the readers
+    otherwise. Nothing moves (and nothing is returned) when that would
+    reorder two dependent units."""
+    targets = frozenset().union(
+        *(rw[id(u)][1] for u in block if u.tags.kind == "recompute"))
+    slots = [(sec.units, i) for sec in sections[at:]
+             for i in range(len(sec.units))]
+    flat = [units[i] for units, i in slots]
+    start = next(i for i, u in enumerate(flat) if u is block[0])
+    end = start + len(block)
+    if [id(u) for u in flat[start:end]] != [id(u) for u in block]:
+        return [], []
+    at_reader = [i for i in range(end, len(flat))
+                 if rw[id(flat[i])][0] & targets
+                 and _row_wise(flat[i], plan, roles=("grad",))]
+    if not at_reader:
+        return [], []
+    readers = [flat[i] for i in at_reader]
+    window = flat[end:at_reader[-1] + 1]
+    # above the block: what a reader (or one of these) needs first
+    above: List[LoopUnit] = []
+    needed = list(readers)
+    for u in reversed(window):
+        if id(u) not in {id(v) for v in needed} and any(
+                _conflict(rw[id(u)], rw[id(v)]) for v in needed):
+            above.insert(0, u)
+            needed.append(u)
+    moved = {id(u) for u in needed}
+    order = above + block + readers + [u for u in window
+                                       if id(u) not in moved]
+    old = block + window
+    rank = {id(u): i for i, u in enumerate(order)}
+    for i, a in enumerate(old):
+        for b in old[i + 1:]:
+            opaque = (isinstance(a.stmt, ExternOp)
+                      and isinstance(b.stmt, ExternOp))
+            if ((opaque or _conflict(rw[id(a)], rw[id(b)]))
+                    and rank[id(a)] > rank[id(b)]):
+                return [], []
+    for (units, i), unit in zip(slots[start:], order):
+        units[i] = unit
+    return above, readers
+
+
+def _join_above(sections: List[Section], above: List[LoopUnit],
+                readers: List[LoopUnit], count: int, name: str, rw,
+                plan) -> List[LoopUnit]:
+    """Tile the units ``_readers`` moved above a recompute chain into
+    its tile loop too, where each already runs ``count`` tiles or is a
+    row-wise gradient (a layer's data gradient, its scatter and unpad):
+    the gradients that only they and the readers touch then live inside
+    one group. Each of those is zeroed tile by tile (a ``fill`` unit
+    right before its first accumulate) instead of whole before the
+    backward pass, so fusion may contract it. Returns the units of
+    ``above`` still to tile; none when one of them cannot join."""
+    if not above or not all(
+            u.loops[0].extent == count if is_tiled(u)
+            else _row_wise(u, plan, roles=("grad",)) for u in above):
+        return []
+    inside = {id(u) for u in above + readers}
+    touched: Dict[str, List[LoopUnit]] = {}
+    for sec in sections:
+        for u in sec.units:
+            for b in rw[id(u)][0] | rw[id(u)][1]:
+                touched.setdefault(b, []).append(u)
+    joined = [u for u in above if not is_tiled(u)]
+    for u in joined:
+        u.tags.chain = name
+    for b in sorted({b for u in above for b in rw[id(u)][1]}):
+        spec = plan.buffers[b]
+        first = touched[b][0]
+        if (spec.role not in ("grad", "padded_grad") or not spec.batched
+                or not all(id(u) in inside for u in touched[b])
+                or b not in rw[id(first)][0]):
+            continue
+        fill = tile_unit(_zero_fill(plan, b, first.tags.ensemble), count)
+        fill.tags.chain = first.tags.chain
+        rw[id(fill)] = (frozenset(), frozenset({b}))
+        units = next(sec.units for sec in sections
+                     if any(u is first for u in sec.units))
+        units.insert(next(i for i, u in enumerate(units) if u is first),
+                     fill)
+    return joined
+
+
+def _zero_fill(plan, buf: str, ensemble: str) -> LoopUnit:
+    """A backward unit zeroing every row of batched ``buf``."""
+    spec = plan.buffers[buf]
+    dims = [f"{buf}_z{k}" for k in range(len(spec.shape))]
+    loops = [LoopSpec.simple(BATCH_VAR, plan.batch_size, role="batch")]
+    loops += [LoopSpec.simple(v, n) for v, n in zip(dims, spec.shape)]
+    stmt = Assign(Index(buf, (Var(BATCH_VAR),) + tuple(map(Var, dims))),
+                  Const(0.0))
+    return LoopUnit(loops, stmt, UnitTags(ensemble=ensemble, kind="fill",
+                                          direction="backward"))
+
+
 def run(sections: List[Section], plan) -> Dict[str, int]:
     """Batch-tile the chain of every staging buffer too large to stay
     whole: its layer's pad, the units that read or write it, and the
@@ -193,8 +317,8 @@ def run(sections: List[Section], plan) -> Dict[str, int]:
         if spec.role in ("input", "grad_input") and spec.batched
         and spec.alias_of is None}
     batch = plan.batch_size
+    rw = {id(u): unit_rw(plan, u) for sec in sections for u in sec.units}
     for at, sec in enumerate(sections):
-        rw = {id(u): unit_rw(plan, u) for u in sec.units}
         for name in staging:
             chain = [u for u in sec.units
                      if name in rw[id(u)][0] | rw[id(u)][1]]
@@ -212,7 +336,13 @@ def run(sections: List[Section], plan) -> Dict[str, int]:
             else:
                 chain = _pads(sec.units, chain, rw) + chain
                 _adjoin(sec.units, chain, rw)
-                for u in chain + _consumers(sections, at, chain, rw, plan):
+                chain += _consumers(sections, at, chain, rw, plan)
+                if any(u.tags.kind == "recompute" for u in chain):
+                    above, readers = _readers(sections, at, chain, rw, plan)
+                    chain += readers + _join_above(
+                        sections, above, readers, batch // rows, name, rw,
+                        plan)
+                for u in chain:
                     if not is_tiled(u):
                         tiled += is_tiled(tile_unit(u, batch // rows))
                     u.tags.chain = name
@@ -223,15 +353,12 @@ def _adjoin(units: List[LoopUnit], chain: List[LoopUnit], rw) -> None:
     """Sink the chain's leading units down to each next member, past
     the units between, as far as those are independent of them."""
 
-    def independent(a, b) -> bool:
-        (ra, wa), (rb, wb) = rw[id(a)], rw[id(b)]
-        return not (wa & (rb | wb) or ra & wb)
-
     at = {id(u): i for i, u in enumerate(units)}
     for n, nxt in enumerate(chain[1:], start=1):
         i, j = at[id(chain[0])], at[id(nxt)]
         block, between = units[i:i + n], units[i + n:j]
-        if not all(independent(b, m) for b in block for m in between):
+        if any(_conflict(rw[id(b)], rw[id(m)])
+               for b in block for m in between):
             return
         units[i:j] = between + block
         at = {id(u): i for i, u in enumerate(units)}

@@ -60,8 +60,9 @@ reader, into a buffer of its own, and the arena is the largest such
 buffer — one batch tile of it, once fusion has contracted it — instead
 of the sum of all of them. A value that backward reads again and that
 cheap loop nests define (a pooling layer's max of a conv value that is
-live anyway) is recomputed the same way instead of held across the
-phases.
+live anyway), or that a first layer's GEMM chain defines from the fed
+data and parameters alone, is recomputed the same way instead of held
+across the phases.
 
 The result is a :class:`MemoryPlan` stored on the
 :class:`~repro.synthesis.plan.BufferPlan`; ``repro.runtime.buffers``
@@ -120,8 +121,9 @@ class Rematerialized:
     #: ``<ensemble>.recompute`` (``+``-joined) for a value
     label: str
     nbytes: int
-    #: the padded buffer re-padded ahead of the re-gather ('' if the
-    #: copy gathers from an unpadded source, and for a value)
+    #: the padded buffer re-padded ahead of the re-gather or a GEMM's
+    #: recompute ('' if it gathers from an unpadded source, and for a
+    #: value no GEMM defines)
     padded: str = ""
 
     @property
@@ -365,9 +367,13 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
     view = ProgramView(plan, (), bwd_items)
     # a re-gather (and the re-pad ahead of it) not fused into its reader
     # is always ready and only births: it takes no part in the
-    # scheduling and goes back in right before its reader
-    late = {i for i, it in enumerate(bwd_items)
-            if all(u.tags.kind in REMATERIALIZING for u in it.units)}
+    # scheduling and goes back in right before its reader — unless it
+    # reads what a scheduled item writes (a value recomputed there)
+    late: Set[int] = set()
+    for i, it in enumerate(bwd_items):
+        if all(u.tags.kind in REMATERIALIZING for u in it.units) and not any(
+                view.depends(j, i) for j in range(i) if j not in late):
+            late.add(i)
     touched = [frozenset() if i in late else rec.touched
                for i, rec in enumerate(view.records)]
     succs = [[j for j in range(i + 1, n) if view.depends(i, j)]
@@ -430,7 +436,8 @@ def reorder_backward(plan: BufferPlan, bwd_items: list) -> int:
 
 
 def regather_staging(
-    plan: BufferPlan, fwd: list, bwd: list, keep_bufs=frozenset()
+    plan: BufferPlan, fwd: list, bwd: list, keep_bufs=frozenset(),
+    batch_rows: Optional[Callable[[int, int], int]] = None,
 ) -> Tuple[Dict[str, Rematerialized], Dict[str, str]]:
     """Re-run in backward the cheap forward work backward reads again,
     instead of holding what it defined across the phases.
@@ -451,25 +458,41 @@ def regather_staging(
     units and the planner overlays all of them on the same bytes.
 
     A batched value that backward reads again is recomputed the same
-    way when the units defining it are cheap loop nests — no GEMM, no
-    extern, nothing recurrent: a pooling layer's init and max. They are
-    cloned (kind ``recompute``) right before the value's first backward
-    reader, into a fresh ``<value>_re`` that every backward reader is
-    respelled to. Values go after the copies, so that a re-pad reads
-    the recomputed value, and the latest defined first, so that a value
+    way when the units defining it are cheap loop nests — no extern,
+    nothing recurrent: a pooling layer's init and max. They are cloned
+    (kind ``recompute``) right before the value's first backward reader
+    (and the inits ahead of it), into a fresh ``<value>_re`` that every
+    backward reader is respelled to, through any in-place alias of the
+    value too. Values go after the copies, so that a re-pad reads the
+    recomputed value, and the latest defined first, so that a value
     recomputed from another one is itself a backward reader of it.
+
+    A value a GEMM defines is recomputed with its whole forward chain —
+    pad, im2col copy, GEMM, bias, in-place activation — whose staging
+    buffers the clones write as fresh ``<buffer>_rc``, and only when
+    every source of that chain is held for the whole step anyway (a fed
+    data value, parameters): vgg's ``conv1_value``. The clone is the
+    forward units' own statements, tiled alike (same tile count, same
+    GEMM shapes), so it gives the forward value's exact bits; tiling
+    then runs it tile by tile with the row-wise gradients that read it
+    (:mod:`repro.optim.tiling`), so ``<value>_re`` contracts to a tile.
+    Its staging counts against what it saves, at the tile
+    ``batch_rows(batch, row_bytes)`` gives (the batch tiling will run;
+    the whole batch when tiling is off).
 
     Runs on the synthesized sections, before tiling. ``keep_bufs`` are
     the inspected value/grad bases (:func:`kept_buffers`), live to the
     program's end pooled or not, and never recomputed: re-running work
     from any other source extends that source's life, and a buffer
-    whose bytes exceed the bytes so extended by less than arena
-    alignment can cost is declined. Returns ``(rematerialized,
-    declined)`` keyed by forward buffer; reasons are
-    ``'time-unrolled'``, ``'opaque'`` (a gather closure or extern reader
-    looks the buffer up by name), ``'aliased'`` (a unit spells it
-    through an alias), ``'target-rewritten'``, ``'source-rewritten'``
-    and ``'no-saving'``.
+    whose bytes exceed the bytes so extended (and the staging so born)
+    by less than arena alignment can cost is declined. Returns
+    ``(rematerialized, declined)`` keyed by forward buffer, every value
+    backward reads again that is kept across the phases with its
+    reason: ``'time-unrolled'``, ``'opaque'`` (a gather closure or
+    extern reader looks the buffer up by name), ``'aliased'`` (a unit
+    spells it through a reshaped alias), ``'target-rewritten'``,
+    ``'source-rewritten'``, ``'no-saving'`` and, for a GEMM's value,
+    ``'source-not-held (<buffer>)'`` naming a source that is not held.
     """
     done: Dict[str, Rematerialized] = {}
     declined: Dict[str, str] = {}
@@ -488,7 +511,7 @@ def regather_staging(
                 if name in plan.buffers and plan.resolve_alias(name) == base}
 
     def why_not(target: str, sources: Set[str], definers: List[int],
-                readers: List[int]) -> Optional[str]:
+                readers: List[int], births: int = 0) -> Optional[str]:
         """Why re-running the forward points ``definers`` ahead of the
         backward points ``readers`` may not replace holding ``target``
         (``None`` when it may)."""
@@ -497,7 +520,8 @@ def regather_staging(
             return "time-unrolled"
         if any(records[q].opaque for q in definers + readers):
             return "opaque"
-        if any(spellings(q, target) - {target} for q in definers + readers):
+        if any(plan.buffers[name].alias_reshape is not None
+               for q in definers + readers for name in spellings(q, target)):
             return "aliased"
         if (view.intervals[target].first_kind != "w"
                 or any(target in rec.writes for q, rec in enumerate(records)
@@ -509,9 +533,20 @@ def regather_staging(
         extended = sum(
             buffer_nbytes(plan, plan.buffers[b]) for b in sources
             if poolable(b) and view.intervals[b].last < first)
-        if buffer_nbytes(plan, plan.buffers[target]) - extended < ALIGN_BYTES:
+        if (buffer_nbytes(plan, plan.buffers[target]) - extended - births
+                < ALIGN_BYTES):
             return "no-saving"
         return None
+
+    def staging_bytes(staged: Set[str]) -> int:
+        """Bytes of a recompute's staging buffers at the batch tile
+        their chain will run (the whole batch when it is not tiled)."""
+        per_image = {b: buffer_nbytes(plan, plan.buffers[b])
+                     // plan.batch_size for b in staged}
+        largest = max(per_image.values(), default=0)
+        rows = (batch_rows(plan.batch_size, largest) if batch_rows
+                else plan.batch_size)
+        return rows * sum(per_image.values())
 
     def backward_readers(point: int, base: str) -> List[int]:
         return [q for q in view.readers_after(point, base) if q >= n_fwd]
@@ -555,24 +590,41 @@ def regather_staging(
         spec, points = plan.buffers[value], definers[value]
         readers = backward_readers(points[0], value)
         if (spec.role != "value" or not spec.batched or value in keep_bufs
-                or not readers
-                or any(isinstance(fwd_units[p].stmt, Gemm) for p in points)):
+                or not readers):
             continue
+        # a GEMM's value is recomputed with its layer's pad and im2col
+        # copy, and only from what the step holds anyway
+        gemm = any(isinstance(fwd_units[p].stmt, Gemm) for p in points)
+        staged = (_staging_definers(plan, view, definers, points) if gemm
+                  else [])
+        chain = sorted(points + staged)
+        written = frozenset().union(*(view.records[p].writes for p in chain))
         sources = set().union(
-            *(view.records[p].reads for p in points)) - {value}
-        reason = why_not(value, sources, points, readers)
+            *(view.records[p].reads for p in chain)) - written
+        unheld = sorted(b for b in sources if poolable(b))
+        reason = (f"source-not-held ({unheld[0]})" if gemm and unheld
+                  else why_not(value, sources, chain, readers,
+                               staging_bytes(written - {value})))
         if reason is not None:
             declined[value] = reason
             continue
-        renames = {value: value + "_re"}
+        renames = {name: value + "_re" for q in chain + readers
+                   for name in spellings(q, value) | {value}}
+        renames.update((b, b + "_rc") for b in sorted(written - {value}))
+        kinds = [fwd_units[p].tags.kind for p in chain]
         _clone_backward(plan, bwd,
-                        [(fwd_units[p], "recompute") for p in points],
+                        [(fwd_units[p], kind if kind in ("pad_fill", "pad")
+                          else "recompute") for p, kind in zip(chain, kinds)],
                         renames, [units[q] for q in readers])
         done[value] = Rematerialized(
-            renames[value], ", ".join(sorted(sources)),
+            renames[value],
+            ", ".join(sorted(b for b in sources
+                             if not plan.buffers[b].is_param)),
             "+".join(dict.fromkeys(f"{fwd_units[p].tags.ensemble}.recompute"
                                    for p in points)),
-            buffer_nbytes(plan, spec))
+            buffer_nbytes(plan, spec),
+            ", ".join(sorted(renames[b] for b in written
+                             if plan.buffers[b].role == "padded")))
         units, view = _unit_view(plan, fwd_units, bwd, seen)
     return done, declined
 
@@ -601,6 +653,25 @@ def _unit_view(plan: BufferPlan, fwd_units: List[LoopUnit], bwd: list,
         plan, [point(u) for u in fwd_units], [point(u) for u in bwd_units])
 
 
+def _staging_definers(plan: BufferPlan, view: ProgramView,
+                       definers: Dict[str, List[int]],
+                       points: List[int]) -> List[int]:
+    """The forward points ahead of ``points`` that define the staging
+    buffers they read: a GEMM's im2col copy and, ahead of that, its
+    layer's pad (zero-fill and interior copy)."""
+    staged: List[int] = []
+    todo = set().union(*(view.records[p].reads for p in points))
+    while todo:
+        base = todo.pop()
+        if plan.buffers[base].role not in ("input", "padded"):
+            continue
+        for p in definers.get(base, ()):
+            if p < points[0] and p not in staged:
+                staged.append(p)
+                todo |= view.records[p].reads
+    return staged
+
+
 def _clone_backward(plan: BufferPlan, bwd: list, originals,
                     renames: Dict[str, str], readers: List[LoopUnit]) -> None:
     """Clone the forward ``(unit, kind)`` pairs ``originals``, tagged
@@ -609,7 +680,8 @@ def _clone_backward(plan: BufferPlan, bwd: list, originals,
     new name) for every ``b`` it spells that ``renames`` maps; the
     backward ``readers`` are respelled to read them."""
     for b, fresh in renames.items():
-        plan.add(replace(plan.buffers[b], name=fresh))
+        if plan.buffers[b].alias_of is None:
+            plan.add(replace(plan.buffers[b], name=fresh))
     for reader in readers:
         reader.stmt = respelled(reader.stmt, renames)
     clones = [
@@ -618,6 +690,11 @@ def _clone_backward(plan: BufferPlan, bwd: list, originals,
         for u, kind in originals]
     at, i = next((sec.units, i) for sec in bwd
                  for i, u in enumerate(sec.units) if u is readers[0])
+    # ahead of a recomputed pool's fill too, when its max reads them:
+    # the fill stays next to the max
+    while i and at[i - 1].tags.kind == "recompute" and not unit_rw(
+            plan, at[i - 1])[0]:
+        i -= 1
     at[i:i] = clones
 
 

@@ -864,10 +864,12 @@ def _overlapping(place_offsets):
 
 
 def _skipping(clone_backward):
-    """``_clone_backward`` that drops the clones of recomputed values."""
+    """``_clone_backward`` that drops the clones of recomputed values
+    (a GEMM's pad with them)."""
     def skipping(plan, bwd, originals, renames, readers):
-        clone_backward(plan, bwd, [(u, kind) for u, kind in originals
-                                   if kind != "recompute"], renames, readers)
+        if any(kind == "recompute" for _u, kind in originals):
+            originals = []
+        clone_backward(plan, bwd, originals, renames, readers)
     return skipping
 
 

@@ -204,6 +204,30 @@ class TestInjectedBugs:
         assert {"level:3", "level:4", "memplan"} <= {
             m.check for m in report.mismatches}
 
+    def test_recompute_skipped_is_caught_on_a_gemm_defined_value(self):
+        """A first-layer conv's value, read by its in-place ReLU and max
+        pool in backward, is recomputed there with its whole chain (the
+        im2col copy and the GEMM): with the clones dropped, the pool's
+        routing and the ReLU's mask read a buffer nothing defines. Seed
+        17's first spec, which CI's oracle self-test runs too."""
+        from repro.optim import CompilerOptions
+        from repro.testing.generator import build_net
+        from repro.utils.rng import seed_all
+
+        spec = random_spec(1_700_000)  # conv -> relu -> maxpool
+        assert "conv4x1s1p0->relu->maxpool" in spec.describe()
+        seed_all(spec.seed)
+        cnet = build_net(spec).init(CompilerOptions())
+        remat = cnet.plan.memory.rematerialized["L0_conv_value"]
+        assert remat.recomputed and remat.source == "data_value"
+        assert "L0_conv.recompute" in [s.label for s in cnet.compiled.backward]
+        kwargs = dict(levels=(3, 4), threads=(), gradcheck_indices=0,
+                      baselines=False, cbackend=False, quant=False)
+        assert check_spec(spec, **kwargs).ok
+        with inject_bug("recompute-skipped"):
+            report = check_spec(spec, **kwargs)
+        assert "level:4" in {m.check for m in report.mismatches}
+
     def test_stats_dropped_is_caught_on_a_batchnorm_spec(self):
         """A checkpoint that leaves the running statistics behind cannot
         rebuild the trained net: the ``checkpoint`` tier, and only it,

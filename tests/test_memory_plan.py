@@ -697,7 +697,8 @@ class TestRematerialization:
         """A backward re-gather re-pads its layer's input instead of
         reading the forward padded buffer again, so every padded buffer
         an im2col copy gathers from lives in one phase, and none is
-        left whole for being read by a later group. (A pool whose window
+        left whole for being read by a later group; nor does the re-pad
+        of a GEMM's recomputed chain (``_rc``). (A pool whose window
         copy was inlined reads its padded input in its own backward
         compute: that one is not re-gathered, and spans both.)"""
         cn = _ledger_net(name)
@@ -707,7 +708,8 @@ class TestRematerialization:
         for base, spec in cn.plan.buffers.items():
             if spec.role == "padded" and spec.alias_of is None:
                 assert (len(mem.intervals[base].phases) == 1) == (
-                    base.removesuffix("_re") in gathered), base
+                    base.removesuffix("_re").removesuffix("_rc")
+                    in gathered), base
         assert not [b for b in cn.plan.untiled
                     if cn.plan.buffers[b].role == "padded"]
 
@@ -756,16 +758,18 @@ class TestRematerialization:
         """Each of vgg's first four pools is read again in backward by
         its own pool backward and the next layer's re-pad: it is
         recomputed there from its conv value, which backward keeps
-        anyway, instead of held across the phases; the forward value
-        then contracts into its group. The dropout values and the last
-        pool reach backward through the next FC layer's reshaped input
-        alias, which cannot be respelled."""
+        anyway (conv1's is recomputed itself, from the data), instead of
+        held across the phases; the forward value then contracts into
+        its group. The dropout values and the last pool reach backward
+        through the next FC layer's reshaped input alias, which cannot
+        be respelled; every other conv and FC value is a GEMM's whose
+        chain reads a pooled value."""
         cn = _ledger_net("vgg")
         mem = cn.plan.memory
         recomputed = {b: r for b, r in mem.rematerialized.items()
                       if r.recomputed}
-        assert sorted(recomputed) == [f"pool_conv{i}_value"
-                                      for i in range(1, 5)]
+        assert sorted(recomputed) == ["conv1_value"] + [
+            f"pool_conv{i}_value" for i in range(1, 5)]
         rows = cn.memory_report().table().splitlines()
         summary = cn.summary().splitlines()
         for row in ("recomputed pool_conv1_value: 512.0 KB from "
@@ -775,25 +779,35 @@ class TestRematerialization:
                     "retained drop6_value: aliased",
                     "retained drop7_value: aliased"):
             assert row in rows and f"    {row}" in summary
-        assert mem.declined == {"drop6_value": "aliased",
-                                "drop7_value": "aliased",
-                                "pool_conv5_value": "aliased"}
+        assert {b: why for b, why in mem.declined.items()
+                if not why.startswith("source-not-held")} == {
+                    "drop6_value": "aliased", "drop7_value": "aliased",
+                    "pool_conv5_value": "aliased"}
         for b, r in recomputed.items():
-            assert r.buffer == b + "_re" and not r.padded
+            assert r.buffer == b + "_re"
+            assert r.padded == ("conv1_padsrc0_rc" if b == "conv1_value"
+                                else "")
             assert mem.intervals[b].phases == {"forward"}
             assert mem.intervals[r.buffer].phases == {"backward"}
-            assert r.nbytes == cn.buffers[r.buffer].nbytes
+            # the bytes no longer held: the whole batch, though the
+            # clone of conv1's value and pool runs tile by tile
+            tile = cn.plan.buffers[r.buffer].tile or 8
+            assert r.nbytes == cn.buffers[r.buffer].nbytes * 8 // tile
+            assert (tile == 1) == (b in ("conv1_value", "pool_conv1_value"))
         assert {"pool_conv1_value", "pool_conv2_value"} <= set(
             cn.plan.contracted)
         assert cn.compile_report["regather"].rewrites == {
-            "copies_regathered": 8, "pads_regathered": 8,
-            "copies_declined": 0, "values_recomputed": 4}
+            "copies_regathered": 8, "pads_regathered": 9,
+            "copies_declined": 0, "values_recomputed": 5}
         stats = cn.compile_report["memory_plan"].rewrites
-        assert stats["copies_rematerialized"] == 12
+        assert stats["copies_rematerialized"] == 13
         assert stats["bytes_rematerialized"] == sum(
             r.nbytes for r in mem.rematerialized.values())
         steps = [s.label for s in cn.compiled.backward]
-        assert steps.count("pool_conv1.recompute") == 2  # init and max
+        assert steps.count("pool_conv2.recompute") == 2  # init and max
+        # pool_conv1's run tile by tile, with conv1's recompute
+        assert sum("+pool_conv1.recompute+pool_conv1.recompute+" in s
+                   for s in steps) == 1
         # an inspected value is held, not recomputed
         kept = _ledger_net("vgg", keep_alive=["pool_conv1"])
         assert "pool_conv1_value" not in kept.plan.memory.rematerialized
@@ -819,7 +833,7 @@ class TestRematerialization:
                 assert cn.buffers[buf].shape == (spec.tile,) + spec.shape
                 assert 8 % spec.tile == 0 and spec.tile < 8
                 assert spec.tile == tiles[label]
-                if spec.role in ("padded", "value"):
+                if spec.role in ("padded", "value", "grad", "padded_grad"):
                     continue  # its group's tile, sized by the im2col copy
                 # the largest divisor of the batch that fits the budget
                 # (one image when none does: the 11x11 conv1 layers)
@@ -1136,7 +1150,9 @@ class TestBatchTiles:
             SoftmaxLossLayer("loss", net, fc, label)
             fused = net.init(CompilerOptions())
         assert any("conv.copy+" in s.label for s in fused.compiled.forward)
-        assert fused.plan.memory.declined == {}
+        # the conv's value, a GEMM's of the data, reaches backward
+        # through the FC layer's reshaped input alias: held, and said
+        assert fused.plan.memory.declined == {"conv_value": "aliased"}
         assert sorted(fused.plan.memory.rematerialized) == ["conv_inputs0"]
 
     def test_declined_chains_run_whole_batch_and_say_why(self):

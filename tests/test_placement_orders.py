@@ -73,9 +73,10 @@ def test_the_kept_layout_is_the_smallest_plan(name, monkeypatch):
 #: not monotone: without the buffer, the ones placed after it choose
 #: other gaps
 RISES = {
-    "vgg": {"conv3_2_value": 65_536, "conv4_1_value": 262_144,
-            "conv5_1_value": 8_192, "pool_conv3_value_re": 319_488,
-            "pool_conv4_value_re": 172_032},
+    # was conv3_2_value 65 536, conv4_1_value 262 144, conv5_1_value
+    # 8 192, pool_conv3_value_re 319 488, pool_conv4_value_re 172 032,
+    # before conv1_value was recomputed in backward
+    "vgg": {},
     "alexnet": {"conv4_inputs0_re": 29_120},
     "lenet": {"conv2_value": 46_080},
 }
